@@ -21,6 +21,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,13 @@ from . import constants as C
 from .errors import DomainError, QuadratureError
 from .iterlog import xk_values
 from .quadrature import QuadratureSpec, integrate, integrate_halfline
-from .radial import RadialProfile, SphericalMode, TestFunction, mode_operator
+from .radial import (
+    RadialProfile,
+    SphericalMode,
+    TestFunction,
+    gradient_density,
+    mode_operator,
+)
 from .taylor import Jet
 
 __all__ = [
@@ -209,31 +216,191 @@ class ScanFamily(Enum):
     GRADIENT_CONSTANT = "rellich-gradient"             # -> N^2/4
 
 
-_DEFICIT_FAMILIES = {
-    ScanFamily.DEFICIT_VGRAD,
-    ScanFamily.DEFICIT_VLAP,
-    ScanFamily.GRAD_DEFICIT_VGRAD,
-    ScanFamily.VLAP_RADIAL_EXCESS,
-    ScanFamily.GRAD_DEFICIT_VLAP,
-    ScanFamily.GRADIENT_CONSTANT,
+# --------------------------------------------------------------------------
+# The scan families, each declared once.
+#
+# A quotient is a numerator over a denominator, each a linear combination of
+# named density pieces of the sequence member u and of its v-side image
+# v = r^{(N-4-2m)/2} u (radial measure dr, sphere area divided out):
+#
+#     lap_u    (L_k u)^2 r^{N-1-2m}              lap_v    (L_k v)^2 r^3
+#     grad_u   (u'^2 + c_k u^2/r^2) r^{N-3-2m}   grad_v   (v'^2 + c_k v^2/r^2) r
+#     hardy_u  u^2 r^{N-5-2m}                    rad_v    v'^2 r
+#
+# A term may carry the weight "series" = sum_{i<K} (X_1...X_i)^2 or
+# "pk2" = (X_1...X_K)^2.  The inner (s-space closed forms), outer (jets on
+# the cutoff zone) and reduced (single-log polynomials) evaluators each map
+# the piece names to their own forms and read the same combinations.
+
+
+class _Term(NamedTuple):
+    coeff: float
+    piece: str
+    weight: str | None = None
+
+
+_DEFICIT_PIECES = ("hardy_u", "grad_u")
+
+
+def _deficit(piece: str, constant: float) -> tuple[_Term, ...]:
+    """lap_u - constant * piece, piece in _DEFICIT_PIECES at its sharp
+    constant; the inner and reduced evaluators take it in factored form,
+    where the constant parts cancel exactly."""
+    return (_Term(1.0, "lap_u"), _Term(-constant, piece))
+
+
+def _plain(piece: str) -> tuple[_Term, ...]:
+    return (_Term(1.0, piece),)
+
+
+def _improved(piece: str, constant: float, series_coeff: float):
+    """(deficit - series_coeff * piece * series) over piece * pk2."""
+    num = _deficit(piece, constant) + (_Term(-series_coeff, piece, "series"),)
+    return num, (_Term(1.0, piece, "pk2"),)
+
+
+def _rellich(N: int) -> float:
+    return (N * (N - 4) / 4.0) ** 2
+
+
+def _sbar0(N: int) -> float:
+    return 1.0 + N * (N - 4) / 8.0
+
+
+def _section2(key: str) -> Callable[[int, float], float]:
+    return lambda N, m: C.section2_constants(N)[key]
+
+
+@dataclass(frozen=True)
+class _FamilySpec:
+    """A family's quotient terms and sharp constant, both functions of
+    (N, m), and the restrictions on its sequences' parameters."""
+
+    quotient: Callable[[int, float], tuple[tuple[_Term, ...], tuple[_Term, ...]]]
+    constant: Callable[[int, float], float]
+    m_zero: bool = False
+    radial: bool = True
+    below_m_star: bool = False
+    reduced: bool = True  # the single-log quotient has an exact reduction
+
+    def validate(self, family: ScanFamily, params: MinSeqParams) -> None:
+        rules = (
+            ("m = 0", self.m_zero, params.m != 0.0),
+            ("the radial mode", self.radial, params.mode_k != 0),
+        )
+        if any(on and broken for _, on, broken in rules):
+            needs = " and ".join(text for text, on, _ in rules if on)
+            raise DomainError(f"{family.value} scans use {needs}")
+        if self.below_m_star and params.m > C.m_star(params.N):
+            raise DomainError(f"family requires m <= m*(N) = {C.m_star(params.N):.6g}")
+
+
+_FAMILIES: dict[ScanFamily, _FamilySpec] = {
+    ScanFamily.RELLICH_IMPROVED: _FamilySpec(
+        lambda N, m: _improved("hardy_u", _rellich(N), _sbar0(N)),
+        lambda N, m: _sbar0(N),
+        m_zero=True,
+    ),
+    ScanFamily.RELLICH_GRAD_IMPROVED: _FamilySpec(
+        lambda N, m: _improved("grad_u", N * N / 4.0, 0.25),
+        lambda N, m: 0.25,
+        m_zero=True,
+    ),
+    ScanFamily.WEIGHTED_RELLICH_IMPROVED: _FamilySpec(
+        lambda N, m: _improved(
+            "hardy_u", float(C._sigma_exact(m, N)), float(C._sigma_bar_exact(m, N))
+        ),
+        lambda N, m: C.sigma_bar(m, N),
+    ),
+    ScanFamily.WEIGHTED_GRAD_IMPROVED: _FamilySpec(
+        lambda N, m: _improved("grad_u", ((N + 2 * m) / 2.0) ** 2, 0.25),
+        lambda N, m: 0.25,
+        below_m_star=True,
+    ),
+    ScanFamily.AMN: _FamilySpec(
+        lambda N, m: (_plain("lap_u"), _plain("grad_u")),
+        lambda N, m: C.a_mn(N, m).value,
+        radial=False,
+        reduced=False,
+    ),
+    ScanFamily.DEFICIT_VGRAD: _FamilySpec(
+        lambda N, m: (_deficit("hardy_u", _rellich(N)), _plain("grad_v")),
+        _section2("rellich-deficit-vgrad"),
+        m_zero=True,
+    ),
+    ScanFamily.DEFICIT_VLAP: _FamilySpec(
+        lambda N, m: (_deficit("hardy_u", _rellich(N)), _plain("lap_v")),
+        _section2("rellich-deficit-vlap"),
+        m_zero=True,
+    ),
+    ScanFamily.GRAD_DEFICIT_VGRAD: _FamilySpec(
+        lambda N, m: (_deficit("grad_u", N * N / 4.0), _plain("grad_v")),
+        _section2("gradrellich-deficit-vgrad"),
+        m_zero=True,
+    ),
+    ScanFamily.VLAP_RADIAL_EXCESS: _FamilySpec(
+        lambda N, m: (_plain("lap_v"), (_Term(1.0, "rad_v"), _Term(-0.5, "grad_v"))),
+        _section2("v-laplacian-radial-excess"),
+        m_zero=True,
+    ),
+    ScanFamily.GRAD_DEFICIT_VLAP: _FamilySpec(
+        lambda N, m: (_deficit("grad_u", N * N / 4.0), _plain("lap_v")),
+        _section2("gradrellich-deficit-vlap"),
+        m_zero=True,
+    ),
+    ScanFamily.GRADIENT_CONSTANT: _FamilySpec(
+        lambda N, m: (_plain("lap_u"), _plain("grad_u")),
+        _section2("rellich-gradient"),
+        m_zero=True,
+        reduced=False,
+    ),
 }
 
 
 def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
-    N, m = params.N, params.m
-    if family is ScanFamily.RELLICH_IMPROVED:
-        return 1.0 + N * (N - 4) / 8.0
-    if family is ScanFamily.RELLICH_GRAD_IMPROVED:
-        return 0.25
-    if family is ScanFamily.WEIGHTED_RELLICH_IMPROVED:
-        return C.sigma_bar(m, N)
-    if family is ScanFamily.WEIGHTED_GRAD_IMPROVED:
-        if m > C.m_star(N):
-            raise DomainError(f"family requires m <= m*(N) = {C.m_star(N):.6g}")
-        return 0.25
-    if family is ScanFamily.AMN:
-        return C.a_mn(N, m).value
-    return C.section2_constants(N)[family.value]
+    """The sharp constant the family's quotients approach."""
+    spec = _FAMILIES[family]
+    spec.validate(family, params)
+    return spec.constant(params.N, params.m)
+
+
+def _combine(terms, piece, weight, deficit=None):
+    """sum of coeff * piece(name) * weight(w) over the terms, in term order.
+
+    ``weight`` returns None for an empty series, whose terms drop out.  With
+    ``deficit``, a leading lap_u - c * p (see :func:`_deficit`) is taken as
+    deficit(p, c) instead.
+    """
+    acc = None
+    if (
+        deficit is not None
+        and len(terms) > 1
+        and terms[1].piece in _DEFICIT_PIECES
+        and terms[:2] == _deficit(terms[1].piece, -terms[1].coeff)
+    ):
+        acc = deficit(terms[1].piece, -terms[1].coeff)
+        terms = terms[2:]
+    for coeff, name, w in terms:
+        wv = None if w is None else weight(w)
+        if w is not None and wv is None:
+            continue
+        x = piece(name)
+        if coeff != 1.0:
+            x = coeff * x
+        if wv is not None:
+            x = x * wv
+        acc = x if acc is None else acc + x
+    return acc
+
+
+def _series_weight(prods: list, K: int):
+    """X_1^2 + ... + (X_1...X_{K-1})^2, or None when K = 1."""
+    if K == 1:
+        return None
+    out = np.zeros_like(prods[0])
+    for i in range(K - 1):
+        out = out + prods[i] ** 2
+    return out
 
 
 class _InnerTerms:
@@ -245,10 +412,21 @@ class _InnerTerms:
     combinations with the sharp constants are evaluated in the factored
     forms lap_u^2 - A0^2 = delta (2 A0 + delta) (the constant cancellation
     is exact), so no catastrophic subtraction occurs even at very deep s.
+    Every piece carries the common factor e^{-2 eps s} prod X_i^{-1+a_i}.
     """
+
+    _PIECES = {
+        "lap_u": lambda t: t.lap_u**2,
+        "grad_u": lambda t: t.T_u**2 + t.ck,
+        "hardy_u": lambda t: 1.0,
+        "lap_v": lambda t: t.lap_v**2,
+        "grad_v": lambda t: t.T_v**2 + t.ck,
+        "rad_v": lambda t: t.T_v**2,
+    }
 
     def __init__(self, params: MinSeqParams, s: np.ndarray, chain_len: int):
         s = np.asarray(s, dtype=float)
+        self.K = chain_len
         count = max(chain_len, len(params.a))
         xs = []
         v = 1.0 / (1.0 + s)
@@ -310,14 +488,19 @@ class _InnerTerms:
         d, g = self.delta_u, self.gamma_u
         return d * (2.0 * self.A0 + d) - coeff * g * (2.0 * self.q0 + g)
 
-    def series_sum_weight(self, upto: int) -> np.ndarray:
-        out = np.zeros_like(self.common)
-        for i in range(upto):
-            out = out + self.prods[i] ** 2
-        return out
+    def _weight(self, w: str):
+        if w == "pk2":
+            return self.prods[self.K - 1] ** 2
+        return _series_weight(self.prods, self.K)
 
-    def product_sq(self, i: int) -> np.ndarray:
-        return self.prods[i - 1] ** 2
+    def _deficit(self, piece: str, constant: float) -> np.ndarray:
+        if piece == "hardy_u":
+            return self.lap_sq_minus(constant)
+        return self.lap_sq_minus_grad(constant)
+
+    def density(self, terms) -> np.ndarray:
+        num = _combine(terms, lambda p: self._PIECES[p](self), self._weight, self._deficit)
+        return self.common * num
 
 
 class _OuterTerms:
@@ -333,132 +516,50 @@ class _OuterTerms:
         self.lk_v = mode_operator(self.mode, self.v)
         self.chain_len = chain_len
 
-    def pieces(self, r: np.ndarray) -> dict[str, np.ndarray]:
-        params = self.params
-        N, m = params.N, params.m
+    def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
+        """The named pieces at r, and only those."""
+        N, m = self.params.N, self.params.m
         ck = self.mode.eigenvalue
-        u0, u1 = self.u.derivative_values(r, 1)
-        v0, v1 = self.v.derivative_values(r, 1)
-        out = {
-            "lap_u": self.lk_u(r) ** 2 * r ** (N - 1 - 2 * m),
-            "grad_u": (u1**2 + (ck * (u0 / r) ** 2 if ck else 0.0)) * r ** (N - 3 - 2 * m),
-            "hardy_u": u0**2 * r ** (N - 5 - 2 * m),
-            "lap_v": self.lk_v(r) ** 2 * r**3,
-            "grad_v": (v1**2 + (ck * (v0 / r) ** 2 if ck else 0.0)) * r,
-            "rad_v": v1**2 * r,
-        }
-        prods = []
-        acc = np.ones_like(r)
-        for x in xk_values(self.chain_len, r):
-            acc = acc * x
-            prods.append(acc)
-        out["prods"] = prods
+        out = {}
+        if "lap_u" in names:
+            out["lap_u"] = self.lk_u(r) ** 2 * r ** (N - 1 - 2 * m)
+        if "grad_u" in names or "hardy_u" in names:
+            u0, u1 = self.u.derivative_values(r, 1)
+            if "grad_u" in names:
+                out["grad_u"] = gradient_density(u0, u1, ck, r, N - 3 - 2 * m)
+            if "hardy_u" in names:
+                out["hardy_u"] = u0**2 * r ** (N - 5 - 2 * m)
+        if "lap_v" in names:
+            out["lap_v"] = self.lk_v(r) ** 2 * r**3
+        if "grad_v" in names or "rad_v" in names:
+            v0, v1 = self.v.derivative_values(r, 1)
+            if "grad_v" in names:
+                out["grad_v"] = gradient_density(v0, v1, ck, r, 1)
+            if "rad_v" in names:
+                out["rad_v"] = v1**2 * r
         return out
 
+    def density(self, terms):
+        """r -> the combination's density, computing only the pieces it names."""
+        names = {t.piece for t in terms}
+        weighted = any(t.weight is not None for t in terms)
+        K = self.chain_len
 
-def _family_densities(family: ScanFamily, params: MinSeqParams, K: int):
-    """(numerator, denominator) builders over the inner and outer regions."""
-    N, m = params.N, params.m
-    if family in _DEFICIT_FAMILIES and (m != 0.0 or params.mode_k != 0):
-        raise DomainError(f"{family.value} scans use m = 0 and the radial mode")
-    if family in (ScanFamily.RELLICH_IMPROVED, ScanFamily.RELLICH_GRAD_IMPROVED) and m != 0.0:
-        raise DomainError(f"{family.value} scans use m = 0")
-    if family is not ScanFamily.AMN and params.mode_k != 0:
-        raise DomainError(f"{family.value} scans use the radial mode")
-    if family is ScanFamily.WEIGHTED_GRAD_IMPROVED and m > C.m_star(N):
-        raise DomainError(f"family requires m <= m*(N) = {C.m_star(N):.6g}")
+        def evaluate(r):
+            p = self.pieces(r, names)
+            prods = []
+            if weighted:
+                acc = np.ones_like(r)
+                for x in xk_values(K, r):
+                    acc = acc * x
+                    prods.append(acc)
 
-    rellich = (N * (N - 4) / 4.0) ** 2
-    sig = float(C._sigma_exact(m, N))
-    sbar = float(C._sigma_bar_exact(m, N))
-    sbar0 = 1.0 + N * (N - 4) / 8.0
-    wgrad = ((N + 2 * m) / 2.0) ** 2
+            def weight(w):
+                return prods[K - 1] ** 2 if w == "pk2" else _series_weight(prods, K)
 
-    def inner(s):
-        t = _InnerTerms(params, s, K)
-        if family is ScanFamily.RELLICH_IMPROVED:
-            num = t.lap_sq_minus(rellich) - sbar0 * t.series_sum_weight(K - 1)
-            den = t.product_sq(K)
-        elif family is ScanFamily.WEIGHTED_RELLICH_IMPROVED:
-            num = t.lap_sq_minus(sig) - sbar * t.series_sum_weight(K - 1)
-            den = t.product_sq(K)
-        elif family is ScanFamily.RELLICH_GRAD_IMPROVED:
-            num = t.lap_sq_minus_grad(N * N / 4.0) - 0.25 * t.T_u**2 * t.series_sum_weight(K - 1)
-            den = t.T_u**2 * t.product_sq(K)
-        elif family is ScanFamily.WEIGHTED_GRAD_IMPROVED:
-            num = t.lap_sq_minus_grad(wgrad) - 0.25 * t.T_u**2 * t.series_sum_weight(K - 1)
-            den = t.T_u**2 * t.product_sq(K)
-        elif family is ScanFamily.AMN:
-            num = t.lap_u**2
-            den = t.T_u**2 + t.ck
-        elif family is ScanFamily.DEFICIT_VGRAD:
-            num = t.lap_sq_minus(rellich)
-            den = t.T_v**2
-        elif family is ScanFamily.DEFICIT_VLAP:
-            num = t.lap_sq_minus(rellich)
-            den = t.lap_v**2
-        elif family is ScanFamily.GRAD_DEFICIT_VGRAD:
-            num = t.lap_sq_minus_grad(N * N / 4.0)
-            den = t.T_v**2
-        elif family is ScanFamily.VLAP_RADIAL_EXCESS:
-            num = t.lap_v**2
-            den = 0.5 * t.T_v**2
-        elif family is ScanFamily.GRAD_DEFICIT_VLAP:
-            num = t.lap_sq_minus_grad(N * N / 4.0)
-            den = t.lap_v**2
-        elif family is ScanFamily.GRADIENT_CONSTANT:
-            num = t.lap_u**2
-            den = t.T_u**2
-        else:  # pragma: no cover
-            raise DomainError(f"unknown family {family}")
-        return t.common * num, t.common * den
+            return _combine(terms, p.__getitem__, weight)
 
-    outer_terms = _OuterTerms(params, K)
-
-    def outer(r):
-        p = outer_terms.pieces(r)
-        series = np.zeros_like(r)
-        for i in range(K - 1):
-            series = series + p["prods"][i] ** 2
-        pk2 = p["prods"][K - 1] ** 2
-        if family is ScanFamily.RELLICH_IMPROVED:
-            num = p["lap_u"] - rellich * p["hardy_u"] - sbar0 * p["hardy_u"] * series
-            den = p["hardy_u"] * pk2
-        elif family is ScanFamily.WEIGHTED_RELLICH_IMPROVED:
-            num = p["lap_u"] - sig * p["hardy_u"] - sbar * p["hardy_u"] * series
-            den = p["hardy_u"] * pk2
-        elif family is ScanFamily.RELLICH_GRAD_IMPROVED:
-            num = p["lap_u"] - (N * N / 4.0) * p["grad_u"] - 0.25 * p["grad_u"] * series
-            den = p["grad_u"] * pk2
-        elif family is ScanFamily.WEIGHTED_GRAD_IMPROVED:
-            num = p["lap_u"] - wgrad * p["grad_u"] - 0.25 * p["grad_u"] * series
-            den = p["grad_u"] * pk2
-        elif family is ScanFamily.AMN:
-            num = p["lap_u"]
-            den = p["grad_u"]
-        elif family is ScanFamily.DEFICIT_VGRAD:
-            num = p["lap_u"] - rellich * p["hardy_u"]
-            den = p["grad_v"]
-        elif family is ScanFamily.DEFICIT_VLAP:
-            num = p["lap_u"] - rellich * p["hardy_u"]
-            den = p["lap_v"]
-        elif family is ScanFamily.GRAD_DEFICIT_VGRAD:
-            num = p["lap_u"] - (N * N / 4.0) * p["grad_u"]
-            den = p["grad_v"]
-        elif family is ScanFamily.VLAP_RADIAL_EXCESS:
-            num = p["lap_v"]
-            den = p["rad_v"] - 0.5 * p["grad_v"]
-        elif family is ScanFamily.GRAD_DEFICIT_VLAP:
-            num = p["lap_u"] - (N * N / 4.0) * p["grad_u"]
-            den = p["lap_v"]
-        elif family is ScanFamily.GRADIENT_CONSTANT:
-            num = p["lap_u"]
-            den = p["grad_u"]
-        else:  # pragma: no cover
-            raise DomainError(f"unknown family {family}")
-        return num, den
-
-    return inner, outer
+        return evaluate
 
 
 # --------------------------------------------------------------------------
@@ -542,8 +643,14 @@ class _Poly2:
         return out
 
 
-def _single_log_blocks(params: MinSeqParams) -> dict:
-    """Polynomials in (eps, X_1) for the single-log sequence's densities."""
+def _single_log_pieces(params: MinSeqParams) -> dict[str, _Poly2]:
+    """The single-log sequence's pieces as polynomials in (eps, X_1).
+
+    Each density is common * poly with common = r^{-1+2eps} X_1^{-1+a} phi^2.
+    Besides the pieces this holds the weight "pk2" = X_1^2 and the factored
+    deficit blocks lap_u^2 - A0^2 and T_u^2 - q0^2.  lap_u has no entry of
+    its own: its integral diverges as eps -> 0, only its deficits reduce.
+    """
     N, m = params.N, params.m
     a1 = params.a[0]
     q0 = -(N - 4.0 - 2.0 * m) / 2.0
@@ -560,57 +667,19 @@ def _single_log_blocks(params: MinSeqParams) -> dict:
         + B * 0.5
     )
     gamma = E + 0.5 * eta
-    lap_sq_deficit = delta * (2 * A0) + delta * delta
     grad_sq_shift = gamma * (2 * q0) + gamma * gamma  # T_u^2 - q0^2
     t_v = E + 0.5 * eta
     lap_v = t_v * t_v + (N - 2) * t_v + 0.5 * B
     return {
-        "X": X,
-        "delta": delta,
-        "lap_sq_deficit": lap_sq_deficit,
+        "lap_sq_deficit": delta * (2 * A0) + delta * delta,
         "grad_sq_shift": grad_sq_shift,
-        "t_u_sq": _Poly2.const(q0 * q0) + grad_sq_shift,
-        "t_v_sq": t_v * t_v,
-        "lap_v_sq": lap_v * lap_v,
+        "grad_u": _Poly2.const(q0 * q0) + grad_sq_shift,
+        "hardy_u": _Poly2.const(1.0),
+        "lap_v": lap_v * lap_v,
+        "grad_v": t_v * t_v,
+        "rad_v": t_v * t_v,
+        "pk2": X * X,
     }
-
-
-def _family_polys(family: ScanFamily, params: MinSeqParams):
-    """Inner-region numerator and denominator as polynomials in (eps, X_1)."""
-    N, m = params.N, params.m
-    b = _single_log_blocks(params)
-    X = b["X"]
-    wgrad = ((N + 2 * m) / 2.0) ** 2
-
-    if family in (ScanFamily.RELLICH_IMPROVED, ScanFamily.WEIGHTED_RELLICH_IMPROVED):
-        return b["lap_sq_deficit"], X * X
-    if family in (ScanFamily.RELLICH_GRAD_IMPROVED, ScanFamily.WEIGHTED_GRAD_IMPROVED):
-        coeff = N * N / 4.0 if family is ScanFamily.RELLICH_GRAD_IMPROVED else wgrad
-        return b["lap_sq_deficit"] - coeff * b["grad_sq_shift"], b["t_u_sq"] * (X * X)
-    if family is ScanFamily.DEFICIT_VGRAD:
-        return b["lap_sq_deficit"], b["t_v_sq"]
-    if family is ScanFamily.DEFICIT_VLAP:
-        return b["lap_sq_deficit"], b["lap_v_sq"]
-    if family is ScanFamily.GRAD_DEFICIT_VGRAD:
-        return b["lap_sq_deficit"] - (N * N / 4.0) * b["grad_sq_shift"], b["t_v_sq"]
-    if family is ScanFamily.VLAP_RADIAL_EXCESS:
-        return b["lap_v_sq"], 0.5 * b["t_v_sq"]
-    if family is ScanFamily.GRAD_DEFICIT_VLAP:
-        return b["lap_sq_deficit"] - (N * N / 4.0) * b["grad_sq_shift"], b["lap_v_sq"]
-    raise DomainError(f"{family.value} has no reduced form")
-
-
-_REDUCIBLE = {
-    ScanFamily.RELLICH_IMPROVED,
-    ScanFamily.WEIGHTED_RELLICH_IMPROVED,
-    ScanFamily.RELLICH_GRAD_IMPROVED,
-    ScanFamily.WEIGHTED_GRAD_IMPROVED,
-    ScanFamily.DEFICIT_VGRAD,
-    ScanFamily.DEFICIT_VLAP,
-    ScanFamily.GRAD_DEFICIT_VGRAD,
-    ScanFamily.VLAP_RADIAL_EXCESS,
-    ScanFamily.GRAD_DEFICIT_VLAP,
-}
 
 
 def _q_beta(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
@@ -688,36 +757,6 @@ def _reduce_columns(poly: _Poly2, a1: float, eps: float):
     return cols[2:], cutoff_terms
 
 
-def _reduced_total(
-    poly: _Poly2,
-    params: MinSeqParams,
-    spec: QuadratureSpec,
-    q_cache: dict,
-    c_cache: dict,
-) -> float:
-    a1 = params.a[0]
-    eps = params.epsilon
-    cutoff = params.cutoff
-    cols, cut_terms = _reduce_columns(poly, a1, eps)
-    total = 0.0
-    for j, c in enumerate(cols, start=2):
-        coeff = float(np.polynomial.polynomial.polyval(eps, c))
-        if coeff == 0.0:
-            continue
-        beta = -1.0 + a1 + j
-        if beta not in q_cache:
-            q_cache[beta] = _q_beta(beta, eps, cutoff, spec)
-        total += coeff * q_cache[beta]
-    for c, beta in cut_terms:
-        coeff = float(np.polynomial.polynomial.polyval(eps, c))
-        if coeff == 0.0:
-            continue
-        if beta not in c_cache:
-            c_cache[beta] = _c_beta(beta, eps, cutoff, spec)
-        total += -0.5 * coeff * c_cache[beta]
-    return total
-
-
 def _transition_correction(
     poly: _Poly2,
     full_density,
@@ -747,29 +786,82 @@ def _transition_correction(
     return res.value
 
 
-def _reduced_quantity(
-    poly: _Poly2,
-    full_density,
-    params: MinSeqParams,
-    spec: QuadratureSpec,
-    q_cache: dict,
-    c_cache: dict,
+class _Reduction:
+    """Single-log integrals through the exact reduction.
+
+    One instance serves one parameter set, so the Q(beta) and C(beta)
+    integrals are shared between the quantities it evaluates.
+    """
+
+    def __init__(self, params: MinSeqParams, spec: QuadratureSpec):
+        self.params = params
+        self.spec = spec
+        self.pieces = _single_log_pieces(params)
+        self._q: dict = {}
+        self._c: dict = {}
+
+    def q_beta(self, beta: float) -> float:
+        if beta not in self._q:
+            self._q[beta] = _q_beta(beta, self.params.epsilon, self.params.cutoff, self.spec)
+        return self._q[beta]
+
+    def c_beta(self, beta: float) -> float:
+        if beta not in self._c:
+            self._c[beta] = _c_beta(beta, self.params.epsilon, self.params.cutoff, self.spec)
+        return self._c[beta]
+
+    def _deficit(self, piece: str, constant: float) -> _Poly2:
+        if piece == "hardy_u":
+            return self.pieces["lap_sq_deficit"]
+        return self.pieces["lap_sq_deficit"] - constant * self.pieces["grad_sq_shift"]
+
+    def _weight(self, w: str) -> _Poly2 | None:
+        # one log factor: the correction series is empty
+        return None if w == "series" else self.pieces[w]
+
+    def poly(self, terms) -> _Poly2:
+        return _combine(terms, self.pieces.__getitem__, self._weight, self._deficit)
+
+    def integral(self, terms, full_density) -> float:
+        """Full-domain integral of a combination whose density on the cutoff
+        zone is ``full_density``."""
+        poly = self.poly(terms)
+        a1, eps = self.params.a[0], self.params.epsilon
+        cols, cut_terms = _reduce_columns(poly, a1, eps)
+        total = 0.0
+        for j, c in enumerate(cols, start=2):
+            coeff = float(np.polynomial.polynomial.polyval(eps, c))
+            if coeff != 0.0:
+                total += coeff * self.q_beta(-1.0 + a1 + j)
+        for c, beta in cut_terms:
+            coeff = float(np.polynomial.polynomial.polyval(eps, c))
+            if coeff != 0.0:
+                total += -0.5 * coeff * self.c_beta(beta)
+        return total + _transition_correction(poly, full_density, self.params, self.spec)
+
+
+# Below this eps, with a log factor on (some a_i < 1), the direct two-region
+# quadrature loses the log-deep mass that carries the integrals and returns
+# wrong quotients (0, nan, or a fraction of the constant).  Pure powers
+# (every a_i = 1) stay exact.
+_DIRECT_EPS_FLOOR = 1e-120
+
+
+def _direct_integral(
+    terms, params: MinSeqParams, K: int, spec: QuadratureSpec, outer: _OuterTerms
 ) -> float:
-    """Full-domain integral of a single-log density given its w-form polynomial."""
-    value = _reduced_total(poly, params, spec, q_cache, c_cache)
-    return value + _transition_correction(poly, full_density, params, spec)
-
-
-def _rayleigh_reduced(family: ScanFamily, params: MinSeqParams, spec: QuadratureSpec) -> float:
-    num_poly, den_poly = _family_polys(family, params)
-    _, outer = _family_densities(family, params, 1)
-    q_cache: dict = {}
-    c_cache: dict = {}
-    num = _reduced_quantity(num_poly, lambda r: outer(r)[0], params, spec, q_cache, c_cache)
-    den = _reduced_quantity(den_poly, lambda r: outer(r)[1], params, spec, q_cache, c_cache)
-    if abs(den) <= spec.abs_tol:
-        raise QuadratureError("degenerate denominator in Rayleigh quotient")
-    return num / den
+    """Two-region quadrature of a combination: closed forms in s on
+    (0, inner], jets on the cutoff zone."""
+    if params.epsilon < _DIRECT_EPS_FLOOR and any(ai < 1.0 for ai in params.a):
+        raise DomainError(
+            f"direct quadrature needs eps >= {_DIRECT_EPS_FLOOR:g} while a log factor is"
+            " on (some a_i < 1); use a moderate eps, or one log factor and a family"
+            " with a reduced form"
+        )
+    s0 = math.log(1.0 / params.cutoff.inner_radius)
+    inner = integrate_halfline(lambda s: _InnerTerms(params, s, K).density(terms), s0, spec)
+    lo, hi = params.cutoff.inner_radius, params.cutoff.outer_radius
+    return inner.value + integrate(outer.density(terms), lo, hi, spec).value
 
 
 def rayleigh_quotient(
@@ -784,25 +876,22 @@ def rayleigh_quotient(
     (defaults to the number of log factors carried by the sequence).  The
     single-log quotients go through the exact identity-reduced form, which
     stays accurate at arbitrarily small eps; multi-log quotients and the
-    per-mode family use direct two-region quadrature.
+    amn and rellich-gradient families use direct two-region quadrature,
+    which rejects eps below 1e-120 while a log factor is on.
     """
     spec = quad or QuadratureSpec()
     K = len(params.a) if K_series is None else int(K_series)
     if K < 1:
         raise DomainError("K_series must be >= 1")
-    if K == 1 and len(params.a) == 1 and family in _REDUCIBLE:
-        _family_densities(family, params, K)  # shared parameter validation
-        return _rayleigh_reduced(family, params, spec)
-    inner, outer = _family_densities(family, params, K)
-    s0 = math.log(1.0 / params.cutoff.inner_radius)
-
-    num_res = integrate_halfline(lambda s: inner(s)[0], s0, spec)
-    den_res = integrate_halfline(lambda s: inner(s)[1], s0, spec)
-    lo, hi = params.cutoff.inner_radius, params.cutoff.outer_radius
-    num_out = integrate(lambda r: outer(r)[0], lo, hi, spec)
-    den_out = integrate(lambda r: outer(r)[1], lo, hi, spec)
-    num = num_res.value + num_out.value
-    den = den_res.value + den_out.value
+    fam = _FAMILIES[family]
+    fam.validate(family, params)
+    quotient = fam.quotient(params.N, params.m)
+    outer = _OuterTerms(params, K)
+    if K == 1 and len(params.a) == 1 and fam.reduced:
+        red = _Reduction(params, spec)
+        num, den = (red.integral(t, outer.density(t)) for t in quotient)
+    else:
+        num, den = (_direct_integral(t, params, K, spec, outer) for t in quotient)
     if abs(den) <= spec.abs_tol:
         raise QuadratureError("degenerate denominator in Rayleigh quotient")
     return num / den
@@ -890,9 +979,13 @@ def default_schedule(
 ) -> list[MinSeqParams]:
     """The default limit path: eps down the fixed ladder, then halve each a_i.
 
-    During the a-halvings, eps keeps shrinking with a (the limit order is
-    eps first, then a_1, ..., a_K: each a-step should see an exhausted
-    eps-limit, otherwise the quotient stalls at the ln(1/eps) scale).
+    Where a reduced form evaluates the quotient (K = 1, every family but amn
+    and rellich-gradient), eps keeps shrinking with a during the halvings:
+    the limit order is eps first, then a_1, ..., a_K, so each a-step should
+    see an exhausted eps-limit, otherwise the quotient stalls at the
+    ln(1/eps) scale.  Every other scan goes through the direct quadrature,
+    which cannot follow eps that deep, so eps holds at the ladder's last
+    value.
     """
     cutoff = cutoff or CutoffSpec()
     if family is ScanFamily.AMN:
@@ -901,12 +994,13 @@ def default_schedule(
         ]
     if K > 1:
         halvings = min(halvings, 2)
+    reduced = K == 1 and _FAMILIES[family].reduced
     a = [0.1] * K
     steps = [MinSeqParams(N, m, eps, tuple(a), cutoff, mode_k) for eps in _DEFAULT_EPS_STEPS]
     for i in range(K):
         for _ in range(halvings):
             a[i] /= 2.0
-            eps = _eps_for_a(min(a[: i + 1])) if K == 1 else _DEFAULT_EPS_STEPS[-1]
+            eps = _eps_for_a(a[0]) if reduced else _DEFAULT_EPS_STEPS[-1]
             steps.append(MinSeqParams(N, m, eps, tuple(a), cutoff, mode_k))
     return steps
 
@@ -920,6 +1014,22 @@ class AsymptoticCase(Enum):
     U_LAPLACIAN = "u-laplacian"
     RELLICH_DEFICIT = "rellich-deficit"
     GRAD_RELLICH_DEFICIT = "gradrellich-deficit"
+
+
+def _asymptotic_lhs(which: AsymptoticCase, N: int) -> tuple[_Term, ...]:
+    return {
+        AsymptoticCase.V_GRADIENT: _plain("grad_v"),
+        AsymptoticCase.V_LAPLACIAN: _plain("lap_v"),
+        AsymptoticCase.U_GRADIENT: _plain("grad_u"),
+        AsymptoticCase.U_LAPLACIAN: _plain("lap_u"),
+        AsymptoticCase.RELLICH_DEFICIT: _deficit("hardy_u", _rellich(N)),
+        AsymptoticCase.GRAD_RELLICH_DEFICIT: _deficit("grad_u", N * N / 4.0),
+    }[which]
+
+
+# the u-side functionals with no deficit have no reduced form: their divergent
+# levels do not cancel, so they go through the direct quadrature
+_ASYMPTOTIC_DIRECT = {AsymptoticCase.U_GRADIENT, AsymptoticCase.U_LAPLACIAN}
 
 
 def leading_order_asymptotics(
@@ -943,80 +1053,29 @@ def leading_order_asymptotics(
         raise DomainError("asymptotic checks use m = 0 and the radial mode")
     N = params.N
     a1 = params.a[0]
-    eps = params.epsilon
-    cutoff = params.cutoff
-    blocks = _single_log_blocks(params)
-    outer_terms = _OuterTerms(params, 1)
-    rellich = (N * (N - 4) / 4.0) ** 2
-    q_cache: dict = {}
-    c_cache: dict = {}
+    red = _Reduction(params, spec)
+    outer = _OuterTerms(params, 1)
+    terms = _asymptotic_lhs(which, N)
+    if which in _ASYMPTOTIC_DIRECT:
+        lhs = _direct_integral(terms, params, 1, spec, outer)
+    else:
+        lhs = red.integral(terms, outer.density(terms))
 
-    def q_beta(beta: float) -> float:
-        if beta not in q_cache:
-            q_cache[beta] = _q_beta(beta, eps, cutoff, spec)
-        return q_cache[beta]
-
-    def reduced(poly_key: str, full_density) -> float:
-        return _reduced_quantity(
-            blocks[poly_key], full_density, params, spec, q_cache, c_cache
-        )
-
-    def direct(kind: str) -> float:
-        if eps < 1e-120:
-            raise DomainError(
-                "this functional grows like (2 eps)^{a-2} and exceeds the double"
-                " range at such eps; use a moderate eps for it"
-            )
-
-        def inner_density(s):
-            t = _InnerTerms(params, s, 1)
-            return t.common * (t.T_u**2 if kind == "u_grad" else t.lap_u**2)
-
-        s0 = math.log(1.0 / cutoff.inner_radius)
-        inner_val = integrate_halfline(inner_density, s0, spec).value
-        outer_val = integrate(
-            lambda r: outer_terms.pieces(r)["grad_u" if kind == "u_grad" else "lap_u"],
-            cutoff.inner_radius,
-            cutoff.outer_radius,
-            spec,
-        ).value
-        return inner_val + outer_val
-
-    lead = (1.0 - a1) / 4.0 * q_beta(1.0 + a1)
-
+    q = red.q_beta
+    lead = (1.0 - a1) / 4.0 * q(1.0 + a1)
+    deficit_lead = (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q(1.0 + a1)
     if which is AsymptoticCase.V_GRADIENT:
-        lhs = reduced("t_v_sq", lambda r: outer_terms.pieces(r)["grad_v"])
         rhs = lead
     elif which is AsymptoticCase.V_LAPLACIAN:
-        lhs = reduced("lap_v_sq", lambda r: outer_terms.pieces(r)["lap_v"])
         rhs = (N - 2) ** 2 * lead
     elif which is AsymptoticCase.U_GRADIENT:
-        lhs = direct("u_grad")
-        rhs = lead + ((N - 4) / 2.0) ** 2 * q_beta(-1.0 + a1)
+        rhs = lead + ((N - 4) / 2.0) ** 2 * q(-1.0 + a1)
     elif which is AsymptoticCase.U_LAPLACIAN:
-        lhs = direct("u_lap")
-        rhs = (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q_beta(1.0 + a1) + rellich * q_beta(
-            -1.0 + a1
-        )
+        rhs = deficit_lead + _rellich(N) * q(-1.0 + a1)
     elif which is AsymptoticCase.RELLICH_DEFICIT:
-        lhs = reduced(
-            "lap_sq_deficit",
-            lambda r: (p := outer_terms.pieces(r))["lap_u"] - rellich * p["hardy_u"],
-        )
-        rhs = (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q_beta(1.0 + a1)
-    elif which is AsymptoticCase.GRAD_RELLICH_DEFICIT:
-        poly = blocks["lap_sq_deficit"] - (N * N / 4.0) * blocks["grad_sq_shift"]
-        lhs = _reduced_quantity(
-            poly,
-            lambda r: (p := outer_terms.pieces(r))["lap_u"] - (N * N / 4.0) * p["grad_u"],
-            params,
-            spec,
-            q_cache,
-            c_cache,
-        )
-        rhs = (1.0 - a1) / 16.0 * (N - 4) ** 2 * q_beta(1.0 + a1)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown case {which}")
+        rhs = deficit_lead
+    else:
+        rhs = (1.0 - a1) / 16.0 * (N - 4) ** 2 * q(1.0 + a1)
     return lhs, rhs, lhs / rhs
 
 

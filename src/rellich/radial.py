@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DifferentiabilityError, DomainError
-from .powerseries import PowerSum
+from .iterlog import log_product
 from .quadrature import OriginSubstitution, QuadratureResult, QuadratureSpec, integrate
 from .taylor import Jet
 
@@ -39,6 +39,7 @@ __all__ = [
     "substitute_v",
     "substitute_u",
     "g_profile",
+    "gradient_density",
     "functional",
     "profile_from_csv",
 ]
@@ -80,7 +81,6 @@ class RadialProfile:
         support: tuple[float, float] = (0.0, 1.0),
         origin_order: float = 0.0,
         max_order: int = 64,
-        power_sum: PowerSum | None = None,
     ):
         if not (0.0 <= support[0] < support[1]):
             raise DomainError(f"invalid support {support}")
@@ -88,7 +88,6 @@ class RadialProfile:
         self.support = (float(support[0]), float(support[1]))
         self.origin_order = float(origin_order)
         self.max_order = int(max_order)
-        self.power_sum = power_sum
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -107,18 +106,7 @@ class RadialProfile:
                 acc = acc * J + c
             return acc
 
-        return cls(fn, support, origin_order, power_sum=PowerSum.from_poly(coeffs))
-
-    @classmethod
-    def from_power_sum(cls, ps: PowerSum, support=(0.0, 1.0)):
-        def fn(J: Jet) -> Jet:
-            acc = None
-            for p, c in zip(ps.powers, ps.coeffs):
-                term = (J**float(p)) * c if p != 0.0 else Jet.constant(c, J.order, like=J.value)
-                acc = term if acc is None else acc + term
-            return acc
-
-        return cls(fn, support, origin_order=ps.min_power, power_sum=ps)
+        return cls(fn, support, origin_order)
 
     @classmethod
     def from_samples(cls, r, values, support=None, origin_order=0.0):
@@ -177,15 +165,11 @@ class RadialProfile:
         def shifted(J: Jet) -> Jet:
             return (J**alpha) * fn(J)
 
-        ps = self.power_sum.shift(alpha) if self.power_sum is not None else None
-        return RadialProfile(shifted, self.support, self.origin_order + alpha, self.max_order, ps)
+        return RadialProfile(shifted, self.support, self.origin_order + alpha, self.max_order)
 
     def __mul__(self, other):
         if isinstance(other, RadialProfile):
             f, g = self._jet_fn, other._jet_fn
-            ps = None
-            if self.power_sum is not None and other.power_sum is not None:
-                ps = self.power_sum * other.power_sum
             return RadialProfile(
                 lambda J: f(J) * g(J),
                 (
@@ -194,20 +178,15 @@ class RadialProfile:
                 ),
                 self.origin_order + other.origin_order,
                 min(self.max_order, other.max_order),
-                ps,
             )
         c = float(other)
         fn = self._jet_fn
-        ps = self.power_sum * c if self.power_sum is not None else None
-        return RadialProfile(lambda J: fn(J) * c, self.support, self.origin_order, self.max_order, ps)
+        return RadialProfile(lambda J: fn(J) * c, self.support, self.origin_order, self.max_order)
 
     __rmul__ = __mul__
 
     def __add__(self, other: "RadialProfile"):
         f, g = self._jet_fn, other._jet_fn
-        ps = None
-        if self.power_sum is not None and other.power_sum is not None:
-            ps = self.power_sum + other.power_sum
         return RadialProfile(
             lambda J: f(J) + g(J),
             (
@@ -216,7 +195,6 @@ class RadialProfile:
             ),
             min(self.origin_order, other.origin_order),
             min(self.max_order, other.max_order),
-            ps,
         )
 
 
@@ -253,8 +231,7 @@ def mode_operator(mode: SphericalMode, f: RadialProfile) -> RadialProfile:
             out = out - ck * (F.truncate(J.order) / (R * R))
         return out
 
-    ps = f.power_sum.mode_apply(N, ck) if f.power_sum is not None else None
-    return RadialProfile(lk, f.support, f.origin_order - 2, f.max_order - 2, ps)
+    return RadialProfile(lk, f.support, f.origin_order - 2, f.max_order - 2)
 
 
 def polyharmonic_power(mode: SphericalMode, f: RadialProfile, m: int) -> RadialProfile:
@@ -325,6 +302,41 @@ def _integral(density, origin_power: float, hi: float, spec: QuadratureSpec) -> 
     return integrate(density, 0.0, hi, replace(spec, origin_substitution=sub))
 
 
+def gradient_density(f0, f1, ck, r, power):
+    """(f'^2 + c_k f^2 / r^2) r^power from the arrays f0 = f and f1 = f'."""
+    out = f1**2
+    if ck:
+        out = out + ck * (f0 / r) ** 2
+    return out * r**power
+
+
+def _moments(h: RadialProfile, weights, hi: float, spec: QuadratureSpec):
+    """(int h''^2 r^w2, int h'^2 r^w1, int h^2 r^w0) over (0, hi], for
+    weights = (w2, w1, w0): the terms of the second-order cross-checks."""
+    o = h.origin_order
+
+    def moment(j, w):
+        def density(r):
+            return h.taylor(r, j).deriv(j) ** 2 * r**w
+
+        return _integral(density, 2 * (o - j) + w, hi, spec).value
+
+    return tuple(moment(j, w) for j, w in zip((2, 1, 0), weights))
+
+
+# the representation each functional's test function must be in
+_SIDE = {
+    Functional.I: Representation.U_SIDE,
+    Functional.II: Representation.U_SIDE,
+    Functional.J: Representation.V_SIDE,
+    Functional.JJ: Representation.V_SIDE,
+    Functional.WEIGHTED_LAPLACIAN: Representation.U_SIDE,
+    Functional.WEIGHTED_GRADIENT: Representation.U_SIDE,
+    Functional.WEIGHTED_HARDY: Representation.U_SIDE,
+    Functional.SERIES_TERM: Representation.U_SIDE,
+}
+
+
 def functional(
     name: Functional,
     tf: TestFunction,
@@ -342,18 +354,17 @@ def functional(
     used by the WEIGHTED_* family and by the v-substitution convention.
     """
     spec = quad or QuadratureSpec()
+    side = _SIDE.get(name)
+    if side is None:
+        raise DomainError(f"unknown functional {name}")
+    if tf.representation is not side:
+        raise DomainError(f"{name.name} expects a {side.value}-side test function")
     N, k = tf.mode.N, tf.mode.k
     ck = tf.mode.eigenvalue
     cN = sphere_area(N)
-    hi = tf.profile.support[1]
-    oo = tf.profile.origin_order
-
-    def deriv_arrays(profile, order):
-        def make(r):
-            J = profile.taylor(r, order)
-            return [J.deriv(j) for j in range(order + 1)]
-
-        return make
+    f = tf.profile
+    hi = f.support[1]
+    oo = f.origin_order
 
     results: dict[str, float] = {}
     err = 0.0
@@ -363,181 +374,89 @@ def functional(
         res = _integral(density, origin_power, hi, spec)
         err += cN * abs(sign) * res.error_estimate
         results[label] = cN * sign * res.value
-        return results[label]
 
-    u_profile = tf.profile
-
-    if name in (Functional.I, Functional.II, Functional.WEIGHTED_LAPLACIAN,
-                Functional.WEIGHTED_GRADIENT, Functional.WEIGHTED_HARDY,
-                Functional.SERIES_TERM):
-        if tf.representation is not Representation.U_SIDE:
-            raise DomainError(f"{name.name} expects a u-side test function")
-    if name in (Functional.J, Functional.JJ):
-        if tf.representation is not Representation.V_SIDE:
-            raise DomainError(f"{name.name} expects a v-side test function")
+    def grad(profile, power):
+        return lambda r: gradient_density(*profile.derivative_values(r, 1), ck, r, power)
 
     if name is Functional.I or name is Functional.II:
-        lk = mode_operator(tf.mode, u_profile)
-        vals = deriv_arrays(lk, 0)
-        add("laplacian", lambda r: vals(r)[0] ** 2 * r ** (N - 1), 2 * (oo - 2) + N - 1)
+        lk = mode_operator(tf.mode, f)
+        add("laplacian", lambda r: lk(r) ** 2 * r ** (N - 1), 2 * (oo - 2) + N - 1)
         if name is Functional.I:
             const = (N * (N - 4) / 4.0) ** 2
-            add("hardy", lambda r: u_profile(r) ** 2 * r ** (N - 5), 2 * oo + N - 5, sign=-const)
-        else:
-            const = N * N / 4.0
-
-            def grad_density(r):
-                f0, f1 = u_profile.derivative_values(r, 1)
-                out = f1**2
-                if ck:
-                    out = out + ck * (f0 / r) ** 2
-                return out * r ** (N - 3)
-
-            add("gradient", grad_density, 2 * (oo - 1) + N - 3, sign=-const)
-        value = sum(results.values())
-        # cross-check through the reduced-profile identity
-        g = g_profile(tf, 0.0)
-
-        def g_arrays(r):
-            J = g.taylor(r, 2)
-            return J.deriv(0), J.deriv(1), J.deriv(2)
-
-        goo = g.origin_order
-        t1 = _integral(lambda r: g_arrays(r)[2] ** 2 * r ** (2 * k + 3), 2 * (goo - 2) + 2 * k + 3, hi, spec)
-        t2 = _integral(lambda r: g_arrays(r)[1] ** 2 * r ** (2 * k + 1), 2 * (goo - 1) + 2 * k + 1, hi, spec)
-        t3 = _integral(lambda r: g_arrays(r)[0] ** 2 * r ** (2 * k - 1), 2 * goo + 2 * k - 1, hi, spec)
-        if name is Functional.I:
+            add("hardy", lambda r: f(r) ** 2 * r ** (N - 5), 2 * oo + N - 5, sign=-const)
             c2 = N * (N - 4) / 2.0 + 2 * k * (N - 3) + 3
             c3 = N * (N - 4) / 2.0 * (ck + k * k)
         else:
+            add("gradient", grad(f, N - 3), 2 * (oo - 1) + N - 3, sign=-(N * N / 4.0))
             c2 = (2 * k + N - 1) * (N - 3) - N * (3 * N - 8) / 4.0
             c3 = N * (3 * N - 8) / 4.0 * k * k + N * (N - 8) / 4.0 * ck
-        cross = cN * (t1.value + c2 * t2.value + c3 * t3.value)
-        return FunctionalValue(value, results, err, cross)
+        # cross-check through the reduced-profile identity
+        t1, t2, t3 = _moments(g_profile(tf, 0.0), (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
+        cross = cN * (t1 + c2 * t2 + c3 * t3)
+        return FunctionalValue(sum(results.values()), results, err, cross)
 
     if name is Functional.J or name is Functional.JJ:
-        v_prof = tf.profile
-        lkv = mode_operator(tf.mode, v_prof)
-        voo = v_prof.origin_order
-        add("v-laplacian", lambda r: lkv(r) ** 2 * r**3, 2 * (voo - 2) + 3)
-
-        def radial_grad(r):
-            return v_prof.derivative_values(r, 1)[1] ** 2 * r
-
-        add("v-radial-gradient", radial_grad, 2 * (voo - 1) + 1, sign=-N * (N - 4.0))
-
-        def full_grad(r):
-            v0, v1 = v_prof.derivative_values(r, 1)
-            out = v1**2
-            if ck:
-                out = out + ck * (v0 / r) ** 2
-            return out * r
-
+        lkv = mode_operator(tf.mode, f)
+        add("v-laplacian", lambda r: lkv(r) ** 2 * r**3, 2 * (oo - 2) + 3)
+        add(
+            "v-radial-gradient",
+            lambda r: f.derivative_values(r, 1)[1] ** 2 * r,
+            2 * (oo - 1) + 1,
+            sign=-N * (N - 4.0),
+        )
         cw = N * (N - 4) / 2.0 if name is Functional.J else N * (N - 8) / 4.0
-        add("v-gradient", full_grad, 2 * (voo - 1) + 1, sign=cw)
-        value = sum(results.values())
+        add("v-gradient", grad(f, 1), 2 * (oo - 1) + 1, sign=cw)
         # cross-check through the g-side assembly
-        g = v_prof.power_shift(-float(k))
-        goo = g.origin_order
-
-        def g_arrays(r):
-            J = g.taylor(r, 2)
-            return J.deriv(0), J.deriv(1), J.deriv(2)
-
-        t1 = _integral(lambda r: g_arrays(r)[2] ** 2 * r ** (2 * k + 3), 2 * (goo - 2) + 2 * k + 3, hi, spec)
-        t2 = _integral(lambda r: g_arrays(r)[1] ** 2 * r ** (2 * k + 1), 2 * (goo - 1) + 2 * k + 1, hi, spec)
-        t3 = _integral(lambda r: g_arrays(r)[0] ** 2 * r ** (2 * k - 1), 2 * goo + 2 * k - 1, hi, spec)
-        lap = t1.value + (2 * k + N - 1) * (N - 3) * t2.value
-        rad = t2.value - k * k * t3.value
-        grd = t2.value + k * (N - 2) * t3.value
+        t1, t2, t3 = _moments(f.power_shift(-float(k)), (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
+        lap = t1 + (2 * k + N - 1) * (N - 3) * t2
+        rad = t2 - k * k * t3
+        grd = t2 + k * (N - 2) * t3
         cross = cN * (lap - N * (N - 4.0) * rad + cw * grd)
-        return FunctionalValue(value, results, err, cross)
+        return FunctionalValue(sum(results.values()), results, err, cross)
 
     if name is Functional.WEIGHTED_LAPLACIAN:
-        lk = mode_operator(tf.mode, u_profile)
+        lk = mode_operator(tf.mode, f)
         add("laplacian", lambda r: lk(r) ** 2 * r ** (N - 1 - 2 * m), 2 * (oo - 2) + N - 1 - 2 * m)
-        value = results["laplacian"]
-
-        def f_arrays(r):
-            J = u_profile.taylor(r, 2)
-            return J.deriv(0), J.deriv(1), J.deriv(2)
-
-        t1 = _integral(lambda r: f_arrays(r)[2] ** 2 * r ** (N - 1 - 2 * m), 2 * (oo - 2) + N - 1 - 2 * m, hi, spec)
-        t2 = _integral(lambda r: f_arrays(r)[1] ** 2 * r ** (N - 3 - 2 * m), 2 * (oo - 1) + N - 3 - 2 * m, hi, spec)
-        t3 = _integral(lambda r: f_arrays(r)[0] ** 2 * r ** (N - 5 - 2 * m), 2 * oo + N - 5 - 2 * m, hi, spec)
+        t1, t2, t3 = _moments(f, (N - 1 - 2 * m, N - 3 - 2 * m, N - 5 - 2 * m), hi, spec)
         cross = cN * (
-            t1.value
-            + ((N - 1) * (2 * m + 1) + 2 * ck) * t2.value
-            + ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)) * t3.value
+            t1
+            + ((N - 1) * (2 * m + 1) + 2 * ck) * t2
+            + ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)) * t3
         )
-        return FunctionalValue(value, results, err, cross)
+        return FunctionalValue(results["laplacian"], results, err, cross)
 
     if name is Functional.WEIGHTED_GRADIENT:
-
-        def grad_density(r):
-            f0, f1 = u_profile.derivative_values(r, 1)
-            out = f1**2
-            if ck:
-                out = out + ck * (f0 / r) ** 2
-            return out * r ** (N - 3 - 2 * m)
-
-        add("gradient", grad_density, 2 * (oo - 1) + N - 3 - 2 * m)
-        value = results["gradient"]
+        add("gradient", grad(f, N - 3 - 2 * m), 2 * (oo - 1) + N - 3 - 2 * m)
         # cross-check through the v-substitution split
-        v = substitute_v(tf, m)
-        voo = v.profile.origin_order
-
-        def v_arrays(r):
-            return v.profile.derivative_values(r, 1)
-
-        def v_grad(r):
-            v0, v1 = v_arrays(r)
-            out = v1**2
-            if ck:
-                out = out + ck * (v0 / r) ** 2
-            return out * r
-
-        t1 = _integral(v_grad, 2 * (voo - 1) + 1, hi, spec)
-        t2 = _integral(lambda r: v.profile(r) ** 2 / r, 2 * voo - 1, hi, spec)
+        v = substitute_v(tf, m).profile
+        voo = v.origin_order
+        t1 = _integral(grad(v, 1), 2 * (voo - 1) + 1, hi, spec)
+        t2 = _integral(lambda r: v(r) ** 2 / r, 2 * voo - 1, hi, spec)
         cross = cN * (t1.value + _v_exponent(N, m) ** 2 * t2.value)
-        return FunctionalValue(value, results, err, cross)
+        return FunctionalValue(results["gradient"], results, err, cross)
 
     if name is Functional.WEIGHTED_HARDY:
-        add("hardy", lambda r: u_profile(r) ** 2 * r ** (N - 5 - 2 * m), 2 * oo + N - 5 - 2 * m)
+        add("hardy", lambda r: f(r) ** 2 * r ** (N - 5 - 2 * m), 2 * oo + N - 5 - 2 * m)
         return FunctionalValue(results["hardy"], results, err, None)
 
-    if name is Functional.SERIES_TERM:
-        base = series_base or Functional.WEIGHTED_HARDY
-        i = int(series_index)
-        if i < 1:
-            raise DomainError("series index must be >= 1")
-        from .iterlog import log_product
+    base = series_base or Functional.WEIGHTED_HARDY
+    i = int(series_index)
+    if i < 1:
+        raise DomainError("series index must be >= 1")
 
-        if base is Functional.WEIGHTED_HARDY:
+    def weight(r):
+        return log_product(i, np.minimum(r, 1.0)) ** 2
 
-            def density(r):
-                weight = log_product(i, np.minimum(r, 1.0)) ** 2
-                return u_profile(r) ** 2 * r ** (N - 5 - 2 * m) * weight
-
-            add("series", density, 2 * oo + N - 5 - 2 * m)
-        elif base is Functional.WEIGHTED_GRADIENT:
-
-            def density(r):
-                f0, f1 = u_profile.derivative_values(r, 1)
-                out = f1**2
-                if ck:
-                    out = out + ck * (f0 / r) ** 2
-                weight = log_product(i, np.minimum(r, 1.0)) ** 2
-                return out * r ** (N - 3 - 2 * m) * weight
-
-            add("series", density, 2 * (oo - 1) + N - 3 - 2 * m)
-        else:
-            raise DomainError(
-                f"series terms are defined against the weighted Hardy or gradient densities, not {base}"
-            )
-        return FunctionalValue(results["series"], results, err, None)
-
-    raise DomainError(f"unknown functional {name}")
+    if base is Functional.WEIGHTED_HARDY:
+        add("series", lambda r: f(r) ** 2 * r ** (N - 5 - 2 * m) * weight(r), 2 * oo + N - 5 - 2 * m)
+    elif base is Functional.WEIGHTED_GRADIENT:
+        gradient = grad(f, N - 3 - 2 * m)
+        add("series", lambda r: gradient(r) * weight(r), 2 * (oo - 1) + N - 3 - 2 * m)
+    else:
+        raise DomainError(
+            f"series terms are defined against the weighted Hardy or gradient densities, not {base}"
+        )
+    return FunctionalValue(results["series"], results, err, None)
 
 
 def profile_from_csv(path, origin_order: float = 0.0) -> RadialProfile:

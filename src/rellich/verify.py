@@ -35,6 +35,7 @@ from .radial import (
     SphericalMode,
     TestFunction,
     functional,
+    gradient_density,
     mode_operator,
     sphere_area,
 )
@@ -326,11 +327,7 @@ def _id_mode_gradient(case: SuiteCase, spec):
     prof = case.jet_profile()
 
     def density(r):
-        f0, f1 = prof.derivative_values(r, 1)
-        out = f1**2
-        if ck:
-            out = out + ck * (f0 / r) ** 2
-        return out * r ** (N - 1)
+        return gradient_density(*prof.derivative_values(r, 1), ck, r, N - 1)
 
     lhs = _jet_integral(density, 2 * (case.k - 1) + N - 1, _cross_path_spec(spec))
     rhs = _grad_sq(case.f, ck).shift(N - 1).integrate01()
@@ -441,11 +438,7 @@ def _id_weighted_gradient_fside(case: SuiteCase, spec):
     prof = case.jet_profile()
 
     def density(r):
-        f0, f1 = prof.derivative_values(r, 1)
-        out = f1**2
-        if ck:
-            out = out + ck * (f0 / r) ** 2
-        return out * r ** (N - 3 - 2 * m)
+        return gradient_density(*prof.derivative_values(r, 1), ck, r, N - 3 - 2 * m)
 
     lhs = _jet_integral(density, 2 * (case.k - 1) + N - 3 - 2 * m, _cross_path_spec(spec))
     rhs = case.f.deriv().square().shift(N - 3 - 2 * m).integrate01()
@@ -562,40 +555,28 @@ def _slack_grad_deficit_vlap(case: SuiteCase, K: int, spec):
 
 
 def _two_mode_deficits(case: SuiteCase):
+    """The Rellich and gradient-Rellich deficits of the mode-k2 component,
+    and its Laplacian integral."""
     N = case.N
     ck2 = case.k2 * (N + case.k2 - 2)
-    d0_I = (
-        _lap(case.f0, N, 0).square().shift(N - 1).integrate01()
-        - (N * (N - 4) / 4.0) ** 2 * case.f0.square().shift(N - 5).integrate01()
-    )
-    d2_I = (
-        _lap(case.f2, N, ck2).square().shift(N - 1).integrate01()
-        - (N * (N - 4) / 4.0) ** 2 * case.f2.square().shift(N - 5).integrate01()
-    )
-    d0_II = (
-        _lap(case.f0, N, 0).square().shift(N - 1).integrate01()
-        - N * N / 4.0 * _grad_sq(case.f0, 0).shift(N - 3).integrate01()
-    )
-    d2_II = (
-        _lap(case.f2, N, ck2).square().shift(N - 1).integrate01()
-        - N * N / 4.0 * _grad_sq(case.f2, ck2).shift(N - 3).integrate01()
-    )
     lap2 = _lap(case.f2, N, ck2).square().shift(N - 1).integrate01()
-    return d0_I, d2_I, d0_II, d2_II, lap2
+    d2_I = lap2 - (N * (N - 4) / 4.0) ** 2 * case.f2.square().shift(N - 5).integrate01()
+    d2_II = lap2 - N * N / 4.0 * _grad_sq(case.f2, ck2).shift(N - 3).integrate01()
+    return d2_I, d2_II, lap2
 
 
 def _slack_radialization_rellich(case: SuiteCase, K: int, spec):
     N = case.N
-    d0, d2, _, _, lap2 = _two_mode_deficits(case)
+    d2, _, lap2 = _two_mode_deficits(case)
     coeff = 8.0 * (N - 1) * (N * N - 2 * N - 2) / (N * N - 4) ** 2
-    return (d0 + d2) - d0 - coeff * lap2
+    return d2 - coeff * lap2
 
 
 def _slack_radialization_gradrellich(case: SuiteCase, K: int, spec):
     N = case.N
-    _, _, d0, d2, lap2 = _two_mode_deficits(case)
+    _, d2, lap2 = _two_mode_deficits(case)
     coeff = 4.0 * (N - 1) * (N * N - 4 * N - 4) / (N * N - 4) ** 2
-    return (d0 + d2) - d0 - coeff * lap2
+    return d2 - coeff * lap2
 
 
 def _slack_rellich_improved(case: SuiteCase, K: int, spec):

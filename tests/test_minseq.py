@@ -140,22 +140,26 @@ def test_rayleigh_direction_and_theoretical():
 def test_reduced_path_matches_direct_path():
     import rellich.minseq as M
 
-    for fam, N, m in [
+    cases = [
         (ScanFamily.RELLICH_IMPROVED, 6, 0.0),
+        (ScanFamily.RELLICH_GRAD_IMPROVED, 9, 0.0),
+        (ScanFamily.WEIGHTED_RELLICH_IMPROVED, 12, 1.0),
         (ScanFamily.WEIGHTED_GRAD_IMPROVED, 12, 1.0),
+        (ScanFamily.DEFICIT_VGRAD, 9, 0.0),
         (ScanFamily.DEFICIT_VLAP, 6, 0.0),
+        (ScanFamily.GRAD_DEFICIT_VGRAD, 6, 0.0),
         (ScanFamily.VLAP_RADIAL_EXCESS, 9, 0.0),
-    ]:
+        (ScanFamily.GRAD_DEFICIT_VLAP, 9, 0.0),
+    ]
+    assert {c[0] for c in cases} == {f for f, spec in M._FAMILIES.items() if spec.reduced}
+    for fam, N, m in cases:
         p = MinSeqParams(N, m, 1e-4, (0.07,))
-        reduced = M._rayleigh_reduced(fam, p, SPEC)
-        inner, outer = M._family_densities(fam, p, 1)
-        from rellich.quadrature import integrate, integrate_halfline
-
-        s0 = math.log(1.0 / p.cutoff.inner_radius)
-        num = integrate_halfline(lambda s: inner(s)[0], s0, SPEC).value
-        num += integrate(lambda r: outer(r)[0], 0.5, 1.0, SPEC).value
-        den = integrate_halfline(lambda s: inner(s)[1], s0, SPEC).value
-        den += integrate(lambda r: outer(r)[1], 0.5, 1.0, SPEC).value
+        reduced = rayleigh_quotient(fam, p, quad=SPEC)
+        outer = M._OuterTerms(p, 1)
+        num, den = (
+            M._direct_integral(terms, p, 1, SPEC, outer)
+            for terms in M._FAMILIES[fam].quotient(N, m)
+        )
         assert reduced == pytest.approx(num / den, rel=1e-8), fam
 
 
@@ -181,6 +185,26 @@ def test_scan_to_limit_and_csv():
     assert lines[0] == "step,epsilon,a1,quotient,theoretical"
     assert len(lines) == len(sched) + 1
     assert lines[1].split(",")[0] == "0"
+
+
+def test_gradient_constant_default_scan_descends():
+    # no reduced form: eps holds at the ladder's end while a is halved
+    for N in (6, 9):
+        sched = default_schedule(ScanFamily.GRADIENT_CONSTANT, N)
+        assert {p.epsilon for p in sched[4:]} == {3e-4}
+        res = scan_to_limit(ScanFamily.GRADIENT_CONSTANT, sched, SPEC)
+        assert res.direction_ok(), (N, res.quotients)
+        assert all(q2 < q1 for q1, q2 in zip(res.quotients, res.quotients[1:])), res.quotients
+
+
+def test_direct_path_rejects_deep_eps_with_log_factor():
+    with pytest.raises(DomainError):
+        rayleigh_quotient(ScanFamily.GRADIENT_CONSTANT, MinSeqParams(6, 0.0, 1e-200, (0.0125,)), quad=SPEC)
+    with pytest.raises(DomainError):
+        rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, MinSeqParams(6, 0.0, 1e-200, (0.1, 0.1)), quad=SPEC)
+    # pure powers carry no log-deep mass and stay exact
+    amn = rayleigh_quotient(ScanFamily.AMN, MinSeqParams(30, 8.0, 1e-200, (1.0,), mode_k=2), quad=SPEC)
+    assert amn == pytest.approx(C.a_mn(30, 8).value, rel=1e-9)
 
 
 def test_scan_theoretical_values():
