@@ -28,7 +28,7 @@ import numpy as np
 from . import constants as C
 from .errors import DomainError, QuadratureError
 from .iterlog import xk_values
-from .quadrature import QuadratureSpec, integrate, integrate_halfline
+from .quadrature import QuadratureSpec, count_quadrature, integrate, integrate_halfline
 from .radial import (
     RadialProfile,
     SphericalMode,
@@ -905,6 +905,8 @@ class ScanResult:
     theoretical: float
     extrapolated: float
     monotone: bool
+    # per step: quadratures behind the quotient that ended converged=False
+    unconverged: list[int] = field(default_factory=list)
 
     def direction_ok(self, slack: float = 1e-9) -> bool:
         return all(q >= self.theoretical - slack and np.isfinite(q) for q in self.quotients)
@@ -934,12 +936,17 @@ def scan_to_limit(
     """Run the quotient along a parameter schedule (eps first, then the a_i).
 
     Quotients must stay above the theoretical constant; non-monotone scans
-    are flagged through ``monotone`` rather than treated as fatal.
+    are flagged through ``monotone`` rather than treated as fatal, and each
+    step's count of unconverged quadratures is passed on in ``unconverged``.
     """
     if not schedule:
         raise DomainError("empty schedule")
     theoretical = scan_theoretical(family, schedule[0])
-    quotients = [rayleigh_quotient(family, p, K_series, quad) for p in schedule]
+    quotients, unconverged = [], []
+    for p in schedule:
+        with count_quadrature() as counts:
+            quotients.append(rayleigh_quotient(family, p, K_series, quad))
+        unconverged.append(counts.unconverged)
     monotone = all(
         quotients[i + 1] <= quotients[i] + 1e-6 for i in range(len(quotients) - 1)
     )
@@ -950,6 +957,7 @@ def scan_to_limit(
         theoretical=theoretical,
         extrapolated=quotients[-1],
         monotone=monotone,
+        unconverged=unconverged,
     )
 
 

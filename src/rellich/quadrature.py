@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -32,6 +34,8 @@ __all__ = [
     "integrate_halfline",
     "integrate_logweighted",
     "classify_origin_integral",
+    "QuadratureCounts",
+    "count_quadrature",
 ]
 
 
@@ -63,6 +67,40 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool
+
+
+@dataclass
+class QuadratureCounts:
+    """Integrals run inside a :func:`count_quadrature` block: calls, integrand
+    evaluations, and calls that ended ``converged=False``."""
+
+    calls: int = 0
+    evaluations: int = 0
+    unconverged: int = 0
+
+
+_COUNTERS: ContextVar[tuple[QuadratureCounts, ...]] = ContextVar("quadrature_counters", default=())
+
+
+@contextmanager
+def count_quadrature():
+    """Count the integrals of the enclosed code, including those of enclosing
+    blocks: each entry-point call (:func:`integrate`, :func:`integrate_halfline`,
+    :func:`integrate_logweighted`) counts once in every active block."""
+    counts = QuadratureCounts()
+    token = _COUNTERS.set(_COUNTERS.get() + (counts,))
+    try:
+        yield counts
+    finally:
+        _COUNTERS.reset(token)
+
+
+def _counted(result: QuadratureResult) -> QuadratureResult:
+    for counts in _COUNTERS.get():
+        counts.calls += 1
+        counts.evaluations += result.evaluations
+        counts.unconverged += not result.converged
+    return result
 
 
 # 7/15 Gauss-Kronrod nodes and weights on [-1, 1] (positive half; QUADPACK values).
@@ -203,7 +241,10 @@ def integrate_halfline(
     than a silently wrong value.  When the ``s_cap`` truncation is reached
     the still-unresolved tail is estimated and folded into the error.
     """
-    spec = spec or QuadratureSpec()
+    return _counted(_halfline(h, s0, spec or QuadratureSpec(), s_cap))
+
+
+def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureResult:
     acc = 0.0
     err = 0.0
     evals = 0
@@ -280,9 +321,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
                 out[mask] = np.asarray(f(r[mask]), dtype=float) * r[mask]
             return out
 
-        return integrate_halfline(h, s0, spec, s_cap=_RSPACE_S_CAP)
+        return _counted(_halfline(h, s0, spec, _RSPACE_S_CAP))
     value, err, evals, converged = _adaptive_finite(f, a, b, spec, breakpoints)
-    return QuadratureResult(value, err, evals, converged)
+    return _counted(QuadratureResult(value, err, evals, converged))
 
 
 def _x_chain_from_s(s: np.ndarray, count: int) -> list[np.ndarray]:

@@ -275,3 +275,34 @@ def test_multi_log_quotient_direct_path():
     p2 = MinSeqParams(6, 0.0, 1e-3, (0.1, 0.05))
     q2 = rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, p2, K_series=2, quad=SPEC)
     assert q2 >= 2.5 - 1e-9
+
+
+def test_scan_reports_unconverged_quadratures(monkeypatch):
+    import rellich.minseq as minseq
+
+    schedule = default_schedule(ScanFamily.RELLICH_IMPROVED, 6, K=2)
+    result = scan_to_limit(ScanFamily.RELLICH_IMPROVED, schedule)
+
+    # recount by wrapping the quadrature entry points the quotient calls
+    misses = [0]
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            misses[0] += not res.converged
+            return res
+
+        return wrapped
+
+    monkeypatch.setattr(minseq, "integrate", counting(minseq.integrate))
+    monkeypatch.setattr(minseq, "integrate_halfline", counting(minseq.integrate_halfline))
+    expected = []
+    for params in schedule:
+        misses[0] = 0
+        rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, params)
+        expected.append(misses[0])
+    assert result.unconverged == expected
+    assert sum(expected) > 0  # the direct K = 2 path does not always converge
+
+    reduced = scan_to_limit(ScanFamily.RELLICH_IMPROVED, default_schedule(ScanFamily.RELLICH_IMPROVED, 6))
+    assert reduced.unconverged == [0] * len(reduced.quotients)

@@ -9,6 +9,7 @@ from rellich.quadrature import (
     OriginSubstitution,
     QuadratureSpec,
     classify_origin_integral,
+    count_quadrature,
     integrate,
     integrate_halfline,
     integrate_logweighted,
@@ -140,3 +141,17 @@ def test_breakpoints_split_kinked_integrand():
     with_bp = integrate(f, 0.0, 1.0, SPEC, breakpoints=(0.5,))
     assert with_bp.converged
     assert with_bp.value == pytest.approx(0.25, rel=1e-13)
+
+
+def test_count_quadrature_counts_each_entry_call_once():
+    log = replace(SPEC, origin_substitution=OriginSubstitution.LOG)
+    with count_quadrature() as outer:
+        first = integrate(lambda r: r**-0.5, 0.0, 1.0, log)  # nests the half-line rule
+        with count_quadrature() as inner:
+            rough = integrate(lambda r: np.sin(200.0 * r), 0.0, 1.0, replace(SPEC, max_subdivisions=1))
+    assert first.converged and not rough.converged
+    assert (inner.calls, inner.evaluations, inner.unconverged) == (1, rough.evaluations, 1)
+    assert (outer.calls, outer.unconverged) == (2, 1)
+    assert outer.evaluations == first.evaluations + rough.evaluations
+    integrate(lambda r: r, 0.0, 1.0, SPEC)
+    assert outer.calls == 2  # the block has closed

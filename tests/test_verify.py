@@ -1,7 +1,12 @@
+import functools
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
+from rellich import constants as C
 from rellich.errors import DomainError
 from rellich.powerseries import PowerSum
 from rellich.quadrature import QuadratureSpec
@@ -33,7 +38,6 @@ def make_case(N, k, f_coeffs, m=0.0, lead=None):
         k=k,
         m=m,
         f=f,
-        f0=PowerSum.from_poly(P.polypow([1, -1], 3)),
         k2=max(k, 1),
         f2=PowerSum.from_poly(P.polymul([0, 1.0], P.polypow([1, -1], 3))),
         weight_poly=PowerSum.from_poly([1.0]),
@@ -52,6 +56,16 @@ def test_suite_is_deterministic():
         assert a.f.coeffs == b.f.coeffs
     s3 = standard_suite(seed=8, size=10)
     assert any(a.f.coeffs != c.f.coeffs for a, c in zip(s1, s3))
+
+
+def test_suite_random_stream_is_frozen():
+    # every case draws from one stream, so a dropped or added draw moves
+    # the weight and the profile of every later case
+    suite = standard_suite(seed=7)
+    assert suite[0].m == 0.2799806532485232
+    assert suite[0].f.coeffs[0] == Fraction(3577783852065997, 4503599627370496)
+    assert suite[49].m == 0.5852387051426723
+    assert suite[49].f.coeffs[0] == Fraction(-299657923172403, 4503599627370496)
 
 
 def test_suite_profiles_are_mode_compatible():
@@ -258,3 +272,83 @@ def test_weighted_inequalities_near_upper_weight_boundary():
         case = make_case(N, 0, list(P.polypow([1, 0, -1], 3)), m=m, lead=0)
         assert _slack_rellich_weighted_improved(case, 5, SPEC) >= -1e-9
         assert _slack_hardy_improved_weighted(case, 5, SPEC) >= -1e-9
+
+
+def test_inequality_registry_integrals_converge():
+    suite = standard_suite(seed=7)
+    for name in registry_targets("inequality"):
+        report = check_inequality(name, suite, K=5, quad=SPEC)
+        assert all(r.unconverged == 0 for r in report.results), name
+
+
+# --------------------------------------------------------------------------
+# extended-precision reference for the series terms: in s = ln(1/r),
+# int_0^1 r^p S_K(r) dr = int_0^inf e^{-(p+1)s} w_K(s) ds =: M(p) has a
+# smooth positive integrand, so the exact power-sum coefficients are summed
+# against 40-digit moments, with no pointwise cancellation
+
+
+def _series_weight(K, s):
+    total, prod = mpmath.mpf(0), mpmath.mpf(1)
+    x = 1 / (1 + s)  # X_1(e^{-s})
+    for _ in range(K):
+        prod *= x * x
+        total += prod
+        x = 1 / (1 - mpmath.log(x))
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _series_moment(K, p: Fraction):
+    with mpmath.workdps(40):
+        p1 = mpmath.mpf(p.numerator) / p.denominator + 1
+        return mpmath.quad(lambda s: mpmath.exp(-p1 * s) * _series_weight(K, s), [0, 0.25, 1, 4, 16, 64, mpmath.inf])
+
+
+def _series_reference(K, series) -> float:
+    """sum over (coeff, density) of coeff * int_0^1 density S_K dr."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for coeff, density in series:
+            for p, c in zip(density.powers, density.coeffs):
+                total += mpmath.mpf(float(coeff)) * (mpmath.mpf(c.numerator) / c.denominator) * _series_moment(K, p)
+        return float(total)
+
+
+def _series_split(name, case):
+    """The exact part of a series slack and its (coefficient, density)
+    pairs: slack = exact - sum coeff * int_0^1 density S_K dr."""
+    from rellich.verify import _deficit_II, _grad_sq, _lap_pow
+
+    N, ck, f = case.N, case.eigenvalue, case.f
+    if name == "hardy-improved":
+        exact = _grad_sq(f, ck).shift(N - 1).integrate01()
+        exact -= ((N - 2) / 2.0) ** 2 * f.square().shift(N - 3).integrate01()
+        return exact, [(0.25, f.square().shift(N - 3))]
+    if name == "rellich-gradient-improved":
+        return _deficit_II(case), [(0.25, _grad_sq(f, ck).shift(N - 3))]
+    assert name == "higher-order-gradient-chain"
+    exact = _grad_sq(_lap_pow(f, N, ck, 2), ck).shift(N - 1).integrate01()
+    series = []
+    for term, coeff in C.higher_order_coefficients(N, 2, 1, C.HigherOrderVariant.GRADIENT_CHAIN):
+        base = _lap_pow(f, N, ck, term.delta_order)
+        if term.kind == "gradient":
+            density = _grad_sq(base, ck).shift(N - 1 - term.weight_power)
+        else:
+            density = base.square().shift(N - 1 - term.weight_power)
+        if term.with_series:
+            series.append((coeff, density))
+        else:
+            exact -= float(coeff) * density.integrate01()
+    return exact, series
+
+
+def test_series_terms_match_extended_precision_reference():
+    K = 5
+    cases = [case for case in standard_suite(seed=7) if case.N == 30][:3]
+    for name in ("hardy-improved", "rellich-gradient-improved", "higher-order-gradient-chain"):
+        for case in cases:
+            slack = check_inequality(name, [case], K=K, quad=SPEC).results[0].value
+            exact, series = _series_split(name, case)
+            ref = _series_reference(K, series)
+            assert abs((exact - slack) - ref) <= 1e-9 * abs(ref), (name, case.index)
