@@ -113,20 +113,23 @@ class SeriesValue:
     The bound is the geometric-tail estimate term_K * X_{K+1}^2 / (1 - X_{K+1}^2).
     Because the factors X_i(t) increase towards 1 with i, this estimate is of
     the right order but is not a rigorous majorant; callers should treat it as
-    an accuracy indicator, not a certificate.
+    an accuracy indicator, not a certificate.  ``converged`` says whether the
+    bound met ``tol * value`` within the term cap; when it is False, ``value``
+    is a partial sum whose bound missed the requested accuracy.
     """
 
     value: float
     terms_used: int
     truncation_bound: float
+    converged: bool
 
 
 def series_sum(t: float, tol: float = 1e-10) -> SeriesValue:
     """Sum the correction series at a scalar t in (0, 1).
 
     Stops when the tail estimate drops below ``tol * partial_sum``; caps at
-    64 terms and reports whatever bound was reached.  t = 1 is an explicit
-    divergence error (every term equals 1 there).
+    64 terms and reports whatever bound was reached, with ``converged=False``.
+    t = 1 is an explicit divergence error (every term equals 1 there).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -149,4 +152,9 @@ def series_sum(t: float, tol: float = 1e-10) -> SeriesValue:
         bound = prod * q / (1.0 - q) if q < 1.0 else np.inf
         if bound <= tol * total:
             break
-    return SeriesValue(value=total, terms_used=terms, truncation_bound=float(bound))
+    return SeriesValue(
+        value=total,
+        terms_used=terms,
+        truncation_bound=float(bound),
+        converged=bool(bound <= tol * total),
+    )

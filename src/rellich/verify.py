@@ -221,7 +221,9 @@ def _series_term(case: SuiteCase, n: int, kind: str, power: float, K: int, spec:
         return d * series_partial(K, np.minimum(r, 1.0))
 
     lead = h.origin_order - 1 if kind == "gradient" else h.origin_order
-    return _jet_integral(density, 2 * lead + power, spec)
+    # a series term can be far below the default abs_tol (about 5e-11 at N = 30),
+    # so only rel_tol may end the quadrature
+    return _jet_integral(density, 2 * lead + power, replace(spec, abs_tol=1e-280))
 
 
 def _cross_path_spec(spec: QuadratureSpec) -> QuadratureSpec:

@@ -132,6 +132,16 @@ def test_series_loose_tolerance_converges_quickly():
     res = series_sum(0.2, tol=1e-3)
     assert res.truncation_bound <= 1e-3 * res.value
     assert res.terms_used < 64
+    assert res.converged
+
+
+def test_series_reports_non_convergence_at_the_term_cap():
+    # near t = 1 the terms decay like i^-4 and the tail estimate stays far
+    # above the partial sum after 64 terms
+    res = series_sum(0.999)
+    assert res.terms_used == 64
+    assert res.truncation_bound > res.value
+    assert not res.converged
 
 
 def test_series_partial_is_prefix_of_series():

@@ -318,13 +318,15 @@ def _series_reference(K, series) -> float:
 def _series_split(name, case):
     """The exact part of a series slack and its (coefficient, density)
     pairs: slack = exact - sum coeff * int_0^1 density S_K dr."""
-    from rellich.verify import _deficit_II, _grad_sq, _lap_pow
+    from rellich.verify import _deficit_I, _deficit_II, _grad_sq, _lap_pow
 
     N, ck, f = case.N, case.eigenvalue, case.f
     if name == "hardy-improved":
         exact = _grad_sq(f, ck).shift(N - 1).integrate01()
         exact -= ((N - 2) / 2.0) ** 2 * f.square().shift(N - 3).integrate01()
         return exact, [(0.25, f.square().shift(N - 3))]
+    if name == "rellich-improved":
+        return _deficit_I(case), [(1 + N * (N - 4) / 8.0, f.square().shift(N - 5))]
     if name == "rellich-gradient-improved":
         return _deficit_II(case), [(0.25, _grad_sq(f, ck).shift(N - 3))]
     assert name == "higher-order-gradient-chain"
@@ -352,3 +354,17 @@ def test_series_terms_match_extended_precision_reference():
             exact, series = _series_split(name, case)
             ref = _series_reference(K, series)
             assert abs((exact - slack) - ref) <= 1e-9 * abs(ref), (name, case.index)
+
+
+def test_tiny_series_term_meets_the_relative_tolerance():
+    # seed 8, case 47 (N = 30, k = 3): int f^2 r^25 S_5 dr is about 4.7e-11,
+    # below the default abs_tol, which used to end the quadrature at 2e-8
+    # relative error
+    K = 5
+    case = standard_suite(seed=8)[47]
+    assert (case.N, case.k) == (30, 3)
+    slack = check_inequality("rellich-improved", [case], K=K, quad=SPEC).results[0]
+    assert slack.unconverged == 0
+    exact, series = _series_split("rellich-improved", case)
+    ref = _series_reference(K, series)
+    assert abs((exact - slack.value) - ref) <= 1e-9 * abs(ref)
