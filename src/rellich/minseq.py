@@ -17,6 +17,7 @@ arithmetic in r.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -34,7 +35,6 @@ from .radial import (
     SphericalMode,
     TestFunction,
     gradient_density,
-    mode_operator,
 )
 from .taylor import Jet
 
@@ -53,13 +53,14 @@ __all__ = [
 ]
 
 
-def _smoothstep_coeffs(n: int) -> list[int]:
+@functools.cache
+def _smoothstep_coeffs(n: int) -> tuple[int, ...]:
     """Ascending coefficients of the degree-(2n+1) smoothstep with n flat
     derivatives at both ends; S(0)=0, S(1)=1."""
     coeffs = [0] * (2 * n + 2)
     for j in range(n + 1):
         coeffs[n + j + 1] = (-1) ** j * math.comb(n + j, j) * math.comb(2 * n + 1, n - j)
-    return coeffs
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class CutoffSpec:
         if self.smoothness_order < 1:
             raise DomainError("smoothness_order must be >= 1")
 
-    def _coeffs(self) -> list[int]:
+    def _coeffs(self) -> tuple[int, ...]:
         return _smoothstep_coeffs(self.smoothness_order)
 
     def __call__(self, r):
@@ -104,14 +105,18 @@ class CutoffSpec:
         width = self.outer_radius - self.inner_radius
         t = (J - self.inner_radius) * (1.0 / width)
         coeffs = self._coeffs()
-        s = Jet.constant(0.0, J.order, like=J.value)
-        for c in reversed(coeffs):
+        # Horner from a zero jet: its first step leaves the top coefficient
+        # in the value row and +0.0 in the others, as t * 0.0 + top does
+        s = t * 0.0 + float(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
             s = s * t + float(c)
-        phi = 1.0 - s
-        one = Jet.constant(1.0, J.order, like=J.value)
-        zero = Jet.constant(0.0, J.order, like=J.value)
-        phi = Jet.select(J.value <= self.inner_radius, one, phi)
-        return Jet.select(J.value >= self.outer_radius, zero, phi)
+        phi = (1.0 - s).coeffs
+        inner = J.value <= self.inner_radius
+        outer = J.value >= self.outer_radius
+        flat = inner | outer
+        rows = [np.where(outer, 0.0, np.where(inner, 1.0, phi[0]))]
+        rows += [np.where(flat, 0.0, c) for c in phi[1:]]
+        return Jet(rows)
 
 
 @dataclass(frozen=True)
@@ -503,6 +508,16 @@ class _InnerTerms:
         return self.common * num
 
 
+def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
+    """L_k f at r from a jet F of f at r of order >= 2, with the operations
+    of :func:`rellich.radial.mode_operator` in the same order, so the value
+    is bitwise that of the mode-operator profile."""
+    out = F.deriv(2) + (F.deriv(1) / r) * (N - 1)
+    if ck:
+        out = out - (F.value / (r * r)) * ck
+    return out
+
+
 class _OuterTerms:
     """Jet-evaluated pieces of the densities on the cutoff transition zone."""
 
@@ -511,32 +526,36 @@ class _OuterTerms:
         tf = build_minimizer(params)
         self.mode = tf.mode
         self.u = tf.profile
-        self.v = tf.profile.power_shift((params.N - 4.0 - 2.0 * params.m) / 2.0)
-        self.lk_u = mode_operator(self.mode, self.u)
-        self.lk_v = mode_operator(self.mode, self.v)
+        self.v_shift = (params.N - 4.0 - 2.0 * params.m) / 2.0
         self.chain_len = chain_len
 
     def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
-        """The named pieces at r, and only those."""
+        """The named pieces at r, and only those.
+
+        u is evaluated once, as a jet of order 2 when a Laplacian piece is
+        named and 1 otherwise, and v = r^shift u is built from that jet.  A
+        jet's rows do not depend on its order (the jet arithmetic is
+        truncation invariant), so every piece is bitwise the one its own
+        profile evaluation would give."""
         N, m = self.params.N, self.params.m
         ck = self.mode.eigenvalue
+        order = 2 if "lap_u" in names or "lap_v" in names else 1
+        U = self.u.taylor(r, order)
         out = {}
         if "lap_u" in names:
-            out["lap_u"] = self.lk_u(r) ** 2 * r ** (N - 1 - 2 * m)
-        if "grad_u" in names or "hardy_u" in names:
-            u0, u1 = self.u.derivative_values(r, 1)
-            if "grad_u" in names:
-                out["grad_u"] = gradient_density(u0, u1, ck, r, N - 3 - 2 * m)
-            if "hardy_u" in names:
-                out["hardy_u"] = u0**2 * r ** (N - 5 - 2 * m)
-        if "lap_v" in names:
-            out["lap_v"] = self.lk_v(r) ** 2 * r**3
-        if "grad_v" in names or "rad_v" in names:
-            v0, v1 = self.v.derivative_values(r, 1)
+            out["lap_u"] = _mode_laplacian(U, r, N, ck) ** 2 * r ** (N - 1 - 2 * m)
+        if "grad_u" in names:
+            out["grad_u"] = gradient_density(U.value, U.deriv(1), ck, r, N - 3 - 2 * m)
+        if "hardy_u" in names:
+            out["hardy_u"] = U.value**2 * r ** (N - 5 - 2 * m)
+        if not names.isdisjoint(("lap_v", "grad_v", "rad_v")):
+            V = Jet.variable(r, order) ** self.v_shift * U
+            if "lap_v" in names:
+                out["lap_v"] = _mode_laplacian(V, r, N, ck) ** 2 * r**3
             if "grad_v" in names:
-                out["grad_v"] = gradient_density(v0, v1, ck, r, 1)
+                out["grad_v"] = gradient_density(V.value, V.deriv(1), ck, r, 1)
             if "rad_v" in names:
-                out["rad_v"] = v1**2 * r
+                out["rad_v"] = V.deriv(1) ** 2 * r
         return out
 
     def density(self, terms):

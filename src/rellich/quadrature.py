@@ -157,20 +157,33 @@ _WG[[1, 3, 5, 7, 9, 11, 13]] = np.array(
 _ERR_FLOOR = 50.0 * np.finfo(float).eps
 
 
-def _gk_batch(f, lefts: np.ndarray, rights: np.ndarray):
-    """Apply the 15-point rule to a batch of intervals with one call to f;
-    returns (values, error estimates, evaluations).  Callers run it under
-    ``np.errstate(all="ignore")``."""
+def _gk_points(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """The 15 nodes of each interval, one row per interval."""
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (rights + lefts)
+    return mid[:, None] + half[:, None] * _NODES
+
+
+def _by_row(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``vals @ w`` with each row's product taken on that row alone."""
+    return np.concatenate([vals[i : i + 1] @ w for i in range(len(vals))])
+
+
+def _gk_sums(vals: np.ndarray, lefts: np.ndarray, rights: np.ndarray, matvec=np.matmul):
+    """(values, error estimates) of the 15-point rule from the integrand
+    values ``vals`` at :func:`_gk_points`.
+
+    The row results of ``vals @ w`` depend on the number of rows (the BLAS
+    matrix-vector kernel blocks its sums by rows); with ``matvec=_by_row``
+    every row's result is the one its interval would get alone.  The rest
+    is elementwise."""
     width = rights - lefts
     half = 0.5 * width
-    mid = 0.5 * (rights + lefts)
-    pts = mid[:, None] + half[:, None] * _NODES
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    resk = vals @ _WGK * half
-    resg = vals @ _WG * half
-    resabs = np.abs(vals) @ _WGK * half
+    resk = matvec(vals, _WGK) * half
+    resg = matvec(vals, _WG) * half
+    resabs = matvec(np.abs(vals), _WGK) * half
     mean = resk / np.where(width == 0.0, 1.0, width)
-    resasc = np.abs(vals - mean[:, None]) @ _WGK * half
+    resasc = matvec(np.abs(vals - mean[:, None]), _WGK) * half
     diff = np.abs(resk - resg)
     positive = resasc > 0.0
     err = np.where(
@@ -179,6 +192,21 @@ def _gk_batch(f, lefts: np.ndarray, rights: np.ndarray):
         diff,
     )
     err = np.maximum(err, _ERR_FLOOR * resabs)
+    return resk, err
+
+
+def _gk_values(f, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """f at the nodes of every interval, from one call to f."""
+    pts = _gk_points(lefts, rights)
+    return np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+
+
+def _gk_batch(f, lefts: np.ndarray, rights: np.ndarray):
+    """Apply the 15-point rule to a batch of intervals with one call to f;
+    returns (values, error estimates, evaluations).  Callers run it under
+    ``np.errstate(all="ignore")``."""
+    vals = _gk_values(f, lefts, rights)
+    resk, err = _gk_sums(vals, lefts, rights)
     return resk, err, vals.size
 
 
@@ -186,47 +214,67 @@ def _adaptive_finite(
     f, a: float, b: float, rel_tol: float, abs_tol: float, max_subdivisions: int, breakpoints=()
 ):
     """Adaptive bisection on [a, b] until the error estimate meets
-    max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged).
-
-    The heap and the running totals hold Python floats, which round exactly
-    as numpy's float64 scalars do at a fraction of the per-operation cost."""
+    max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged)."""
     with np.errstate(all="ignore"):
         cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
         vals, errs, n_eval = _gk_batch(f, np.array(cuts[:-1]), np.array(cuts[1:]))
-        total = float(np.sum(vals))
-        total_err = float(np.sum(errs))
         heap = [
             (-e, lo, hi, v, e) for lo, hi, v, e in zip(cuts[:-1], cuts[1:], vals.tolist(), errs.tolist())
         ]
-        heapq.heapify(heap)
-        n_sub = len(heap)
-        while total_err > max(abs_tol, rel_tol * abs(total)) and n_sub < max_subdivisions:
-            batch = [heapq.heappop(heap) for _ in range(min(16, len(heap)))]
-            if not batch:
-                break
-            ls, rs = [], []
-            for _, lo, hi, _v, _e in batch:
-                mid = 0.5 * (lo + hi)
-                ls.extend([lo, mid])
-                rs.extend([mid, hi])
-            new_vals, new_errs, ne = _gk_batch(f, np.array(ls), np.array(rs))
-            n_eval += ne
-            n_sub += len(batch)
-            for _neg, _lo, _hi, v, e in batch:
-                total -= v
-                total_err -= e
-            for lo, hi, v, e in zip(ls, rs, new_vals.tolist(), new_errs.tolist()):
-                heapq.heappush(heap, (-e, lo, hi, v, e))
-                total += v
-                total_err += e
-            if not math.isfinite(total):
-                return total, math.inf, n_eval, False
-        converged = total_err <= max(abs_tol, rel_tol * abs(total))
-        return total, total_err, n_eval, converged
+        total = float(np.sum(vals))
+        total_err = float(np.sum(errs))
+        return _refine(f, heap, total, total_err, n_eval, rel_tol, abs_tol, max_subdivisions)
+
+
+def _refine(
+    f,
+    heap: list,
+    total: float,
+    total_err: float,
+    n_eval: int,
+    rel_tol: float,
+    abs_tol: float,
+    max_subdivisions: int,
+):
+    """Bisect the largest-error intervals of ``heap`` (entries (-error, lo,
+    hi, value, error) whose values and errors sum to ``total`` and
+    ``total_err``) in batches of up to 16 until the error meets
+    max(abs_tol, rel_tol * |value|); returns (value, error, evals,
+    converged), ``evals`` counting ``n_eval`` in.  Callers run it under
+    ``np.errstate(all="ignore")``.
+
+    The heap and the running totals hold Python floats, which round exactly
+    as numpy's float64 scalars do at a fraction of the per-operation cost."""
+    heapq.heapify(heap)
+    n_sub = len(heap)
+    while total_err > max(abs_tol, rel_tol * abs(total)) and n_sub < max_subdivisions:
+        batch = [heapq.heappop(heap) for _ in range(min(16, len(heap)))]
+        if not batch:
+            break
+        ls, rs = [], []
+        for _, lo, hi, _v, _e in batch:
+            mid = 0.5 * (lo + hi)
+            ls.extend([lo, mid])
+            rs.extend([mid, hi])
+        new_vals, new_errs, ne = _gk_batch(f, np.array(ls), np.array(rs))
+        n_eval += ne
+        n_sub += len(batch)
+        for _neg, _lo, _hi, v, e in batch:
+            total -= v
+            total_err -= e
+        for lo, hi, v, e in zip(ls, rs, new_vals.tolist(), new_errs.tolist()):
+            heapq.heappush(heap, (-e, lo, hi, v, e))
+            total += v
+            total_err += e
+        if not math.isfinite(total):
+            return total, math.inf, n_eval, False
+    converged = total_err <= max(abs_tol, rel_tol * abs(total))
+    return total, total_err, n_eval, converged
 
 
 _HALFLINE_MAX_PANELS = 900
 _HALFLINE_S_MAX = 1e200
+_LOOKAHEAD = 4  # panels whose first rule one integrand call evaluates
 
 
 def integrate_halfline(
@@ -240,8 +288,35 @@ def integrate_halfline(
     that never settles (a divergent tail) ends with converged=False rather
     than a silently wrong value.  When the ``s_cap`` truncation is reached
     the still-unresolved tail is estimated and folded into the error.
+
+    h must act elementwise.  One call to h evaluates the first 15-point rule
+    of the next four panels (never a panel beyond ``s_cap``), which settles
+    most panels; the panels are then taken in order, each one's rule summed
+    on that panel alone, so the result is bitwise that of one panel per
+    call.  Points of panels past the stopping one are evaluated and counted
+    in ``evaluations`` but never used.  If that call raises, the integral
+    goes on one panel per call, so an exception surfaces only from a panel
+    the integral needs.
     """
     return _counted(_halfline(h, s0, spec or QuadratureSpec(), s_cap))
+
+
+def _first_rules(h, left: float, width: float, count: int, s_cap: float):
+    """The first rule of up to ``count`` panels from [left, left + width] on,
+    doubling, stopping after a panel whose right end lies beyond s_cap:
+    [(left, right, value, error), ...] and the evaluations, from one call to h."""
+    edges = []
+    for _ in range(count):
+        right = left + width
+        edges.append((left, right))
+        left, width = right, width * 2.0
+        if left > s_cap:
+            break
+    lefts = np.array([lo for lo, _ in edges])
+    rights = np.array([hi for _, hi in edges])
+    vals = _gk_values(h, lefts, rights)
+    resk, err = _gk_sums(vals, lefts, rights, _by_row)
+    return [(*edge, v, e) for edge, v, e in zip(edges, resk.tolist(), err.tolist())], vals.size
 
 
 def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureResult:
@@ -266,28 +341,46 @@ def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureRes
             ratio = min(max(ratio, a_prev / panel_abs[-3]), 0.995)
         return a_last * ratio / (1.0 - ratio)
 
+    rel_tol = spec.rel_tol
     panel_subdivisions = max(64, spec.max_subdivisions // 16)
-    for _ in range(_HALFLINE_MAX_PANELS):
-        right = left + width
-        sub_abs = max(spec.abs_tol, spec.rel_tol * abs(acc)) / 8.0
-        v, e, n, _ok = _adaptive_finite(h, left, right, spec.rel_tol, sub_abs, panel_subdivisions)
-        evals += n
-        if not np.isfinite(v):
-            return QuadratureResult(acc, math.inf, evals, False)
-        acc += v
-        err += e
-        panel_abs.append(abs(v))
-        left = right
-        width *= 2.0
-        tail = tail_estimate()
-        if tail is not None and tail <= spec.target(acc) / 2.0:
-            err += tail
-            converged = True
-            break
-        if left > s_cap:
-            if tail is not None:
+    ahead = _LOOKAHEAD
+    rules: list = []
+    with np.errstate(all="ignore"):
+        for panel in range(_HALFLINE_MAX_PANELS):
+            if not rules:
+                count = min(ahead, _HALFLINE_MAX_PANELS - panel)
+                try:
+                    rules, n = _first_rules(h, left, width, count, s_cap)
+                except Exception:
+                    # some panel ahead raised: go on one panel per call, so an
+                    # exception surfaces only where the integral needs a panel
+                    if count == 1:
+                        raise
+                    ahead = 1
+                    rules, n = _first_rules(h, left, width, 1, s_cap)
+                evals += n
+            _, right, v, e = rules.pop(0)
+            sub_abs = max(spec.abs_tol, rel_tol * abs(acc)) / 8.0
+            if e > max(sub_abs, rel_tol * abs(v)):
+                heap = [(-e, left, right, v, e)]
+                v, e, n, _ok = _refine(h, heap, v, e, 0, rel_tol, sub_abs, panel_subdivisions)
+                evals += n
+            if not math.isfinite(v):
+                return QuadratureResult(acc, math.inf, evals, False)
+            acc += v
+            err += e
+            panel_abs.append(abs(v))
+            left = right
+            width *= 2.0
+            tail = tail_estimate()
+            if tail is not None and tail <= spec.target(acc) / 2.0:
                 err += tail
-            break
+                converged = True
+                break
+            if left > s_cap:
+                if tail is not None:
+                    err += tail
+                break
     converged = converged and err <= spec.target(acc)
     return QuadratureResult(acc, err, evals, converged)
 

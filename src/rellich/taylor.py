@@ -23,6 +23,11 @@ contract:
   fresh array, never an operand's row.
 - Rows are shared between jets (``truncate``, scalar ``-``, ``x ** 1``), so
   no operation mutates the rows of its operands, and callers must not either.
+- Arithmetic is truncation invariant: row ``k`` of a result comes from rows
+  ``0..k`` of the operands through the same operations at every order, so
+  an expression evaluated at order ``n`` and truncated to ``m <= n`` is
+  bitwise the expression evaluated at order ``m``.  One evaluation at the
+  highest order needed may therefore serve every lower order.
 """
 
 from __future__ import annotations

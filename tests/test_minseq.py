@@ -306,3 +306,61 @@ def test_scan_reports_unconverged_quadratures(monkeypatch):
 
     reduced = scan_to_limit(ScanFamily.RELLICH_IMPROVED, default_schedule(ScanFamily.RELLICH_IMPROVED, 6))
     assert reduced.unconverged == [0] * len(reduced.quotients)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.all(a.view(np.int64) == b.view(np.int64)))
+
+
+def test_cutoff_jet_matches_selecting_constant_jets():
+    """The scalar fills give the rows Jet.select gives with constant jets."""
+    from rellich.taylor import Jet
+
+    cut = CutoffSpec(0.4, 0.9, 4)
+    r = np.array([0.1, 0.4, 0.400001, 0.55, 0.7, 0.8999, 0.9, 1.3])
+    for order in range(5):
+        J = Jet.variable(r, order)
+        t = (J - cut.inner_radius) * (1.0 / (cut.outer_radius - cut.inner_radius))
+        s = Jet.constant(0.0, order, like=r)
+        for c in reversed(cut._coeffs()):
+            s = s * t + float(c)
+        phi = Jet.select(r <= cut.inner_radius, Jet.constant(1.0, order, like=r), 1.0 - s)
+        phi = Jet.select(r >= cut.outer_radius, Jet.constant(0.0, order, like=r), phi)
+        got = cut.jet(J)
+        assert got.order == order
+        assert all(_same_bits(a, b) for a, b in zip(got.coeffs, phi.coeffs))
+
+
+@pytest.mark.parametrize(
+    "N, m, k, a",
+    [(6, 0.0, 0, (0.1,)), (9, 0.0, 1, (0.05, 0.3)), (12, 1.3, 2, (1.0,)), (30, 8.0, 2, (0.2,))],
+)
+def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
+    """Each piece built from one jet of u is bitwise the one its own profile
+    evaluation gives: the mode operator's profile for the Laplacians,
+    derivative values for the gradients, the power shift for v."""
+    import rellich.minseq as M
+    from rellich.radial import gradient_density, mode_operator
+
+    p = MinSeqParams(N, m, 1e-3, a, mode_k=k)
+    outer = M._OuterTerms(p, len(a))
+    u = build_minimizer(p)
+    ck = u.mode.eigenvalue
+    v = u.profile.power_shift((N - 4.0 - 2.0 * m) / 2.0)
+    r = np.linspace(0.5, 1.0, 37)
+    u0, u1 = u.profile.derivative_values(r, 1)
+    v0, v1 = v.derivative_values(r, 1)
+    route = {
+        "lap_u": mode_operator(u.mode, u.profile)(r) ** 2 * r ** (N - 1 - 2 * m),
+        "grad_u": gradient_density(u0, u1, ck, r, N - 3 - 2 * m),
+        "hardy_u": u0**2 * r ** (N - 5 - 2 * m),
+        "lap_v": mode_operator(u.mode, v)(r) ** 2 * r**3,
+        "grad_v": gradient_density(v0, v1, ck, r, 1),
+        "rad_v": v1**2 * r,
+    }
+    for names in ({"grad_u", "hardy_u"}, {"grad_v", "rad_v"}, {"lap_u", "hardy_u", "grad_v"}, set(route)):
+        got = outer.pieces(r, names)
+        assert set(got) == names
+        for name in names:
+            assert _same_bits(got[name], route[name]), (names, name)

@@ -155,3 +155,146 @@ def test_count_quadrature_counts_each_entry_call_once():
     assert outer.evaluations == first.evaluations + rough.evaluations
     integrate(lambda r: r, 0.0, 1.0, SPEC)
     assert outer.calls == 2  # the block has closed
+
+
+# --------------------------------------------------------------------------
+# the half-line look-ahead against the panel-by-panel loop it replaces
+
+
+def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200):
+    """The half-line rule with one integrand call per panel's first rule."""
+    from rellich.quadrature import _HALFLINE_MAX_PANELS, QuadratureResult, _adaptive_finite
+
+    acc, err, evals = 0.0, 0.0, 0
+    panel_abs = []
+    left, width = s0, 1.0
+    converged = False
+
+    def tail_estimate():
+        if len(panel_abs) < 3:
+            return None
+        a_prev, a_last = panel_abs[-2], panel_abs[-1]
+        if a_last == 0.0 and a_prev == 0.0:
+            return 0.0
+        if a_last >= a_prev:
+            return None
+        ratio = min(a_last / max(a_prev, 1e-300), 0.995)
+        if len(panel_abs) >= 4 and panel_abs[-3] > 0:
+            ratio = min(max(ratio, a_prev / panel_abs[-3]), 0.995)
+        return a_last * ratio / (1.0 - ratio)
+
+    panel_subdivisions = max(64, spec.max_subdivisions // 16)
+    for _ in range(_HALFLINE_MAX_PANELS):
+        right = left + width
+        sub_abs = max(spec.abs_tol, spec.rel_tol * abs(acc)) / 8.0
+        v, e, n, _ok = _adaptive_finite(h, left, right, spec.rel_tol, sub_abs, panel_subdivisions)
+        evals += n
+        if not np.isfinite(v):
+            return QuadratureResult(acc, math.inf, evals, False)
+        acc += v
+        err += e
+        panel_abs.append(abs(v))
+        left = right
+        width *= 2.0
+        tail = tail_estimate()
+        if tail is not None and tail <= spec.target(acc) / 2.0:
+            err += tail
+            converged = True
+            break
+        if left > s_cap:
+            if tail is not None:
+                err += tail
+            break
+    converged = converged and err <= spec.target(acc)
+    return QuadratureResult(acc, err, evals, converged)
+
+
+def _refined(s):
+    return np.exp(-0.2 * s) / (1e-3 + (s - 5.3) ** 2)
+
+
+_HALFLINE_CASES = {
+    "exponential": (lambda s: np.exp(-0.3 * s), 0.0, 1e200),
+    "slow-power-tail": (lambda s: (1.0 + s) ** -1.02, 0.0, 1e200),
+    "nan-late": (lambda s: np.where(s > 60.0, np.nan, np.exp(-0.01 * s)), 0.0, 1e200),
+    "refined": (_refined, 0.5, 1e200),
+    "s-cap": (lambda s: (1.0 + s) ** -2.0, 0.0, 40.0),
+}
+
+
+def _bits(res):
+    return (res.value.hex(), res.error_estimate.hex(), res.converged)
+
+
+def _recording(h, seen):
+    def wrapped(s):
+        seen.append(float(np.max(s)))
+        return h(s)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("name", sorted(_HALFLINE_CASES))
+def test_lookahead_matches_one_panel_per_call(name):
+    h, s0, s_cap = _HALFLINE_CASES[name]
+    reached, ref_reached = [], []
+    got = integrate_halfline(_recording(h, reached), s0, SPEC, s_cap)
+    ref = _halfline_one_panel_per_call(_recording(h, ref_reached), s0, SPEC, s_cap)
+    assert _bits(got) == _bits(ref)
+    assert got.evaluations >= ref.evaluations
+    if name == "s-cap":  # the look-ahead stops where the truncation does
+        assert max(reached) == max(ref_reached)
+
+
+def test_lookahead_cases_reach_their_branches(monkeypatch):
+    """Each case exercises what its name says in the reference loop."""
+    from rellich import quadrature
+
+    slow = _halfline_one_panel_per_call(*_HALFLINE_CASES["slow-power-tail"][:2])
+    nan = _halfline_one_panel_per_call(*_HALFLINE_CASES["nan-late"][:2])
+    assert not slow.converged and math.isfinite(slow.error_estimate)
+    assert not nan.converged and nan.error_estimate == math.inf and nan.value > 0
+    panels = []
+    real = quadrature._adaptive_finite
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        panels.append(out[2])
+        return out
+
+    monkeypatch.setattr(quadrature, "_adaptive_finite", spy)
+    _halfline_one_panel_per_call(_refined, 0.5)
+    monkeypatch.undo()
+    assert max(panels) > 15 and min(panels) == 15  # some panels refine, some do not
+    h, s0, s_cap = _HALFLINE_CASES["s-cap"]
+    capped = _halfline_one_panel_per_call(h, s0, SPEC, s_cap)
+    assert not capped.converged
+
+
+def test_an_exception_beyond_the_stopping_panel_does_not_surface():
+    h = lambda s: np.exp(-s)  # stops at the first panel of the second look-ahead
+    seen = []
+    ref = _halfline_one_panel_per_call(_recording(h, seen), 0.0)
+    reach = max(seen)
+    raised = []
+
+    def strict(s):
+        if np.max(s) > reach:
+            raised.append(True)
+            raise ValueError("beyond the panels the integral needs")
+        return h(s)
+
+    got = integrate_halfline(strict, 0.0, SPEC)
+    assert raised  # the look-ahead did reach past the stopping panel
+    assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("bad_from", [20.0, 40.0])  # the first panel after a look-ahead fails, or a later one
+def test_an_exception_in_a_needed_panel_surfaces(bad_from):
+    def failing(s):
+        if np.max(s) > bad_from:
+            raise ValueError("needed panel")
+        return (1.0 + s) ** -1.02
+
+    with pytest.raises(ValueError, match="needed panel"):
+        integrate_halfline(failing, 0.0, SPEC)

@@ -252,3 +252,36 @@ def test_no_operation_mutates_its_operands():
                 _ = (out * out + 1.0) / (2.0 - out) - out.log().exp()
         for j, rows in zip((x, y), before):
             assert all(np.array_equal(a, b) for a, b in zip(j.coeffs, rows))
+
+
+def _order_free_operations(x: Jet, y: Jet, c: float, n: int):
+    mask = x.value < y.value
+    return {
+        "x + y": lambda x, y: x + y, "x + c": lambda x, y: x + c, "c - x": lambda x, y: c - x,
+        "x - y": lambda x, y: x - y, "x - c": lambda x, y: x - c, "-x": lambda x, y: -x,
+        "x * y": lambda x, y: x * y, "x * c": lambda x, y: x * c,
+        "x / y": lambda x, y: x / y, "x / c": lambda x, y: x / c, "c / x": lambda x, y: c / x,
+        "log": lambda x, y: x.log(), "exp": lambda x, y: x.exp(),
+        "x ** n": lambda x, y: x**n, "x ** 0.7": lambda x, y: x**0.7, "x ** -2.5": lambda x, y: x**-2.5,
+        "select": lambda x, y: Jet.select(mask, x, y),
+        "chain": lambda x, y: (x * y + c) / (1.5 - x).exp() - (x**n).log() * y,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda p: st.tuples(_jets(p), _jets(p))),
+    st.integers(0, 5),
+    _FLOATS,
+    st.integers(-7, 7),
+)
+def test_jet_arithmetic_is_truncation_invariant(pair, m, c, n):
+    """An operation at order n truncated to m gives the operation at order m."""
+    x, y = pair
+    order = min(x.order, y.order)
+    m = min(m, order)
+    with np.errstate(all="ignore"):
+        for name, op in _order_free_operations(x, y, c, n).items():
+            full = op(x, y).truncate(m)
+            short = op(x.truncate(m), y.truncate(m))
+            assert _same_rows(full, short), name
