@@ -9,6 +9,17 @@ integral against the measure c_N r^{N-1} dr, where c_N is the surface area
 of the unit (N-1)-sphere.  The same convention normalizes the angular factor
 (int phi_k^2 dsigma = c_N, exact for phi_0 = 1), so the dual-route
 cross-checks below pin it.
+
+Each :func:`functional` call evaluates its profiles through
+:meth:`RadialProfile.memoized`: the direct route and the reduced-profile
+cross-check integrate on many of the same quadrature nodes, at the same or
+lower derivative orders, and the memo evaluates the profile's jet once per
+node set.  A stored jet serves a request only when the request's input rows
+are a bytewise prefix of the stored input's, and then as the stored result
+truncated to the requested order; by the truncation invariance of jet
+arithmetic (see the module docstring of :mod:`rellich.taylor`) that is
+bitwise the jet a fresh evaluation would give.  A memo lives as long as
+the memoized profile, so no memo outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -23,7 +34,13 @@ import numpy as np
 
 from .errors import DifferentiabilityError, DomainError
 from .iterlog import log_product
-from .quadrature import OriginSubstitution, QuadratureResult, QuadratureSpec, integrate
+from .quadrature import (
+    OriginSubstitution,
+    QuadratureResult,
+    QuadratureSpec,
+    count_quadrature,
+    integrate,
+)
 from .taylor import Jet
 
 __all__ = [
@@ -155,6 +172,36 @@ class RadialProfile:
             return False
         scale = np.abs(vals[-1]) + 1.0
         return bool(np.max(np.abs(vals)) <= 1e6 * scale)
+
+    def memoized(self) -> "RadialProfile":
+        """The same profile, with a jet function that remembers each input jet
+        and its result, keyed by the bytes of the input's value row.
+
+        A later input is served from the store, as the stored result truncated
+        to its order, only when its rows are a bytewise prefix of the stored
+        input's rows; any other input is evaluated afresh and replaces the
+        entry for its value row.  Served jets are bitwise fresh evaluations
+        because jet arithmetic is truncation invariant.  The store lives as
+        long as the returned profile.
+        """
+        fn = self._jet_fn
+        store: dict = {}
+
+        def remembered(J: Jet) -> Jet:
+            rows = J.coeffs
+            key = (rows[0].shape, rows[0].tobytes())
+            hit = store.get(key)
+            if hit is not None:
+                higher, out = hit
+                if len(rows) - 1 <= len(higher) and all(
+                    r.tobytes() == b for r, b in zip(rows[1:], higher)
+                ):
+                    return out.truncate(J.order)
+            out = fn(J)
+            store[key] = ([r.tobytes() for r in rows[1:]], out)
+            return out
+
+        return RadialProfile(remembered, self.support, self.origin_order, self.max_order)
 
     # -------------------------------------------------------------- algebra
     def power_shift(self, alpha: float) -> "RadialProfile":
@@ -291,10 +338,16 @@ class Functional(Enum):
 
 @dataclass
 class FunctionalValue:
+    """A functional's direct ``value`` (the sum of ``components``), its
+    ``cross_value`` through a reduction identity where one exists, the
+    summed quadrature error estimate of the direct route, and ``unconverged``,
+    the number of integrals behind either value that ended unconverged."""
+
     value: float
     components: dict[str, float]
     quadrature_error: float
     cross_value: float | None = None
+    unconverged: int = 0
 
 
 def _integral(density, origin_power: float, hi: float, spec: QuadratureSpec) -> QuadratureResult:
@@ -312,8 +365,10 @@ def gradient_density(f0, f1, ck, r, power):
 
 def _moments(h: RadialProfile, weights, hi: float, spec: QuadratureSpec):
     """(int h''^2 r^w2, int h'^2 r^w1, int h^2 r^w0) over (0, hi], for
-    weights = (w2, w1, w0): the terms of the second-order cross-checks."""
+    weights = (w2, w1, w0): the terms of the second-order cross-checks.  The
+    three moments mostly share their nodes, so h is evaluated memoized."""
     o = h.origin_order
+    h = h.memoized()
 
     def moment(j, w):
         def density(r):
@@ -352,7 +407,16 @@ def functional(
     also through that identity's right-hand side; the second value lands in
     ``cross_value`` for cross-checking.  ``m`` is the radial weight exponent
     used by the WEIGHTED_* family and by the v-substitution convention.
+    ``unconverged`` counts the integrals behind either value that ended
+    ``converged=False``.
     """
+    with count_quadrature() as counts:
+        out = _functional(name, tf, m, quad, series_index, series_base)
+    out.unconverged = counts.unconverged
+    return out
+
+
+def _functional(name, tf, m, quad, series_index, series_base) -> FunctionalValue:
     spec = quad or QuadratureSpec()
     side = _SIDE.get(name)
     if side is None:
@@ -362,7 +426,7 @@ def functional(
     N, k = tf.mode.N, tf.mode.k
     ck = tf.mode.eigenvalue
     cN = sphere_area(N)
-    f = tf.profile
+    f = tf.profile.memoized()
     hi = f.support[1]
     oo = f.origin_order
 
@@ -391,7 +455,8 @@ def functional(
             c2 = (2 * k + N - 1) * (N - 3) - N * (3 * N - 8) / 4.0
             c3 = N * (3 * N - 8) / 4.0 * k * k + N * (N - 8) / 4.0 * ck
         # cross-check through the reduced-profile identity
-        t1, t2, t3 = _moments(g_profile(tf, 0.0), (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
+        g = f.power_shift(_v_exponent(N, 0.0) - k)  # g_profile(tf, 0.0) on the memoized f
+        t1, t2, t3 = _moments(g, (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
         cross = cN * (t1 + c2 * t2 + c3 * t3)
         return FunctionalValue(sum(results.values()), results, err, cross)
 
@@ -428,7 +493,7 @@ def functional(
     if name is Functional.WEIGHTED_GRADIENT:
         add("gradient", grad(f, N - 3 - 2 * m), 2 * (oo - 1) + N - 3 - 2 * m)
         # cross-check through the v-substitution split
-        v = substitute_v(tf, m).profile
+        v = f.power_shift(_v_exponent(N, m)).memoized()  # substitute_v(tf, m).profile
         voo = v.origin_order
         t1 = _integral(grad(v, 1), 2 * (voo - 1) + 1, hi, spec)
         t2 = _integral(lambda r: v(r) ** 2 / r, 2 * voo - 1, hi, spec)

@@ -109,12 +109,14 @@ class SuiteCase:
         """The profile in factored form r^(k+j) (1-r)^p q(r), which evaluates
         pointwise without the cancellation of the expanded power sum."""
         lead, p, q_coeffs = self.factors
+        top, *rest = [float(c) for c in reversed(list(q_coeffs))]
+        power, boundary = int(lead), int(p)
 
         def fn(J):
-            acc = None
-            for c in reversed(list(q_coeffs)):
-                acc = (acc * J + float(c)) if acc is not None else (J * 0.0 + float(c))
-            return (J ** int(lead)) * ((1.0 - J) ** int(p)) * acc
+            acc = J * 0.0 + top
+            for c in rest:
+                acc = acc * J + c
+            return (J**power) * ((1.0 - J) ** boundary) * acc
 
         return RadialProfile.from_jet_fn(fn, origin_order=lead)
 

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from rellich import radial
 from rellich.errors import DifferentiabilityError, DomainError
 from rellich.quadrature import QuadratureSpec
 from rellich.radial import (
@@ -21,6 +25,8 @@ from rellich.radial import (
     substitute_u,
     substitute_v,
 )
+from rellich.taylor import Jet
+from rellich.verify import standard_suite
 
 RR = np.linspace(0.05, 0.95, 9)
 
@@ -299,3 +305,132 @@ def test_functional_series_term_gradient_base():
     assert hv > 0 and gv > 0 and gv != hv
     with pytest.raises(DomainError):
         functional(Functional.SERIES_TERM, tf, series_index=1, series_base=Functional.I)
+
+
+# --------------------------------------------------------------------------
+# RadialProfile.memoized: every served jet is bitwise a fresh evaluation
+
+
+def _bits(jet: Jet) -> list:
+    return [(row.shape, row.tobytes()) for row in jet.coeffs]
+
+
+def _memo_subject() -> RadialProfile:
+    """A profile whose jet goes through *, /, log and exp, and reads every
+    row of its input jet (the mode operator reads only the value row)."""
+    base = RadialProfile.from_polynomial([0.0, 0.0, 1.0, -0.5, 0.25]).power_shift(0.7)
+    return mode_operator(SphericalMode(7, 2), base).power_shift(-0.3)
+
+
+_NODES = arrays(np.float64, st.integers(1, 12), elements=st.floats(1e-3, 1.0))
+_ROWS = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _requests(draw):
+    """A few node arrays, then a sequence of requests on them: (node index,
+    order, higher rows or None for the variable jet)."""
+    nodes = draw(st.lists(_NODES, min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 10))):
+        i = draw(st.integers(0, len(nodes) - 1))
+        order = draw(st.integers(0, 5))
+        higher = None
+        if draw(st.booleans()):
+            n = nodes[i].size
+            higher = [draw(arrays(np.float64, n, elements=_ROWS)) for _ in range(order)]
+        out.append((i, order, higher))
+    return nodes, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_requests())
+def test_memoized_jets_are_bitwise_fresh_evaluations(case):
+    nodes, requests = case
+    plain = _memo_subject()
+    memo = plain.memoized()
+    with np.errstate(all="ignore"):
+        for i, order, higher in requests:
+            if higher is None:
+                assert _bits(memo.taylor(nodes[i], order)) == _bits(plain.taylor(nodes[i], order))
+            else:
+                J = Jet([nodes[i], *higher])
+                assert _bits(memo._jet_fn(J)) == _bits(plain._jet_fn(J))
+
+
+def test_memoized_serves_only_bytewise_prefixes_of_a_stored_input():
+    calls = []
+
+    def fn(J):
+        calls.append(J.order)
+        return J * J
+
+    memo = RadialProfile.from_jet_fn(fn).memoized()
+    r = np.array([0.25, 0.5])
+    memo.taylor(r, 3)
+    memo.taylor(r, 3)
+    memo.taylor(r, 1)
+    assert calls == [3]  # a repeat and a lower order are served
+    memo.taylor(r, 4)
+    assert calls == [3, 4]  # a higher order is evaluated afresh
+    memo.taylor(r, 4)
+    memo.taylor(r, 2)
+    assert calls == [3, 4]  # ... and replaces the stored entry
+    # the value row matches, a higher row does not: never served
+    other = Jet([r, np.ones_like(r), np.array([0.0, -0.0])])
+    assert _bits(memo._jet_fn(other)) == _bits(fn(other))
+    assert calls == [3, 4, 2, 2]
+    memo._jet_fn(Jet([r, np.array([1.0, 2.0])]))
+    assert calls == [3, 4, 2, 2, 1]
+    # the same bytes in another shape are another node set
+    memo.taylor(r.reshape(2, 1), 0)
+    assert calls[-1] == 0 and len(calls) == 6
+
+
+def test_functionals_are_bitwise_those_of_unmemoized_profiles(monkeypatch):
+    suite = standard_suite(7)
+
+    def outputs():
+        out = []
+        for case in suite:
+            u = case.test_function()
+            v = substitute_v(u)
+            for name in Functional:
+                tf = v if name in (Functional.J, Functional.JJ) else u
+                weighted = name.value.startswith(("weighted", "series"))
+                fv = functional(name, tf, m=case.m if weighted else 0.0)
+                fields = [fv.value, fv.cross_value, fv.quadrature_error, *fv.components.values()]
+                out.append([list(fv.components), *(x.hex() if x is not None else x for x in fields)])
+        return out
+
+    memoized = outputs()
+    monkeypatch.setattr(RadialProfile, "memoized", lambda self: self)
+    assert outputs() == memoized
+
+
+@pytest.mark.parametrize("subdivisions", [1, 8])
+def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
+    spec = QuadratureSpec(max_subdivisions=subdivisions)
+    case = standard_suite(7)[3]
+    u = case.test_function()
+    v = substitute_v(u)
+    recount = []
+    integrate = radial.integrate
+
+    def counting(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        recount.append(res.converged)
+        return res
+
+    monkeypatch.setattr(radial, "integrate", counting)
+    mixed = False
+    for name in Functional:
+        recount.clear()
+        tf = v if name in (Functional.J, Functional.JJ) else u
+        fv = functional(name, tf, m=case.m, quad=spec)
+        assert fv.unconverged == recount.count(False)
+        if subdivisions == 1:
+            assert fv.unconverged == len(recount) > 0
+        mixed = mixed or 0 < fv.unconverged < len(recount)
+    assert mixed == (subdivisions == 8)
+    assert functional(Functional.I, u).unconverged == 0
