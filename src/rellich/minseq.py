@@ -519,13 +519,17 @@ def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
 
 
 class _OuterTerms:
-    """Jet-evaluated pieces of the densities on the cutoff transition zone."""
+    """Jet-evaluated pieces of the densities on the cutoff transition zone.
+
+    u's profile is memoized: the numerator and the denominator of one
+    quotient integrate over the same zone and share most of their nodes, and
+    the memo lives only as long as this object."""
 
     def __init__(self, params: MinSeqParams, chain_len: int):
         self.params = params
         tf = build_minimizer(params)
         self.mode = tf.mode
-        self.u = tf.profile
+        self.u = tf.profile.memoized()
         self.v_shift = (params.N - 4.0 - 2.0 * params.m) / 2.0
         self.chain_len = chain_len
 
