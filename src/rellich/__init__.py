@@ -7,8 +7,6 @@ property-check registry for every identity and inequality in scope.
 """
 
 from .constants import (
-    ConstantFamily,
-    ConstantQuery,
     ConstantReport,
     HigherOrderVariant,
     a_mn,

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import constants as C
 from . import minseq, verify
@@ -91,67 +92,77 @@ def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
-_FAMILIES_NEEDING_M = {"sigma", "sigma-bar", "per-mode", "amn", "reduction"}
+def _row(a, value, m="", k="", detail="") -> list:
+    """One output row (family, N, m, k, l, value, detail) of the requested
+    family at the requested N."""
+    return [a.family, a.N, m, k, "", value, detail]
+
+
+def _amn_rows(a) -> list[list]:
+    rep = C.a_mn(a.N, a.m, per_mode=True)
+    detail = f"argmin_k={rep.argmin_k}; branch={rep.branch}"
+    if rep.exact is not None:
+        detail += f"; exact={rep.exact}"
+    rows = [_row(a, rep.value, a.m, rep.argmin_k, detail)]
+    rows += [["amn-candidate", a.N, a.m, k, "", value, ""] for k, value in rep.per_mode_values]
+    return rows
+
+
+def _threshold_rows(a) -> list[list]:
+    N = a.N
+    rows = [["m-star", N, "", "", "", C.m_star(N), ""], ["k-bar", N, "", "", "", float(C.k_bar(N)), ""]]
+    for k in range(1, C.k_bar(N) + 1):
+        lo, hi = C.m1k(N, k), C.m2k(N, k)
+        rows.append(["m1", N, "", k, "", lo if lo is not None else math.nan, ""])
+        rows.append(["m2", N, "", k, "", hi if hi is not None else math.nan, ""])
+    if a.m is not None:
+        rows.append(["x0", N, a.m, "", "", C.x0(N, a.m), ""])
+    return rows
+
+
+def _higher_order_rows(a) -> list[list]:
+    terms = C.higher_order_coefficients(a.N, a.order, a.l, C.HigherOrderVariant(a.variant))
+    rows = []
+    for spec, coeff in terms:
+        desc = f"{spec.kind} order={spec.delta_order} weight=|x|^{spec.weight_power}" + (
+            " series" if spec.with_series else ""
+        )
+        rows.append(["higher-order", a.N, a.order, "", a.l, float(coeff), desc])
+    return rows
+
+
+class _ConstantFamily(NamedTuple):
+    rows: Callable[[argparse.Namespace], list[list]]  # output rows for the parsed flags
+    needs_m: bool = False
+
+
+# every family of `rellich constants`, in the order --help lists them
+_CONSTANT_FAMILIES: dict[str, _ConstantFamily] = {
+    "hardy": _ConstantFamily(lambda a: [_row(a, C.hardy_constant(a.N))]),
+    "rellich": _ConstantFamily(lambda a: [_row(a, C.rellich_constant(a.N))]),
+    "rellich-grad": _ConstantFamily(lambda a: [_row(a, C.rellich_grad_constant(a.N))]),
+    "sigma": _ConstantFamily(lambda a: [_row(a, C.sigma(a.m, a.N), a.m)], needs_m=True),
+    "sigma-bar": _ConstantFamily(lambda a: [_row(a, C.sigma_bar(a.m, a.N), a.m)], needs_m=True),
+    "per-mode": _ConstantFamily(
+        lambda a: [_row(a, C.per_mode_quotient(a.k, a.N, a.m), a.m, a.k)], needs_m=True
+    ),
+    "amn": _ConstantFamily(_amn_rows, needs_m=True),
+    "reduction": _ConstantFamily(lambda a: [_row(a, C.reduction_constant_A(a.N, a.m), a.m)], needs_m=True),
+    "section2": _ConstantFamily(
+        lambda a: [_row(a, value, detail=key) for key, value in C.section2_constants(a.N).items()]
+    ),
+    "thresholds": _ConstantFamily(_threshold_rows),
+    "higher-order": _ConstantFamily(_higher_order_rows),
+    "bessel-zero": _ConstantFamily(lambda a: [["bessel-zero", "", "", "", "", C.brezis_vazquez_z0(), ""]]),
+}
 
 
 def cmd_constants(args) -> int:
-    family = args.family
-    N, m = args.N, args.m
-    if family in _FAMILIES_NEEDING_M and m is None:
-        raise DomainError(f"family {family!r} requires --m")
-    rows: list[list] = []
+    family = _CONSTANT_FAMILIES[args.family]
+    if family.needs_m and args.m is None:
+        raise DomainError(f"family {args.family!r} requires --m")
     header = ["family", "N", "m", "k", "l", "value", "detail"]
-    if family == "hardy":
-        rows.append(["hardy", N, "", "", "", C.hardy_constant(N), ""])
-    elif family == "rellich":
-        rows.append(["rellich", N, "", "", "", C.rellich_constant(N), ""])
-    elif family == "rellich-grad":
-        rows.append(["rellich-grad", N, "", "", "", C.rellich_grad_constant(N), ""])
-    elif family == "sigma":
-        rows.append(["sigma", N, m, "", "", C.sigma(m, N), ""])
-    elif family == "sigma-bar":
-        rows.append(["sigma-bar", N, m, "", "", C.sigma_bar(m, N), ""])
-    elif family == "per-mode":
-        rows.append(["per-mode", N, m, args.k, "", C.per_mode_quotient(args.k, N, m), ""])
-    elif family == "amn":
-        rep = C.a_mn(N, m, per_mode=True)
-        detail = f"argmin_k={rep.argmin_k}; branch={rep.branch}"
-        if rep.exact is not None:
-            detail += f"; exact={rep.exact}"
-        rows.append(["amn", N, m, rep.argmin_k, "", rep.value, detail])
-        for k, value in rep.per_mode_values:
-            rows.append(["amn-candidate", N, m, k, "", value, ""])
-    elif family == "reduction":
-        rows.append(["reduction", N, m, "", "", C.reduction_constant_A(N, m), ""])
-    elif family == "section2":
-        for key, value in C.section2_constants(N).items():
-            rows.append(["section2", N, "", "", "", value, key])
-    elif family == "thresholds":
-        rows.append(["m-star", N, "", "", "", C.m_star(N), ""])
-        rows.append(["k-bar", N, "", "", "", float(C.k_bar(N)), ""])
-        for k in range(1, C.k_bar(N) + 1):
-            lo, hi = C.m1k(N, k), C.m2k(N, k)
-            rows.append(["m1", N, "", k, "", lo if lo is not None else math.nan, ""])
-            rows.append(["m2", N, "", k, "", hi if hi is not None else math.nan, ""])
-        if m is not None:
-            rows.append(["x0", N, m, "", "", C.x0(N, m), ""])
-    elif family == "higher-order":
-        variant = {
-            "rellich-chain": C.HigherOrderVariant.RELLICH_CHAIN,
-            "gradient-chain": C.HigherOrderVariant.GRADIENT_CHAIN,
-            "alternating-chain": C.HigherOrderVariant.ALTERNATING_CHAIN,
-        }[args.variant]
-        terms = C.higher_order_coefficients(N, args.order, args.l, variant)
-        for spec, coeff in terms:
-            desc = f"{spec.kind} order={spec.delta_order} weight=|x|^{spec.weight_power}" + (
-                " series" if spec.with_series else ""
-            )
-            rows.append(["higher-order", N, args.order, "", args.l, float(coeff), desc])
-    elif family == "bessel-zero":
-        rows.append(["bessel-zero", "", "", "", "", C.brezis_vazquez_z0(), ""])
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown family {family}")
-    _output(header, rows, args.format, args.out)
+    _output(header, family.rows(args), args.format, args.out)
     return 0
 
 
@@ -287,20 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=(
-            "hardy",
-            "rellich",
-            "rellich-grad",
-            "sigma",
-            "sigma-bar",
-            "per-mode",
-            "amn",
-            "reduction",
-            "section2",
-            "thresholds",
-            "higher-order",
-            "bessel-zero",
-        ),
+        choices=tuple(_CONSTANT_FAMILIES),
     )
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--m", type=float, default=None)
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2, help="polyharmonic order for higher-order families")
     p.add_argument(
         "--variant",
-        choices=("rellich-chain", "gradient-chain", "alternating-chain"),
+        choices=tuple(v.value for v in C.HigherOrderVariant),
         default="rellich-chain",
     )
     common(p)

@@ -18,8 +18,6 @@ from numbers import Rational
 from .errors import DomainError
 
 __all__ = [
-    "ConstantFamily",
-    "ConstantQuery",
     "ConstantReport",
     "TermSpec",
     "HigherOrderVariant",
@@ -43,66 +41,6 @@ __all__ = [
 ]
 
 
-class ConstantFamily(Enum):
-    HARDY = "hardy"
-    RELLICH = "rellich"
-    RELLICH_GRAD = "rellich-grad"
-    SIGMA = "sigma"
-    SIGMA_BAR = "sigma-bar"
-    A_MN = "amn"
-    A_REDUCTION = "reduction"
-    HIGHER_ORDER_I = "higher-order-i"
-    HIGHER_ORDER_II = "higher-order-ii"
-    SECTION2_LIST = "section2"
-
-
-@dataclass(frozen=True)
-class ConstantQuery:
-    """A best-constant request: family plus its parameters.
-
-    ``extra`` carries the reduction depth l for the higher-order families and
-    the mode index k for per-mode candidates (surfaced through A_MN with
-    per_mode=True).
-    """
-
-    family: ConstantFamily
-    N: int
-    m: float | Fraction | int = 0
-    extra: int | None = None
-
-    def resolve(self) -> "ConstantReport | dict | list":
-        fam = self.family
-        if fam is ConstantFamily.HARDY:
-            return ConstantReport(hardy_constant(self.N))
-        if fam is ConstantFamily.RELLICH:
-            return ConstantReport(rellich_constant(self.N))
-        if fam is ConstantFamily.RELLICH_GRAD:
-            return ConstantReport(rellich_grad_constant(self.N))
-        if fam is ConstantFamily.SIGMA:
-            return ConstantReport(sigma(self.m, self.N), exact=_sigma_exact(self.m, self.N))
-        if fam is ConstantFamily.SIGMA_BAR:
-            return ConstantReport(sigma_bar(self.m, self.N), exact=_sigma_bar_exact(self.m, self.N))
-        if fam is ConstantFamily.A_MN:
-            return a_mn(self.N, self.m, per_mode=True)
-        if fam is ConstantFamily.A_REDUCTION:
-            return ConstantReport(reduction_constant_A(self.N, self.m))
-        if fam is ConstantFamily.HIGHER_ORDER_I:
-            if self.extra is None:
-                raise DomainError("higher-order families need the reduction depth l in 'extra'")
-            return higher_order_coefficients(
-                self.N, int(self.m), self.extra, HigherOrderVariant.RELLICH_CHAIN
-            )
-        if fam is ConstantFamily.HIGHER_ORDER_II:
-            if self.extra is None:
-                raise DomainError("higher-order families need the reduction depth l in 'extra'")
-            return higher_order_coefficients(
-                self.N, int(self.m), self.extra, HigherOrderVariant.ALTERNATING_CHAIN
-            )
-        if fam is ConstantFamily.SECTION2_LIST:
-            return section2_constants(self.N)
-        raise DomainError(f"unknown family {fam}")  # pragma: no cover
-
-
 @dataclass
 class ConstantReport:
     """A computed constant plus branch metadata.
@@ -123,10 +61,6 @@ def _as_exact(x):
     if isinstance(x, Rational):
         return Fraction(x)
     return Fraction(float(x))
-
-
-def _maybe_float(x, want_exact: bool):
-    return x if want_exact else float(x)
 
 
 def _check_dimension(N: int, minimum: int) -> int:
@@ -426,16 +360,6 @@ def higher_order_coefficients(N: int, m: int, l: int, variant: HigherOrderVarian
     else:  # pragma: no cover - exhaustive enum
         raise DomainError(f"unknown variant {variant}")
     return terms
-
-
-SECTION2_KEYS = (
-    "rellich-deficit-vgrad",
-    "rellich-deficit-vlap",
-    "gradrellich-deficit-vgrad",
-    "v-laplacian-radial-excess",
-    "gradrellich-deficit-vlap",
-    "rellich-gradient",
-)
 
 
 def section2_constants(N: int) -> dict[str, float]:

@@ -19,6 +19,7 @@ __all__ = [
     "x1",
     "xk",
     "xk_values",
+    "xk_values_from_s",
     "log_product",
     "xk_power_derivative",
     "series_sum",
@@ -66,6 +67,17 @@ def xk_values(kmax: int, t) -> list:
     for _ in range(kmax):
         v = 1.0 / (1.0 - np.log(v))
         out.append(v)
+    return out
+
+
+def xk_values_from_s(kmax: int, s) -> list:
+    """[X_1, ..., X_kmax] at t = e^{-s} for an array s >= 0, computed without
+    forming t (X_1 = 1/(1 + s) exactly)."""
+    out = []
+    v = 1.0 / (1.0 + s)
+    for _ in range(kmax):
+        out.append(v)
+        v = 1.0 / (1.0 - np.log(v))
     return out
 
 

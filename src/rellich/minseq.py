@@ -28,7 +28,7 @@ import numpy as np
 
 from . import constants as C
 from .errors import DomainError, QuadratureError
-from .iterlog import xk_values
+from .iterlog import xk_values, xk_values_from_s
 from .quadrature import QuadratureSpec, count_quadrature, integrate, integrate_halfline
 from .radial import (
     RadialProfile,
@@ -264,14 +264,6 @@ def _improved(piece: str, constant: float, series_coeff: float):
     return num, (_Term(1.0, piece, "pk2"),)
 
 
-def _rellich(N: int) -> float:
-    return (N * (N - 4) / 4.0) ** 2
-
-
-def _sbar0(N: int) -> float:
-    return 1.0 + N * (N - 4) / 8.0
-
-
 def _section2(key: str) -> Callable[[int, float], float]:
     return lambda N, m: C.section2_constants(N)[key]
 
@@ -302,12 +294,12 @@ class _FamilySpec:
 
 _FAMILIES: dict[ScanFamily, _FamilySpec] = {
     ScanFamily.RELLICH_IMPROVED: _FamilySpec(
-        lambda N, m: _improved("hardy_u", _rellich(N), _sbar0(N)),
-        lambda N, m: _sbar0(N),
+        lambda N, m: _improved("hardy_u", C.rellich_constant(N), C.sigma_bar(0, N)),
+        lambda N, m: C.sigma_bar(0, N),
         m_zero=True,
     ),
     ScanFamily.RELLICH_GRAD_IMPROVED: _FamilySpec(
-        lambda N, m: _improved("grad_u", N * N / 4.0, 0.25),
+        lambda N, m: _improved("grad_u", C.rellich_grad_constant(N), 0.25),
         lambda N, m: 0.25,
         m_zero=True,
     ),
@@ -329,17 +321,17 @@ _FAMILIES: dict[ScanFamily, _FamilySpec] = {
         reduced=False,
     ),
     ScanFamily.DEFICIT_VGRAD: _FamilySpec(
-        lambda N, m: (_deficit("hardy_u", _rellich(N)), _plain("grad_v")),
+        lambda N, m: (_deficit("hardy_u", C.rellich_constant(N)), _plain("grad_v")),
         _section2("rellich-deficit-vgrad"),
         m_zero=True,
     ),
     ScanFamily.DEFICIT_VLAP: _FamilySpec(
-        lambda N, m: (_deficit("hardy_u", _rellich(N)), _plain("lap_v")),
+        lambda N, m: (_deficit("hardy_u", C.rellich_constant(N)), _plain("lap_v")),
         _section2("rellich-deficit-vlap"),
         m_zero=True,
     ),
     ScanFamily.GRAD_DEFICIT_VGRAD: _FamilySpec(
-        lambda N, m: (_deficit("grad_u", N * N / 4.0), _plain("grad_v")),
+        lambda N, m: (_deficit("grad_u", C.rellich_grad_constant(N)), _plain("grad_v")),
         _section2("gradrellich-deficit-vgrad"),
         m_zero=True,
     ),
@@ -349,7 +341,7 @@ _FAMILIES: dict[ScanFamily, _FamilySpec] = {
         m_zero=True,
     ),
     ScanFamily.GRAD_DEFICIT_VLAP: _FamilySpec(
-        lambda N, m: (_deficit("grad_u", N * N / 4.0), _plain("lap_v")),
+        lambda N, m: (_deficit("grad_u", C.rellich_grad_constant(N)), _plain("lap_v")),
         _section2("gradrellich-deficit-vlap"),
         m_zero=True,
     ),
@@ -432,12 +424,7 @@ class _InnerTerms:
     def __init__(self, params: MinSeqParams, s: np.ndarray, chain_len: int):
         s = np.asarray(s, dtype=float)
         self.K = chain_len
-        count = max(chain_len, len(params.a))
-        xs = []
-        v = 1.0 / (1.0 + s)
-        for _ in range(count):
-            xs.append(v)
-            v = 1.0 / (1.0 - np.log(v))
+        xs = xk_values_from_s(max(chain_len, len(params.a)), s)
         self.prods = []
         acc = np.ones_like(s)
         for x in xs:
@@ -934,21 +921,6 @@ class ScanResult:
     def direction_ok(self, slack: float = 1e-9) -> bool:
         return all(q >= self.theoretical - slack and np.isfinite(q) for q in self.quotients)
 
-    def aitken_extrapolated(self) -> float | None:
-        """Aitken delta-squared acceleration of the last three iterates.
-
-        Diagnostic only (log-rate convergence breaks its assumptions); never
-        used for pass/fail decisions.
-        """
-        q = self.quotients
-        if len(q) < 3:
-            return None
-        d1, d2 = q[-1] - q[-2], q[-2] - q[-3]
-        denom = d1 - d2
-        if abs(denom) < 1e-300:
-            return q[-1]
-        return q[-1] - d1 * d1 / denom
-
 
 def scan_to_limit(
     family: ScanFamily,
@@ -1047,20 +1019,49 @@ class AsymptoticCase(Enum):
     GRAD_RELLICH_DEFICIT = "gradrellich-deficit"
 
 
-def _asymptotic_lhs(which: AsymptoticCase, N: int) -> tuple[_Term, ...]:
-    return {
-        AsymptoticCase.V_GRADIENT: _plain("grad_v"),
-        AsymptoticCase.V_LAPLACIAN: _plain("lap_v"),
-        AsymptoticCase.U_GRADIENT: _plain("grad_u"),
-        AsymptoticCase.U_LAPLACIAN: _plain("lap_u"),
-        AsymptoticCase.RELLICH_DEFICIT: _deficit("hardy_u", _rellich(N)),
-        AsymptoticCase.GRAD_RELLICH_DEFICIT: _deficit("grad_u", N * N / 4.0),
-    }[which]
+class _AsymptoticSpec(NamedTuple):
+    """A case's functional as piece terms of N, its displayed leading term as
+    a function of (N, a_1, Q) with Q(beta) the single-log integral, and
+    whether the functional goes through the direct quadrature."""
+
+    lhs: Callable[[int], tuple[_Term, ...]]
+    rhs: Callable[[int, float, Callable[[float], float]], float]
+    direct: bool = False
 
 
-# the u-side functionals with no deficit have no reduced form: their divergent
-# levels do not cancel, so they go through the direct quadrature
-_ASYMPTOTIC_DIRECT = {AsymptoticCase.U_GRADIENT, AsymptoticCase.U_LAPLACIAN}
+def _lead(N: int, a1: float, q) -> float:
+    return (1.0 - a1) / 4.0 * q(1.0 + a1)
+
+
+def _deficit_lead(N: int, a1: float, q) -> float:
+    return (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q(1.0 + a1)
+
+
+# The u-side functionals with no deficit have no reduced form: their divergent
+# levels do not cancel, so they go through the direct quadrature.
+_ASYMPTOTICS: dict[AsymptoticCase, _AsymptoticSpec] = {
+    AsymptoticCase.V_GRADIENT: _AsymptoticSpec(lambda N: _plain("grad_v"), _lead),
+    AsymptoticCase.V_LAPLACIAN: _AsymptoticSpec(
+        lambda N: _plain("lap_v"), lambda N, a1, q: (N - 2) ** 2 * _lead(N, a1, q)
+    ),
+    AsymptoticCase.U_GRADIENT: _AsymptoticSpec(
+        lambda N: _plain("grad_u"),
+        lambda N, a1, q: _lead(N, a1, q) + ((N - 4) / 2.0) ** 2 * q(-1.0 + a1),
+        direct=True,
+    ),
+    AsymptoticCase.U_LAPLACIAN: _AsymptoticSpec(
+        lambda N: _plain("lap_u"),
+        lambda N, a1, q: _deficit_lead(N, a1, q) + C.rellich_constant(N) * q(-1.0 + a1),
+        direct=True,
+    ),
+    AsymptoticCase.RELLICH_DEFICIT: _AsymptoticSpec(
+        lambda N: _deficit("hardy_u", C.rellich_constant(N)), _deficit_lead
+    ),
+    AsymptoticCase.GRAD_RELLICH_DEFICIT: _AsymptoticSpec(
+        lambda N: _deficit("grad_u", C.rellich_grad_constant(N)),
+        lambda N, a1, q: (1.0 - a1) / 16.0 * (N - 4) ** 2 * q(1.0 + a1),
+    ),
+}
 
 
 def leading_order_asymptotics(
@@ -1082,31 +1083,15 @@ def leading_order_asymptotics(
         raise DomainError("asymptotic checks use the single-log sequence (K = 1)")
     if params.m != 0.0 or params.mode_k != 0:
         raise DomainError("asymptotic checks use m = 0 and the radial mode")
-    N = params.N
-    a1 = params.a[0]
+    case = _ASYMPTOTICS[which]
     red = _Reduction(params, spec)
     outer = _OuterTerms(params, 1)
-    terms = _asymptotic_lhs(which, N)
-    if which in _ASYMPTOTIC_DIRECT:
+    terms = case.lhs(params.N)
+    if case.direct:
         lhs = _direct_integral(terms, params, 1, spec, outer)
     else:
         lhs = red.integral(terms, outer.density(terms))
-
-    q = red.q_beta
-    lead = (1.0 - a1) / 4.0 * q(1.0 + a1)
-    deficit_lead = (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q(1.0 + a1)
-    if which is AsymptoticCase.V_GRADIENT:
-        rhs = lead
-    elif which is AsymptoticCase.V_LAPLACIAN:
-        rhs = (N - 2) ** 2 * lead
-    elif which is AsymptoticCase.U_GRADIENT:
-        rhs = lead + ((N - 4) / 2.0) ** 2 * q(-1.0 + a1)
-    elif which is AsymptoticCase.U_LAPLACIAN:
-        rhs = deficit_lead + _rellich(N) * q(-1.0 + a1)
-    elif which is AsymptoticCase.RELLICH_DEFICIT:
-        rhs = deficit_lead
-    else:
-        rhs = (1.0 - a1) / 16.0 * (N - 4) ** 2 * q(1.0 + a1)
+    rhs = case.rhs(params.N, params.a[0], red.q_beta)
     return lhs, rhs, lhs / rhs
 
 

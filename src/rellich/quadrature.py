@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, DomainError
+from .iterlog import xk_values_from_s
 
 __all__ = [
     "OriginSubstitution",
@@ -420,16 +421,6 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
     return _counted(QuadratureResult(value, err, evals, converged))
 
 
-def _x_chain_from_s(s: np.ndarray, count: int) -> list[np.ndarray]:
-    """[X_1, ..., X_count] at r = e^{-s}, computed without forming r."""
-    xs = []
-    v = 1.0 / (1.0 + s)
-    for _ in range(count):
-        xs.append(v)
-        v = 1.0 / (1.0 - np.log(v))
-    return xs
-
-
 def describe_cascade_failure(power: float, log_exponents) -> str | None:
     """Apply the finiteness cascade; returns a failure description or None.
 
@@ -473,7 +464,7 @@ def integrate_logweighted(
     def h(s):
         s = np.asarray(s, dtype=float)
         out = np.exp(-eps2 * s)
-        xs = _x_chain_from_s(s, len(betas))
+        xs = xk_values_from_s(len(betas), s)
         for x, beta in zip(xs, betas):
             out = out * x ** (1.0 + beta)
         if cutoff is not None:

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import constants as C
 from .errors import DifferentiabilityError, DomainError
 from .iterlog import log_product
 from .quadrature import (
@@ -57,6 +58,8 @@ __all__ = [
     "substitute_u",
     "g_profile",
     "gradient_density",
+    "origin_integral",
+    "reduced_form",
     "functional",
     "profile_from_csv",
 ]
@@ -350,7 +353,9 @@ class FunctionalValue:
     unconverged: int = 0
 
 
-def _integral(density, origin_power: float, hi: float, spec: QuadratureSpec) -> QuadratureResult:
+def origin_integral(density, origin_power: float, hi: float, spec: QuadratureSpec) -> QuadratureResult:
+    """int_0^hi density dr, through the log substitution at the origin when
+    the density behaves like r^origin_power with origin_power < 0."""
     sub = OriginSubstitution.LOG if origin_power < 0.0 else OriginSubstitution.NONE
     return integrate(density, 0.0, hi, replace(spec, origin_substitution=sub))
 
@@ -374,9 +379,54 @@ def _moments(h: RadialProfile, weights, hi: float, spec: QuadratureSpec):
         def density(r):
             return h.taylor(r, j).deriv(j) ** 2 * r**w
 
-        return _integral(density, 2 * (o - j) + w, hi, spec).value
+        return origin_integral(density, 2 * (o - j) + w, hi, spec).value
 
     return tuple(moment(j, w) for j, w in zip((2, 1, 0), weights))
+
+
+# The reduced-profile forms.  With g = r^{(N-4)/2 - k} f (so that v = r^k g)
+# and the moments t1 = int g''^2 r^{2k+3}, t2 = int g'^2 r^{2k+1},
+# t3 = int g^2 r^{2k-1}, each functional of f below equals
+# c1 t1 + c2 t2 + c3 t3 (per unit sphere area) for the coefficients
+# (c1, c2, c3) of (N, k, c_k); None marks an absent moment.
+_REDUCED_FORMS = {
+    # int (L_k f)^2 r^{N-1}; N >= 5
+    "laplacian": lambda N, k, ck: (
+        1,
+        N * (N - 4) / 2.0 + 2 * k * (N - 3) + 3,
+        C.rellich_constant(N) + N * (N - 4) / 2.0 * (ck + k * k),
+    ),
+    # int (f'^2 + c_k f^2/r^2) r^{N-3}
+    "gradient": lambda N, k, ck: (None, 1, ((N - 4) / 2.0) ** 2 + k * (N - 2)),
+    # the Rellich deficit I
+    "rellich-deficit": lambda N, k, ck: (
+        1,
+        N * (N - 4) / 2.0 + 2 * k * (N - 3) + 3,
+        N * (N - 4) / 2.0 * (ck + k * k),
+    ),
+    # the gradient-Rellich deficit II
+    "gradrellich-deficit": lambda N, k, ck: (
+        1,
+        (2 * k + N - 1) * (N - 3) - N * (3 * N - 8) / 4.0,
+        N * (3 * N - 8) / 4.0 * k * k + N * (N - 8) / 4.0 * ck,
+    ),
+    # int (L_k v)^2 r^3, v = r^{(N-4)/2} f
+    "v-laplacian": lambda N, k, ck: (1, (2 * k + N - 1) * (N - 3), None),
+    # int (v'^2 + c_k v^2/r^2) r
+    "v-gradient": lambda N, k, ck: (None, 1, k * (N - 2)),
+    # int v'^2 r
+    "v-radial": lambda N, k, ck: (None, 1, -(k * k)),
+}
+
+
+def reduced_form(form: str, N: int, k: int, ck: int, moments) -> float:
+    """The named functional from the reduced-profile moments (t1, t2, t3),
+    summed in moment order: c1 t1 + c2 t2 + c3 t3 over the present terms."""
+    out = None
+    for c, t in zip(_REDUCED_FORMS[form](N, k, ck), moments):
+        if c is not None:
+            out = c * t if out is None else out + c * t
+    return out
 
 
 # the representation each functional's test function must be in
@@ -435,7 +485,7 @@ def _functional(name, tf, m, quad, series_index, series_base) -> FunctionalValue
 
     def add(label, density, origin_power, sign=1.0):
         nonlocal err
-        res = _integral(density, origin_power, hi, spec)
+        res = origin_integral(density, origin_power, hi, spec)
         err += cN * abs(sign) * res.error_estimate
         results[label] = cN * sign * res.value
 
@@ -445,19 +495,16 @@ def _functional(name, tf, m, quad, series_index, series_base) -> FunctionalValue
     if name is Functional.I or name is Functional.II:
         lk = mode_operator(tf.mode, f)
         add("laplacian", lambda r: lk(r) ** 2 * r ** (N - 1), 2 * (oo - 2) + N - 1)
+        # the sharp constants stay literal here: functional accepts N < 5
         if name is Functional.I:
             const = (N * (N - 4) / 4.0) ** 2
             add("hardy", lambda r: f(r) ** 2 * r ** (N - 5), 2 * oo + N - 5, sign=-const)
-            c2 = N * (N - 4) / 2.0 + 2 * k * (N - 3) + 3
-            c3 = N * (N - 4) / 2.0 * (ck + k * k)
         else:
             add("gradient", grad(f, N - 3), 2 * (oo - 1) + N - 3, sign=-(N * N / 4.0))
-            c2 = (2 * k + N - 1) * (N - 3) - N * (3 * N - 8) / 4.0
-            c3 = N * (3 * N - 8) / 4.0 * k * k + N * (N - 8) / 4.0 * ck
         # cross-check through the reduced-profile identity
         g = f.power_shift(_v_exponent(N, 0.0) - k)  # g_profile(tf, 0.0) on the memoized f
-        t1, t2, t3 = _moments(g, (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
-        cross = cN * (t1 + c2 * t2 + c3 * t3)
+        moments = _moments(g, (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
+        cross = cN * reduced_form(name.value, N, k, ck, moments)
         return FunctionalValue(sum(results.values()), results, err, cross)
 
     if name is Functional.J or name is Functional.JJ:
@@ -472,10 +519,10 @@ def _functional(name, tf, m, quad, series_index, series_base) -> FunctionalValue
         cw = N * (N - 4) / 2.0 if name is Functional.J else N * (N - 8) / 4.0
         add("v-gradient", grad(f, 1), 2 * (oo - 1) + 1, sign=cw)
         # cross-check through the g-side assembly
-        t1, t2, t3 = _moments(f.power_shift(-float(k)), (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
-        lap = t1 + (2 * k + N - 1) * (N - 3) * t2
-        rad = t2 - k * k * t3
-        grd = t2 + k * (N - 2) * t3
+        moments = _moments(f.power_shift(-float(k)), (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
+        lap, rad, grd = (
+            reduced_form(form, N, k, ck, moments) for form in ("v-laplacian", "v-radial", "v-gradient")
+        )
         cross = cN * (lap - N * (N - 4.0) * rad + cw * grd)
         return FunctionalValue(sum(results.values()), results, err, cross)
 
@@ -495,8 +542,8 @@ def _functional(name, tf, m, quad, series_index, series_base) -> FunctionalValue
         # cross-check through the v-substitution split
         v = f.power_shift(_v_exponent(N, m)).memoized()  # substitute_v(tf, m).profile
         voo = v.origin_order
-        t1 = _integral(grad(v, 1), 2 * (voo - 1) + 1, hi, spec)
-        t2 = _integral(lambda r: v(r) ** 2 / r, 2 * voo - 1, hi, spec)
+        t1 = origin_integral(grad(v, 1), 2 * (voo - 1) + 1, hi, spec)
+        t2 = origin_integral(lambda r: v(r) ** 2 / r, 2 * voo - 1, hi, spec)
         cross = cN * (t1.value + _v_exponent(N, m) ** 2 * t2.value)
         return FunctionalValue(results["gradient"], results, err, cross)
 

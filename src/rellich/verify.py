@@ -27,7 +27,6 @@ from .errors import DomainError
 from .iterlog import series_partial
 from .powerseries import PowerSum
 from .quadrature import (
-    OriginSubstitution,
     QuadratureSpec,
     classify_origin_integral,
     count_quadrature,
@@ -41,6 +40,8 @@ from .radial import (
     functional,
     gradient_density,
     mode_operator,
+    origin_integral,
+    reduced_form,
     sphere_area,
 )
 
@@ -202,11 +203,6 @@ def _lap_pow(f: PowerSum, N: int, ck: float, n: int) -> PowerSum:
     return out
 
 
-def _jet_integral(density, origin_power: float, spec: QuadratureSpec) -> float:
-    sub = OriginSubstitution.LOG if origin_power < 0.0 else OriginSubstitution.NONE
-    return integrate(density, 0.0, 1.0, replace(spec, origin_substitution=sub)).value
-
-
 def _series_term(case: SuiteCase, n: int, kind: str, power: float, K: int, spec: QuadratureSpec) -> float:
     """int_0^1 D(r) * sum_{i<=K} X_1^2...X_i^2 dr for h = L_k^n f, with the
     density D = h^2 r^power (kind "square") or (h'^2 + c_k h^2/r^2) r^power
@@ -225,7 +221,7 @@ def _series_term(case: SuiteCase, n: int, kind: str, power: float, K: int, spec:
     lead = h.origin_order - 1 if kind == "gradient" else h.origin_order
     # a series term can be far below the default abs_tol (about 5e-11 at N = 30),
     # so only rel_tol may end the quadrature
-    return _jet_integral(density, 2 * lead + power, replace(spec, abs_tol=1e-280))
+    return origin_integral(density, 2 * lead + power, 1.0, replace(spec, abs_tol=1e-280)).value
 
 
 def _cross_path_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -296,7 +292,7 @@ def _deficit_I(case: SuiteCase) -> float:
     f = case.f
     return (
         _lap(f, N, ck).square().shift(N - 1).integrate01()
-        - (N * (N - 4) / 4.0) ** 2 * f.square().shift(N - 5).integrate01()
+        - C.rellich_constant(N) * f.square().shift(N - 5).integrate01()
     )
 
 
@@ -305,7 +301,7 @@ def _deficit_II(case: SuiteCase) -> float:
     f = case.f
     return (
         _lap(f, N, ck).square().shift(N - 1).integrate01()
-        - (N * N / 4.0) * _grad_sq(f, ck).shift(N - 3).integrate01()
+        - C.rellich_grad_constant(N) * _grad_sq(f, ck).shift(N - 3).integrate01()
     )
 
 
@@ -331,7 +327,9 @@ def _id_mode_laplacian(case: SuiteCase, spec):
     N, ck = case.N, case.eigenvalue
     prof = case.jet_profile()
     lk = mode_operator(case.mode, prof)
-    lhs = _jet_integral(lambda r: lk(r) ** 2 * r ** (N - 1), 2 * (case.k - 2) + N - 1, _cross_path_spec(spec))
+    lhs = origin_integral(
+        lambda r: lk(r) ** 2 * r ** (N - 1), 2 * (case.k - 2) + N - 1, 1.0, _cross_path_spec(spec)
+    ).value
     rhs = _lap(case.f, N, ck).square().shift(N - 1).integrate01()
     return lhs, rhs
 
@@ -343,7 +341,7 @@ def _id_mode_gradient(case: SuiteCase, spec):
     def density(r):
         return gradient_density(*prof.derivative_values(r, 1), ck, r, N - 1)
 
-    lhs = _jet_integral(density, 2 * (case.k - 1) + N - 1, _cross_path_spec(spec))
+    lhs = origin_integral(density, 2 * (case.k - 1) + N - 1, 1.0, _cross_path_spec(spec)).value
     rhs = _grad_sq(case.f, ck).shift(N - 1).integrate01()
     return lhs, rhs
 
@@ -357,69 +355,40 @@ def _g_moments(case: SuiteCase):
     return t1, t2, t3
 
 
+def _gside(form: str, case: SuiteCase, lhs):
+    """lhs against the reduced-profile form of its functional."""
+    return lhs, reduced_form(form, case.N, case.k, case.eigenvalue, _g_moments(case))
+
+
 def _id_laplacian_gside(case: SuiteCase, spec):
-    N, k, ck = case.N, case.k, case.eigenvalue
-    lhs = _lap(case.f, N, ck).square().shift(N - 1).integrate01()
-    t1, t2, t3 = _g_moments(case)
-    rhs = (
-        t1
-        + (N * (N - 4) / 2.0 + 2 * k * (N - 3) + 3) * t2
-        + ((N * (N - 4) / 4.0) ** 2 + N * (N - 4) / 2.0 * (ck + k * k)) * t3
-    )
-    return lhs, rhs
+    N, ck = case.N, case.eigenvalue
+    return _gside("laplacian", case, _lap(case.f, N, ck).square().shift(N - 1).integrate01())
 
 
 def _id_gradient_gside(case: SuiteCase, spec):
-    N, k, ck = case.N, case.k, case.eigenvalue
-    lhs = _grad_sq(case.f, ck).shift(N - 3).integrate01()
-    _, t2, t3 = _g_moments(case)
-    return lhs, t2 + (((N - 4) / 2.0) ** 2 + k * (N - 2)) * t3
+    N, ck = case.N, case.eigenvalue
+    return _gside("gradient", case, _grad_sq(case.f, ck).shift(N - 3).integrate01())
 
 
 def _id_deficit_gside(case: SuiteCase, spec):
-    N, k, ck = case.N, case.k, case.eigenvalue
-    t1, t2, t3 = _g_moments(case)
-    rhs = (
-        t1
-        + (N * (N - 4) / 2.0 + 2 * k * (N - 3) + 3) * t2
-        + N * (N - 4) / 2.0 * (ck + k * k) * t3
-    )
-    return _deficit_I(case), rhs
+    return _gside("rellich-deficit", case, _deficit_I(case))
 
 
 def _id_grad_deficit_gside(case: SuiteCase, spec):
-    N, k, ck = case.N, case.k, case.eigenvalue
-    t1, t2, t3 = _g_moments(case)
-    rhs = (
-        t1
-        + ((2 * k + N - 1) * (N - 3) - N * (3 * N - 8) / 4.0) * t2
-        + (N * (3 * N - 8) / 4.0 * k * k + N * (N - 8) / 4.0 * ck) * t3
-    )
-    return _deficit_II(case), rhs
+    return _gside("gradrellich-deficit", case, _deficit_II(case))
 
 
 def _id_vlap_gside(case: SuiteCase, spec):
-    N, k, ck = case.N, case.k, case.eigenvalue
-    v = _v_profile(case)
-    lhs = _lap(v, N, ck).square().shift(3.0).integrate01()
-    t1, t2, _ = _g_moments(case)
-    return lhs, t1 + (2 * k + N - 1) * (N - 3) * t2
+    N, ck = case.N, case.eigenvalue
+    return _gside("v-laplacian", case, _lap(_v_profile(case), N, ck).square().shift(3.0).integrate01())
 
 
 def _id_vgrad_gside(case: SuiteCase, spec):
-    N, k, ck = case.N, case.k, case.eigenvalue
-    v = _v_profile(case)
-    lhs = _grad_sq(v, ck).shift(1.0).integrate01()
-    _, t2, t3 = _g_moments(case)
-    return lhs, t2 + k * (N - 2) * t3
+    return _gside("v-gradient", case, _grad_sq(_v_profile(case), case.eigenvalue).shift(1.0).integrate01())
 
 
 def _id_vradial_gside(case: SuiteCase, spec):
-    N, k = case.N, case.k
-    v = _v_profile(case)
-    lhs = v.deriv().square().shift(1.0).integrate01()
-    _, t2, t3 = _g_moments(case)
-    return lhs, t2 - k * k * t3
+    return _gside("v-radial", case, _v_profile(case).deriv().square().shift(1.0).integrate01())
 
 
 def _id_potential_gside(case: SuiteCase, spec):
@@ -454,7 +423,7 @@ def _id_weighted_gradient_fside(case: SuiteCase, spec):
     def density(r):
         return gradient_density(*prof.derivative_values(r, 1), ck, r, N - 3 - 2 * m)
 
-    lhs = _jet_integral(density, 2 * (case.k - 1) + N - 3 - 2 * m, _cross_path_spec(spec))
+    lhs = origin_integral(density, 2 * (case.k - 1) + N - 3 - 2 * m, 1.0, _cross_path_spec(spec)).value
     rhs = case.f.deriv().square().shift(N - 3 - 2 * m).integrate01()
     rhs += ck * case.f.square().shift(N - 5 - 2 * m).integrate01()
     return lhs, rhs
@@ -491,7 +460,7 @@ def _slack_hardy_improved(case: SuiteCase, K: int, spec):
     N, ck = case.N, case.eigenvalue
     f = case.f
     slack = _grad_sq(f, ck).shift(N - 1).integrate01()
-    slack -= ((N - 2) / 2.0) ** 2 * f.square().shift(N - 3).integrate01()
+    slack -= C.hardy_constant(N) * f.square().shift(N - 3).integrate01()
     slack -= 0.25 * _series_term(case, 0, "square", N - 3, K, spec)
     return slack
 
@@ -515,13 +484,13 @@ def _slack_rellich_gradient(case: SuiteCase, K: int, spec):
 def _slack_deficit_vgrad(case: SuiteCase, K: int, spec):
     v = _v_profile(case)
     vg = _grad_sq(v, case.eigenvalue).shift(1.0).integrate01()
-    return _deficit_I(case) - (4 + case.N * (case.N - 4) / 2.0) * vg
+    return _deficit_I(case) - C.section2_constants(case.N)["rellich-deficit-vgrad"] * vg
 
 
 def _slack_grad_deficit_vgrad(case: SuiteCase, K: int, spec):
     v = _v_profile(case)
     vg = _grad_sq(v, case.eigenvalue).shift(1.0).integrate01()
-    return _deficit_II(case) - ((case.N - 4) / 2.0) ** 2 * vg
+    return _deficit_II(case) - C.section2_constants(case.N)["gradrellich-deficit-vgrad"] * vg
 
 
 def _slack_vlap_lower(case: SuiteCase, K: int, spec):
@@ -537,7 +506,7 @@ def _slack_vlap_radial_excess(case: SuiteCase, K: int, spec):
     N, ck = case.N, case.eigenvalue
     v = _v_profile(case)
     lhs = _lap(v, N, ck).square().shift(3.0).integrate01()
-    rhs = 2 * (N - 2) ** 2 * (
+    rhs = C.section2_constants(N)["v-laplacian-radial-excess"] * (
         v.deriv().square().shift(1.0).integrate01()
         - 0.5 * _grad_sq(v, ck).shift(1.0).integrate01()
     )
@@ -558,14 +527,14 @@ def _slack_deficit_vlap(case: SuiteCase, K: int, spec):
     N, ck = case.N, case.eigenvalue
     v = _v_profile(case)
     vl = _lap(v, N, ck).square().shift(3.0).integrate01()
-    return _deficit_I(case) - (0.5 + 2.0 / (N - 2) ** 2) * vl
+    return _deficit_I(case) - C.section2_constants(N)["rellich-deficit-vlap"] * vl
 
 
 def _slack_grad_deficit_vlap(case: SuiteCase, K: int, spec):
     N, ck = case.N, case.eigenvalue
     v = _v_profile(case)
     vl = _lap(v, N, ck).square().shift(3.0).integrate01()
-    return _deficit_II(case) - ((N - 4.0) / (2 * (N - 2))) ** 2 * vl
+    return _deficit_II(case) - C.section2_constants(N)["gradrellich-deficit-vlap"] * vl
 
 
 def _two_mode_deficits(case: SuiteCase):
@@ -574,8 +543,8 @@ def _two_mode_deficits(case: SuiteCase):
     N = case.N
     ck2 = case.k2 * (N + case.k2 - 2)
     lap2 = _lap(case.f2, N, ck2).square().shift(N - 1).integrate01()
-    d2_I = lap2 - (N * (N - 4) / 4.0) ** 2 * case.f2.square().shift(N - 5).integrate01()
-    d2_II = lap2 - N * N / 4.0 * _grad_sq(case.f2, ck2).shift(N - 3).integrate01()
+    d2_I = lap2 - C.rellich_constant(N) * case.f2.square().shift(N - 5).integrate01()
+    d2_II = lap2 - C.rellich_grad_constant(N) * _grad_sq(case.f2, ck2).shift(N - 3).integrate01()
     return d2_I, d2_II, lap2
 
 
@@ -596,7 +565,7 @@ def _slack_radialization_gradrellich(case: SuiteCase, K: int, spec):
 def _slack_rellich_improved(case: SuiteCase, K: int, spec):
     N = case.N
     slack = _deficit_I(case)
-    slack -= (1 + N * (N - 4) / 8.0) * _series_term(case, 0, "square", N - 5, K, spec)
+    slack -= C.sigma_bar(0, N) * _series_term(case, 0, "square", N - 5, K, spec)
     return slack
 
 

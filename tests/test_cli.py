@@ -146,3 +146,112 @@ def test_constants_missing_weight_is_a_usage_error(capsys):
     assert "--m" in err
     code, _, err = run_cli(capsys, "constants", "--family", "amn", "--N", "12")
     assert code == 2
+
+
+# `rellich constants` stdout for every family, recorded before the families
+# were routed through one table; the output must not change byte for byte
+_CONSTANTS_GOLDEN = {
+    "hardy --N 6": (
+        "family,N,m,k,l,value,detail\n"
+        "hardy,6,,,,4,\n"
+    ),
+    "rellich --N 6": (
+        "family,N,m,k,l,value,detail\n"
+        "rellich,6,,,,9,\n"
+    ),
+    "rellich-grad --N 6": (
+        "family,N,m,k,l,value,detail\n"
+        "rellich-grad,6,,,,9,\n"
+    ),
+    "sigma --N 12 --m 1.5": (
+        "family,N,m,k,l,value,detail\n"
+        "sigma,12,1.5,,,351.5625,\n"
+    ),
+    "sigma-bar --N 12 --m 1.5": (
+        "family,N,m,k,l,value,detail\n"
+        "sigma-bar,12,1.5,,,15.625,\n"
+    ),
+    "per-mode --N 30 --m 8 --k 2": (
+        "family,N,m,k,l,value,detail\n"
+        "per-mode,30,8,2,,360.29411764705884,\n"
+    ),
+    "amn --N 30 --m 8": (
+        "family,N,m,k,l,value,detail\n"
+        "amn,30,8,2,,360.29411764705884,argmin_k=2; branch=(m1_2, m2_2): candidates {2, 3}\n"
+        "amn-candidate,30,8,0,,529,\n"
+        "amn-candidate,30,8,1,,384,\n"
+        "amn-candidate,30,8,2,,360.29411764705884,\n"
+        "amn-candidate,30,8,3,,366.64406779661016,\n"
+        "amn-candidate,30,8,4,,385.94117647058823,\n"
+    ),
+    "reduction --N 12 --m 1": (
+        "family,N,m,k,l,value,detail\n"
+        "reduction,12,1,,,53,\n"
+    ),
+    "section2 --N 9": (
+        "family,N,m,k,l,value,detail\n"
+        "section2,9,,,,26.5,rellich-deficit-vgrad\n"
+        "section2,9,,,,0.54081632653061229,rellich-deficit-vlap\n"
+        "section2,9,,,,6.25,gradrellich-deficit-vgrad\n"
+        "section2,9,,,,98,v-laplacian-radial-excess\n"
+        "section2,9,,,,0.12755102040816327,gradrellich-deficit-vlap\n"
+        "section2,9,,,,20.25,rellich-gradient\n"
+    ),
+    "thresholds --N 30 --m 4": (
+        "family,N,m,k,l,value,detail\n"
+        "m-star,30,,,,4.1709030422491375,\n"
+        "k-bar,30,,,,2,\n"
+        "m1,30,,1,,4.8532311636964831,\n"
+        "m2,30,,1,,11.813435502970185,\n"
+        "m1,30,,2,,7,\n"
+        "m2,30,,2,,9.6666666666666661,\n"
+        "x0,30,4,,,9,\n"
+    ),
+    "higher-order --N 12 --order 2 --l 1 --variant rellich-chain": (
+        "family,N,m,k,l,value,detail\n"
+        "higher-order,12,2,,1,147456,laplacian order=0 weight=|x|^8\n"
+        "higher-order,12,2,,1,9792,laplacian order=0 weight=|x|^8 series\n"
+        "higher-order,12,2,,1,13,laplacian order=1 weight=|x|^4 series\n"
+    ),
+    "higher-order --N 12 --order 2 --l 1 --variant gradient-chain": (
+        "family,N,m,k,l,value,detail\n"
+        "higher-order,12,2,,1,11025,laplacian order=1 weight=|x|^6\n"
+        "higher-order,12,2,,1,362.5,laplacian order=1 weight=|x|^6 series\n"
+        "higher-order,12,2,,1,0.25,laplacian order=2 weight=|x|^2 series\n"
+    ),
+    "higher-order --N 12 --order 2 --l 1 --variant alternating-chain": (
+        "family,N,m,k,l,value,detail\n"
+        "higher-order,12,2,,1,576,laplacian order=1 weight=|x|^4\n"
+        "higher-order,12,2,,1,0.25,gradient order=1 weight=|x|^2 series\n"
+        "higher-order,12,2,,1,9,laplacian order=1 weight=|x|^4 series\n"
+    ),
+    "bessel-zero": (
+        "family,N,m,k,l,value,detail\n"
+        "bessel-zero,,,,,2.4048255576957729,\n"
+    ),
+    "sigma-bar --N 12 --m 1.5 --format json": (
+        "[\n"
+        "  {\n"
+        '    "family": "sigma-bar",\n'
+        '    "N": 12,\n'
+        '    "m": 1.5,\n'
+        '    "k": "",\n'
+        '    "l": "",\n'
+        '    "value": 15.625,\n'
+        '    "detail": ""\n'
+        "  }\n"
+        "]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", list(_CONSTANTS_GOLDEN))
+def test_constants_golden_output(capsys, flags):
+    code, out, err = run_cli(capsys, "constants", "--family", *flags.split())
+    assert (code, out, err) == (0, _CONSTANTS_GOLDEN[flags], "")
+
+
+@pytest.mark.parametrize("family", ["sigma", "amn"])
+def test_constants_golden_missing_weight(capsys, family):
+    code, out, err = run_cli(capsys, "constants", "--family", family, "--N", "12")
+    assert (code, out, err) == (2, "", f"error: family '{family}' requires --m\n")

@@ -206,18 +206,3 @@ def test_a_mn_continuity_across_thresholds():
 def test_a_mn_zero_weight_equals_grad_constant():
     for N in range(5, 31):
         assert C.a_mn(N, 0).value == C.rellich_grad_constant(N)
-
-
-def test_constant_query_resolution():
-    from rellich.constants import ConstantFamily, ConstantQuery
-
-    rep = ConstantQuery(ConstantFamily.A_MN, 30, 8).resolve()
-    assert rep.argmin_k == 2 and rep.per_mode_values is not None
-    rep = ConstantQuery(ConstantFamily.HARDY, 6).resolve()
-    assert rep.value == 4.0
-    table = ConstantQuery(ConstantFamily.SECTION2_LIST, 6).resolve()
-    assert table["rellich-gradient"] == 9.0
-    terms = ConstantQuery(ConstantFamily.HIGHER_ORDER_I, 12, 2, extra=1).resolve()
-    assert terms[0][1] == 576 * 256
-    with pytest.raises(DomainError):
-        ConstantQuery(ConstantFamily.HIGHER_ORDER_I, 12, 2).resolve()

@@ -13,6 +13,8 @@ from rellich.iterlog import (
     x1,
     xk,
     xk_power_derivative,
+    xk_values,
+    xk_values_from_s,
 )
 
 E = math.e
@@ -150,3 +152,14 @@ def test_series_partial_is_prefix_of_series():
     k6 = series_partial(6, t)
     assert k6 > k5
     assert k6 - k5 == pytest.approx(log_product(6, t) ** 2, rel=1e-14)
+
+
+def test_xk_values_from_s_matches_the_r_space_chain():
+    s = np.array([0.0, 0.5, 1.0, 3.0, 20.0])
+    from_s = xk_values_from_s(3, s)
+    assert np.array_equal(from_s[0], 1.0 / (1.0 + s))
+    for a, b in zip(from_s, xk_values(3, np.exp(-s))):
+        np.testing.assert_allclose(a, b, rtol=1e-14)
+    # deep s, where e^{-s} underflows and the r-space chain cannot go
+    deep = xk_values_from_s(2, np.array([1e300]))
+    assert deep[0][0] == 1e-300 and deep[1][0] == pytest.approx(1.0 / (1.0 + 300 * math.log(10)), rel=1e-12)

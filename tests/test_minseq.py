@@ -249,15 +249,6 @@ def test_asymptotics_guards():
         leading_order_asymptotics(AsymptoticCase.U_GRADIENT, MinSeqParams(6, 0.0, 1e-150, (0.01,)), SPEC)
 
 
-def test_aitken_diagnostic():
-    sched = default_schedule(ScanFamily.GRADIENT_CONSTANT, 6)[:6]
-    res = scan_to_limit(ScanFamily.GRADIENT_CONSTANT, sched, SPEC)
-    acc = res.aitken_extrapolated()
-    assert acc is not None and np.isfinite(acc)
-    short = scan_to_limit(ScanFamily.GRADIENT_CONSTANT, sched[:2], SPEC)
-    assert short.aitken_extrapolated() is None
-
-
 def test_polyharmonic_order_one_is_mode_operator():
     from rellich.radial import RadialProfile, SphericalMode, mode_operator, polyharmonic_power
 
