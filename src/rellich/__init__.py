@@ -24,6 +24,7 @@ from .constants import (
     section2_constants,
     sigma,
     sigma_bar,
+    weighted_rellich_grad_constant,
     x0,
 )
 from .errors import DifferentiabilityError, DivergenceError, DomainError, QuadratureError

@@ -310,7 +310,7 @@ _FAMILIES: dict[ScanFamily, _FamilySpec] = {
         lambda N, m: C.sigma_bar(m, N),
     ),
     ScanFamily.WEIGHTED_GRAD_IMPROVED: _FamilySpec(
-        lambda N, m: _improved("grad_u", ((N + 2 * m) / 2.0) ** 2, 0.25),
+        lambda N, m: _improved("grad_u", C.weighted_rellich_grad_constant(N, m), 0.25),
         lambda N, m: 0.25,
         below_m_star=True,
     ),

@@ -18,15 +18,30 @@ node set.  A stored jet serves a request only when the request's input rows
 are a bytewise prefix of the stored input's, and then as the stored result
 truncated to the requested order; by the truncation invariance of jet
 arithmetic (see the module docstring of :mod:`rellich.taylor`) that is
-bitwise the jet a fresh evaluation would give.  A memo lives as long as
-the memoized profile, so no memo outlives the call that made it.
+bitwise the jet a fresh evaluation would give.  A jet memo lives as long as
+the call that made it.
+
+Each functional declares its integrals once, in ``_FUNCTIONALS``, and a
+:class:`TestFunction` keeps the result of every integral run on it, keyed by
+all that fixes the integral: density kind, derived-profile shift, weight
+exponent, iterated-log index, origin power, upper limit and
+:class:`~rellich.quadrature.QuadratureSpec`.  A later call that needs the
+same integral on the same test function is served the stored result instead
+of running it again: I and II share the Laplacian integral and their three
+reduced-profile moments, J and JJ their three direct integrals and three
+moments.  A served result counts toward ``quadrature_error`` and
+``unconverged`` exactly as a run one does, and
+:func:`~rellich.quadrature.count_quadrature` counts only the integrals that
+run.  The store lives as long as the test function and is never copied:
+``dataclasses.replace``, :func:`substitute_v` and :func:`substitute_u` start
+with an empty one.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -39,7 +54,6 @@ from .quadrature import (
     OriginSubstitution,
     QuadratureResult,
     QuadratureSpec,
-    count_quadrature,
     integrate,
 )
 from .taylor import Jet
@@ -262,6 +276,10 @@ class TestFunction:
     profile: RadialProfile
     mode: SphericalMode
     representation: Representation = Representation.U_SIDE
+    # the results of the functionals' integrals on this function (see the
+    # module docstring); never copied, so replace() and the substitutions
+    # start empty
+    _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def mode_operator(mode: SphericalMode, f: RadialProfile) -> RadialProfile:
@@ -368,22 +386,6 @@ def gradient_density(f0, f1, ck, r, power):
     return out * r**power
 
 
-def _moments(h: RadialProfile, weights, hi: float, spec: QuadratureSpec):
-    """(int h''^2 r^w2, int h'^2 r^w1, int h^2 r^w0) over (0, hi], for
-    weights = (w2, w1, w0): the terms of the second-order cross-checks.  The
-    three moments mostly share their nodes, so h is evaluated memoized."""
-    o = h.origin_order
-    h = h.memoized()
-
-    def moment(j, w):
-        def density(r):
-            return h.taylor(r, j).deriv(j) ** 2 * r**w
-
-        return origin_integral(density, 2 * (o - j) + w, hi, spec).value
-
-    return tuple(moment(j, w) for j, w in zip((2, 1, 0), weights))
-
-
 # The reduced-profile forms.  With g = r^{(N-4)/2 - k} f (so that v = r^k g)
 # and the moments t1 = int g''^2 r^{2k+3}, t2 = int g'^2 r^{2k+1},
 # t3 = int g^2 r^{2k-1}, each functional of f below equals
@@ -429,17 +431,166 @@ def reduced_form(form: str, N: int, k: int, ck: int, moments) -> float:
     return out
 
 
-# the representation each functional's test function must be in
-_SIDE = {
-    Functional.I: Representation.U_SIDE,
-    Functional.II: Representation.U_SIDE,
-    Functional.J: Representation.V_SIDE,
-    Functional.JJ: Representation.V_SIDE,
-    Functional.WEIGHTED_LAPLACIAN: Representation.U_SIDE,
-    Functional.WEIGHTED_GRADIENT: Representation.U_SIDE,
-    Functional.WEIGHTED_HARDY: Representation.U_SIDE,
-    Functional.SERIES_TERM: Representation.U_SIDE,
+@dataclass(frozen=True)
+class _Integral:
+    """One integral of a functional: int_0^hi of the density ``kind`` of the
+    profile h = r^shift f (h is f itself when ``shift`` is None) with weight
+    r^weight, times the squared iterated-log product X_1 ... X_series when
+    ``series`` > 0."""
+
+    kind: str
+    shift: float | None
+    weight: float
+    series: int = 0
+
+
+def _density(kind: str, h: RadialProfile, mode: SphericalMode, w):
+    """The number of derivatives of h a density kind takes, and its integrand
+    on the profile h with weight r^w.  For h ~ r^o at the origin the density
+    behaves like r^{2 (o - order) + w}."""
+    if kind == "laplacian":
+        lk = mode_operator(mode, h)
+        return 2, lambda r: lk(r) ** 2 * r**w
+    if kind == "square":
+        return 0, lambda r: h(r) ** 2 * r**w
+    if kind == "square-over-r":  # weight -1, as a division
+        return 0, lambda r: h(r) ** 2 / r
+    if kind == "gradient":
+        return 1, lambda r: gradient_density(*h.derivative_values(r, 1), mode.eigenvalue, r, w)
+    if kind == "radial-gradient":
+        return 1, lambda r: h.derivative_values(r, 1)[1] ** 2 * r**w
+    # the terms of the second-order cross-checks, int h^{(j)2} r^w
+    j = {"moment-2": 2, "moment-1": 1, "moment-0": 0}[kind]
+    return j, lambda r: h.taylor(r, j).deriv(j) ** 2 * r**w
+
+
+def _moments(shift, weights) -> tuple[_Integral, ...]:
+    """The moments (int h''^2 r^w2, int h'^2 r^w1, int h^2 r^w0) of
+    h = r^shift f, for weights = (w2, w1, w0)."""
+    return tuple(_Integral(f"moment-{j}", shift, w) for j, w in zip((2, 1, 0), weights))
+
+
+def _g_moments(N, k, m):
+    """t1, t2, t3 of the reduced profile g = r^{(N-4)/2 - k} f of a u-side f."""
+    return _moments(_v_exponent(N, 0.0) - k, (2 * k + 3, 2 * k + 1, 2 * k - 1))
+
+
+def _v_g_moments(N, k, m):
+    """t1, t2, t3 of g = r^{-k} v for a v-side profile v."""
+    return _moments(-float(k), (2 * k + 3, 2 * k + 1, 2 * k - 1))
+
+
+@dataclass(frozen=True)
+class _FunctionalSpec:
+    """A functional: the side of its test function, its direct route as
+    (label, integral, sign) terms, and, where a reduction identity exists,
+    the integrals of the cross-check and the cross value per unit sphere area
+    they give.  ``direct`` and ``reduced`` take (N, k, m); ``cross`` takes
+    (N, k, c_k, m, the values of the ``reduced`` integrals)."""
+
+    side: Representation
+    direct: Callable
+    reduced: Callable | None = None
+    cross: Callable | None = None
+
+
+_U, _V = Representation.U_SIDE, Representation.V_SIDE
+
+
+def _j_spec(cw) -> _FunctionalSpec:
+    """J (cw = N(N-4)/2) or JJ (cw = N(N-8)/4), cross-checked through the
+    g-side assembly."""
+
+    def cross(N, k, ck, m, t):
+        lap, rad, grd = (
+            reduced_form(form, N, k, ck, t) for form in ("v-laplacian", "v-radial", "v-gradient")
+        )
+        return lap - N * (N - 4.0) * rad + cw(N) * grd
+
+    return _FunctionalSpec(
+        _V,
+        lambda N, k, m: (
+            ("v-laplacian", _Integral("laplacian", None, 3), 1.0),
+            ("v-radial-gradient", _Integral("radial-gradient", None, 1), -N * (N - 4.0)),
+            ("v-gradient", _Integral("gradient", None, 1), cw(N)),
+        ),
+        _v_g_moments,
+        cross,
+    )
+
+
+# The sharp constants stay literal here: functional accepts N < 5.
+_FUNCTIONALS: dict[Functional, _FunctionalSpec] = {
+    Functional.I: _FunctionalSpec(
+        _U,
+        lambda N, k, m: (
+            ("laplacian", _Integral("laplacian", None, N - 1), 1.0),
+            ("hardy", _Integral("square", None, N - 5), -((N * (N - 4) / 4.0) ** 2)),
+        ),
+        _g_moments,
+        lambda N, k, ck, m, t: reduced_form("rellich-deficit", N, k, ck, t),
+    ),
+    Functional.II: _FunctionalSpec(
+        _U,
+        lambda N, k, m: (
+            ("laplacian", _Integral("laplacian", None, N - 1), 1.0),
+            ("gradient", _Integral("gradient", None, N - 3), -(N * N / 4.0)),
+        ),
+        _g_moments,
+        lambda N, k, ck, m, t: reduced_form("gradrellich-deficit", N, k, ck, t),
+    ),
+    Functional.J: _j_spec(lambda N: N * (N - 4) / 2.0),
+    Functional.JJ: _j_spec(lambda N: N * (N - 8) / 4.0),
+    Functional.WEIGHTED_LAPLACIAN: _FunctionalSpec(
+        _U,
+        lambda N, k, m: (("laplacian", _Integral("laplacian", None, N - 1 - 2 * m), 1.0),),
+        lambda N, k, m: _moments(None, (N - 1 - 2 * m, N - 3 - 2 * m, N - 5 - 2 * m)),
+        lambda N, k, ck, m, t: (
+            t[0]
+            + ((N - 1) * (2 * m + 1) + 2 * ck) * t[1]
+            + ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)) * t[2]
+        ),
+    ),
+    Functional.WEIGHTED_GRADIENT: _FunctionalSpec(
+        _U,
+        lambda N, k, m: (("gradient", _Integral("gradient", None, N - 3 - 2 * m), 1.0),),
+        # the v-substitution split, on v = r^{(N-4-2m)/2} f
+        lambda N, k, m: (
+            _Integral("gradient", _v_exponent(N, m), 1),
+            _Integral("square-over-r", _v_exponent(N, m), -1),
+        ),
+        lambda N, k, ck, m, t: t[0] + _v_exponent(N, m) ** 2 * t[1],
+    ),
+    Functional.WEIGHTED_HARDY: _FunctionalSpec(
+        _U, lambda N, k, m: (("hardy", _Integral("square", None, N - 5 - 2 * m), 1.0),)
+    ),
+    # the direct term of the series base, with its density weighted by the
+    # squared iterated-log product (see _series_terms)
+    Functional.SERIES_TERM: _FunctionalSpec(_U, None),
 }
+
+
+def _series_weighted(density, i: int):
+    """density(r) times the squared iterated-log product X_1 ... X_i."""
+
+    def weighted(r):
+        return density(r) * log_product(i, np.minimum(r, 1.0)) ** 2
+
+    return weighted
+
+
+def _series_terms(N, k, m, series_index, series_base):
+    """The series term: its base's direct term with the series weight."""
+    base = series_base or Functional.WEIGHTED_HARDY
+    i = int(series_index)
+    if i < 1:
+        raise DomainError("series index must be >= 1")
+    if base is not Functional.WEIGHTED_HARDY and base is not Functional.WEIGHTED_GRADIENT:
+        raise DomainError(
+            f"series terms are defined against the weighted Hardy or gradient densities, not {base}"
+        )
+    ((_, integral, sign),) = _FUNCTIONALS[base].direct(N, k, m)
+    return (("series", replace(integral, series=i), sign),)
 
 
 def functional(
@@ -458,117 +609,55 @@ def functional(
     ``cross_value`` for cross-checking.  ``m`` is the radial weight exponent
     used by the WEIGHTED_* family and by the v-substitution convention.
     ``unconverged`` counts the integrals behind either value that ended
-    ``converged=False``.
+    ``converged=False``, whether they ran in this call or were served from
+    the test function's store (see the module docstring).
     """
-    with count_quadrature() as counts:
-        out = _functional(name, tf, m, quad, series_index, series_base)
-    out.unconverged = counts.unconverged
-    return out
-
-
-def _functional(name, tf, m, quad, series_index, series_base) -> FunctionalValue:
     spec = quad or QuadratureSpec()
-    side = _SIDE.get(name)
-    if side is None:
+    entry = _FUNCTIONALS.get(name)
+    if entry is None:
         raise DomainError(f"unknown functional {name}")
-    if tf.representation is not side:
-        raise DomainError(f"{name.name} expects a {side.value}-side test function")
+    if tf.representation is not entry.side:
+        raise DomainError(f"{name.name} expects a {entry.side.value}-side test function")
     N, k = tf.mode.N, tf.mode.k
     ck = tf.mode.eigenvalue
     cN = sphere_area(N)
+    if name is Functional.SERIES_TERM:
+        terms = _series_terms(N, k, m, series_index, series_base)
+    else:
+        terms = entry.direct(N, k, m)
+
     f = tf.profile.memoized()
     hi = f.support[1]
-    oo = f.origin_order
+    profiles = {None: f}
+    used: list[QuadratureResult] = []
+
+    def run(integral: _Integral) -> QuadratureResult:
+        h = profiles.get(integral.shift)
+        if h is None:
+            h = profiles[integral.shift] = f.power_shift(integral.shift).memoized()
+        order, density = _density(integral.kind, h, tf.mode, integral.weight)
+        origin_power = 2 * (h.origin_order - order) + integral.weight
+        key = (integral, origin_power, hi, spec)
+        res = tf._integrals.get(key)
+        if res is None:
+            if integral.series:
+                density = _series_weighted(density, integral.series)
+            res = tf._integrals[key] = origin_integral(density, origin_power, hi, spec)
+        used.append(res)
+        return res
 
     results: dict[str, float] = {}
     err = 0.0
-
-    def add(label, density, origin_power, sign=1.0):
-        nonlocal err
-        res = origin_integral(density, origin_power, hi, spec)
+    for label, integral, sign in terms:
+        res = run(integral)
         err += cN * abs(sign) * res.error_estimate
         results[label] = cN * sign * res.value
-
-    def grad(profile, power):
-        return lambda r: gradient_density(*profile.derivative_values(r, 1), ck, r, power)
-
-    if name is Functional.I or name is Functional.II:
-        lk = mode_operator(tf.mode, f)
-        add("laplacian", lambda r: lk(r) ** 2 * r ** (N - 1), 2 * (oo - 2) + N - 1)
-        # the sharp constants stay literal here: functional accepts N < 5
-        if name is Functional.I:
-            const = (N * (N - 4) / 4.0) ** 2
-            add("hardy", lambda r: f(r) ** 2 * r ** (N - 5), 2 * oo + N - 5, sign=-const)
-        else:
-            add("gradient", grad(f, N - 3), 2 * (oo - 1) + N - 3, sign=-(N * N / 4.0))
-        # cross-check through the reduced-profile identity
-        g = f.power_shift(_v_exponent(N, 0.0) - k)  # g_profile(tf, 0.0) on the memoized f
-        moments = _moments(g, (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
-        cross = cN * reduced_form(name.value, N, k, ck, moments)
-        return FunctionalValue(sum(results.values()), results, err, cross)
-
-    if name is Functional.J or name is Functional.JJ:
-        lkv = mode_operator(tf.mode, f)
-        add("v-laplacian", lambda r: lkv(r) ** 2 * r**3, 2 * (oo - 2) + 3)
-        add(
-            "v-radial-gradient",
-            lambda r: f.derivative_values(r, 1)[1] ** 2 * r,
-            2 * (oo - 1) + 1,
-            sign=-N * (N - 4.0),
-        )
-        cw = N * (N - 4) / 2.0 if name is Functional.J else N * (N - 8) / 4.0
-        add("v-gradient", grad(f, 1), 2 * (oo - 1) + 1, sign=cw)
-        # cross-check through the g-side assembly
-        moments = _moments(f.power_shift(-float(k)), (2 * k + 3, 2 * k + 1, 2 * k - 1), hi, spec)
-        lap, rad, grd = (
-            reduced_form(form, N, k, ck, moments) for form in ("v-laplacian", "v-radial", "v-gradient")
-        )
-        cross = cN * (lap - N * (N - 4.0) * rad + cw * grd)
-        return FunctionalValue(sum(results.values()), results, err, cross)
-
-    if name is Functional.WEIGHTED_LAPLACIAN:
-        lk = mode_operator(tf.mode, f)
-        add("laplacian", lambda r: lk(r) ** 2 * r ** (N - 1 - 2 * m), 2 * (oo - 2) + N - 1 - 2 * m)
-        t1, t2, t3 = _moments(f, (N - 1 - 2 * m, N - 3 - 2 * m, N - 5 - 2 * m), hi, spec)
-        cross = cN * (
-            t1
-            + ((N - 1) * (2 * m + 1) + 2 * ck) * t2
-            + ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)) * t3
-        )
-        return FunctionalValue(results["laplacian"], results, err, cross)
-
-    if name is Functional.WEIGHTED_GRADIENT:
-        add("gradient", grad(f, N - 3 - 2 * m), 2 * (oo - 1) + N - 3 - 2 * m)
-        # cross-check through the v-substitution split
-        v = f.power_shift(_v_exponent(N, m)).memoized()  # substitute_v(tf, m).profile
-        voo = v.origin_order
-        t1 = origin_integral(grad(v, 1), 2 * (voo - 1) + 1, hi, spec)
-        t2 = origin_integral(lambda r: v(r) ** 2 / r, 2 * voo - 1, hi, spec)
-        cross = cN * (t1.value + _v_exponent(N, m) ** 2 * t2.value)
-        return FunctionalValue(results["gradient"], results, err, cross)
-
-    if name is Functional.WEIGHTED_HARDY:
-        add("hardy", lambda r: f(r) ** 2 * r ** (N - 5 - 2 * m), 2 * oo + N - 5 - 2 * m)
-        return FunctionalValue(results["hardy"], results, err, None)
-
-    base = series_base or Functional.WEIGHTED_HARDY
-    i = int(series_index)
-    if i < 1:
-        raise DomainError("series index must be >= 1")
-
-    def weight(r):
-        return log_product(i, np.minimum(r, 1.0)) ** 2
-
-    if base is Functional.WEIGHTED_HARDY:
-        add("series", lambda r: f(r) ** 2 * r ** (N - 5 - 2 * m) * weight(r), 2 * oo + N - 5 - 2 * m)
-    elif base is Functional.WEIGHTED_GRADIENT:
-        gradient = grad(f, N - 3 - 2 * m)
-        add("series", lambda r: gradient(r) * weight(r), 2 * (oo - 1) + N - 3 - 2 * m)
-    else:
-        raise DomainError(
-            f"series terms are defined against the weighted Hardy or gradient densities, not {base}"
-        )
-    return FunctionalValue(results["series"], results, err, None)
+    cross = None
+    if entry.cross is not None:
+        values = tuple(run(integral).value for integral in entry.reduced(N, k, m))
+        cross = cN * entry.cross(N, k, ck, m, values)
+    unconverged = sum(not res.converged for res in used)
+    return FunctionalValue(sum(results.values()), results, err, cross, unconverged)
 
 
 def profile_from_csv(path, origin_order: float = 0.0) -> RadialProfile:

@@ -33,6 +33,7 @@ from .quadrature import (
     integrate,
 )
 from .radial import (
+    _REDUCED_FORMS,
     Functional,
     RadialProfile,
     SphericalMode,
@@ -397,7 +398,7 @@ def _id_potential_gside(case: SuiteCase, spec):
     f, g = case.f, _g_profile(case)
     lhs = (V * _grad_sq(f, ck)).shift(N - 3).integrate01()
     rhs = (V * g.deriv().square()).shift(2 * k + 1).integrate01()
-    rhs += (((N - 4) / 2.0) ** 2 + k * (N - 2)) * (V * g.square()).shift(2 * k - 1).integrate01()
+    rhs += _REDUCED_FORMS["gradient"](N, k, ck)[2] * (V * g.square()).shift(2 * k - 1).integrate01()
     rhs += ((N - 4) / 2.0 - k) * (V.deriv() * g.square()).shift(2 * k).integrate01()
     return lhs, rhs
 
@@ -519,7 +520,7 @@ def _slack_radial_angular_balance(case: SuiteCase, K: int, spec):
     radial = v.deriv().square().shift(1.0).integrate01()
     full = _grad_sq(v, ck).shift(1.0).integrate01()
     lhs = radial - 0.5 * full
-    rhs = (N * (N - 4.0) * radial + 4.0 * full) / (2.0 * (N - 2) ** 2)
+    rhs = (N * (N - 4.0) * radial + 4.0 * full) / C.section2_constants(N)["v-laplacian-radial-excess"]
     return rhs - lhs
 
 
@@ -601,7 +602,7 @@ def _slack_gradient_weighted_improved(case: SuiteCase, K: int, spec):
     N, ck, m = case.N, case.eigenvalue, case.m
     f = case.f
     slack = _lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01()
-    slack -= ((N + 2 * m) / 2.0) ** 2 * _grad_sq(f, ck).shift(N - 3 - 2 * m).integrate01()
+    slack -= C.weighted_rellich_grad_constant(N, m) * _grad_sq(f, ck).shift(N - 3 - 2 * m).integrate01()
     slack -= 0.25 * _series_term(case, 0, "gradient", N - 3 - 2 * m, K, spec)
     return slack
 

@@ -28,6 +28,8 @@ def test_tokens_tell_apart_outputs_one_ulp_apart():
     nudged = FunctionalValue(1.5, {"laplacian": 2.0, "hardy": np.nextafter(-0.5, 0.0)}, 1e-12, 1.5)
     assert tool.output_tokens(fv) == tool.output_tokens(FunctionalValue(**vars(fv)))
     assert tool.output_tokens(fv) != tool.output_tokens(nudged)
+    unconverged = FunctionalValue(**{**vars(fv), "unconverged": 1})
+    assert tool.output_tokens(fv) != tool.output_tokens(unconverged)
     scan = scan_to_limit(ScanFamily.RELLICH_IMPROVED, [MinSeqParams(6, epsilon=1e-2)])
     tokens = tool.output_tokens(scan)
     assert tokens == [scan.quotients[0].hex(), "0"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from rellich import radial
 from rellich.errors import DifferentiabilityError, DomainError
-from rellich.quadrature import QuadratureSpec
+from rellich.quadrature import QuadratureSpec, count_quadrature
 from rellich.radial import (
     Functional,
     RadialProfile,
@@ -410,10 +411,10 @@ def test_functionals_are_bitwise_those_of_unmemoized_profiles(monkeypatch):
 
 @pytest.mark.parametrize("subdivisions", [1, 8])
 def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
+    """On a fresh test function every integral runs, and ``unconverged``
+    counts those that ended unconverged."""
     spec = QuadratureSpec(max_subdivisions=subdivisions)
     case = standard_suite(7)[3]
-    u = case.test_function()
-    v = substitute_v(u)
     recount = []
     integrate = radial.integrate
 
@@ -426,11 +427,118 @@ def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
     mixed = False
     for name in Functional:
         recount.clear()
-        tf = v if name in (Functional.J, Functional.JJ) else u
-        fv = functional(name, tf, m=case.m, quad=spec)
+        fv = functional(name, _side_function(case, name), m=case.m, quad=spec)
         assert fv.unconverged == recount.count(False)
         if subdivisions == 1:
             assert fv.unconverged == len(recount) > 0
         mixed = mixed or 0 < fv.unconverged < len(recount)
     assert mixed == (subdivisions == 8)
-    assert functional(Functional.I, u).unconverged == 0
+    assert functional(Functional.I, case.test_function()).unconverged == 0
+
+
+# --------------------------------------------------------------------------
+# the test function's store of integral results: serving an integral changes
+# no output, and the store holds only integrals of its own test function
+
+
+_V_SIDED = (Functional.J, Functional.JJ)
+
+
+def _side_function(case, name):
+    """A fresh test function of the case on the side the functional needs."""
+    u = case.test_function()
+    return substitute_v(u) if name in _V_SIDED else u
+
+
+def _fields(fv) -> list:
+    """Everything a functional returns, floats as float.hex."""
+    def token(x):
+        return x.hex() if isinstance(x, float) else x
+
+    return [token(x) for x in (fv.value, fv.cross_value, fv.quadrature_error, fv.unconverged)] + [
+        (label, token(x)) for label, x in fv.components.items()
+    ]
+
+
+def _weight(case, name):
+    return case.m if name.value.startswith(("weighted", "series")) else 0.0
+
+
+@pytest.mark.parametrize("subdivisions", [1, None])
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_functionals_on_a_shared_test_function_match_fresh_ones(subdivisions, order, weighted):
+    """``weighted=False`` runs the weighted functionals at m = 0, where their
+    direct integrals coincide with those of I and II."""
+    spec = QuadratureSpec() if subdivisions is None else QuadratureSpec(max_subdivisions=subdivisions)
+    names = list(Functional) if order == "forward" else list(reversed(Functional))
+    for case in standard_suite(7)[:8]:
+        m = {n: _weight(case, n) if weighted else 0.0 for n in Functional}
+        u = case.test_function()
+        shared = {False: u, True: substitute_v(u)}
+        with count_quadrature() as runs:
+            got = [functional(n, shared[n in _V_SIDED], m=m[n], quad=spec) for n in names]
+        for name, fv in zip(names, got):
+            fresh = functional(name, _side_function(case, name), m=m[name], quad=spec)
+            assert _fields(fv) == _fields(fresh), (case.index, name)
+        # only the integrals that run are counted; I and II share 4 of their
+        # 10 integrals, J and JJ 6 of their 12, and at m = 0 the weighted
+        # Laplacian, gradient and Hardy integrals are those of I and II
+        assert runs.calls == len(u._integrals) + len(shared[True]._integrals)
+        assert runs.calls == (31 - 10 if weighted else 31 - 13)
+
+
+def _filled(case, spec=None):
+    """A test function of the case whose store holds every u-side integral."""
+    u = case.test_function()
+    for name in Functional:
+        if name not in _V_SIDED:
+            functional(name, u, m=_weight(case, name), quad=spec)
+    return u
+
+
+def test_store_tells_quadrature_specs_apart():
+    case = standard_suite(7)[3]
+    coarse = QuadratureSpec(max_subdivisions=1)
+    for name in (Functional.I, Functional.WEIGHTED_GRADIENT):
+        fresh = [_fields(functional(name, case.test_function(), m=case.m, quad=q)) for q in (coarse, None)]
+        assert fresh[0] != fresh[1]
+        u = _filled(case, coarse)
+        assert [_fields(functional(name, u, m=case.m, quad=q)) for q in (coarse, None)] == fresh
+
+
+def test_store_tells_weight_exponents_apart():
+    case = standard_suite(7)[3]
+    weights = (case.m, 0.5 * case.m)
+    weighted = [n for n in Functional if n.value.startswith(("weighted", "series"))]
+    for name in weighted:
+        fresh = [_fields(functional(name, case.test_function(), m=m)) for m in weights]
+        assert fresh[0] != fresh[1], name
+        u = case.test_function()
+        assert [_fields(functional(name, u, m=m)) for m in weights] == fresh, name
+
+
+def test_replace_and_substitutions_start_an_empty_store():
+    case = standard_suite(7)[3]
+    u = _filled(case)
+    assert len(u._integrals) == 15
+    # another profile with the same support and origin order, so that every
+    # key of the filled store would match
+    other = case.test_function().profile * 2.0
+    swapped = dataclasses.replace(u, profile=other)
+    assert swapped._integrals == {} and swapped == TestFunction(other, u.mode)
+    for name in (Functional.I, Functional.WEIGHTED_LAPLACIAN):
+        got = functional(name, swapped, m=case.m)
+        assert _fields(got) == _fields(functional(name, TestFunction(other, u.mode), m=case.m))
+        assert _fields(got) != _fields(functional(name, u, m=case.m))
+    # u -> v -> u: the round trip is another profile, with its own integrals
+    v = substitute_v(u)
+    assert v._integrals == {}
+    functional(Functional.J, v)
+    back = substitute_u(v)
+    assert back._integrals == {}
+    fresh = substitute_u(substitute_v(case.test_function()))
+    for name in (Functional.I, Functional.II):
+        got = functional(name, back)
+        assert _fields(got) == _fields(functional(name, fresh))
+        assert _fields(got) != _fields(functional(name, u))

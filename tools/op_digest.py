@@ -5,11 +5,11 @@
 Builds the ops of ``perfbench/workloads.py`` for the seed, runs each once in
 list order and hashes its output as ``float.hex`` tokens: scan quotients and
 their unconverged counts; registry case values, flags and unconverged
-counts; functional value, cross value, components and error estimate.  An
-op that raises contributes its exception's type name.  Prints one line per
-workload: name, digest, op count.  Two trees compute bitwise-identical
-outputs when their digests agree; ``--src`` points at the ``src/``
-directory of the package to run (default: this checkout's).
+counts; functional value, cross value, error estimate, unconverged count and
+components.  An op that raises contributes its exception's type name.
+Prints one line per workload: name, digest, op count.  Two trees compute
+bitwise-identical outputs when their digests agree; ``--src`` points at the
+``src/`` directory of the package to run (default: this checkout's).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def output_tokens(out) -> list[str]:
         for r in out.results:
             fields += [r.index, r.value, r.rejected, r.unconverged]
     else:  # FunctionalValue
-        fields = [out.value, out.cross_value, out.quadrature_error]
+        fields = [out.value, out.cross_value, out.quadrature_error, out.unconverged]
         for label, value in out.components.items():
             fields += [label, value]
     return [_token(x) for x in fields]
