@@ -68,7 +68,6 @@ from .radial import (
 from .verify import (
     AdmissibilityCondition,
     CheckReport,
-    CheckSpec,
     SobolevForm,
     SuiteCase,
     admissibility,

@@ -10,6 +10,7 @@ supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import math
@@ -344,14 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+# the library's own defaults, so that the commands follow any change to them
 _DEFAULTS = {
-    "seed": 0,
-    "rel_tol": 1e-11,
-    "abs_tol": 1e-14,
-    "K": 5,
+    "seed": _default(verify.standard_suite, "seed"),
+    "rel_tol": QuadratureSpec.rel_tol,
+    "abs_tol": QuadratureSpec.abs_tol,
+    "K": _default(verify.check_inequality, "K"),
     "format": "csv",
     "out": None,
-    "suite_size": 50,
+    "suite_size": _default(verify.standard_suite, "size"),
 }
 
 

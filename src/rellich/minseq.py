@@ -199,9 +199,7 @@ def build_minimizer(params: MinSeqParams) -> TestFunction:
                 out = out * x**e
         return out * cutoff.jet(J)
 
-    profile = RadialProfile.from_jet_fn(
-        fn, support=(0.0, cutoff.outer_radius), origin_order=q
-    )
+    profile = RadialProfile(fn, support=(0.0, cutoff.outer_radius), origin_order=q)
     return TestFunction(profile, SphericalMode(params.N, params.mode_k))
 
 

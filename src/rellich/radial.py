@@ -125,10 +125,6 @@ class RadialProfile:
 
     # ------------------------------------------------------------- builders
     @classmethod
-    def from_jet_fn(cls, fn, support=(0.0, 1.0), origin_order=0.0, max_order=64):
-        return cls(fn, support, origin_order, max_order)
-
-    @classmethod
     def from_polynomial(cls, coeffs, support=(0.0, 1.0), origin_order=None):
         coeffs = [float(c) for c in coeffs]
         if origin_order is None:

@@ -11,6 +11,20 @@ quadrature.  The series-weighted densities are evaluated in factored form,
 from the jet profile, because the expanded power sum cancels
 catastrophically when evaluated pointwise in floats.  Each case result
 carries the number of its integrals that ended unconverged.
+
+Targets are declared in one integral vocabulary.  A term ``_Int(kind,
+weight, n, shift, f2, series)`` stands for int_0^1 D(h) r^weight dr with
+h = L_k^n (r^shift f) (or the companion f2 at mode k2), D one of radial's
+density kinds "square", "gradient", "radial-gradient" and "moment-2", and
+the iterated-log series weight when ``series`` is set.  ``_value`` is the one
+evaluator of a term, ``_sum`` adds (coefficient, term) pairs left to right.
+To add a target, give ``_identity`` or ``_inequality`` a function of the
+case that returns its (lhs, rhs) lists of such pairs: an identity compares
+the two sums, an inequality's slack is sum lhs - sum rhs.  A coefficient
+may be a float, an int or a Fraction; the sums stay in floats unless the
+identity is declared ``exact``.  Only targets whose integrands carry a
+multiplier polynomial or whose slack nests its sums keep a function of
+their own.
 """
 
 from __future__ import annotations
@@ -38,18 +52,16 @@ from .radial import (
     RadialProfile,
     SphericalMode,
     TestFunction,
+    _density,
     functional,
-    gradient_density,
     mode_operator,
     origin_integral,
-    reduced_form,
     sphere_area,
 )
 
 __all__ = [
     "SuiteCase",
     "standard_suite",
-    "CheckSpec",
     "CaseResult",
     "CheckReport",
     "registry_targets",
@@ -120,7 +132,7 @@ class SuiteCase:
                 acc = acc * J + c
             return (J**power) * ((1.0 - J) ** boundary) * acc
 
-        return RadialProfile.from_jet_fn(fn, origin_order=lead)
+        return RadialProfile(fn, origin_order=lead)
 
     def test_function(self) -> TestFunction:
         return TestFunction(self.jet_profile(), self.mode)
@@ -182,47 +194,90 @@ def standard_suite(seed: int = 0, size: int = 50) -> list[SuiteCase]:
 
 
 # --------------------------------------------------------------------------
-# exact density helpers (all per unit sphere area; the c_N factor cancels in
-# residuals and slacks because every term carries it)
+# the integral vocabulary (all per unit sphere area; the c_N factor cancels
+# in residuals and slacks because every term carries it)
 
 
-def _grad_sq(f: PowerSum, ck: float) -> PowerSum:
+@dataclass(frozen=True)
+class _Int:
+    """int_0^1 D(h) r^weight dr for h = L_k^n (r^shift f), or for the same
+    profile built from the second-mode companion f2 at mode k2 when ``f2`` is
+    set.  D is one of radial's density kinds: h^2 ("square"),
+    h'^2 + c_k h^2/r^2 ("gradient"), h'^2 ("radial-gradient") or h''^2
+    ("moment-2").  A ``series`` term carries the truncated iterated-log
+    weight S_K = sum_{i<=K} X_1^2...X_i^2 as well."""
+
+    kind: str
+    weight: float | Fraction
+    n: int = 0
+    shift: Fraction | None = None
+    f2: bool = False
+    series: bool = False
+
+
+def _grad_sq(f: PowerSum, ck) -> PowerSum:
     out = f.deriv().square()
     if ck:
         out = out + ck * f.square().shift(-2.0)
     return out
 
 
-def _lap(f: PowerSum, N: int, ck: float) -> PowerSum:
-    return f.mode_apply(N, ck)
+_EXACT_DENSITIES = {
+    "square": lambda h, ck: h.square(),
+    "gradient": _grad_sq,
+    "radial-gradient": lambda h, ck: h.deriv().square(),
+    "moment-2": lambda h, ck: h.deriv().deriv().square(),
+}
 
 
-def _lap_pow(f: PowerSum, N: int, ck: float, n: int) -> PowerSum:
-    out = f
-    for _ in range(n):
-        out = out.mode_apply(N, ck)
-    return out
+def _exact_density(case: SuiteCase, term: _Int) -> PowerSum:
+    """D(h) r^weight of a term as an exact power sum, without the series
+    weight."""
+    f, k = (case.f2, case.k2) if term.f2 else (case.f, case.k)
+    ck = k * (case.N + k - 2)
+    h = f if term.shift is None else f.shift(term.shift)
+    for _ in range(term.n):
+        h = h.mode_apply(case.N, ck)
+    return _EXACT_DENSITIES[term.kind](h, ck).shift(term.weight)
 
 
-def _series_term(case: SuiteCase, n: int, kind: str, power: float, K: int, spec: QuadratureSpec) -> float:
-    """int_0^1 D(r) * sum_{i<=K} X_1^2...X_i^2 dr for h = L_k^n f, with the
-    density D = h^2 r^power (kind "square") or (h'^2 + c_k h^2/r^2) r^power
-    (kind "gradient") evaluated in factored form from the jet profile."""
+def _series_term(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> float:
+    """A series term, with D(h) evaluated in factored form from the jet
+    profile, because the expanded power sum cancels catastrophically when
+    evaluated pointwise in floats."""
     h = case.jet_profile()
-    for _ in range(n):
+    for _ in range(term.n):
         h = mode_operator(case.mode, h)
+    order, density = _density(term.kind, h, case.mode, term.weight)
 
-    def density(r):
-        if kind == "gradient":
-            d = gradient_density(*h.derivative_values(r, 1), case.eigenvalue, r, power)
-        else:
-            d = h(r) ** 2 * r**power
-        return d * series_partial(K, np.minimum(r, 1.0))
+    def weighted(r):
+        return density(r) * series_partial(K, np.minimum(r, 1.0))
 
-    lead = h.origin_order - 1 if kind == "gradient" else h.origin_order
     # a series term can be far below the default abs_tol (about 5e-11 at N = 30),
     # so only rel_tol may end the quadrature
-    return origin_integral(density, 2 * lead + power, 1.0, replace(spec, abs_tol=1e-280)).value
+    origin_power = 2 * (h.origin_order - order) + term.weight
+    return origin_integral(weighted, origin_power, 1.0, replace(spec, abs_tol=1e-280)).value
+
+
+def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> float:
+    """A term's value: exact (rounded once), or by quadrature for a series
+    term truncated at K."""
+    if term.series:
+        return _series_term(case, term, K, spec)
+    return _exact_density(case, term).integrate01()
+
+
+def _sum(case: SuiteCase, terms, K: int, spec: QuadratureSpec, exact: bool = False) -> float:
+    """sum coeff * value over (coeff, term) pairs, added left to right in
+    floats (0.0 for no terms); with ``exact``, the rounded values are summed
+    in Fraction and the sum is rounded once."""
+    values = [(c, _value(case, t, K, spec)) for c, t in terms]
+    if exact:
+        return float(sum(Fraction(c) * Fraction(v) for c, v in values))
+    total = None
+    for c, v in values:
+        total = c * v if total is None else total + c * v
+    return 0.0 if total is None else total
 
 
 def _cross_path_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -231,8 +286,186 @@ def _cross_path_spec(spec: QuadratureSpec) -> QuadratureSpec:
     return replace(spec, rel_tol=min(spec.rel_tol, 1e-12), abs_tol=1e-280)
 
 
+def _cross_path(kind: str, weight, rhs):
+    """An identity between the jet-path integral of radial's density ``kind``
+    of f with weight r^weight(case) and the exact terms rhs(case)."""
+
+    def fn(case: SuiteCase, spec: QuadratureSpec):
+        w = weight(case)
+        order, density = _density(kind, case.jet_profile(), case.mode, w)
+        # f = O(r^k), so the density behaves like r^{2 (k - order) + w}
+        lhs = origin_integral(density, 2 * (case.k - order) + w, 1.0, _cross_path_spec(spec)).value
+        return lhs, _sum(case, rhs(case), 1, spec)
+
+    return fn
+
+
+def _v(N: int, m=0) -> Fraction:
+    """The exponent of v = r^{(N-4-2m)/2} f."""
+    return Fraction(N - 4, 2) - m
+
+
+def _v_lap(N: int, m=0) -> _Int:
+    return _Int("square", 3, 1, _v(N, m))
+
+
+def _v_rad(N: int, m=0) -> _Int:
+    return _Int("radial-gradient", 1, 0, _v(N, m))
+
+
+def _v_grad(N: int, m=0) -> _Int:
+    return _Int("gradient", 1, 0, _v(N, m))
+
+
+def _v_side(N: int, c_rad, c_grad, m=0) -> list:
+    """int (L_k v)^2 r^3 + c_rad int v'^2 r + c_grad int |grad v|^2 r."""
+    return [(1, _v_lap(N, m)), (c_rad, _v_rad(N, m)), (c_grad, _v_grad(N, m))]
+
+
+def _deficit(N: int, kind: str, constant, m=0, series=None, f2: bool = False) -> list:
+    """int (L_k f)^2 r^{N-1-2m} less ``constant`` times int f^2 r^{N-5-2m}
+    (kind "square") or int |grad f|^2 r^{N-3-2m} (kind "gradient"), and less
+    ``series`` times the latter with the series weight."""
+    w = N - 5 - 2 * m if kind == "square" else N - 3 - 2 * m
+    terms = [(1, _Int("square", N - 1 - 2 * m, 1, f2=f2)), (-constant, _Int(kind, w, f2=f2))]
+    if series is not None:
+        terms.append((-series, _Int(kind, w, series=True)))
+    return terms
+
+
+def _deficit_I(N: int, f2: bool = False) -> list:
+    """The Rellich deficit I."""
+    return _deficit(N, "square", C.rellich_constant(N), f2=f2)
+
+
+def _deficit_II(N: int, f2: bool = False) -> list:
+    """The gradient-Rellich deficit II."""
+    return _deficit(N, "gradient", C.rellich_grad_constant(N), f2=f2)
+
+
+def _less_section2(deficit, name: str, term):
+    """A deficit less the section 2 constant ``name`` times a v-side term."""
+    return lambda c: (deficit(c.N) + [(-C.section2_constants(c.N)[name], term(c.N))], [])
+
+
+def _radialization(deficit, coeff):
+    """The deficit of the mode-k2 companion f2 less coeff(N) times its
+    Laplacian integral."""
+    return lambda c: (deficit(c.N, f2=True) + [(-coeff(c.N), _Int("square", c.N - 1, 1, f2=True))], [])
+
+
+def _hardy_improved(N: int, m, constant: float):
+    """int |grad f|^2 r^{N-1-2m} less constant times int f^2 r^{N-3-2m}, less
+    a quarter of the latter with the series weight."""
+    return [
+        (1, _Int("gradient", N - 1 - 2 * m)),
+        (-constant, _Int("square", N - 3 - 2 * m)),
+        (-0.25, _Int("square", N - 3 - 2 * m, series=True)),
+    ], []
+
+
+def _g_side(form: str, case: SuiteCase) -> list:
+    """radial's reduced-profile form of a functional, in the moments
+    (int g''^2 r^{2k+3}, int g'^2 r^{2k+1}, int g^2 r^{2k-1}) of
+    g = r^{(N-4)/2 - k} f; an absent moment is left out."""
+    N, k = case.N, case.k
+    g = _v(N) - k
+    moments = (
+        _Int("moment-2", 2 * k + 3, 0, g),
+        _Int("radial-gradient", 2 * k + 1, 0, g),
+        _Int("square", 2 * k - 1, 0, g),
+    )
+    return [(c, t) for c, t in zip(_REDUCED_FORMS[form](N, k, case.eigenvalue), moments) if c is not None]
+
+
+def _power_shift(N: int, m: Fraction, a: Fraction):
+    """Both sides of the v = r^a u Laplacian identity with weight |x|^{-2m}."""
+    w = N - 1 - 2 * m
+    coeff = a * a * (a + 2 - N) ** 2 - 2 * a * (a + 2 - N) * (m + 1) * (N - 4 - 2 * m - 2 * a)
+    return [(1, _Int("square", w, 1))], [
+        (1, _Int("square", w - 2 * a, 1, a)),
+        (-4 * a * (2 * m + 2 + a), _Int("radial-gradient", w - 2 - 2 * a, 0, a)),
+        (2 * a * (a + 2 + 2 * m), _Int("gradient", w - 2 - 2 * a, 0, a)),
+        (coeff, _Int("square", w - 4 - 2 * a, 0, a)),
+    ]
+
+
+def _grad_split(N: int, m, coeff):
+    """int |grad u|^2 r^{N-3-2m} and its split on v = r^{(N-4-2m)/2} f, where
+    coeff = ((N-4-2m)/2)^2."""
+    v = _v(N, m)
+    return [(1, _Int("gradient", N - 3 - 2 * m))], [(1, _v_grad(N, m)), (coeff, _Int("square", -1, 0, v))]
+
+
+def _weighted_laplacian_fside(N: int, ck: int, m: Fraction):
+    """int (L_k f)^2 r^{N-1-2m} and its plain-profile moments."""
+    return [(1, _Int("square", N - 1 - 2 * m, 1))], [
+        (1, _Int("moment-2", N - 1 - 2 * m)),
+        ((N - 1) * (2 * m + 1) + 2 * ck, _Int("radial-gradient", N - 3 - 2 * m)),
+        (ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)), _Int("square", N - 5 - 2 * m)),
+    ]
+
+
+def _weighted_deficit(N: int, m: Fraction):
+    """The weighted Rellich deficit and its v-side form."""
+    beta = (N + 2 * m) * (N - 4 - 2 * m) / 4
+    return _deficit(N, "square", beta * beta, m), _v_side(N, -4 * beta, 2 * beta, m)
+
+
+HIGHER_ORDER_POLY_ORDER = 2
+HIGHER_ORDER_L = 1
+
+
+def _higher_order(variant: C.HigherOrderVariant):
+    """The slack terms of a polyharmonic chain: its left-hand side less each
+    (coefficient, term) of ``constants.higher_order_coefficients``."""
+
+    def terms(case: SuiteCase):
+        N, order = case.N, HIGHER_ORDER_POLY_ORDER
+        lead = "gradient" if variant is C.HigherOrderVariant.GRADIENT_CHAIN else "square"
+        lhs = [(1, _Int(lead, N - 1, order))]
+        for t, coeff in C.higher_order_coefficients(N, order, HIGHER_ORDER_L, variant):
+            kind = "gradient" if t.kind == "gradient" else "square"
+            lhs.append((-float(coeff), _Int(kind, N - 1 - t.weight_power, t.delta_order, series=t.with_series)))
+        return lhs, []
+
+    return terms
+
+
 # --------------------------------------------------------------------------
-# identity registry
+# the registry
+
+
+@dataclass(frozen=True)
+class Target:
+    """A registered check.  An identity's ``fn(case, spec)`` returns its two
+    sides, an inequality's ``fn(case, K, spec)`` its slack.  ``terms(case)``
+    gives the (lhs, rhs) lists of (coefficient, _Int) pairs of a target
+    declared as terms: an identity compares their sums, an inequality's
+    slack is sum lhs - sum rhs."""
+
+    name: str
+    kind: str  # "identity" | "inequality"
+    description: str
+    fn: object
+    applies: object = None
+    terms: object = None
+
+
+def _identity(name: str, description: str, terms, applies=None, exact: bool = False) -> Target:
+    def fn(case, spec):
+        lhs, rhs = terms(case)
+        return _sum(case, lhs, 1, spec, exact), _sum(case, rhs, 1, spec, exact)
+
+    return Target(name, "identity", description, fn, applies, terms)
+
+
+def _inequality(name: str, description: str, terms, applies=None) -> Target:
+    def fn(case, K, spec):
+        lhs, rhs = terms(case)
+        return _sum(case, lhs, K, spec) - _sum(case, rhs, K, spec)
+
+    return Target(name, "inequality", description, fn, applies, terms)
 
 
 def _id_weighted_green(case: SuiteCase, spec):
@@ -240,162 +473,15 @@ def _id_weighted_green(case: SuiteCase, spec):
     f = case.f
     B, a = case.weight_poly, Fraction(case.weight_exponent)
     lhs = (B * _grad_sq(f, ck)).shift(N - 1 - a).integrate01()
-    rhs = -(B * (f * _lap(f, N, ck))).shift(N - 1 - a).integrate01()
+    rhs = -(B * (f * f.mode_apply(N, ck))).shift(N - 1 - a).integrate01()
     rhs += Fraction(1, 2) * ((B.shift(-a).mode_apply(N, 0) * f.square()).shift(N - 1)).integrate01()
     return lhs, rhs
-
-
-def _power_shift_identity(case: SuiteCase, m: Fraction, a: Fraction):
-    """Both sides of the v = r^a u Laplacian identity with weight |x|^{-2m}."""
-    N, ck = case.N, case.eigenvalue
-    f = case.f
-    v = f.shift(a)
-    lhs = _lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01()
-    rhs = _lap(v, N, ck).square().shift(N - 1 - 2 * m - 2 * a).integrate01()
-    rhs += (-4 * a * (2 * m + 2 + a)) * v.deriv().square().shift(N - 3 - 2 * a - 2 * m).integrate01()
-    rhs += (2 * a * (a + 2 + 2 * m)) * _grad_sq(v, ck).shift(N - 3 - 2 * a - 2 * m).integrate01()
-    coeff = a * a * (a + 2 - N) ** 2 - 2 * a * (a + 2 - N) * (m + 1) * (N - 4 - 2 * m - 2 * a)
-    rhs += coeff * v.square().shift(N - 5 - 2 * a - 2 * m).integrate01()
-    return float(lhs), float(rhs)
-
-
-def _id_power_shift(case: SuiteCase, spec):
-    a = Fraction(case.shift_exponent) * (case.N - 4) / 2
-    return _power_shift_identity(case, Fraction(0), a)
-
-
-def _id_weighted_power_shift(case: SuiteCase, spec):
-    a = Fraction(case.shift_exponent) * (Fraction(case.N - 4) - 2 * case.m_exact) / 2
-    return _power_shift_identity(case, case.m_exact, a)
-
-
-def _v_profile(case: SuiteCase, m=None) -> PowerSum:
-    mq = Fraction(0) if m is None else Fraction(m)
-    return case.f.shift(Fraction(case.N - 4, 2) - mq)
-
-
-def _g_profile(case: SuiteCase, m=None) -> PowerSum:
-    mq = Fraction(0) if m is None else Fraction(m)
-    return case.f.shift(Fraction(case.N - 4, 2) - mq - case.k)
-
-
-def _id_grad_split(case: SuiteCase, spec):
-    N, ck = case.N, case.eigenvalue
-    f, v = case.f, _v_profile(case)
-    lhs = _grad_sq(f, ck).shift(N - 3).integrate01()
-    rhs = _grad_sq(v, ck).shift(1.0).integrate01()
-    rhs += ((N - 4) / 2.0) ** 2 * v.square().shift(-1.0).integrate01()
-    return lhs, rhs
-
-
-def _deficit_I(case: SuiteCase) -> float:
-    N, ck = case.N, case.eigenvalue
-    f = case.f
-    return (
-        _lap(f, N, ck).square().shift(N - 1).integrate01()
-        - C.rellich_constant(N) * f.square().shift(N - 5).integrate01()
-    )
-
-
-def _deficit_II(case: SuiteCase) -> float:
-    N, ck = case.N, case.eigenvalue
-    f = case.f
-    return (
-        _lap(f, N, ck).square().shift(N - 1).integrate01()
-        - C.rellich_grad_constant(N) * _grad_sq(f, ck).shift(N - 3).integrate01()
-    )
-
-
-def _j_functional(case: SuiteCase, v: PowerSum, weight: float) -> float:
-    N, ck = case.N, case.eigenvalue
-    out = _lap(v, N, ck).square().shift(3.0).integrate01()
-    out -= N * (N - 4.0) * v.deriv().square().shift(1.0).integrate01()
-    out += weight * _grad_sq(v, ck).shift(1.0).integrate01()
-    return out
-
-
-def _id_deficit_j(case: SuiteCase, spec):
-    v = _v_profile(case)
-    return _deficit_I(case), _j_functional(case, v, case.N * (case.N - 4) / 2.0)
-
-
-def _id_deficit_jj(case: SuiteCase, spec):
-    v = _v_profile(case)
-    return _deficit_II(case), _j_functional(case, v, case.N * (case.N - 8) / 4.0)
-
-
-def _id_mode_laplacian(case: SuiteCase, spec):
-    N, ck = case.N, case.eigenvalue
-    prof = case.jet_profile()
-    lk = mode_operator(case.mode, prof)
-    lhs = origin_integral(
-        lambda r: lk(r) ** 2 * r ** (N - 1), 2 * (case.k - 2) + N - 1, 1.0, _cross_path_spec(spec)
-    ).value
-    rhs = _lap(case.f, N, ck).square().shift(N - 1).integrate01()
-    return lhs, rhs
-
-
-def _id_mode_gradient(case: SuiteCase, spec):
-    N, ck = case.N, case.eigenvalue
-    prof = case.jet_profile()
-
-    def density(r):
-        return gradient_density(*prof.derivative_values(r, 1), ck, r, N - 1)
-
-    lhs = origin_integral(density, 2 * (case.k - 1) + N - 1, 1.0, _cross_path_spec(spec)).value
-    rhs = _grad_sq(case.f, ck).shift(N - 1).integrate01()
-    return lhs, rhs
-
-
-def _g_moments(case: SuiteCase):
-    g = _g_profile(case)
-    k = case.k
-    t1 = g.deriv().deriv().square().shift(2 * k + 3).integrate01()
-    t2 = g.deriv().square().shift(2 * k + 1).integrate01()
-    t3 = g.square().shift(2 * k - 1).integrate01()
-    return t1, t2, t3
-
-
-def _gside(form: str, case: SuiteCase, lhs):
-    """lhs against the reduced-profile form of its functional."""
-    return lhs, reduced_form(form, case.N, case.k, case.eigenvalue, _g_moments(case))
-
-
-def _id_laplacian_gside(case: SuiteCase, spec):
-    N, ck = case.N, case.eigenvalue
-    return _gside("laplacian", case, _lap(case.f, N, ck).square().shift(N - 1).integrate01())
-
-
-def _id_gradient_gside(case: SuiteCase, spec):
-    N, ck = case.N, case.eigenvalue
-    return _gside("gradient", case, _grad_sq(case.f, ck).shift(N - 3).integrate01())
-
-
-def _id_deficit_gside(case: SuiteCase, spec):
-    return _gside("rellich-deficit", case, _deficit_I(case))
-
-
-def _id_grad_deficit_gside(case: SuiteCase, spec):
-    return _gside("gradrellich-deficit", case, _deficit_II(case))
-
-
-def _id_vlap_gside(case: SuiteCase, spec):
-    N, ck = case.N, case.eigenvalue
-    return _gside("v-laplacian", case, _lap(_v_profile(case), N, ck).square().shift(3.0).integrate01())
-
-
-def _id_vgrad_gside(case: SuiteCase, spec):
-    return _gside("v-gradient", case, _grad_sq(_v_profile(case), case.eigenvalue).shift(1.0).integrate01())
-
-
-def _id_vradial_gside(case: SuiteCase, spec):
-    return _gside("v-radial", case, _v_profile(case).deriv().square().shift(1.0).integrate01())
 
 
 def _id_potential_gside(case: SuiteCase, spec):
     N, k, ck = case.N, case.k, case.eigenvalue
     V = case.potential_poly
-    f, g = case.f, _g_profile(case)
+    f, g = case.f, case.f.shift(_v(N) - k)
     lhs = (V * _grad_sq(f, ck)).shift(N - 3).integrate01()
     rhs = (V * g.deriv().square()).shift(2 * k + 1).integrate01()
     rhs += _REDUCED_FORMS["gradient"](N, k, ck)[2] * (V * g.square()).shift(2 * k - 1).integrate01()
@@ -403,245 +489,17 @@ def _id_potential_gside(case: SuiteCase, spec):
     return lhs, rhs
 
 
-def _id_weighted_laplacian_fside(case: SuiteCase, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m_exact
-    f = case.f
-    lhs = Fraction(_lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01())
-    rhs = Fraction(f.deriv().deriv().square().shift(N - 1 - 2 * m).integrate01())
-    rhs += ((N - 1) * (2 * m + 1) + 2 * ck) * Fraction(
-        f.deriv().square().shift(N - 3 - 2 * m).integrate01()
-    )
-    rhs += ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)) * Fraction(
-        f.square().shift(N - 5 - 2 * m).integrate01()
-    )
-    return float(lhs), float(rhs)
-
-
-def _id_weighted_gradient_fside(case: SuiteCase, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m
-    prof = case.jet_profile()
-
-    def density(r):
-        return gradient_density(*prof.derivative_values(r, 1), ck, r, N - 3 - 2 * m)
-
-    lhs = origin_integral(density, 2 * (case.k - 1) + N - 3 - 2 * m, 1.0, _cross_path_spec(spec)).value
-    rhs = case.f.deriv().square().shift(N - 3 - 2 * m).integrate01()
-    rhs += ck * case.f.square().shift(N - 5 - 2 * m).integrate01()
-    return lhs, rhs
-
-
-def _id_weighted_grad_split(case: SuiteCase, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m_exact
-    f = case.f
-    v = _v_profile(case, m)
-    lhs = _grad_sq(f, ck).shift(N - 3 - 2 * m).integrate01()
-    rhs = Fraction(_grad_sq(v, ck).shift(1).integrate01())
-    rhs += ((Fraction(N - 4) - 2 * m) / 2) ** 2 * Fraction(v.square().shift(-1).integrate01())
-    return float(lhs), float(rhs)
-
-
-def _id_weighted_deficit(case: SuiteCase, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m_exact
-    f = case.f
-    v = _v_profile(case, m)
-    beta = (N + 2 * m) * (N - 4 - 2 * m) / 4
-    lhs = Fraction(_lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01())
-    lhs -= beta * beta * Fraction(f.square().shift(N - 5 - 2 * m).integrate01())
-    rhs = Fraction(_lap(v, N, ck).square().shift(3).integrate01())
-    rhs -= 4 * beta * Fraction(v.deriv().square().shift(1).integrate01())
-    rhs += 2 * beta * Fraction(_grad_sq(v, ck).shift(1).integrate01())
-    return float(lhs), float(rhs)
-
-
-# --------------------------------------------------------------------------
-# inequality registry
-
-
-def _slack_hardy_improved(case: SuiteCase, K: int, spec):
-    N, ck = case.N, case.eigenvalue
-    f = case.f
-    slack = _grad_sq(f, ck).shift(N - 1).integrate01()
-    slack -= C.hardy_constant(N) * f.square().shift(N - 3).integrate01()
-    slack -= 0.25 * _series_term(case, 0, "square", N - 3, K, spec)
-    return slack
-
-def _slack_hardy_improved_weighted(case: SuiteCase, K: int, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m
-    f = case.f
-    slack = _grad_sq(f, ck).shift(N - 1 - 2 * m).integrate01()
-    slack -= ((N - 2 * m - 2) / 2.0) ** 2 * f.square().shift(N - 3 - 2 * m).integrate01()
-    slack -= 0.25 * _series_term(case, 0, "square", N - 3 - 2 * m, K, spec)
-    return slack
-
-
-def _slack_rellich(case: SuiteCase, K: int, spec):
-    return _deficit_I(case)
-
-
-def _slack_rellich_gradient(case: SuiteCase, K: int, spec):
-    return _deficit_II(case)
-
-
-def _slack_deficit_vgrad(case: SuiteCase, K: int, spec):
-    v = _v_profile(case)
-    vg = _grad_sq(v, case.eigenvalue).shift(1.0).integrate01()
-    return _deficit_I(case) - C.section2_constants(case.N)["rellich-deficit-vgrad"] * vg
-
-
-def _slack_grad_deficit_vgrad(case: SuiteCase, K: int, spec):
-    v = _v_profile(case)
-    vg = _grad_sq(v, case.eigenvalue).shift(1.0).integrate01()
-    return _deficit_II(case) - C.section2_constants(case.N)["gradrellich-deficit-vgrad"] * vg
-
-
-def _slack_vlap_lower(case: SuiteCase, K: int, spec):
-    N, ck = case.N, case.eigenvalue
-    v = _v_profile(case)
-    lhs = _lap(v, N, ck).square().shift(3.0).integrate01()
-    rhs = N * (N - 4.0) * v.deriv().square().shift(1.0).integrate01()
-    rhs += 4.0 * _grad_sq(v, ck).shift(1.0).integrate01()
-    return lhs - rhs
-
-
 def _slack_vlap_radial_excess(case: SuiteCase, K: int, spec):
-    N, ck = case.N, case.eigenvalue
-    v = _v_profile(case)
-    lhs = _lap(v, N, ck).square().shift(3.0).integrate01()
-    rhs = C.section2_constants(N)["v-laplacian-radial-excess"] * (
-        v.deriv().square().shift(1.0).integrate01()
-        - 0.5 * _grad_sq(v, ck).shift(1.0).integrate01()
-    )
-    return lhs - rhs
+    lap, radial, full = (_value(case, t(case.N), K, spec) for t in (_v_lap, _v_rad, _v_grad))
+    return lap - C.section2_constants(case.N)["v-laplacian-radial-excess"] * (radial - 0.5 * full)
 
 
 def _slack_radial_angular_balance(case: SuiteCase, K: int, spec):
-    N, ck = case.N, case.eigenvalue
-    v = _v_profile(case)
-    radial = v.deriv().square().shift(1.0).integrate01()
-    full = _grad_sq(v, ck).shift(1.0).integrate01()
+    N = case.N
+    radial, full = (_value(case, t(N), K, spec) for t in (_v_rad, _v_grad))
     lhs = radial - 0.5 * full
     rhs = (N * (N - 4.0) * radial + 4.0 * full) / C.section2_constants(N)["v-laplacian-radial-excess"]
     return rhs - lhs
-
-
-def _slack_deficit_vlap(case: SuiteCase, K: int, spec):
-    N, ck = case.N, case.eigenvalue
-    v = _v_profile(case)
-    vl = _lap(v, N, ck).square().shift(3.0).integrate01()
-    return _deficit_I(case) - C.section2_constants(N)["rellich-deficit-vlap"] * vl
-
-
-def _slack_grad_deficit_vlap(case: SuiteCase, K: int, spec):
-    N, ck = case.N, case.eigenvalue
-    v = _v_profile(case)
-    vl = _lap(v, N, ck).square().shift(3.0).integrate01()
-    return _deficit_II(case) - C.section2_constants(N)["gradrellich-deficit-vlap"] * vl
-
-
-def _two_mode_deficits(case: SuiteCase):
-    """The Rellich and gradient-Rellich deficits of the mode-k2 component,
-    and its Laplacian integral."""
-    N = case.N
-    ck2 = case.k2 * (N + case.k2 - 2)
-    lap2 = _lap(case.f2, N, ck2).square().shift(N - 1).integrate01()
-    d2_I = lap2 - C.rellich_constant(N) * case.f2.square().shift(N - 5).integrate01()
-    d2_II = lap2 - C.rellich_grad_constant(N) * _grad_sq(case.f2, ck2).shift(N - 3).integrate01()
-    return d2_I, d2_II, lap2
-
-
-def _slack_radialization_rellich(case: SuiteCase, K: int, spec):
-    N = case.N
-    d2, _, lap2 = _two_mode_deficits(case)
-    coeff = 8.0 * (N - 1) * (N * N - 2 * N - 2) / (N * N - 4) ** 2
-    return d2 - coeff * lap2
-
-
-def _slack_radialization_gradrellich(case: SuiteCase, K: int, spec):
-    N = case.N
-    _, d2, lap2 = _two_mode_deficits(case)
-    coeff = 4.0 * (N - 1) * (N * N - 4 * N - 4) / (N * N - 4) ** 2
-    return d2 - coeff * lap2
-
-
-def _slack_rellich_improved(case: SuiteCase, K: int, spec):
-    N = case.N
-    slack = _deficit_I(case)
-    slack -= C.sigma_bar(0, N) * _series_term(case, 0, "square", N - 5, K, spec)
-    return slack
-
-
-def _slack_rellich_gradient_improved(case: SuiteCase, K: int, spec):
-    slack = _deficit_II(case)
-    slack -= 0.25 * _series_term(case, 0, "gradient", case.N - 3, K, spec)
-    return slack
-
-
-def _slack_rellich_weighted(case: SuiteCase, K: int, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m
-    f = case.f
-    slack = _lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01()
-    slack -= C.sigma(m, N) * f.square().shift(N - 5 - 2 * m).integrate01()
-    return slack
-
-
-def _slack_rellich_weighted_improved(case: SuiteCase, K: int, spec):
-    slack = _slack_rellich_weighted(case, K, spec)
-    slack -= C.sigma_bar(case.m, case.N) * _series_term(case, 0, "square", case.N - 5 - 2 * case.m, K, spec)
-    return slack
-
-
-def _slack_gradient_weighted(case: SuiteCase, K: int, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m
-    f = case.f
-    slack = _lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01()
-    slack -= C.a_mn(N, m).value * _grad_sq(f, ck).shift(N - 3 - 2 * m).integrate01()
-    return slack
-
-
-def _slack_gradient_weighted_improved(case: SuiteCase, K: int, spec):
-    N, ck, m = case.N, case.eigenvalue, case.m
-    f = case.f
-    slack = _lap(f, N, ck).square().shift(N - 1 - 2 * m).integrate01()
-    slack -= C.weighted_rellich_grad_constant(N, m) * _grad_sq(f, ck).shift(N - 3 - 2 * m).integrate01()
-    slack -= 0.25 * _series_term(case, 0, "gradient", N - 3 - 2 * m, K, spec)
-    return slack
-
-
-HIGHER_ORDER_POLY_ORDER = 2
-HIGHER_ORDER_L = 1
-
-
-def _slack_higher_order(case: SuiteCase, K: int, spec, variant: C.HigherOrderVariant):
-    N, ck = case.N, case.eigenvalue
-    order, l = HIGHER_ORDER_POLY_ORDER, HIGHER_ORDER_L
-    f = case.f
-    terms = C.higher_order_coefficients(N, order, l, variant)
-    if variant is C.HigherOrderVariant.GRADIENT_CHAIN:
-        lhs = _grad_sq(_lap_pow(f, N, ck, order), ck).shift(N - 1).integrate01()
-    else:
-        lhs = _lap_pow(f, N, ck, order).square().shift(N - 1).integrate01()
-    slack = lhs
-    for term, coeff in terms:
-        power = N - 1 - term.weight_power
-        if term.with_series:
-            slack -= float(coeff) * _series_term(case, term.delta_order, term.kind, power, K, spec)
-            continue
-        base = _lap_pow(f, N, ck, term.delta_order)
-        if term.kind == "gradient":
-            density = _grad_sq(base, ck).shift(power)
-        else:
-            density = base.square().shift(power)
-        slack -= float(coeff) * density.integrate01()
-    return slack
-
-
-@dataclass(frozen=True)
-class Target:
-    name: str
-    kind: str  # "identity" | "inequality"
-    description: str
-    fn: object
-    applies: object = None
 
 
 def _needs_mode(case: SuiteCase) -> str | None:
@@ -662,74 +520,98 @@ def _needs_higher_order(case: SuiteCase) -> str | None:
 
 _IDENTITY_TARGETS = [
     Target("weighted-green", "identity", "Green identity with radial weight B(r)/r^a", _id_weighted_green),
-    Target("power-shift-laplacian", "identity", "Laplacian expansion under v = r^a u", _id_power_shift),
-    Target("grad-weight-split", "identity", "gradient/|x|^2 split under v = r^{(N-4)/2} u", _id_grad_split),
-    Target("rellich-deficit-j", "identity", "Rellich deficit equals the v-side J functional", _id_deficit_j),
-    Target("gradrellich-deficit-jj", "identity", "gradient-Rellich deficit equals the v-side JJ functional", _id_deficit_jj),
-    Target("mode-laplacian-reduction", "identity", "mode operator equals the radial Laplacian minus c_k/r^2 (jet path vs exact path)", _id_mode_laplacian),
-    Target("mode-gradient-reduction", "identity", "mode gradient density (jet path vs exact path)", _id_mode_gradient),
-    Target("laplacian-gside", "identity", "|Delta u_k|^2 in reduced-profile moments", _id_laplacian_gside),
-    Target("gradient-gside", "identity", "|grad u_k|^2/|x|^2 in reduced-profile moments", _id_gradient_gside),
-    Target("rellich-deficit-gside", "identity", "Rellich deficit in reduced-profile moments", _id_deficit_gside),
-    Target("gradrellich-deficit-gside", "identity", "gradient-Rellich deficit in reduced-profile moments", _id_grad_deficit_gside),
-    Target("v-laplacian-gside", "identity", "weighted |Delta v_k|^2 in reduced-profile moments", _id_vlap_gside),
-    Target("v-gradient-gside", "identity", "weighted |grad v_k|^2 in reduced-profile moments", _id_vgrad_gside),
-    Target("v-radial-gside", "identity", "weighted radial-gradient of v_k in reduced-profile moments", _id_vradial_gside),
-    Target("potential-gside", "identity", "C^1-potential-weighted gradient identity", _id_potential_gside, _needs_mode),
-    Target("weighted-laplacian-fside", "identity", "|Delta u_k|^2/|x|^{2m} in plain-profile moments", _id_weighted_laplacian_fside),
-    Target("weighted-gradient-fside", "identity", "|grad u_k|^2/|x|^{2m+2} in plain-profile moments (jet path vs exact path)", _id_weighted_gradient_fside),
-    Target("weighted-power-shift-laplacian", "identity", "weighted Laplacian expansion under v = r^a u", _id_weighted_power_shift),
-    Target("weighted-grad-split", "identity", "weighted gradient split under v = r^{(N-4-2m)/2} u", _id_weighted_grad_split),
-    Target("weighted-rellich-deficit", "identity", "weighted Rellich deficit in v-side form", _id_weighted_deficit),
+    _identity("power-shift-laplacian", "Laplacian expansion under v = r^a u",
+              lambda c: _power_shift(c.N, Fraction(0), Fraction(c.shift_exponent) * _v(c.N))),
+    _identity("grad-weight-split", "gradient/|x|^2 split under v = r^{(N-4)/2} u",
+              lambda c: _grad_split(c.N, 0, ((c.N - 4) / 2.0) ** 2)),
+    _identity("rellich-deficit-j", "Rellich deficit equals the v-side J functional",
+              lambda c: (_deficit_I(c.N), _v_side(c.N, -c.N * (c.N - 4.0), c.N * (c.N - 4) / 2.0))),
+    _identity("gradrellich-deficit-jj", "gradient-Rellich deficit equals the v-side JJ functional",
+              lambda c: (_deficit_II(c.N), _v_side(c.N, -c.N * (c.N - 4.0), c.N * (c.N - 8) / 4.0))),
+    Target("mode-laplacian-reduction", "identity",
+           "mode operator equals the radial Laplacian minus c_k/r^2 (jet path vs exact path)",
+           _cross_path("laplacian", lambda c: c.N - 1, lambda c: [(1, _Int("square", c.N - 1, 1))])),
+    Target("mode-gradient-reduction", "identity", "mode gradient density (jet path vs exact path)",
+           _cross_path("gradient", lambda c: c.N - 1, lambda c: [(1, _Int("gradient", c.N - 1))])),
+    _identity("laplacian-gside", "|Delta u_k|^2 in reduced-profile moments",
+              lambda c: ([(1, _Int("square", c.N - 1, 1))], _g_side("laplacian", c))),
+    _identity("gradient-gside", "|grad u_k|^2/|x|^2 in reduced-profile moments",
+              lambda c: ([(1, _Int("gradient", c.N - 3))], _g_side("gradient", c))),
+    _identity("rellich-deficit-gside", "Rellich deficit in reduced-profile moments",
+              lambda c: (_deficit_I(c.N), _g_side("rellich-deficit", c))),
+    _identity("gradrellich-deficit-gside", "gradient-Rellich deficit in reduced-profile moments",
+              lambda c: (_deficit_II(c.N), _g_side("gradrellich-deficit", c))),
+    _identity("v-laplacian-gside", "weighted |Delta v_k|^2 in reduced-profile moments",
+              lambda c: ([(1, _v_lap(c.N))], _g_side("v-laplacian", c))),
+    _identity("v-gradient-gside", "weighted |grad v_k|^2 in reduced-profile moments",
+              lambda c: ([(1, _v_grad(c.N))], _g_side("v-gradient", c))),
+    _identity("v-radial-gside", "weighted radial-gradient of v_k in reduced-profile moments",
+              lambda c: ([(1, _v_rad(c.N))], _g_side("v-radial", c))),
+    Target("potential-gside", "identity", "C^1-potential-weighted gradient identity",
+           _id_potential_gside, _needs_mode),
+    _identity("weighted-laplacian-fside", "|Delta u_k|^2/|x|^{2m} in plain-profile moments",
+              lambda c: _weighted_laplacian_fside(c.N, c.eigenvalue, c.m_exact), exact=True),
+    Target("weighted-gradient-fside", "identity",
+           "|grad u_k|^2/|x|^{2m+2} in plain-profile moments (jet path vs exact path)",
+           _cross_path("gradient", lambda c: c.N - 3 - 2 * c.m, lambda c: [
+               (1, _Int("radial-gradient", c.N - 3 - 2 * c.m)),
+               (c.eigenvalue, _Int("square", c.N - 5 - 2 * c.m)),
+           ])),
+    _identity("weighted-power-shift-laplacian", "weighted Laplacian expansion under v = r^a u",
+              lambda c: _power_shift(c.N, c.m_exact, Fraction(c.shift_exponent) * _v(c.N, c.m_exact))),
+    _identity("weighted-grad-split", "weighted gradient split under v = r^{(N-4-2m)/2} u",
+              lambda c: _grad_split(c.N, c.m_exact, _v(c.N, c.m_exact) ** 2), exact=True),
+    _identity("weighted-rellich-deficit", "weighted Rellich deficit in v-side form",
+              lambda c: _weighted_deficit(c.N, c.m_exact), exact=True),
 ]
 
 _INEQUALITY_TARGETS = [
-    Target("hardy-improved", "inequality", "Hardy inequality with the iterated-log series", _slack_hardy_improved),
-    Target("hardy-improved-weighted", "inequality", "weighted Hardy inequality with the series", _slack_hardy_improved_weighted),
-    Target("rellich", "inequality", "Rellich inequality", _slack_rellich),
-    Target("rellich-gradient", "inequality", "Laplacian vs gradient/|x|^2 inequality", _slack_rellich_gradient),
-    Target("rellich-deficit-vgrad", "inequality", "Rellich deficit bounds the v-gradient term", _slack_deficit_vgrad),
-    Target("gradrellich-deficit-vgrad", "inequality", "gradient-Rellich deficit bounds the v-gradient term", _slack_grad_deficit_vgrad),
-    Target("v-laplacian-lower", "inequality", "v-Laplacian lower bound by radial and full gradients", _slack_vlap_lower),
-    Target("v-laplacian-radial-excess", "inequality", "v-Laplacian bounds the radial-minus-half-full gradient excess", _slack_vlap_radial_excess),
-    Target("radial-angular-balance", "inequality", "radial-vs-angular gradient balance", _slack_radial_angular_balance),
-    Target("rellich-deficit-vlap", "inequality", "Rellich deficit bounds the v-Laplacian term", _slack_deficit_vlap),
-    Target("gradrellich-deficit-vlap", "inequality", "gradient-Rellich deficit bounds the v-Laplacian term", _slack_grad_deficit_vlap),
-    Target("radialization-rellich", "inequality", "Rellich deficit controls the non-radial remainder", _slack_radialization_rellich),
-    Target("radialization-gradrellich", "inequality", "gradient-Rellich deficit controls the non-radial remainder", _slack_radialization_gradrellich),
-    Target("rellich-improved", "inequality", "Rellich inequality with the iterated-log series", _slack_rellich_improved),
-    Target("rellich-gradient-improved", "inequality", "gradient-Rellich inequality with the series", _slack_rellich_gradient_improved),
-    Target("rellich-weighted", "inequality", "weighted Rellich inequality", _slack_rellich_weighted),
-    Target("rellich-weighted-improved", "inequality", "weighted Rellich inequality with the series", _slack_rellich_weighted_improved),
-    Target("rellich-gradient-weighted", "inequality", "weighted Laplacian vs gradient inequality with the minimized constant", _slack_gradient_weighted),
-    Target(
-        "rellich-gradient-weighted-improved",
-        "inequality",
-        "weighted Laplacian vs gradient inequality with the series",
-        _slack_gradient_weighted_improved,
-        _needs_wgrad_range,
-    ),
-    Target(
-        "higher-order-rellich-chain",
-        "inequality",
-        "polyharmonic improvement through repeated Rellich steps",
-        lambda case, K, spec: _slack_higher_order(case, K, spec, C.HigherOrderVariant.RELLICH_CHAIN),
-        _needs_higher_order,
-    ),
-    Target(
-        "higher-order-gradient-chain",
-        "inequality",
-        "polyharmonic improvement starting from the gradient of the polyharmonic",
-        lambda case, K, spec: _slack_higher_order(case, K, spec, C.HigherOrderVariant.GRADIENT_CHAIN),
-        _needs_higher_order,
-    ),
-    Target(
-        "higher-order-alternating-chain",
-        "inequality",
-        "polyharmonic improvement alternating gradient and Laplacian steps",
-        lambda case, K, spec: _slack_higher_order(case, K, spec, C.HigherOrderVariant.ALTERNATING_CHAIN),
-        _needs_higher_order,
-    ),
+    _inequality("hardy-improved", "Hardy inequality with the iterated-log series",
+                lambda c: _hardy_improved(c.N, 0, C.hardy_constant(c.N))),
+    _inequality("hardy-improved-weighted", "weighted Hardy inequality with the series",
+                lambda c: _hardy_improved(c.N, c.m, ((c.N - 2 * c.m - 2) / 2.0) ** 2)),
+    _inequality("rellich", "Rellich inequality", lambda c: (_deficit_I(c.N), [])),
+    _inequality("rellich-gradient", "Laplacian vs gradient/|x|^2 inequality", lambda c: (_deficit_II(c.N), [])),
+    _inequality("rellich-deficit-vgrad", "Rellich deficit bounds the v-gradient term",
+                _less_section2(_deficit_I, "rellich-deficit-vgrad", _v_grad)),
+    _inequality("gradrellich-deficit-vgrad", "gradient-Rellich deficit bounds the v-gradient term",
+                _less_section2(_deficit_II, "gradrellich-deficit-vgrad", _v_grad)),
+    _inequality("v-laplacian-lower", "v-Laplacian lower bound by radial and full gradients",
+                lambda c: ([(1, _v_lap(c.N))], [(c.N * (c.N - 4.0), _v_rad(c.N)), (4.0, _v_grad(c.N))])),
+    Target("v-laplacian-radial-excess", "inequality",
+           "v-Laplacian bounds the radial-minus-half-full gradient excess", _slack_vlap_radial_excess),
+    Target("radial-angular-balance", "inequality", "radial-vs-angular gradient balance",
+           _slack_radial_angular_balance),
+    _inequality("rellich-deficit-vlap", "Rellich deficit bounds the v-Laplacian term",
+                _less_section2(_deficit_I, "rellich-deficit-vlap", _v_lap)),
+    _inequality("gradrellich-deficit-vlap", "gradient-Rellich deficit bounds the v-Laplacian term",
+                _less_section2(_deficit_II, "gradrellich-deficit-vlap", _v_lap)),
+    _inequality("radialization-rellich", "Rellich deficit controls the non-radial remainder",
+                _radialization(_deficit_I, lambda N: 8.0 * (N - 1) * (N * N - 2 * N - 2) / (N * N - 4) ** 2)),
+    _inequality("radialization-gradrellich", "gradient-Rellich deficit controls the non-radial remainder",
+                _radialization(_deficit_II, lambda N: 4.0 * (N - 1) * (N * N - 4 * N - 4) / (N * N - 4) ** 2)),
+    _inequality("rellich-improved", "Rellich inequality with the iterated-log series",
+                lambda c: (_deficit(c.N, "square", C.rellich_constant(c.N), series=C.sigma_bar(0, c.N)), [])),
+    _inequality("rellich-gradient-improved", "gradient-Rellich inequality with the series",
+                lambda c: (_deficit(c.N, "gradient", C.rellich_grad_constant(c.N), series=0.25), [])),
+    _inequality("rellich-weighted", "weighted Rellich inequality",
+                lambda c: (_deficit(c.N, "square", C.sigma(c.m, c.N), c.m), [])),
+    _inequality("rellich-weighted-improved", "weighted Rellich inequality with the series",
+                lambda c: (_deficit(c.N, "square", C.sigma(c.m, c.N), c.m, C.sigma_bar(c.m, c.N)), [])),
+    _inequality("rellich-gradient-weighted",
+                "weighted Laplacian vs gradient inequality with the minimized constant",
+                lambda c: (_deficit(c.N, "gradient", C.a_mn(c.N, c.m).value, c.m), [])),
+    _inequality("rellich-gradient-weighted-improved", "weighted Laplacian vs gradient inequality with the series",
+                lambda c: (_deficit(c.N, "gradient", C.weighted_rellich_grad_constant(c.N, c.m), c.m, 0.25), []),
+                _needs_wgrad_range),
+    _inequality("higher-order-rellich-chain", "polyharmonic improvement through repeated Rellich steps",
+                _higher_order(C.HigherOrderVariant.RELLICH_CHAIN), _needs_higher_order),
+    _inequality("higher-order-gradient-chain",
+                "polyharmonic improvement starting from the gradient of the polyharmonic",
+                _higher_order(C.HigherOrderVariant.GRADIENT_CHAIN), _needs_higher_order),
+    _inequality("higher-order-alternating-chain",
+                "polyharmonic improvement alternating gradient and Laplacian steps",
+                _higher_order(C.HigherOrderVariant.ALTERNATING_CHAIN), _needs_higher_order),
 ]
 
 REGISTRY: dict[str, Target] = {t.name: t for t in _IDENTITY_TARGETS + _INEQUALITY_TARGETS}
@@ -741,20 +623,6 @@ def registry_targets(kind: str | None = None) -> list[str]:
 
 def registry_describe() -> list[tuple[str, str, str]]:
     return [(t.name, t.kind, t.description) for t in REGISTRY.values()]
-
-
-@dataclass
-class CheckSpec:
-    target: str
-    suite: list[SuiteCase]
-    series_terms: int = 5
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.target not in REGISTRY:
-            raise DomainError(f"unknown registry target {self.target!r}")
-        if self.series_terms < 1:
-            raise DomainError("series_terms must be >= 1")
 
 
 @dataclass
@@ -936,3 +804,4 @@ def admissibility(
         return v**vpow * x1**xpow * r ** (N - 1)
 
     return classify_origin_integral(density, spec)
+

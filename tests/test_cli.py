@@ -255,3 +255,57 @@ def test_constants_golden_output(capsys, flags):
 def test_constants_golden_missing_weight(capsys, family):
     code, out, err = run_cli(capsys, "constants", "--family", family, "--N", "12")
     assert (code, out, err) == (2, "", f"error: family '{family}' requires --m\n")
+
+
+# `rellich verify --set all --seed 7 --suite-size 12` stdout, recorded before
+# the registry targets were declared as term lists; every worst value must
+# stay bitwise the same
+_VERIFY_GOLDEN = (
+    "weighted-green: pass (worst 3.3879710130613404e-16)\n"
+    "power-shift-laplacian: pass (worst 1.0887923734982721e-16)\n"
+    "grad-weight-split: pass (worst 7.9676876019962222e-17)\n"
+    "rellich-deficit-j: pass (worst 1.2136220395693859e-16)\n"
+    "gradrellich-deficit-jj: pass (worst 1.9377040699040359e-16)\n"
+    "mode-laplacian-reduction: pass (worst 5.9566022209233538e-12)\n"
+    "mode-gradient-reduction: pass (worst 1.3486514798375795e-11)\n"
+    "laplacian-gside: pass (worst 1.0848520470540963e-16)\n"
+    "gradient-gside: pass (worst 7.9676876019962222e-17)\n"
+    "rellich-deficit-gside: pass (worst 1.2702379157333725e-16)\n"
+    "gradrellich-deficit-gside: pass (worst 1.1820971623210536e-16)\n"
+    "v-laplacian-gside: pass (worst 7.0098309445403165e-17)\n"
+    "v-gradient-gside: pass (worst 8.1034101241133532e-17)\n"
+    "v-radial-gside: pass (worst 1.1075985869563685e-16)\n"
+    "potential-gside: pass (worst 1.0385901414441239e-16)\n"
+    "weighted-laplacian-fside: pass (worst 1.0357529408607234e-16)\n"
+    "weighted-gradient-fside: pass (worst 1.5040659349129762e-12)\n"
+    "weighted-power-shift-laplacian: pass (worst 9.9993493092781563e-17)\n"
+    "weighted-grad-split: pass (worst 9.2143829098466602e-17)\n"
+    "weighted-rellich-deficit: pass (worst 9.9123349765449069e-17)\n"
+    "hardy-improved: pass (worst 4.5786939228380764e-10)\n"
+    "hardy-improved-weighted: pass (worst 1.5481625794998819e-08)\n"
+    "rellich: pass (worst 4.1521133633846875e-07)\n"
+    "rellich-gradient: pass (worst 2.5914788680874308e-07)\n"
+    "rellich-deficit-vgrad: pass (worst 1.41926895828638e-07)\n"
+    "gradrellich-deficit-vgrad: pass (worst 1.41926895828638e-07)\n"
+    "v-laplacian-lower: pass (worst 1.41926895828638e-07)\n"
+    "v-laplacian-radial-excess: pass (worst 3.134888806318933e-07)\n"
+    "radial-angular-balance: pass (worst -1.6543612251060553e-24)\n"
+    "rellich-deficit-vlap: pass (worst 1.5594472378372241e-07)\n"
+    "gradrellich-deficit-vlap: pass (worst 1.4793961898703715e-07)\n"
+    "radialization-rellich: pass (worst 1.6657821625928544e-08)\n"
+    "radialization-gradrellich: pass (worst 1.2666319389295583e-08)\n"
+    "rellich-improved: pass (worst 4.1381668953338442e-07)\n"
+    "rellich-gradient-improved: pass (worst 2.5802256163923242e-07)\n"
+    "rellich-weighted: pass (worst 1.3210604052699083e-05)\n"
+    "rellich-weighted-improved: pass (worst 1.3110066024888935e-05)\n"
+    "rellich-gradient-weighted: pass (worst 7.7576556925487156e-06)\n"
+    "rellich-gradient-weighted-improved: pass (worst 7.6927865946723779e-06)\n"
+    "higher-order-rellich-chain: pass (worst 0.30406076379614522)\n"
+    "higher-order-gradient-chain: pass (worst 574.84650482494044)\n"
+    "higher-order-alternating-chain: pass (worst 0.26767285784425754)\n"
+)
+
+
+def test_verify_golden_output(capsys):
+    code, out, err = run_cli(capsys, "verify", "--set", "all", "--seed", "7", "--suite-size", "12")
+    assert (code, out, err) == (0, _VERIFY_GOLDEN, "")

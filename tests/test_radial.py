@@ -141,7 +141,7 @@ def test_g_profile_reduction():
 def test_origin_order_verification():
     prof = RadialProfile.from_polynomial([0, 0, 1.0], origin_order=2)
     assert prof.verify_origin_order()
-    bad = RadialProfile.from_jet_fn(lambda J: J**0.5, origin_order=2.0)
+    bad = RadialProfile(lambda J: J**0.5, origin_order=2.0)
     assert not bad.verify_origin_order()
 
 
@@ -366,7 +366,7 @@ def test_memoized_serves_only_bytewise_prefixes_of_a_stored_input():
         calls.append(J.order)
         return J * J
 
-    memo = RadialProfile.from_jet_fn(fn).memoized()
+    memo = RadialProfile(fn).memoized()
     r = np.array([0.25, 0.5])
     memo.taylor(r, 3)
     memo.taylor(r, 3)

@@ -6,14 +6,14 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
-from rellich import constants as C
 from rellich.errors import DomainError
 from rellich.powerseries import PowerSum
 from rellich.quadrature import QuadratureSpec
 from rellich.radial import RadialProfile, SphericalMode, TestFunction
+from rellich import verify
 from rellich.verify import (
+    REGISTRY,
     AdmissibilityCondition,
-    CheckSpec,
     SobolevForm,
     SuiteCase,
     admissibility,
@@ -80,18 +80,14 @@ def test_identity_green_special_case():
     # B = 1, a = 0 reduces to int |grad u|^2 = -int u Delta u
     coeffs = P.polypow([1, 0, -1], 2)  # (1 - r^2)^2
     case = make_case(5, 0, coeffs, lead=0)
-    from rellich.verify import _id_weighted_green
-
-    lhs, rhs = _id_weighted_green(case, SPEC)
+    lhs, rhs = REGISTRY["weighted-green"].fn(case, SPEC)
     assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) < 1e-10
 
 
 def test_identity_deficit_j_example():
     coeffs = P.polypow([1, 0, -1], 3)  # (1 - r^2)^3 on N = 5, k = 0
     case = make_case(5, 0, coeffs, lead=0)
-    from rellich.verify import _id_deficit_j
-
-    lhs, rhs = _id_deficit_j(case, SPEC)
+    lhs, rhs = REGISTRY["rellich-deficit-j"].fn(case, SPEC)
     assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) < 1e-8
 
 
@@ -100,9 +96,7 @@ def test_identity_vradial_example():
     # (there the v-substitution exponent (N-4)/2 - k vanishes)
     g = P.polymul([0, 0, 1.0], P.polypow([1, -1], 3))
     case = make_case(6, 1, list(g))
-    from rellich.verify import _id_vradial_gside
-
-    lhs, rhs = _id_vradial_gside(case, SPEC)
+    lhs, rhs = REGISTRY["v-radial-gside"].fn(case, SPEC)
     assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) < 1e-8
 
 
@@ -123,32 +117,24 @@ def test_full_inequality_registry_on_small_suite():
 def test_inequality_rellich_improved_example():
     coeffs = P.polypow([1, 0, -1], 2)  # (1 - r^2)^2, N = 6, k = 0, K = 3
     case = make_case(6, 0, coeffs, lead=0)
-    from rellich.verify import _slack_rellich_improved
-
-    assert _slack_rellich_improved(case, 3, SPEC) >= 0.0
+    assert REGISTRY["rellich-improved"].fn(case, 3, SPEC) >= 0.0
 
 
 def test_inequality_rellich_gradient_example():
     coeffs = P.polymul([0, 0, 1.0], P.polypow([1, -1], 3))  # r^2 (1-r)^3, k = 1, N = 5
     case = make_case(5, 1, coeffs)
-    from rellich.verify import _slack_rellich_gradient
-
-    assert _slack_rellich_gradient(case, 1, SPEC) >= 0.0
+    assert REGISTRY["rellich-gradient"].fn(case, 1, SPEC) >= 0.0
 
 
 def test_inequality_zero_function():
     case = make_case(6, 0, [0.0], lead=0)
-    from rellich.verify import _slack_rellich_improved
-
-    assert _slack_rellich_improved(case, 5, SPEC) == 0.0
+    assert REGISTRY["rellich-improved"].fn(case, 5, SPEC) == 0.0
 
 
 def test_truncation_direction_is_safe():
     # deeper truncation only weakens the subtracted series
     case = make_case(6, 0, list(P.polypow([1, 0, -1], 2)), lead=0)
-    from rellich.verify import _slack_rellich_improved
-
-    slacks = [_slack_rellich_improved(case, K, SPEC) for K in (1, 2, 4, 8)]
+    slacks = [REGISTRY["rellich-improved"].fn(case, K, SPEC) for K in (1, 2, 4, 8)]
     assert all(s >= 0 for s in slacks)
     assert all(slacks[i + 1] <= slacks[i] + 1e-12 for i in range(len(slacks) - 1))
 
@@ -165,12 +151,10 @@ def test_rejections_report_reasons():
     assert any(r.rejected for r in report.results)
 
 
-def test_checkspec_validation():
+def test_check_validation():
     suite = standard_suite(seed=0, size=4)
     with pytest.raises(DomainError):
-        CheckSpec("no-such-target", suite)
-    with pytest.raises(DomainError):
-        CheckSpec("rellich", suite, series_terms=0)
+        check_inequality("no-such-target", suite)
     with pytest.raises(DomainError):
         check_identity("rellich", suite)  # registered as an inequality
     with pytest.raises(DomainError):
@@ -234,11 +218,11 @@ def test_potential_identity_with_iterated_log_potential():
     # integrable against the reduced-profile density for k >= 1
     from rellich.iterlog import x1
     from rellich.quadrature import OriginSubstitution, integrate
-    from rellich.verify import _g_profile, _grad_sq, _lap
 
     case = [c for c in standard_suite(seed=3, size=16) if c.k >= 1][0]
     N, k, ck = case.N, case.k, case.eigenvalue
-    f, g = case.f, _g_profile(case)
+    f, g = case.f, case.f.shift(Fraction(N - 4, 2) - k)
+    grad_sq = f.deriv().square() + ck * f.square().shift(-2)
 
     def V(r):
         return (N * N + x1(np.minimum(r, 1.0)) ** 2) / 4.0
@@ -248,7 +232,7 @@ def test_potential_identity_with_iterated_log_potential():
         x = x1(np.minimum(r, 1.0))
         return x**3 / (2.0 * r)
 
-    lhs_density = lambda r: V(r) * _grad_sq(f, ck)(r) * r ** (N - 3)
+    lhs_density = lambda r: V(r) * grad_sq(r) * r ** (N - 3)
     lhs = integrate(lhs_density, 0.0, 1.0, SPEC).value
     gp = g.deriv()
     rhs_density = lambda r: V(r) * (gp(r) ** 2 * r ** (2 * k + 1))
@@ -265,13 +249,11 @@ def test_weighted_inequalities_near_upper_weight_boundary():
     # the weighted Rellich improvements hold on the whole range m < (N-4)/2;
     # probe just below the boundary where the Hardy-side density is nearly
     # non-integrable
-    from rellich.verify import _slack_rellich_weighted_improved, _slack_hardy_improved_weighted
-
     for N in (6, 9, 30):
         m = 0.98 * (N - 4) / 2.0
         case = make_case(N, 0, list(P.polypow([1, 0, -1], 3)), m=m, lead=0)
-        assert _slack_rellich_weighted_improved(case, 5, SPEC) >= -1e-9
-        assert _slack_hardy_improved_weighted(case, 5, SPEC) >= -1e-9
+        assert REGISTRY["rellich-weighted-improved"].fn(case, 5, SPEC) >= -1e-9
+        assert REGISTRY["hardy-improved-weighted"].fn(case, 5, SPEC) >= -1e-9
 
 
 def test_inequality_registry_integrals_converge():
@@ -317,32 +299,12 @@ def _series_reference(K, series) -> float:
 
 def _series_split(name, case):
     """The exact part of a series slack and its (coefficient, density)
-    pairs: slack = exact - sum coeff * int_0^1 density S_K dr."""
-    from rellich.verify import _deficit_I, _deficit_II, _grad_sq, _lap_pow
-
-    N, ck, f = case.N, case.eigenvalue, case.f
-    if name == "hardy-improved":
-        exact = _grad_sq(f, ck).shift(N - 1).integrate01()
-        exact -= ((N - 2) / 2.0) ** 2 * f.square().shift(N - 3).integrate01()
-        return exact, [(0.25, f.square().shift(N - 3))]
-    if name == "rellich-improved":
-        return _deficit_I(case), [(1 + N * (N - 4) / 8.0, f.square().shift(N - 5))]
-    if name == "rellich-gradient-improved":
-        return _deficit_II(case), [(0.25, _grad_sq(f, ck).shift(N - 3))]
-    assert name == "higher-order-gradient-chain"
-    exact = _grad_sq(_lap_pow(f, N, ck, 2), ck).shift(N - 1).integrate01()
-    series = []
-    for term, coeff in C.higher_order_coefficients(N, 2, 1, C.HigherOrderVariant.GRADIENT_CHAIN):
-        base = _lap_pow(f, N, ck, term.delta_order)
-        if term.kind == "gradient":
-            density = _grad_sq(base, ck).shift(N - 1 - term.weight_power)
-        else:
-            density = base.square().shift(N - 1 - term.weight_power)
-        if term.with_series:
-            series.append((coeff, density))
-        else:
-            exact -= float(coeff) * density.integrate01()
-    return exact, series
+    pairs, from the target's declared terms: slack = exact - sum coeff *
+    int_0^1 density S_K dr."""
+    lhs, rhs = REGISTRY[name].terms(case)
+    signed = lhs + [(-c, t) for c, t in rhs]
+    exact = verify._sum(case, [(c, t) for c, t in signed if not t.series], 1, SPEC)
+    return exact, [(-c, verify._exact_density(case, t)) for c, t in signed if t.series]
 
 
 def test_series_terms_match_extended_precision_reference():
@@ -368,3 +330,15 @@ def test_tiny_series_term_meets_the_relative_tolerance():
     exact, series = _series_split("rellich-improved", case)
     ref = _series_reference(K, series)
     assert abs((exact - slack.value) - ref) <= 1e-9 * abs(ref)
+
+
+def test_every_series_target_matches_extended_precision_reference():
+    K = 5
+    case = next(case for case in standard_suite(seed=7) if case.N == 30)
+    names = [name for name in registry_targets("inequality") if REGISTRY[name].terms and _series_split(name, case)[1]]
+    assert len(names) == 9
+    for name in names:
+        slack = REGISTRY[name].fn(case, K, SPEC)
+        exact, series = _series_split(name, case)
+        ref = _series_reference(K, series)
+        assert abs((exact - slack) - ref) <= 1e-9 * abs(ref), name
