@@ -4,7 +4,9 @@ Output is deterministic for a fixed configuration (including the suite
 seed): CSV with '.' decimals and 17-significant-digit floats, or JSON.
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or domain error.
 A config file of ``key = value`` lines pointed to by $RELLICH_CONFIG
-supplies defaults; explicit flags win.
+supplies defaults; explicit flags win.  Its ``K`` is the number of series
+terms for ``verify``; a scan's number of log factors comes only from
+``scan --K``.
 """
 
 from __future__ import annotations
@@ -338,7 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=float, default=0.0)
     p.add_argument("--k", type=int, default=0, help="spherical mode for per-mode scans")
-    p.add_argument("--K", type=int, default=1, help="number of iterated-log factors")
+    p.add_argument(
+        "--K",
+        type=int,
+        default=1,
+        help="number of iterated-log factors (flag only: the config's K sets verify's series terms)",
+    )
     p.add_argument("--schedule", default="default", help="'default' or 'eps:a1[:a2..];...'")
     common(p)
     p.set_defaults(fn=cmd_scan)

@@ -29,13 +29,12 @@ __all__ = [
 SERIES_TERM_CAP = 64
 
 
-def _validate_t(t, allow_one: bool = True):
+def _validate_t(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("argument must be positive")
-    limit_ok = arr <= 1.0 if allow_one else arr < 1.0
-    if not np.all(limit_ok):
-        raise DomainError("argument must be <= 1" if allow_one else "argument must be < 1")
+    if not np.all(arr <= 1.0):
+        raise DomainError("argument must be <= 1")
     return arr
 
 

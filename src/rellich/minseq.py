@@ -10,9 +10,10 @@ Every integral splits at the cutoff's inner radius.  On (0, inner] the cutoff
 is identically 1 and the densities have the exact closed form
 e^{-2 eps s} * prod X_i^{-1+a_i} * (polynomial in eta, B, X-products), which
 is evaluated directly in s = ln(1/r); this is what lets the scans see the
-logarithmically deep mass that no r-space sample could represent.  On
-[inner, outer] the full profile (with cutoff derivatives) is evaluated by jet
-arithmetic in r.
+logarithmically deep mass that no r-space sample could represent.  With one
+log factor the same closed forms, read as polynomials in (eps, X_1), reduce
+the quotient exactly.  On [inner, outer] the full profile (with cutoff
+derivatives) is evaluated by jet arithmetic in r.
 """
 
 from __future__ import annotations
@@ -153,29 +154,18 @@ class MinSeqParams:
         """Exponent of the leading power: -(N-4-2m)/2 + eps."""
         return -(self.N - 4.0 - 2.0 * self.m) / 2.0 + self.epsilon
 
-    def _products(self, r):
-        xs = xk_values(len(self.a), r)
-        prods, acc = [], None
-        for x in xs:
-            acc = x if acc is None else acc * x
-            prods.append(acc)
-        return prods
+    def _eta_b_at(self, r, i: int):
+        prods = _log_products(xk_values(len(self.a), np.asarray(r, dtype=float)))
+        out = _eta_b(self.a, prods)[i]
+        return out if isinstance(r, np.ndarray) else float(out)
 
     def eta(self, r):
         """eta(r) = sum_i (-1 + a_i) X_1...X_i."""
-        prods = self._products(np.asarray(r, dtype=float))
-        out = sum((-1.0 + ai) * p for ai, p in zip(self.a, prods))
-        return out if isinstance(r, np.ndarray) else float(out)
+        return self._eta_b_at(r, 0)
 
     def eta_b(self, r):
         """B(r) = r eta'(r) = sum_i (-1 + a_i) P_i Q_i with Q_i = sum_{j<=i} P_j."""
-        prods = self._products(np.asarray(r, dtype=float))
-        out = 0.0
-        q = 0.0
-        for ai, p in zip(self.a, prods):
-            q = q + p
-            out = out + (-1.0 + ai) * p * q
-        return out if isinstance(r, np.ndarray) else float(out)
+        return self._eta_b_at(r, 1)
 
 
 def build_minimizer(params: MinSeqParams) -> TestFunction:
@@ -231,9 +221,11 @@ class ScanFamily(Enum):
 #     hardy_u  u^2 r^{N-5-2m}                    rad_v    v'^2 r
 #
 # A term may carry the weight "series" = sum_{i<K} (X_1...X_i)^2 or
-# "pk2" = (X_1...X_K)^2.  The inner (s-space closed forms), outer (jets on
-# the cutoff zone) and reduced (single-log polynomials) evaluators each map
-# the piece names to their own forms and read the same combinations.
+# "pk2" = (X_1...X_K)^2.  On (0, inner], where the cutoff is 1, one
+# closed-form algebra gives the pieces and weights; the inner evaluator reads
+# it with float arrays in s, the single-log reduction with polynomials in
+# (eps, X_1).  On the cutoff zone the outer evaluator builds the same pieces
+# from jets of u.
 
 
 class _Term(NamedTuple):
@@ -388,109 +380,121 @@ def _combine(terms, piece, weight, deficit=None):
     return acc
 
 
-def _series_weight(prods: list, K: int):
-    """X_1^2 + ... + (X_1...X_{K-1})^2, or None when K = 1."""
+def _log_products(xs: list) -> list:
+    """The products P_i = X_1...X_i of the iterated logs xs."""
+    prods = [xs[0]]
+    for x in xs[1:]:
+        prods.append(prods[-1] * x)
+    return prods
+
+
+def _eta_b(a, prods):
+    """(eta, B): eta = sum_i (-1 + a_i) P_i and B = r eta' = sum_i (-1 + a_i)
+    P_i Q_i with Q_i = P_1 + ... + P_i."""
+    eta = B = q = 0.0
+    for ai, p in zip(a, prods):
+        q = q + p
+        eta = eta + (-1.0 + ai) * p
+        B = B + (-1.0 + ai) * p * q
+    return eta, B
+
+
+def _sq(x):
+    return x * x
+
+
+def _weight(prods: list, K: int, w: str):
+    """The weight w on the products: "pk2" = P_K^2, "series" = P_1^2 + ... +
+    P_{K-1}^2, or None for the empty series at K = 1."""
+    if w == "pk2":
+        return _sq(prods[K - 1])
     if K == 1:
         return None
-    out = np.zeros_like(prods[0])
-    for i in range(K - 1):
-        out = out + prods[i] ** 2
+    out = _sq(prods[0])
+    for p in prods[1 : K - 1]:
+        out = out + _sq(p)
     return out
 
 
-class _InnerTerms:
-    """Closed-form pieces of the inner-region densities, in s-coordinates.
+class _Forms(NamedTuple):
+    """The closed forms of a sequence member on (0, inner]: with
+    u = r^{q0+eps} prod X_i^{(-1+a_i)/2}, r u'/u = q0 + gamma and
+    r^2 L_k u / u = A0 + delta, where A0 is free of eps and the a_i and every
+    monomial of delta carries eps, eta or B; lap_v is r^2 L_k v / v for
+    v = r^{(N-4-2m)/2} u."""
 
-    The sequences' Laplacian factor splits as lap_u = A0 + delta, where
-    A0 = q0^2 + (N-2) q0 - c_k is the parameter-free constant and delta
-    carries a factor of eps, eta or B in every monomial.  Numerator
-    combinations with the sharp constants are evaluated in the factored
-    forms lap_u^2 - A0^2 = delta (2 A0 + delta) (the constant cancellation
-    is exact), so no catastrophic subtraction occurs even at very deep s.
-    Every piece carries the common factor e^{-2 eps s} prod X_i^{-1+a_i}.
-    """
+    q0: float
+    ck: int
+    A0: float
+    delta: object
+    gamma: object
+    lap_v: object
 
-    _PIECES = {
-        "lap_u": lambda t: t.lap_u**2,
-        "grad_u": lambda t: t.T_u**2 + t.ck,
-        "hardy_u": lambda t: 1.0,
-        "lap_v": lambda t: t.lap_v**2,
-        "grad_v": lambda t: t.T_v**2 + t.ck,
-        "rad_v": lambda t: t.T_v**2,
-    }
 
-    def __init__(self, params: MinSeqParams, s: np.ndarray, chain_len: int):
-        s = np.asarray(s, dtype=float)
-        self.K = chain_len
-        xs = xk_values_from_s(max(chain_len, len(params.a)), s)
-        self.prods = []
-        acc = np.ones_like(s)
-        for x in xs:
-            acc = acc * x
-            self.prods.append(acc)
-        self.common = np.exp(-2.0 * params.epsilon * s)
-        eta = np.zeros_like(s)
-        B = np.zeros_like(s)
-        q_acc = np.zeros_like(s)
-        for ai, p in zip(params.a, self.prods):
-            eta = eta + (-1.0 + ai) * p
-            q_acc = q_acc + p
-            B = B + (-1.0 + ai) * p * q_acc
-        for ai, x in zip(params.a, xs):
-            if ai != 1.0:
-                self.common = self.common * x ** (-1.0 + ai)
-        self.eta = eta
-        self.B = B
-        N = params.N
-        eps = params.epsilon
-        ck = params.mode_k * (N + params.mode_k - 2)
-        q0 = params.power_exponent - eps
-        self.q0 = q0
-        self.A0 = q0 * q0 + (N - 2) * q0 - ck
-        # lap_u = A0 + delta_u; every monomial of delta_u carries eps, eta or B
-        self.delta_u = (
-            eps * (2 * q0 + N - 2 + eps)
-            + (q0 + eps + (N - 2) / 2.0) * eta
-            + eta * eta / 4.0
-            + B / 2.0
-        )
-        self.lap_u = self.A0 + self.delta_u
-        # gradient factor T_u = q0 + gamma_u with small gamma_u
-        self.gamma_u = eps + eta / 2.0
-        self.T_u = q0 + self.gamma_u
-        # v-side factors (exponent eps): both are built from small quantities
-        self.T_v = eps + eta / 2.0
-        self.lap_v = self.T_v * (self.T_v + N - 2) + B / 2.0 - ck
-        self.ck = ck
+def _closed_forms(params: MinSeqParams, eps, eta, B) -> _Forms:
+    """The forms, with q0 = -(N-4-2m)/2, in any number type that eps, eta
+    and B share: float arrays in s, or polynomials in (eps, X_1)."""
+    N, k = params.N, params.mode_k
+    q0 = -(N - 4.0 - 2.0 * params.m) / 2.0
+    ck = k * (N + k - 2)
+    delta = (
+        eps * (2 * q0 + N - 2 + eps)
+        + (q0 + eps + (N - 2) / 2.0) * eta
+        + eta * eta / 4.0
+        + B / 2.0
+    )
+    gamma = eps + eta / 2.0
+    lap_v = gamma * (gamma + N - 2) + B / 2.0 - ck
+    return _Forms(q0, ck, q0 * (q0 + N - 2) - ck, delta, gamma, lap_v)
 
-    def lap_sq_minus(self, constant: float) -> np.ndarray:
-        """lap_u^2 - constant, factored exactly when constant is A0^2."""
-        if abs(constant - self.A0 * self.A0) <= 1e-9 * abs(constant):
-            return self.delta_u * (2.0 * self.A0 + self.delta_u)
-        return self.lap_u**2 - constant
 
-    def lap_sq_minus_grad(self, coeff: float) -> np.ndarray:
-        """lap_u^2 - coeff * T_u^2 with the constant parts cancelled exactly.
+# each piece's density over the common factor r^{-1+2eps} prod X_i^{-1+a_i},
+# built only when a combination names it
+_PIECES = {
+    "lap_u": lambda f: _sq(f.A0 + f.delta),
+    "grad_u": lambda f: _sq(f.q0 + f.gamma) + f.ck,
+    "hardy_u": lambda f: 1.0,
+    "lap_v": lambda f: _sq(f.lap_v),
+    "grad_v": lambda f: _sq(f.gamma) + f.ck,
+    "rad_v": lambda f: _sq(f.gamma),
+}
 
-        Valid whenever coeff * q0^2 == A0^2, which holds for the sharp
-        gradient constants ((N+2m)/2)^2 at mode 0.
-        """
-        d, g = self.delta_u, self.gamma_u
-        return d * (2.0 * self.A0 + d) - coeff * g * (2.0 * self.q0 + g)
 
-    def _weight(self, w: str):
-        if w == "pk2":
-            return self.prods[self.K - 1] ** 2
-        return _series_weight(self.prods, self.K)
+def _deficit_form(f: _Forms, piece: str, c: float):
+    """lap_u - c * piece (see :func:`_deficit`) in factored form,
+    delta (2 A0 + delta), less c * gamma (2 q0 + gamma) for grad_u.  The
+    constant parts cancel exactly where c is sharp: c = A0^2 for hardy_u,
+    c * q0^2 = A0^2 for grad_u."""
+    out = f.delta * (2.0 * f.A0 + f.delta)
+    if piece == "grad_u":
+        out = out - c * (f.gamma * (2.0 * f.q0 + f.gamma))
+    return out
 
-    def _deficit(self, piece: str, constant: float) -> np.ndarray:
-        if piece == "hardy_u":
-            return self.lap_sq_minus(constant)
-        return self.lap_sq_minus_grad(constant)
 
-    def density(self, terms) -> np.ndarray:
-        num = _combine(terms, lambda p: self._PIECES[p](self), self._weight, self._deficit)
-        return self.common * num
+def _closed_density(terms, forms: _Forms, prods: list, K: int):
+    """A combination's closed form over the common factor."""
+    return _combine(
+        terms,
+        lambda p: _PIECES[p](forms),
+        lambda w: _weight(prods, K, w),
+        functools.partial(_deficit_form, forms),
+    )
+
+
+def _inner_density(params: MinSeqParams, s: np.ndarray, K: int, terms) -> np.ndarray:
+    """A combination's density on (0, inner] at s = ln(1/r), with K series
+    terms.  No catastrophic subtraction occurs even at very deep s: the
+    deficits are factored and the common factor
+    e^{-2 eps s} prod X_i^{-1+a_i} is applied last."""
+    s = np.asarray(s, dtype=float)
+    xs = xk_values_from_s(max(K, len(params.a)), s)
+    prods = _log_products(xs)
+    common = np.exp(-2.0 * params.epsilon * s)
+    for ai, x in zip(params.a, xs):
+        if ai != 1.0:
+            common = common * x ** (-1.0 + ai)
+    forms = _closed_forms(params, params.epsilon, *_eta_b(params.a, prods))
+    return common * _closed_density(terms, forms, prods, K)
 
 
 def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
@@ -555,17 +559,8 @@ class _OuterTerms:
 
         def evaluate(r):
             p = self.pieces(r, names)
-            prods = []
-            if weighted:
-                acc = np.ones_like(r)
-                for x in xk_values(K, r):
-                    acc = acc * x
-                    prods.append(acc)
-
-            def weight(w):
-                return prods[K - 1] ** 2 if w == "pk2" else _series_weight(prods, K)
-
-            return _combine(terms, p.__getitem__, weight)
+            prods = _log_products(xk_values(K, r)) if weighted else None
+            return _combine(terms, p.__getitem__, lambda w: _weight(prods, K, w))
 
         return evaluate
 
@@ -637,6 +632,9 @@ class _Poly2:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        return _Poly2(self.c / float(other))
+
     def x_columns(self) -> list[np.ndarray]:
         """Coefficient-in-eps arrays, one per power of X."""
         return [self.c[:, j].copy() for j in range(self.c.shape[1])]
@@ -649,45 +647,6 @@ class _Poly2:
         for coeff in cx[::-1]:
             out = out * x + coeff
         return out
-
-
-def _single_log_pieces(params: MinSeqParams) -> dict[str, _Poly2]:
-    """The single-log sequence's pieces as polynomials in (eps, X_1).
-
-    Each density is common * poly with common = r^{-1+2eps} X_1^{-1+a} phi^2.
-    Besides the pieces this holds the weight "pk2" = X_1^2 and the factored
-    deficit blocks lap_u^2 - A0^2 and T_u^2 - q0^2.  lap_u has no entry of
-    its own: its integral diverges as eps -> 0, only its deficits reduce.
-    """
-    N, m = params.N, params.m
-    a1 = params.a[0]
-    q0 = -(N - 4.0 - 2.0 * m) / 2.0
-    A0 = q0 * (q0 + N - 2)
-    E, X = _Poly2.eps(), _Poly2.x()
-    eta = (a1 - 1.0) * X
-    B = (a1 - 1.0) * (X * X)
-    delta = (
-        E * (2 * q0 + N - 2)
-        + E * E
-        + (q0 + (N - 2) / 2.0) * eta
-        + E * eta
-        + eta * eta * 0.25
-        + B * 0.5
-    )
-    gamma = E + 0.5 * eta
-    grad_sq_shift = gamma * (2 * q0) + gamma * gamma  # T_u^2 - q0^2
-    t_v = E + 0.5 * eta
-    lap_v = t_v * t_v + (N - 2) * t_v + 0.5 * B
-    return {
-        "lap_sq_deficit": delta * (2 * A0) + delta * delta,
-        "grad_sq_shift": grad_sq_shift,
-        "grad_u": _Poly2.const(q0 * q0) + grad_sq_shift,
-        "hardy_u": _Poly2.const(1.0),
-        "lap_v": lap_v * lap_v,
-        "grad_v": t_v * t_v,
-        "rad_v": t_v * t_v,
-        "pk2": X * X,
-    }
 
 
 def _q_beta(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
@@ -804,7 +763,8 @@ class _Reduction:
     def __init__(self, params: MinSeqParams, spec: QuadratureSpec):
         self.params = params
         self.spec = spec
-        self.pieces = _single_log_pieces(params)
+        self._prods = [_Poly2.x()]  # P_1 = X_1
+        self.forms = _closed_forms(params, _Poly2.eps(), *_eta_b(params.a, self._prods))
         self._q: dict = {}
         self._c: dict = {}
 
@@ -818,17 +778,12 @@ class _Reduction:
             self._c[beta] = _c_beta(beta, self.params.epsilon, self.params.cutoff, self.spec)
         return self._c[beta]
 
-    def _deficit(self, piece: str, constant: float) -> _Poly2:
-        if piece == "hardy_u":
-            return self.pieces["lap_sq_deficit"]
-        return self.pieces["lap_sq_deficit"] - constant * self.pieces["grad_sq_shift"]
-
-    def _weight(self, w: str) -> _Poly2 | None:
-        # one log factor: the correction series is empty
-        return None if w == "series" else self.pieces[w]
-
     def poly(self, terms) -> _Poly2:
-        return _combine(terms, self.pieces.__getitem__, self._weight, self._deficit)
+        """The combination's density over common = r^{-1+2eps} X_1^{-1+a}
+        phi^2; one log factor, so the correction series is empty.  lap_u
+        alone does not reduce (its integral diverges as eps -> 0); only its
+        deficits do."""
+        return _closed_density(terms, self.forms, self._prods, 1)
 
     def integral(self, terms, full_density) -> float:
         """Full-domain integral of a combination whose density on the cutoff
@@ -867,7 +822,7 @@ def _direct_integral(
             " with a reduced form"
         )
     s0 = math.log(1.0 / params.cutoff.inner_radius)
-    inner = integrate_halfline(lambda s: _InnerTerms(params, s, K).density(terms), s0, spec)
+    inner = integrate_halfline(lambda s: _inner_density(params, s, K, terms), s0, spec)
     lo, hi = params.cutoff.inner_radius, params.cutoff.outer_radius
     return inner.value + integrate(outer.density(terms), lo, hi, spec).value
 

@@ -309,3 +309,190 @@ _VERIFY_GOLDEN = (
 def test_verify_golden_output(capsys):
     code, out, err = run_cli(capsys, "verify", "--set", "all", "--seed", "7", "--suite-size", "12")
     assert (code, out, err) == (0, _VERIFY_GOLDEN, "")
+
+
+# `rellich scan --family F --N 6` stdout on the default schedule (K = 1),
+# recorded before the s-space and single-log evaluators shared one
+# closed-form algebra; every quotient must stay bitwise the same
+_SCAN_GOLDEN = {
+    "rellich-improved": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,76.382804087475748,2.5\n"
+        "1,0.0030000000000000001,0.10000000000000001,59.486628506711099,2.5\n"
+        "2,0.001,0.10000000000000001,50.203309221488304,2.5\n"
+        "3,0.00029999999999999997,0.10000000000000001,43.537345963700254,2.5\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731142,2.5\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113121,2.5\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,4.9252833705570218,2.5\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341944,2.5\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728698,2.5\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,2.9419377376279865,2.5\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776974,2.5\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,2.8029142791398898,2.5\n"
+    ),
+    "rellich-gradient-improved": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,25.836851147750174,0.25\n"
+        "1,0.0030000000000000001,0.10000000000000001,22.788972601260649,0.25\n"
+        "2,0.001,0.10000000000000001,20.807752272682432,0.25\n"
+        "3,0.00029999999999999997,0.10000000000000001,19.187163118821108,0.25\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,7.0250494182923253,0.25\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,3.9289896987352311,0.25\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119604,0.25\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481306,0.25\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.80046775271226911,0.25\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.6132296145335876,0.25\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.53391792443606712,0.25\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,0.49844794239605966,0.25\n"
+    ),
+    "weighted-rellich-improved": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,76.382804087475748,2.5\n"
+        "1,0.0030000000000000001,0.10000000000000001,59.486628506711099,2.5\n"
+        "2,0.001,0.10000000000000001,50.203309221488304,2.5\n"
+        "3,0.00029999999999999997,0.10000000000000001,43.537345963700254,2.5\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731142,2.5\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113121,2.5\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,4.9252833705570218,2.5\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341944,2.5\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728698,2.5\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,2.9419377376279865,2.5\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776974,2.5\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,2.8029142791398898,2.5\n"
+    ),
+    "weighted-gradient-improved": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,25.836851147750174,0.25\n"
+        "1,0.0030000000000000001,0.10000000000000001,22.788972601260649,0.25\n"
+        "2,0.001,0.10000000000000001,20.807752272682432,0.25\n"
+        "3,0.00029999999999999997,0.10000000000000001,19.187163118821108,0.25\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,7.0250494182923253,0.25\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,3.9289896987352311,0.25\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119604,0.25\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481306,0.25\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.80046775271226911,0.25\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.6132296145335876,0.25\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.53391792443606712,0.25\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,0.49844794239605966,0.25\n"
+    ),
+    "amn": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,1,11.3931088249622,9\n"
+        "1,0.0030000000000000001,1,9.7439334973766929,9\n"
+        "2,0.001,1,9.2505758942925187,9\n"
+        "3,0.00029999999999999997,1,9.0754496053177451,9\n"
+    ),
+    "rellich-deficit-vgrad": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,46.818203413759271,10\n"
+        "1,0.0030000000000000001,0.10000000000000001,45.326259403265446,10\n"
+        "2,0.001,0.10000000000000001,44.177534256222515,10\n"
+        "3,0.00029999999999999997,0.10000000000000001,43.114221112326938,10\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,28.735289781724589,10\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,21.780683092152021,10\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,16.763843018186893,10\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,13.677159162578969,10\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,12.094746420004256,10\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,11.397031749766265,10\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,11.096570605474735,10\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,10.961225275461143,10\n"
+    ),
+    "rellich-deficit-vlap": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,0.88640280031870655,0.625\n"
+        "1,0.0030000000000000001,0.10000000000000001,0.88310077395551911,0.625\n"
+        "2,0.001,0.10000000000000001,0.88042457468391999,0.625\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.87783579044697346,0.625\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,0.8272650080738122,0.625\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,0.78402258936192315,0.625\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,0.73642411805395191,0.625\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,0.69507793526361772,0.625\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.66841204288075418,0.625\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.655113579931208,0.625\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.64905242469629243,0.625\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,0.64625197162609638,0.625\n"
+    ),
+    "gradrellich-deficit-vgrad": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,37.818203413759278,1\n"
+        "1,0.0030000000000000001,0.10000000000000001,36.326259403265453,1\n"
+        "2,0.001,0.10000000000000001,35.177534256222522,1\n"
+        "3,0.00029999999999999997,0.10000000000000001,34.114221112326938,1\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,19.735289781724592,1\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,12.780683092152026,1\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,7.7638430181868943,1\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,4.6771591625789739,1\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,3.0947464200042538,1\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,2.3970317497662648,1\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.0965706054747337,1\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,1.9612252754611434,1\n"
+    ),
+    "v-laplacian-radial-excess": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,105.63640682751851,32\n"
+        "1,0.0030000000000000001,0.10000000000000001,102.65251880653086,32\n"
+        "2,0.001,0.10000000000000001,100.35506851244499,32\n"
+        "3,0.00029999999999999997,0.10000000000000001,98.228442224653847,32\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,69.470579563449164,32\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,55.561366184304035,32\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,45.527686036373787,32\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,39.354318325157941,32\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,36.189492840008505,32\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,34.794063499532527,32\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,34.193141210949463,32\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,33.922450550922285,32\n"
+    ),
+    "gradrellich-deficit-vlap": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,0.71600700079676605,0.0625\n"
+        "1,0.0030000000000000001,0.10000000000000001,0.70775193488879762,0.0625\n"
+        "2,0.001,0.10000000000000001,0.70106143670979948,0.0625\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.69458947611743327,0.0625\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,0.56816252018453006,0.0625\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,0.46005647340480771,0.0625\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,0.34106029513487979,0.0625\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,0.2376948381590448,0.0625\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.17103010720188508,0.0625\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.13778394982801995,0.0625\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.12263106174073073,0.0625\n"
+        "11,4.9406564584124654e-324,0.00039062500000000002,0.11562992906524093,0.0625\n"
+    ),
+    "rellich-gradient": (
+        "step,epsilon,a1,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,9.095008101796628,9\n"
+        "1,0.0030000000000000001,0.10000000000000001,9.0098446487783495,9\n"
+        "2,0.001,0.10000000000000001,9.0012284097040816,9\n"
+        "3,0.00029999999999999997,0.10000000000000001,9.0001250395959023,9\n"
+        "4,0.00029999999999999997,0.050000000000000003,9.0000859065389882,9\n"
+        "5,0.00029999999999999997,0.025000000000000001,9.0000711721623752,9\n"
+        "6,0.00029999999999999997,0.012500000000000001,9.0000647746386147,9\n"
+        "7,0.00029999999999999997,0.0062500000000000003,9.0000617932749112,9\n"
+        "8,0.00029999999999999997,0.0031250000000000002,9.0000603540744084,9\n"
+        "9,0.00029999999999999997,0.0015625000000000001,9.0000596470010574,9\n"
+        "10,0.00029999999999999997,0.00078125000000000004,9.00005929655409,9\n"
+        "11,0.00029999999999999997,0.00039062500000000002,9.0000591220978361,9\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_SCAN_GOLDEN))
+def test_scan_golden_output(capsys, family):
+    code, out, err = run_cli(capsys, "scan", "--family", family, "--N", "6")
+    assert (code, out, err) == (0, _SCAN_GOLDEN[family], "")
+
+
+def test_config_k_sets_verify_series_terms_not_scan_log_factors(capsys, tmp_path, monkeypatch):
+    """The config's K is verify's series count; a scan's number of log
+    factors comes only from scan --K."""
+    verify = ("verify", "--set", "inequalities", "--seed", "1", "--suite-size", "4")
+    scan = ("scan", "--family", "rellich-improved", "--N", "6")
+    _, verify_k2, _ = run_cli(capsys, *verify, "--K", "2")
+    _, verify_default, _ = run_cli(capsys, *verify)
+    _, scan_default, _ = run_cli(capsys, *scan)
+    cfg = tmp_path / "rellich.cfg"
+    cfg.write_text("K = 2\n")
+    monkeypatch.setenv("RELLICH_CONFIG", str(cfg))
+    assert run_cli(capsys, *verify)[1] == verify_k2 != verify_default
+    code, out, _ = run_cli(capsys, *scan)
+    assert (code, out) == (0, scan_default)
+    assert out.startswith("step,epsilon,a1,quotient,theoretical\n")

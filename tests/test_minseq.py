@@ -355,3 +355,41 @@ def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
         assert set(got) == names
         for name in names:
             assert _same_bits(got[name], route[name]), (names, name)
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 30])
+def test_factored_deficits_use_their_sharp_constants(N):
+    """Every deficit lap_u - c * piece that a family or an asymptotic case
+    declares has the constant its factored form needs, on the whole
+    admissible m range: c = A0^2 for hardy_u and c * q0^2 = A0^2 for grad_u,
+    at mode 0.  Only then do the constant parts cancel exactly."""
+    import rellich.minseq as M
+
+    def check(params, term_lists) -> int:
+        forms = M._closed_forms(params, 0.0, 0.0, 0.0)
+        found = 0
+        for terms in term_lists:
+            if len(terms) < 2 or terms[1].piece not in M._DEFICIT_PIECES:
+                continue
+            piece, c = terms[1].piece, -terms[1].coeff
+            if terms[:2] != M._deficit(piece, c):
+                continue
+            lhs = c if piece == "hardy_u" else c * forms.q0**2
+            assert abs(lhs - forms.A0**2) <= 1e-12 * forms.A0**2, (piece, params)
+            found += 1
+        return found
+
+    checked = 0
+    for fam, spec in M._FAMILIES.items():
+        for m in np.linspace(0.0, (N - 4) / 2.0, 9)[:-1]:
+            p = MinSeqParams(N, float(m))
+            try:
+                spec.validate(fam, p)
+            except DomainError:
+                continue
+            found = check(p, spec.quotient(N, p.m))
+            assert spec.radial or not found, fam  # deficits are declared at mode 0 only
+            checked += found
+    for case in M._ASYMPTOTICS.values():
+        checked += check(MinSeqParams(N), [case.lhs(N)])
+    assert checked >= 8
