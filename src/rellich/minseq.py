@@ -6,14 +6,17 @@ spherical mode phi_k.  Their quotients converge (logarithmically in the a_i,
 polynomially in eps) to the sharp constants as the parameters shrink in the
 order eps, then a_1, ..., then a_K.
 
-Every integral splits at the cutoff's inner radius.  On (0, inner] the cutoff
-is identically 1 and the densities have the exact closed form
+Every integral splits at the cutoff's inner radius rho.  On (0, rho] the
+cutoff is identically 1 and the densities have the exact closed form
 e^{-2 eps s} * prod X_i^{-1+a_i} * (polynomial in eta, B, X-products), which
 is evaluated directly in s = ln(1/r); this is what lets the scans see the
 logarithmically deep mass that no r-space sample could represent.  With one
 log factor the same closed forms, read as polynomials in (eps, X_1), reduce
-the quotient exactly.  On [inner, outer] the full profile (with cutoff
-derivatives) is evaluated by jet arithmetic in r.
+the integral over (0, rho] exactly: with Q(b) = int_0^rho r^{-1+2eps} X_1^b dr,
+the identity eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades the
+integrals that diverge as eps -> 0 for closed-form boundary terms.  On
+[rho, outer] both paths integrate the full profile (with cutoff derivatives),
+evaluated by jet arithmetic in r, through one zone integral.
 """
 
 from __future__ import annotations
@@ -90,17 +93,6 @@ class CutoffSpec:
         for c in reversed(coeffs):
             s = s * t + c
         return 1.0 - s
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        width = self.outer_radius - self.inner_radius
-        t = np.clip((r - self.inner_radius) / width, 0.0, 1.0)
-        coeffs = self._coeffs()
-        ds = np.zeros_like(t)
-        for k in range(len(coeffs) - 1, 0, -1):
-            ds = ds * t + k * coeffs[k]
-        inside = (r > self.inner_radius) & (r < self.outer_radius)
-        return np.where(inside, -ds / width, 0.0)
 
     def jet(self, J: Jet) -> Jet:
         width = self.outer_radius - self.inner_radius
@@ -551,37 +543,41 @@ class _OuterTerms:
                 out["rad_v"] = V.deriv(1) ** 2 * r
         return out
 
-    def density(self, terms):
-        """r -> the combination's density, computing only the pieces it names."""
+    def integral(self, terms, spec: QuadratureSpec) -> float:
+        """The combination's integral over the cutoff zone [inner, outer],
+        computing only the pieces it names."""
         names = {t.piece for t in terms}
         weighted = any(t.weight is not None for t in terms)
         K = self.chain_len
 
-        def evaluate(r):
+        def density(r):
             p = self.pieces(r, names)
             prods = _log_products(xk_values(K, r)) if weighted else None
             return _combine(terms, p.__getitem__, lambda w: _weight(prods, K, w))
 
-        return evaluate
+        cutoff = self.params.cutoff
+        return integrate(density, cutoff.inner_radius, cutoff.outer_radius, spec).value
 
 
 # --------------------------------------------------------------------------
-# Exact reduction of the single-log quotients.
+# Exact reduction of the single-log quotients on (0, inner].
 #
-# With one log factor the inner-region densities are common * P(eps, X_1)
-# with common = r^{-1+2eps} X_1^{-1+a} phi^2 and P polynomial.  Writing
-# Q(b) = int_0^1 r^{-1+2eps} X_1^b phi^2 dr, every density integral is a sum
-# of c_j(eps) Q(-1+a+j).  The exact identity (integrate d/dr [r^{2eps} X_1^b
-# phi^2] over (0,1])
+# With one log factor the densities on (0, rho], rho = inner, are
+# r^{-1+2eps} X_1^{-1+a} P(eps, X_1) with P polynomial; the cutoff is 1 there.
+# Writing Q(b) = int_0^rho r^{-1+2eps} X_1^b dr, every inner integral is a sum
+# of c_j(eps) Q(-1+a+j).  Since d/dr [r^{2eps} X_1^b] = r^{-1+2eps}
+# (2 eps X_1^b + b X_1^{b+1}) and r^{2eps} X_1^b -> 0 at the origin,
 #
-#     eps Q(b) = -(b/2) Q(b+1) - C(b)/2,   C(b) = int r^{2eps} X_1^b (phi^2)' dr
+#     eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b,
 #
-# eliminates the divergent-as-eps->0 integrals Q(-1+a) and Q(a); the sharp
-# constants make the eliminated coefficients vanish to order eps exactly, so
-# the reduced form has bounded coefficients and is evaluable at denormal eps,
-# where the direct quadrature would have to cancel ~Q(a) of signed mass.
-# This mirrors the limit computation that proves the best constants, except
-# that the cutoff terms C(b) are kept instead of being absorbed into O(1).
+# which eliminates the divergent-as-eps->0 integrals Q(-1+a) and Q(a) for a
+# closed-form boundary term.  The sharp constants make the eliminated
+# coefficients vanish to order eps exactly, so the reduced form has bounded
+# coefficients and is evaluable at denormal eps, where the direct quadrature
+# would have to cancel ~Q(a) of signed mass.  This mirrors the limit
+# computation that proves the best constants, with the boundary terms kept
+# instead of being absorbed into O(1).  The cutoff zone is integrated from
+# jets, as on the direct path.
 
 
 class _Poly2:
@@ -639,22 +635,13 @@ class _Poly2:
         """Coefficient-in-eps arrays, one per power of X."""
         return [self.c[:, j].copy() for j in range(self.c.shape[1])]
 
-    def __call__(self, eps: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        epow = eps ** np.arange(self.c.shape[0])
-        cx = epow @ self.c  # eps collapsed; polynomial in x remains
-        out = np.zeros_like(x)
-        for coeff in cx[::-1]:
-            out = out * x + coeff
-        return out
-
 
 def _q_beta(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
-    """Q(beta) = int_0^1 r^{-1+2eps} X_1^beta phi^2 dr, stable for any eps > 0.
+    """Q(beta) = int_0^inner r^{-1+2eps} X_1^beta dr, stable for any eps > 0.
 
-    The origin piece uses z = ln(1 - ln r):  int e^{-2 eps (e^z - 1)}
-    e^{(1-beta) z} dz, which keeps slowly-decaying X-tails geometric even
-    when eps is denormal.
+    It is taken in z = ln(1 - ln r):  int e^{-2 eps (e^z - 1)} e^{(1-beta) z}
+    dz, which keeps slowly-decaying X-tails geometric even when eps is
+    denormal.
     """
     log2eps = math.log(2.0 * eps)
 
@@ -665,42 +652,33 @@ def _q_beta(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -
         return factor * np.exp((1.0 - beta) * z)
 
     z0 = math.log(1.0 + math.log(1.0 / cutoff.inner_radius))
-    res = integrate_halfline(h, z0, spec)
+    return integrate_halfline(h, z0, spec).value
+
+
+def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
+    """int_inner^outer r^{-1+2eps} X_1^beta phi^2 dr: with Q(beta), the
+    single-log integral over the whole support."""
 
     def transition(r):
         x1 = 1.0 / (1.0 - np.log(r))
         return r ** (-1.0 + 2.0 * eps) * x1**beta * cutoff(r) ** 2
 
-    tr = integrate(transition, cutoff.inner_radius, cutoff.outer_radius, spec)
-    return res.value + tr.value
+    return integrate(transition, cutoff.inner_radius, cutoff.outer_radius, spec).value
 
 
-def _c_beta(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
-    """C(beta) = int r^{2eps} X_1^beta (phi^2)' dr (transition zone only)."""
-
-    def density(r):
-        x1 = 1.0 / (1.0 - np.log(r))
-        phi = cutoff(r)
-        dphi = cutoff.derivative(r)
-        return r ** (2.0 * eps) * x1**beta * 2.0 * phi * dphi
-
-    res = integrate(density, cutoff.inner_radius, cutoff.outer_radius, spec)
-    return res.value
-
-
-def _reduce_columns(poly: _Poly2, a1: float, eps: float):
+def _reduce_columns(poly: _Poly2, a1: float):
     """Rewrite sum_j col_j(eps) Q(-1+a+j) with the divergent levels removed.
 
     Returns (columns for j >= 2 as eps-polynomials, [(eps-poly, beta), ...])
-    where each cutoff pair contributes -(1/2) * poly(eps) * C(beta).  The
-    eliminated columns must vanish at eps = 0 (guaranteed by the sharp
-    constants); the residual constant coefficient is pure round-off and is
-    zeroed before dividing by eps.
+    where each boundary pair contributes (1/2) * poly(eps) *
+    inner^{2eps} X_1(inner)^beta.  The eliminated columns must vanish at
+    eps = 0 (guaranteed by the sharp constants); the residual constant
+    coefficient is pure round-off and is zeroed before dividing by eps.
     """
     cols = poly.x_columns()
     while len(cols) < 3:
         cols.append(np.zeros(1))
-    cutoff_terms: list[tuple[np.ndarray, float]] = []
+    boundary_terms: list[tuple[np.ndarray, float]] = []
     for j in range(2):
         c = cols[j]
         scale = np.max(np.abs(c))
@@ -720,44 +698,15 @@ def _reduce_columns(poly: _Poly2, a1: float, eps: float):
         merged[: nxt.size] += nxt
         merged[: cprime.size] += (-beta / 2.0) * cprime
         cols[j + 1] = merged
-        cutoff_terms.append((cprime, beta))
-    return cols[2:], cutoff_terms
-
-
-def _transition_correction(
-    poly: _Poly2,
-    full_density,
-    params: MinSeqParams,
-    spec: QuadratureSpec,
-) -> float:
-    """Integral over the transition zone of (full density - w-form density).
-
-    The w-form part (no cutoff derivatives) is already inside the Q(beta)
-    integrals; this adds the genuinely cutoff-dependent remainder of the
-    direct jet-evaluated density.
-    """
-    a1 = params.a[0]
-    eps = params.epsilon
-
-    def density(r):
-        x1 = 1.0 / (1.0 - np.log(r))
-        wform = (
-            r ** (-1.0 + 2.0 * eps)
-            * x1 ** (-1.0 + a1)
-            * poly(eps, x1)
-            * params.cutoff(r) ** 2
-        )
-        return full_density(r) - wform
-
-    res = integrate(density, params.cutoff.inner_radius, params.cutoff.outer_radius, spec)
-    return res.value
+        boundary_terms.append((cprime, beta))
+    return cols[2:], boundary_terms
 
 
 class _Reduction:
-    """Single-log integrals through the exact reduction.
+    """Single-log integrals over (0, inner] through the exact reduction.
 
-    One instance serves one parameter set, so the Q(beta) and C(beta)
-    integrals are shared between the quantities it evaluates.
+    One instance serves one parameter set, so the Q(beta) integrals are
+    shared between the quantities it evaluates.
     """
 
     def __init__(self, params: MinSeqParams, spec: QuadratureSpec):
@@ -766,55 +715,45 @@ class _Reduction:
         self._prods = [_Poly2.x()]  # P_1 = X_1
         self.forms = _closed_forms(params, _Poly2.eps(), *_eta_b(params.a, self._prods))
         self._q: dict = {}
-        self._c: dict = {}
 
     def q_beta(self, beta: float) -> float:
         if beta not in self._q:
             self._q[beta] = _q_beta(beta, self.params.epsilon, self.params.cutoff, self.spec)
         return self._q[beta]
 
-    def c_beta(self, beta: float) -> float:
-        if beta not in self._c:
-            self._c[beta] = _c_beta(beta, self.params.epsilon, self.params.cutoff, self.spec)
-        return self._c[beta]
-
     def poly(self, terms) -> _Poly2:
-        """The combination's density over common = r^{-1+2eps} X_1^{-1+a}
-        phi^2; one log factor, so the correction series is empty.  lap_u
-        alone does not reduce (its integral diverges as eps -> 0); only its
-        deficits do."""
+        """The combination's density over common = r^{-1+2eps} X_1^{-1+a};
+        one log factor, so the correction series is empty.  lap_u alone does
+        not reduce (its integral diverges as eps -> 0); only its deficits do."""
         return _closed_density(terms, self.forms, self._prods, 1)
 
-    def integral(self, terms, full_density) -> float:
-        """Full-domain integral of a combination whose density on the cutoff
-        zone is ``full_density``."""
-        poly = self.poly(terms)
+    def integral(self, terms) -> float:
+        """The combination's integral over (0, inner]."""
         a1, eps = self.params.a[0], self.params.epsilon
-        cols, cut_terms = _reduce_columns(poly, a1, eps)
+        cols, boundary_terms = _reduce_columns(self.poly(terms), a1)
         total = 0.0
         for j, c in enumerate(cols, start=2):
             coeff = float(np.polynomial.polynomial.polyval(eps, c))
             if coeff != 0.0:
                 total += coeff * self.q_beta(-1.0 + a1 + j)
-        for c, beta in cut_terms:
+        rho = self.params.cutoff.inner_radius
+        x_rho = 1.0 / (1.0 - math.log(rho))
+        for c, beta in boundary_terms:
             coeff = float(np.polynomial.polynomial.polyval(eps, c))
             if coeff != 0.0:
-                total += -0.5 * coeff * self.c_beta(beta)
-        return total + _transition_correction(poly, full_density, self.params, self.spec)
+                total += 0.5 * coeff * rho ** (2.0 * eps) * x_rho**beta
+        return total
 
 
-# Below this eps, with a log factor on (some a_i < 1), the direct two-region
-# quadrature loses the log-deep mass that carries the integrals and returns
+# Below this eps, with a log factor on (some a_i < 1), the direct quadrature
+# in s loses the log-deep mass that carries the integrals and returns
 # wrong quotients (0, nan, or a fraction of the constant).  Pure powers
 # (every a_i = 1) stay exact.
 _DIRECT_EPS_FLOOR = 1e-120
 
 
-def _direct_integral(
-    terms, params: MinSeqParams, K: int, spec: QuadratureSpec, outer: _OuterTerms
-) -> float:
-    """Two-region quadrature of a combination: closed forms in s on
-    (0, inner], jets on the cutoff zone."""
+def _inner_integral(terms, params: MinSeqParams, K: int, spec: QuadratureSpec) -> float:
+    """Quadrature of a combination's closed forms in s over (0, inner]."""
     if params.epsilon < _DIRECT_EPS_FLOOR and any(ai < 1.0 for ai in params.a):
         raise DomainError(
             f"direct quadrature needs eps >= {_DIRECT_EPS_FLOOR:g} while a log factor is"
@@ -822,9 +761,7 @@ def _direct_integral(
             " with a reduced form"
         )
     s0 = math.log(1.0 / params.cutoff.inner_radius)
-    inner = integrate_halfline(lambda s: _inner_density(params, s, K, terms), s0, spec)
-    lo, hi = params.cutoff.inner_radius, params.cutoff.outer_radius
-    return inner.value + integrate(outer.density(terms), lo, hi, spec).value
+    return integrate_halfline(lambda s: _inner_density(params, s, K, terms), s0, spec).value
 
 
 def rayleigh_quotient(
@@ -836,11 +773,13 @@ def rayleigh_quotient(
     """Evaluate one Rayleigh quotient of the family at the given parameters.
 
     K_series is the number of correction terms subtracted in the numerator
-    (defaults to the number of log factors carried by the sequence).  The
-    single-log quotients go through the exact identity-reduced form, which
-    stays accurate at arbitrarily small eps; multi-log quotients and the
-    amn and rellich-gradient families use direct two-region quadrature,
-    which rejects eps below 1e-120 while a log factor is on.
+    (defaults to the number of log factors carried by the sequence).  Every
+    integral is the one over (0, inner] plus the one over the cutoff zone,
+    which both paths take from jets.  On (0, inner] the single-log quotients
+    go through the exact identity-reduced form, which stays accurate at
+    arbitrarily small eps; multi-log quotients and the amn and
+    rellich-gradient families use direct quadrature in s, which rejects eps
+    below 1e-120 while a log factor is on.
     """
     spec = quad or QuadratureSpec()
     K = len(params.a) if K_series is None else int(K_series)
@@ -851,10 +790,10 @@ def rayleigh_quotient(
     quotient = fam.quotient(params.N, params.m)
     outer = _OuterTerms(params, K)
     if K == 1 and len(params.a) == 1 and fam.reduced:
-        red = _Reduction(params, spec)
-        num, den = (red.integral(t, outer.density(t)) for t in quotient)
+        inner = _Reduction(params, spec).integral
     else:
-        num, den = (_direct_integral(t, params, K, spec, outer) for t in quotient)
+        inner = functools.partial(_inner_integral, params=params, K=K, spec=spec)
+    num, den = (inner(t) + outer.integral(t, spec) for t in quotient)
     if abs(den) <= spec.abs_tol:
         raise QuadratureError("degenerate denominator in Rayleigh quotient")
     return num / den
@@ -974,8 +913,9 @@ class AsymptoticCase(Enum):
 
 class _AsymptoticSpec(NamedTuple):
     """A case's functional as piece terms of N, its displayed leading term as
-    a function of (N, a_1, Q) with Q(beta) the single-log integral, and
-    whether the functional goes through the direct quadrature."""
+    a function of (N, a_1, Q) with Q(beta) the single-log integral over the
+    whole support, and whether the functional's integral over (0, inner]
+    goes through the direct quadrature instead of the reduction."""
 
     lhs: Callable[[int], tuple[_Term, ...]]
     rhs: Callable[[int, float, Callable[[float], float]], float]
@@ -1038,13 +978,14 @@ def leading_order_asymptotics(
         raise DomainError("asymptotic checks use m = 0 and the radial mode")
     case = _ASYMPTOTICS[which]
     red = _Reduction(params, spec)
-    outer = _OuterTerms(params, 1)
     terms = case.lhs(params.N)
     if case.direct:
-        lhs = _direct_integral(terms, params, 1, spec, outer)
+        inner = _inner_integral(terms, params, 1, spec)
     else:
-        lhs = red.integral(terms, outer.density(terms))
-    rhs = case.rhs(params.N, params.a[0], red.q_beta)
+        inner = red.integral(terms)
+    lhs = inner + _OuterTerms(params, 1).integral(terms, spec)
+    eps, cutoff = params.epsilon, params.cutoff
+    rhs = case.rhs(params.N, params.a[0], lambda b: red.q_beta(b) + _q_zone(b, eps, cutoff, spec))
     return lhs, rhs, lhs / rhs
 
 

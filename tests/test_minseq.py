@@ -39,12 +39,20 @@ def test_cutoff_shape():
 
 
 def test_cutoff_derivative_matches_differences():
+    """The derivative row of the cutoff's jet, the one build_minimizer
+    differentiates through."""
+    from rellich.taylor import Jet
+
     cut = CutoffSpec()
+
+    def dphi(r):
+        return cut.jet(Jet.variable(r, 1)).deriv(1)
+
     r = np.linspace(0.55, 0.95, 11)
     h = 1e-6
     fd = (cut(r + h) - cut(r - h)) / (2 * h)
-    assert np.allclose(cut.derivative(r), fd, rtol=1e-7, atol=1e-9)
-    assert np.all(cut.derivative(np.array([0.2, 1.1])) == 0.0)
+    assert np.allclose(dphi(r), fd, rtol=1e-7, atol=1e-9)
+    assert np.all(dphi(np.array([0.2, 1.1])) == 0.0)
 
 
 def test_cutoff_validation():
@@ -154,13 +162,39 @@ def test_reduced_path_matches_direct_path():
     assert {c[0] for c in cases} == {f for f, spec in M._FAMILIES.items() if spec.reduced}
     for fam, N, m in cases:
         p = MinSeqParams(N, m, 1e-4, (0.07,))
-        reduced = rayleigh_quotient(fam, p, quad=SPEC)
+        quotient = M._FAMILIES[fam].quotient(N, m)
+        # the paths differ only on (0, inner]: reduction against quadrature in s
+        red = M._Reduction(p, SPEC)
+        inner = [M._inner_integral(terms, p, 1, SPEC) for terms in quotient]
+        for terms, direct in zip(quotient, inner):
+            assert red.integral(terms) == pytest.approx(direct, rel=1e-9), (fam, terms)
         outer = M._OuterTerms(p, 1)
-        num, den = (
-            M._direct_integral(terms, p, 1, SPEC, outer)
-            for terms in M._FAMILIES[fam].quotient(N, m)
-        )
-        assert reduced == pytest.approx(num / den, rel=1e-8), fam
+        num, den = (i + outer.integral(terms, SPEC) for i, terms in zip(inner, quotient))
+        assert rayleigh_quotient(fam, p, quad=SPEC) == pytest.approx(num / den, rel=1e-8), fam
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
+def test_inner_q_beta_and_its_boundary_identity(eps):
+    """Q(beta) = int_0^inner r^{-1+2eps} X_1^beta dr against a 30-digit
+    quadrature of its s-space form, and the identity the reduction rests on:
+    eps Q(beta) + (beta/2) Q(beta+1) = (1/2) inner^{2eps} X_1(inner)^beta."""
+    import mpmath as mp
+
+    import rellich.minseq as M
+
+    cut = CutoffSpec()
+    rho = cut.inner_radius
+    spec = QuadratureSpec()
+    for beta in (0.93, 1.07, 2.07, 3.5):
+        with mp.workdps(30):
+            e, b = mp.mpf(eps), mp.mpf(beta)
+            breaks = [mp.log(1 / mp.mpf(rho))] + [mp.mpf(10) ** j for j in range(13)] + [mp.inf]
+            ref = float(mp.quad(lambda s: mp.exp(-2 * e * s) * (1 + s) ** -b, breaks))
+        q = M._q_beta(beta, eps, cut, spec)
+        assert q == pytest.approx(ref, rel=1e-13, abs=0.0), beta
+        lhs = eps * q + beta / 2.0 * M._q_beta(beta + 1.0, eps, cut, spec)
+        boundary = 0.5 * rho ** (2.0 * eps) * (1.0 / (1.0 - math.log(rho))) ** beta
+        assert lhs == pytest.approx(boundary, rel=1e-13, abs=0.0), beta
 
 
 def test_family_parameter_guards():
