@@ -59,7 +59,10 @@ def load_config(path: str | None) -> dict:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in _CONFIG_KEYS:
                     raise DomainError(f"unknown config key: {key!r}")
-                cfg[key] = _CONFIG_KEYS[key](value)
+                try:
+                    cfg[key] = _CONFIG_KEYS[key](value)
+                except ValueError as exc:
+                    raise DomainError(f"config key {key!r}: {exc}") from exc
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
     return cfg
@@ -171,7 +174,10 @@ def cmd_constants(args) -> int:
 
 def cmd_amn_table(args) -> int:
     N = args.N
-    grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+    try:
+        grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"malformed m grid {args.grid!r}: {exc}") from exc
     if not grid:
         raise DomainError("empty m grid")
     upper = (N - 4) / 2.0

@@ -371,18 +371,22 @@ def higher_order_coefficients(N: int, m: int, l: int, variant: HigherOrderVarian
     return terms
 
 
+def _section2_exact(N: int) -> dict[str, Fraction]:
+    N = _check_dimension(N, 5)
+    return {
+        "rellich-deficit-vgrad": 4 + Fraction(N * (N - 4), 2),
+        "rellich-deficit-vlap": Fraction(1, 2) + Fraction(2, (N - 2) ** 2),
+        "gradrellich-deficit-vgrad": Fraction(N - 4, 2) ** 2,
+        "v-laplacian-radial-excess": Fraction(2 * (N - 2) ** 2),
+        "gradrellich-deficit-vlap": Fraction(N - 4, 2 * (N - 2)) ** 2,
+        "rellich-gradient": Fraction(N * N, 4),
+    }
+
+
 def section2_constants(N: int) -> dict[str, float]:
     """The six sharp constants of the v-side deficit inequalities, keyed by
     the verification registry's inequality identifiers."""
-    N = _check_dimension(N, 5)
-    return {
-        "rellich-deficit-vgrad": float(4 + Fraction(N * (N - 4), 2)),
-        "rellich-deficit-vlap": float(Fraction(1, 2) + Fraction(2, (N - 2) ** 2)),
-        "gradrellich-deficit-vgrad": float(Fraction(N - 4, 2) ** 2),
-        "v-laplacian-radial-excess": float(2 * (N - 2) ** 2),
-        "gradrellich-deficit-vlap": float(Fraction(N - 4, 2 * (N - 2)) ** 2),
-        "rellich-gradient": float(Fraction(N * N, 4)),
-    }
+    return {key: float(value) for key, value in _section2_exact(N).items()}
 
 
 #: First zero of the order-zero Bessel function, to double precision.

@@ -25,10 +25,10 @@ Exactness.  Bases and coefficients are ``Fraction``s, so every operation
 yields the same rational sum as adding the terms one by one.  ``powers`` and
 ``coeffs`` list the same non-zero terms in ascending order, ``__call__``
 adds the same float terms in the same order, and ``integrate01`` rounds the
-same exact rational once, so every output is bitwise what a term-by-term
-(dict-merge) representation gives, by construction and not within a
-tolerance.  Every sum, the algebra's results included, is built through
-``PowerSum.__init__``.
+exact rational ``exact_integral01`` once, so every output is bitwise what a
+term-by-term (dict-merge) representation gives, by construction and not
+within a tolerance.  Every sum, the algebra's results included, is built
+through ``PowerSum.__init__``.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ class PowerSum:
                 out += c * flat**p
         return out.reshape(r.shape)
 
-    def integrate01(self) -> float:
-        """Exact value of int_0^1 of this power sum (rounded once on output)."""
+    def exact_integral01(self) -> Fraction:
+        """The exact value of int_0^1 of this power sum."""
         low = self._lowest()
         if low <= -1:
             raise DivergenceError(f"non-integrable power {float(low)} at the origin")
@@ -265,4 +265,8 @@ class PowerSum:
             for j, c in enumerate(cs):
                 if c:
                     total += c / (p1 + j)
-        return float(total)
+        return total
+
+    def integrate01(self) -> float:
+        """int_0^1 of this power sum, its exact value rounded once."""
+        return float(self.exact_integral01())

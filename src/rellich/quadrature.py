@@ -53,8 +53,8 @@ class QuadratureSpec:
     origin_substitution: OriginSubstitution = OriginSubstitution.NONE
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError(f"tolerances must be finite and positive, got {self.rel_tol}, {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 

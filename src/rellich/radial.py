@@ -417,14 +417,16 @@ _REDUCED_FORMS = {
 }
 
 
+def _weighted_laplacian_form(N, ck, m):
+    """The coefficients of int (L_k f)^2 r^{N-1-2m} in the plain-profile
+    moments (int f''^2 r^{N-1-2m}, int f'^2 r^{N-3-2m}, int f^2 r^{N-5-2m})."""
+    return 1, (N - 1) * (2 * m + 1) + 2 * ck, ck * (ck + (N - 4 - 2 * m) * (2 * m + 2))
+
+
 def reduced_form(form: str, N: int, k: int, ck: int, moments) -> float:
     """The named functional from the reduced-profile moments (t1, t2, t3),
     summed in moment order: c1 t1 + c2 t2 + c3 t3 over the present terms."""
-    out = None
-    for c, t in zip(_REDUCED_FORMS[form](N, k, ck), moments):
-        if c is not None:
-            out = c * t if out is None else out + c * t
-    return out
+    return sum(c * t for c, t in zip(_REDUCED_FORMS[form](N, k, ck), moments) if c is not None)
 
 
 @dataclass(frozen=True)
@@ -541,11 +543,7 @@ _FUNCTIONALS: dict[Functional, _FunctionalSpec] = {
         _U,
         lambda N, k, m: (("laplacian", _Integral("laplacian", None, N - 1 - 2 * m), 1.0),),
         lambda N, k, m: _moments(None, (N - 1 - 2 * m, N - 3 - 2 * m, N - 5 - 2 * m)),
-        lambda N, k, ck, m, t: (
-            t[0]
-            + ((N - 1) * (2 * m + 1) + 2 * ck) * t[1]
-            + ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)) * t[2]
-        ),
+        lambda N, k, ck, m, t: sum(c * x for c, x in zip(_weighted_laplacian_form(N, ck, m), t)),
     ),
     Functional.WEIGHTED_GRADIENT: _FunctionalSpec(
         _U,

@@ -3,12 +3,13 @@ improved-inequality family.
 
 Every identity and inequality in scope is registered under a descriptive
 identifier and checked on a seeded suite of mode-compatible test functions
-f(r) = r^{k+j} (1-r)^p q(r) with random polynomial q.  Profile-derived
-densities are finite power sums, so the polynomial parts of both sides are
-integrated exactly and identity residuals are pure round-off; only the
-iterated-log series weights and a few cross-path checks go through
-quadrature.  The series-weighted densities are evaluated in factored form,
-from the jet profile, because the expanded power sum cancels
+f(r) = r^{k+j} (1-r)^p q(r) with random polynomial q, expanded exactly
+from the drawn float coefficients of q.  Profile-derived densities are
+finite power sums, so every term without a series weight is an exact
+rational and an identity declared in such terms has residual exactly 0;
+only the iterated-log series weights and the three jet-path cross-checks go
+through quadrature.  The series-weighted densities are evaluated in
+factored form, from the jet profile, because the expanded power sum cancels
 catastrophically when evaluated pointwise in floats.  Each case result
 carries the number of its integrals that ended unconverged.
 
@@ -17,14 +18,14 @@ weight, n, shift, f2, series)`` stands for int_0^1 D(h) r^weight dr with
 h = L_k^n (r^shift f) (or the companion f2 at mode k2), D one of radial's
 density kinds "square", "gradient", "radial-gradient" and "moment-2", and
 the iterated-log series weight when ``series`` is set.  ``_value`` is the one
-evaluator of a term, ``_sum`` adds (coefficient, term) pairs left to right.
-To add a target, give ``_identity`` or ``_inequality`` a function of the
-case that returns its (lhs, rhs) lists of such pairs: an identity compares
-the two sums, an inequality's slack is sum lhs - sum rhs.  A coefficient
-may be a float, an int or a Fraction; the sums stay in floats unless the
-identity is declared ``exact``.  Only targets whose integrands carry a
-multiplier polynomial or whose slack nests its sums keep a function of
-their own.
+evaluator of a term, ``_sum`` adds (coefficient, term) pairs in exact
+arithmetic, a series term's quadrature value entering as its exact binary
+rational.  To add a target, give ``_identity`` or ``_inequality`` a function
+of the case that returns its (lhs, rhs) lists of such pairs: an identity
+compares the two sums, each rounded once, an inequality's slack is
+sum lhs - sum rhs, rounded once.  A coefficient may be an int, a Fraction or
+a float, taken at its exact binary value.  Only targets whose integrands
+carry a multiplier polynomial keep a function of their own.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .quadrature import (
 )
 from .radial import (
     _REDUCED_FORMS,
+    _weighted_laplacian_form,
     Functional,
     RadialProfile,
     SphericalMode,
@@ -146,15 +148,15 @@ def _random_polynomial(rng, degree: int = 4) -> np.ndarray:
 
 
 def _profile_power_sum(k: int, j: int, p: int, q_coeffs) -> PowerSum:
-    poly = np.polynomial.polynomial.polymul(
-        np.polynomial.polynomial.polypow([1.0, -1.0], p), np.asarray(q_coeffs)
-    )
-    ps = PowerSum.from_poly(poly)
-    return ps.shift(k + j)
+    """r^(k+j) (1-r)^p q(r), expanded exactly from the float coefficients of q."""
+    boundary = PowerSum.from_poly([(-1) ** i * math.comb(p, i) for i in range(p + 1)])
+    return (boundary * PowerSum.from_poly(q_coeffs)).shift(k + j)
 
 
 def standard_suite(seed: int = 0, size: int = 50) -> list[SuiteCase]:
     """The reproducible verification suite; identical bytes for a fixed seed."""
+    if size < 1:
+        raise DomainError(f"suite size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(size):
@@ -248,42 +250,29 @@ def _series_term(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> f
     h = case.jet_profile()
     for _ in range(term.n):
         h = mode_operator(case.mode, h)
-    order, density = _density(term.kind, h, case.mode, term.weight)
+    weight = float(term.weight)
+    order, density = _density(term.kind, h, case.mode, weight)
 
     def weighted(r):
         return density(r) * series_partial(K, np.minimum(r, 1.0))
 
     # a series term can be far below the default abs_tol (about 5e-11 at N = 30),
     # so only rel_tol may end the quadrature
-    origin_power = 2 * (h.origin_order - order) + term.weight
+    origin_power = 2 * (h.origin_order - order) + weight
     return origin_integral(weighted, origin_power, 1.0, replace(spec, abs_tol=1e-280)).value
 
 
-def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> float:
-    """A term's value: exact (rounded once), or by quadrature for a series
-    term truncated at K."""
+def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> Fraction:
+    """A term's value: exact, or the exact binary value of its quadrature for
+    a series term truncated at K."""
     if term.series:
-        return _series_term(case, term, K, spec)
-    return _exact_density(case, term).integrate01()
+        return Fraction(_series_term(case, term, K, spec))
+    return _exact_density(case, term).exact_integral01()
 
 
-def _sum(case: SuiteCase, terms, K: int, spec: QuadratureSpec, exact: bool = False) -> float:
-    """sum coeff * value over (coeff, term) pairs, added left to right in
-    floats (0.0 for no terms); with ``exact``, the rounded values are summed
-    in Fraction and the sum is rounded once."""
-    values = [(c, _value(case, t, K, spec)) for c, t in terms]
-    if exact:
-        return float(sum(Fraction(c) * Fraction(v) for c, v in values))
-    total = None
-    for c, v in values:
-        total = c * v if total is None else total + c * v
-    return 0.0 if total is None else total
-
-
-def _cross_path_spec(spec: QuadratureSpec) -> QuadratureSpec:
-    # the exact side carries no error, so the quadrature side must be pushed
-    # to its round-off floor even when the integral itself is tiny
-    return replace(spec, rel_tol=min(spec.rel_tol, 1e-12), abs_tol=1e-280)
+def _sum(case: SuiteCase, terms, K: int, spec: QuadratureSpec) -> Fraction:
+    """sum coeff * value over (coeff, term) pairs, exactly (0 for no terms)."""
+    return sum((Fraction(c) * _value(case, t, K, spec) for c, t in terms), Fraction())
 
 
 def _cross_path(kind: str, weight, rhs):
@@ -293,9 +282,12 @@ def _cross_path(kind: str, weight, rhs):
     def fn(case: SuiteCase, spec: QuadratureSpec):
         w = weight(case)
         order, density = _density(kind, case.jet_profile(), case.mode, w)
+        # the exact side carries no error, so the quadrature side is pushed to
+        # its round-off floor even when the integral itself is tiny
+        exact_spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-12), abs_tol=1e-280)
         # f = O(r^k), so the density behaves like r^{2 (k - order) + w}
-        lhs = origin_integral(density, 2 * (case.k - order) + w, 1.0, _cross_path_spec(spec)).value
-        return lhs, _sum(case, rhs(case), 1, spec)
+        lhs = origin_integral(density, 2 * (case.k - order) + w, 1.0, exact_spec).value
+        return lhs, float(_sum(case, rhs(case), 1, spec))
 
     return fn
 
@@ -322,6 +314,11 @@ def _v_side(N: int, c_rad, c_grad, m=0) -> list:
     return [(1, _v_lap(N, m)), (c_rad, _v_rad(N, m)), (c_grad, _v_grad(N, m))]
 
 
+def _excess(N: int) -> Fraction:
+    """The section 2 constant 2(N-2)^2 of the radial-minus-half-full excess."""
+    return C._section2_exact(N)["v-laplacian-radial-excess"]
+
+
 def _deficit(N: int, kind: str, constant, m=0, series=None, f2: bool = False) -> list:
     """int (L_k f)^2 r^{N-1-2m} less ``constant`` times int f^2 r^{N-5-2m}
     (kind "square") or int |grad f|^2 r^{N-3-2m} (kind "gradient"), and less
@@ -345,7 +342,7 @@ def _deficit_II(N: int, f2: bool = False) -> list:
 
 def _less_section2(deficit, name: str, term):
     """A deficit less the section 2 constant ``name`` times a v-side term."""
-    return lambda c: (deficit(c.N) + [(-C.section2_constants(c.N)[name], term(c.N))], [])
+    return lambda c: (deficit(c.N) + [(-C._section2_exact(c.N)[name], term(c.N))], [])
 
 
 def _radialization(deficit, coeff):
@@ -354,12 +351,12 @@ def _radialization(deficit, coeff):
     return lambda c: (deficit(c.N, f2=True) + [(-coeff(c.N), _Int("square", c.N - 1, 1, f2=True))], [])
 
 
-def _hardy_improved(N: int, m, constant: float):
-    """int |grad f|^2 r^{N-1-2m} less constant times int f^2 r^{N-3-2m}, less
+def _hardy_improved(N: int, m):
+    """int |grad f|^2 r^{N-1-2m} less ((N-2-2m)/2)^2 int f^2 r^{N-3-2m}, less
     a quarter of the latter with the series weight."""
     return [
         (1, _Int("gradient", N - 1 - 2 * m)),
-        (-constant, _Int("square", N - 3 - 2 * m)),
+        (-Fraction(N - 2 - 2 * m, 2) ** 2, _Int("square", N - 3 - 2 * m)),
         (-0.25, _Int("square", N - 3 - 2 * m, series=True)),
     ], []
 
@@ -390,20 +387,17 @@ def _power_shift(N: int, m: Fraction, a: Fraction):
     ]
 
 
-def _grad_split(N: int, m, coeff):
-    """int |grad u|^2 r^{N-3-2m} and its split on v = r^{(N-4-2m)/2} f, where
-    coeff = ((N-4-2m)/2)^2."""
+def _grad_split(N: int, m):
+    """int |grad u|^2 r^{N-3-2m} and its split on v = r^{(N-4-2m)/2} f."""
     v = _v(N, m)
-    return [(1, _Int("gradient", N - 3 - 2 * m))], [(1, _v_grad(N, m)), (coeff, _Int("square", -1, 0, v))]
+    return [(1, _Int("gradient", N - 3 - 2 * m))], [(1, _v_grad(N, m)), (v * v, _Int("square", -1, 0, v))]
 
 
 def _weighted_laplacian_fside(N: int, ck: int, m: Fraction):
     """int (L_k f)^2 r^{N-1-2m} and its plain-profile moments."""
-    return [(1, _Int("square", N - 1 - 2 * m, 1))], [
-        (1, _Int("moment-2", N - 1 - 2 * m)),
-        ((N - 1) * (2 * m + 1) + 2 * ck, _Int("radial-gradient", N - 3 - 2 * m)),
-        (ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)), _Int("square", N - 5 - 2 * m)),
-    ]
+    w = N - 1 - 2 * m
+    moments = (_Int("moment-2", w), _Int("radial-gradient", w - 2), _Int("square", w - 4))
+    return [(1, _Int("square", w, 1))], list(zip(_weighted_laplacian_form(N, ck, m), moments))
 
 
 def _weighted_deficit(N: int, m: Fraction):
@@ -426,7 +420,7 @@ def _higher_order(variant: C.HigherOrderVariant):
         lhs = [(1, _Int(lead, N - 1, order))]
         for t, coeff in C.higher_order_coefficients(N, order, HIGHER_ORDER_L, variant):
             kind = "gradient" if t.kind == "gradient" else "square"
-            lhs.append((-float(coeff), _Int(kind, N - 1 - t.weight_power, t.delta_order, series=t.with_series)))
+            lhs.append((-coeff, _Int(kind, N - 1 - t.weight_power, t.delta_order, series=t.with_series)))
         return lhs, []
 
     return terms
@@ -452,10 +446,10 @@ class Target:
     terms: object = None
 
 
-def _identity(name: str, description: str, terms, applies=None, exact: bool = False) -> Target:
+def _identity(name: str, description: str, terms, applies=None) -> Target:
     def fn(case, spec):
         lhs, rhs = terms(case)
-        return _sum(case, lhs, 1, spec, exact), _sum(case, rhs, 1, spec, exact)
+        return float(_sum(case, lhs, 1, spec)), float(_sum(case, rhs, 1, spec))
 
     return Target(name, "identity", description, fn, applies, terms)
 
@@ -463,7 +457,7 @@ def _identity(name: str, description: str, terms, applies=None, exact: bool = Fa
 def _inequality(name: str, description: str, terms, applies=None) -> Target:
     def fn(case, K, spec):
         lhs, rhs = terms(case)
-        return _sum(case, lhs, K, spec) - _sum(case, rhs, K, spec)
+        return float(_sum(case, lhs, K, spec) - _sum(case, rhs, K, spec))
 
     return Target(name, "inequality", description, fn, applies, terms)
 
@@ -472,34 +466,21 @@ def _id_weighted_green(case: SuiteCase, spec):
     N, ck = case.N, case.eigenvalue
     f = case.f
     B, a = case.weight_poly, Fraction(case.weight_exponent)
-    lhs = (B * _grad_sq(f, ck)).shift(N - 1 - a).integrate01()
-    rhs = -(B * (f * f.mode_apply(N, ck))).shift(N - 1 - a).integrate01()
-    rhs += Fraction(1, 2) * ((B.shift(-a).mode_apply(N, 0) * f.square()).shift(N - 1)).integrate01()
-    return lhs, rhs
+    lhs = (B * _grad_sq(f, ck)).shift(N - 1 - a)
+    rhs = Fraction(1, 2) * (B.shift(-a).mode_apply(N, 0) * f.square()).shift(N - 1)
+    rhs -= (B * (f * f.mode_apply(N, ck))).shift(N - 1 - a)
+    return lhs.integrate01(), rhs.integrate01()
 
 
 def _id_potential_gside(case: SuiteCase, spec):
     N, k, ck = case.N, case.k, case.eigenvalue
     V = case.potential_poly
     f, g = case.f, case.f.shift(_v(N) - k)
-    lhs = (V * _grad_sq(f, ck)).shift(N - 3).integrate01()
-    rhs = (V * g.deriv().square()).shift(2 * k + 1).integrate01()
-    rhs += _REDUCED_FORMS["gradient"](N, k, ck)[2] * (V * g.square()).shift(2 * k - 1).integrate01()
-    rhs += ((N - 4) / 2.0 - k) * (V.deriv() * g.square()).shift(2 * k).integrate01()
-    return lhs, rhs
-
-
-def _slack_vlap_radial_excess(case: SuiteCase, K: int, spec):
-    lap, radial, full = (_value(case, t(case.N), K, spec) for t in (_v_lap, _v_rad, _v_grad))
-    return lap - C.section2_constants(case.N)["v-laplacian-radial-excess"] * (radial - 0.5 * full)
-
-
-def _slack_radial_angular_balance(case: SuiteCase, K: int, spec):
-    N = case.N
-    radial, full = (_value(case, t(N), K, spec) for t in (_v_rad, _v_grad))
-    lhs = radial - 0.5 * full
-    rhs = (N * (N - 4.0) * radial + 4.0 * full) / C.section2_constants(N)["v-laplacian-radial-excess"]
-    return rhs - lhs
+    lhs = (V * _grad_sq(f, ck)).shift(N - 3)
+    rhs = (V * g.deriv().square()).shift(2 * k + 1)
+    rhs += _REDUCED_FORMS["gradient"](N, k, ck)[2] * (V * g.square()).shift(2 * k - 1)
+    rhs += (_v(N) - k) * (V.deriv() * g.square()).shift(2 * k)
+    return lhs.integrate01(), rhs.integrate01()
 
 
 def _needs_mode(case: SuiteCase) -> str | None:
@@ -523,11 +504,11 @@ _IDENTITY_TARGETS = [
     _identity("power-shift-laplacian", "Laplacian expansion under v = r^a u",
               lambda c: _power_shift(c.N, Fraction(0), Fraction(c.shift_exponent) * _v(c.N))),
     _identity("grad-weight-split", "gradient/|x|^2 split under v = r^{(N-4)/2} u",
-              lambda c: _grad_split(c.N, 0, ((c.N - 4) / 2.0) ** 2)),
+              lambda c: _grad_split(c.N, 0)),
     _identity("rellich-deficit-j", "Rellich deficit equals the v-side J functional",
-              lambda c: (_deficit_I(c.N), _v_side(c.N, -c.N * (c.N - 4.0), c.N * (c.N - 4) / 2.0))),
+              lambda c: (_deficit_I(c.N), _v_side(c.N, -c.N * (c.N - 4), Fraction(c.N * (c.N - 4), 2)))),
     _identity("gradrellich-deficit-jj", "gradient-Rellich deficit equals the v-side JJ functional",
-              lambda c: (_deficit_II(c.N), _v_side(c.N, -c.N * (c.N - 4.0), c.N * (c.N - 8) / 4.0))),
+              lambda c: (_deficit_II(c.N), _v_side(c.N, -c.N * (c.N - 4), Fraction(c.N * (c.N - 8), 4)))),
     Target("mode-laplacian-reduction", "identity",
            "mode operator equals the radial Laplacian minus c_k/r^2 (jet path vs exact path)",
            _cross_path("laplacian", lambda c: c.N - 1, lambda c: [(1, _Int("square", c.N - 1, 1))])),
@@ -550,26 +531,26 @@ _IDENTITY_TARGETS = [
     Target("potential-gside", "identity", "C^1-potential-weighted gradient identity",
            _id_potential_gside, _needs_mode),
     _identity("weighted-laplacian-fside", "|Delta u_k|^2/|x|^{2m} in plain-profile moments",
-              lambda c: _weighted_laplacian_fside(c.N, c.eigenvalue, c.m_exact), exact=True),
+              lambda c: _weighted_laplacian_fside(c.N, c.eigenvalue, c.m_exact)),
     Target("weighted-gradient-fside", "identity",
            "|grad u_k|^2/|x|^{2m+2} in plain-profile moments (jet path vs exact path)",
            _cross_path("gradient", lambda c: c.N - 3 - 2 * c.m, lambda c: [
-               (1, _Int("radial-gradient", c.N - 3 - 2 * c.m)),
-               (c.eigenvalue, _Int("square", c.N - 5 - 2 * c.m)),
+               (1, _Int("radial-gradient", c.N - 3 - 2 * c.m_exact)),
+               (c.eigenvalue, _Int("square", c.N - 5 - 2 * c.m_exact)),
            ])),
     _identity("weighted-power-shift-laplacian", "weighted Laplacian expansion under v = r^a u",
               lambda c: _power_shift(c.N, c.m_exact, Fraction(c.shift_exponent) * _v(c.N, c.m_exact))),
     _identity("weighted-grad-split", "weighted gradient split under v = r^{(N-4-2m)/2} u",
-              lambda c: _grad_split(c.N, c.m_exact, _v(c.N, c.m_exact) ** 2), exact=True),
+              lambda c: _grad_split(c.N, c.m_exact)),
     _identity("weighted-rellich-deficit", "weighted Rellich deficit in v-side form",
-              lambda c: _weighted_deficit(c.N, c.m_exact), exact=True),
+              lambda c: _weighted_deficit(c.N, c.m_exact)),
 ]
 
 _INEQUALITY_TARGETS = [
     _inequality("hardy-improved", "Hardy inequality with the iterated-log series",
-                lambda c: _hardy_improved(c.N, 0, C.hardy_constant(c.N))),
+                lambda c: _hardy_improved(c.N, 0)),
     _inequality("hardy-improved-weighted", "weighted Hardy inequality with the series",
-                lambda c: _hardy_improved(c.N, c.m, ((c.N - 2 * c.m - 2) / 2.0) ** 2)),
+                lambda c: _hardy_improved(c.N, c.m_exact)),
     _inequality("rellich", "Rellich inequality", lambda c: (_deficit_I(c.N), [])),
     _inequality("rellich-gradient", "Laplacian vs gradient/|x|^2 inequality", lambda c: (_deficit_II(c.N), [])),
     _inequality("rellich-deficit-vgrad", "Rellich deficit bounds the v-gradient term",
@@ -577,32 +558,36 @@ _INEQUALITY_TARGETS = [
     _inequality("gradrellich-deficit-vgrad", "gradient-Rellich deficit bounds the v-gradient term",
                 _less_section2(_deficit_II, "gradrellich-deficit-vgrad", _v_grad)),
     _inequality("v-laplacian-lower", "v-Laplacian lower bound by radial and full gradients",
-                lambda c: ([(1, _v_lap(c.N))], [(c.N * (c.N - 4.0), _v_rad(c.N)), (4.0, _v_grad(c.N))])),
-    Target("v-laplacian-radial-excess", "inequality",
-           "v-Laplacian bounds the radial-minus-half-full gradient excess", _slack_vlap_radial_excess),
-    Target("radial-angular-balance", "inequality", "radial-vs-angular gradient balance",
-           _slack_radial_angular_balance),
+                lambda c: (_v_side(c.N, -c.N * (c.N - 4), -4), [])),
+    _inequality("v-laplacian-radial-excess", "v-Laplacian bounds the radial-minus-half-full gradient excess",
+                lambda c: (_v_side(c.N, -_excess(c.N), _excess(c.N) / 2), [])),
+    # (N(N-4) int v'^2 r + 4 int |grad v|^2 r) / 2(N-2)^2 less the radial
+    # excess int v'^2 r - (1/2) int |grad v|^2 r, each integral taken once
+    _inequality("radial-angular-balance", "radial-vs-angular gradient balance",
+                lambda c: ([(c.N * (c.N - 4) / _excess(c.N) - 1, _v_rad(c.N)),
+                            (4 / _excess(c.N) + Fraction(1, 2), _v_grad(c.N))], [])),
     _inequality("rellich-deficit-vlap", "Rellich deficit bounds the v-Laplacian term",
                 _less_section2(_deficit_I, "rellich-deficit-vlap", _v_lap)),
     _inequality("gradrellich-deficit-vlap", "gradient-Rellich deficit bounds the v-Laplacian term",
                 _less_section2(_deficit_II, "gradrellich-deficit-vlap", _v_lap)),
     _inequality("radialization-rellich", "Rellich deficit controls the non-radial remainder",
-                _radialization(_deficit_I, lambda N: 8.0 * (N - 1) * (N * N - 2 * N - 2) / (N * N - 4) ** 2)),
+                _radialization(_deficit_I, lambda N: Fraction(8 * (N - 1) * (N * N - 2 * N - 2), (N * N - 4) ** 2))),
     _inequality("radialization-gradrellich", "gradient-Rellich deficit controls the non-radial remainder",
-                _radialization(_deficit_II, lambda N: 4.0 * (N - 1) * (N * N - 4 * N - 4) / (N * N - 4) ** 2)),
+                _radialization(_deficit_II, lambda N: Fraction(4 * (N - 1) * (N * N - 4 * N - 4), (N * N - 4) ** 2))),
     _inequality("rellich-improved", "Rellich inequality with the iterated-log series",
                 lambda c: (_deficit(c.N, "square", C.rellich_constant(c.N), series=C.sigma_bar(0, c.N)), [])),
     _inequality("rellich-gradient-improved", "gradient-Rellich inequality with the series",
                 lambda c: (_deficit(c.N, "gradient", C.rellich_grad_constant(c.N), series=0.25), [])),
     _inequality("rellich-weighted", "weighted Rellich inequality",
-                lambda c: (_deficit(c.N, "square", C.sigma(c.m, c.N), c.m), [])),
+                lambda c: (_deficit(c.N, "square", C._sigma_exact(c.m_exact, c.N), c.m_exact), [])),
     _inequality("rellich-weighted-improved", "weighted Rellich inequality with the series",
-                lambda c: (_deficit(c.N, "square", C.sigma(c.m, c.N), c.m, C.sigma_bar(c.m, c.N)), [])),
+                lambda c: (_deficit(c.N, "square", C._sigma_exact(c.m_exact, c.N), c.m_exact,
+                                   C._sigma_bar_exact(c.m_exact, c.N)), [])),
     _inequality("rellich-gradient-weighted",
                 "weighted Laplacian vs gradient inequality with the minimized constant",
-                lambda c: (_deficit(c.N, "gradient", C.a_mn(c.N, c.m).value, c.m), [])),
+                lambda c: (_deficit(c.N, "gradient", C.a_mn(c.N, c.m_exact).exact, c.m_exact), [])),
     _inequality("rellich-gradient-weighted-improved", "weighted Laplacian vs gradient inequality with the series",
-                lambda c: (_deficit(c.N, "gradient", C.weighted_rellich_grad_constant(c.N, c.m), c.m, 0.25), []),
+                lambda c: (_deficit(c.N, "gradient", C._per_mode_exact(0, c.N, c.m_exact), c.m_exact, 0.25), []),
                 _needs_wgrad_range),
     _inequality("higher-order-rellich-chain", "polyharmonic improvement through repeated Rellich steps",
                 _higher_order(C.HigherOrderVariant.RELLICH_CHAIN), _needs_higher_order),

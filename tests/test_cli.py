@@ -59,6 +59,12 @@ def test_amn_table_small_dimension_modes(capsys):
     assert argmins <= {0, 1}
 
 
+def test_amn_table_rejects_a_malformed_grid_token(capsys):
+    code, out, err = run_cli(capsys, "amn-table", "--N", "6", "--grid", "0.1,abc")
+    assert (code, out) == (2, "")
+    assert "'abc'" in err
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--set", "identities", "--seed", "7", "--suite-size", "8"
@@ -71,6 +77,21 @@ def test_verify_rejects_small_dimension(capsys):
     code, _, err = run_cli(capsys, "verify", "--set", "identities", "--N", "4")
     assert code == 2
     assert "N >= 5" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_verify_rejects_an_empty_suite(capsys, size):
+    code, out, err = run_cli(capsys, "verify", "--suite-size", size)
+    assert (code, out) == (2, "")
+    assert "suite size" in err
+
+
+@pytest.mark.parametrize("flags", [("verify", "--rel-tol", "nan"),
+                                   ("scan", "--family", "amn", "--N", "6", "--rel-tol", "inf", "--abs-tol", "inf")])
+def test_non_finite_tolerances_are_usage_errors(capsys, flags):
+    code, out, err = run_cli(capsys, *flags)
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_registry_listing(capsys):
@@ -138,6 +159,15 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "registry")
     assert code == 2
     assert "unknown config key" in err
+
+
+def test_config_file_rejects_a_value_of_the_wrong_type(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "rellich.cfg"
+    cfg.write_text("seed = abc\n")
+    monkeypatch.setenv("RELLICH_CONFIG", str(cfg))
+    code, _, err = run_cli(capsys, "registry")
+    assert code == 2
+    assert "'seed'" in err
 
 
 def test_constants_missing_weight_is_a_usage_error(capsys):
@@ -257,52 +287,53 @@ def test_constants_golden_missing_weight(capsys, family):
     assert (code, out, err) == (2, "", f"error: family '{family}' requires --m\n")
 
 
-# `rellich verify --set all --seed 7 --suite-size 12` stdout, recorded before
-# the registry targets were declared as term lists; every worst value must
-# stay bitwise the same
+# `rellich verify --set all --seed 7 --suite-size 12` stdout, recorded once
+# every registry value was decided in exact arithmetic: a worst residual of
+# 0 marks an identity that holds exactly; every worst value must stay
+# bitwise the same
 _VERIFY_GOLDEN = (
-    "weighted-green: pass (worst 3.3879710130613404e-16)\n"
-    "power-shift-laplacian: pass (worst 1.0887923734982721e-16)\n"
-    "grad-weight-split: pass (worst 7.9676876019962222e-17)\n"
-    "rellich-deficit-j: pass (worst 1.2136220395693859e-16)\n"
-    "gradrellich-deficit-jj: pass (worst 1.9377040699040359e-16)\n"
-    "mode-laplacian-reduction: pass (worst 5.9566022209233538e-12)\n"
-    "mode-gradient-reduction: pass (worst 1.3486514798375795e-11)\n"
-    "laplacian-gside: pass (worst 1.0848520470540963e-16)\n"
-    "gradient-gside: pass (worst 7.9676876019962222e-17)\n"
-    "rellich-deficit-gside: pass (worst 1.2702379157333725e-16)\n"
-    "gradrellich-deficit-gside: pass (worst 1.1820971623210536e-16)\n"
-    "v-laplacian-gside: pass (worst 7.0098309445403165e-17)\n"
-    "v-gradient-gside: pass (worst 8.1034101241133532e-17)\n"
-    "v-radial-gside: pass (worst 1.1075985869563685e-16)\n"
-    "potential-gside: pass (worst 1.0385901414441239e-16)\n"
-    "weighted-laplacian-fside: pass (worst 1.0357529408607234e-16)\n"
-    "weighted-gradient-fside: pass (worst 1.5040659349129762e-12)\n"
-    "weighted-power-shift-laplacian: pass (worst 9.9993493092781563e-17)\n"
-    "weighted-grad-split: pass (worst 9.2143829098466602e-17)\n"
-    "weighted-rellich-deficit: pass (worst 9.9123349765449069e-17)\n"
-    "hardy-improved: pass (worst 4.5786939228380764e-10)\n"
-    "hardy-improved-weighted: pass (worst 1.5481625794998819e-08)\n"
-    "rellich: pass (worst 4.1521133633846875e-07)\n"
-    "rellich-gradient: pass (worst 2.5914788680874308e-07)\n"
-    "rellich-deficit-vgrad: pass (worst 1.41926895828638e-07)\n"
-    "gradrellich-deficit-vgrad: pass (worst 1.41926895828638e-07)\n"
-    "v-laplacian-lower: pass (worst 1.41926895828638e-07)\n"
-    "v-laplacian-radial-excess: pass (worst 3.134888806318933e-07)\n"
-    "radial-angular-balance: pass (worst -1.6543612251060553e-24)\n"
-    "rellich-deficit-vlap: pass (worst 1.5594472378372241e-07)\n"
-    "gradrellich-deficit-vlap: pass (worst 1.4793961898703715e-07)\n"
-    "radialization-rellich: pass (worst 1.6657821625928544e-08)\n"
-    "radialization-gradrellich: pass (worst 1.2666319389295583e-08)\n"
-    "rellich-improved: pass (worst 4.1381668953338442e-07)\n"
-    "rellich-gradient-improved: pass (worst 2.5802256163923242e-07)\n"
-    "rellich-weighted: pass (worst 1.3210604052699083e-05)\n"
-    "rellich-weighted-improved: pass (worst 1.3110066024888935e-05)\n"
-    "rellich-gradient-weighted: pass (worst 7.7576556925487156e-06)\n"
-    "rellich-gradient-weighted-improved: pass (worst 7.6927865946723779e-06)\n"
-    "higher-order-rellich-chain: pass (worst 0.30406076379614522)\n"
-    "higher-order-gradient-chain: pass (worst 574.84650482494044)\n"
-    "higher-order-alternating-chain: pass (worst 0.26767285784425754)\n"
+    "weighted-green: pass (worst 0)\n"
+    "power-shift-laplacian: pass (worst 0)\n"
+    "grad-weight-split: pass (worst 0)\n"
+    "rellich-deficit-j: pass (worst 0)\n"
+    "gradrellich-deficit-jj: pass (worst 0)\n"
+    "mode-laplacian-reduction: pass (worst 2.3345698379506521e-16)\n"
+    "mode-gradient-reduction: pass (worst 1.5830579031717434e-16)\n"
+    "laplacian-gside: pass (worst 0)\n"
+    "gradient-gside: pass (worst 0)\n"
+    "rellich-deficit-gside: pass (worst 0)\n"
+    "gradrellich-deficit-gside: pass (worst 0)\n"
+    "v-laplacian-gside: pass (worst 0)\n"
+    "v-gradient-gside: pass (worst 0)\n"
+    "v-radial-gside: pass (worst 0)\n"
+    "potential-gside: pass (worst 0)\n"
+    "weighted-laplacian-fside: pass (worst 0)\n"
+    "weighted-gradient-fside: pass (worst 5.5286297459079826e-16)\n"
+    "weighted-power-shift-laplacian: pass (worst 0)\n"
+    "weighted-grad-split: pass (worst 0)\n"
+    "weighted-rellich-deficit: pass (worst 0)\n"
+    "hardy-improved: pass (worst 4.578693922160161e-10)\n"
+    "hardy-improved-weighted: pass (worst 1.5481625794954029e-08)\n"
+    "rellich: pass (worst 4.1521133633910705e-07)\n"
+    "rellich-gradient: pass (worst 2.5914788682742503e-07)\n"
+    "rellich-deficit-vgrad: pass (worst 1.4192689586087274e-07)\n"
+    "gradrellich-deficit-vgrad: pass (worst 1.4192689586087274e-07)\n"
+    "v-laplacian-lower: pass (worst 1.4192689586087274e-07)\n"
+    "v-laplacian-radial-excess: pass (worst 3.1348888066876088e-07)\n"
+    "radial-angular-balance: pass (worst 0)\n"
+    "rellich-deficit-vlap: pass (worst 1.5594472380206218e-07)\n"
+    "gradrellich-deficit-vlap: pass (worst 1.4793961901331187e-07)\n"
+    "radialization-rellich: pass (worst 1.6657821625374909e-08)\n"
+    "radialization-gradrellich: pass (worst 1.2666319389543944e-08)\n"
+    "rellich-improved: pass (worst 4.1381668953402271e-07)\n"
+    "rellich-gradient-improved: pass (worst 2.5802256165791437e-07)\n"
+    "rellich-weighted: pass (worst 1.3210604052705591e-05)\n"
+    "rellich-weighted-improved: pass (worst 1.3110066024895442e-05)\n"
+    "rellich-gradient-weighted: pass (worst 7.757655692567491e-06)\n"
+    "rellich-gradient-weighted-improved: pass (worst 7.6927865946911566e-06)\n"
+    "higher-order-rellich-chain: pass (worst 0.3040607637957039)\n"
+    "higher-order-gradient-chain: pass (worst 574.84650482497364)\n"
+    "higher-order-alternating-chain: pass (worst 0.26767285784420775)\n"
 )
 
 

@@ -132,6 +132,11 @@ def test_classification_finite_and_divergent():
 def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(DomainError):
+            QuadratureSpec(abs_tol=bad)
     with pytest.raises(DomainError):
         integrate(np.sin, 1.0, 0.5, SPEC)
 

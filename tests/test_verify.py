@@ -107,6 +107,39 @@ def test_full_identity_registry_on_small_suite():
         assert report.passed, (name, report.worst_case)
 
 
+# the identities whose lhs is a quadrature of the jet profile
+_JET_PATH = {"mode-laplacian-reduction", "mode-gradient-reduction", "weighted-gradient-fside"}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9])
+def test_exact_identities_have_zero_residual(seed):
+    names = [name for name in registry_targets("identity") if name not in _JET_PATH]
+    assert len(names) == 17
+    suite = standard_suite(seed=seed)
+    for name in names:
+        report = check_identity(name, suite, SPEC)
+        assert all(r.rejected or r.value == 0.0 for r in report.results), (name, report.worst_case)
+
+
+def test_exact_residual_shows_a_one_ulp_coefficient_error(monkeypatch):
+    form = verify._REDUCED_FORMS["rellich-deficit"]
+
+    def perturbed(N, k, ck):
+        c1, c2, c3 = form(N, k, ck)
+        return c1, c2, c3 * (1 + 1e-15)
+
+    monkeypatch.setitem(verify._REDUCED_FORMS, "rellich-deficit", perturbed)
+    suite = [case for case in standard_suite(seed=7) if case.k >= 1]
+    report = check_identity("rellich-deficit-gside", suite, SPEC)
+    assert any(r.value > 0.0 for r in report.results)
+
+
+def test_suite_size_must_be_positive():
+    for size in (0, -3):
+        with pytest.raises(DomainError):
+            standard_suite(seed=0, size=size)
+
+
 def test_full_inequality_registry_on_small_suite():
     suite = standard_suite(seed=3, size=12)
     for name in registry_targets("inequality"):
