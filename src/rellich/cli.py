@@ -70,8 +70,11 @@ def load_config(path: str | None) -> dict:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -173,7 +176,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_amn_table(args) -> int:
-    N = args.N
+    N = C._check_dimension(args.N, 5)
     try:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:

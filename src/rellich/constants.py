@@ -316,36 +316,32 @@ def higher_order_coefficients(N: int, m: int, l: int, variant: HigherOrderVarian
         raise DomainError("l must be an integer")
     l = int(l)
 
-    def sig(arg) -> Fraction:
-        return (Fraction(N + 2 * arg) * (N - 4 - 2 * arg) / 4) ** 2
-
-    def sigbar(arg) -> Fraction:
-        return (1 + Fraction(arg)) ** 2 + Fraction(N + 2 * arg) * (N - 4 - 2 * arg) / 8
-
     hardy = Fraction(N - 2, 2) ** 2
     terms: list[tuple[TermSpec, Fraction]] = []
     if variant is HigherOrderVariant.RELLICH_CHAIN:
         if not 0 <= l <= m - 1:
             raise DomainError(f"need 0 <= l <= m-1 = {m-1}, got l={l}")
-        lead = math.prod((sig(2 * j) for j in range(l + 1)), start=Fraction(1))
+        lead = math.prod((_sigma_exact(2 * j, N) for j in range(l + 1)), start=Fraction(1))
         terms.append((TermSpec("laplacian", m - l - 1, 4 * l + 4, False), lead))
         for k in range(1, l + 1):
-            coeff = sigbar(2 * k) * math.prod((sig(2 * j) for j in range(k)), start=Fraction(1))
+            coeff = _sigma_bar_exact(2 * k, N) * math.prod(
+                (_sigma_exact(2 * j, N) for j in range(k)), start=Fraction(1)
+            )
             terms.append((TermSpec("laplacian", m - k - 1, 4 * k + 4, True), coeff))
         terms.append((TermSpec("laplacian", m - 1, 4, True), 1 + Fraction(N * (N - 4), 8)))
     elif variant is HigherOrderVariant.GRADIENT_CHAIN:
         if not 0 <= l <= m - 1:
             raise DomainError(f"need 0 <= l <= m-1 = {m-1}, got l={l}")
-        lead = hardy * math.prod((sig(2 * j + 1) for j in range(l)), start=Fraction(1))
+        lead = hardy * math.prod((_sigma_exact(2 * j + 1, N) for j in range(l)), start=Fraction(1))
         terms.append((TermSpec("laplacian", m - l, 4 * l + 2, False), lead))
         for k in range(2, l + 1):
-            coeff = hardy * sigbar(2 * k - 1) * math.prod(
-                (sig(2 * j + 1) for j in range(k - 1)), start=Fraction(1)
+            coeff = hardy * _sigma_bar_exact(2 * k - 1, N) * math.prod(
+                (_sigma_exact(2 * j + 1, N) for j in range(k - 1)), start=Fraction(1)
             )
             terms.append((TermSpec("laplacian", m - k, 4 * k + 2, True), coeff))
         if l >= 1:
             # the first Rellich step's own improvement series
-            terms.append((TermSpec("laplacian", m - 1, 6, True), hardy * sigbar(1)))
+            terms.append((TermSpec("laplacian", m - 1, 6, True), hardy * _sigma_bar_exact(1, N)))
         terms.append((TermSpec("laplacian", m, 2, True), Fraction(1, 4)))
     elif variant is HigherOrderVariant.ALTERNATING_CHAIN:
         upper = _alternating_upper_l(N)
@@ -353,17 +349,17 @@ def higher_order_coefficients(N: int, m: int, l: int, variant: HigherOrderVarian
             raise DomainError(f"need 1 <= l <= {upper:.6g}, got l={l}")
         if l > m:
             raise DomainError(f"need l <= m = {m}, got l={l}")
-        lead = math.prod((sig(2 * j) for j in range(l)), start=Fraction(1))
+        lead = math.prod((_sigma_exact(2 * j, N) for j in range(l)), start=Fraction(1))
         terms.append((TermSpec("laplacian", m - l, 4 * l, False), lead))
         # The k-th round applies the weighted gradient-Rellich improvement at
         # weight 2(k-1) (its validity range is exactly the stated l-bound)
         # and then the weighted Hardy improvement; each contributes its 1/4
         # series scaled by the constants accumulated in earlier rounds.
         for k in range(1, l + 1):
-            acc = math.prod((sig(2 * j) for j in range(k - 1)), start=Fraction(1))
+            acc = math.prod((_sigma_exact(2 * j, N) for j in range(k - 1)), start=Fraction(1))
             terms.append((TermSpec("gradient", m - k, 4 * k - 2, True), acc / 4))
         for k in range(1, l + 1):
-            acc = math.prod((sig(2 * j) for j in range(k - 1)), start=Fraction(1))
+            acc = math.prod((_sigma_exact(2 * j, N) for j in range(k - 1)), start=Fraction(1))
             coeff = acc * Fraction(N + 4 * (k - 1)) ** 2 / 16
             terms.append((TermSpec("laplacian", m - k, 4 * k, True), coeff))
     else:  # pragma: no cover - exhaustive enum

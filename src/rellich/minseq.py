@@ -38,7 +38,10 @@ from .radial import (
     RadialProfile,
     SphericalMode,
     TestFunction,
-    gradient_density,
+    _KIND_ORDERS,
+    _Integral,
+    _jet_density,
+    _v_exponent,
 )
 from .taylor import Jet
 
@@ -144,7 +147,7 @@ class MinSeqParams:
     @property
     def power_exponent(self) -> float:
         """Exponent of the leading power: -(N-4-2m)/2 + eps."""
-        return -(self.N - 4.0 - 2.0 * self.m) / 2.0 + self.epsilon
+        return -_v_exponent(self.N, self.m) + self.epsilon
 
     def _eta_b_at(self, r, i: int):
         prods = _log_products(xk_values(len(self.a), np.asarray(r, dtype=float)))
@@ -427,7 +430,7 @@ def _closed_forms(params: MinSeqParams, eps, eta, B) -> _Forms:
     """The forms, with q0 = -(N-4-2m)/2, in any number type that eps, eta
     and B share: float arrays in s, or polynomials in (eps, X_1)."""
     N, k = params.N, params.mode_k
-    q0 = -(N - 4.0 - 2.0 * params.m) / 2.0
+    q0 = -_v_exponent(N, params.m)
     ck = k * (N + k - 2)
     delta = (
         eps * (2 * q0 + N - 2 + eps)
@@ -489,20 +492,12 @@ def _inner_density(params: MinSeqParams, s: np.ndarray, K: int, terms) -> np.nda
     return common * _closed_density(terms, forms, prods, K)
 
 
-def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
-    """L_k f at r from a jet F of f at r of order >= 2, with the operations
-    of :func:`rellich.radial.mode_operator` in the same order, so the value
-    is bitwise that of the mode-operator profile."""
-    out = F.deriv(2) + (F.deriv(1) / r) * (N - 1)
-    if ck:
-        out = out - (F.value / (r * r)) * ck
-    return out
-
-
 class _OuterTerms:
     """Jet-evaluated pieces of the densities on the cutoff transition zone.
 
-    u's profile is memoized: the numerator and the denominator of one
+    Each piece is declared as a radial integral of u, or of v = r^shift u,
+    whose density :func:`rellich.radial._jet_density` forms from one jet of
+    u.  u's profile is memoized: the numerator and the denominator of one
     quotient integrate over the same zone and share most of their nodes, and
     the memo lives only as long as this object."""
 
@@ -511,36 +506,35 @@ class _OuterTerms:
         tf = build_minimizer(params)
         self.mode = tf.mode
         self.u = tf.profile.memoized()
-        self.v_shift = (params.N - 4.0 - 2.0 * params.m) / 2.0
+        N, m, shift = params.N, params.m, _v_exponent(params.N, params.m)
+        self.integrals = {
+            "lap_u": _Integral("square", None, N - 1 - 2 * m, 1),
+            "grad_u": _Integral("gradient", None, N - 3 - 2 * m),
+            "hardy_u": _Integral("square", None, N - 5 - 2 * m),
+            "lap_v": _Integral("square", shift, 3, 1),
+            "grad_v": _Integral("gradient", shift, 1),
+            "rad_v": _Integral("radial-gradient", shift, 1),
+        }
         self.chain_len = chain_len
 
     def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
         """The named pieces at r, and only those.
 
-        u is evaluated once, as a jet of order 2 when a Laplacian piece is
-        named and 1 otherwise, and v = r^shift u is built from that jet.  A
-        jet's rows do not depend on its order (the jet arithmetic is
-        truncation invariant), so every piece is bitwise the one its own
-        profile evaluation would give."""
-        N, m = self.params.N, self.params.m
-        ck = self.mode.eigenvalue
-        order = 2 if "lap_u" in names or "lap_v" in names else 1
+        u is evaluated once, as a jet of the highest order a named piece
+        takes, and v = r^shift u is built from that jet.  A jet's rows do not
+        depend on its order (the jet arithmetic is truncation invariant), so
+        every piece is bitwise the one its own profile evaluation would
+        give."""
+        integrals = [(name, self.integrals[name]) for name in names]
+        order = max(_KIND_ORDERS[i.kind] + 2 * i.n for _, i in integrals)
         U = self.u.taylor(r, order)
+        jets = {None: U}
         out = {}
-        if "lap_u" in names:
-            out["lap_u"] = _mode_laplacian(U, r, N, ck) ** 2 * r ** (N - 1 - 2 * m)
-        if "grad_u" in names:
-            out["grad_u"] = gradient_density(U.value, U.deriv(1), ck, r, N - 3 - 2 * m)
-        if "hardy_u" in names:
-            out["hardy_u"] = U.value**2 * r ** (N - 5 - 2 * m)
-        if not names.isdisjoint(("lap_v", "grad_v", "rad_v")):
-            V = Jet.variable(r, order) ** self.v_shift * U
-            if "lap_v" in names:
-                out["lap_v"] = _mode_laplacian(V, r, N, ck) ** 2 * r**3
-            if "grad_v" in names:
-                out["grad_v"] = gradient_density(V.value, V.deriv(1), ck, r, 1)
-            if "rad_v" in names:
-                out["rad_v"] = V.deriv(1) ** 2 * r
+        for name, i in integrals:
+            H = jets.get(i.shift)
+            if H is None:
+                H = jets[i.shift] = Jet.variable(r, order) ** i.shift * U
+            out[name] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, i.weight)
         return out
 
     def integral(self, terms, spec: QuadratureSpec) -> float:

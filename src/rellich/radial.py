@@ -21,15 +21,22 @@ arithmetic (see the module docstring of :mod:`rellich.taylor`) that is
 bitwise the jet a fresh evaluation would give.  A jet memo lives as long as
 the call that made it.
 
+Every density the package integrates from a jet is written once, in
+:func:`_jet_density`: a density kind of h_n = L_k^n h with weight r^w, so the
+Laplacian density is a "square" with n = 1.  :func:`_density` adds the origin
+power that picks the origin substitution; the functionals, the registry's
+quadrature terms and the scans' cutoff-zone pieces all go through them.
+
 Each functional declares its integrals once, in ``_FUNCTIONALS``, and a
 :class:`TestFunction` keeps the result of every integral run on it, keyed by
-all that fixes the integral: density kind, derived-profile shift, weight
-exponent, iterated-log index, origin power, upper limit and
-:class:`~rellich.quadrature.QuadratureSpec`.  A later call that needs the
-same integral on the same test function is served the stored result instead
-of running it again: I and II share the Laplacian integral and their three
-reduced-profile moments, J and JJ their three direct integrals and three
-moments.  A served result counts toward ``quadrature_error`` and
+all that fixes the integral: density kind, number of L_k applications,
+derived-profile shift, weight exponent, iterated-log index, origin power,
+upper limit and :class:`~rellich.quadrature.QuadratureSpec`.  A later call
+that needs the same integral on the same test function is served the stored
+result instead of running it again: I and II share the Laplacian integral
+and their three reduced-profile moments, J and JJ their three direct
+integrals and three moments, and the weighted Laplacian's h^2 moment is the
+weighted Hardy integral.  A served result counts toward ``quadrature_error`` and
 ``unconverged`` exactly as a run one does, and
 :func:`~rellich.quadrature.count_quadrature` counts only the integrals that
 run.  The store lives as long as the test function and is never copied:
@@ -298,6 +305,15 @@ def mode_operator(mode: SphericalMode, f: RadialProfile) -> RadialProfile:
     return RadialProfile(lk, f.support, f.origin_order - 2, f.max_order - 2)
 
 
+def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
+    """L_k f at r from a jet F of f at r of order >= 2, by array arithmetic on
+    its rows in :func:`mode_operator`'s order, so bitwise its profile's value."""
+    out = F.deriv(2) + (F.deriv(1) / r) * (N - 1)
+    if ck:
+        out = out - (F.value / (r * r)) * ck
+    return out
+
+
 def polyharmonic_power(mode: SphericalMode, f: RadialProfile, m: int) -> RadialProfile:
     """L_k^m f, realizing Delta^m on f phi_k; needs 2m derivatives."""
     if m < 1 or m != int(m):
@@ -312,8 +328,9 @@ def polyharmonic_power(mode: SphericalMode, f: RadialProfile, m: int) -> RadialP
     return out
 
 
-def _v_exponent(N: int, m: float) -> float:
-    return (N - 4.0 - 2.0 * m) / 2.0
+def _v_exponent(N: int, m):
+    """The exponent (N-4-2m)/2 of v, in the number type of m."""
+    return (N - 4 - 2 * m) / 2
 
 
 def substitute_v(u: TestFunction, m: float = 0.0) -> TestFunction:
@@ -431,41 +448,54 @@ def reduced_form(form: str, N: int, k: int, ck: int, moments) -> float:
 
 @dataclass(frozen=True)
 class _Integral:
-    """One integral of a functional: int_0^hi of the density ``kind`` of the
-    profile h = r^shift f (h is f itself when ``shift`` is None) with weight
-    r^weight, times the squared iterated-log product X_1 ... X_series when
-    ``series`` > 0."""
+    """One integral of a functional: int_0^hi of the density ``kind`` of
+    L_k^n h, for the profile h = r^shift f (h is f itself when ``shift`` is
+    None), with weight r^weight, times the squared iterated-log product
+    X_1 ... X_series when ``series`` > 0."""
 
     kind: str
     shift: float | None
     weight: float
+    n: int = 0
     series: int = 0
 
 
-def _density(kind: str, h: RadialProfile, mode: SphericalMode, w):
-    """The number of derivatives of h a density kind takes, and its integrand
-    on the profile h with weight r^w.  For h ~ r^o at the origin the density
-    behaves like r^{2 (o - order) + w}."""
-    if kind == "laplacian":
-        lk = mode_operator(mode, h)
-        return 2, lambda r: lk(r) ** 2 * r**w
-    if kind == "square":
-        return 0, lambda r: h(r) ** 2 * r**w
-    if kind == "square-over-r":  # weight -1, as a division
-        return 0, lambda r: h(r) ** 2 / r
+# the density kinds and the derivatives each one takes
+_KIND_ORDERS = {"square": 0, "square-over-r": 0, "gradient": 1, "radial-gradient": 1, "moment-2": 2}
+
+
+def _jet_density(kind: str, n: int, H: Jet, r, N: int, ck: int, w):
+    """At r, h_n^2 ("square"), h_n^2/r ("square-over-r"), h_n'^2 + c_k h_n^2/r^2
+    ("gradient"), h_n'^2 ("radial-gradient") or h_n''^2 ("moment-2"), times
+    r^w, for h_n = L_k^n h.  H is the jet of h_n, or of h_{n-1} for a square
+    with n >= 1, whose last L_k :func:`_mode_laplacian` takes on its rows, of
+    order at least ``_KIND_ORDERS[kind]``, plus 2 for that last L_k."""
+    if kind == "square-over-r":
+        return H.value**2 / r
     if kind == "gradient":
-        return 1, lambda r: gradient_density(*h.derivative_values(r, 1), mode.eigenvalue, r, w)
-    if kind == "radial-gradient":
-        return 1, lambda r: h.derivative_values(r, 1)[1] ** 2 * r**w
-    # the terms of the second-order cross-checks, int h^{(j)2} r^w
-    j = {"moment-2": 2, "moment-1": 1, "moment-0": 0}[kind]
-    return j, lambda r: h.taylor(r, j).deriv(j) ** 2 * r**w
+        return gradient_density(H.value, H.deriv(1), ck, r, w)
+    last = kind == "square" and n
+    return (_mode_laplacian(H, r, N, ck) if last else H.deriv(_KIND_ORDERS[kind])) ** 2 * r**w
+
+
+def _density(kind: str, n: int, h: RadialProfile, mode: SphericalMode, w):
+    """(origin power, integrand) of the density ``kind`` of L_k^n h with
+    weight r^w: for h ~ r^o at the origin the density behaves like
+    r^{2 (o - 2n - order) + w}, order the derivatives the kind takes."""
+    last = kind == "square" and n > 0
+    for _ in range(n - last):
+        h = mode_operator(mode, h)
+    order = _KIND_ORDERS[kind] + 2 * last
+    N, ck = mode.N, mode.eigenvalue
+    origin_power = 2 * (h.origin_order - order) + w
+    return origin_power, lambda r: _jet_density(kind, n, h.taylor(r, order), r, N, ck, w)
 
 
 def _moments(shift, weights) -> tuple[_Integral, ...]:
     """The moments (int h''^2 r^w2, int h'^2 r^w1, int h^2 r^w0) of
     h = r^shift f, for weights = (w2, w1, w0)."""
-    return tuple(_Integral(f"moment-{j}", shift, w) for j, w in zip((2, 1, 0), weights))
+    kinds = ("moment-2", "radial-gradient", "square")
+    return tuple(_Integral(kind, shift, w) for kind, w in zip(kinds, weights))
 
 
 def _g_moments(N, k, m):
@@ -508,7 +538,7 @@ def _j_spec(cw) -> _FunctionalSpec:
     return _FunctionalSpec(
         _V,
         lambda N, k, m: (
-            ("v-laplacian", _Integral("laplacian", None, 3), 1.0),
+            ("v-laplacian", _Integral("square", None, 3, 1), 1.0),
             ("v-radial-gradient", _Integral("radial-gradient", None, 1), -N * (N - 4.0)),
             ("v-gradient", _Integral("gradient", None, 1), cw(N)),
         ),
@@ -522,7 +552,7 @@ _FUNCTIONALS: dict[Functional, _FunctionalSpec] = {
     Functional.I: _FunctionalSpec(
         _U,
         lambda N, k, m: (
-            ("laplacian", _Integral("laplacian", None, N - 1), 1.0),
+            ("laplacian", _Integral("square", None, N - 1, 1), 1.0),
             ("hardy", _Integral("square", None, N - 5), -((N * (N - 4) / 4.0) ** 2)),
         ),
         _g_moments,
@@ -531,7 +561,7 @@ _FUNCTIONALS: dict[Functional, _FunctionalSpec] = {
     Functional.II: _FunctionalSpec(
         _U,
         lambda N, k, m: (
-            ("laplacian", _Integral("laplacian", None, N - 1), 1.0),
+            ("laplacian", _Integral("square", None, N - 1, 1), 1.0),
             ("gradient", _Integral("gradient", None, N - 3), -(N * N / 4.0)),
         ),
         _g_moments,
@@ -541,7 +571,7 @@ _FUNCTIONALS: dict[Functional, _FunctionalSpec] = {
     Functional.JJ: _j_spec(lambda N: N * (N - 8) / 4.0),
     Functional.WEIGHTED_LAPLACIAN: _FunctionalSpec(
         _U,
-        lambda N, k, m: (("laplacian", _Integral("laplacian", None, N - 1 - 2 * m), 1.0),),
+        lambda N, k, m: (("laplacian", _Integral("square", None, N - 1 - 2 * m, 1), 1.0),),
         lambda N, k, m: _moments(None, (N - 1 - 2 * m, N - 3 - 2 * m, N - 5 - 2 * m)),
         lambda N, k, ck, m, t: sum(c * x for c, x in zip(_weighted_laplacian_form(N, ck, m), t)),
     ),
@@ -629,8 +659,7 @@ def functional(
         h = profiles.get(integral.shift)
         if h is None:
             h = profiles[integral.shift] = f.power_shift(integral.shift).memoized()
-        order, density = _density(integral.kind, h, tf.mode, integral.weight)
-        origin_power = 2 * (h.origin_order - order) + integral.weight
+        origin_power, density = _density(integral.kind, integral.n, h, tf.mode, integral.weight)
         key = (integral, origin_power, hi, spec)
         res = tf._integrals.get(key)
         if res is None:

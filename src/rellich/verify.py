@@ -8,10 +8,10 @@ from the drawn float coefficients of q.  Profile-derived densities are
 finite power sums, so every term without a series weight is an exact
 rational and an identity declared in such terms has residual exactly 0;
 only the iterated-log series weights and the three jet-path cross-checks go
-through quadrature.  The series-weighted densities are evaluated in
-factored form, from the jet profile, because the expanded power sum cancels
-catastrophically when evaluated pointwise in floats.  Each case result
-carries the number of its integrals that ended unconverged.
+through quadrature, with radial's densities of the factored jet profile,
+because the expanded power sum cancels catastrophically when evaluated
+pointwise in floats.  Each case result carries the number of its integrals
+that ended unconverged.
 
 Targets are declared in one integral vocabulary.  A term ``_Int(kind,
 weight, n, shift, f2, series)`` stands for int_0^1 D(h) r^weight dr with
@@ -19,11 +19,11 @@ h = L_k^n (r^shift f) (or the companion f2 at mode k2), D one of radial's
 density kinds "square", "gradient", "radial-gradient" and "moment-2", and
 the iterated-log series weight when ``series`` is set.  ``_value`` is the one
 evaluator of a term, ``_sum`` adds (coefficient, term) pairs in exact
-arithmetic, a series term's quadrature value entering as its exact binary
-rational.  To add a target, give ``_identity`` or ``_inequality`` a function
-of the case that returns its (lhs, rhs) lists of such pairs: an identity
-compares the two sums, each rounded once, an inequality's slack is
-sum lhs - sum rhs, rounded once.  A coefficient may be an int, a Fraction or
+arithmetic, each distinct term once, a series term's quadrature value
+entering as its exact binary rational.  To add a target, give ``_identity``
+or ``_inequality`` a function of the case that returns its (lhs, rhs) lists
+of such pairs: an identity compares the two sums, each rounded once, an
+inequality's slack is sum lhs - sum rhs, rounded once.  A coefficient may be an int, a Fraction or
 a float, taken at its exact binary value.  Only targets whose integrands
 carry a multiplier polynomial keep a function of their own.
 """
@@ -55,8 +55,8 @@ from .radial import (
     SphericalMode,
     TestFunction,
     _density,
+    _v_exponent,
     functional,
-    mode_operator,
     origin_integral,
     sphere_area,
 )
@@ -204,10 +204,9 @@ def standard_suite(seed: int = 0, size: int = 50) -> list[SuiteCase]:
 class _Int:
     """int_0^1 D(h) r^weight dr for h = L_k^n (r^shift f), or for the same
     profile built from the second-mode companion f2 at mode k2 when ``f2`` is
-    set.  D is one of radial's density kinds: h^2 ("square"),
-    h'^2 + c_k h^2/r^2 ("gradient"), h'^2 ("radial-gradient") or h''^2
-    ("moment-2").  A ``series`` term carries the truncated iterated-log
-    weight S_K = sum_{i<=K} X_1^2...X_i^2 as well."""
+    set.  D is one of the density kinds of the module docstring.  A
+    ``series`` term carries the truncated iterated-log weight
+    S_K = sum_{i<=K} X_1^2...X_i^2 as well."""
 
     kind: str
     weight: float | Fraction
@@ -243,22 +242,15 @@ def _exact_density(case: SuiteCase, term: _Int) -> PowerSum:
     return _EXACT_DENSITIES[term.kind](h, ck).shift(term.weight)
 
 
-def _series_term(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> float:
-    """A series term, with D(h) evaluated in factored form from the jet
-    profile, because the expanded power sum cancels catastrophically when
-    evaluated pointwise in floats."""
-    h = case.jet_profile()
-    for _ in range(term.n):
-        h = mode_operator(case.mode, h)
-    weight = float(term.weight)
-    order, density = _density(term.kind, h, case.mode, weight)
+def _quadrature(case: SuiteCase, term: _Int, spec: QuadratureSpec, K: int = 0) -> float:
+    """A term of f by quadrature of radial's density on the jet profile, with
+    the series weight truncated at K when K > 0.  It can be far below the
+    default abs_tol (about 5e-11 at N = 30), so only rel_tol may end it."""
+    origin_power, density = _density(term.kind, term.n, case.jet_profile(), case.mode, float(term.weight))
 
     def weighted(r):
-        return density(r) * series_partial(K, np.minimum(r, 1.0))
+        return density(r) * series_partial(K, np.minimum(r, 1.0)) if K else density(r)
 
-    # a series term can be far below the default abs_tol (about 5e-11 at N = 30),
-    # so only rel_tol may end the quadrature
-    origin_power = 2 * (h.origin_order - order) + weight
     return origin_integral(weighted, origin_power, 1.0, replace(spec, abs_tol=1e-280)).value
 
 
@@ -266,35 +258,35 @@ def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> Fractio
     """A term's value: exact, or the exact binary value of its quadrature for
     a series term truncated at K."""
     if term.series:
-        return Fraction(_series_term(case, term, K, spec))
+        return Fraction(_quadrature(case, term, spec, K))
     return _exact_density(case, term).exact_integral01()
 
 
 def _sum(case: SuiteCase, terms, K: int, spec: QuadratureSpec) -> Fraction:
-    """sum coeff * value over (coeff, term) pairs, exactly (0 for no terms)."""
-    return sum((Fraction(c) * _value(case, t, K, spec) for c, t in terms), Fraction())
+    """sum coeff * value over (coeff, term) pairs, exactly (0 for no terms),
+    each distinct term evaluated once, with its coefficients added."""
+    coeffs: dict[_Int, Fraction] = {}
+    for c, t in terms:
+        coeffs[t] = coeffs.get(t, Fraction()) + Fraction(c)
+    return sum((c * _value(case, t, K, spec) for t, c in coeffs.items()), Fraction())
 
 
-def _cross_path(kind: str, weight, rhs):
-    """An identity between the jet-path integral of radial's density ``kind``
-    of f with weight r^weight(case) and the exact terms rhs(case)."""
+def _cross_path(term, rhs):
+    """An identity between the jet-path quadrature of the term term(case) and
+    the exact terms rhs(case)."""
 
     def fn(case: SuiteCase, spec: QuadratureSpec):
-        w = weight(case)
-        order, density = _density(kind, case.jet_profile(), case.mode, w)
         # the exact side carries no error, so the quadrature side is pushed to
         # its round-off floor even when the integral itself is tiny
-        exact_spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-12), abs_tol=1e-280)
-        # f = O(r^k), so the density behaves like r^{2 (k - order) + w}
-        lhs = origin_integral(density, 2 * (case.k - order) + w, 1.0, exact_spec).value
+        lhs = _quadrature(case, term(case), replace(spec, rel_tol=min(spec.rel_tol, 1e-12)))
         return lhs, float(_sum(case, rhs(case), 1, spec))
 
     return fn
 
 
 def _v(N: int, m=0) -> Fraction:
-    """The exponent of v = r^{(N-4-2m)/2} f."""
-    return Fraction(N - 4, 2) - m
+    """The exponent of v = r^{(N-4-2m)/2} f, exactly."""
+    return _v_exponent(N, Fraction(m))
 
 
 def _v_lap(N: int, m=0) -> _Int:
@@ -511,9 +503,9 @@ _IDENTITY_TARGETS = [
               lambda c: (_deficit_II(c.N), _v_side(c.N, -c.N * (c.N - 4), Fraction(c.N * (c.N - 8), 4)))),
     Target("mode-laplacian-reduction", "identity",
            "mode operator equals the radial Laplacian minus c_k/r^2 (jet path vs exact path)",
-           _cross_path("laplacian", lambda c: c.N - 1, lambda c: [(1, _Int("square", c.N - 1, 1))])),
+           _cross_path(lambda c: _Int("square", c.N - 1, 1), lambda c: [(1, _Int("square", c.N - 1, 1))])),
     Target("mode-gradient-reduction", "identity", "mode gradient density (jet path vs exact path)",
-           _cross_path("gradient", lambda c: c.N - 1, lambda c: [(1, _Int("gradient", c.N - 1))])),
+           _cross_path(lambda c: _Int("gradient", c.N - 1), lambda c: [(1, _Int("gradient", c.N - 1))])),
     _identity("laplacian-gside", "|Delta u_k|^2 in reduced-profile moments",
               lambda c: ([(1, _Int("square", c.N - 1, 1))], _g_side("laplacian", c))),
     _identity("gradient-gside", "|grad u_k|^2/|x|^2 in reduced-profile moments",
@@ -534,7 +526,7 @@ _IDENTITY_TARGETS = [
               lambda c: _weighted_laplacian_fside(c.N, c.eigenvalue, c.m_exact)),
     Target("weighted-gradient-fside", "identity",
            "|grad u_k|^2/|x|^{2m+2} in plain-profile moments (jet path vs exact path)",
-           _cross_path("gradient", lambda c: c.N - 3 - 2 * c.m, lambda c: [
+           _cross_path(lambda c: _Int("gradient", c.N - 3 - 2 * c.m), lambda c: [
                (1, _Int("radial-gradient", c.N - 3 - 2 * c.m_exact)),
                (c.eigenvalue, _Int("square", c.N - 5 - 2 * c.m_exact)),
            ])),

@@ -65,6 +65,25 @@ def test_amn_table_rejects_a_malformed_grid_token(capsys):
     assert "'abc'" in err
 
 
+@pytest.mark.parametrize("N", ["4", "3"])
+def test_amn_table_rejects_a_dimension_below_five(capsys, N):
+    code, out, err = run_cli(capsys, "amn-table", "--N", N, "--grid", "0.1,0.2")
+    assert (code, out) == (2, "")
+    assert "dimension must be an integer >= 5" in err and "clipped" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [("constants", "--family", "rellich", "--N", "6"), ("verify", "--seed", "7", "--suite-size", "1")],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, where, argv):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write --out") and str(target) in err
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--set", "identities", "--seed", "7", "--suite-size", "8"

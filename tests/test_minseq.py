@@ -391,6 +391,52 @@ def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
             assert _same_bits(got[name], route[name]), (names, name)
 
 
+def _density_subjects():
+    """A suite case's profile and a sequence member's, with their modes and
+    nodes inside each support."""
+    from rellich.verify import standard_suite
+
+    case = standard_suite(7)[13]  # N = 6, k = 3
+    member = build_minimizer(MinSeqParams(9, 0.5, 1e-3, (0.2,), mode_k=2))
+    return [
+        (case.jet_profile(), case.mode, np.linspace(0.02, 0.98, 37)),
+        (member.profile, member.mode, np.geomspace(1e-6, 0.99, 37)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, 0) for kind in ("square", "square-over-r", "gradient", "radial-gradient", "moment-2")]
+    + [(kind, n) for kind in ("square", "gradient") for n in (1, 2)],
+)
+def test_density_matches_the_profile_route(kind, n):
+    """radial's _density is bitwise the density formed from the profile
+    route: the mode operator applied n times, then derivative_values; its
+    origin power is 2 (o - 2n - order) + w for a profile of origin order o."""
+    from rellich.radial import _density, mode_operator
+
+    w = 2.5 if kind != "square-over-r" else -1
+    for h, mode, r in _density_subjects():
+        ck = mode.eigenvalue
+        hn = h
+        for _ in range(n):
+            hn = mode_operator(mode, hn)
+        order = {"gradient": 1, "radial-gradient": 1, "moment-2": 2}.get(kind, 0)
+        d = hn.derivative_values(r, order)
+        if kind == "square":
+            route = d[0] ** 2 * r**w
+        elif kind == "square-over-r":
+            route = d[0] ** 2 / r
+        elif kind == "gradient":
+            route = d[1] ** 2 + ck * (d[0] / r) ** 2 if ck else d[1] ** 2
+            route = route * r**w
+        else:
+            route = d[order] ** 2 * r**w
+        origin_power, density = _density(kind, n, h, mode, w)
+        assert _same_bits(density(r), route), (mode, kind, n)
+        assert origin_power == 2 * (h.origin_order - 2 * n - order) + w
+
+
 @pytest.mark.parametrize("N", [5, 6, 9, 30])
 def test_factored_deficits_use_their_sharp_constants(N):
     """Every deficit lap_u - c * piece that a family or an asymptotic case

@@ -482,10 +482,12 @@ def test_functionals_on_a_shared_test_function_match_fresh_ones(subdivisions, or
             fresh = functional(name, _side_function(case, name), m=m[name], quad=spec)
             assert _fields(fv) == _fields(fresh), (case.index, name)
         # only the integrals that run are counted; I and II share 4 of their
-        # 10 integrals, J and JJ 6 of their 12, and at m = 0 the weighted
-        # Laplacian, gradient and Hardy integrals are those of I and II
+        # 10 integrals, J and JJ 6 of their 12, the weighted Laplacian's h^2
+        # moment is the weighted Hardy integral, and at m = 0 the weighted
+        # Laplacian, gradient and Hardy integrals and that moment are those
+        # of I and II
         assert runs.calls == len(u._integrals) + len(shared[True]._integrals)
-        assert runs.calls == (31 - 10 if weighted else 31 - 13)
+        assert runs.calls == (31 - 11 if weighted else 31 - 14)
 
 
 def _filled(case, spec=None):
@@ -521,7 +523,7 @@ def test_store_tells_weight_exponents_apart():
 def test_replace_and_substitutions_start_an_empty_store():
     case = standard_suite(7)[3]
     u = _filled(case)
-    assert len(u._integrals) == 15
+    assert len(u._integrals) == 14  # the weighted Hardy integral is a weighted-Laplacian moment
     # another profile with the same support and origin order, so that every
     # key of the filled store would match
     other = case.test_function().profile * 2.0

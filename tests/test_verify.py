@@ -134,6 +134,29 @@ def test_exact_residual_shows_a_one_ulp_coefficient_error(monkeypatch):
     assert any(r.value > 0.0 for r in report.results)
 
 
+@pytest.mark.parametrize("target", ["radialization-rellich", "radialization-gradrellich"])
+def test_equal_terms_are_evaluated_once(monkeypatch, target):
+    """The radialization targets name the companion's Laplacian integral
+    twice; _sum adds its coefficients and evaluates it once per case, so 2
+    of the 3 terms run on each of the 50 cases, and the slack is the one the
+    three terms give summed one by one."""
+    calls = []
+    value = verify._value
+
+    def counted(case, term, K, spec):
+        calls.append(term)
+        return value(case, term, K, spec)
+
+    monkeypatch.setattr(verify, "_value", counted)
+    suite = standard_suite(seed=1)
+    report = check_inequality(target, suite, K=5, quad=SPEC)
+    assert len(calls) == 100
+    for case, res in zip(suite[:5], report.results):
+        lhs, rhs = REGISTRY[target].terms(case)
+        assert len(lhs) == 3 and not rhs
+        assert res.value == float(sum(Fraction(c) * value(case, t, 5, SPEC) for c, t in lhs))
+
+
 def test_suite_size_must_be_positive():
     for size in (0, -3):
         with pytest.raises(DomainError):
