@@ -12,6 +12,7 @@ terms for ``verify``; a scan's number of log factors comes only from
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import io
 import json
@@ -77,6 +78,21 @@ def _emit(text: str, out_path: str | None):
             raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out_path: str | None):
+    """Raise _emit's error for an --out path it could not open (a directory,
+    or a missing parent directory), without opening the path."""
+    if not out_path:
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise DomainError(f"cannot write --out {out_path!r}: {os.strerror(code)}")
 
 
 def _rows_to_csv(header: list[str], rows: list[list]) -> str:
@@ -203,6 +219,7 @@ def cmd_amn_table(args) -> int:
 def cmd_verify(args) -> int:
     if args.N is not None and args.N < 5:
         raise DomainError("verification targets require N >= 5")
+    _check_out(args.out)  # before the run, which takes seconds
     suite = verify.standard_suite(seed=args.seed, size=args.suite_size)
     if args.N is not None:
         suite = [case for case in suite if case.N == args.N]

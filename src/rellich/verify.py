@@ -18,8 +18,11 @@ weight, n, shift, f2, series)`` stands for int_0^1 D(h) r^weight dr with
 h = L_k^n (r^shift f) (or the companion f2 at mode k2), D one of radial's
 density kinds "square", "gradient", "radial-gradient" and "moment-2", and
 the iterated-log series weight when ``series`` is set.  ``_value`` is the one
-evaluator of a term, ``_sum`` adds (coefficient, term) pairs in exact
-arithmetic, each distinct term once, a series term's quadrature value
+evaluator of a term.  It keeps each exact value in the case's store, so each
+distinct term is evaluated once per case, for the life of the case, across
+every target and both registries; a series term is integrated on each call.
+``_sum`` adds (coefficient, term) pairs in exact arithmetic, the
+coefficients of equal terms first, a series term's quadrature value
 entering as its exact binary rational.  To add a target, give ``_identity``
 or ``_inequality`` a function of the case that returns its (lhs, rhs) lists
 of such pairs: an identity compares the two sums, each rounded once, an
@@ -31,7 +34,7 @@ carry a multiplier polynomial keep a function of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -85,7 +88,7 @@ SUITE_DIMENSIONS = (5, 6, 9, 30)
 SUITE_MODES = (0, 1, 2, 3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteCase:
     """One member of the randomized verification suite.
 
@@ -93,7 +96,10 @@ class SuiteCase:
     vanishing to third order or better at r = 1), a second-mode companion
     (for the radialization inequalities), plus the per-case weight m, a C^2
     multiplier B with its exponent, the power-shift exponents, and a C^1
-    potential V.
+    potential V.  ``_exact`` stores the exact value of each non-series term
+    evaluated on the case (filled only by ``_value``); the case is frozen,
+    so no stored value outlives a field, and ``dataclasses.replace`` starts
+    an empty store.
     """
 
     index: int
@@ -108,6 +114,7 @@ class SuiteCase:
     shift_exponent: float
     potential_poly: PowerSum
     factors: tuple = ()  # (leading power, boundary order, q coefficients)
+    _exact: dict[_Int, Fraction] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> SphericalMode:
@@ -256,15 +263,22 @@ def _quadrature(case: SuiteCase, term: _Int, spec: QuadratureSpec, K: int = 0) -
 
 def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> Fraction:
     """A term's value: exact, or the exact binary value of its quadrature for
-    a series term truncated at K."""
+    a series term truncated at K.  An exact value is computed once per case,
+    for the life of the case, and kept in the case's store; a series term is
+    integrated on every call, so its quadrature status reaches the caller."""
     if term.series:
         return Fraction(_quadrature(case, term, spec, K))
-    return _exact_density(case, term).exact_integral01()
+    value = case._exact.get(term)
+    if value is None:
+        value = case._exact[term] = _exact_density(case, term).exact_integral01()
+    return value
 
 
 def _sum(case: SuiteCase, terms, K: int, spec: QuadratureSpec) -> Fraction:
     """sum coeff * value over (coeff, term) pairs, exactly (0 for no terms),
-    each distinct term evaluated once, with its coefficients added."""
+    with the coefficients of equal terms added; through ``_value`` each
+    distinct exact term is evaluated once per case, for the life of the
+    case."""
     coeffs: dict[_Int, Fraction] = {}
     for c, t in terms:
         coeffs[t] = coeffs.get(t, Fraction()) + Fraction(c)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rellich.cli import main
+import rellich
+from rellich import verify
+from rellich.cli import CONFIG_ENV, main
+from rellich.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +89,34 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, where, argv):
     code, _, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2
     assert err.startswith("error: cannot write --out") and str(target) in err
+
+
+def test_verify_checks_out_before_the_run(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the registry ran before --out was checked")
+
+    monkeypatch.setattr(verify, "check_identity", never)
+    code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out") and str(tmp_path) in err
+
+    def fails(*args, **kwargs):
+        raise DomainError("no run")
+
+    # a writable --out is checked without being opened: a failed run leaves it as it was
+    existing = tmp_path / "out.csv"
+    existing.write_text("kept\n")
+    monkeypatch.setattr(verify, "check_identity", fails)
+    assert run_cli(capsys, "verify", "--out", str(existing))[0] == 2
+    assert existing.read_text() == "kept\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV, raising=False)
+    argv = ["constants", "--family", "rellich", "--N", "6"]
+    env = {**os.environ, "PYTHONPATH": str(Path(rellich.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "rellich", *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)[:2]
 
 
 def test_verify_small_suite_passes(capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -155,6 +157,65 @@ def test_equal_terms_are_evaluated_once(monkeypatch, target):
         lhs, rhs = REGISTRY[target].terms(case)
         assert len(lhs) == 3 and not rhs
         assert res.value == float(sum(Fraction(c) * value(case, t, 5, SPEC) for c, t in lhs))
+
+
+def _bits(results) -> list:
+    """Case results with each float as its exact bits."""
+    token = lambda x: float.hex(x) if isinstance(x, float) else x
+    return [(r.index, token(r.value), r.rejected, r.reason, r.unconverged) for r in results]
+
+
+def _run(name, suite):
+    if REGISTRY[name].kind == "identity":
+        return check_identity(name, suite, quad=SPEC).results
+    return check_inequality(name, suite, K=5, quad=SPEC).results
+
+
+def test_exact_terms_are_evaluated_once_per_case(monkeypatch):
+    """Every registry target, run in order on one suite and in reverse order
+    on a fresh one, builds the exact density of each distinct (case,
+    non-series term) once, integrates each series term on every call, and
+    gives case results bitwise those of the target run alone on a fresh
+    suite."""
+    densities, series = Counter(), Counter()
+    density, quadrature, value = verify._exact_density, verify._quadrature, verify._value
+
+    def counted_density(case, term):
+        densities[case.index, term] += 1
+        return density(case, term)
+
+    def counted_quadrature(case, term, spec, K=0):
+        series["quadrature"] += term.series
+        return quadrature(case, term, spec, K)
+
+    def counted_value(case, term, K, spec):
+        series["value"] += term.series
+        return value(case, term, K, spec)
+
+    monkeypatch.setattr(verify, "_exact_density", counted_density)
+    monkeypatch.setattr(verify, "_quadrature", counted_quadrature)
+    monkeypatch.setattr(verify, "_value", counted_value)
+    names = registry_targets()
+    alone = {name: _bits(_run(name, standard_suite(seed=1, size=12))) for name in names}
+    distinct = set(densities)
+    assert sum(densities.values()) > len(distinct)  # targets share terms
+    for order in (names, names[::-1]):
+        densities.clear()
+        series.clear()
+        suite = standard_suite(seed=1, size=12)
+        for name in order:
+            assert _bits(_run(name, suite)) == alone[name], name
+        assert set(densities) == distinct and set(densities.values()) == {1}
+        assert series["quadrature"] == series["value"] > 0
+
+
+def test_suite_case_is_frozen_and_replace_starts_an_empty_store():
+    case = standard_suite(seed=1, size=1)[0]
+    check_identity("rellich-deficit-gside", [case], quad=SPEC)
+    assert case._exact and all(type(v) is Fraction for v in case._exact.values())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.f = case.f2
+    assert dataclasses.replace(case, m=case.m / 2)._exact == {}
 
 
 def test_suite_size_must_be_positive():
