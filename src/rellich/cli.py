@@ -307,6 +307,13 @@ def cmd_scan(args) -> int:
     _emit(text, args.out)
     if not result.monotone:
         print("note: scan is not monotone along the schedule", file=sys.stderr)
+    uncertified = [f"{i} ({n})" for i, n in enumerate(result.unconverged) if n]
+    if uncertified:
+        print(
+            "note: unconverged quadratures at scan steps " + ", ".join(uncertified)
+            + "; those quotients are not certified",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -14,9 +14,11 @@ logarithmically deep mass that no r-space sample could represent.  With one
 log factor the same closed forms, read as polynomials in (eps, X_1), reduce
 the integral over (0, rho] exactly: with Q(b) = int_0^rho r^{-1+2eps} X_1^b dr,
 the identity eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades the
-integrals that diverge as eps -> 0 for closed-form boundary terms.  On
+integrals that diverge as eps -> 0 for closed-form boundary terms, and the
+Q(b) that remain are incomplete gamma functions, taken in closed form.  On
 [rho, outer] both paths integrate the full profile (with cutoff derivatives),
-evaluated by jet arithmetic in r, through one zone integral.
+evaluated by jet arithmetic in r, through one zone rule; a single-log
+quotient runs just these two zone quadratures.
 """
 
 from __future__ import annotations
@@ -492,6 +494,23 @@ def _inner_density(params: MinSeqParams, s: np.ndarray, K: int, terms) -> np.nda
     return common * _closed_density(terms, forms, prods, K)
 
 
+# The adaptive rule bisects every interval while there are at most 16, so a
+# cutoff-zone integral refines uniformly until it stops, and the scans' zone
+# integrals never stop before the zone's 4 equal panels (most stop on them,
+# the rest on 8).  So they start there: 60 nodes in one integrand call
+# instead of 15, 30 and 60 in three.
+_ZONE_PANELS = 4
+
+
+def _zone_integral(f, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
+    """int_inner^outer f dr, started on the zone's _ZONE_PANELS equal panels,
+    cut where bisection would cut them."""
+    cuts = [cutoff.inner_radius, cutoff.outer_radius]
+    while len(cuts) <= _ZONE_PANELS:
+        cuts = [c for lo, hi in zip(cuts, cuts[1:]) for c in (lo, 0.5 * (lo + hi))] + cuts[-1:]
+    return integrate(f, cuts[0], cuts[-1], spec, breakpoints=cuts[1:-1]).value
+
+
 class _OuterTerms:
     """Jet-evaluated pieces of the densities on the cutoff transition zone.
 
@@ -549,8 +568,7 @@ class _OuterTerms:
             prods = _log_products(xk_values(K, r)) if weighted else None
             return _combine(terms, p.__getitem__, lambda w: _weight(prods, K, w))
 
-        cutoff = self.params.cutoff
-        return integrate(density, cutoff.inner_radius, cutoff.outer_radius, spec).value
+        return _zone_integral(density, self.params.cutoff, spec)
 
 
 # --------------------------------------------------------------------------
@@ -570,8 +588,9 @@ class _OuterTerms:
 # coefficients and is evaluable at denormal eps, where the direct quadrature
 # would have to cancel ~Q(a) of signed mass.  This mirrors the limit
 # computation that proves the best constants, with the boundary terms kept
-# instead of being absorbed into O(1).  The cutoff zone is integrated from
-# jets, as on the direct path.
+# instead of being absorbed into O(1).  The Q(b) left over are evaluated in
+# closed form (see _q_beta), so the reduction itself runs no quadrature; the
+# cutoff zone is integrated from jets, as on the direct path.
 
 
 class _Poly2:
@@ -630,25 +649,6 @@ class _Poly2:
         return [self.c[:, j].copy() for j in range(self.c.shape[1])]
 
 
-def _q_beta(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
-    """Q(beta) = int_0^inner r^{-1+2eps} X_1^beta dr, stable for any eps > 0.
-
-    It is taken in z = ln(1 - ln r):  int e^{-2 eps (e^z - 1)} e^{(1-beta) z}
-    dz, which keeps slowly-decaying X-tails geometric even when eps is
-    denormal.
-    """
-    log2eps = math.log(2.0 * eps)
-
-    def h(z):
-        t = log2eps + z
-        damp = np.where(t < -36.0, 0.0, np.exp(np.minimum(t, 40.0)))
-        factor = np.exp(-damp + 2.0 * eps)
-        return factor * np.exp((1.0 - beta) * z)
-
-    z0 = math.log(1.0 + math.log(1.0 / cutoff.inner_radius))
-    return integrate_halfline(h, z0, spec).value
-
-
 def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
     """int_inner^outer r^{-1+2eps} X_1^beta phi^2 dr: with Q(beta), the
     single-log integral over the whole support."""
@@ -657,7 +657,121 @@ def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -
         x1 = 1.0 / (1.0 - np.log(r))
         return r ** (-1.0 + 2.0 * eps) * x1**beta * cutoff(r) ** 2
 
-    return integrate(transition, cutoff.inner_radius, cutoff.outer_radius, spec).value
+    return _zone_integral(transition, cutoff, spec)
+
+
+# Q(beta) in closed form.  In s = ln(1/r) and t = 2eps (1+s),
+#
+#     Q(beta) = int_{s0}^inf e^{-2eps s} (1+s)^{-beta} ds
+#             = e^{2eps} (2eps)^{beta-1} Gamma(1-beta, x),  x = 2eps (1+s0),
+#
+# an upper incomplete gamma function, with s0 = ln(1/inner).  Small x takes
+# the power series of the lower function with the pole of Gamma(1-beta) at
+# beta = 1 taken out in closed form (the E_1 limit at beta = 1 exactly);
+# large x takes the continued fraction.  Every factor is scaled by
+# (2eps)^{beta-1} before it is formed, so denormal eps neither underflows nor
+# overflows.
+
+_EULER_GAMMA = 0.5772156649015329
+# zeta(k) - 1 for k = 2, ..., 28, from ln Gamma(1+s) = -Euler_gamma s + s -
+# ln(1+s) + sum_k (zeta(k) - 1) (-s)^k / k, which they sum to round-off for
+# |s| <= 1/2
+_ZETA_MINUS_1 = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819, 0.03692775514336993,
+    0.01734306198444914, 0.008349277381922827, 0.00407735619794434, 0.0020083928260822143,
+    0.0009945751278180853, 0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05, 7.637197637899763e-06,
+    3.81729326499984e-06, 1.908212716553939e-06, 9.539620338727962e-07, 4.769329867878064e-07,
+    2.38450502727733e-07, 1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
+)
+# The continued fraction above this x, the series at or below it; each keeps
+# Q within about 1e-14 on its side.  At or below it the levels beta > 3/2
+# climb through the reduction's identity, which is stable there; above it
+# the identity cancels, so each level takes its own continued fraction.
+_GAMMA_SERIES_MAX_X = 1.5
+_GAMMA_MAX_TERMS = 500  # a series or continued fraction unsettled after this many terms raises
+_ULP = 2.0**-52
+
+
+def _lngamma1p_over_s(s: float) -> float:
+    """ln Gamma(1+s) / s for |s| <= 1/2 (-Euler_gamma at s = 0), to round-off
+    in absolute terms; math.lgamma is not that accurate near s = 0."""
+    out = 1.0 - _EULER_GAMMA - (math.log1p(s) / s if s else 1.0)
+    p = s
+    for k, z in enumerate(_ZETA_MINUS_1, start=2):
+        t = z * p / k
+        out += t
+        if abs(t) < 1e-17:
+            break
+        p *= -s
+    return out
+
+
+def _scaled_upper_gamma(beta: float, eps: float, s0: float) -> float:
+    """(2eps)^{beta-1} Gamma(1-beta, x) at x = 2eps (1+s0); raises
+    DomainError if its series or continued fraction does not settle."""
+    s = 1.0 - beta
+    two_eps = 2.0 * eps
+    x = two_eps * (1.0 + s0)
+    xs = (1.0 + s0) ** s  # (2eps)^{-s} x^s
+    if x > _GAMMA_SERIES_MAX_X:
+        # modified Lentz: Gamma(s, x) = e^{-x} x^s / (x+1-s - 1(1-s) / (x+3-s - ...))
+        tiny = 1e-300
+        b = x + 1.0 - s
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for i in range(1, _GAMMA_MAX_TERMS):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+            if abs(d * c - 1.0) <= _ULP:
+                return math.exp(-x) * xs * h
+        raise DomainError(f"incomplete gamma continued fraction did not settle (beta={beta}, x={x})")
+    # the lower function past its x^s/s term: x^s sum_{k>=1} (-x)^k / (k! (s+k))
+    acc, t = 0.0, 1.0
+    for k in range(1, _GAMMA_MAX_TERMS):
+        t *= -x / k
+        term = t / (s + k)
+        acc += term
+        if abs(term) <= _ULP * abs(acc):
+            break
+    else:
+        raise DomainError(f"incomplete gamma series did not settle (beta={beta}, x={x})")
+    if abs(s) > 0.5:
+        # no pole near: Gamma(s) - x^s (1/s + acc), with (2eps)^{-s} formed from beta exactly
+        return math.pow(two_eps, beta) / two_eps * math.gamma(s) - xs * (1.0 / s + acc)
+    # (Gamma(1+s) - x^s) / s = x^s expm1(s w) / s, w = ln Gamma(1+s) / s - ln x,
+    # with ln x summed from its factors, since x itself may be denormal
+    w = _lngamma1p_over_s(s) - (math.log(2.0) + math.log(eps) + math.log1p(s0))
+    return xs * ((math.expm1(s * w) / s if s else w) - acc)
+
+
+def _q_beta(beta: float, eps: float, cutoff: CutoffSpec) -> float:
+    """Q(beta) = int_0^inner r^{-1+2eps} X_1^beta dr in closed form, for any
+    eps > 0; DomainError where it overflows or a series does not settle."""
+    rho = cutoff.inner_radius
+    s0 = -math.log(rho)
+    steps = 0
+    if 2.0 * eps * (1.0 + s0) <= _GAMMA_SERIES_MAX_X:
+        steps = max(0, math.ceil(beta - 1.5))
+    b = beta - steps  # exact, and so is every b below
+    try:
+        q = math.exp(2.0 * eps) * _scaled_upper_gamma(b, eps, s0)
+    except OverflowError:
+        q = math.inf
+    x_rho = 1.0 / (1.0 + s0)
+    for _ in range(steps):
+        # 2eps Q(b) = -b Q(b+1) + rho^{2eps} X_1(rho)^b
+        q = (rho ** (2.0 * eps) * x_rho**b - 2.0 * eps * q) / b
+        b += 1.0
+    if not math.isfinite(q):
+        raise DomainError(f"Q({beta}) overflows at eps = {eps}")
+    return q
 
 
 def _reduce_columns(poly: _Poly2, a1: float):
@@ -697,22 +811,22 @@ def _reduce_columns(poly: _Poly2, a1: float):
 
 
 class _Reduction:
-    """Single-log integrals over (0, inner] through the exact reduction.
+    """Single-log integrals over (0, inner] through the exact reduction: a
+    column sum of closed-form Q(beta) and boundary terms, with no quadrature.
 
-    One instance serves one parameter set, so the Q(beta) integrals are
-    shared between the quantities it evaluates.
+    One instance serves one parameter set, so each Q(beta) is evaluated once
+    for every integral it takes.
     """
 
-    def __init__(self, params: MinSeqParams, spec: QuadratureSpec):
+    def __init__(self, params: MinSeqParams):
         self.params = params
-        self.spec = spec
         self._prods = [_Poly2.x()]  # P_1 = X_1
         self.forms = _closed_forms(params, _Poly2.eps(), *_eta_b(params.a, self._prods))
         self._q: dict = {}
 
     def q_beta(self, beta: float) -> float:
         if beta not in self._q:
-            self._q[beta] = _q_beta(beta, self.params.epsilon, self.params.cutoff, self.spec)
+            self._q[beta] = _q_beta(beta, self.params.epsilon, self.params.cutoff)
         return self._q[beta]
 
     def poly(self, terms) -> _Poly2:
@@ -784,7 +898,7 @@ def rayleigh_quotient(
     quotient = fam.quotient(params.N, params.m)
     outer = _OuterTerms(params, K)
     if K == 1 and len(params.a) == 1 and fam.reduced:
-        inner = _Reduction(params, spec).integral
+        inner = _Reduction(params).integral
     else:
         inner = functools.partial(_inner_integral, params=params, K=K, spec=spec)
     num, den = (inner(t) + outer.integral(t, spec) for t in quotient)
@@ -971,7 +1085,7 @@ def leading_order_asymptotics(
     if params.m != 0.0 or params.mode_k != 0:
         raise DomainError("asymptotic checks use m = 0 and the radial mode")
     case = _ASYMPTOTICS[which]
-    red = _Reduction(params, spec)
+    red = _Reduction(params)
     terms = case.lhs(params.N)
     if case.direct:
         inner = _inner_integral(terms, params, 1, spec)

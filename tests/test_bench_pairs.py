@@ -50,3 +50,16 @@ def test_worse_and_unresolved():
     assert tool.summarize(wide, wide, "higher", 0.25)["verdict"] == "unresolved"
     # a wide parent spread is resolved when every change run reads better
     assert tool.summarize(wide, [2.5] * 10, "higher", 0.25)["verdict"] == "within bound"
+
+
+def test_timed_op_count_is_read_from_the_run_comment():
+    tool = _tool()
+    stdout = (
+        '# {"workload": "scan-limits", "seed": 2}\n'
+        "# distinct ops attempted 336, failed 0 (failed_share 0), exceptions {}; 11058 timed op runs\n"
+        "# op_tail_ms is the p99 of 11058 op times (111 beyond it)\n"
+        '{"correct": true, "attempted": 336, "failed": 0, "metrics": {}}\n'
+    )
+    assert tool.timed_ops(stdout) == 11058
+    with pytest.raises(ValueError):
+        tool.timed_ops('{"correct": true}\n')

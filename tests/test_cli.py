@@ -176,6 +176,21 @@ def test_scan_csv_descends(capsys):
     assert all(v >= th - 1e-9 for v in q)
 
 
+def test_scan_notes_uncertified_steps_on_stderr(capsys):
+    """The K = 2 direct path leaves quadratures unconverged: stderr names each
+    such step with its count, and stdout is the plain CSV."""
+    from rellich import minseq
+
+    code, out, err = run_cli(capsys, "scan", "--family", "rellich-improved", "--N", "6", "--K", "2")
+    family = minseq.ScanFamily.RELLICH_IMPROVED
+    result = minseq.scan_to_limit(family, minseq.default_schedule(family, 6, K=2))
+    assert code == 0
+    assert out == minseq.scan_result_csv(result)
+    steps = ", ".join(f"{i} ({n})" for i, n in enumerate(result.unconverged) if n)
+    assert steps
+    assert f"note: unconverged quadratures at scan steps {steps}; those quotients are not certified\n" in err
+
+
 def test_scan_malformed_schedule(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "amn", "--N", "30", "--schedule", "oops")
     assert code == 2
@@ -405,62 +420,62 @@ def test_verify_golden_output(capsys):
 _SCAN_GOLDEN = {
     "rellich-improved": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,76.382804087475748,2.5\n"
+        "0,0.01,0.10000000000000001,76.382804087475762,2.5\n"
         "1,0.0030000000000000001,0.10000000000000001,59.486628506711106,2.5\n"
-        "2,0.001,0.10000000000000001,50.203309221488297,2.5\n"
+        "2,0.001,0.10000000000000001,50.20330922148829,2.5\n"
         "3,0.00029999999999999997,0.10000000000000001,43.537345963700268,2.5\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731142,2.5\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113138,2.5\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731146,2.5\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113121,2.5\n"
         "6,3.4565965045886174e-209,0.012500000000000001,4.9252833705570227,2.5\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341953,2.5\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728698,2.5\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,2.941937737627986,2.5\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776969,2.5\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776974,2.5\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,2.8029142791398898,2.5\n"
     ),
     "rellich-gradient-improved": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,25.836851147750167,0.25\n"
+        "0,0.01,0.10000000000000001,25.836851147750163,0.25\n"
         "1,0.0030000000000000001,0.10000000000000001,22.788972601260653,0.25\n"
         "2,0.001,0.10000000000000001,20.807752272682428,0.25\n"
         "3,0.00029999999999999997,0.10000000000000001,19.187163118821104,0.25\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,7.0250494182923271,0.25\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,7.025049418292328,0.25\n"
         "5,5.8792826982452694e-105,0.025000000000000001,3.9289896987352297,0.25\n"
-        "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119609,0.25\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119604,0.25\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481308,0.25\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,0.80046775271226911,0.25\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,0.61322961453358749,0.25\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.53391792443606712,0.25\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.533917924436067,0.25\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.49844794239605966,0.25\n"
     ),
     "weighted-rellich-improved": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,76.382804087475748,2.5\n"
+        "0,0.01,0.10000000000000001,76.382804087475762,2.5\n"
         "1,0.0030000000000000001,0.10000000000000001,59.486628506711106,2.5\n"
-        "2,0.001,0.10000000000000001,50.203309221488297,2.5\n"
+        "2,0.001,0.10000000000000001,50.20330922148829,2.5\n"
         "3,0.00029999999999999997,0.10000000000000001,43.537345963700268,2.5\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731142,2.5\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113138,2.5\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731146,2.5\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113121,2.5\n"
         "6,3.4565965045886174e-209,0.012500000000000001,4.9252833705570227,2.5\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341953,2.5\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728698,2.5\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,2.941937737627986,2.5\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776969,2.5\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776974,2.5\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,2.8029142791398898,2.5\n"
     ),
     "weighted-gradient-improved": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,25.836851147750167,0.25\n"
+        "0,0.01,0.10000000000000001,25.836851147750163,0.25\n"
         "1,0.0030000000000000001,0.10000000000000001,22.788972601260653,0.25\n"
         "2,0.001,0.10000000000000001,20.807752272682428,0.25\n"
         "3,0.00029999999999999997,0.10000000000000001,19.187163118821104,0.25\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,7.0250494182923271,0.25\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,7.025049418292328,0.25\n"
         "5,5.8792826982452694e-105,0.025000000000000001,3.9289896987352297,0.25\n"
-        "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119609,0.25\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119604,0.25\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481308,0.25\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,0.80046775271226911,0.25\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,0.61322961453358749,0.25\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.53391792443606712,0.25\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.533917924436067,0.25\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.49844794239605966,0.25\n"
     ),
     "amn": (
@@ -472,12 +487,12 @@ _SCAN_GOLDEN = {
     ),
     "rellich-deficit-vgrad": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,46.818203413759264,10\n"
+        "0,0.01,0.10000000000000001,46.818203413759271,10\n"
         "1,0.0030000000000000001,0.10000000000000001,45.326259403265453,10\n"
         "2,0.001,0.10000000000000001,44.177534256222501,10\n"
         "3,0.00029999999999999997,0.10000000000000001,43.114221112326945,10\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,28.735289781724592,10\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,21.780683092152024,10\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,28.7352897817246,10\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,21.780683092152021,10\n"
         "6,3.4565965045886174e-209,0.012500000000000001,16.763843018186893,10\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,13.677159162578969,10\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,12.094746420004256,10\n"
@@ -487,40 +502,40 @@ _SCAN_GOLDEN = {
     ),
     "rellich-deficit-vlap": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,0.88640280031870666,0.625\n"
-        "1,0.0030000000000000001,0.10000000000000001,0.88310077395551945,0.625\n"
+        "0,0.01,0.10000000000000001,0.88640280031870677,0.625\n"
+        "1,0.0030000000000000001,0.10000000000000001,0.88310077395551934,0.625\n"
         "2,0.001,0.10000000000000001,0.88042457468391988,0.625\n"
-        "3,0.00029999999999999997,0.10000000000000001,0.8778357904469738,0.625\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,0.82726500807381231,0.625\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,0.78402258936192326,0.625\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.87783579044697346,0.625\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,0.82726500807381242,0.625\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,0.78402258936192315,0.625\n"
         "6,3.4565965045886174e-209,0.012500000000000001,0.73642411805395203,0.625\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,0.69507793526361794,0.625\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,0.66841204288075418,0.625\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,0.65511357993120789,0.625\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.64905242469629221,0.625\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.64905242469629232,0.625\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.64625197162609649,0.625\n"
     ),
     "gradrellich-deficit-vgrad": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,37.818203413759264,1\n"
+        "0,0.01,0.10000000000000001,37.818203413759257,1\n"
         "1,0.0030000000000000001,0.10000000000000001,36.326259403265453,1\n"
         "2,0.001,0.10000000000000001,35.177534256222508,1\n"
         "3,0.00029999999999999997,0.10000000000000001,34.114221112326931,1\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,19.735289781724596,1\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,12.780683092152019,1\n"
-        "6,3.4565965045886174e-209,0.012500000000000001,7.7638430181868969,1\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,19.7352897817246,1\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,12.780683092152021,1\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,7.763843018186896,1\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,4.677159162578973,1\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,3.0947464200042538,1\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,2.3970317497662652,1\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,2.0965706054747337,1\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.0965706054747333,1\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,1.9612252754611439,1\n"
     ),
     "v-laplacian-radial-excess": (
         "step,epsilon,a1,quotient,theoretical\n"
         "0,0.01,0.10000000000000001,105.63640682751848,32\n"
-        "1,0.0030000000000000001,0.10000000000000001,102.65251880653085,32\n"
+        "1,0.0030000000000000001,0.10000000000000001,102.65251880653086,32\n"
         "2,0.001,0.10000000000000001,100.35506851244497,32\n"
-        "3,0.00029999999999999997,0.10000000000000001,98.228442224653833,32\n"
+        "3,0.00029999999999999997,0.10000000000000001,98.228442224653861,32\n"
         "4,7.6676480737219997e-53,0.050000000000000003,69.470579563449164,32\n"
         "5,5.8792826982452694e-105,0.025000000000000001,55.561366184304028,32\n"
         "6,3.4565965045886174e-209,0.012500000000000001,45.52768603637378,32\n"
@@ -532,17 +547,17 @@ _SCAN_GOLDEN = {
     ),
     "gradrellich-deficit-vlap": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,0.71600700079676605,0.0625\n"
-        "1,0.0030000000000000001,0.10000000000000001,0.70775193488879773,0.0625\n"
+        "0,0.01,0.10000000000000001,0.71600700079676594,0.0625\n"
+        "1,0.0030000000000000001,0.10000000000000001,0.70775193488879762,0.0625\n"
         "2,0.001,0.10000000000000001,0.70106143670979937,0.0625\n"
-        "3,0.00029999999999999997,0.10000000000000001,0.69458947611743316,0.0625\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,0.56816252018453017,0.0625\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.69458947611743305,0.0625\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,0.56816252018453028,0.0625\n"
         "5,5.8792826982452694e-105,0.025000000000000001,0.46005647340480754,0.0625\n"
-        "6,3.4565965045886174e-209,0.012500000000000001,0.34106029513487995,0.0625\n"
+        "6,3.4565965045886174e-209,0.012500000000000001,0.3410602951348799,0.0625\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,0.2376948381590448,0.0625\n"
         "8,4.9406564584124654e-324,0.0031250000000000002,0.17103010720188508,0.0625\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,0.13778394982801995,0.0625\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.1226310617407307,0.0625\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.12263106174073067,0.0625\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.11562992906524094,0.0625\n"
     ),
     "rellich-gradient": (

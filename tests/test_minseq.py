@@ -164,7 +164,7 @@ def test_reduced_path_matches_direct_path():
         p = MinSeqParams(N, m, 1e-4, (0.07,))
         quotient = M._FAMILIES[fam].quotient(N, m)
         # the paths differ only on (0, inner]: reduction against quadrature in s
-        red = M._Reduction(p, SPEC)
+        red = M._Reduction(p)
         inner = [M._inner_integral(terms, p, 1, SPEC) for terms in quotient]
         for terms, direct in zip(quotient, inner):
             assert red.integral(terms) == pytest.approx(direct, rel=1e-9), (fam, terms)
@@ -184,17 +184,111 @@ def test_inner_q_beta_and_its_boundary_identity(eps):
 
     cut = CutoffSpec()
     rho = cut.inner_radius
-    spec = QuadratureSpec()
     for beta in (0.93, 1.07, 2.07, 3.5):
         with mp.workdps(30):
             e, b = mp.mpf(eps), mp.mpf(beta)
             breaks = [mp.log(1 / mp.mpf(rho))] + [mp.mpf(10) ** j for j in range(13)] + [mp.inf]
             ref = float(mp.quad(lambda s: mp.exp(-2 * e * s) * (1 + s) ** -b, breaks))
-        q = M._q_beta(beta, eps, cut, spec)
+        q = M._q_beta(beta, eps, cut)
         assert q == pytest.approx(ref, rel=1e-13, abs=0.0), beta
-        lhs = eps * q + beta / 2.0 * M._q_beta(beta + 1.0, eps, cut, spec)
+        lhs = eps * q + beta / 2.0 * M._q_beta(beta + 1.0, eps, cut)
         boundary = 0.5 * rho ** (2.0 * eps) * (1.0 / (1.0 - math.log(rho))) ** beta
         assert lhs == pytest.approx(boundary, rel=1e-13, abs=0.0), beta
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+def test_q_beta_matches_the_incomplete_gamma_function(rho):
+    """Q(beta) = e^{2eps} (2eps)^{beta-1} Gamma(1-beta, 2eps (1 + ln(1/rho)))
+    at 40 digits, from moderate eps down to the smallest double, on the
+    levels a reduced quotient reads (beta = 1+a, 2+a, 3+a) and on the
+    divergent level beta = -1+a the asymptotics read.  a = 1 puts the levels
+    on the poles of Gamma at the nonpositive integers."""
+    import mpmath as mp
+
+    import rellich.minseq as M
+
+    cut = CutoffSpec(inner_radius=rho)
+    for eps in (0.3, 1e-2, 3e-4, 1e-8, 1e-20, 1e-100, 1e-300, 5e-324):
+        for a in (1e-7, 3.90625e-4, 0.05, 0.1, 0.5, 0.93, 1.0):
+            for j in (0, 2, 3, 4):
+                if j == 0 and eps < 1e-100:  # Q(-1+a) ~ (2eps)^{a-2} leaves the double range
+                    continue
+                beta = -1.0 + a + j
+                with mp.workdps(40):
+                    e, b = mp.mpf(eps), mp.mpf(beta)
+                    x = 2 * e * (1 - mp.log(mp.mpf(rho)))
+                    ref = mp.exp(2 * e) * (2 * e) ** (b - 1) * mp.gammainc(1 - b, x)
+                    err = float(abs(mp.mpf(M._q_beta(beta, eps, cut)) - ref) / ref)
+                bound = 1e-13 if j == 0 else 1e-14
+                assert err <= bound, (eps, a, beta, err)
+
+
+def test_q_beta_raises_where_it_cannot_answer(monkeypatch):
+    import rellich.minseq as M
+
+    cut = CutoffSpec()
+    with pytest.raises(DomainError, match="overflows"):
+        M._q_beta(-0.5, 5e-324, cut)  # ~ (2eps)^{-1.5}
+    monkeypatch.setattr(M, "_GAMMA_MAX_TERMS", 3)
+    with pytest.raises(DomainError, match="series"):
+        M._q_beta(1.1, 0.3, cut)  # x = 1.02: the series
+    with pytest.raises(DomainError, match="continued fraction"):
+        M._q_beta(1.1, 0.3, CutoffSpec(inner_radius=0.01))  # x = 3.4: the continued fraction
+
+
+def test_reduced_quotient_runs_two_zone_quadratures(monkeypatch):
+    """A reduced quotient integrates only the cutoff zone, once for its
+    numerator and once for its denominator, and each zone integral starts on
+    4 panels: its first integrand call takes 4 x 15 nodes."""
+    import rellich.minseq as M
+    from rellich.quadrature import count_quadrature
+
+    first_calls = []
+    real = M.integrate
+
+    def recording(f, a, b, spec=None, breakpoints=()):
+        sizes = []
+
+        def g(r):
+            sizes.append(np.size(r))
+            return f(r)
+
+        res = real(g, a, b, spec, breakpoints)
+        first_calls.append(sizes[0])
+        return res
+
+    monkeypatch.setattr(M, "integrate", recording)
+    for fam, spec in M._FAMILIES.items():
+        if not spec.reduced:
+            continue
+        first_calls.clear()
+        with count_quadrature() as counts:
+            rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-3, (0.1,)))
+        assert counts.calls == 2, fam
+        assert first_calls == [60, 60], fam
+
+
+def test_zone_integral_matches_the_plain_adaptive_rule(monkeypatch):
+    """Started on its 4 panels, every zone integral of every family's
+    default N = 6 scan agrees with the adaptive rule started on the whole
+    zone, which refines to the same panels."""
+    import rellich.minseq as M
+
+    real = M.integrate
+    seen = []
+
+    def both(f, a, b, spec=None, breakpoints=()):
+        res = real(f, a, b, spec, breakpoints)
+        plain = real(f, a, b, spec).value
+        seen.append(abs(res.value - plain) / abs(plain))
+        return res
+
+    monkeypatch.setattr(M, "integrate", both)
+    for fam in ScanFamily:
+        for params in default_schedule(fam, 6):
+            rayleigh_quotient(fam, params)
+    assert len(seen) == 2 * sum(len(default_schedule(fam, 6)) for fam in ScanFamily)
+    assert max(seen) <= 2e-15
 
 
 def test_family_parameter_guards():

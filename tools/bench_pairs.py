@@ -7,9 +7,9 @@ extracted to a temporary directory.  Both must carry the same benchmark, so
 the tool first requires ``git diff --quiet REV -- perfbench BENCHMARK.json``.
 Each seed in A..B is one pair: ``perfbench/run.py --trace 0`` once in each
 tree, with the side that runs first alternating from pair to pair.  Every run
-is printed, then for each end-to-end metric of BENCHMARK.json: each side's
-median and quartiles, the change's wins (ties count for neither side), the
-median ratio, and a verdict:
+is printed with its number of timed op runs, then for each end-to-end metric
+of BENCHMARK.json: each side's median and quartiles, the change's wins (ties
+count for neither side), the median ratio, and a verdict:
 
 - ``gain``: over at least ten pairs, the change won at least nine tenths of
   them and its median is better than the parent's by more than the parent's
@@ -20,13 +20,17 @@ median ratio, and a verdict:
   than the bound, unless every change run is better than every parent run;
 - ``within bound`` otherwise.
 
-The last line is the same summary as one JSON object.
+``peak_rss_mb`` also shows each side's median number of timed op runs: the
+worker keeps every timed sample (about 0.47 KB each), so a faster change
+reads as a larger peak RSS through that count alone.  The last line is the
+same summary as one JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -82,7 +86,16 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def timed_ops(stdout: str) -> int:
+    """The number of timed op runs, from run.py's "... N timed op runs" comment line."""
+    found = re.search(r"^# .*?(\d+) timed op runs$", stdout, re.MULTILINE)
+    if found is None:
+        raise ValueError("no timed op count in the run output")
+    return int(found.group(1))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's final JSON object, with its timed op count added as ``timed_ops``."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -91,7 +104,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         text=True,
         check=True,
     ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return {**json.loads(out.strip().splitlines()[-1]), "timed_ops": timed_ops(out)}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -127,8 +140,10 @@ def main(argv=None) -> int:
                 got = result["metrics"]
                 values = " ".join(f"{m['name']}={got[m['name']]['value']:.6g}" for m in metrics)
                 failed = f"failed {result['failed']}/{result['attempted']}"
-                print(f"# pair {i + 1} seed {seed} {side}: {failed} {values}", flush=True)
+                samples = f"timed_ops={result['timed_ops']}"
+                print(f"# pair {i + 1} seed {seed} {side}: {failed} {values} {samples}", flush=True)
 
+    samples = {side: statistics.median(r["timed_ops"] for r in runs[side]) for side in runs}
     summary = {}
     for m in metrics:
         name = m["name"]
@@ -141,12 +156,15 @@ def main(argv=None) -> int:
             f"{side} {q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
             for side, q in (("parent", s["parent"]), ("change", s["change"]))
         )
+        counts = ""
+        if name == "peak_rss_mb":
+            counts = f"  timed_ops parent {samples['parent']:g} change {samples['change']:g}"
         print(
             f"{name:12s} {sides}  wins {s['wins']}/{s['pairs']} (losses {s['losses']})"
-            f"  ratio {ratio}  {s['verdict']}"
+            f"  ratio {ratio}  {s['verdict']}{counts}"
         )
     print(json.dumps({"workload": args.workload, "parent": args.parent, "seeds": seeds,
-                      "seconds": args.seconds, "metrics": summary}))
+                      "seconds": args.seconds, "metrics": summary, "timed_ops": samples}))
     return 0
 
 
