@@ -27,8 +27,8 @@ from .constants import (
     weighted_rellich_grad_constant,
     x0,
 )
-from .errors import DifferentiabilityError, DivergenceError, DomainError, QuadratureError
-from .iterlog import SeriesValue, series_sum, x1, xk, xk_power_derivative
+from .errors import DivergenceError, DomainError, QuadratureError
+from .iterlog import x1, xk
 from .minseq import (
     AsymptoticCase,
     CutoffSpec,
@@ -57,10 +57,7 @@ from .radial import (
     SphericalMode,
     TestFunction,
     functional,
-    g_profile,
     mode_operator,
-    polyharmonic_power,
-    profile_from_csv,
     sphere_area,
     substitute_u,
     substitute_v,

@@ -9,9 +9,5 @@ class DivergenceError(ValueError):
     """A requested integral or series is provably divergent."""
 
 
-class DifferentiabilityError(ValueError):
-    """A profile does not carry enough derivatives for the operation."""
-
-
 class QuadratureError(RuntimeError):
     """Quadrature failed in a way that cannot be reported as a result."""

@@ -197,7 +197,7 @@ class ScanFamily(Enum):
     RELLICH_GRAD_IMPROVED = "rellich-gradient-improved"  # -> 1/4
     WEIGHTED_RELLICH_IMPROVED = "weighted-rellich-improved"  # -> sigma_bar(m, N)
     WEIGHTED_GRAD_IMPROVED = "weighted-gradient-improved"  # -> 1/4
-    AMN = "amn"                                        # -> a_{m,N} per-mode candidate
+    AMN = "amn"                                        # -> A(k, N, m), its mode's candidate
     DEFICIT_VGRAD = "rellich-deficit-vgrad"            # -> 4 + N(N-4)/2
     DEFICIT_VLAP = "rellich-deficit-vlap"              # -> 1/2 + 2/(N-2)^2
     GRAD_DEFICIT_VGRAD = "gradrellich-deficit-vgrad"   # -> ((N-4)/2)^2
@@ -251,17 +251,18 @@ def _improved(piece: str, constant: float, series_coeff: float):
     return num, (_Term(1.0, piece, "pk2"),)
 
 
-def _section2(key: str) -> Callable[[int, float], float]:
-    return lambda N, m: C.section2_constants(N)[key]
+def _section2(key: str) -> Callable[[int, float, int], float]:
+    return lambda N, m, k: C.section2_constants(N)[key]
 
 
 @dataclass(frozen=True)
 class _FamilySpec:
-    """A family's quotient terms and sharp constant, both functions of
-    (N, m), and the restrictions on its sequences' parameters."""
+    """A family's quotient terms, a function of (N, m), its sharp constant,
+    a function of (N, m, mode k), and the restrictions on its sequences'
+    parameters."""
 
     quotient: Callable[[int, float], tuple[tuple[_Term, ...], tuple[_Term, ...]]]
-    constant: Callable[[int, float], float]
+    constant: Callable[[int, float, int], float]
     m_zero: bool = False
     radial: bool = True
     below_m_star: bool = False
@@ -282,28 +283,28 @@ class _FamilySpec:
 _FAMILIES: dict[ScanFamily, _FamilySpec] = {
     ScanFamily.RELLICH_IMPROVED: _FamilySpec(
         lambda N, m: _improved("hardy_u", C.rellich_constant(N), C.sigma_bar(0, N)),
-        lambda N, m: C.sigma_bar(0, N),
+        lambda N, m, k: C.sigma_bar(0, N),
         m_zero=True,
     ),
     ScanFamily.RELLICH_GRAD_IMPROVED: _FamilySpec(
         lambda N, m: _improved("grad_u", C.rellich_grad_constant(N), 0.25),
-        lambda N, m: 0.25,
+        lambda N, m, k: 0.25,
         m_zero=True,
     ),
     ScanFamily.WEIGHTED_RELLICH_IMPROVED: _FamilySpec(
         lambda N, m: _improved(
             "hardy_u", float(C._sigma_exact(m, N)), float(C._sigma_bar_exact(m, N))
         ),
-        lambda N, m: C.sigma_bar(m, N),
+        lambda N, m, k: C.sigma_bar(m, N),
     ),
     ScanFamily.WEIGHTED_GRAD_IMPROVED: _FamilySpec(
         lambda N, m: _improved("grad_u", C.weighted_rellich_grad_constant(N, m), 0.25),
-        lambda N, m: 0.25,
+        lambda N, m, k: 0.25,
         below_m_star=True,
     ),
     ScanFamily.AMN: _FamilySpec(
         lambda N, m: (_plain("lap_u"), _plain("grad_u")),
-        lambda N, m: C.a_mn(N, m).value,
+        lambda N, m, k: C.per_mode_quotient(k, N, m),
         radial=False,
         reduced=False,
     ),
@@ -345,7 +346,7 @@ def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
     """The sharp constant the family's quotients approach."""
     spec = _FAMILIES[family]
     spec.validate(family, params)
-    return spec.constant(params.N, params.m)
+    return spec.constant(params.N, params.m, params.mode_k)
 
 
 def _combine(terms, piece, weight, deficit=None):

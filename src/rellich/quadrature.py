@@ -34,7 +34,6 @@ __all__ = [
     "integrate",
     "integrate_halfline",
     "integrate_logweighted",
-    "classify_origin_integral",
     "QuadratureCounts",
     "count_quadrature",
 ]
@@ -421,23 +420,27 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
     return _counted(QuadratureResult(value, err, evals, converged))
 
 
-def describe_cascade_failure(power: float, log_exponents) -> str | None:
+def describe_cascade_failure(power, log_exponents) -> str | None:
     """Apply the finiteness cascade; returns a failure description or None.
 
     The integrand is r^power * prod_i X_i^{1 + b_i} * phi^2 with b_i the given
     exponent offsets.  Finite iff eps := (power+1)/2 > 0, or eps = 0 and the
-    first nonzero offset is positive.
+    first nonzero offset is positive.  Every comparison is made on the given
+    numbers as they are, so Fraction inputs are decided exactly.  A
+    non-finite power or offset raises DomainError.
     """
-    eps = (power + 1.0) / 2.0
-    if eps > 0:
+    log_exponents = list(log_exponents)
+    if not all(math.isfinite(v) for v in (power, *log_exponents)):
+        raise DomainError(f"non-finite cascade input: power {power}, offsets {log_exponents}")
+    if power > -1:
         return None
-    if eps < 0:
-        return f"power {power} < -1 (eps = {eps} < 0)"
+    if power < -1:
+        return f"power {float(power)} < -1 (eps = {float(power + 1) / 2.0} < 0)"
     for i, beta in enumerate(log_exponents, start=1):
         if beta > 0:
             return None
         if beta < 0:
-            return f"eps = 0 and the first nonzero log exponent offset beta_{i} = {beta} <= 0"
+            return f"eps = 0 and the first nonzero log exponent offset beta_{i} = {float(beta)} <= 0"
     return "eps = 0 and every log exponent offset is zero"
 
 
@@ -473,56 +476,3 @@ def integrate_logweighted(
         return out
 
     return integrate_halfline(h, 0.0, spec)
-
-
-def classify_origin_integral(
-    f,
-    spec: QuadratureSpec | None = None,
-    growth_factor: float = 1e6,
-    j_max: int = 60,
-):
-    """Finite/divergent classification of int_0^1 f(r) dr by nested intervals.
-
-    Integrates over (2^{-j}, 1] for growing j and inspects the increments.
-    Returns ("finite", value) or ("divergent", None).  Increments decaying
-    slower than j^{-1.05} (log-type divergence), non-decaying increments, or
-    growth of the partial integrals beyond growth_factor all classify as
-    divergent.
-    """
-    spec = spec or QuadratureSpec()
-    loose_rel = max(spec.rel_tol, 1e-9)
-    increments = []
-    partial = 0.0
-    first_scale = None
-    ln2 = math.log(2.0)
-    for j in range(j_max):
-        lo, hi = math.exp(-(j + 1) * ln2), math.exp(-j * ln2)
-        v, _e, _n, _ok = _adaptive_finite(f, lo, hi, loose_rel, spec.abs_tol, 512)
-        if not np.isfinite(v):
-            return "divergent", None
-        increments.append(v)
-        partial += v
-        if first_scale is None and abs(partial) > 0:
-            first_scale = abs(partial)
-        if first_scale is not None and abs(partial) > growth_factor * first_scale:
-            return "divergent", None
-    mags = [abs(d) for d in increments]
-    tail_scale = max(mags[-8:])
-    if tail_scale == 0.0:
-        return "finite", partial
-    if partial != 0 and tail_scale < 1e-13 * abs(partial):
-        return "finite", partial
-    # estimate the polynomial decay exponent of the increments in j
-    alphas = []
-    for j in range(j_max - 10, j_max):
-        d_prev, d_cur = mags[j - 1], mags[j]
-        if d_prev > 0 and d_cur > 0:
-            alphas.append(math.log(d_prev / d_cur) / math.log(j / (j - 1.0)))
-    if not alphas:
-        return "divergent", None
-    alpha = float(np.median(alphas))
-    if alpha <= 1.05:
-        return "divergent", None
-    # power-law tail correction d_j ~ C j^{-alpha}
-    tail = mags[-1] * (j_max - 1) / (alpha - 1.0)
-    return "finite", partial + math.copysign(tail, increments[-1])

@@ -46,7 +46,6 @@ with an empty one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -55,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import constants as C
-from .errors import DifferentiabilityError, DomainError
+from .errors import DomainError
 from .iterlog import log_product
 from .quadrature import (
     OriginSubstitution,
@@ -74,15 +73,12 @@ __all__ = [
     "FunctionalValue",
     "Functional",
     "mode_operator",
-    "polyharmonic_power",
     "substitute_v",
     "substitute_u",
-    "g_profile",
     "gradient_density",
     "origin_integral",
     "reduced_form",
     "functional",
-    "profile_from_csv",
 ]
 
 
@@ -110,10 +106,8 @@ class SphericalMode:
 class RadialProfile:
     """A scalar function of r with derivatives, on a support inside [0, D].
 
-    Two backends: closed-form (a jet-propagating evaluator supplies value and
-    all derivatives together) and quintic-spline interpolation of samples.
-    The spline backend carries only four derivatives, so it is rejected for
-    polyharmonic order > 2.
+    A jet-propagating evaluator supplies the value and all derivatives
+    together.
     """
 
     def __init__(
@@ -121,14 +115,12 @@ class RadialProfile:
         jet_fn: Callable[[Jet], Jet],
         support: tuple[float, float] = (0.0, 1.0),
         origin_order: float = 0.0,
-        max_order: int = 64,
     ):
         if not (0.0 <= support[0] < support[1]):
             raise DomainError(f"invalid support {support}")
         self._jet_fn = jet_fn
         self.support = (float(support[0]), float(support[1]))
         self.origin_order = float(origin_order)
-        self.max_order = int(max_order)
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -145,36 +137,8 @@ class RadialProfile:
 
         return cls(fn, support, origin_order)
 
-    @classmethod
-    def from_samples(cls, r, values, support=None, origin_order=0.0):
-        """Quintic-spline profile through (r, values)."""
-        from scipy.interpolate import make_interp_spline
-
-        r = np.asarray(r, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.size < 8 or np.any(np.diff(r) <= 0):
-            raise DomainError("need at least 8 strictly increasing sample radii")
-        spline = make_interp_spline(r, values, k=5)
-        derivs = [spline.derivative(nu) if nu else spline for nu in range(5)]
-        if support is None:
-            support = (float(r[0]), float(r[-1]))
-
-        def fn(J: Jet) -> Jet:
-            if J.order > 4:
-                raise DifferentiabilityError(
-                    "spline-backed profiles carry only four derivatives"
-                )
-            x = np.clip(J.value, r[0], r[-1])
-            return Jet([derivs[j](x) / math.factorial(j) for j in range(J.order + 1)])
-
-        return cls(fn, support, origin_order, max_order=4)
-
     # ------------------------------------------------------------ evaluation
     def taylor(self, r, order: int) -> Jet:
-        if order > self.max_order:
-            raise DifferentiabilityError(
-                f"profile carries {self.max_order} derivatives, {order} requested"
-            )
         return self._jet_fn(Jet.variable(r, order)).truncate(order)
 
     def __call__(self, r):
@@ -221,7 +185,7 @@ class RadialProfile:
             store[key] = ([r.tobytes() for r in rows[1:]], out)
             return out
 
-        return RadialProfile(remembered, self.support, self.origin_order, self.max_order)
+        return RadialProfile(remembered, self.support, self.origin_order)
 
     # -------------------------------------------------------------- algebra
     def power_shift(self, alpha: float) -> "RadialProfile":
@@ -232,7 +196,7 @@ class RadialProfile:
         def shifted(J: Jet) -> Jet:
             return (J**alpha) * fn(J)
 
-        return RadialProfile(shifted, self.support, self.origin_order + alpha, self.max_order)
+        return RadialProfile(shifted, self.support, self.origin_order + alpha)
 
     def __mul__(self, other):
         if isinstance(other, RadialProfile):
@@ -244,11 +208,10 @@ class RadialProfile:
                     min(self.support[1], other.support[1]),
                 ),
                 self.origin_order + other.origin_order,
-                min(self.max_order, other.max_order),
             )
         c = float(other)
         fn = self._jet_fn
-        return RadialProfile(lambda J: fn(J) * c, self.support, self.origin_order, self.max_order)
+        return RadialProfile(lambda J: fn(J) * c, self.support, self.origin_order)
 
     __rmul__ = __mul__
 
@@ -261,7 +224,6 @@ class RadialProfile:
                 max(self.support[1], other.support[1]),
             ),
             min(self.origin_order, other.origin_order),
-            min(self.max_order, other.max_order),
         )
 
 
@@ -287,8 +249,6 @@ class TestFunction:
 
 def mode_operator(mode: SphericalMode, f: RadialProfile) -> RadialProfile:
     """L_k f = f'' + (N-1) f'/r - c_k f/r^2 acting on the radial factor."""
-    if f.max_order < 2:
-        raise DifferentiabilityError("mode operator needs two derivatives")
     N, ck = mode.N, mode.eigenvalue
     fn = f._jet_fn
 
@@ -302,7 +262,7 @@ def mode_operator(mode: SphericalMode, f: RadialProfile) -> RadialProfile:
             out = out - ck * (F.truncate(J.order) / (R * R))
         return out
 
-    return RadialProfile(lk, f.support, f.origin_order - 2, f.max_order - 2)
+    return RadialProfile(lk, f.support, f.origin_order - 2)
 
 
 def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
@@ -311,20 +271,6 @@ def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
     out = F.deriv(2) + (F.deriv(1) / r) * (N - 1)
     if ck:
         out = out - (F.value / (r * r)) * ck
-    return out
-
-
-def polyharmonic_power(mode: SphericalMode, f: RadialProfile, m: int) -> RadialProfile:
-    """L_k^m f, realizing Delta^m on f phi_k; needs 2m derivatives."""
-    if m < 1 or m != int(m):
-        raise DomainError(f"polyharmonic order must be a positive integer, got {m}")
-    if f.max_order < 2 * m:
-        raise DifferentiabilityError(
-            f"polyharmonic order {m} needs {2 * m} derivatives, profile has {f.max_order}"
-        )
-    out = f
-    for _ in range(int(m)):
-        out = mode_operator(mode, out)
     return out
 
 
@@ -347,12 +293,6 @@ def substitute_u(v: TestFunction, m: float = 0.0) -> TestFunction:
         raise DomainError("substitute_u expects a v-side function")
     alpha = _v_exponent(v.mode.N, m)
     return TestFunction(v.profile.power_shift(-alpha), v.mode, Representation.U_SIDE)
-
-
-def g_profile(u: TestFunction, m: float = 0.0) -> RadialProfile:
-    """The reduced profile g with v = r^k g, i.e. g = r^{(N-4-2m)/2 - k} f."""
-    tf = u if u.representation is Representation.U_SIDE else substitute_u(u, m)
-    return tf.profile.power_shift(_v_exponent(tf.mode.N, m) - tf.mode.k)
 
 
 # --------------------------------------------------------------------------
@@ -681,44 +621,3 @@ def functional(
         cross = cN * entry.cross(N, k, ck, m, values)
     unconverged = sum(not res.converged for res in used)
     return FunctionalValue(sum(results.values()), results, err, cross, unconverged)
-
-
-def profile_from_csv(path, origin_order: float = 0.0) -> RadialProfile:
-    """Load a user-supplied profile from CSV columns r, f [, f1, f2, ...].
-
-    Builds a quintic-spline profile from (r, f).  Derivative columns, when
-    present, are checked for rough consistency with the spline rather than
-    trusted directly.
-    """
-    radii, values, extra = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header and _is_number(header[0]):
-            rows = [header] + list(reader)
-        else:
-            rows = list(reader)
-    for row in rows:
-        if not row:
-            continue
-        radii.append(float(row[0]))
-        values.append(float(row[1]))
-        extra.append([float(x) for x in row[2:]])
-    profile = RadialProfile.from_samples(radii, values, origin_order=origin_order)
-    if extra and extra[0]:
-        r = np.asarray(radii)
-        inner = (r > r[0] + 0.05 * (r[-1] - r[0])) & (r < r[-1] - 0.05 * (r[-1] - r[0]))
-        d1 = np.array([row[0] for row in extra])
-        approx = profile.derivative_values(r[inner], 1)[1]
-        scale = np.max(np.abs(d1[inner])) + 1e-12
-        if np.max(np.abs(approx - d1[inner])) > 1e-2 * scale:
-            raise DomainError("derivative column disagrees with the interpolated profile")
-    return profile
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False

@@ -46,8 +46,8 @@ from .iterlog import series_partial
 from .powerseries import PowerSum
 from .quadrature import (
     QuadratureSpec,
-    classify_origin_integral,
     count_quadrature,
+    describe_cascade_failure,
     integrate,
 )
 from .radial import (
@@ -703,7 +703,7 @@ def check_inequality(
 
 
 # --------------------------------------------------------------------------
-# Sobolev-side quotients and admissibility classification
+# Sobolev-side quotients and the admissibility decision
 
 
 class SobolevForm(Enum):
@@ -768,31 +768,28 @@ class AdmissibilityCondition(Enum):
     POTENTIAL_PERTURBATION = "potential-perturbation"  # W^{N/4} X_1^{1-N/2}
 
 
-def admissibility(
-    potential,
-    N: int,
-    which: AdmissibilityCondition,
-    quad: QuadratureSpec | None = None,
-):
-    """Classify the admissibility integral of a nonnegative radial potential.
+def admissibility(N: int, which: AdmissibilityCondition, r_power, log_exponents=()):
+    """Decide the admissibility integral of V = r^r_power prod_i X_i^{c_i} h,
+    with ``log_exponents`` = (c_1, c_2, ...) and h bounded above and below
+    near 0, which cannot change the answer.
 
-    Returns ("finite", value) or ("divergent", None), via the nested-interval
-    protocol of the quadrature module.
+    The condition integrates V^p X_1^x r^{N-1} near 0, with (p, x) =
+    (N/2, 1-N) for the gradient perturbation and (N/4, 1-N/2) for the
+    potential one.  That is the cascade's r^power prod_i X_i^{1+b_i} with
+    power = r_power p + N - 1, b_1 = c_1 p + x - 1 (c_1 = 0 when no exponent
+    is given) and b_i = c_i p - 1 for i >= 2, formed in exact arithmetic on
+    the given numbers.  Returns ("finite", None) or ("divergent", the
+    cascade's reason); a non-finite input raises DomainError.
     """
-    spec = quad or QuadratureSpec()
     if N < 5:
         raise DomainError("need N >= 5")
     if which is AdmissibilityCondition.GRADIENT_PERTURBATION:
-        vpow, xpow = N / 2.0, 1.0 - N
+        p, x = Fraction(N, 2), 1 - N
     else:
-        vpow, xpow = N / 4.0, 1.0 - N / 2.0
-
-    def density(r):
-        x1 = 1.0 / (1.0 - np.log(np.minimum(r, 1.0)))
-        v = np.asarray(potential(r), dtype=float)
-        if np.any(v < 0):
-            raise DomainError("potential must be nonnegative")
-        return v**vpow * x1**xpow * r ** (N - 1)
-
-    return classify_origin_integral(density, spec)
-
+        p, x = Fraction(N, 4), 1 - Fraction(N, 2)
+    # non-finite floats stay floats, for the cascade to reject
+    a, *cs = (Fraction(v) if math.isfinite(v) else v for v in (r_power, *log_exponents))
+    c1, *rest = cs or [0]
+    offsets = [c1 * p + x - 1, *(c * p - 1 for c in rest)]
+    failure = describe_cascade_failure(a * p + N - 1, offsets)
+    return ("finite", None) if failure is None else ("divergent", failure)

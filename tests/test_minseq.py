@@ -343,6 +343,18 @@ def test_scan_theoretical_values():
     ) == pytest.approx(C.sigma_bar(1.0, 12))
 
 
+@pytest.mark.parametrize("N, m, k", [(30, 8.0, k) for k in range(5)] + [(9, 2.0, 0)])
+def test_amn_scan_reports_its_own_modes_limit(N, m, k):
+    res = scan_to_limit(ScanFamily.AMN, default_schedule(ScanFamily.AMN, N, m, mode_k=k), SPEC)
+    assert res.theoretical == C.per_mode_quotient(k, N, m)
+    assert res.direction_ok(), res.quotients
+    report = C.a_mn(N, m)
+    if k == report.argmin_k:
+        assert res.theoretical == report.value
+    else:
+        assert res.theoretical > report.value
+
+
 def test_default_schedule_structure():
     sched = default_schedule(ScanFamily.RELLICH_IMPROVED, 6)
     eps = [p.epsilon for p in sched]
@@ -375,15 +387,6 @@ def test_asymptotics_guards():
         leading_order_asymptotics(AsymptoticCase.V_GRADIENT, MinSeqParams(6, 0.0, 1e-3, (0.1, 0.1)), SPEC)
     with pytest.raises(DomainError):
         leading_order_asymptotics(AsymptoticCase.U_GRADIENT, MinSeqParams(6, 0.0, 1e-150, (0.01,)), SPEC)
-
-
-def test_polyharmonic_order_one_is_mode_operator():
-    from rellich.radial import RadialProfile, SphericalMode, mode_operator, polyharmonic_power
-
-    prof = RadialProfile.from_polynomial([0, 0, 1.0, -0.3])
-    mode = SphericalMode(7, 1)
-    rr = np.linspace(0.1, 0.9, 5)
-    assert np.allclose(polyharmonic_power(mode, prof, 1)(rr), mode_operator(mode, prof)(rr))
 
 
 def test_multi_log_quotient_direct_path():

@@ -8,8 +8,8 @@ from rellich.errors import DivergenceError, DomainError
 from rellich.quadrature import (
     OriginSubstitution,
     QuadratureSpec,
-    classify_origin_integral,
     count_quadrature,
+    describe_cascade_failure,
     integrate,
     integrate_halfline,
     integrate_logweighted,
@@ -106,6 +106,17 @@ def test_logweighted_divergence_cascade():
     assert res.value > 0.0
 
 
+@pytest.mark.parametrize(
+    "power, offsets", [(math.nan, [1.0]), (-1.0, [math.nan]), (math.inf, []), (-1.0, [0.0, -math.inf])]
+)
+def test_cascade_rejects_non_finite_inputs(power, offsets):
+    with pytest.raises(DomainError):
+        describe_cascade_failure(power, offsets)
+    with count_quadrature() as counts, pytest.raises(DomainError):
+        integrate_logweighted(power, offsets, None, SPEC)
+    assert counts.calls == 0
+
+
 def test_logweighted_with_cutoff():
     from rellich.minseq import CutoffSpec
 
@@ -113,20 +124,6 @@ def test_logweighted_with_cutoff():
     res = integrate_logweighted(-0.5, [], cut, SPEC)
     full = integrate_logweighted(-0.5, [], None, SPEC)
     assert 0.0 < res.value < full.value
-
-
-def test_classification_finite_and_divergent():
-    kind, value = classify_origin_integral(lambda r: r**-0.5, SPEC)
-    assert kind == "finite"
-    assert value == pytest.approx(2.0, rel=1e-6)
-    kind, _ = classify_origin_integral(lambda r: 1.0 / r, SPEC)
-    assert kind == "divergent"
-    # log-type divergence: increments decay like 1/j but never summably
-    kind, _ = classify_origin_integral(lambda r: 1.0 / (r * (1.0 - np.log(r))), SPEC)
-    assert kind == "divergent"
-    kind, value = classify_origin_integral(lambda r: np.zeros_like(r), SPEC)
-    assert kind == "finite"
-    assert value == 0.0
 
 
 def test_spec_validation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rellich import radial
-from rellich.errors import DifferentiabilityError, DomainError
+from rellich.errors import DomainError
 from rellich.quadrature import QuadratureSpec, count_quadrature
 from rellich.radial import (
     Functional,
@@ -18,10 +18,7 @@ from rellich.radial import (
     SphericalMode,
     TestFunction,
     functional,
-    g_profile,
     mode_operator,
-    polyharmonic_power,
-    profile_from_csv,
     sphere_area,
     substitute_u,
     substitute_v,
@@ -96,19 +93,12 @@ def test_mode_operator_in_cartesian_coordinates():
 
 
 def test_polyharmonic_power():
+    # Delta^2 r^4 = 8N(N+2), as the mode operator applied twice
     N = 6
+    mode = SphericalMode(N, 0)
     prof = RadialProfile.from_polynomial([0, 0, 0, 0, 1])
-    out = polyharmonic_power(SphericalMode(N, 0), prof, 2)
+    out = mode_operator(mode, mode_operator(mode, prof))
     assert np.allclose(out(RR), 8 * N * (N + 2))
-    with pytest.raises(DomainError):
-        polyharmonic_power(SphericalMode(N, 0), prof, 0)
-
-
-def test_polyharmonic_rejects_low_differentiability():
-    r = np.linspace(0.0, 1.0, 64)
-    spline = RadialProfile.from_samples(r, r**2 * (1 - r) ** 3)
-    with pytest.raises(DifferentiabilityError):
-        polyharmonic_power(SphericalMode(6, 0), spline, 3)
 
 
 def test_substitute_round_trip():
@@ -129,13 +119,6 @@ def test_substitute_v_power_arithmetic():
     tf = TestFunction(s.power_shift(1.0), SphericalMode(6, 0))
     v = substitute_v(tf, 0.0)
     assert np.allclose(v.profile(RR), RR**2 * s(RR))
-
-
-def test_g_profile_reduction():
-    prof = RadialProfile.from_polynomial([0, 0, 1.0])
-    tf = TestFunction(prof, SphericalMode(8, 2))
-    g = g_profile(tf, 0.0)  # g = r^{(N-4)/2 - k} f = f for N=8, k=2
-    assert np.allclose(g(RR), prof(RR))
 
 
 def test_origin_order_verification():
@@ -178,19 +161,6 @@ def test_functional_j_matches_deficit():
     assert jjv.value == pytest.approx(iiu.value, rel=1e-10)
 
 
-def test_functional_cross_checks_spline_backend():
-    r = np.linspace(0.0, 1.0, 200)
-    rng = np.random.default_rng(3)
-    q = rng.uniform(-1, 1, 4)
-    for N, k in [(5, 0), (6, 1)]:
-        values = r ** (k + 1) * (1 - r) ** 3 * P.polyval(r, q)
-        spline = RadialProfile.from_samples(r, values, origin_order=k + 1)
-        tf = TestFunction(spline, SphericalMode(N, k))
-        fv = functional(Functional.I, tf)
-        # spline derivatives limit the agreement; interpolation error dominates
-        assert fv.cross_value == pytest.approx(fv.value, rel=1e-5, abs=1e-7)
-
-
 def test_functional_zero_profile():
     tf = TestFunction(RadialProfile.from_polynomial([0.0]), SphericalMode(5, 0))
     for name in (Functional.I, Functional.II, Functional.WEIGHTED_HARDY):
@@ -229,7 +199,7 @@ def test_hardy_moment_inequalities_on_random_profiles():
         coeffs = P.polymul([0.0] * (k + int(rng.integers(0, 3))) + [1.0], P.polypow([1, -1], int(rng.integers(3, 6))))
         coeffs = P.polymul(coeffs, q)
         tf = TestFunction(RadialProfile.from_polynomial(coeffs), SphericalMode(N, k))
-        g = g_profile(tf, 0.0)
+        g = tf.profile.power_shift((N - 4) / 2 - k)
         rr = np.linspace(1e-4, 1.0, 4001)[:-1]
         g0, g1, g2 = (g.taylor(rr, 2).deriv(j) for j in range(3))
         w = np.gradient(rr)
@@ -241,25 +211,9 @@ def test_hardy_moment_inequalities_on_random_profiles():
         assert lhs2 >= rhs2 * (1 - 1e-3)
 
 
-def test_profile_csv_import(tmp_path):
-    r = np.linspace(0.0, 1.0, 160)
-    f = r**2 * (1 - r) ** 3
-    d1 = 2 * r * (1 - r) ** 3 - 3 * r**2 * (1 - r) ** 2
-    path = tmp_path / "profile.csv"
-    rows = ["r,f,f1"] + [f"{ri},{fi},{di}" for ri, fi, di in zip(r, f, d1)]
-    path.write_text("\n".join(rows) + "\n")
-    prof = profile_from_csv(path, origin_order=2)
-    assert np.allclose(prof(RR), RR**2 * (1 - RR) ** 3, atol=1e-9)
-    bad = tmp_path / "bad.csv"
-    rows = ["r,f,f1"] + [f"{ri},{fi},{di * 3}" for ri, fi, di in zip(r, f, d1)]
-    bad.write_text("\n".join(rows) + "\n")
-    with pytest.raises(DomainError):
-        profile_from_csv(bad, origin_order=2)
-
-
 def test_functional_dual_route_randomized_suite():
     """Direct and identity-reduced evaluations agree across a randomized suite
-    of closed-form and spline-backed profiles."""
+    of closed-form profiles."""
     rng = np.random.default_rng(23)
     spec = QuadratureSpec()
     grid = [(N, k) for N in (5, 6, 9, 30) for k in (0, 1, 2, 3)]
@@ -270,12 +224,7 @@ def test_functional_dual_route_randomized_suite():
         p = int(rng.integers(3, 6))
         q = rng.uniform(-1, 1, 4)
         coeffs = P.polymul([0.0] * (k + j) + [1.0], P.polymul(P.polypow([1, -1], p), q))
-        if i % 2 == 0:
-            prof = RadialProfile.from_polynomial(coeffs)
-        else:
-            r = np.linspace(0.0, 1.0, 240)
-            prof = RadialProfile.from_samples(r, P.polyval(r, coeffs), origin_order=k + j)
-        tf = TestFunction(prof, SphericalMode(N, k))
+        tf = TestFunction(RadialProfile.from_polynomial(coeffs), SphericalMode(N, k))
         cycle = (
             Functional.I,
             Functional.II,
@@ -290,7 +239,7 @@ def test_functional_dual_route_randomized_suite():
             tf = substitute_v(tf, 0.0)
         fv = functional(name, tf, m=0.4 if weighted else 0.0, quad=spec)
         scale = abs(fv.value) + abs(fv.cross_value) + 1e-12
-        tol = 10 * fv.quadrature_error + (1e-4 if i % 2 else 1e-9) * scale
+        tol = 10 * fv.quadrature_error + 1e-9 * scale
         assert abs(fv.value - fv.cross_value) <= tol, (i, N, k, name)
         checked += 1
     assert checked == 50

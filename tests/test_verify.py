@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 
 from rellich.errors import DomainError
 from rellich.powerseries import PowerSum
-from rellich.quadrature import QuadratureSpec
+from rellich.quadrature import QuadratureSpec, count_quadrature
 from rellich.radial import RadialProfile, SphericalMode, TestFunction
 from rellich import verify
 from rellich.verify import (
@@ -316,18 +317,47 @@ def test_sobolev_quotient_guards():
         sobolev_quotient(SobolevForm.U_FORM, mode1, SPEC)
 
 
+GRADIENT = AdmissibilityCondition.GRADIENT_PERTURBATION
+POTENTIAL = AdmissibilityCondition.POTENTIAL_PERTURBATION
+
+
 def test_admissibility_classifications():
-    kind, value = admissibility(lambda r: np.ones_like(r), 6, AdmissibilityCondition.GRADIENT_PERTURBATION, SPEC)
-    assert kind == "finite" and value > 0
-    kind, _ = admissibility(lambda r: r**-4.0, 6, AdmissibilityCondition.POTENTIAL_PERTURBATION, SPEC)
-    assert kind == "divergent"
-    kind, value = admissibility(lambda r: np.zeros_like(r), 6, AdmissibilityCondition.GRADIENT_PERTURBATION, SPEC)
-    assert kind == "finite" and value == 0.0
-
-
-def test_admissibility_rejects_negative_potential():
+    assert admissibility(6, GRADIENT, 0.0) == ("finite", None)  # V = 1
+    kind, reason = admissibility(6, POTENTIAL, -4.0)  # W = r^-4
+    assert kind == "divergent" and "beta_1 = -3.0" in reason
     with pytest.raises(DomainError):
-        admissibility(lambda r: -np.ones_like(r), 6, AdmissibilityCondition.GRADIENT_PERTURBATION, SPEC)
+        admissibility(4, GRADIENT, 0.0)
+
+
+@pytest.mark.parametrize("N", [5, 6, 9])
+@pytest.mark.parametrize("which, r_power", [(GRADIENT, -2.0), (POTENTIAL, -4.0)])
+def test_admissibility_single_log_borderline(N, which, r_power):
+    # V = r^-2 X_1^c and W = r^-4 X_1^c put the integral at eps = 0 with
+    # offset beta_1 = p (c - 2): finite exactly when c > 2
+    with count_quadrature() as counts:
+        answers = [admissibility(N, which, r_power, [c])[0] for c in (1.98, 2.0, 2.02)]
+    assert answers == ["divergent", "divergent", "finite"]
+    assert counts.calls == 0
+
+
+def test_admissibility_double_log_borderline():
+    # N = 8, V = r^-2 X_1^2 X_2^c2: beta_1 = 0 exactly, so beta_2 = 4 c2 - 1 decides
+    answers = [admissibility(8, GRADIENT, -2.0, [2.0, c2])[0] for c2 in (1 / 4 - 1 / 64, 1 / 4, 1 / 4 + 1 / 64)]
+    assert answers == ["divergent", "divergent", "finite"]
+    assert "beta_2 = -0.0625" in admissibility(8, GRADIENT, -2.0, [2.0, 1 / 4 - 1 / 64])[1]
+
+
+def test_admissibility_decides_offsets_exactly():
+    # N = 10, V = r^-2 X_1^2 X_2^0.2: beta_2 = 5 * 0.2 - 1 rounds to 0 in
+    # floats, but the double 0.2 lies above 1/5, so the integral is finite
+    assert 5 * 0.2 - 1 == 0.0 and 5 * Fraction(0.2) - 1 > 0
+    assert admissibility(10, GRADIENT, -2.0, [2.0, 0.2]) == ("finite", None)
+
+
+def test_admissibility_rejects_non_finite_inputs():
+    for args in [(math.nan,), (-2.0, [math.inf]), (-2.0, [2.0, math.nan])]:
+        with pytest.raises(DomainError):
+            admissibility(6, GRADIENT, *args)
 
 
 def test_potential_identity_with_iterated_log_potential():
