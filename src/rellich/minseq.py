@@ -35,7 +35,7 @@ import numpy as np
 from . import constants as C
 from .errors import DomainError, QuadratureError
 from .iterlog import xk_values, xk_values_from_s
-from .quadrature import QuadratureSpec, count_quadrature, integrate, integrate_halfline
+from .quadrature import QuadratureSpec, _q_beta, count_quadrature, integrate, integrate_halfline
 from .radial import (
     RadialProfile,
     SphericalMode,
@@ -661,120 +661,6 @@ def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -
     return _zone_integral(transition, cutoff, spec)
 
 
-# Q(beta) in closed form.  In s = ln(1/r) and t = 2eps (1+s),
-#
-#     Q(beta) = int_{s0}^inf e^{-2eps s} (1+s)^{-beta} ds
-#             = e^{2eps} (2eps)^{beta-1} Gamma(1-beta, x),  x = 2eps (1+s0),
-#
-# an upper incomplete gamma function, with s0 = ln(1/inner).  Small x takes
-# the power series of the lower function with the pole of Gamma(1-beta) at
-# beta = 1 taken out in closed form (the E_1 limit at beta = 1 exactly);
-# large x takes the continued fraction.  Every factor is scaled by
-# (2eps)^{beta-1} before it is formed, so denormal eps neither underflows nor
-# overflows.
-
-_EULER_GAMMA = 0.5772156649015329
-# zeta(k) - 1 for k = 2, ..., 28, from ln Gamma(1+s) = -Euler_gamma s + s -
-# ln(1+s) + sum_k (zeta(k) - 1) (-s)^k / k, which they sum to round-off for
-# |s| <= 1/2
-_ZETA_MINUS_1 = (
-    0.6449340668482264, 0.2020569031595943, 0.08232323371113819, 0.03692775514336993,
-    0.01734306198444914, 0.008349277381922827, 0.00407735619794434, 0.0020083928260822143,
-    0.0009945751278180853, 0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
-    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05, 7.637197637899763e-06,
-    3.81729326499984e-06, 1.908212716553939e-06, 9.539620338727962e-07, 4.769329867878064e-07,
-    2.38450502727733e-07, 1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
-    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
-)
-# The continued fraction above this x, the series at or below it; each keeps
-# Q within about 1e-14 on its side.  At or below it the levels beta > 3/2
-# climb through the reduction's identity, which is stable there; above it
-# the identity cancels, so each level takes its own continued fraction.
-_GAMMA_SERIES_MAX_X = 1.5
-_GAMMA_MAX_TERMS = 500  # a series or continued fraction unsettled after this many terms raises
-_ULP = 2.0**-52
-
-
-def _lngamma1p_over_s(s: float) -> float:
-    """ln Gamma(1+s) / s for |s| <= 1/2 (-Euler_gamma at s = 0), to round-off
-    in absolute terms; math.lgamma is not that accurate near s = 0."""
-    out = 1.0 - _EULER_GAMMA - (math.log1p(s) / s if s else 1.0)
-    p = s
-    for k, z in enumerate(_ZETA_MINUS_1, start=2):
-        t = z * p / k
-        out += t
-        if abs(t) < 1e-17:
-            break
-        p *= -s
-    return out
-
-
-def _scaled_upper_gamma(beta: float, eps: float, s0: float) -> float:
-    """(2eps)^{beta-1} Gamma(1-beta, x) at x = 2eps (1+s0); raises
-    DomainError if its series or continued fraction does not settle."""
-    s = 1.0 - beta
-    two_eps = 2.0 * eps
-    x = two_eps * (1.0 + s0)
-    xs = (1.0 + s0) ** s  # (2eps)^{-s} x^s
-    if x > _GAMMA_SERIES_MAX_X:
-        # modified Lentz: Gamma(s, x) = e^{-x} x^s / (x+1-s - 1(1-s) / (x+3-s - ...))
-        tiny = 1e-300
-        b = x + 1.0 - s
-        c, d = 1.0 / tiny, 1.0 / b
-        h = d
-        for i in range(1, _GAMMA_MAX_TERMS):
-            an = -i * (i - s)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) >= tiny else tiny)
-            c = b + an / c
-            c = c if abs(c) >= tiny else tiny
-            h *= d * c
-            if abs(d * c - 1.0) <= _ULP:
-                return math.exp(-x) * xs * h
-        raise DomainError(f"incomplete gamma continued fraction did not settle (beta={beta}, x={x})")
-    # the lower function past its x^s/s term: x^s sum_{k>=1} (-x)^k / (k! (s+k))
-    acc, t = 0.0, 1.0
-    for k in range(1, _GAMMA_MAX_TERMS):
-        t *= -x / k
-        term = t / (s + k)
-        acc += term
-        if abs(term) <= _ULP * abs(acc):
-            break
-    else:
-        raise DomainError(f"incomplete gamma series did not settle (beta={beta}, x={x})")
-    if abs(s) > 0.5:
-        # no pole near: Gamma(s) - x^s (1/s + acc), with (2eps)^{-s} formed from beta exactly
-        return math.pow(two_eps, beta) / two_eps * math.gamma(s) - xs * (1.0 / s + acc)
-    # (Gamma(1+s) - x^s) / s = x^s expm1(s w) / s, w = ln Gamma(1+s) / s - ln x,
-    # with ln x summed from its factors, since x itself may be denormal
-    w = _lngamma1p_over_s(s) - (math.log(2.0) + math.log(eps) + math.log1p(s0))
-    return xs * ((math.expm1(s * w) / s if s else w) - acc)
-
-
-def _q_beta(beta: float, eps: float, cutoff: CutoffSpec) -> float:
-    """Q(beta) = int_0^inner r^{-1+2eps} X_1^beta dr in closed form, for any
-    eps > 0; DomainError where it overflows or a series does not settle."""
-    rho = cutoff.inner_radius
-    s0 = -math.log(rho)
-    steps = 0
-    if 2.0 * eps * (1.0 + s0) <= _GAMMA_SERIES_MAX_X:
-        steps = max(0, math.ceil(beta - 1.5))
-    b = beta - steps  # exact, and so is every b below
-    try:
-        q = math.exp(2.0 * eps) * _scaled_upper_gamma(b, eps, s0)
-    except OverflowError:
-        q = math.inf
-    x_rho = 1.0 / (1.0 + s0)
-    for _ in range(steps):
-        # 2eps Q(b) = -b Q(b+1) + rho^{2eps} X_1(rho)^b
-        q = (rho ** (2.0 * eps) * x_rho**b - 2.0 * eps * q) / b
-        b += 1.0
-    if not math.isfinite(q):
-        raise DomainError(f"Q({beta}) overflows at eps = {eps}")
-    return q
-
-
 def _reduce_columns(poly: _Poly2, a1: float):
     """Rewrite sum_j col_j(eps) Q(-1+a+j) with the divergent levels removed.
 
@@ -827,7 +713,7 @@ class _Reduction:
 
     def q_beta(self, beta: float) -> float:
         if beta not in self._q:
-            self._q[beta] = _q_beta(beta, self.params.epsilon, self.params.cutoff)
+            self._q[beta] = _q_beta(beta, self.params.epsilon, self.params.cutoff.inner_radius)
         return self._q[beta]
 
     def poly(self, terms) -> _Poly2:

@@ -63,6 +63,12 @@ class QuadratureSpec:
 
 @dataclass
 class QuadratureResult:
+    """An integral's value, its error estimate, whether that met the
+    tolerance, and ``evaluations``: every point the integrand was called on,
+    including points the integral did not use (the half-line's look-ahead
+    panels past the stopping one, the levels of a single interval's
+    225-point block past the one it stops at)."""
+
     value: float
     error_estimate: float
     evaluations: int
@@ -86,7 +92,8 @@ _COUNTERS: ContextVar[tuple[QuadratureCounts, ...]] = ContextVar("quadrature_cou
 def count_quadrature():
     """Count the integrals of the enclosed code, including those of enclosing
     blocks: each entry-point call (:func:`integrate`, :func:`integrate_halfline`,
-    :func:`integrate_logweighted`) counts once in every active block."""
+    :func:`integrate_logweighted`) counts once in every active block, with
+    its ``evaluations`` (points evaluated but not used included)."""
     counts = QuadratureCounts()
     token = _COUNTERS.set(_COUNTERS.get() + (counts,))
     try:
@@ -201,29 +208,73 @@ def _gk_values(f, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
 
 
-def _gk_batch(f, lefts: np.ndarray, rights: np.ndarray):
-    """Apply the 15-point rule to a batch of intervals with one call to f;
-    returns (values, error estimates, evaluations).  Callers run it under
-    ``np.errstate(all="ignore")``."""
-    vals = _gk_values(f, lefts, rights)
+def _gk_batch(f, ls: list, rs: list, rows=None):
+    """Apply the 15-point rule to the batch of intervals [ls[i], rs[i]] with
+    one call to f, or with none when ``rows`` (from :func:`_level_rows`)
+    holds every interval of the batch; returns (values, error estimates,
+    evaluations).  Callers run it under ``np.errstate(all="ignore")``."""
+    lefts, rights = np.array(ls), np.array(rs)
+    vals = rows(ls, rs) if rows is not None else None
+    n_eval = 0
+    if vals is None:
+        vals = _gk_values(f, lefts, rights)
+        n_eval = vals.size
     resk, err = _gk_sums(vals, lefts, rights)
-    return resk, err, vals.size
+    return resk, err, n_eval
+
+
+_BLOCK_LEVELS = 4  # uniform bisection levels (1, 2, 4 and 8 intervals) one integrand call covers
+
+
+def _level_rows(f, a: float, b: float):
+    """f on the nodes of the first ``_BLOCK_LEVELS`` uniform bisection levels
+    of [a, b], each interval cut at 0.5 * (lo + hi) as :func:`_refine` cuts
+    it, from one call to f (15 intervals, 225 points).  Returns (rows,
+    evaluations): ``rows(ls, rs)`` gives the values of a batch of intervals,
+    one row each, or None unless the block holds all of them."""
+    level, edges = [(a, b)], []
+    for _ in range(_BLOCK_LEVELS):
+        edges += level
+        level = [half for lo, hi in level for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+    vals = _gk_values(f, np.array([lo for lo, _ in edges]), np.array([hi for _, hi in edges]))
+    index = {edge: i for i, edge in enumerate(edges)}
+
+    def rows(ls, rs):
+        picked = [index.get(edge) for edge in zip(ls, rs)]
+        return None if None in picked else vals[picked]
+
+    return rows, vals.size
 
 
 def _adaptive_finite(
-    f, a: float, b: float, rel_tol: float, abs_tol: float, max_subdivisions: int, breakpoints=()
+    f, a: float, b: float, rel_tol: float, abs_tol: float, max_subdivisions: int, breakpoints=(), block=False
 ):
     """Adaptive bisection on [a, b] until the error estimate meets
-    max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged)."""
+    max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged).
+
+    With ``block`` and no breakpoint inside (a, b), one call to f evaluates
+    the rules of the first four bisection levels (:func:`_level_rows`),
+    which the bisection would otherwise reach in four calls.  Each batch's
+    rule is still summed on that batch's rows alone, in the same order, so
+    the result is bitwise that of one call per batch; all 225 points count
+    in ``evals``, used or not.  If that call raises, the integral goes on
+    one batch per call, so an exception surfaces only from a level the
+    integral needs."""
     with np.errstate(all="ignore"):
         cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-        vals, errs, n_eval = _gk_batch(f, np.array(cuts[:-1]), np.array(cuts[1:]))
+        rows, n_block = None, 0
+        if block and len(cuts) == 2:
+            try:
+                rows, n_block = _level_rows(f, a, b)
+            except Exception:
+                pass  # some level ahead raised: go on one batch per call
+        vals, errs, n_eval = _gk_batch(f, cuts[:-1], cuts[1:], rows)
         heap = [
             (-e, lo, hi, v, e) for lo, hi, v, e in zip(cuts[:-1], cuts[1:], vals.tolist(), errs.tolist())
         ]
         total = float(np.sum(vals))
         total_err = float(np.sum(errs))
-        return _refine(f, heap, total, total_err, n_eval, rel_tol, abs_tol, max_subdivisions)
+        return _refine(f, heap, total, total_err, n_block + n_eval, rel_tol, abs_tol, max_subdivisions, rows)
 
 
 def _refine(
@@ -235,13 +286,15 @@ def _refine(
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
+    rows=None,
 ):
     """Bisect the largest-error intervals of ``heap`` (entries (-error, lo,
     hi, value, error) whose values and errors sum to ``total`` and
     ``total_err``) in batches of up to 16 until the error meets
     max(abs_tol, rel_tol * |value|); returns (value, error, evals,
-    converged), ``evals`` counting ``n_eval`` in.  Callers run it under
-    ``np.errstate(all="ignore")``.
+    converged), ``evals`` counting ``n_eval`` in.  Batches that ``rows``
+    (from :func:`_level_rows`) holds take their values from it.  Callers run
+    it under ``np.errstate(all="ignore")``.
 
     The heap and the running totals hold Python floats, which round exactly
     as numpy's float64 scalars do at a fraction of the per-operation cost."""
@@ -256,7 +309,7 @@ def _refine(
             mid = 0.5 * (lo + hi)
             ls.extend([lo, mid])
             rs.extend([mid, hi])
-        new_vals, new_errs, ne = _gk_batch(f, np.array(ls), np.array(rs))
+        new_vals, new_errs, ne = _gk_batch(f, ls, rs, rows)
         n_eval += ne
         n_sub += len(batch)
         for _neg, _lo, _hi, v, e in batch:
@@ -395,7 +448,11 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
     """Integrate f over (a, b); f may be singular (but integrable) at a.
 
     With origin_substitution=LOG and a=0, the integral is computed in
-    s = ln(1/r) coordinates.  f must accept numpy arrays.
+    s = ln(1/r) coordinates.  f must accept numpy arrays and act
+    elementwise.  Otherwise, with no breakpoint inside (a, b), one call to
+    f evaluates the first four bisection levels (225 points) and the result
+    is bitwise that of one call per bisection batch (see
+    :func:`_adaptive_finite`).
     """
     spec = spec or QuadratureSpec()
     if not (b > a):
@@ -415,7 +472,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
 
         return _counted(_halfline(h, s0, spec, _RSPACE_S_CAP))
     value, err, evals, converged = _adaptive_finite(
-        f, a, b, spec.rel_tol, spec.abs_tol, spec.max_subdivisions, breakpoints
+        f, a, b, spec.rel_tol, spec.abs_tol, spec.max_subdivisions, breakpoints, block=True
     )
     return _counted(QuadratureResult(value, err, evals, converged))
 
@@ -444,6 +501,124 @@ def describe_cascade_failure(power, log_exponents) -> str | None:
     return "eps = 0 and every log exponent offset is zero"
 
 
+# Q(beta) in closed form.  In s = ln(1/r) and t = 2eps (1+s),
+#
+#     Q(beta) = int_{s0}^inf e^{-2eps s} (1+s)^{-beta} ds
+#             = e^{2eps} (2eps)^{beta-1} Gamma(1-beta, x),  x = 2eps (1+s0),
+#
+# an upper incomplete gamma function, with s0 = ln(1/rho).  Small x takes
+# the power series of the lower function with the pole of Gamma(1-beta) at
+# beta = 1 taken out in closed form (the E_1 limit at beta = 1 exactly);
+# large x takes the continued fraction.  Every factor is scaled by
+# (2eps)^{beta-1} before it is formed, so denormal eps neither underflows nor
+# overflows.
+
+_EULER_GAMMA = 0.5772156649015329
+# zeta(k) - 1 for k = 2, ..., 28, from ln Gamma(1+s) = -Euler_gamma s + s -
+# ln(1+s) + sum_k (zeta(k) - 1) (-s)^k / k, which they sum to round-off for
+# |s| <= 1/2
+_ZETA_MINUS_1 = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819, 0.03692775514336993,
+    0.01734306198444914, 0.008349277381922827, 0.00407735619794434, 0.0020083928260822143,
+    0.0009945751278180853, 0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05, 7.637197637899763e-06,
+    3.81729326499984e-06, 1.908212716553939e-06, 9.539620338727962e-07, 4.769329867878064e-07,
+    2.38450502727733e-07, 1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
+)
+# The continued fraction above this x, the series at or below it; each keeps
+# Q within about 1e-14 on its side.  At or below it the levels beta > 3/2
+# climb through the reduction's identity, which is stable there; above it
+# the identity cancels, so each level takes its own continued fraction.
+_GAMMA_SERIES_MAX_X = 1.5
+_GAMMA_MAX_TERMS = 500  # a series or continued fraction unsettled after this many terms raises
+_ULP = 2.0**-52
+
+
+def _lngamma1p_over_s(s: float) -> float:
+    """ln Gamma(1+s) / s for |s| <= 1/2 (-Euler_gamma at s = 0), to round-off
+    in absolute terms; math.lgamma is not that accurate near s = 0."""
+    out = 1.0 - _EULER_GAMMA - (math.log1p(s) / s if s else 1.0)
+    p = s
+    for k, z in enumerate(_ZETA_MINUS_1, start=2):
+        t = z * p / k
+        out += t
+        if abs(t) < 1e-17:
+            break
+        p *= -s
+    return out
+
+
+def _scaled_upper_gamma(beta: float, eps: float, s0: float) -> float:
+    """(2eps)^{beta-1} Gamma(1-beta, x) at x = 2eps (1+s0); raises
+    DomainError if its series or continued fraction does not settle."""
+    s = 1.0 - beta
+    two_eps = 2.0 * eps
+    x = two_eps * (1.0 + s0)
+    xs = (1.0 + s0) ** s  # (2eps)^{-s} x^s
+    if x > _GAMMA_SERIES_MAX_X:
+        # modified Lentz: Gamma(s, x) = e^{-x} x^s / (x+1-s - 1(1-s) / (x+3-s - ...))
+        tiny = 1e-300
+        b = x + 1.0 - s
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for i in range(1, _GAMMA_MAX_TERMS):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+            if abs(d * c - 1.0) <= _ULP:
+                return math.exp(-x) * xs * h
+        raise DomainError(f"incomplete gamma continued fraction did not settle (beta={beta}, x={x})")
+    # the lower function past its x^s/s term: x^s sum_{k>=1} (-x)^k / (k! (s+k))
+    acc, t = 0.0, 1.0
+    for k in range(1, _GAMMA_MAX_TERMS):
+        t *= -x / k
+        term = t / (s + k)
+        acc += term
+        if abs(term) <= _ULP * abs(acc):
+            break
+    else:
+        raise DomainError(f"incomplete gamma series did not settle (beta={beta}, x={x})")
+    if abs(s) > 0.5:
+        # no pole near: Gamma(s) - x^s (1/s + acc), with (2eps)^{-s} formed from beta exactly
+        return math.pow(two_eps, beta) / two_eps * math.gamma(s) - xs * (1.0 / s + acc)
+    # (Gamma(1+s) - x^s) / s = x^s expm1(s w) / s, w = ln Gamma(1+s) / s - ln x,
+    # with ln x summed from its factors, since x itself may be denormal
+    w = _lngamma1p_over_s(s) - (math.log(2.0) + math.log(eps) + math.log1p(s0))
+    return xs * ((math.expm1(s * w) / s if s else w) - acc)
+
+
+def _q_beta(beta: float, eps: float, rho: float) -> float:
+    """Q(beta) = int_0^rho r^{-1+2eps} X_1^beta dr in closed form, for any
+    eps > 0 and 0 < rho <= 1; DomainError where it overflows or a series
+    does not settle."""
+    s0 = -math.log(rho)
+    steps = 0
+    if 2.0 * eps * (1.0 + s0) <= _GAMMA_SERIES_MAX_X:
+        steps = max(0, math.ceil(beta - 1.5))
+    b = beta - steps  # exact, and so is every b below
+    try:
+        q = math.exp(2.0 * eps) * _scaled_upper_gamma(b, eps, s0)
+    except OverflowError:
+        q = math.inf
+    x_rho = 1.0 / (1.0 + s0)
+    for _ in range(steps):
+        # 2eps Q(b) = -b Q(b+1) + rho^{2eps} X_1(rho)^b
+        q = (rho ** (2.0 * eps) * x_rho**b - 2.0 * eps * q) / b
+        b += 1.0
+    if not math.isfinite(q):
+        raise DomainError(f"Q({beta}) overflows at eps = {eps}")
+    return q
+
+
+# the relative error the closed form is tested to, reported as its error estimate
+_Q_REL_ERR = 1e-13
+
+
 def integrate_logweighted(
     power: float,
     log_exponents,
@@ -454,8 +629,11 @@ def integrate_logweighted(
 
     The finiteness cascade is applied before any quadrature; divergent
     parameter combinations raise DivergenceError naming the failed condition.
-    Evaluation happens in s = ln(1/r) coordinates, so the deep-origin mass of
-    nearly-critical integrands is captured exactly.
+    One log factor without a cutoff is Q(1 + b_1) at rho = 1 and
+    eps = (power + 1)/2, taken in closed form (:func:`_q_beta`; 1/b_1 at
+    eps = 0) with no integrand evaluation; DomainError where that overflows.
+    Everything else is evaluated in s = ln(1/r) coordinates, so the
+    deep-origin mass of nearly-critical integrands is captured exactly.
     """
     spec = spec or QuadratureSpec()
     betas = [float(b) for b in log_exponents]
@@ -463,6 +641,10 @@ def integrate_logweighted(
     if failure is not None:
         raise DivergenceError(f"divergent integrand: {failure}")
     eps2 = power + 1.0  # total e^{-eps2 * s} factor after the substitution
+    if len(betas) == 1 and cutoff is None:
+        value = 1.0 / betas[0] if eps2 == 0.0 else _q_beta(1.0 + betas[0], eps2 / 2.0, 1.0)
+        err = _Q_REL_ERR * abs(value)
+        return _counted(QuadratureResult(value, err, 0, err <= spec.target(value)))
 
     def h(s):
         s = np.asarray(s, dtype=float)

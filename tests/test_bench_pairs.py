@@ -63,3 +63,55 @@ def test_timed_op_count_is_read_from_the_run_comment():
     assert tool.timed_ops(stdout) == 11058
     with pytest.raises(ValueError):
         tool.timed_ops('{"correct": true}\n')
+
+
+_RUN_COMMENTS = (
+    '# {"workload": "functionals", "seed": 2}\n'
+    "# distinct ops attempted 400, failed 0 (failed_share 0), exceptions {}; 9449 timed op runs\n"
+    "# op_tail_ms is the p99 of 9449 op times (95 beyond it)\n"
+    "# times are calibrated (median factor 1.0312); uncalibrated ops_per_s 745.25, op_p50_ms 1.0606\n"
+    '{"correct": true, "attempted": 400, "failed": 0, "metrics": {}}\n'
+)
+
+
+def test_calibration_is_read_from_the_run_comment():
+    tool = _tool()
+    assert tool.calibration(_RUN_COMMENTS) == (1.0312, 745.25)
+    with pytest.raises(ValueError):
+        tool.calibration('{"correct": true}\n')
+
+
+def test_calibration_and_raw_throughput_are_shown_next_to_ops_per_s(monkeypatch, capsys):
+    """Every pair line carries each run's calibration factor and uncalibrated
+    ops_per_s; the ops_per_s summary line and the JSON carry each side's
+    medians, as peak_rss_mb's carries the timed op counts."""
+    import json
+    from types import SimpleNamespace
+
+    tool = _tool()
+    names = [m["name"] for m in json.loads((tool.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    factors = {"parent": [1.0, 1.2, 1.1], "change": [0.9, 0.8, 1.0]}
+    runs = {side: iter(range(3)) for side in factors}
+
+    def fake_run(tree, workload, seed, seconds):
+        side = "change" if tree == tool.ROOT else "parent"
+        i = next(runs[side])
+        return {"failed": 0, "attempted": 10, "metrics": {n: {"value": 1.0 + i} for n in names},
+                "timed_ops": 100 + i, "calibration": factors[side][i], "raw_ops_per_s": 500.0 + 10 * i}
+
+    monkeypatch.setattr(tool, "subprocess", SimpleNamespace(run=lambda *a, **k: SimpleNamespace(returncode=0)))
+    monkeypatch.setattr(tool, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    assert tool.main(["--parent", "P", "--workload", "functionals", "--seeds", "2-4", "--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pairs = [line for line in lines if line.startswith("# pair")]
+    assert len(pairs) == 6
+    assert all("calibration=" in line and "raw_ops_per_s=" in line and "timed_ops=" in line for line in pairs)
+    ops = next(line for line in lines if line.startswith("ops_per_s"))
+    assert "calibration parent 1.1 change 0.9" in ops and "raw_ops_per_s parent 510 change 510" in ops
+    rss = next(line for line in lines if line.startswith("peak_rss_mb"))
+    assert "timed_ops parent 101 change 101" in rss and "calibration" not in rss
+    summary = json.loads(lines[-1])
+    assert summary["calibration"] == {"parent": 1.1, "change": 0.9}
+    assert summary["raw_ops_per_s"] == {"parent": 510.0, "change": 510.0}
+    assert summary["timed_ops"] == {"parent": 101, "change": 101}

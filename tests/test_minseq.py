@@ -180,18 +180,17 @@ def test_inner_q_beta_and_its_boundary_identity(eps):
     eps Q(beta) + (beta/2) Q(beta+1) = (1/2) inner^{2eps} X_1(inner)^beta."""
     import mpmath as mp
 
-    import rellich.minseq as M
+    from rellich.quadrature import _q_beta
 
-    cut = CutoffSpec()
-    rho = cut.inner_radius
+    rho = CutoffSpec().inner_radius
     for beta in (0.93, 1.07, 2.07, 3.5):
         with mp.workdps(30):
             e, b = mp.mpf(eps), mp.mpf(beta)
             breaks = [mp.log(1 / mp.mpf(rho))] + [mp.mpf(10) ** j for j in range(13)] + [mp.inf]
             ref = float(mp.quad(lambda s: mp.exp(-2 * e * s) * (1 + s) ** -b, breaks))
-        q = M._q_beta(beta, eps, cut)
+        q = _q_beta(beta, eps, rho)
         assert q == pytest.approx(ref, rel=1e-13, abs=0.0), beta
-        lhs = eps * q + beta / 2.0 * M._q_beta(beta + 1.0, eps, cut)
+        lhs = eps * q + beta / 2.0 * _q_beta(beta + 1.0, eps, rho)
         boundary = 0.5 * rho ** (2.0 * eps) * (1.0 / (1.0 - math.log(rho))) ** beta
         assert lhs == pytest.approx(boundary, rel=1e-13, abs=0.0), beta
 
@@ -205,9 +204,8 @@ def test_q_beta_matches_the_incomplete_gamma_function(rho):
     on the poles of Gamma at the nonpositive integers."""
     import mpmath as mp
 
-    import rellich.minseq as M
+    from rellich.quadrature import _q_beta
 
-    cut = CutoffSpec(inner_radius=rho)
     for eps in (0.3, 1e-2, 3e-4, 1e-8, 1e-20, 1e-100, 1e-300, 5e-324):
         for a in (1e-7, 3.90625e-4, 0.05, 0.1, 0.5, 0.93, 1.0):
             for j in (0, 2, 3, 4):
@@ -218,22 +216,22 @@ def test_q_beta_matches_the_incomplete_gamma_function(rho):
                     e, b = mp.mpf(eps), mp.mpf(beta)
                     x = 2 * e * (1 - mp.log(mp.mpf(rho)))
                     ref = mp.exp(2 * e) * (2 * e) ** (b - 1) * mp.gammainc(1 - b, x)
-                    err = float(abs(mp.mpf(M._q_beta(beta, eps, cut)) - ref) / ref)
+                    err = float(abs(mp.mpf(_q_beta(beta, eps, rho)) - ref) / ref)
                 bound = 1e-13 if j == 0 else 1e-14
                 assert err <= bound, (eps, a, beta, err)
 
 
 def test_q_beta_raises_where_it_cannot_answer(monkeypatch):
-    import rellich.minseq as M
+    from rellich import quadrature as Q
 
-    cut = CutoffSpec()
+    rho = CutoffSpec().inner_radius
     with pytest.raises(DomainError, match="overflows"):
-        M._q_beta(-0.5, 5e-324, cut)  # ~ (2eps)^{-1.5}
-    monkeypatch.setattr(M, "_GAMMA_MAX_TERMS", 3)
+        Q._q_beta(-0.5, 5e-324, rho)  # ~ (2eps)^{-1.5}
+    monkeypatch.setattr(Q, "_GAMMA_MAX_TERMS", 3)
     with pytest.raises(DomainError, match="series"):
-        M._q_beta(1.1, 0.3, cut)  # x = 1.02: the series
+        Q._q_beta(1.1, 0.3, rho)  # x = 1.02: the series
     with pytest.raises(DomainError, match="continued fraction"):
-        M._q_beta(1.1, 0.3, CutoffSpec(inner_radius=0.01))  # x = 3.4: the continued fraction
+        Q._q_beta(1.1, 0.3, 0.01)  # x = 3.4: the continued fraction
 
 
 def test_reduced_quotient_runs_two_zone_quadratures(monkeypatch):

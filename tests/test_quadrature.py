@@ -8,6 +8,7 @@ from rellich.errors import DivergenceError, DomainError
 from rellich.quadrature import (
     OriginSubstitution,
     QuadratureSpec,
+    _gk_points,
     count_quadrature,
     describe_cascade_failure,
     integrate,
@@ -104,6 +105,29 @@ def test_logweighted_divergence_cascade():
     # eps = 0 with the first offset zero defers to the second offset
     res = integrate_logweighted(-1.0, [0.0, 0.2], None, SPEC)
     assert res.value > 0.0
+
+
+def test_single_log_is_taken_in_closed_form():
+    """One log factor without a cutoff is Q(1 + b) at rho = 1: exactly 1/b at
+    eps = 0, where the half-line rule ran out of panels (99.004 for b = 0.01,
+    converged=False), and an incomplete gamma function for eps > 0, checked
+    against a 40-digit quadrature; no integrand is evaluated."""
+    import mpmath as mp
+
+    with count_quadrature() as counts:
+        res = integrate_logweighted(-1.0, [0.01], None, SPEC)
+    assert (res.value, res.evaluations, res.converged) == (100.0, 0, True)
+    assert (counts.calls, counts.evaluations) == (1, 0)
+    for eps, b in [(0.05, 0.1), (0.3, -2.5), (1e-6, 0.5), (0.01, 3.7)]:
+        power = -1.0 + 2.0 * eps
+        res = integrate_logweighted(power, [b], None, SPEC)
+        with mp.workdps(40):
+            e, beta = (mp.mpf(power) + 1) / 2, 1 + mp.mpf(b)
+            breaks = [0] + [mp.mpf(10) ** j for j in range(13)] + [mp.inf]
+            ref = mp.quad(lambda s: mp.exp(-2 * e * s) * (1 + s) ** -beta, breaks)
+            err = float(abs(res.value - ref) / ref)
+        assert res.converged and res.evaluations == 0
+        assert err <= 1e-13, (eps, b, err)
 
 
 @pytest.mark.parametrize(
@@ -300,3 +324,110 @@ def test_an_exception_in_a_needed_panel_surfaces(bad_from):
 
     with pytest.raises(ValueError, match="needed panel"):
         integrate_halfline(failing, 0.0, SPEC)
+
+
+# --------------------------------------------------------------------------
+# the single-interval block against the one-call-per-batch bisection it replaces
+
+
+def _finite_one_call_per_batch(f, a, b, spec=SPEC, breakpoints=()):
+    """The finite rule with one integrand call per bisection batch."""
+    from rellich.quadrature import QuadratureResult, _adaptive_finite
+
+    value, err, evals, converged = _adaptive_finite(
+        f, a, b, spec.rel_tol, spec.abs_tol, spec.max_subdivisions, breakpoints
+    )
+    return QuadratureResult(value, err, evals, converged)
+
+
+# the 15-point nodes of the level of 8 intervals of [0, 1]
+_EIGHTHS = _gk_points(np.arange(8) / 8, np.arange(1, 9) / 8).ravel()
+
+
+def _calls(f, seen):
+    def wrapped(r):
+        seen.append(np.array(r, copy=True))
+        return f(r)
+
+    return wrapped
+
+
+# (integrand, interval, integrand calls of the one-call-per-batch rule)
+_FINITE_CASES = {
+    "first-rule": (np.exp, (0.0, 1.0), 1),
+    "four-intervals": (lambda r: np.sin(10.0 * r), (0.0, 1.0), 3),
+    "eight-intervals": (lambda r: np.exp(30.0 * r), (0.0, 1.0), 4),
+    "eight-intervals-off-dyadic": (lambda r: np.exp(30.0 * r), (0.1, 1.0 / 0.7), 4),
+    "past-32-intervals": (lambda r: 1.0 / (0.02 + r), (0.0, 1.0), 7),
+    "kinked": (lambda r: np.abs(r - 1 / math.pi) ** 0.5, (0.0, 1.0), None),
+    "nan-at-unused-eighths": (lambda r: np.where(np.isin(r, _EIGHTHS), np.nan, np.sin(10.0 * r)), (0.0, 1.0), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_CASES))
+def test_block_matches_one_call_per_batch(name):
+    f, (a, b), ref_calls = _FINITE_CASES[name]
+    seen, ref_seen = [], []
+    got = integrate(_calls(f, seen), a, b, SPEC)
+    ref = _finite_one_call_per_batch(_calls(f, ref_seen), a, b)
+    assert _bits(got) == _bits(ref)
+    assert got.evaluations == sum(r.size for r in seen) == 225 + sum(r.size for r in ref_seen[4:])
+    assert got.evaluations >= ref.evaluations
+    assert seen[0].size == 225  # the first call covers the levels of 1, 2, 4 and 8 intervals
+    if ref_calls is not None:
+        assert len(ref_seen) == ref_calls
+    # past the block, every call is the reference's
+    assert len(seen) == 1 + max(0, len(ref_seen) - 4)
+    for mine, theirs in zip(seen[1:], ref_seen[4:]):
+        assert np.array_equal(mine, theirs)
+    if name == "nan-at-unused-eighths":
+        assert got.converged and math.isfinite(got.value)
+
+
+def test_an_exception_at_unneeded_block_nodes_does_not_surface():
+    def strict(r):
+        if np.isin(r, _EIGHTHS).any():
+            raise ValueError("at the level of 8 intervals, which the integral does not need")
+        return np.sin(10.0 * r)
+
+    seen = []
+    got = integrate(_calls(strict, seen), 0.0, 1.0, SPEC)
+    ref = _finite_one_call_per_batch(lambda r: np.sin(10.0 * r), 0.0, 1.0)
+    assert _bits(got) == _bits(ref)
+    assert seen[0].size == 225  # the block was tried, raised, and the batches went one per call
+    assert [r.size for r in seen[1:]] == [15, 30, 60]
+    assert got.evaluations == ref.evaluations
+
+
+def test_an_exception_at_a_needed_block_level_surfaces():
+    def failing(r):
+        if np.isin(r, _EIGHTHS).any():
+            raise ValueError("needed level")
+        return np.exp(30.0 * r)
+
+    with pytest.raises(ValueError, match="needed level"):
+        integrate(failing, 0.0, 1.0, SPEC)
+
+
+def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
+    """Integrals that start on breakpoints, and the half-line rule's panel
+    refinements, keep one integrand call per batch: the block is not built."""
+    from rellich import quadrature
+
+    built, real = [], quadrature._level_rows
+    monkeypatch.setattr(quadrature, "_level_rows", lambda *args: built.append(args) or real(*args))
+    f = lambda r: np.abs(r - 0.3) ** 0.5
+    seen, ref_seen = [], []
+    got = integrate(_calls(f, seen), 0.0, 1.0, SPEC, breakpoints=(0.3,))
+    ref = _finite_one_call_per_batch(_calls(f, ref_seen), 0.0, 1.0, breakpoints=(0.3,))
+    assert _bits(got) == _bits(ref) and got.evaluations == ref.evaluations
+    assert len(seen) == len(ref_seen) > 1
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(seen, ref_seen))
+    log = replace(SPEC, origin_substitution=OriginSubstitution.LOG)
+    assert integrate(lambda r: r**-0.5, 0.0, 1.0, log).converged
+    sizes = []
+    res = integrate_halfline(_calls(_refined, sizes), 0.5, SPEC)
+    assert res.converged and max(r.size for r in sizes) > 60  # some panels refined, without a block
+    assert not built
+    integrate(f, 0.0, 1.0, SPEC)
+    assert len(built) == 1  # the spy sees the block where there is one

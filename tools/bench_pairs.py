@@ -7,7 +7,8 @@ extracted to a temporary directory.  Both must carry the same benchmark, so
 the tool first requires ``git diff --quiet REV -- perfbench BENCHMARK.json``.
 Each seed in A..B is one pair: ``perfbench/run.py --trace 0`` once in each
 tree, with the side that runs first alternating from pair to pair.  Every run
-is printed with its number of timed op runs, then for each end-to-end metric
+is printed with its number of timed op runs, its median calibration factor
+and its uncalibrated ``ops_per_s``, then for each end-to-end metric
 of BENCHMARK.json: each side's median and quartiles, the change's wins (ties
 count for neither side), the median ratio, and a verdict:
 
@@ -22,8 +23,11 @@ count for neither side), the median ratio, and a verdict:
 
 ``peak_rss_mb`` also shows each side's median number of timed op runs: the
 worker keeps every timed sample (about 0.47 KB each), so a faster change
-reads as a larger peak RSS through that count alone.  The last line is the
-same summary as one JSON object.
+reads as a larger peak RSS through that count alone.  ``ops_per_s`` also
+shows each side's median calibration factor and uncalibrated ``ops_per_s``:
+the worker divides by calibrated op times, so a shift in the calibration
+factors between the sides moves the calibrated figure without the raw one.
+The last line is the same summary as one JSON object.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 MIN_PAIRS = 10  # fewer pairs support no claim of a gain
+# per-run figures that are not metrics -> the metric whose summary line shows their medians
+RUN_EXTRAS = {"timed_ops": "peak_rss_mb", "calibration": "ops_per_s", "raw_ops_per_s": "ops_per_s"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -94,8 +100,22 @@ def timed_ops(stdout: str) -> int:
     return int(found.group(1))
 
 
+def calibration(stdout: str) -> tuple[float, float]:
+    """(median calibration factor, uncalibrated ops_per_s), from run.py's
+    "times are calibrated (median factor F); uncalibrated ops_per_s R, ..."
+    comment line."""
+    found = re.search(
+        r"^# times are calibrated \(median factor (\S+)\); uncalibrated ops_per_s (\S+?),", stdout, re.MULTILINE
+    )
+    if found is None:
+        raise ValueError("no calibration line in the run output")
+    return float(found.group(1)), float(found.group(2))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The run's final JSON object, with its timed op count added as ``timed_ops``."""
+    """The run's final JSON object, with its timed op count added as
+    ``timed_ops``, its median calibration factor as ``calibration`` and its
+    uncalibrated ``ops_per_s`` as ``raw_ops_per_s``."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -104,7 +124,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         text=True,
         check=True,
     ).stdout
-    return {**json.loads(out.strip().splitlines()[-1]), "timed_ops": timed_ops(out)}
+    factor, raw = calibration(out)
+    return {**json.loads(out.strip().splitlines()[-1]), "timed_ops": timed_ops(out), "calibration": factor,
+            "raw_ops_per_s": raw}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -140,10 +162,10 @@ def main(argv=None) -> int:
                 got = result["metrics"]
                 values = " ".join(f"{m['name']}={got[m['name']]['value']:.6g}" for m in metrics)
                 failed = f"failed {result['failed']}/{result['attempted']}"
-                samples = f"timed_ops={result['timed_ops']}"
-                print(f"# pair {i + 1} seed {seed} {side}: {failed} {values} {samples}", flush=True)
+                extra = " ".join(f"{key}={result[key]:.6g}" for key in RUN_EXTRAS)
+                print(f"# pair {i + 1} seed {seed} {side}: {failed} {values} {extra}", flush=True)
 
-    samples = {side: statistics.median(r["timed_ops"] for r in runs[side]) for side in runs}
+    medians = {key: {side: statistics.median(r[key] for r in runs[side]) for side in runs} for key in RUN_EXTRAS}
     summary = {}
     for m in metrics:
         name = m["name"]
@@ -156,15 +178,17 @@ def main(argv=None) -> int:
             f"{side} {q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
             for side, q in (("parent", s["parent"]), ("change", s["change"]))
         )
-        counts = ""
-        if name == "peak_rss_mb":
-            counts = f"  timed_ops parent {samples['parent']:g} change {samples['change']:g}"
+        counts = "".join(
+            f"  {key} parent {medians[key]['parent']:.6g} change {medians[key]['change']:.6g}"
+            for key, shown_with in RUN_EXTRAS.items()
+            if shown_with == name
+        )
         print(
             f"{name:12s} {sides}  wins {s['wins']}/{s['pairs']} (losses {s['losses']})"
             f"  ratio {ratio}  {s['verdict']}{counts}"
         )
     print(json.dumps({"workload": args.workload, "parent": args.parent, "seeds": seeds,
-                      "seconds": args.seconds, "metrics": summary, "timed_ops": samples}))
+                      "seconds": args.seconds, "metrics": summary, **medians}))
     return 0
 
 
