@@ -8,17 +8,19 @@ order eps, then a_1, ..., then a_K.
 
 Every integral splits at the cutoff's inner radius rho.  On (0, rho] the
 cutoff is identically 1 and the densities have the exact closed form
-e^{-2 eps s} * prod X_i^{-1+a_i} * (polynomial in eta, B, X-products), which
-is evaluated directly in s = ln(1/r); this is what lets the scans see the
-logarithmically deep mass that no r-space sample could represent.  With one
-log factor the same closed forms, read as polynomials in (eps, X_1), reduce
-the integral over (0, rho] exactly: with Q(b) = int_0^rho r^{-1+2eps} X_1^b dr,
-the identity eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades the
-integrals that diverge as eps -> 0 for closed-form boundary terms, and the
-Q(b) that remain are incomplete gamma functions, taken in closed form.  On
-[rho, outer] both paths integrate the full profile (with cutoff derivatives),
-evaluated by jet arithmetic in r, through one zone rule; a single-log
-quotient runs just these two zone quadratures.
+e^{-2 eps s} * prod X_i^{-1+a_i} * (polynomial in eta, B, X-products); this
+is what lets the scans see the logarithmically deep mass that no r-space
+sample could represent.  With one log factor the closed forms, read as
+polynomials in (eps, X_1), give the integral over (0, rho] as a column sum
+of Q(b) = int_0^rho r^{-1+2eps} X_1^b dr, incomplete gamma functions taken
+in closed form; where a deficit's sharp constant cancels a level that
+diverges as eps -> 0, the identity
+eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades it for a
+closed-form boundary term.  With K >= 2 log factors the closed forms are
+evaluated as float arrays in s = ln(1/r) and integrated by quadrature.  On
+[rho, outer] every quotient integrates the full profile (with cutoff
+derivatives), evaluated by jet arithmetic in r, through one zone rule; a
+single-log quotient runs just these two zone quadratures.
 """
 
 from __future__ import annotations
@@ -219,10 +221,10 @@ class ScanFamily(Enum):
 #
 # A term may carry the weight "series" = sum_{i<K} (X_1...X_i)^2 or
 # "pk2" = (X_1...X_K)^2.  On (0, inner], where the cutoff is 1, one
-# closed-form algebra gives the pieces and weights; the inner evaluator reads
-# it with float arrays in s, the single-log reduction with polynomials in
-# (eps, X_1).  On the cutoff zone the outer evaluator builds the same pieces
-# from jets of u.
+# closed-form algebra gives the pieces and weights; the quadrature in s
+# (K >= 2) reads it with float arrays, the single-log reduction with
+# polynomials in (eps, X_1).  On the cutoff zone the outer evaluator builds
+# the same pieces from jets of u.
 
 
 class _Term(NamedTuple):
@@ -266,7 +268,6 @@ class _FamilySpec:
     m_zero: bool = False
     radial: bool = True
     below_m_star: bool = False
-    reduced: bool = True  # the single-log quotient has an exact reduction
 
     def validate(self, family: ScanFamily, params: MinSeqParams) -> None:
         rules = (
@@ -306,7 +307,6 @@ _FAMILIES: dict[ScanFamily, _FamilySpec] = {
         lambda N, m: (_plain("lap_u"), _plain("grad_u")),
         lambda N, m, k: C.per_mode_quotient(k, N, m),
         radial=False,
-        reduced=False,
     ),
     ScanFamily.DEFICIT_VGRAD: _FamilySpec(
         lambda N, m: (_deficit("hardy_u", C.rellich_constant(N)), _plain("grad_v")),
@@ -337,7 +337,6 @@ _FAMILIES: dict[ScanFamily, _FamilySpec] = {
         lambda N, m: (_plain("lap_u"), _plain("grad_u")),
         _section2("rellich-gradient"),
         m_zero=True,
-        reduced=False,
     ),
 }
 
@@ -349,22 +348,30 @@ def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
     return spec.constant(params.N, params.m, params.mode_k)
 
 
+def _split_deficit(terms):
+    """A leading lap_u - c * p (see :func:`_deficit`) as (p, c), and the
+    terms after it; (None, terms) when the terms do not start with one."""
+    if (
+        len(terms) > 1
+        and terms[1].piece in _DEFICIT_PIECES
+        and terms[:2] == _deficit(terms[1].piece, -terms[1].coeff)
+    ):
+        return (terms[1].piece, -terms[1].coeff), terms[2:]
+    return None, terms
+
+
 def _combine(terms, piece, weight, deficit=None):
     """sum of coeff * piece(name) * weight(w) over the terms, in term order.
 
     ``weight`` returns None for an empty series, whose terms drop out.  With
-    ``deficit``, a leading lap_u - c * p (see :func:`_deficit`) is taken as
-    deficit(p, c) instead.
+    ``deficit``, a leading lap_u - c * p (see :func:`_split_deficit`) is
+    taken as deficit(p, c) instead.
     """
     acc = None
-    if (
-        deficit is not None
-        and len(terms) > 1
-        and terms[1].piece in _DEFICIT_PIECES
-        and terms[:2] == _deficit(terms[1].piece, -terms[1].coeff)
-    ):
-        acc = deficit(terms[1].piece, -terms[1].coeff)
-        terms = terms[2:]
+    if deficit is not None:
+        lead, rest = _split_deficit(terms)
+        if lead is not None:
+            acc, terms = deficit(*lead), rest
     for coeff, name, w in terms:
         wv = None if w is None else weight(w)
         if w is not None and wv is None:
@@ -401,15 +408,15 @@ def _sq(x):
     return x * x
 
 
-def _weight(prods: list, K: int, w: str):
-    """The weight w on the products: "pk2" = P_K^2, "series" = P_1^2 + ... +
-    P_{K-1}^2, or None for the empty series at K = 1."""
+def _weight(prods: list, w: str):
+    """The weight w on the K products: "pk2" = P_K^2, "series" = P_1^2 + ...
+    + P_{K-1}^2, or None for the empty series at K = 1."""
     if w == "pk2":
-        return _sq(prods[K - 1])
-    if K == 1:
+        return _sq(prods[-1])
+    if len(prods) == 1:
         return None
     out = _sq(prods[0])
-    for p in prods[1 : K - 1]:
+    for p in prods[1:-1]:
         out = out + _sq(p)
     return out
 
@@ -469,30 +476,31 @@ def _deficit_form(f: _Forms, piece: str, c: float):
     return out
 
 
-def _closed_density(terms, forms: _Forms, prods: list, K: int):
-    """A combination's closed form over the common factor."""
+def _closed_density(terms, forms: _Forms, prods: list):
+    """A combination's closed form over the common factor, with one series
+    term per log factor in prods."""
     return _combine(
         terms,
         lambda p: _PIECES[p](forms),
-        lambda w: _weight(prods, K, w),
+        functools.partial(_weight, prods),
         functools.partial(_deficit_form, forms),
     )
 
 
-def _inner_density(params: MinSeqParams, s: np.ndarray, K: int, terms) -> np.ndarray:
-    """A combination's density on (0, inner] at s = ln(1/r), with K series
-    terms.  No catastrophic subtraction occurs even at very deep s: the
-    deficits are factored and the common factor
-    e^{-2 eps s} prod X_i^{-1+a_i} is applied last."""
+def _inner_density(params: MinSeqParams, s: np.ndarray, terms) -> np.ndarray:
+    """A combination's density on (0, inner] at s = ln(1/r).  No
+    catastrophic subtraction occurs even at very deep s: the deficits are
+    factored and the common factor e^{-2 eps s} prod X_i^{-1+a_i} is applied
+    last."""
     s = np.asarray(s, dtype=float)
-    xs = xk_values_from_s(max(K, len(params.a)), s)
+    xs = xk_values_from_s(len(params.a), s)
     prods = _log_products(xs)
     common = np.exp(-2.0 * params.epsilon * s)
     for ai, x in zip(params.a, xs):
         if ai != 1.0:
             common = common * x ** (-1.0 + ai)
     forms = _closed_forms(params, params.epsilon, *_eta_b(params.a, prods))
-    return common * _closed_density(terms, forms, prods, K)
+    return common * _closed_density(terms, forms, prods)
 
 
 # The adaptive rule bisects every interval while there are at most 16, so a
@@ -521,7 +529,7 @@ class _OuterTerms:
     quotient integrate over the same zone and share most of their nodes, and
     the memo lives only as long as this object."""
 
-    def __init__(self, params: MinSeqParams, chain_len: int):
+    def __init__(self, params: MinSeqParams):
         self.params = params
         tf = build_minimizer(params)
         self.mode = tf.mode
@@ -535,7 +543,6 @@ class _OuterTerms:
             "grad_v": _Integral("gradient", shift, 1),
             "rad_v": _Integral("radial-gradient", shift, 1),
         }
-        self.chain_len = chain_len
 
     def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
         """The named pieces at r, and only those.
@@ -562,12 +569,11 @@ class _OuterTerms:
         computing only the pieces it names."""
         names = {t.piece for t in terms}
         weighted = any(t.weight is not None for t in terms)
-        K = self.chain_len
 
         def density(r):
             p = self.pieces(r, names)
-            prods = _log_products(xk_values(K, r)) if weighted else None
-            return _combine(terms, p.__getitem__, lambda w: _weight(prods, K, w))
+            prods = _log_products(xk_values(len(self.params.a), r)) if weighted else None
+            return _combine(terms, p.__getitem__, lambda w: _weight(prods, w))
 
         return _zone_integral(density, self.params.cutoff, spec)
 
@@ -584,14 +590,15 @@ class _OuterTerms:
 #     eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b,
 #
 # which eliminates the divergent-as-eps->0 integrals Q(-1+a) and Q(a) for a
-# closed-form boundary term.  The sharp constants make the eliminated
+# closed-form boundary term.  In a deficit the sharp constants make their
 # coefficients vanish to order eps exactly, so the reduced form has bounded
-# coefficients and is evaluable at denormal eps, where the direct quadrature
-# would have to cancel ~Q(a) of signed mass.  This mirrors the limit
-# computation that proves the best constants, with the boundary terms kept
-# instead of being absorbed into O(1).  The Q(b) left over are evaluated in
-# closed form (see _q_beta), so the reduction itself runs no quadrature; the
-# cutoff zone is integrated from jets, as on the direct path.
+# coefficients and is evaluable at denormal eps, where a quadrature would
+# have to cancel ~Q(a) of signed mass; this mirrors the limit computation that
+# proves the best constants.  A plain quotient (amn, rellich-gradient) has
+# nothing to cancel and sums its Q(-1+a) ~ (2 eps)^{a-2} column as it is,
+# until that leaves the double range below eps ~ 1e-150 (DomainError).  Every
+# Q(b) is taken in closed form (see _q_beta), so the reduction runs no
+# quadrature; the cutoff zone is integrated from jets.
 
 
 class _Poly2:
@@ -662,13 +669,15 @@ def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -
 
 
 def _reduce_columns(poly: _Poly2, a1: float):
-    """Rewrite sum_j col_j(eps) Q(-1+a+j) with the divergent levels removed.
+    """Rewrite sum_j col_j(eps) Q(-1+a+j) with the divergent levels removed
+    where they cancel.
 
-    Returns (columns for j >= 2 as eps-polynomials, [(eps-poly, beta), ...])
-    where each boundary pair contributes (1/2) * poly(eps) *
-    inner^{2eps} X_1(inner)^beta.  The eliminated columns must vanish at
-    eps = 0 (guaranteed by the sharp constants); the residual constant
-    coefficient is pure round-off and is zeroed before dividing by eps.
+    Eliminates level 0, then level 1, while the level's column vanishes at
+    eps = 0 (as the sharp constants make it in a deficit); the residual
+    constant coefficient is pure round-off and is zeroed before dividing by
+    eps.  Returns (the first level kept, the columns from it on as
+    eps-polynomials, [(eps-poly, beta), ...]) where each boundary pair
+    contributes (1/2) * poly(eps) * inner^{2eps} X_1(inner)^beta.
     """
     cols = poly.x_columns()
     while len(cols) < 3:
@@ -680,9 +689,7 @@ def _reduce_columns(poly: _Poly2, a1: float):
         if scale == 0.0:
             continue
         if abs(c[0]) > 1e-9 * scale:
-            raise AssertionError(
-                f"reduction failed: Q-level {j} coefficient does not vanish at eps=0"
-            )
+            return j, cols[j:], boundary_terms
         cprime = c[1:].copy()
         if cprime.size == 0:
             continue
@@ -694,12 +701,13 @@ def _reduce_columns(poly: _Poly2, a1: float):
         merged[: cprime.size] += (-beta / 2.0) * cprime
         cols[j + 1] = merged
         boundary_terms.append((cprime, beta))
-    return cols[2:], boundary_terms
+    return 2, cols[2:], boundary_terms
 
 
 class _Reduction:
     """Single-log integrals over (0, inner] through the exact reduction: a
-    column sum of closed-form Q(beta) and boundary terms, with no quadrature.
+    column sum of closed-form Q(beta) and boundary terms, with no quadrature;
+    DomainError where the sum leaves the double range.
 
     One instance serves one parameter set, so each Q(beta) is evaluated once
     for every integral it takes.
@@ -718,16 +726,15 @@ class _Reduction:
 
     def poly(self, terms) -> _Poly2:
         """The combination's density over common = r^{-1+2eps} X_1^{-1+a};
-        one log factor, so the correction series is empty.  lap_u alone does
-        not reduce (its integral diverges as eps -> 0); only its deficits do."""
-        return _closed_density(terms, self.forms, self._prods, 1)
+        one log factor, so the correction series is empty."""
+        return _closed_density(terms, self.forms, self._prods)
 
     def integral(self, terms) -> float:
         """The combination's integral over (0, inner]."""
         a1, eps = self.params.a[0], self.params.epsilon
-        cols, boundary_terms = _reduce_columns(self.poly(terms), a1)
+        start, cols, boundary_terms = _reduce_columns(self.poly(terms), a1)
         total = 0.0
-        for j, c in enumerate(cols, start=2):
+        for j, c in enumerate(cols, start=start):
             coeff = float(np.polynomial.polynomial.polyval(eps, c))
             if coeff != 0.0:
                 total += coeff * self.q_beta(-1.0 + a1 + j)
@@ -737,6 +744,8 @@ class _Reduction:
             coeff = float(np.polynomial.polynomial.polyval(eps, c))
             if coeff != 0.0:
                 total += 0.5 * coeff * rho ** (2.0 * eps) * x_rho**beta
+        if not math.isfinite(total):
+            raise DomainError(f"single-log integral overflows at eps = {eps}")
         return total
 
 
@@ -747,47 +756,43 @@ class _Reduction:
 _DIRECT_EPS_FLOOR = 1e-120
 
 
-def _inner_integral(terms, params: MinSeqParams, K: int, spec: QuadratureSpec) -> float:
+def _inner_integral(terms, params: MinSeqParams, spec: QuadratureSpec) -> float:
     """Quadrature of a combination's closed forms in s over (0, inner]."""
     if params.epsilon < _DIRECT_EPS_FLOOR and any(ai < 1.0 for ai in params.a):
         raise DomainError(
             f"direct quadrature needs eps >= {_DIRECT_EPS_FLOOR:g} while a log factor is"
-            " on (some a_i < 1); use a moderate eps, or one log factor and a family"
-            " with a reduced form"
+            " on (some a_i < 1); use a moderate eps, or one log factor"
         )
     s0 = math.log(1.0 / params.cutoff.inner_radius)
-    return integrate_halfline(lambda s: _inner_density(params, s, K, terms), s0, spec).value
+    return integrate_halfline(lambda s: _inner_density(params, s, terms), s0, spec).value
 
 
 def rayleigh_quotient(
     family: ScanFamily,
     params: MinSeqParams,
-    K_series: int | None = None,
     quad: QuadratureSpec | None = None,
 ) -> float:
     """Evaluate one Rayleigh quotient of the family at the given parameters.
 
-    K_series is the number of correction terms subtracted in the numerator
-    (defaults to the number of log factors carried by the sequence).  Every
-    integral is the one over (0, inner] plus the one over the cutoff zone,
-    which both paths take from jets.  On (0, inner] the single-log quotients
-    go through the exact identity-reduced form, which stays accurate at
-    arbitrarily small eps; multi-log quotients and the amn and
-    rellich-gradient families use direct quadrature in s, which rejects eps
-    below 1e-120 while a log factor is on.
+    The numerator's correction series runs over the sequence's K =
+    len(params.a) log factors.  Every integral is the one over (0, inner]
+    plus the one over the cutoff zone, taken from jets.  On (0, inner] a
+    single-log quotient goes through the exact reduction, a column sum of
+    closed-form Q(beta): it stays accurate at the smallest eps for the
+    deficit families and raises DomainError where a plain quotient's
+    divergent levels leave the double range (eps below about 1e-150).
+    Multi-log quotients use direct quadrature in s, which rejects eps below
+    1e-120 while a log factor is on.
     """
     spec = quad or QuadratureSpec()
-    K = len(params.a) if K_series is None else int(K_series)
-    if K < 1:
-        raise DomainError("K_series must be >= 1")
     fam = _FAMILIES[family]
     fam.validate(family, params)
     quotient = fam.quotient(params.N, params.m)
-    outer = _OuterTerms(params, K)
-    if K == 1 and len(params.a) == 1 and fam.reduced:
+    outer = _OuterTerms(params)
+    if len(params.a) == 1:
         inner = _Reduction(params).integral
     else:
-        inner = functools.partial(_inner_integral, params=params, K=K, spec=spec)
+        inner = functools.partial(_inner_integral, params=params, spec=spec)
     num, den = (inner(t) + outer.integral(t, spec) for t in quotient)
     if abs(den) <= spec.abs_tol:
         raise QuadratureError("degenerate denominator in Rayleigh quotient")
@@ -813,7 +818,6 @@ def scan_to_limit(
     family: ScanFamily,
     schedule: list[MinSeqParams],
     quad: QuadratureSpec | None = None,
-    K_series: int | None = None,
 ) -> ScanResult:
     """Run the quotient along a parameter schedule (eps first, then the a_i).
 
@@ -827,7 +831,7 @@ def scan_to_limit(
     quotients, unconverged = [], []
     for p in schedule:
         with count_quadrature() as counts:
-            quotients.append(rayleigh_quotient(family, p, K_series, quad))
+            quotients.append(rayleigh_quotient(family, p, quad))
         unconverged.append(counts.unconverged)
     monotone = all(
         quotients[i + 1] <= quotients[i] + 1e-6 for i in range(len(quotients) - 1)
@@ -869,13 +873,15 @@ def default_schedule(
 ) -> list[MinSeqParams]:
     """The default limit path: eps down the fixed ladder, then halve each a_i.
 
-    Where a reduced form evaluates the quotient (K = 1, every family but amn
-    and rellich-gradient), eps keeps shrinking with a during the halvings:
-    the limit order is eps first, then a_1, ..., a_K, so each a-step should
-    see an exhausted eps-limit, otherwise the quotient stalls at the
-    ln(1/eps) scale.  Every other scan goes through the direct quadrature,
-    which cannot follow eps that deep, so eps holds at the ladder's last
-    value.
+    Where the single-log reduction eliminates the numerator's divergent
+    levels (K = 1, and no unweighted u-side piece in the numerator outside
+    its deficit), eps keeps shrinking with a during the halvings: the limit
+    order is eps first, then a_1, ..., a_K, so each a-step should see an
+    exhausted eps-limit, otherwise the quotient stalls at the ln(1/eps)
+    scale.  Elsewhere eps holds at the ladder's last value: the direct
+    quadrature of K >= 2 cannot follow eps that deep, and a plain numerator
+    (rellich-gradient's lap_u) keeps a divergent level, which leaves the
+    double range below eps ~ 1e-150.
     """
     cutoff = cutoff or CutoffSpec()
     if family is ScanFamily.AMN:
@@ -884,13 +890,14 @@ def default_schedule(
         ]
     if K > 1:
         halvings = min(halvings, 2)
-    reduced = K == 1 and _FAMILIES[family].reduced
     a = [0.1] * K
     steps = [MinSeqParams(N, m, eps, tuple(a), cutoff, mode_k) for eps in _DEFAULT_EPS_STEPS]
+    _, rest = _split_deficit(_FAMILIES[family].quotient(N, m)[0])
+    follow = K == 1 and not any(t.piece.endswith("_u") and t.weight is None for t in rest)
     for i in range(K):
         for _ in range(halvings):
             a[i] /= 2.0
-            eps = _eps_for_a(a[0]) if reduced else _DEFAULT_EPS_STEPS[-1]
+            eps = _eps_for_a(a[0]) if follow else _DEFAULT_EPS_STEPS[-1]
             steps.append(MinSeqParams(N, m, eps, tuple(a), cutoff, mode_k))
     return steps
 
@@ -907,14 +914,12 @@ class AsymptoticCase(Enum):
 
 
 class _AsymptoticSpec(NamedTuple):
-    """A case's functional as piece terms of N, its displayed leading term as
-    a function of (N, a_1, Q) with Q(beta) the single-log integral over the
-    whole support, and whether the functional's integral over (0, inner]
-    goes through the direct quadrature instead of the reduction."""
+    """A case's functional as piece terms of N, and its displayed leading
+    term as a function of (N, a_1, Q) with Q(beta) the single-log integral
+    over the whole support."""
 
     lhs: Callable[[int], tuple[_Term, ...]]
     rhs: Callable[[int, float, Callable[[float], float]], float]
-    direct: bool = False
 
 
 def _lead(N: int, a1: float, q) -> float:
@@ -925,8 +930,9 @@ def _deficit_lead(N: int, a1: float, q) -> float:
     return (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q(1.0 + a1)
 
 
-# The u-side functionals with no deficit have no reduced form: their divergent
-# levels do not cancel, so they go through the direct quadrature.
+# The u-side functionals with no deficit keep their divergent levels: the
+# reduction sums their Q(-1+a) and Q(a) columns, which leave the double range
+# (DomainError) below eps ~ 1e-150.
 _ASYMPTOTICS: dict[AsymptoticCase, _AsymptoticSpec] = {
     AsymptoticCase.V_GRADIENT: _AsymptoticSpec(lambda N: _plain("grad_v"), _lead),
     AsymptoticCase.V_LAPLACIAN: _AsymptoticSpec(
@@ -935,12 +941,10 @@ _ASYMPTOTICS: dict[AsymptoticCase, _AsymptoticSpec] = {
     AsymptoticCase.U_GRADIENT: _AsymptoticSpec(
         lambda N: _plain("grad_u"),
         lambda N, a1, q: _lead(N, a1, q) + ((N - 4) / 2.0) ** 2 * q(-1.0 + a1),
-        direct=True,
     ),
     AsymptoticCase.U_LAPLACIAN: _AsymptoticSpec(
         lambda N: _plain("lap_u"),
         lambda N, a1, q: _deficit_lead(N, a1, q) + C.rellich_constant(N) * q(-1.0 + a1),
-        direct=True,
     ),
     AsymptoticCase.RELLICH_DEFICIT: _AsymptoticSpec(
         lambda N: _deficit("hardy_u", C.rellich_constant(N)), _deficit_lead
@@ -962,9 +966,8 @@ def leading_order_asymptotics(
     lhs is the stated functional of the sequence member divided by the sphere
     area; rhs_leading is the displayed coefficient times the singular
     integrals it multiplies.  The ratio tends to 1 as eps, a_1 -> 0 jointly,
-    with the leading term dominating only once a_1 ln(1/eps) is large; the
-    deficit cases are evaluated through the identity-reduced form so that
-    regime is reachable.
+    with the leading term dominating only once a_1 ln(1/eps) is large; every
+    case goes through the single-log reduction, so that regime is reachable.
     """
     spec = quad or QuadratureSpec()
     if len(params.a) != 1:
@@ -974,11 +977,7 @@ def leading_order_asymptotics(
     case = _ASYMPTOTICS[which]
     red = _Reduction(params)
     terms = case.lhs(params.N)
-    if case.direct:
-        inner = _inner_integral(terms, params, 1, spec)
-    else:
-        inner = red.integral(terms)
-    lhs = inner + _OuterTerms(params, 1).integral(terms, spec)
+    lhs = red.integral(terms) + _OuterTerms(params).integral(terms, spec)
     eps, cutoff = params.epsilon, params.cutoff
     rhs = case.rhs(params.N, params.a[0], lambda b: red.q_beta(b) + _q_zone(b, eps, cutoff, spec))
     return lhs, rhs, lhs / rhs

@@ -198,34 +198,6 @@ class RadialProfile:
 
         return RadialProfile(shifted, self.support, self.origin_order + alpha)
 
-    def __mul__(self, other):
-        if isinstance(other, RadialProfile):
-            f, g = self._jet_fn, other._jet_fn
-            return RadialProfile(
-                lambda J: f(J) * g(J),
-                (
-                    max(self.support[0], other.support[0]),
-                    min(self.support[1], other.support[1]),
-                ),
-                self.origin_order + other.origin_order,
-            )
-        c = float(other)
-        fn = self._jet_fn
-        return RadialProfile(lambda J: fn(J) * c, self.support, self.origin_order)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "RadialProfile"):
-        f, g = self._jet_fn, other._jet_fn
-        return RadialProfile(
-            lambda J: f(J) + g(J),
-            (
-                min(self.support[0], other.support[0]),
-                max(self.support[1], other.support[1]),
-            ),
-            min(self.origin_order, other.origin_order),
-        )
-
 
 class Representation(Enum):
     U_SIDE = "u"

@@ -191,6 +191,20 @@ def test_scan_notes_uncertified_steps_on_stderr(capsys):
     assert f"note: unconverged quadratures at scan steps {steps}; those quotients are not certified\n" in err
 
 
+def test_scan_plain_family_past_the_quadrature_floor(capsys):
+    """A single-log rellich-gradient scan reads eps below 1e-120, where the
+    quadrature in s stops, and names the eps where its column sum leaves the
+    double range."""
+    scan = ("scan", "--family", "rellich-gradient", "--N", "6", "--schedule")
+    code, out, err = run_cli(capsys, *scan, "1e-130:0.1")
+    assert (code, err) == (0, "")
+    quotient = float(out.splitlines()[1].split(",")[3])
+    assert quotient == pytest.approx(9.0, rel=1e-12)
+    code, out, err = run_cli(capsys, *scan, "1e-200:0.1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "eps = 1e-200" in err and err.count("\n") == 1
+
+
 def test_scan_malformed_schedule(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "amn", "--N", "30", "--schedule", "oops")
     assert code == 2
@@ -412,11 +426,11 @@ def test_verify_golden_output(capsys):
 
 
 # `rellich scan --family F --N 6` stdout on the default schedule (K = 1).
-# amn and rellich-gradient go through the direct path and were recorded
-# before the s-space and single-log evaluators shared one closed-form
-# algebra; the nine reduced families were re-recorded when the reduction
-# moved to (0, inner] with closed-form boundary terms, which moved their
-# quotients by rounding (at most 6e-16 relative here).
+# The nine deficit families were re-recorded when the reduction moved to
+# (0, inner] with closed-form boundary terms, which moved their quotients by
+# rounding (at most 6e-16 relative here); amn and rellich-gradient when their
+# integrals over (0, inner] moved from quadrature in s to the reduction's
+# column sum (at most 5.9e-16 relative).
 _SCAN_GOLDEN = {
     "rellich-improved": (
         "step,epsilon,a1,quotient,theoretical\n"
@@ -480,9 +494,9 @@ _SCAN_GOLDEN = {
     ),
     "amn": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,1,11.3931088249622,9\n"
-        "1,0.0030000000000000001,1,9.7439334973766929,9\n"
-        "2,0.001,1,9.2505758942925187,9\n"
+        "0,0.01,1,11.393108824962201,9\n"
+        "1,0.0030000000000000001,1,9.7439334973766947,9\n"
+        "2,0.001,1,9.2505758942925222,9\n"
         "3,0.00029999999999999997,1,9.0754496053177451,9\n"
     ),
     "rellich-deficit-vgrad": (
@@ -562,18 +576,18 @@ _SCAN_GOLDEN = {
     ),
     "rellich-gradient": (
         "step,epsilon,a1,quotient,theoretical\n"
-        "0,0.01,0.10000000000000001,9.095008101796628,9\n"
+        "0,0.01,0.10000000000000001,9.0950081017966262,9\n"
         "1,0.0030000000000000001,0.10000000000000001,9.0098446487783495,9\n"
-        "2,0.001,0.10000000000000001,9.0012284097040816,9\n"
-        "3,0.00029999999999999997,0.10000000000000001,9.0001250395959023,9\n"
-        "4,0.00029999999999999997,0.050000000000000003,9.0000859065389882,9\n"
+        "2,0.001,0.10000000000000001,9.0012284097040833,9\n"
+        "3,0.00029999999999999997,0.10000000000000001,9.0001250395959058,9\n"
+        "4,0.00029999999999999997,0.050000000000000003,9.0000859065389864,9\n"
         "5,0.00029999999999999997,0.025000000000000001,9.0000711721623752,9\n"
-        "6,0.00029999999999999997,0.012500000000000001,9.0000647746386147,9\n"
+        "6,0.00029999999999999997,0.012500000000000001,9.0000647746386164,9\n"
         "7,0.00029999999999999997,0.0062500000000000003,9.0000617932749112,9\n"
         "8,0.00029999999999999997,0.0031250000000000002,9.0000603540744084,9\n"
         "9,0.00029999999999999997,0.0015625000000000001,9.0000596470010574,9\n"
-        "10,0.00029999999999999997,0.00078125000000000004,9.00005929655409,9\n"
-        "11,0.00029999999999999997,0.00039062500000000002,9.0000591220978361,9\n"
+        "10,0.00029999999999999997,0.00078125000000000004,9.0000592965540918,9\n"
+        "11,0.00029999999999999997,0.00039062500000000002,9.0000591220978414,9\n"
     ),
 }
 

@@ -149,28 +149,144 @@ def test_reduced_path_matches_direct_path():
     import rellich.minseq as M
 
     cases = [
-        (ScanFamily.RELLICH_IMPROVED, 6, 0.0),
-        (ScanFamily.RELLICH_GRAD_IMPROVED, 9, 0.0),
-        (ScanFamily.WEIGHTED_RELLICH_IMPROVED, 12, 1.0),
-        (ScanFamily.WEIGHTED_GRAD_IMPROVED, 12, 1.0),
-        (ScanFamily.DEFICIT_VGRAD, 9, 0.0),
-        (ScanFamily.DEFICIT_VLAP, 6, 0.0),
-        (ScanFamily.GRAD_DEFICIT_VGRAD, 6, 0.0),
-        (ScanFamily.VLAP_RADIAL_EXCESS, 9, 0.0),
-        (ScanFamily.GRAD_DEFICIT_VLAP, 9, 0.0),
+        (ScanFamily.RELLICH_IMPROVED, 6, 0.0, 0.07),
+        (ScanFamily.RELLICH_GRAD_IMPROVED, 9, 0.0, 0.07),
+        (ScanFamily.WEIGHTED_RELLICH_IMPROVED, 12, 1.0, 0.07),
+        (ScanFamily.WEIGHTED_GRAD_IMPROVED, 12, 1.0, 0.07),
+        (ScanFamily.AMN, 30, 8.0, 1.0),
+        (ScanFamily.AMN, 9, 2.0, 0.07),
+        (ScanFamily.DEFICIT_VGRAD, 9, 0.0, 0.07),
+        (ScanFamily.DEFICIT_VLAP, 6, 0.0, 0.07),
+        (ScanFamily.GRAD_DEFICIT_VGRAD, 6, 0.0, 0.07),
+        (ScanFamily.VLAP_RADIAL_EXCESS, 9, 0.0, 0.07),
+        (ScanFamily.GRAD_DEFICIT_VLAP, 9, 0.0, 0.07),
+        (ScanFamily.GRADIENT_CONSTANT, 6, 0.0, 0.07),
     ]
-    assert {c[0] for c in cases} == {f for f, spec in M._FAMILIES.items() if spec.reduced}
-    for fam, N, m in cases:
-        p = MinSeqParams(N, m, 1e-4, (0.07,))
+    assert {c[0] for c in cases} == set(M._FAMILIES)
+    for fam, N, m, a1 in cases:
+        p = MinSeqParams(N, m, 1e-4, (a1,))
         quotient = M._FAMILIES[fam].quotient(N, m)
-        # the paths differ only on (0, inner]: reduction against quadrature in s
+        # the reduction against the quadrature in s on (0, inner]
         red = M._Reduction(p)
-        inner = [M._inner_integral(terms, p, 1, SPEC) for terms in quotient]
+        inner = [M._inner_integral(terms, p, SPEC) for terms in quotient]
         for terms, direct in zip(quotient, inner):
             assert red.integral(terms) == pytest.approx(direct, rel=1e-9), (fam, terms)
-        outer = M._OuterTerms(p, 1)
+        outer = M._OuterTerms(p)
         num, den = (i + outer.integral(terms, SPEC) for i, terms in zip(inner, quotient))
         assert rayleigh_quotient(fam, p, quad=SPEC) == pytest.approx(num / den, rel=1e-8), fam
+
+
+def _inner_integrals_at_40_digits(params, sides):
+    """The integrals over (0, inner] of each side's closed-form density,
+    read with mpf scalars: 40-digit Gauss-Legendre panels in t = ln(1 + s),
+    s = ln(1/r), out to where e^{-2 eps s} < e^{-400}."""
+    import mpmath as mp
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    import rellich.minseq as M
+
+    with mp.workdps(40):
+        nodes = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)  # 24 nodes
+        a, eps = mp.mpf(params.a[0]), mp.mpf(params.epsilon)
+        t0 = mp.log(1 - mp.log(mp.mpf(params.cutoff.inner_radius)))
+        t1 = mp.log(1 / (2 * eps)) + 6
+        n = int(mp.ceil((t1 - t0) / 2))
+        h = (t1 - t0) / n
+        totals = [mp.mpf(0)] * len(sides)
+        for i in range(n):
+            mid = t0 + (i + mp.mpf(0.5)) * h
+            for x_node, w in nodes:
+                x = mp.exp(-(mid + h / 2 * x_node))  # X_1 = 1/(1 + s) = e^{-t}
+                forms = M._closed_forms(params, eps, (a - 1) * x, (a - 1) * x * x)
+                # r^{-1+2eps} X_1^{-1+a} dr = e^{-2eps s} X_1^{-2+a} dt
+                common = w * h / 2 * mp.exp(-2 * eps * (1 / x - 1)) * x ** (a - 2)
+                for j, terms in enumerate(sides):
+                    totals[j] += common * M._closed_density(terms, forms, [x])
+        return totals
+
+
+_REFERENCE_CASES = [
+    (ScanFamily.GRADIENT_CONSTANT, MinSeqParams(6, 0.0, 3e-4, (0.1,))),
+    (ScanFamily.GRADIENT_CONSTANT, MinSeqParams(6, 0.0, 3e-4, (3.90625e-4,))),
+    (ScanFamily.GRADIENT_CONSTANT, MinSeqParams(30, 0.0, 1e-3, (0.05,))),
+    (ScanFamily.AMN, MinSeqParams(30, 8.0, 3e-4, (1.0,), mode_k=2)),
+    (ScanFamily.AMN, MinSeqParams(6, 0.0, 1e-2, (1.0,))),
+    *[
+        (fam, MinSeqParams(N, m, eps, (a1,), mode_k=k))
+        for eps in (1e-20, 1e-100, 1e-150)
+        for fam, N, m, k, a1 in (
+            (ScanFamily.GRADIENT_CONSTANT, 6, 0.0, 0, 0.1),
+            (ScanFamily.AMN, 30, 8.0, 2, 1.0),
+        )
+    ],
+    (ScanFamily.RELLICH_IMPROVED, MinSeqParams(6, 0.0, 1e-3, (0.1,))),
+    (ScanFamily.GRAD_DEFICIT_VLAP, MinSeqParams(9, 0.0, 1e-4, (0.05,))),
+]
+
+
+@pytest.mark.parametrize(
+    "fam, params", _REFERENCE_CASES, ids=lambda x: x.value if isinstance(x, ScanFamily) else repr(x.epsilon)
+)
+def test_single_log_inner_integrals_match_an_extended_precision_reference(fam, params):
+    """The column sum of closed-form Q(beta) gives every single-log integral
+    over (0, inner] to 2e-14 against a 40-digit quadrature of the same
+    density: the plain quotients, which keep their divergent levels, down to
+    eps = 1e-150, and two deficit families, which eliminate them."""
+    import rellich.minseq as M
+
+    sides = M._FAMILIES[fam].quotient(params.N, params.m)
+    red = M._Reduction(params)
+    for terms, ref in zip(sides, _inner_integrals_at_40_digits(params, sides)):
+        got = red.integral(terms)
+        assert abs(got - ref) <= 2e-14 * abs(ref), (terms, got, float(ref))
+
+
+@pytest.mark.parametrize("N, a1, eps", [(6, 0.0125, 1e-155), (30, 4e-4, 1e-153)])
+def test_single_log_sum_that_leaves_the_double_range_raises(N, a1, eps):
+    """Past the overflow edge every Q(beta) is still finite, but a plain
+    quotient's column sum is not: DomainError, not inf."""
+    import rellich.minseq as M
+
+    p = MinSeqParams(N, 0.0, eps, (a1,))
+    with pytest.raises(DomainError, match=f"overflows at eps = {eps}"):
+        M._Reduction(p).integral(M._FAMILIES[ScanFamily.GRADIENT_CONSTANT].quotient(N, 0.0)[0])
+    with pytest.raises(DomainError):
+        rayleigh_quotient(ScanFamily.GRADIENT_CONSTANT, p)
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 30])
+def test_reduction_eliminates_exactly_the_deficit_levels(N):
+    """The reduction eliminates both divergent levels of every side of the
+    deficit families and of the v-side and deficit asymptotics, where the
+    sharp constants cancel them, and keeps level 0 of amn, rellich-gradient
+    and the plain u-side asymptotics.  The default schedule carries eps on
+    with a exactly where the numerator eliminates its levels."""
+    import rellich.minseq as M
+
+    plain = {ScanFamily.AMN, ScanFamily.GRADIENT_CONSTANT, AsymptoticCase.U_GRADIENT, AsymptoticCase.U_LAPLACIAN}
+
+    def starts(params, sides):
+        red = M._Reduction(params)
+        return [M._reduce_columns(red.poly(terms), params.a[0])[0] for terms in sides]
+
+    checked = 0
+    for fam, spec in M._FAMILIES.items():
+        for m in np.linspace(0.0, (N - 4) / 2.0, 5)[:-1]:
+            p = MinSeqParams(N, float(m), 1e-3, (0.1,))
+            try:
+                spec.validate(fam, p)
+            except DomainError:
+                continue
+            level = 0 if fam in plain else 2
+            assert starts(p, spec.quotient(N, p.m)) == [level, level], (fam, m)
+            if fam is not ScanFamily.AMN:
+                follows = default_schedule(fam, N, p.m)[-1].epsilon < 3e-4
+                assert follows == (level == 2), (fam, m)
+            checked += 1
+    for case, spec in M._ASYMPTOTICS.items():
+        level = 0 if case in plain else 2
+        assert starts(MinSeqParams(N, 0.0, 1e-3, (0.1,)), [spec.lhs(N)]) == [level], case
+    assert checked >= 11
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
@@ -235,7 +351,7 @@ def test_q_beta_raises_where_it_cannot_answer(monkeypatch):
 
 
 def test_reduced_quotient_runs_two_zone_quadratures(monkeypatch):
-    """A reduced quotient integrates only the cutoff zone, once for its
+    """A single-log quotient integrates only the cutoff zone, once for its
     numerator and once for its denominator, and each zone integral starts on
     4 panels: its first integrand call takes 4 x 15 nodes."""
     import rellich.minseq as M
@@ -256,9 +372,7 @@ def test_reduced_quotient_runs_two_zone_quadratures(monkeypatch):
         return res
 
     monkeypatch.setattr(M, "integrate", recording)
-    for fam, spec in M._FAMILIES.items():
-        if not spec.reduced:
-            continue
+    for fam in M._FAMILIES:
         first_calls.clear()
         with count_quadrature() as counts:
             rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-3, (0.1,)))
@@ -314,7 +428,7 @@ def test_scan_to_limit_and_csv():
 
 
 def test_gradient_constant_default_scan_descends():
-    # no reduced form: eps holds at the ladder's end while a is halved
+    # a plain quotient: eps holds at the ladder's end while a is halved
     for N in (6, 9):
         sched = default_schedule(ScanFamily.GRADIENT_CONSTANT, N)
         assert {p.epsilon for p in sched[4:]} == {3e-4}
@@ -384,16 +498,16 @@ def test_asymptotics_guards():
     with pytest.raises(DomainError):
         leading_order_asymptotics(AsymptoticCase.V_GRADIENT, MinSeqParams(6, 0.0, 1e-3, (0.1, 0.1)), SPEC)
     with pytest.raises(DomainError):
-        leading_order_asymptotics(AsymptoticCase.U_GRADIENT, MinSeqParams(6, 0.0, 1e-150, (0.01,)), SPEC)
+        leading_order_asymptotics(AsymptoticCase.U_GRADIENT, MinSeqParams(6, 0.0, 1e-200, (0.01,)), SPEC)
 
 
 def test_multi_log_quotient_direct_path():
     # two log factors exercise the direct two-region path (no reduction)
     p = MinSeqParams(6, 0.0, 1e-3, (0.1, 0.1))
-    q = rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, p, K_series=2, quad=SPEC)
+    q = rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, p, quad=SPEC)
     assert q >= 2.5 - 1e-9
     p2 = MinSeqParams(6, 0.0, 1e-3, (0.1, 0.05))
-    q2 = rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, p2, K_series=2, quad=SPEC)
+    q2 = rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, p2, quad=SPEC)
     assert q2 >= 2.5 - 1e-9
 
 
@@ -464,7 +578,7 @@ def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
     from rellich.radial import gradient_density, mode_operator
 
     p = MinSeqParams(N, m, 1e-3, a, mode_k=k)
-    outer = M._OuterTerms(p, len(a))
+    outer = M._OuterTerms(p)
     u = build_minimizer(p)
     ck = u.mode.eigenvalue
     v = u.profile.power_shift((N - 4.0 - 2.0 * m) / 2.0)

@@ -44,3 +44,28 @@ def test_cli_prints_one_digest_per_workload():
         cwd=ROOT,
     ).stdout
     assert re.fullmatch(r"functionals [0-9a-f]{64} 400\n", out)
+
+
+def test_compare_lists_each_differing_op_with_its_largest_relative_difference():
+    tool = _tool()
+    x = 9.0001250395959023
+    mine = {"scan-limits": [f"fam/N6/K1 0:{x.hex()} {(2 * x).hex()} 0", f"fam/N6/K1 1:{x.hex()} 0"]}
+    nudged = np.nextafter(2 * x, 0.0)
+    theirs = {
+        "scan-limits": [f"fam/N6/K1 0:{x.hex()} {nudged.hex()} 0", f"fam/N6/K1 1:raised DomainError"]
+    }
+    report = tool.compare(["scan-limits"], mine, theirs)
+    assert report[0] == f"scan-limits {tool._hash(mine['scan-limits'])} 2"
+    assert report[1] == f"scan-limits fam/N6/K1 0: {(2 * x - nudged) / (2 * x):.3g}"
+    assert report[2] == "scan-limits fam/N6/K1 1: inf"
+    assert len(report) == 3
+    assert tool.compare(["scan-limits"], mine, mine) == report[:1]
+    assert tool.max_rel_diff("k:0x1.0p+0 1", "k:0x1.0p+0 2") == float("inf")
+
+
+def test_against_the_same_tree_prints_the_digest_lines_only():
+    argv = [sys.executable, str(TOOL), "--seed", "1", "--workload", "functionals"]
+    run = lambda *extra: subprocess.run(
+        argv + list(extra), capture_output=True, text=True, check=True, cwd=ROOT
+    ).stdout
+    assert run("--against", str(ROOT)) == run()

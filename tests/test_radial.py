@@ -179,13 +179,16 @@ def test_quadratic_parallelogram_additivity():
     # quadratic functionals satisfy Q[f+g] + Q[f-g] = 2Q[f] + 2Q[g]
     spec = QuadratureSpec()
     mode = SphericalMode(6, 1)
-    f = RadialProfile.from_polynomial(P.polymul([0, 1.0], P.polypow([1, -1], 3)))
-    g = RadialProfile.from_polynomial(P.polymul([0, 0, 1.0], P.polypow([1, -1], 4)))
+    fc = P.polymul([0, 1.0], P.polypow([1, -1], 3))
+    gc = P.polymul([0, 0, 1.0], P.polypow([1, -1], 4))
+    f, g, f_plus_g, f_minus_g = (
+        RadialProfile.from_polynomial(c) for c in (fc, gc, P.polyadd(fc, gc), P.polysub(fc, gc))
+    )
     for name in (Functional.I, Functional.II):
         qf = functional(name, TestFunction(f, mode), quad=spec).value
         qg = functional(name, TestFunction(g, mode), quad=spec).value
-        qs = functional(name, TestFunction(f + g, mode), quad=spec).value
-        qd = functional(name, TestFunction(f + (-1.0) * g, mode), quad=spec).value
+        qs = functional(name, TestFunction(f_plus_g, mode), quad=spec).value
+        qd = functional(name, TestFunction(f_minus_g, mode), quad=spec).value
         assert qs + qd == pytest.approx(2 * qf + 2 * qg, rel=1e-9)
 
 
@@ -475,7 +478,8 @@ def test_replace_and_substitutions_start_an_empty_store():
     assert len(u._integrals) == 14  # the weighted Hardy integral is a weighted-Laplacian moment
     # another profile with the same support and origin order, so that every
     # key of the filled store would match
-    other = case.test_function().profile * 2.0
+    lead, boundary, q = case.factors
+    other = dataclasses.replace(case, factors=(lead, boundary, [2.0 * c for c in q])).jet_profile()
     swapped = dataclasses.replace(u, profile=other)
     assert swapped._integrals == {} and swapped == TestFunction(other, u.mode)
     for name in (Functional.I, Functional.WEIGHTED_LAPLACIAN):
