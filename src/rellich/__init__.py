@@ -43,7 +43,6 @@ from .minseq import (
     scan_to_limit,
 )
 from .quadrature import (
-    OriginSubstitution,
     QuadratureResult,
     QuadratureSpec,
     integrate,
@@ -59,7 +58,6 @@ from .radial import (
     functional,
     mode_operator,
     sphere_area,
-    substitute_u,
     substitute_v,
 )
 from .verify import (

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "DivergenceError", "QuadratureError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""

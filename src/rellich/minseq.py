@@ -37,7 +37,14 @@ import numpy as np
 from . import constants as C
 from .errors import DomainError, QuadratureError
 from .iterlog import xk_values, xk_values_from_s
-from .quadrature import QuadratureSpec, _q_beta, count_quadrature, integrate, integrate_halfline
+from .quadrature import (
+    QuadratureResult,
+    QuadratureSpec,
+    _q_beta,
+    count_quadrature,
+    integrate,
+    integrate_halfline,
+)
 from .radial import (
     RadialProfile,
     SphericalMode,
@@ -152,19 +159,6 @@ class MinSeqParams:
     def power_exponent(self) -> float:
         """Exponent of the leading power: -(N-4-2m)/2 + eps."""
         return -_v_exponent(self.N, self.m) + self.epsilon
-
-    def _eta_b_at(self, r, i: int):
-        prods = _log_products(xk_values(len(self.a), np.asarray(r, dtype=float)))
-        out = _eta_b(self.a, prods)[i]
-        return out if isinstance(r, np.ndarray) else float(out)
-
-    def eta(self, r):
-        """eta(r) = sum_i (-1 + a_i) X_1...X_i."""
-        return self._eta_b_at(r, 0)
-
-    def eta_b(self, r):
-        """B(r) = r eta'(r) = sum_i (-1 + a_i) P_i Q_i with Q_i = sum_{j<=i} P_j."""
-        return self._eta_b_at(r, 1)
 
 
 def build_minimizer(params: MinSeqParams) -> TestFunction:
@@ -602,12 +596,13 @@ class _OuterTerms:
 
 
 class _Poly2:
-    """Polynomial in (eps, X) with a small dense coefficient matrix."""
+    """Polynomial in (eps, X): c[i][j] is the coefficient of eps^i X^j, a
+    dense rectangle of Python floats."""
 
     __slots__ = ("c",)
 
     def __init__(self, c):
-        self.c = np.atleast_2d(np.asarray(c, dtype=float))
+        self.c = c
 
     @classmethod
     def const(cls, v: float) -> "_Poly2":
@@ -624,11 +619,13 @@ class _Poly2:
     def __add__(self, other):
         if not isinstance(other, _Poly2):
             other = _Poly2.const(other)
-        ni = max(self.c.shape[0], other.c.shape[0])
-        nj = max(self.c.shape[1], other.c.shape[1])
-        out = np.zeros((ni, nj))
-        out[: self.c.shape[0], : self.c.shape[1]] += self.c
-        out[: other.c.shape[0], : other.c.shape[1]] += other.c
+        ni = max(len(self.c), len(other.c))
+        nj = max(len(self.c[0]), len(other.c[0]))
+        out = [[0.0] * nj for _ in range(ni)]
+        for c in (self.c, other.c):
+            for row, add in zip(out, c):
+                for j, v in enumerate(add):
+                    row[j] += v
         return _Poly2(out)
 
     __radd__ = __add__
@@ -638,23 +635,37 @@ class _Poly2:
 
     def __mul__(self, other):
         if not isinstance(other, _Poly2):
-            return _Poly2(self.c * float(other))
+            v = float(other)
+            return _Poly2([[x * v for x in row] for row in self.c])
         a, b = self.c, other.c
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                if a[i, j] != 0.0:
-                    out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+        nj = len(b[0])
+        out = [[0.0] * (len(a[0]) + nj - 1) for _ in range(len(a) + len(b) - 1)]
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                if v != 0.0:
+                    for p, brow in enumerate(b):
+                        orow = out[i + p]
+                        for q, w in enumerate(brow):
+                            orow[j + q] += v * w
         return _Poly2(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _Poly2(self.c / float(other))
+        v = float(other)
+        return _Poly2([[x / v for x in row] for row in self.c])
 
-    def x_columns(self) -> list[np.ndarray]:
-        """Coefficient-in-eps arrays, one per power of X."""
-        return [self.c[:, j].copy() for j in range(self.c.shape[1])]
+    def x_columns(self) -> list[list[float]]:
+        """Coefficient-in-eps lists, one per power of X."""
+        return [list(col) for col in zip(*self.c)]
+
+
+def _polyval(x: float, c: list[float]) -> float:
+    """sum_i c[i] x^i by Horner's rule, in numpy's polyval order."""
+    out = c[-1] + x * 0.0
+    for ci in reversed(c[:-1]):
+        out = ci + out * x
+    return out
 
 
 def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
@@ -681,24 +692,25 @@ def _reduce_columns(poly: _Poly2, a1: float):
     """
     cols = poly.x_columns()
     while len(cols) < 3:
-        cols.append(np.zeros(1))
-    boundary_terms: list[tuple[np.ndarray, float]] = []
+        cols.append([0.0])
+    boundary_terms: list[tuple[list[float], float]] = []
     for j in range(2):
         c = cols[j]
-        scale = np.max(np.abs(c))
+        scale = max(abs(v) for v in c)
         if scale == 0.0:
             continue
         if abs(c[0]) > 1e-9 * scale:
             return j, cols[j:], boundary_terms
-        cprime = c[1:].copy()
-        if cprime.size == 0:
+        cprime = c[1:]
+        if not cprime:
             continue
         beta = -1.0 + a1 + j
         nxt = cols[j + 1]
-        size = max(nxt.size, cprime.size)
-        merged = np.zeros(size)
-        merged[: nxt.size] += nxt
-        merged[: cprime.size] += (-beta / 2.0) * cprime
+        merged = [0.0] * max(len(nxt), len(cprime))
+        for i, v in enumerate(nxt):
+            merged[i] += v
+        for i, v in enumerate(cprime):
+            merged[i] += (-beta / 2.0) * v
         cols[j + 1] = merged
         boundary_terms.append((cprime, beta))
     return 2, cols[2:], boundary_terms
@@ -735,13 +747,13 @@ class _Reduction:
         start, cols, boundary_terms = _reduce_columns(self.poly(terms), a1)
         total = 0.0
         for j, c in enumerate(cols, start=start):
-            coeff = float(np.polynomial.polynomial.polyval(eps, c))
+            coeff = _polyval(eps, c)
             if coeff != 0.0:
                 total += coeff * self.q_beta(-1.0 + a1 + j)
         rho = self.params.cutoff.inner_radius
         x_rho = 1.0 / (1.0 - math.log(rho))
         for c, beta in boundary_terms:
-            coeff = float(np.polynomial.polynomial.polyval(eps, c))
+            coeff = _polyval(eps, c)
             if coeff != 0.0:
                 total += 0.5 * coeff * rho ** (2.0 * eps) * x_rho**beta
         if not math.isfinite(total):
@@ -749,22 +761,25 @@ class _Reduction:
         return total
 
 
-# Below this eps, with a log factor on (some a_i < 1), the direct quadrature
-# in s loses the log-deep mass that carries the integrals and returns
-# wrong quotients (0, nan, or a fraction of the constant).  Pure powers
-# (every a_i = 1) stay exact.
-_DIRECT_EPS_FLOOR = 1e-120
+# A multi-log side is refused (DomainError) when the error estimate of its
+# inner quadrature exceeds this share of the side's total, so a returned
+# quotient is good to about this relative error.  As eps falls, the log-deep
+# mass outruns the half-line rule and the estimate grows with the error, by
+# about 100x per factor 100 in eps.  On rellich-improved's numerator with
+# a = (0.05, 0.05) the share is 6.6e-8, 1.7e-7 and 4.0e-7 at eps = 1e-8 for
+# N = 6, 9 and 30, and 9.5e-6, 2.5e-5 and 5.8e-5 at 1e-10; by eps = 1e-16 it
+# exceeds 1 and the quotients are off by orders of magnitude.  Every step of
+# the default K = 2 schedules stays at or below 5.3e-11 (N = 6), 2.7e-10
+# (N = 9) and 4.8e-9 (N = 30).  ``converged`` cannot serve as the guard: it
+# is False on most default K = 2 steps already, whose rel_tol is far below
+# what a quotient needs.
+_MAX_INNER_ERR_SHARE = 1e-6
 
 
-def _inner_integral(terms, params: MinSeqParams, spec: QuadratureSpec) -> float:
+def _inner_integral(terms, params: MinSeqParams, spec: QuadratureSpec) -> QuadratureResult:
     """Quadrature of a combination's closed forms in s over (0, inner]."""
-    if params.epsilon < _DIRECT_EPS_FLOOR and any(ai < 1.0 for ai in params.a):
-        raise DomainError(
-            f"direct quadrature needs eps >= {_DIRECT_EPS_FLOOR:g} while a log factor is"
-            " on (some a_i < 1); use a moderate eps, or one log factor"
-        )
     s0 = math.log(1.0 / params.cutoff.inner_radius)
-    return integrate_halfline(lambda s: _inner_density(params, s, terms), s0, spec).value
+    return integrate_halfline(lambda s: _inner_density(params, s, terms), s0, spec)
 
 
 def rayleigh_quotient(
@@ -781,19 +796,30 @@ def rayleigh_quotient(
     closed-form Q(beta): it stays accurate at the smallest eps for the
     deficit families and raises DomainError where a plain quotient's
     divergent levels leave the double range (eps below about 1e-150).
-    Multi-log quotients use direct quadrature in s, which rejects eps below
-    1e-120 while a log factor is on.
+    Multi-log quotients use direct quadrature in s, and raise DomainError
+    where its error estimate exceeds ``_MAX_INNER_ERR_SHARE`` of a side.
     """
     spec = quad or QuadratureSpec()
     fam = _FAMILIES[family]
     fam.validate(family, params)
     quotient = fam.quotient(params.N, params.m)
     outer = _OuterTerms(params)
-    if len(params.a) == 1:
-        inner = _Reduction(params).integral
-    else:
-        inner = functools.partial(_inner_integral, params=params, spec=spec)
-    num, den = (inner(t) + outer.integral(t, spec) for t in quotient)
+    red = _Reduction(params) if len(params.a) == 1 else None
+
+    def side(terms) -> float:
+        if red is not None:
+            return red.integral(terms) + outer.integral(terms, spec)
+        inner = _inner_integral(terms, params, spec)
+        total = inner.value + outer.integral(terms, spec)
+        if not inner.error_estimate <= _MAX_INNER_ERR_SHARE * abs(total):
+            raise DomainError(
+                f"the s-space quadrature cannot resolve eps = {params.epsilon:g} with"
+                f" a = {params.a}: error estimate {inner.error_estimate:.2g} on a side"
+                f" of {total:.6g}"
+            )
+        return total
+
+    num, den = (side(t) for t in quotient)
     if abs(den) <= spec.abs_tol:
         raise QuadratureError("degenerate denominator in Rayleigh quotient")
     return num / den
@@ -863,15 +889,10 @@ def _eps_for_a(a: float) -> float:
 
 
 def default_schedule(
-    family: ScanFamily,
-    N: int,
-    m: float = 0.0,
-    mode_k: int = 0,
-    K: int = 1,
-    cutoff: CutoffSpec | None = None,
-    halvings: int = 8,
+    family: ScanFamily, N: int, m: float = 0.0, mode_k: int = 0, K: int = 1
 ) -> list[MinSeqParams]:
-    """The default limit path: eps down the fixed ladder, then halve each a_i.
+    """The default limit path on the default cutoff: eps down the fixed
+    ladder, then halve each a_i 8 times (2 times when K > 1).
 
     Where the single-log reduction eliminates the numerator's divergent
     levels (K = 1, and no unweighted u-side piece in the numerator outside
@@ -883,22 +904,18 @@ def default_schedule(
     (rellich-gradient's lap_u) keeps a divergent level, which leaves the
     double range below eps ~ 1e-150.
     """
-    cutoff = cutoff or CutoffSpec()
     if family is ScanFamily.AMN:
-        return [
-            MinSeqParams(N, m, eps, (1.0,), cutoff, mode_k) for eps in _DEFAULT_EPS_STEPS
-        ]
-    if K > 1:
-        halvings = min(halvings, 2)
+        return [MinSeqParams(N, m, eps, (1.0,), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
+    halvings = 2 if K > 1 else 8
     a = [0.1] * K
-    steps = [MinSeqParams(N, m, eps, tuple(a), cutoff, mode_k) for eps in _DEFAULT_EPS_STEPS]
+    steps = [MinSeqParams(N, m, eps, tuple(a), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
     _, rest = _split_deficit(_FAMILIES[family].quotient(N, m)[0])
     follow = K == 1 and not any(t.piece.endswith("_u") and t.weight is None for t in rest)
     for i in range(K):
         for _ in range(halvings):
             a[i] /= 2.0
             eps = _eps_for_a(a[0]) if follow else _DEFAULT_EPS_STEPS[-1]
-            steps.append(MinSeqParams(N, m, eps, tuple(a), cutoff, mode_k))
+            steps.append(MinSeqParams(N, m, eps, tuple(a), mode_k=mode_k))
     return steps
 
 

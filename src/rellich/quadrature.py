@@ -2,15 +2,21 @@
 power-times-iterated-log type.
 
 The base rule is an embedded 7/15 Gauss-Kronrod pair with bisection of the
-largest-error subinterval.  Integrands whose mass concentrates
-logarithmically at r = 0 are handled through the substitution r = e^{-s},
+largest-error subinterval (:func:`integrate`).  Integrands whose mass
+concentrates at r = 0 are handled through the substitution r = e^{-s},
 which maps (0, b] to a half-line in s; the half-line is covered by panels of
-doubling width until a geometric tail extrapolation certifies the remainder.
-In s-coordinates the integrand stays in floating-point range even when the
-mass sits at radii far below the smallest positive double, so callers with
-severe singularities should supply the transformed integrand directly
-(:func:`integrate_halfline`) or use :func:`integrate_logweighted`, which
-knows the analytic structure r^p X_1^{1+b_1} ... X_K^{1+b_K} phi^2.
+doubling width until a geometric tail extrapolation certifies the remainder
+(:func:`integrate_halfline`).  :func:`origin_integral` is the one origin
+rule: given the power r^p an r-space integrand behaves like at 0, it takes
+the half-line for p < 0 and the finite rule otherwise.  In s-coordinates the
+integrand stays in floating-point range even when the mass sits at radii far
+below the smallest positive double, so callers with severe singularities
+should supply the transformed integrand directly (:func:`integrate_halfline`)
+or use :func:`integrate_logweighted`, which knows the analytic structure
+r^p X_1^{1+b_1} ... X_K^{1+b_K} phi^2.
+
+A :class:`QuadratureSpec` holds the two tolerances; the subdivision cap is
+the module constant ``_MAX_SUBDIVISIONS``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,34 +33,25 @@ from .errors import DivergenceError, DomainError
 from .iterlog import xk_values_from_s
 
 __all__ = [
-    "OriginSubstitution",
     "QuadratureSpec",
     "QuadratureResult",
     "integrate",
     "integrate_halfline",
+    "origin_integral",
     "integrate_logweighted",
     "QuadratureCounts",
     "count_quadrature",
 ]
 
 
-class OriginSubstitution(Enum):
-    NONE = "none"
-    LOG = "log"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
-    max_subdivisions: int = 4096
-    origin_substitution: OriginSubstitution = OriginSubstitution.NONE
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError(f"tolerances must be finite and positive, got {self.rel_tol}, {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
     def target(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -246,6 +242,11 @@ def _level_rows(f, a: float, b: float):
     return rows, vals.size
 
 
+# the most intervals an integral over a finite interval is bisected into; a
+# half-line panel may take 1/16 of it, and at least 64.  Read at call time.
+_MAX_SUBDIVISIONS = 4096
+
+
 def _adaptive_finite(
     f, a: float, b: float, rel_tol: float, abs_tol: float, max_subdivisions: int, breakpoints=(), block=False
 ):
@@ -340,7 +341,8 @@ def integrate_halfline(
     Stops once the extrapolated tail falls below the tolerance; an integrand
     that never settles (a divergent tail) ends with converged=False rather
     than a silently wrong value.  When the ``s_cap`` truncation is reached
-    the still-unresolved tail is estimated and folded into the error.
+    the still-unresolved tail is estimated and folded into the error; where
+    the panels do not decay there is no estimate, and the error is infinite.
 
     h must act elementwise.  One call to h evaluates the first 15-point rule
     of the next four panels (never a panel beyond ``s_cap``), which settles
@@ -395,7 +397,7 @@ def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureRes
         return a_last * ratio / (1.0 - ratio)
 
     rel_tol = spec.rel_tol
-    panel_subdivisions = max(64, spec.max_subdivisions // 16)
+    panel_subdivisions = max(64, _MAX_SUBDIVISIONS // 16)
     ahead = _LOOKAHEAD
     rules: list = []
     with np.errstate(all="ignore"):
@@ -431,50 +433,64 @@ def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureRes
                 converged = True
                 break
             if left > s_cap:
-                if tail is not None:
-                    err += tail
+                # the half-line past s_cap is left out: add its extrapolated
+                # tail, or an unknown error where the panels do not decay
+                err += math.inf if tail is None else tail
                 break
     converged = converged and err <= spec.target(acc)
     return QuadratureResult(acc, err, evals, converged)
 
 
-# Cap for the generic r-space LOG path: below r = e^{-650} an r-space callable
-# would be fed denormal radii, so the transform is truncated there; integrands
-# with deeper mass must use the s-space entry points.
-_RSPACE_S_CAP = 650.0
-
-
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()) -> QuadratureResult:
     """Integrate f over (a, b); f may be singular (but integrable) at a.
 
-    With origin_substitution=LOG and a=0, the integral is computed in
-    s = ln(1/r) coordinates.  f must accept numpy arrays and act
-    elementwise.  Otherwise, with no breakpoint inside (a, b), one call to
-    f evaluates the first four bisection levels (225 points) and the result
-    is bitwise that of one call per bisection batch (see
-    :func:`_adaptive_finite`).
+    f must accept numpy arrays and act elementwise.  With no breakpoint
+    inside (a, b), one call to f evaluates the first four bisection levels
+    (225 points) and the result is bitwise that of one call per bisection
+    batch (see :func:`_adaptive_finite`).  Integrals from the origin whose
+    mass sits at r -> 0 go through :func:`origin_integral`.
     """
     spec = spec or QuadratureSpec()
     if not (b > a):
         raise DomainError("need b > a")
     if a < 0:
         raise DomainError("need a >= 0")
-    if spec.origin_substitution is OriginSubstitution.LOG and a == 0.0:
-        s0 = math.log(1.0 / b)
-
-        def h(s):
-            r = np.exp(-np.asarray(s, dtype=float))
-            out = np.zeros_like(r)
-            mask = r > 0.0
-            if mask.any():
-                out[mask] = np.asarray(f(r[mask]), dtype=float) * r[mask]
-            return out
-
-        return _counted(_halfline(h, s0, spec, _RSPACE_S_CAP))
     value, err, evals, converged = _adaptive_finite(
-        f, a, b, spec.rel_tol, spec.abs_tol, spec.max_subdivisions, breakpoints, block=True
+        f, a, b, spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS, breakpoints, block=True
     )
     return _counted(QuadratureResult(value, err, evals, converged))
+
+
+# Cap for the r-space log substitution: below r = e^{-650} an r-space callable
+# would be fed denormal radii, so the transform is truncated there; integrands
+# with deeper mass must use the s-space entry points.
+_RSPACE_S_CAP = 650.0
+
+
+def origin_integral(f, origin_power: float, hi: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """int_0^hi f dr for an f that behaves like r^origin_power at the origin.
+
+    With origin_power < 0 the integral is computed in s = ln(1/r)
+    coordinates by :func:`integrate_halfline` (truncated at s = 650, where r
+    reaches the denormal range); otherwise by :func:`integrate` on (0, hi].
+    f must accept numpy arrays and act elementwise.  Either way the integral
+    counts as one entry-point call.
+    """
+    if not hi > 0.0:
+        raise DomainError("need hi > 0")
+    if origin_power >= 0.0:
+        return integrate(f, 0.0, hi, spec)
+    s0 = math.log(1.0 / hi)
+
+    def h(s):
+        r = np.exp(-np.asarray(s, dtype=float))
+        out = np.zeros_like(r)
+        mask = r > 0.0
+        if mask.any():
+            out[mask] = np.asarray(f(r[mask]), dtype=float) * r[mask]
+        return out
+
+    return integrate_halfline(h, s0, spec, _RSPACE_S_CAP)
 
 
 def describe_cascade_failure(power, log_exponents) -> str | None:

@@ -23,9 +23,10 @@ the call that made it.
 
 Every density the package integrates from a jet is written once, in
 :func:`_jet_density`: a density kind of h_n = L_k^n h with weight r^w, so the
-Laplacian density is a "square" with n = 1.  :func:`_density` adds the origin
-power that picks the origin substitution; the functionals, the registry's
-quadrature terms and the scans' cutoff-zone pieces all go through them.
+Laplacian density is a "square" with n = 1.  :func:`_density` adds the
+density's origin power, from which :func:`rellich.quadrature.origin_integral`
+picks the log substitution; the functionals, the registry's quadrature terms
+and the scans' cutoff-zone pieces all go through them.
 
 Each functional declares its integrals once, in ``_FUNCTIONALS``, and a
 :class:`TestFunction` keeps the result of every integral run on it, keyed by
@@ -40,8 +41,7 @@ weighted Hardy integral.  A served result counts toward ``quadrature_error`` and
 ``unconverged`` exactly as a run one does, and
 :func:`~rellich.quadrature.count_quadrature` counts only the integrals that
 run.  The store lives as long as the test function and is never copied:
-``dataclasses.replace``, :func:`substitute_v` and :func:`substitute_u` start
-with an empty one.
+``dataclasses.replace`` and :func:`substitute_v` start with an empty one.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ import numpy as np
 from . import constants as C
 from .errors import DomainError
 from .iterlog import log_product
-from .quadrature import (
-    OriginSubstitution,
-    QuadratureResult,
-    QuadratureSpec,
-    integrate,
-)
+from .quadrature import QuadratureResult, QuadratureSpec, origin_integral
 from .taylor import Jet
 
 __all__ = [
@@ -74,9 +69,7 @@ __all__ = [
     "Functional",
     "mode_operator",
     "substitute_v",
-    "substitute_u",
     "gradient_density",
-    "origin_integral",
     "reduced_form",
     "functional",
 ]
@@ -148,15 +141,6 @@ class RadialProfile:
         J = self.taylor(r, order)
         return [J.deriv(j) for j in range(order + 1)]
 
-    def verify_origin_order(self, n_samples: int = 16, radius: float = 1e-3) -> bool:
-        """Sample f(r) / r^origin_order near zero: finite and not blowing up."""
-        rr = np.geomspace(radius * 1e-9, radius, n_samples)
-        vals = self(rr) / rr**self.origin_order
-        if not np.all(np.isfinite(vals)):
-            return False
-        scale = np.abs(vals[-1]) + 1.0
-        return bool(np.max(np.abs(vals)) <= 1e6 * scale)
-
     def memoized(self) -> "RadialProfile":
         """The same profile, with a jet function that remembers each input jet
         and its result, keyed by the bytes of the input's value row.
@@ -214,8 +198,8 @@ class TestFunction:
     mode: SphericalMode
     representation: Representation = Representation.U_SIDE
     # the results of the functionals' integrals on this function (see the
-    # module docstring); never copied, so replace() and the substitutions
-    # start empty
+    # module docstring); never copied, so replace() and substitute_v start
+    # empty
     _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -259,14 +243,6 @@ def substitute_v(u: TestFunction, m: float = 0.0) -> TestFunction:
     return TestFunction(u.profile.power_shift(alpha), u.mode, Representation.V_SIDE)
 
 
-def substitute_u(v: TestFunction, m: float = 0.0) -> TestFunction:
-    """Inverse of :func:`substitute_v`."""
-    if v.representation is not Representation.V_SIDE:
-        raise DomainError("substitute_u expects a v-side function")
-    alpha = _v_exponent(v.mode.N, m)
-    return TestFunction(v.profile.power_shift(-alpha), v.mode, Representation.U_SIDE)
-
-
 # --------------------------------------------------------------------------
 # quadratic functionals
 
@@ -294,13 +270,6 @@ class FunctionalValue:
     quadrature_error: float
     cross_value: float | None = None
     unconverged: int = 0
-
-
-def origin_integral(density, origin_power: float, hi: float, spec: QuadratureSpec) -> QuadratureResult:
-    """int_0^hi density dr, through the log substitution at the origin when
-    the density behaves like r^origin_power with origin_power < 0."""
-    sub = OriginSubstitution.LOG if origin_power < 0.0 else OriginSubstitution.NONE
-    return integrate(density, 0.0, hi, replace(spec, origin_substitution=sub))
 
 
 def gradient_density(f0, f1, ck, r, power):

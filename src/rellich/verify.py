@@ -49,6 +49,7 @@ from .quadrature import (
     count_quadrature,
     describe_cascade_failure,
     integrate,
+    origin_integral,
 )
 from .radial import (
     _REDUCED_FORMS,
@@ -60,7 +61,6 @@ from .radial import (
     _density,
     _v_exponent,
     functional,
-    origin_integral,
     sphere_area,
 )
 
@@ -634,18 +634,6 @@ class CheckReport:
     tolerance: float
     passed: bool
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "target": self.target,
-                "case": r.index,
-                "value": r.value,
-                "rejected": r.rejected,
-                "reason": r.reason or "",
-            }
-            for r in self.results
-        ]
-
 
 def _run_target(target: Target, suite, K: int, spec: QuadratureSpec, tolerance: float):
     results = []
@@ -732,26 +720,18 @@ def sobolev_quotient(
         raise DomainError("need N >= 5")
     cN = sphere_area(N)
     prof = tf.profile
+    # the deficit over (int |u^(order)|^q X_1^alpha)^{d/N}, q = 2N/d
     if which is SobolevForm.U_FORM:
-        numerator = functional(Functional.I, tf, quad=spec).value
-        q = 2.0 * N / (N - 4.0)
-        alpha = 2.0 * (N - 2.0) / (N - 4.0)
-        power = (N - 4.0) / N
-
-        def density(r):
-            x1 = 1.0 / (1.0 - np.log(np.minimum(r, 1.0)))
-            return np.abs(prof(r)) ** q * x1**alpha * r ** (N - 1)
-
+        order, deficit, d, alpha = 0, Functional.I, N - 4.0, 2.0 * (N - 2.0) / (N - 4.0)
     else:
-        numerator = functional(Functional.II, tf, quad=spec).value
-        q = 2.0 * N / (N - 2.0)
-        alpha = 2.0 * (N - 1.0) / (N - 2.0)
-        power = (N - 2.0) / N
+        order, deficit, d, alpha = 1, Functional.II, N - 2.0, 2.0 * (N - 1.0) / (N - 2.0)
+    numerator = functional(deficit, tf, quad=spec).value
+    q = 2.0 * N / d
+    power = d / N
 
-        def density(r):
-            x1 = 1.0 / (1.0 - np.log(np.minimum(r, 1.0)))
-            grad = prof.derivative_values(r, 1)[1]
-            return np.abs(grad) ** q * x1**alpha * r ** (N - 1)
+    def density(r):
+        x1 = 1.0 / (1.0 - np.log(np.minimum(r, 1.0)))
+        return np.abs(prof.derivative_values(r, order)[order]) ** q * x1**alpha * r ** (N - 1)
 
     hi = prof.support[1]
     res = integrate(density, 0.0, hi, spec)

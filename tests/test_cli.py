@@ -598,6 +598,49 @@ def test_scan_golden_output(capsys, family):
     assert (code, out, err) == (0, _SCAN_GOLDEN[family], "")
 
 
+# `rellich scan --family F --N 6 --K 2` stdout on the default K = 2 schedule,
+# whose integrals over (0, inner] run the quadrature in s.
+_SCAN_K2_GOLDEN = {
+    "rellich-improved": (
+        "step,epsilon,a1,a2,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,0.10000000000000001,259.83107972865906,2.5\n"
+        "1,0.0030000000000000001,0.10000000000000001,0.10000000000000001,226.78663758553847,2.5\n"
+        "2,0.001,0.10000000000000001,0.10000000000000001,208.77526727896867,2.5\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.10000000000000001,196.01522698779593,2.5\n"
+        "4,0.00029999999999999997,0.050000000000000003,0.10000000000000001,179.43129381760514,2.5\n"
+        "5,0.00029999999999999997,0.025000000000000001,0.10000000000000001,171.45640617280972,2.5\n"
+        "6,0.00029999999999999997,0.025000000000000001,0.050000000000000003,165.19011384594225,2.5\n"
+        "7,0.00029999999999999997,0.025000000000000001,0.025000000000000001,162.13395560210955,2.5\n"
+    ),
+    "gradrellich-deficit-vlap": (
+        "step,epsilon,a1,a2,quotient,theoretical\n"
+        "0,0.01,0.10000000000000001,0.10000000000000001,0.65669353470574543,0.0625\n"
+        "1,0.0030000000000000001,0.10000000000000001,0.10000000000000001,0.62932483345113499,0.0625\n"
+        "2,0.001,0.10000000000000001,0.10000000000000001,0.60528696231727552,0.0625\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.10000000000000001,0.58065083063056022,0.0625\n"
+        "4,0.00029999999999999997,0.050000000000000003,0.10000000000000001,0.55141773235787095,0.0625\n"
+        "5,0.00029999999999999997,0.025000000000000001,0.10000000000000001,0.53512894890119866,0.0625\n"
+        "6,0.00029999999999999997,0.025000000000000001,0.050000000000000003,0.52388211827439912,0.0625\n"
+        "7,0.00029999999999999997,0.025000000000000001,0.025000000000000001,0.51813521797463802,0.0625\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_SCAN_K2_GOLDEN))
+def test_scan_k2_golden_output(capsys, family):
+    code, out, _ = run_cli(capsys, "scan", "--family", family, "--N", "6", "--K", "2")
+    assert (code, out) == (0, _SCAN_K2_GOLDEN[family])
+
+
+def test_scan_refuses_a_multi_log_step_the_quadrature_cannot_resolve(capsys):
+    """At eps = 1e-30 the K = 2 quadrature's error estimate dwarfs the
+    numerator (the quotient read 32171875733342.062): an error, exit 2."""
+    scan = ("scan", "--family", "rellich-improved", "--N", "6", "--K", "2", "--schedule")
+    code, out, err = run_cli(capsys, *scan, "1e-30:0.05:0.05")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "eps = 1e-30" in err and err.count("\n") == 1
+
+
 def test_config_k_sets_verify_series_terms_not_scan_log_factors(capsys, tmp_path, monkeypatch):
     """The config's K is verify's series count; a scan's number of log
     factors comes only from scan --K."""

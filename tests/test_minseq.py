@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import rellich.minseq as M
 from rellich import constants as C
 from rellich.errors import DomainError
+from rellich.iterlog import xk_values
 from rellich.minseq import (
     AsymptoticCase,
     CutoffSpec,
@@ -115,12 +117,17 @@ def test_minimizer_derivatives_match_high_precision_oracle():
             assert J.deriv(order)[i] == pytest.approx(exact, rel=1e-5), (order, r0)
 
 
+def _eta_b_at(p, r):
+    """(eta, B) of the sequence at r, from the closed forms' own _eta_b."""
+    return M._eta_b(p.a, M._log_products(xk_values(len(p.a), r)))
+
+
 def test_eta_b_consistency():
     p = MinSeqParams(6, 0.0, 1e-2, (0.3, 0.2, 0.1))
     rr = np.linspace(0.1, 0.9, 9)
     h = 1e-7
-    etap = (p.eta(rr + h) - p.eta(rr - h)) / (2 * h)
-    assert np.max(np.abs(rr * etap - p.eta_b(rr))) < 1e-8
+    etap = (_eta_b_at(p, rr + h)[0] - _eta_b_at(p, rr - h)[0]) / (2 * h)
+    assert np.max(np.abs(rr * etap - _eta_b_at(p, rr)[1])) < 1e-8
 
 
 def test_gradient_display_consistency():
@@ -129,7 +136,7 @@ def test_gradient_display_consistency():
     prof = build_minimizer(p).profile
     rr = np.linspace(0.08, 0.4, 7)
     J = prof.taylor(rr, 1)
-    expected = J.deriv(0) * (p.power_exponent + p.eta(rr) / 2.0) / rr
+    expected = J.deriv(0) * (p.power_exponent + _eta_b_at(p, rr)[0] / 2.0) / rr
     assert np.allclose(J.deriv(1), expected, rtol=1e-12)
 
 
@@ -168,7 +175,7 @@ def test_reduced_path_matches_direct_path():
         quotient = M._FAMILIES[fam].quotient(N, m)
         # the reduction against the quadrature in s on (0, inner]
         red = M._Reduction(p)
-        inner = [M._inner_integral(terms, p, SPEC) for terms in quotient]
+        inner = [M._inner_integral(terms, p, SPEC).value for terms in quotient]
         for terms, direct in zip(quotient, inner):
             assert red.integral(terms) == pytest.approx(direct, rel=1e-9), (fam, terms)
         outer = M._OuterTerms(p)
@@ -287,6 +294,65 @@ def test_reduction_eliminates_exactly_the_deficit_levels(N):
         level = 0 if case in plain else 2
         assert starts(MinSeqParams(N, 0.0, 1e-3, (0.1,)), [spec.lhs(N)]) == [level], case
     assert checked >= 11
+
+
+class _ArrayPoly2:
+    """The reduction's polynomial in (eps, X) on a numpy coefficient matrix,
+    the form it had before it moved to Python lists; the reference below."""
+
+    def __init__(self, c):
+        self.c = np.atleast_2d(np.asarray(c, dtype=float))
+
+    def __add__(self, other):
+        if not isinstance(other, _ArrayPoly2):
+            other = _ArrayPoly2([[float(other)]])
+        shape = np.maximum(self.c.shape, other.c.shape)
+        out = np.zeros(shape)
+        out[: self.c.shape[0], : self.c.shape[1]] += self.c
+        out[: other.c.shape[0], : other.c.shape[1]] += other.c
+        return _ArrayPoly2(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (other * -1.0)
+
+    def __mul__(self, other):
+        if not isinstance(other, _ArrayPoly2):
+            return _ArrayPoly2(self.c * float(other))
+        a, b = self.c, other.c
+        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                if a[i, j] != 0.0:
+                    out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+        return _ArrayPoly2(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _ArrayPoly2(self.c / float(other))
+
+
+@pytest.mark.parametrize("N", [6, 30])
+def test_reduction_polynomials_match_the_array_form_bitwise(N):
+    """The list-based polynomials of every family's sides and of every
+    asymptotic case, and their columns evaluated at eps, are bitwise those
+    of the numpy matrices and numpy's polyval."""
+    sides = [t for spec in M._FAMILIES.values() for t in spec.quotient(N, 0.0)]
+    sides += [spec.lhs(N) for spec in M._ASYMPTOTICS.values()]
+    for a in (0.1, 0.37, 1.0):
+        params = MinSeqParams(N, 0.0, 1e-3, (a,))
+        red = M._Reduction(params)
+        prods = [_ArrayPoly2([[0.0, 1.0]])]
+        forms = M._closed_forms(params, _ArrayPoly2([[0.0], [1.0]]), *M._eta_b(params.a, prods))
+        for terms in sides:
+            got, ref = np.array(red.poly(terms).c), M._closed_density(terms, forms, prods).c
+            assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), terms
+            for col in ref.T:
+                for eps in (1e-3, 3e-7, 5e-324):
+                    want = float(np.polynomial.polynomial.polyval(eps, col))
+                    assert M._polyval(eps, col.tolist()).hex() == want.hex()
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
@@ -445,6 +511,30 @@ def test_direct_path_rejects_deep_eps_with_log_factor():
     # pure powers carry no log-deep mass and stay exact
     amn = rayleigh_quotient(ScanFamily.AMN, MinSeqParams(30, 8.0, 1e-200, (1.0,), mode_k=2), quad=SPEC)
     assert amn == pytest.approx(C.a_mn(30, 8).value, rel=1e-9)
+
+
+def test_multi_log_quotient_refuses_an_unresolved_inner_integral(monkeypatch):
+    """K >= 2: the inner quadrature's error estimate decides.  At N = 6,
+    a = (0.05, 0.05) it is 6.6e-8 of rellich-improved's numerator at
+    eps = 1e-8, which answers, and past 1e-6 of it from eps = 1e-10 on,
+    which raises; without the guard eps = 1e-30 returns 3.2e13."""
+    fam = ScanFamily.RELLICH_IMPROVED
+    assert rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-8, (0.05, 0.05))) == pytest.approx(136.12, rel=1e-4)
+    for eps in (1e-10, 1e-12, 1e-30):
+        with pytest.raises(DomainError, match="cannot resolve"):
+            rayleigh_quotient(fam, MinSeqParams(6, 0.0, eps, (0.05, 0.05)))
+    monkeypatch.setattr(M, "_MAX_INNER_ERR_SHARE", math.inf)
+    assert rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-30, (0.05, 0.05))) > 1e13
+
+
+def test_multi_log_plain_quotient_answers_as_deep_as_the_quadrature_resolves():
+    """rellich-gradient's K = 2 quotient keeps its constant past the old fixed
+    floor eps = 1e-120; where the half-line stops at its s cap with panels
+    that still grow, the error is infinite and the quotient raises."""
+    fam = ScanFamily.GRADIENT_CONSTANT
+    assert rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-150, (0.1, 0.1))) == pytest.approx(9.0, rel=1e-14)
+    with pytest.raises(DomainError, match="cannot resolve"):
+        rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-250, (0.1, 0.1)))
 
 
 def test_scan_theoretical_values():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rellich.errors import DivergenceError, DomainError
+from rellich import quadrature
 from rellich.quadrature import (
-    OriginSubstitution,
     QuadratureSpec,
     _gk_points,
     count_quadrature,
@@ -14,6 +14,7 @@ from rellich.quadrature import (
     integrate,
     integrate_halfline,
     integrate_logweighted,
+    origin_integral,
 )
 
 SPEC = QuadratureSpec()
@@ -58,12 +59,13 @@ def test_error_estimates_are_honest():
 def test_substitution_invariance_on_regular_integrand():
     f = lambda r: np.cos(3 * r) * r**2
     plain = integrate(f, 0.0, 1.0, SPEC)
-    logged = integrate(f, 0.0, 1.0, replace(SPEC, origin_substitution=OriginSubstitution.LOG))
+    logged = origin_integral(f, -1.0, 1.0, SPEC)  # a negative origin power takes the log substitution
     assert abs(plain.value - logged.value) <= plain.error_estimate + logged.error_estimate + 1e-14
 
 
-def test_non_convergence_is_reported_not_silent():
-    rough = replace(SPEC, max_subdivisions=4, rel_tol=1e-14)
+def test_non_convergence_is_reported_not_silent(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
+    rough = replace(SPEC, rel_tol=1e-14)
     res = integrate(lambda r: np.abs(r - 1 / math.pi) ** -0.5, 0.0, 1.0, rough)
     assert not res.converged
 
@@ -72,6 +74,13 @@ def test_halfline_matches_exponential():
     res = integrate_halfline(lambda s: np.exp(-0.3 * s), 0.0, SPEC)
     assert res.converged
     assert res.value == pytest.approx(1.0 / 0.3, rel=1e-11)
+
+
+def test_halfline_cut_at_its_cap_without_a_decaying_tail_has_an_unknown_error():
+    res = integrate_halfline(lambda s: np.ones_like(s), 0.0, SPEC, s_cap=100.0)
+    assert not res.converged and res.error_estimate == math.inf
+    decaying = integrate_halfline(lambda s: (1.0 + s) ** -1.5, 0.0, SPEC, s_cap=100.0)
+    assert not decaying.converged and math.isfinite(decaying.error_estimate)
 
 
 def test_logweighted_matches_generic_quadrature():
@@ -83,15 +92,15 @@ def test_logweighted_matches_generic_quadrature():
         x1 = 1.0 / (1.0 - np.log(r))
         return r ** (-1.0 + 2 * eps) * x1 ** (1.0 + a)
 
-    ref = integrate(explicit, 0.0, 1.0, replace(SPEC, origin_substitution=OriginSubstitution.LOG))
+    ref = origin_integral(explicit, -1.0 + 2 * eps, 1.0, SPEC)
     assert ref.converged
     assert res.value == pytest.approx(ref.value, rel=1e-10)
     # deeper singularity: the r-space oracle is truncated at denormal radii,
     # so it can only confirm to its own (honestly reported) tail error
     eps = 0.01
     res = integrate_logweighted(-1.0 + 2 * eps, [a], None, SPEC)
-    ref = integrate(explicit := (lambda r: r ** (-1.0 + 2 * eps) * (1.0 / (1.0 - np.log(r))) ** (1.0 + a)),
-                    0.0, 1.0, replace(SPEC, origin_substitution=OriginSubstitution.LOG))
+    ref = origin_integral(explicit := (lambda r: r ** (-1.0 + 2 * eps) * (1.0 / (1.0 - np.log(r))) ** (1.0 + a)),
+                          -1.0 + 2 * eps, 1.0, SPEC)
     assert abs(res.value - ref.value) <= 3.0 * ref.error_estimate
 
 
@@ -169,12 +178,12 @@ def test_breakpoints_split_kinked_integrand():
     assert with_bp.value == pytest.approx(0.25, rel=1e-13)
 
 
-def test_count_quadrature_counts_each_entry_call_once():
-    log = replace(SPEC, origin_substitution=OriginSubstitution.LOG)
+def test_count_quadrature_counts_each_entry_call_once(monkeypatch):
     with count_quadrature() as outer:
-        first = integrate(lambda r: r**-0.5, 0.0, 1.0, log)  # nests the half-line rule
+        first = origin_integral(lambda r: r**-0.5, -0.5, 1.0, SPEC)  # through the half-line rule
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         with count_quadrature() as inner:
-            rough = integrate(lambda r: np.sin(200.0 * r), 0.0, 1.0, replace(SPEC, max_subdivisions=1))
+            rough = integrate(lambda r: np.sin(200.0 * r), 0.0, 1.0, SPEC)
     assert first.converged and not rough.converged
     assert (inner.calls, inner.evaluations, inner.unconverged) == (1, rough.evaluations, 1)
     assert (outer.calls, outer.unconverged) == (2, 1)
@@ -209,7 +218,7 @@ def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200):
             ratio = min(max(ratio, a_prev / panel_abs[-3]), 0.995)
         return a_last * ratio / (1.0 - ratio)
 
-    panel_subdivisions = max(64, spec.max_subdivisions // 16)
+    panel_subdivisions = max(64, quadrature._MAX_SUBDIVISIONS // 16)
     for _ in range(_HALFLINE_MAX_PANELS):
         right = left + width
         sub_abs = max(spec.abs_tol, spec.rel_tol * abs(acc)) / 8.0
@@ -228,8 +237,7 @@ def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200):
             converged = True
             break
         if left > s_cap:
-            if tail is not None:
-                err += tail
+            err += math.inf if tail is None else tail
             break
     converged = converged and err <= spec.target(acc)
     return QuadratureResult(acc, err, evals, converged)
@@ -245,6 +253,7 @@ _HALFLINE_CASES = {
     "nan-late": (lambda s: np.where(s > 60.0, np.nan, np.exp(-0.01 * s)), 0.0, 1e200),
     "refined": (_refined, 0.5, 1e200),
     "s-cap": (lambda s: (1.0 + s) ** -2.0, 0.0, 40.0),
+    "s-cap-growing": (lambda s: np.sqrt(1.0 + s), 0.0, 40.0),
 }
 
 
@@ -268,14 +277,12 @@ def test_lookahead_matches_one_panel_per_call(name):
     ref = _halfline_one_panel_per_call(_recording(h, ref_reached), s0, SPEC, s_cap)
     assert _bits(got) == _bits(ref)
     assert got.evaluations >= ref.evaluations
-    if name == "s-cap":  # the look-ahead stops where the truncation does
+    if name.startswith("s-cap"):  # the look-ahead stops where the truncation does
         assert max(reached) == max(ref_reached)
 
 
 def test_lookahead_cases_reach_their_branches(monkeypatch):
     """Each case exercises what its name says in the reference loop."""
-    from rellich import quadrature
-
     slow = _halfline_one_panel_per_call(*_HALFLINE_CASES["slow-power-tail"][:2])
     nan = _halfline_one_panel_per_call(*_HALFLINE_CASES["nan-late"][:2])
     assert not slow.converged and math.isfinite(slow.error_estimate)
@@ -335,7 +342,7 @@ def _finite_one_call_per_batch(f, a, b, spec=SPEC, breakpoints=()):
     from rellich.quadrature import QuadratureResult, _adaptive_finite
 
     value, err, evals, converged = _adaptive_finite(
-        f, a, b, spec.rel_tol, spec.abs_tol, spec.max_subdivisions, breakpoints
+        f, a, b, spec.rel_tol, spec.abs_tol, quadrature._MAX_SUBDIVISIONS, breakpoints
     )
     return QuadratureResult(value, err, evals, converged)
 
@@ -412,8 +419,6 @@ def test_an_exception_at_a_needed_block_level_surfaces():
 def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     """Integrals that start on breakpoints, and the half-line rule's panel
     refinements, keep one integrand call per batch: the block is not built."""
-    from rellich import quadrature
-
     built, real = [], quadrature._level_rows
     monkeypatch.setattr(quadrature, "_level_rows", lambda *args: built.append(args) or real(*args))
     f = lambda r: np.abs(r - 0.3) ** 0.5
@@ -423,8 +428,7 @@ def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     assert _bits(got) == _bits(ref) and got.evaluations == ref.evaluations
     assert len(seen) == len(ref_seen) > 1
     assert all(np.array_equal(mine, theirs) for mine, theirs in zip(seen, ref_seen))
-    log = replace(SPEC, origin_substitution=OriginSubstitution.LOG)
-    assert integrate(lambda r: r**-0.5, 0.0, 1.0, log).converged
+    assert origin_integral(lambda r: r**-0.5, -0.5, 1.0, SPEC).converged
     sizes = []
     res = integrate_halfline(_calls(_refined, sizes), 0.5, SPEC)
     assert res.converged and max(r.size for r in sizes) > 60  # some panels refined, without a block

@@ -74,8 +74,6 @@ def test_suite_random_stream_is_frozen():
 def test_suite_profiles_are_mode_compatible():
     for case in standard_suite(seed=1, size=16):
         assert case.f.min_power >= case.k
-        prof = case.jet_profile()
-        assert prof.verify_origin_order()
         assert abs(case.f(np.array([1.0]))[0]) < 1e-12
 
 
@@ -279,14 +277,6 @@ def test_check_validation():
         check_inequality("rellich", suite, K=0)
 
 
-def test_report_serialization_rows():
-    suite = standard_suite(seed=3, size=8)
-    report = check_inequality("rellich", suite, K=1, quad=SPEC)
-    rows = report.to_rows()
-    assert len(rows) == len(suite)
-    assert {"target", "case", "value", "rejected", "reason"} <= set(rows[0])
-
-
 def test_sobolev_quotients_positive():
     coeffs = P.polypow([1, 0, -1], 3)  # (1 - r^2)^3
     tf = TestFunction(RadialProfile.from_polynomial(coeffs), SphericalMode(6, 0))
@@ -364,7 +354,7 @@ def test_potential_identity_with_iterated_log_potential():
     # the gradient identity with V = (N^2 + X_1^2)/4, whose derivative is
     # integrable against the reduced-profile density for k >= 1
     from rellich.iterlog import x1
-    from rellich.quadrature import OriginSubstitution, integrate
+    from rellich.quadrature import integrate
 
     case = [c for c in standard_suite(seed=3, size=16) if c.k >= 1][0]
     N, k, ck = case.N, case.k, case.eigenvalue
