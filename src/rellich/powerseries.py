@@ -19,7 +19,12 @@ identity registry (seed 1) all 14 330 sums built have one block, and all
 9 238 of the inequality registry.  A product is then a list convolution per
 pair of blocks, a derivative or ``mode_apply`` one elementwise pass, a shift
 a move of the bases, and no exponent is hashed, compared or sorted on the
-way.  The float arrays ``__call__`` needs are built on its first call.
+way.  The convolution runs in integers: each factor block's coefficients are
+brought to one common denominator, the least common multiple of theirs, the
+integer numerators are convolved, and each output coefficient is built once
+as a ``Fraction`` over the product of the two denominators, so no gcd is paid
+per coefficient product.  The float arrays ``__call__`` needs are built on
+its first call.
 
 Exactness.  Bases and coefficients are ``Fraction``s, so every operation
 yields the same rational sum as adding the terms one by one.  ``powers`` and
@@ -104,13 +109,26 @@ def _add_blocks(blocks, others) -> tuple:
     return tuple(out)
 
 
+def _numerators(cs: list) -> tuple[list, int]:
+    """The coefficients as integer numerators over their least common
+    denominator, and that denominator."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
 def _convolve(a: list, b: list) -> list:
-    """Coefficients of the product of two dense blocks."""
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return out
+    """Coefficients of the product of two dense blocks: their integer
+    numerators convolved, each output built once over the product of the two
+    common denominators, which is the rational the term-by-term sum gives."""
+    na, da = _numerators(a)
+    nb, db = (na, da) if b is a else _numerators(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb, i):
+                out[j] += x * y
+    d = da * db
+    return [Fraction(n, d) for n in out]
 
 
 def _scaled(blocks, c) -> tuple:
@@ -237,7 +255,7 @@ class PowerSum:
         """f'' + (N-1) f'/r - c_k f / r^2, exactly: each term c r^p becomes
         c (p(p-1) + (N-1)p - c_k) r^{p-2}."""
         n2 = _to_fraction(N - 1) - 1
-        c = int(ck) if ck else 0
+        c = _to_fraction(ck)
         return self._termwise(2, lambda p: p * (p + n2) - c)
 
     # ---------------------------------------------------------- evaluation

@@ -115,3 +115,31 @@ def test_calibration_and_raw_throughput_are_shown_next_to_ops_per_s(monkeypatch,
     assert summary["calibration"] == {"parent": 1.1, "change": 0.9}
     assert summary["raw_ops_per_s"] == {"parent": 510.0, "change": 510.0}
     assert summary["timed_ops"] == {"parent": 101, "change": 101}
+    # peak RSS rises 1 MB per timed op on both sides here, with no offset
+    assert any(line.startswith("peak_rss_mb fit over 6 runs") for line in lines)
+    assert summary["rss_fit"]["slope"] == pytest.approx(1024.0)
+    assert summary["rss_fit"]["delta"] == pytest.approx(0.0, abs=1e-9)
+
+
+def _rss_runs(side_ops, slope_kb, delta_mb, base_mb=40.0):
+    """Runs whose peak RSS is exactly base + slope * timed_ops + delta * [change]."""
+    return {
+        side: [{"timed_ops": n, "metrics": {"peak_rss_mb": {"value": base_mb + slope_kb / 1024.0 * n
+                                                            + (delta_mb if side == "change" else 0.0)}}}
+               for n in ops]
+        for side, ops in side_ops.items()
+    }
+
+
+def test_rss_fit_separates_the_sample_count_from_the_change_own_memory():
+    tool = _tool()
+    # the change runs about twice the timed ops of the parent, as a faster change does
+    ops = {"parent": [9000 + 37 * i for i in range(10)], "change": [19000 + 53 * i for i in range(10)]}
+    fit = tool.rss_fit(_rss_runs(ops, 0.47, 1.25))
+    assert fit["slope"] == pytest.approx(0.47, rel=1e-9)
+    assert fit["delta"] == pytest.approx(1.25, abs=1e-9)
+    assert fit["base"] == pytest.approx(40.0, abs=1e-9)
+    # a change that uses less memory of its own reads a negative delta
+    assert tool.rss_fit(_rss_runs(ops, 0.5, -0.75))["delta"] == pytest.approx(-0.75, abs=1e-9)
+    # with no spread in timed_ops within either side the slope is not determined
+    assert tool.rss_fit(_rss_runs({"parent": [100] * 3, "change": [200] * 3}, 0.5, 1.0)) is None

@@ -54,6 +54,16 @@ def test_mode_apply_constant_case():
     assert float(out.coeffs[0]) == 2 * N
 
 
+def test_mode_apply_takes_a_non_integer_eigenvalue_exactly():
+    # r^2 + r^3 at N = 5, c_k = 5/2: c r^p -> c (p(p-1) + 4p - 5/2) r^(p-2)
+    f = PowerSum.from_poly([0, 0, 1, 1])
+    out = f.mode_apply(5, 2.5)
+    assert out.powers == [0, 1]
+    assert out.coeffs == [Fraction(15, 2), Fraction(31, 2)]
+    assert out.coeffs != f.mode_apply(5, 2).coeffs
+    assert f.mode_apply(5, Fraction(5, 2)).coeffs == out.coeffs
+
+
 def test_integrate_divergence_guard():
     with pytest.raises(DivergenceError):
         PowerSum.monomial(-1.0).integrate01()
@@ -118,7 +128,7 @@ class _DictPowerSum:
     def mode_apply(self, N, ck):
         out = self.deriv().deriv() + (N - 1) * self.deriv().shift(-1)
         if ck:
-            out = out - int(ck) * self.shift(-2)
+            out = out - ck * self.shift(-2)
         return out
 
     @property
@@ -226,6 +236,24 @@ def test_mode_apply_matches_dict_merge_reference(a, N, k):
     # a harmonic r^k times a random sum: cancellations inside the block
     harmonic = PowerSum.monomial(k) * ps
     _assert_same(harmonic.mode_apply(N, ck), (_DictPowerSum([k], [1]) * ref).mode_apply(N, ck))
+
+
+def test_suite_products_match_dict_merge_reference():
+    """The integer convolution on the suite's own blocks: 14 to 19 terms with
+    float-derived coefficients, shifted by the float m's 2^55 denominators,
+    and times the potential polynomial, whose middle coefficient is a zero
+    row."""
+    from rellich.verify import standard_suite
+
+    for case in standard_suite(7):
+        ck = case.k * (case.N + case.k - 2)
+        f, ref = case.f, _DictPowerSum(case.f.powers, case.f.coeffs)
+        potential = _DictPowerSum(case.potential_poly.powers, case.potential_poly.coeffs)
+        _assert_same(f.square(), ref.square())
+        product, ref_product = f * f.mode_apply(case.N, ck), ref * ref.mode_apply(case.N, ck)
+        _assert_same(product, ref_product)
+        _assert_same(product.shift(-2 * case.m), ref_product.shift(-2 * case.m))
+        _assert_same(case.potential_poly * product, potential * ref_product)
 
 
 def test_zero_inside_a_block_is_skipped_at_the_origin():

@@ -23,7 +23,11 @@ count for neither side), the median ratio, and a verdict:
 
 ``peak_rss_mb`` also shows each side's median number of timed op runs: the
 worker keeps every timed sample (about 0.47 KB each), so a faster change
-reads as a larger peak RSS through that count alone.  ``ops_per_s`` also
+reads as a larger peak RSS through that count alone.  A least-squares fit
+over every run of both sides, ``peak_rss_mb = base + slope * timed_ops +
+delta * [change]``, separates the two: ``slope`` is the memory per timed
+sample (KB, of 1024 bytes) and ``delta`` the change's own peak RSS (MB),
+at an equal sample count.  ``ops_per_s`` also
 shows each side's median calibration factor and uncalibrated ``ops_per_s``:
 the worker divides by calibrated op times, so a shift in the calibration
 factors between the sides moves the calibrated figure without the raw one.
@@ -90,6 +94,29 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "ratio": cm / pm if pm else None,
         "verdict": verdict,
     }
+
+
+def rss_fit(runs: dict[str, list[dict]]) -> dict | None:
+    """The least-squares fit of ``peak_rss_mb = base + slope * timed_ops +
+    delta * [change]`` over the runs of both sides, as ``base`` (MB),
+    ``slope`` (KB per timed op) and ``delta`` (MB); None when no side's
+    timed op count varies, so that the slope is not determined.  With one
+    intercept per side and a common slope, the slope is the pooled
+    within-side regression and each intercept its side's mean residual."""
+    sxx = sxy = 0.0
+    means = {}
+    for side, rs in runs.items():
+        xs = [r["timed_ops"] for r in rs]
+        ys = [r["metrics"]["peak_rss_mb"]["value"] for r in rs]
+        mx, my = statistics.fmean(xs), statistics.fmean(ys)
+        sxx += sum((x - mx) ** 2 for x in xs)
+        sxy += sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        means[side] = mx, my
+    if not sxx:
+        return None
+    slope = sxy / sxx
+    base, top = (my - slope * mx for mx, my in (means["parent"], means["change"]))
+    return {"base": base, "slope": slope * 1024.0, "delta": top - base}
 
 
 def timed_ops(stdout: str) -> int:
@@ -187,8 +214,14 @@ def main(argv=None) -> int:
             f"{name:12s} {sides}  wins {s['wins']}/{s['pairs']} (losses {s['losses']})"
             f"  ratio {ratio}  {s['verdict']}{counts}"
         )
+    fit = rss_fit(runs)
+    if fit is None:
+        print("peak_rss_mb fit: timed_ops do not vary within a side, slope undetermined")
+    else:
+        print(f"peak_rss_mb fit over {sum(map(len, runs.values()))} runs: slope {fit['slope']:.4g} KB per timed op"
+              f"  delta {fit['delta']:+.4g} MB  base {fit['base']:.6g} MB")
     print(json.dumps({"workload": args.workload, "parent": args.parent, "seeds": seeds,
-                      "seconds": args.seconds, "metrics": summary, **medians}))
+                      "seconds": args.seconds, "metrics": summary, **medians, "rss_fit": fit}))
     return 0
 
 
