@@ -24,7 +24,6 @@ from .constants import (
     section2_constants,
     sigma,
     sigma_bar,
-    weighted_rellich_grad_constant,
     x0,
 )
 from .errors import DivergenceError, DomainError, QuadratureError

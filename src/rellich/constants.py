@@ -26,7 +26,6 @@ __all__ = [
     "rellich_grad_constant",
     "sigma",
     "sigma_bar",
-    "weighted_rellich_grad_constant",
     "per_mode_quotient",
     "mode_eigenvalue",
     "a_mn",
@@ -124,14 +123,6 @@ def sigma_bar(m, N: int) -> float:
     N = _check_dimension(N, 5)
     _check_weight(m, N)
     return float(_sigma_bar_exact(m, N))
-
-
-def weighted_rellich_grad_constant(N: int, m) -> float:
-    """((N+2m)/2)^2, the weighted Laplacian-vs-gradient/|x|^{2m+2} constant
-    of the radial mode (per_mode_quotient(0, N, m)); 0 <= m < (N-4)/2."""
-    N = _check_dimension(N, 5)
-    _check_weight(m, N)
-    return ((N + 2 * m) / 2.0) ** 2
 
 
 def _per_mode_exact(k: int, N: int, m) -> Fraction:

@@ -28,8 +28,9 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +56,18 @@ from .radial import (
     _v_exponent,
 )
 from .taylor import Jet
+from .verify import (
+    REGISTRY,
+    _Int,
+    _deficit_I,
+    _deficit_II,
+    _grad,
+    _hardy,
+    _lap,
+    _v_grad,
+    _v_lap,
+    _v_rad,
+)
 
 __all__ = [
     "CutoffSpec",
@@ -187,78 +200,52 @@ def build_minimizer(params: MinSeqParams) -> TestFunction:
 
 
 class ScanFamily(Enum):
-    """Rayleigh-quotient families and the constants their scans approach."""
+    """Rayleigh-quotient families, each the scan of one sharp inequality of
+    the verification registry, named in the comments."""
 
-    RELLICH_IMPROVED = "rellich-improved"              # -> 1 + N(N-4)/8
-    RELLICH_GRAD_IMPROVED = "rellich-gradient-improved"  # -> 1/4
-    WEIGHTED_RELLICH_IMPROVED = "weighted-rellich-improved"  # -> sigma_bar(m, N)
-    WEIGHTED_GRAD_IMPROVED = "weighted-gradient-improved"  # -> 1/4
-    AMN = "amn"                                        # -> A(k, N, m), its mode's candidate
-    DEFICIT_VGRAD = "rellich-deficit-vgrad"            # -> 4 + N(N-4)/2
-    DEFICIT_VLAP = "rellich-deficit-vlap"              # -> 1/2 + 2/(N-2)^2
-    GRAD_DEFICIT_VGRAD = "gradrellich-deficit-vgrad"   # -> ((N-4)/2)^2
-    VLAP_RADIAL_EXCESS = "v-laplacian-radial-excess"   # -> 2(N-2)^2
-    GRAD_DEFICIT_VLAP = "gradrellich-deficit-vlap"     # -> ((N-4)/(2(N-2)))^2
-    GRADIENT_CONSTANT = "rellich-gradient"             # -> N^2/4
+    RELLICH_IMPROVED = "rellich-improved"              # rellich-improved
+    RELLICH_GRAD_IMPROVED = "rellich-gradient-improved"  # rellich-gradient-improved
+    WEIGHTED_RELLICH_IMPROVED = "weighted-rellich-improved"  # rellich-weighted-improved
+    WEIGHTED_GRAD_IMPROVED = "weighted-gradient-improved"  # rellich-gradient-weighted-improved
+    AMN = "amn"                                        # rellich-gradient-weighted
+    DEFICIT_VGRAD = "rellich-deficit-vgrad"            # rellich-deficit-vgrad
+    DEFICIT_VLAP = "rellich-deficit-vlap"              # rellich-deficit-vlap
+    GRAD_DEFICIT_VGRAD = "gradrellich-deficit-vgrad"   # gradrellich-deficit-vgrad
+    VLAP_RADIAL_EXCESS = "v-laplacian-radial-excess"   # v-laplacian-radial-excess
+    GRAD_DEFICIT_VLAP = "gradrellich-deficit-vlap"     # gradrellich-deficit-vlap
+    GRADIENT_CONSTANT = "rellich-gradient"             # rellich-gradient
 
 
 # --------------------------------------------------------------------------
-# The scan families, each declared once.
+# The scan families, read from the registry.
 #
-# A quotient is a numerator over a denominator, each a linear combination of
-# named density pieces of the sequence member u and of its v-side image
+# Each family scans one sharp inequality rest >= constant * den of the
+# verification registry, declared there once as (rest, constant, den) of
+# (coefficient, integral) pairs (``verify.Target.sharp``).  Its quotient is
+# rest / den and its constant is the declared one.  Each integral is a named
+# density piece of the sequence member u or of its v-side image
 # v = r^{(N-4-2m)/2} u (radial measure dr, sphere area divided out):
 #
 #     lap_u    (L_k u)^2 r^{N-1-2m}              lap_v    (L_k v)^2 r^3
 #     grad_u   (u'^2 + c_k u^2/r^2) r^{N-3-2m}   grad_v   (v'^2 + c_k v^2/r^2) r
 #     hardy_u  u^2 r^{N-5-2m}                    rad_v    v'^2 r
 #
-# A term may carry the weight "series" = sum_{i<K} (X_1...X_i)^2 or
-# "pk2" = (X_1...X_K)^2.  On (0, inner], where the cutoff is 1, one
-# closed-form algebra gives the pieces and weights; the quadrature in s
-# (K >= 2) reads it with float arrays, the single-log reduction with
-# polynomials in (eps, X_1).  On the cutoff zone the outer evaluator builds
-# the same pieces from jets of u.
-
-
-class _Term(NamedTuple):
-    coeff: float
-    piece: str
-    weight: str | None = None
-
-
-_DEFICIT_PIECES = ("hardy_u", "grad_u")
-
-
-def _deficit(piece: str, constant: float) -> tuple[_Term, ...]:
-    """lap_u - constant * piece, piece in _DEFICIT_PIECES at its sharp
-    constant; the inner and reduced evaluators take it in factored form,
-    where the constant parts cancel exactly."""
-    return (_Term(1.0, "lap_u"), _Term(-constant, piece))
-
-
-def _plain(piece: str) -> tuple[_Term, ...]:
-    return (_Term(1.0, piece),)
-
-
-def _improved(piece: str, constant: float, series_coeff: float):
-    """(deficit - series_coeff * piece * series) over piece * pk2."""
-    num = _deficit(piece, constant) + (_Term(-series_coeff, piece, "series"),)
-    return num, (_Term(1.0, piece, "pk2"),)
-
-
-def _section2(key: str) -> Callable[[int, float, int], float]:
-    return lambda N, m, k: C.section2_constants(N)[key]
+# A quotient side is a tuple of (coefficient, piece, weight) terms, with the
+# weight "series" = sum_{i<K} (X_1...X_i)^2, "pk2" = (X_1...X_K)^2 or None.
+# A series integral c * t of den carries S_K = "series" + "pk2": it puts
+# -constant * c * t * "series" in the numerator and c * t * "pk2" in the
+# denominator.  On (0, inner], where the cutoff is 1, one closed-form algebra
+# gives the pieces and weights; the quadrature in s (K >= 2) reads it with
+# float arrays, the single-log reduction with polynomials in (eps, X_1).  On
+# the cutoff zone the outer evaluator builds the same pieces from jets of u.
 
 
 @dataclass(frozen=True)
 class _FamilySpec:
-    """A family's quotient terms, a function of (N, m), its sharp constant,
-    a function of (N, m, mode k), and the restrictions on its sequences'
+    """A family's registry target and the restrictions on its sequences'
     parameters."""
 
-    quotient: Callable[[int, float], tuple[tuple[_Term, ...], tuple[_Term, ...]]]
-    constant: Callable[[int, float, int], float]
+    target: str
     m_zero: bool = False
     radial: bool = True
     below_m_star: bool = False
@@ -276,81 +263,80 @@ class _FamilySpec:
 
 
 _FAMILIES: dict[ScanFamily, _FamilySpec] = {
-    ScanFamily.RELLICH_IMPROVED: _FamilySpec(
-        lambda N, m: _improved("hardy_u", C.rellich_constant(N), C.sigma_bar(0, N)),
-        lambda N, m, k: C.sigma_bar(0, N),
-        m_zero=True,
-    ),
-    ScanFamily.RELLICH_GRAD_IMPROVED: _FamilySpec(
-        lambda N, m: _improved("grad_u", C.rellich_grad_constant(N), 0.25),
-        lambda N, m, k: 0.25,
-        m_zero=True,
-    ),
-    ScanFamily.WEIGHTED_RELLICH_IMPROVED: _FamilySpec(
-        lambda N, m: _improved(
-            "hardy_u", float(C._sigma_exact(m, N)), float(C._sigma_bar_exact(m, N))
-        ),
-        lambda N, m, k: C.sigma_bar(m, N),
-    ),
-    ScanFamily.WEIGHTED_GRAD_IMPROVED: _FamilySpec(
-        lambda N, m: _improved("grad_u", C.weighted_rellich_grad_constant(N, m), 0.25),
-        lambda N, m, k: 0.25,
-        below_m_star=True,
-    ),
-    ScanFamily.AMN: _FamilySpec(
-        lambda N, m: (_plain("lap_u"), _plain("grad_u")),
-        lambda N, m, k: C.per_mode_quotient(k, N, m),
-        radial=False,
-    ),
-    ScanFamily.DEFICIT_VGRAD: _FamilySpec(
-        lambda N, m: (_deficit("hardy_u", C.rellich_constant(N)), _plain("grad_v")),
-        _section2("rellich-deficit-vgrad"),
-        m_zero=True,
-    ),
-    ScanFamily.DEFICIT_VLAP: _FamilySpec(
-        lambda N, m: (_deficit("hardy_u", C.rellich_constant(N)), _plain("lap_v")),
-        _section2("rellich-deficit-vlap"),
-        m_zero=True,
-    ),
-    ScanFamily.GRAD_DEFICIT_VGRAD: _FamilySpec(
-        lambda N, m: (_deficit("grad_u", C.rellich_grad_constant(N)), _plain("grad_v")),
-        _section2("gradrellich-deficit-vgrad"),
-        m_zero=True,
-    ),
-    ScanFamily.VLAP_RADIAL_EXCESS: _FamilySpec(
-        lambda N, m: (_plain("lap_v"), (_Term(1.0, "rad_v"), _Term(-0.5, "grad_v"))),
-        _section2("v-laplacian-radial-excess"),
-        m_zero=True,
-    ),
-    ScanFamily.GRAD_DEFICIT_VLAP: _FamilySpec(
-        lambda N, m: (_deficit("grad_u", C.rellich_grad_constant(N)), _plain("lap_v")),
-        _section2("gradrellich-deficit-vlap"),
-        m_zero=True,
-    ),
-    ScanFamily.GRADIENT_CONSTANT: _FamilySpec(
-        lambda N, m: (_plain("lap_u"), _plain("grad_u")),
-        _section2("rellich-gradient"),
-        m_zero=True,
-    ),
+    ScanFamily.RELLICH_IMPROVED: _FamilySpec("rellich-improved", m_zero=True),
+    ScanFamily.RELLICH_GRAD_IMPROVED: _FamilySpec("rellich-gradient-improved", m_zero=True),
+    ScanFamily.WEIGHTED_RELLICH_IMPROVED: _FamilySpec("rellich-weighted-improved"),
+    ScanFamily.WEIGHTED_GRAD_IMPROVED: _FamilySpec("rellich-gradient-weighted-improved", below_m_star=True),
+    ScanFamily.AMN: _FamilySpec("rellich-gradient-weighted", radial=False),
+    ScanFamily.DEFICIT_VGRAD: _FamilySpec("rellich-deficit-vgrad", m_zero=True),
+    ScanFamily.DEFICIT_VLAP: _FamilySpec("rellich-deficit-vlap", m_zero=True),
+    ScanFamily.GRAD_DEFICIT_VGRAD: _FamilySpec("gradrellich-deficit-vgrad", m_zero=True),
+    ScanFamily.VLAP_RADIAL_EXCESS: _FamilySpec("v-laplacian-radial-excess", m_zero=True),
+    ScanFamily.GRAD_DEFICIT_VLAP: _FamilySpec("gradrellich-deficit-vlap", m_zero=True),
+    ScanFamily.GRADIENT_CONSTANT: _FamilySpec("rellich-gradient", m_zero=True),
 }
 
 
+@functools.cache
+def _piece_ints(N: int, m) -> dict[str, _Int]:
+    """The registry integral of each named piece at (N, m)."""
+    m = Fraction(m)
+    return {
+        "lap_u": _lap(N, m),
+        "grad_u": _grad(N, m),
+        "hardy_u": _hardy(N, m),
+        "lap_v": _v_lap(N, m),
+        "grad_v": _v_grad(N, m),
+        "rad_v": _v_rad(N, m),
+    }
+
+
+def _terms(pairs, N: int, m, weight: str | None = None) -> tuple:
+    """Registry (coefficient, integral) pairs as (coefficient, piece, weight)
+    terms; ValueError for an integral that is no piece."""
+    names = {i: name for name, i in _piece_ints(N, m).items()}
+    out = []
+    for c, t in pairs:
+        if t not in names:
+            raise ValueError(f"no closed-form piece is the registry integral {t}")
+        out.append((float(c), names[t], weight))
+    return tuple(out)
+
+
+@functools.cache
+def _quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, float]:
+    """(numerator, denominator, constant) of the family at (N, m), from its
+    registry target's declaration (see the block comment above)."""
+    rest, constant, den = REGISTRY[_FAMILIES[family].target].sharp(N, Fraction(m))
+    num, dens = _terms(rest, N, m), ()
+    for c, t in den:
+        weight = None
+        if t.series:
+            t, weight = replace(t, series=False), "pk2"
+            num += _terms([(-constant * c, t)], N, m, "series")
+        dens += _terms([(c, t)], N, m, weight)
+    return num, dens, float(constant)
+
+
 def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
-    """The sharp constant the family's quotients approach."""
-    spec = _FAMILIES[family]
-    spec.validate(family, params)
-    return spec.constant(params.N, params.m, params.mode_k)
+    """The sharp constant the family's quotients approach: its registry
+    target's; for amn, whose target's constant a_{m,N} is the minimum over
+    the modes, its mode's candidate A(k, N, m)."""
+    _FAMILIES[family].validate(family, params)
+    if family is ScanFamily.AMN:
+        return float(C._per_mode_exact(params.mode_k, params.N, params.m))
+    return _quotient(family, params.N, params.m)[2]
 
 
 def _split_deficit(terms):
-    """A leading lap_u - c * p (see :func:`_deficit`) as (p, c), and the
-    terms after it; (None, terms) when the terms do not start with one."""
-    if (
-        len(terms) > 1
-        and terms[1].piece in _DEFICIT_PIECES
-        and terms[:2] == _deficit(terms[1].piece, -terms[1].coeff)
-    ):
-        return (terms[1].piece, -terms[1].coeff), terms[2:]
+    """A leading lap_u - c * p, p = hardy_u or grad_u, as (p, c), and the
+    terms after it; (None, terms) when the terms do not start with one.  The
+    registry declares these deficits at their sharp constants, which the
+    factored form needs (see :func:`_deficit_form`)."""
+    if len(terms) > 1 and terms[0] == (1.0, "lap_u", None):
+        c, piece, weight = terms[1]
+        if piece in ("hardy_u", "grad_u") and weight is None:
+            return (piece, -c), terms[2:]
     return None, terms
 
 
@@ -528,14 +514,9 @@ class _OuterTerms:
         tf = build_minimizer(params)
         self.mode = tf.mode
         self.u = tf.profile.memoized()
-        N, m, shift = params.N, params.m, _v_exponent(params.N, params.m)
         self.integrals = {
-            "lap_u": _Integral("square", None, N - 1 - 2 * m, 1),
-            "grad_u": _Integral("gradient", None, N - 3 - 2 * m),
-            "hardy_u": _Integral("square", None, N - 5 - 2 * m),
-            "lap_v": _Integral("square", shift, 3, 1),
-            "grad_v": _Integral("gradient", shift, 1),
-            "rad_v": _Integral("radial-gradient", shift, 1),
+            name: _Integral(i.kind, None if i.shift is None else float(i.shift), float(i.weight), i.n)
+            for name, i in _piece_ints(params.N, params.m).items()
         }
 
     def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
@@ -561,8 +542,8 @@ class _OuterTerms:
     def integral(self, terms, spec: QuadratureSpec) -> float:
         """The combination's integral over the cutoff zone [inner, outer],
         computing only the pieces it names."""
-        names = {t.piece for t in terms}
-        weighted = any(t.weight is not None for t in terms)
+        names = {name for _, name, _ in terms}
+        weighted = any(w is not None for _, _, w in terms)
 
         def density(r):
             p = self.pieces(r, names)
@@ -800,9 +781,8 @@ def rayleigh_quotient(
     where its error estimate exceeds ``_MAX_INNER_ERR_SHARE`` of a side.
     """
     spec = quad or QuadratureSpec()
-    fam = _FAMILIES[family]
-    fam.validate(family, params)
-    quotient = fam.quotient(params.N, params.m)
+    _FAMILIES[family].validate(family, params)
+    quotient = _quotient(family, params.N, params.m)[:2]
     outer = _OuterTerms(params)
     red = _Reduction(params) if len(params.a) == 1 else None
 
@@ -909,8 +889,9 @@ def default_schedule(
     halvings = 2 if K > 1 else 8
     a = [0.1] * K
     steps = [MinSeqParams(N, m, eps, tuple(a), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
-    _, rest = _split_deficit(_FAMILIES[family].quotient(N, m)[0])
-    follow = K == 1 and not any(t.piece.endswith("_u") and t.weight is None for t in rest)
+    _FAMILIES[family].validate(family, steps[0])
+    _, rest = _split_deficit(_quotient(family, N, m)[0])
+    follow = K == 1 and not any(name.endswith("_u") and w is None for _, name, w in rest)
     for i in range(K):
         for _ in range(halvings):
             a[i] /= 2.0
@@ -931,11 +912,11 @@ class AsymptoticCase(Enum):
 
 
 class _AsymptoticSpec(NamedTuple):
-    """A case's functional as piece terms of N, and its displayed leading
-    term as a function of (N, a_1, Q) with Q(beta) the single-log integral
-    over the whole support."""
+    """A case's functional as registry (coefficient, integral) pairs of N,
+    and its displayed leading term as a function of (N, a_1, Q) with Q(beta)
+    the single-log integral over the whole support."""
 
-    lhs: Callable[[int], tuple[_Term, ...]]
+    lhs: Callable[[int], list]
     rhs: Callable[[int, float, Callable[[float], float]], float]
 
 
@@ -951,24 +932,21 @@ def _deficit_lead(N: int, a1: float, q) -> float:
 # reduction sums their Q(-1+a) and Q(a) columns, which leave the double range
 # (DomainError) below eps ~ 1e-150.
 _ASYMPTOTICS: dict[AsymptoticCase, _AsymptoticSpec] = {
-    AsymptoticCase.V_GRADIENT: _AsymptoticSpec(lambda N: _plain("grad_v"), _lead),
+    AsymptoticCase.V_GRADIENT: _AsymptoticSpec(lambda N: [(1, _v_grad(N))], _lead),
     AsymptoticCase.V_LAPLACIAN: _AsymptoticSpec(
-        lambda N: _plain("lap_v"), lambda N, a1, q: (N - 2) ** 2 * _lead(N, a1, q)
+        lambda N: [(1, _v_lap(N))], lambda N, a1, q: (N - 2) ** 2 * _lead(N, a1, q)
     ),
     AsymptoticCase.U_GRADIENT: _AsymptoticSpec(
-        lambda N: _plain("grad_u"),
+        lambda N: [(1, _grad(N))],
         lambda N, a1, q: _lead(N, a1, q) + ((N - 4) / 2.0) ** 2 * q(-1.0 + a1),
     ),
     AsymptoticCase.U_LAPLACIAN: _AsymptoticSpec(
-        lambda N: _plain("lap_u"),
+        lambda N: [(1, _lap(N))],
         lambda N, a1, q: _deficit_lead(N, a1, q) + C.rellich_constant(N) * q(-1.0 + a1),
     ),
-    AsymptoticCase.RELLICH_DEFICIT: _AsymptoticSpec(
-        lambda N: _deficit("hardy_u", C.rellich_constant(N)), _deficit_lead
-    ),
+    AsymptoticCase.RELLICH_DEFICIT: _AsymptoticSpec(_deficit_I, _deficit_lead),
     AsymptoticCase.GRAD_RELLICH_DEFICIT: _AsymptoticSpec(
-        lambda N: _deficit("grad_u", C.rellich_grad_constant(N)),
-        lambda N, a1, q: (1.0 - a1) / 16.0 * (N - 4) ** 2 * q(1.0 + a1),
+        _deficit_II, lambda N, a1, q: (1.0 - a1) / 16.0 * (N - 4) ** 2 * q(1.0 + a1)
     ),
 }
 
@@ -993,7 +971,7 @@ def leading_order_asymptotics(
         raise DomainError("asymptotic checks use m = 0 and the radial mode")
     case = _ASYMPTOTICS[which]
     red = _Reduction(params)
-    terms = case.lhs(params.N)
+    terms = _terms(case.lhs(params.N), params.N, 0)
     lhs = red.integral(terms) + _OuterTerms(params).integral(terms, spec)
     eps, cutoff = params.epsilon, params.cutoff
     rhs = case.rhs(params.N, params.a[0], lambda b: red.q_beta(b) + _q_zone(b, eps, cutoff, spec))

@@ -26,9 +26,12 @@ coefficients of equal terms first, a series term's quadrature value
 entering as its exact binary rational.  To add a target, give ``_identity``
 or ``_inequality`` a function of the case that returns its (lhs, rhs) lists
 of such pairs: an identity compares the two sums, each rounded once, an
-inequality's slack is sum lhs - sum rhs, rounded once.  A coefficient may be an int, a Fraction or
-a float, taken at its exact binary value.  Only targets whose integrands
-carry a multiplier polynomial keep a function of their own.
+inequality's slack is sum lhs - sum rhs, rounded once.  A sharp inequality
+that a minimizing-sequence scan backs goes to ``_sharp`` as (rest, constant,
+den), a function of (N, m), with slack rest - constant * den.  A coefficient
+may be an int, a Fraction or a float, taken at its exact binary value.  Only
+targets whose integrands carry a multiplier polynomial keep a function of
+their own.
 """
 
 from __future__ import annotations
@@ -325,36 +328,47 @@ def _excess(N: int) -> Fraction:
     return C._section2_exact(N)["v-laplacian-radial-excess"]
 
 
-def _deficit(N: int, kind: str, constant, m=0, series=None, f2: bool = False) -> list:
-    """int (L_k f)^2 r^{N-1-2m} less ``constant`` times int f^2 r^{N-5-2m}
-    (kind "square") or int |grad f|^2 r^{N-3-2m} (kind "gradient"), and less
-    ``series`` times the latter with the series weight."""
-    w = N - 5 - 2 * m if kind == "square" else N - 3 - 2 * m
-    terms = [(1, _Int("square", N - 1 - 2 * m, 1, f2=f2)), (-constant, _Int(kind, w, f2=f2))]
-    if series is not None:
-        terms.append((-series, _Int(kind, w, series=True)))
-    return terms
+def _lap(N: int, m=0, f2: bool = False) -> _Int:
+    """int (L_k f)^2 r^{N-1-2m}."""
+    return _Int("square", N - 1 - 2 * m, 1, f2=f2)
+
+
+def _hardy(N: int, m=0, series: bool = False, f2: bool = False) -> _Int:
+    """int f^2 r^{N-5-2m}, with the series weight when ``series`` is set."""
+    return _Int("square", N - 5 - 2 * m, f2=f2, series=series)
+
+
+def _grad(N: int, m=0, series: bool = False, f2: bool = False) -> _Int:
+    """int |grad f|^2 r^{N-3-2m}, with the series weight when ``series`` is set."""
+    return _Int("gradient", N - 3 - 2 * m, f2=f2, series=series)
+
+
+def _deficit(N: int, piece, constant, m=0, f2: bool = False) -> list:
+    """int (L_k f)^2 r^{N-1-2m} less ``constant`` times the piece, _hardy or
+    _grad."""
+    return [(1, _lap(N, m, f2)), (-constant, piece(N, m, f2=f2))]
 
 
 def _deficit_I(N: int, f2: bool = False) -> list:
     """The Rellich deficit I."""
-    return _deficit(N, "square", C.rellich_constant(N), f2=f2)
+    return _deficit(N, _hardy, C._sigma_exact(0, N), f2=f2)
 
 
 def _deficit_II(N: int, f2: bool = False) -> list:
     """The gradient-Rellich deficit II."""
-    return _deficit(N, "gradient", C.rellich_grad_constant(N), f2=f2)
+    return _deficit(N, _grad, Fraction(N * N, 4), f2=f2)
 
 
-def _less_section2(deficit, name: str, term):
-    """A deficit less the section 2 constant ``name`` times a v-side term."""
-    return lambda c: (deficit(c.N) + [(-C._section2_exact(c.N)[name], term(c.N))], [])
+def _section2(name: str, rest, *den):
+    """The declaration at m = 0 of rest(N) >= the section 2 constant ``name``
+    times the sum of c * term(N) over the (c, term) pairs of den."""
+    return lambda N, m: (rest(N), C._section2_exact(N)[name], [(c, t(N)) for c, t in den])
 
 
 def _radialization(deficit, coeff):
     """The deficit of the mode-k2 companion f2 less coeff(N) times its
     Laplacian integral."""
-    return lambda c: (deficit(c.N, f2=True) + [(-coeff(c.N), _Int("square", c.N - 1, 1, f2=True))], [])
+    return lambda c: (deficit(c.N, f2=True) + [(-coeff(c.N), _lap(c.N, f2=True))], [])
 
 
 def _hardy_improved(N: int, m):
@@ -363,7 +377,7 @@ def _hardy_improved(N: int, m):
     return [
         (1, _Int("gradient", N - 1 - 2 * m)),
         (-Fraction(N - 2 - 2 * m, 2) ** 2, _Int("square", N - 3 - 2 * m)),
-        (-0.25, _Int("square", N - 3 - 2 * m, series=True)),
+        (-Fraction(1, 4), _Int("square", N - 3 - 2 * m, series=True)),
     ], []
 
 
@@ -409,7 +423,7 @@ def _weighted_laplacian_fside(N: int, ck: int, m: Fraction):
 def _weighted_deficit(N: int, m: Fraction):
     """The weighted Rellich deficit and its v-side form."""
     beta = (N + 2 * m) * (N - 4 - 2 * m) / 4
-    return _deficit(N, "square", beta * beta, m), _v_side(N, -4 * beta, 2 * beta, m)
+    return _deficit(N, _hardy, beta * beta, m), _v_side(N, -4 * beta, 2 * beta, m)
 
 
 HIGHER_ORDER_POLY_ORDER = 2
@@ -442,7 +456,7 @@ class Target:
     sides, an inequality's ``fn(case, K, spec)`` its slack.  ``terms(case)``
     gives the (lhs, rhs) lists of (coefficient, _Int) pairs of a target
     declared as terms: an identity compares their sums, an inequality's
-    slack is sum lhs - sum rhs."""
+    slack is sum lhs - sum rhs.  ``sharp``: see :func:`_sharp`."""
 
     name: str
     kind: str  # "identity" | "inequality"
@@ -450,6 +464,7 @@ class Target:
     fn: object
     applies: object = None
     terms: object = None
+    sharp: object = None
 
 
 def _identity(name: str, description: str, terms, applies=None) -> Target:
@@ -466,6 +481,19 @@ def _inequality(name: str, description: str, terms, applies=None) -> Target:
         return float(_sum(case, lhs, K, spec) - _sum(case, rhs, K, spec))
 
     return Target(name, "inequality", description, fn, applies, terms)
+
+
+def _sharp(name: str, description: str, declare, applies=None) -> Target:
+    """The inequality rest >= constant * den of declare(N, m) = (rest,
+    constant, den), with slack rest - constant * den.  A minimizing-sequence
+    scan reads its quotient rest / den and its constant from the same
+    declaration; ``constant`` is exact."""
+
+    def terms(case: SuiteCase):
+        rest, constant, den = declare(case.N, case.m_exact)
+        return rest + [(-constant * c, t) for c, t in den], []
+
+    return replace(_inequality(name, description, terms, applies), sharp=declare)
 
 
 def _id_weighted_green(case: SuiteCase, spec):
@@ -558,43 +586,45 @@ _INEQUALITY_TARGETS = [
     _inequality("hardy-improved-weighted", "weighted Hardy inequality with the series",
                 lambda c: _hardy_improved(c.N, c.m_exact)),
     _inequality("rellich", "Rellich inequality", lambda c: (_deficit_I(c.N), [])),
-    _inequality("rellich-gradient", "Laplacian vs gradient/|x|^2 inequality", lambda c: (_deficit_II(c.N), [])),
-    _inequality("rellich-deficit-vgrad", "Rellich deficit bounds the v-gradient term",
-                _less_section2(_deficit_I, "rellich-deficit-vgrad", _v_grad)),
-    _inequality("gradrellich-deficit-vgrad", "gradient-Rellich deficit bounds the v-gradient term",
-                _less_section2(_deficit_II, "gradrellich-deficit-vgrad", _v_grad)),
+    _sharp("rellich-gradient", "Laplacian vs gradient/|x|^2 inequality",
+           _section2("rellich-gradient", lambda N: [(1, _lap(N))], (1, _grad))),
+    _sharp("rellich-deficit-vgrad", "Rellich deficit bounds the v-gradient term",
+           _section2("rellich-deficit-vgrad", _deficit_I, (1, _v_grad))),
+    _sharp("gradrellich-deficit-vgrad", "gradient-Rellich deficit bounds the v-gradient term",
+           _section2("gradrellich-deficit-vgrad", _deficit_II, (1, _v_grad))),
     _inequality("v-laplacian-lower", "v-Laplacian lower bound by radial and full gradients",
                 lambda c: (_v_side(c.N, -c.N * (c.N - 4), -4), [])),
-    _inequality("v-laplacian-radial-excess", "v-Laplacian bounds the radial-minus-half-full gradient excess",
-                lambda c: (_v_side(c.N, -_excess(c.N), _excess(c.N) / 2), [])),
+    _sharp("v-laplacian-radial-excess", "v-Laplacian bounds the radial-minus-half-full gradient excess",
+           _section2("v-laplacian-radial-excess", lambda N: [(1, _v_lap(N))],
+                     (1, _v_rad), (Fraction(-1, 2), _v_grad))),
     # (N(N-4) int v'^2 r + 4 int |grad v|^2 r) / 2(N-2)^2 less the radial
     # excess int v'^2 r - (1/2) int |grad v|^2 r, each integral taken once
     _inequality("radial-angular-balance", "radial-vs-angular gradient balance",
                 lambda c: ([(c.N * (c.N - 4) / _excess(c.N) - 1, _v_rad(c.N)),
                             (4 / _excess(c.N) + Fraction(1, 2), _v_grad(c.N))], [])),
-    _inequality("rellich-deficit-vlap", "Rellich deficit bounds the v-Laplacian term",
-                _less_section2(_deficit_I, "rellich-deficit-vlap", _v_lap)),
-    _inequality("gradrellich-deficit-vlap", "gradient-Rellich deficit bounds the v-Laplacian term",
-                _less_section2(_deficit_II, "gradrellich-deficit-vlap", _v_lap)),
+    _sharp("rellich-deficit-vlap", "Rellich deficit bounds the v-Laplacian term",
+           _section2("rellich-deficit-vlap", _deficit_I, (1, _v_lap))),
+    _sharp("gradrellich-deficit-vlap", "gradient-Rellich deficit bounds the v-Laplacian term",
+           _section2("gradrellich-deficit-vlap", _deficit_II, (1, _v_lap))),
     _inequality("radialization-rellich", "Rellich deficit controls the non-radial remainder",
                 _radialization(_deficit_I, lambda N: Fraction(8 * (N - 1) * (N * N - 2 * N - 2), (N * N - 4) ** 2))),
     _inequality("radialization-gradrellich", "gradient-Rellich deficit controls the non-radial remainder",
                 _radialization(_deficit_II, lambda N: Fraction(4 * (N - 1) * (N * N - 4 * N - 4), (N * N - 4) ** 2))),
-    _inequality("rellich-improved", "Rellich inequality with the iterated-log series",
-                lambda c: (_deficit(c.N, "square", C.rellich_constant(c.N), series=C.sigma_bar(0, c.N)), [])),
-    _inequality("rellich-gradient-improved", "gradient-Rellich inequality with the series",
-                lambda c: (_deficit(c.N, "gradient", C.rellich_grad_constant(c.N), series=0.25), [])),
+    _sharp("rellich-improved", "Rellich inequality with the iterated-log series",
+           lambda N, m: (_deficit_I(N), C._sigma_bar_exact(0, N), [(1, _hardy(N, series=True))])),
+    _sharp("rellich-gradient-improved", "gradient-Rellich inequality with the series",
+           lambda N, m: (_deficit_II(N), Fraction(1, 4), [(1, _grad(N, series=True))])),
     _inequality("rellich-weighted", "weighted Rellich inequality",
-                lambda c: (_deficit(c.N, "square", C._sigma_exact(c.m_exact, c.N), c.m_exact), [])),
-    _inequality("rellich-weighted-improved", "weighted Rellich inequality with the series",
-                lambda c: (_deficit(c.N, "square", C._sigma_exact(c.m_exact, c.N), c.m_exact,
-                                   C._sigma_bar_exact(c.m_exact, c.N)), [])),
-    _inequality("rellich-gradient-weighted",
-                "weighted Laplacian vs gradient inequality with the minimized constant",
-                lambda c: (_deficit(c.N, "gradient", C.a_mn(c.N, c.m_exact).exact, c.m_exact), [])),
-    _inequality("rellich-gradient-weighted-improved", "weighted Laplacian vs gradient inequality with the series",
-                lambda c: (_deficit(c.N, "gradient", C._per_mode_exact(0, c.N, c.m_exact), c.m_exact, 0.25), []),
-                _needs_wgrad_range),
+                lambda c: (_deficit(c.N, _hardy, C._sigma_exact(c.m_exact, c.N), c.m_exact), [])),
+    _sharp("rellich-weighted-improved", "weighted Rellich inequality with the series",
+           lambda N, m: (_deficit(N, _hardy, C._sigma_exact(m, N), m), C._sigma_bar_exact(m, N),
+                         [(1, _hardy(N, m, series=True))])),
+    _sharp("rellich-gradient-weighted", "weighted Laplacian vs gradient inequality with the minimized constant",
+           lambda N, m: ([(1, _lap(N, m))], C.a_mn(N, m).exact, [(1, _grad(N, m))])),
+    _sharp("rellich-gradient-weighted-improved", "weighted Laplacian vs gradient inequality with the series",
+           lambda N, m: (_deficit(N, _grad, C._per_mode_exact(0, N, m), m), Fraction(1, 4),
+                         [(1, _grad(N, m, series=True))]),
+           _needs_wgrad_range),
     _inequality("higher-order-rellich-chain", "polyharmonic improvement through repeated Rellich steps",
                 _higher_order(C.HigherOrderVariant.RELLICH_CHAIN), _needs_higher_order),
     _inequality("higher-order-gradient-chain",

@@ -49,17 +49,18 @@ def test_per_mode_quotient_worked_example():
     assert C.per_mode_quotient(1, 5, 0) == pytest.approx(441 / 68, rel=1e-15)
 
 
-def test_weighted_rellich_grad_constant_is_the_radial_mode_quotient():
+def test_radial_mode_quotient_is_the_weighted_rellich_grad_constant():
+    """A(0, N, m) = ((N+2m)/2)^2, correctly rounded from its exact value."""
     for N in (5, 6, 9, 30):
-        assert C.weighted_rellich_grad_constant(N, 0) == C.rellich_grad_constant(N)
+        assert C.per_mode_quotient(0, N, 0) == C.rellich_grad_constant(N)
         m = 0.4 * (N - 4) / 2
-        assert C.weighted_rellich_grad_constant(N, m) == ((N + 2 * m) / 2.0) ** 2
-        assert C.weighted_rellich_grad_constant(N, m) == pytest.approx(C.per_mode_quotient(0, N, m), rel=1e-15)
-    assert C.weighted_rellich_grad_constant(30, 8) == 529.0
+        assert C.per_mode_quotient(0, N, m) == float((N + 2 * Fraction(m)) ** 2 / 4)
+        assert C.per_mode_quotient(0, N, m) == pytest.approx(((N + 2 * m) / 2.0) ** 2, rel=1e-15)
+    assert C.per_mode_quotient(0, 30, 8) == 529.0
     with pytest.raises(DomainError):
-        C.weighted_rellich_grad_constant(6, 1.0)  # needs m < (N-4)/2 = 1
+        C.per_mode_quotient(0, 6, 1.0)  # needs m < (N-4)/2 = 1
     with pytest.raises(DomainError):
-        C.weighted_rellich_grad_constant(4, 0.0)
+        C.per_mode_quotient(0, 4, 0.0)
 
 
 def test_a_mn_worked_example():

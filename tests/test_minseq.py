@@ -169,10 +169,10 @@ def test_reduced_path_matches_direct_path():
         (ScanFamily.GRAD_DEFICIT_VLAP, 9, 0.0, 0.07),
         (ScanFamily.GRADIENT_CONSTANT, 6, 0.0, 0.07),
     ]
-    assert {c[0] for c in cases} == set(M._FAMILIES)
+    assert {c[0] for c in cases} == set(ScanFamily)
     for fam, N, m, a1 in cases:
         p = MinSeqParams(N, m, 1e-4, (a1,))
-        quotient = M._FAMILIES[fam].quotient(N, m)
+        quotient = M._quotient(fam, N, m)[:2]
         # the reduction against the quadrature in s on (0, inner]
         red = M._Reduction(p)
         inner = [M._inner_integral(terms, p, SPEC).value for terms in quotient]
@@ -241,7 +241,7 @@ def test_single_log_inner_integrals_match_an_extended_precision_reference(fam, p
     eps = 1e-150, and two deficit families, which eliminate them."""
     import rellich.minseq as M
 
-    sides = M._FAMILIES[fam].quotient(params.N, params.m)
+    sides = M._quotient(fam, params.N, params.m)[:2]
     red = M._Reduction(params)
     for terms, ref in zip(sides, _inner_integrals_at_40_digits(params, sides)):
         got = red.integral(terms)
@@ -256,7 +256,7 @@ def test_single_log_sum_that_leaves_the_double_range_raises(N, a1, eps):
 
     p = MinSeqParams(N, 0.0, eps, (a1,))
     with pytest.raises(DomainError, match=f"overflows at eps = {eps}"):
-        M._Reduction(p).integral(M._FAMILIES[ScanFamily.GRADIENT_CONSTANT].quotient(N, 0.0)[0])
+        M._Reduction(p).integral(M._quotient(ScanFamily.GRADIENT_CONSTANT, N, 0.0)[0])
     with pytest.raises(DomainError):
         rayleigh_quotient(ScanFamily.GRADIENT_CONSTANT, p)
 
@@ -285,14 +285,14 @@ def test_reduction_eliminates_exactly_the_deficit_levels(N):
             except DomainError:
                 continue
             level = 0 if fam in plain else 2
-            assert starts(p, spec.quotient(N, p.m)) == [level, level], (fam, m)
+            assert starts(p, M._quotient(fam, N, p.m)[:2]) == [level, level], (fam, m)
             if fam is not ScanFamily.AMN:
                 follows = default_schedule(fam, N, p.m)[-1].epsilon < 3e-4
                 assert follows == (level == 2), (fam, m)
             checked += 1
     for case, spec in M._ASYMPTOTICS.items():
         level = 0 if case in plain else 2
-        assert starts(MinSeqParams(N, 0.0, 1e-3, (0.1,)), [spec.lhs(N)]) == [level], case
+        assert starts(MinSeqParams(N, 0.0, 1e-3, (0.1,)), [M._terms(spec.lhs(N), N, 0)]) == [level], case
     assert checked >= 11
 
 
@@ -339,8 +339,8 @@ def test_reduction_polynomials_match_the_array_form_bitwise(N):
     """The list-based polynomials of every family's sides and of every
     asymptotic case, and their columns evaluated at eps, are bitwise those
     of the numpy matrices and numpy's polyval."""
-    sides = [t for spec in M._FAMILIES.values() for t in spec.quotient(N, 0.0)]
-    sides += [spec.lhs(N) for spec in M._ASYMPTOTICS.values()]
+    sides = [t for fam in ScanFamily for t in M._quotient(fam, N, 0.0)[:2]]
+    sides += [M._terms(spec.lhs(N), N, 0) for spec in M._ASYMPTOTICS.values()]
     for a in (0.1, 0.37, 1.0):
         params = MinSeqParams(N, 0.0, 1e-3, (a,))
         red = M._Reduction(params)
@@ -438,7 +438,7 @@ def test_reduced_quotient_runs_two_zone_quadratures(monkeypatch):
         return res
 
     monkeypatch.setattr(M, "integrate", recording)
-    for fam in M._FAMILIES:
+    for fam in ScanFamily:
         first_calls.clear()
         with count_quadrature() as counts:
             rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-3, (0.1,)))
@@ -543,6 +543,68 @@ def test_scan_theoretical_values():
     assert scan_theoretical(
         ScanFamily.WEIGHTED_RELLICH_IMPROVED, MinSeqParams(12, 1.0, 1e-3, (0.1,))
     ) == pytest.approx(C.sigma_bar(1.0, 12))
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 12, 30])
+def test_scan_constants_come_from_their_registry_targets(N):
+    """Each family's constant is float() of the constant its registry target
+    declares, exactly, at m = 0 and at weighted m up to m*(N) and past it.
+    amn's target declares a_{m,N}, the candidate of its minimizing mode, and
+    the scan of that mode approaches it."""
+    from fractions import Fraction
+
+    import rellich.minseq as M
+    from rellich.verify import REGISTRY
+
+    weights = {0.0, *(t * C.m_star(N) for t in (0.3, 0.7, 1.0)), *(t * (N - 4) / 2 for t in (0.1, 0.45, 0.9))}
+    checked = 0
+    for fam, spec in M._FAMILIES.items():
+        for m in sorted(weights):
+            m_exact = Fraction(m)
+            k = C.a_mn(N, m_exact).argmin_k if fam is ScanFamily.AMN else 0
+            p = MinSeqParams(N, m, mode_k=k)
+            try:
+                spec.validate(fam, p)
+            except DomainError:
+                continue
+            constant = REGISTRY[spec.target].sharp(N, m_exact)[1]
+            if fam is ScanFamily.AMN:
+                assert constant == C._per_mode_exact(k, N, m_exact), (N, m)
+            assert scan_theoretical(fam, p) == float(constant), (fam, N, m)
+            checked += 1
+    assert checked >= len(ScanFamily) + 3 * 4
+
+
+def test_default_schedule_refuses_the_parameters_its_family_refuses():
+    with pytest.raises(DomainError, match="scans use m = 0"):
+        default_schedule(ScanFamily.RELLICH_IMPROVED, 6, 0.5)
+    with pytest.raises(DomainError, match="m <= m"):
+        default_schedule(ScanFamily.WEIGHTED_GRAD_IMPROVED, 6, 0.9)
+
+
+def test_a_registry_integral_that_is_no_piece_is_refused():
+    """Only the six pieces translate; a series integral is a piece only in a
+    quotient's denominator, where it splits."""
+    import rellich.minseq as M
+    from rellich.verify import _Int
+
+    assert M._terms([(2, _Int("square", 5, 1))], 6, 0) == ((2.0, "lap_u", None),)
+    for t in (_Int("moment-2", 5), _Int("square", 1, series=True), _Int("square", 5, 1, f2=True)):
+        with pytest.raises(ValueError, match="no closed-form piece"):
+            M._terms([(1, t)], 6, 0)
+
+
+def test_readme_family_table_matches_the_code():
+    """The README's scan family <-> registry target table is the code's map."""
+    import re
+    from pathlib import Path
+
+    import rellich.minseq as M
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\s*\| `([\w-]+)` \| `([\w-]+)` \|$", readme, re.M)
+    assert dict(rows) == {fam.value: spec.target for fam, spec in M._FAMILIES.items()}
+    assert len(rows) == len(ScanFamily)
 
 
 @pytest.mark.parametrize("N, m, k", [(30, 8.0, k) for k in range(5)] + [(9, 2.0, 0)])
@@ -748,11 +810,10 @@ def test_factored_deficits_use_their_sharp_constants(N):
         forms = M._closed_forms(params, 0.0, 0.0, 0.0)
         found = 0
         for terms in term_lists:
-            if len(terms) < 2 or terms[1].piece not in M._DEFICIT_PIECES:
+            lead, _ = M._split_deficit(terms)
+            if lead is None:
                 continue
-            piece, c = terms[1].piece, -terms[1].coeff
-            if terms[:2] != M._deficit(piece, c):
-                continue
+            piece, c = lead
             lhs = c if piece == "hardy_u" else c * forms.q0**2
             assert abs(lhs - forms.A0**2) <= 1e-12 * forms.A0**2, (piece, params)
             found += 1
@@ -766,9 +827,9 @@ def test_factored_deficits_use_their_sharp_constants(N):
                 spec.validate(fam, p)
             except DomainError:
                 continue
-            found = check(p, spec.quotient(N, p.m))
+            found = check(p, M._quotient(fam, N, p.m)[:2])
             assert spec.radial or not found, fam  # deficits are declared at mode 0 only
             checked += found
     for case in M._ASYMPTOTICS.values():
-        checked += check(MinSeqParams(N), [case.lhs(N)])
+        checked += check(MinSeqParams(N), [M._terms(case.lhs(N), N, 0)])
     assert checked >= 8
