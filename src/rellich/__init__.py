@@ -29,14 +29,12 @@ from .constants import (
 from .errors import DivergenceError, DomainError, QuadratureError
 from .iterlog import x1, xk
 from .minseq import (
-    AsymptoticCase,
     CutoffSpec,
     MinSeqParams,
     ScanFamily,
     ScanResult,
     build_minimizer,
     default_schedule,
-    leading_order_asymptotics,
     rayleigh_quotient,
     scan_result_csv,
     scan_to_limit,

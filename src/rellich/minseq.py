@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,6 @@ from .taylor import Jet
 from .verify import (
     REGISTRY,
     _Int,
-    _deficit_I,
-    _deficit_II,
     _grad,
     _hardy,
     _lap,
@@ -74,12 +72,10 @@ __all__ = [
     "MinSeqParams",
     "ScanFamily",
     "ScanResult",
-    "AsymptoticCase",
     "build_minimizer",
     "rayleigh_quotient",
     "scan_to_limit",
     "default_schedule",
-    "leading_order_asymptotics",
     "scan_result_csv",
 ]
 
@@ -293,20 +289,26 @@ def _piece_ints(N: int, m) -> dict[str, _Int]:
 
 def _terms(pairs, N: int, m, weight: str | None = None) -> tuple:
     """Registry (coefficient, integral) pairs as (coefficient, piece, weight)
-    terms; ValueError for an integral that is no piece."""
+    terms, the coefficients kept exact; ValueError for an integral that is no
+    piece."""
     names = {i: name for name, i in _piece_ints(N, m).items()}
     out = []
     for c, t in pairs:
         if t not in names:
             raise ValueError(f"no closed-form piece is the registry integral {t}")
-        out.append((float(c), names[t], weight))
+        out.append((c, names[t], weight))
     return tuple(out)
 
 
+def _float_terms(terms) -> tuple:
+    """The terms with float coefficients, as the float evaluators take them."""
+    return tuple((float(c), piece, w) for c, piece, w in terms)
+
+
 @functools.cache
-def _quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, float]:
-    """(numerator, denominator, constant) of the family at (N, m), from its
-    registry target's declaration (see the block comment above)."""
+def _exact_quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, Fraction]:
+    """(numerator, denominator, constant) of the family at (N, m), exact, from
+    its registry target's declaration (see the block comment above)."""
     rest, constant, den = REGISTRY[_FAMILIES[family].target].sharp(N, Fraction(m))
     num, dens = _terms(rest, N, m), ()
     for c, t in den:
@@ -315,7 +317,14 @@ def _quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, float]:
             t, weight = replace(t, series=False), "pk2"
             num += _terms([(-constant * c, t)], N, m, "series")
         dens += _terms([(c, t)], N, m, weight)
-    return num, dens, float(constant)
+    return num, dens, constant
+
+
+@functools.cache
+def _quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, float]:
+    """:func:`_exact_quotient` in floats."""
+    num, den, constant = _exact_quotient(family, N, m)
+    return _float_terms(num), _float_terms(den), float(constant)
 
 
 def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
@@ -376,11 +385,11 @@ def _log_products(xs: list) -> list:
 def _eta_b(a, prods):
     """(eta, B): eta = sum_i (-1 + a_i) P_i and B = r eta' = sum_i (-1 + a_i)
     P_i Q_i with Q_i = P_1 + ... + P_i."""
-    eta = B = q = 0.0
+    eta = B = q = 0
     for ai, p in zip(a, prods):
         q = q + p
-        eta = eta + (-1.0 + ai) * p
-        B = B + (-1.0 + ai) * p * q
+        eta = eta + (-1 + ai) * p
+        B = B + (-1 + ai) * p * q
     return eta, B
 
 
@@ -406,30 +415,31 @@ class _Forms(NamedTuple):
     u = r^{q0+eps} prod X_i^{(-1+a_i)/2}, r u'/u = q0 + gamma and
     r^2 L_k u / u = A0 + delta, where A0 is free of eps and the a_i and every
     monomial of delta carries eps, eta or B; lap_v is r^2 L_k v / v for
-    v = r^{(N-4-2m)/2} u."""
+    v = r^{(N-4-2m)/2} u.  q0 and A0 are in the number type of m."""
 
-    q0: float
+    q0: object
     ck: int
-    A0: float
+    A0: object
     delta: object
     gamma: object
     lap_v: object
 
 
-def _closed_forms(params: MinSeqParams, eps, eta, B) -> _Forms:
-    """The forms, with q0 = -(N-4-2m)/2, in any number type that eps, eta
-    and B share: float arrays in s, or polynomials in (eps, X_1)."""
-    N, k = params.N, params.mode_k
-    q0 = -_v_exponent(N, params.m)
+def _closed_forms(N: int, m, k: int, eps, eta, B) -> _Forms:
+    """The forms at mode k, with q0 = -(N-4-2m)/2, in any number type that
+    eps, eta and B share: float arrays in s, or polynomials in (eps, X_1)
+    with float or exact coefficients.  Every literal is an integer or a
+    Fraction, so the forms stay exact where m, eps, eta and B are."""
+    q0 = -_v_exponent(N, m)
     ck = k * (N + k - 2)
     delta = (
         eps * (2 * q0 + N - 2 + eps)
-        + (q0 + eps + (N - 2) / 2.0) * eta
-        + eta * eta / 4.0
-        + B / 2.0
+        + (q0 + eps + Fraction(N - 2, 2)) * eta
+        + eta * eta / 4
+        + B / 2
     )
-    gamma = eps + eta / 2.0
-    lap_v = gamma * (gamma + N - 2) + B / 2.0 - ck
+    gamma = eps + eta / 2
+    lap_v = gamma * (gamma + N - 2) + B / 2 - ck
     return _Forms(q0, ck, q0 * (q0 + N - 2) - ck, delta, gamma, lap_v)
 
 
@@ -438,21 +448,21 @@ def _closed_forms(params: MinSeqParams, eps, eta, B) -> _Forms:
 _PIECES = {
     "lap_u": lambda f: _sq(f.A0 + f.delta),
     "grad_u": lambda f: _sq(f.q0 + f.gamma) + f.ck,
-    "hardy_u": lambda f: 1.0,
+    "hardy_u": lambda f: 1,
     "lap_v": lambda f: _sq(f.lap_v),
     "grad_v": lambda f: _sq(f.gamma) + f.ck,
     "rad_v": lambda f: _sq(f.gamma),
 }
 
 
-def _deficit_form(f: _Forms, piece: str, c: float):
-    """lap_u - c * piece (see :func:`_deficit`) in factored form,
+def _deficit_form(f: _Forms, piece: str, c):
+    """lap_u - c * piece (see :func:`_split_deficit`) in factored form,
     delta (2 A0 + delta), less c * gamma (2 q0 + gamma) for grad_u.  The
     constant parts cancel exactly where c is sharp: c = A0^2 for hardy_u,
     c * q0^2 = A0^2 for grad_u."""
-    out = f.delta * (2.0 * f.A0 + f.delta)
+    out = f.delta * (2 * f.A0 + f.delta)
     if piece == "grad_u":
-        out = out - c * (f.gamma * (2.0 * f.q0 + f.gamma))
+        out = out - c * (f.gamma * (2 * f.q0 + f.gamma))
     return out
 
 
@@ -479,7 +489,7 @@ def _inner_density(params: MinSeqParams, s: np.ndarray, terms) -> np.ndarray:
     for ai, x in zip(params.a, xs):
         if ai != 1.0:
             common = common * x ** (-1.0 + ai)
-    forms = _closed_forms(params, params.epsilon, *_eta_b(params.a, prods))
+    forms = _closed_forms(params.N, params.m, params.mode_k, params.epsilon, *_eta_b(params.a, prods))
     return common * _closed_density(terms, forms, prods)
 
 
@@ -578,7 +588,9 @@ class _OuterTerms:
 
 class _Poly2:
     """Polynomial in (eps, X): c[i][j] is the coefficient of eps^i X^j, a
-    dense rectangle of Python floats."""
+    dense rectangle of Python numbers.  It coerces nothing: float
+    coefficients give the float evaluation, int and Fraction ones stay
+    exact."""
 
     __slots__ = ("c",)
 
@@ -586,23 +598,19 @@ class _Poly2:
         self.c = c
 
     @classmethod
-    def const(cls, v: float) -> "_Poly2":
-        return cls([[float(v)]])
-
-    @classmethod
     def eps(cls) -> "_Poly2":
-        return cls([[0.0], [1.0]])
+        return cls([[0], [1]])
 
     @classmethod
     def x(cls) -> "_Poly2":
-        return cls([[0.0, 1.0]])
+        return cls([[0, 1]])
 
     def __add__(self, other):
         if not isinstance(other, _Poly2):
-            other = _Poly2.const(other)
+            other = _Poly2([[other]])
         ni = max(len(self.c), len(other.c))
         nj = max(len(self.c[0]), len(other.c[0]))
-        out = [[0.0] * nj for _ in range(ni)]
+        out = [[0] * nj for _ in range(ni)]
         for c in (self.c, other.c):
             for row, add in zip(out, c):
                 for j, v in enumerate(add):
@@ -612,18 +620,17 @@ class _Poly2:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (other * -1.0)
+        return self + (other * -1)
 
     def __mul__(self, other):
         if not isinstance(other, _Poly2):
-            v = float(other)
-            return _Poly2([[x * v for x in row] for row in self.c])
+            return _Poly2([[x * other for x in row] for row in self.c])
         a, b = self.c, other.c
         nj = len(b[0])
-        out = [[0.0] * (len(a[0]) + nj - 1) for _ in range(len(a) + len(b) - 1)]
+        out = [[0] * (len(a[0]) + nj - 1) for _ in range(len(a) + len(b) - 1)]
         for i, row in enumerate(a):
             for j, v in enumerate(row):
-                if v != 0.0:
+                if v != 0:
                     for p, brow in enumerate(b):
                         orow = out[i + p]
                         for q, w in enumerate(brow):
@@ -633,10 +640,10 @@ class _Poly2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = float(other)
-        return _Poly2([[x / v for x in row] for row in self.c])
+        # an exact zero stays exact: the int 0 / 4 is the float 0.0
+        return _Poly2([[x / other if x else x for x in row] for row in self.c])
 
-    def x_columns(self) -> list[list[float]]:
+    def x_columns(self) -> list[list]:
         """Coefficient-in-eps lists, one per power of X."""
         return [list(col) for col in zip(*self.c)]
 
@@ -649,52 +656,50 @@ def _polyval(x: float, c: list[float]) -> float:
     return out
 
 
-def _q_zone(beta: float, eps: float, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
-    """int_inner^outer r^{-1+2eps} X_1^beta phi^2 dr: with Q(beta), the
-    single-log integral over the whole support."""
-
-    def transition(r):
-        x1 = 1.0 / (1.0 - np.log(r))
-        return r ** (-1.0 + 2.0 * eps) * x1**beta * cutoff(r) ** 2
-
-    return _zone_integral(transition, cutoff, spec)
-
-
-def _reduce_columns(poly: _Poly2, a1: float):
+def _reduce_columns(poly: _Poly2, a1):
     """Rewrite sum_j col_j(eps) Q(-1+a+j) with the divergent levels removed
     where they cancel.
 
     Eliminates level 0, then level 1, while the level's column vanishes at
     eps = 0 (as the sharp constants make it in a deficit); the residual
-    constant coefficient is pure round-off and is zeroed before dividing by
-    eps.  Returns (the first level kept, the columns from it on as
-    eps-polynomials, [(eps-poly, beta), ...]) where each boundary pair
-    contributes (1/2) * poly(eps) * inner^{2eps} X_1(inner)^beta.
+    constant coefficient is pure round-off (zero in exact columns) and is
+    zeroed before dividing by eps.  Returns (the first level kept, the
+    columns from it on as eps-polynomials, [(eps-poly, beta), ...]) where
+    each boundary pair contributes (1/2) * poly(eps) * inner^{2eps}
+    X_1(inner)^beta.
     """
     cols = poly.x_columns()
     while len(cols) < 3:
-        cols.append([0.0])
-    boundary_terms: list[tuple[list[float], float]] = []
+        cols.append([0])
+    boundary_terms: list[tuple[list, object]] = []
     for j in range(2):
         c = cols[j]
         scale = max(abs(v) for v in c)
-        if scale == 0.0:
+        if scale == 0:
             continue
         if abs(c[0]) > 1e-9 * scale:
             return j, cols[j:], boundary_terms
         cprime = c[1:]
         if not cprime:
             continue
-        beta = -1.0 + a1 + j
+        beta = -1 + a1 + j
         nxt = cols[j + 1]
-        merged = [0.0] * max(len(nxt), len(cprime))
+        merged = [0] * max(len(nxt), len(cprime))
         for i, v in enumerate(nxt):
             merged[i] += v
         for i, v in enumerate(cprime):
-            merged[i] += (-beta / 2.0) * v
+            merged[i] += (-beta / 2) * v
         cols[j + 1] = merged
         boundary_terms.append((cprime, beta))
     return 2, cols[2:], boundary_terms
+
+
+def _poly_forms(N: int, m, k: int, a1) -> tuple[_Forms, list]:
+    """The closed forms of the single-log member with exponent a1 as
+    polynomials in (eps, X_1), exact where m and a1 are, and its products
+    [P_1] = [X_1]."""
+    prods = [_Poly2.x()]
+    return _closed_forms(N, m, k, _Poly2.eps(), *_eta_b((a1,), prods)), prods
 
 
 class _Reduction:
@@ -707,9 +712,10 @@ class _Reduction:
     """
 
     def __init__(self, params: MinSeqParams):
+        if len(params.a) != 1:
+            raise DomainError("the exact reduction takes the single-log sequence (K = 1)")
         self.params = params
-        self._prods = [_Poly2.x()]  # P_1 = X_1
-        self.forms = _closed_forms(params, _Poly2.eps(), *_eta_b(params.a, self._prods))
+        self.forms, self._prods = _poly_forms(params.N, params.m, params.mode_k, params.a[0])
         self._q: dict = {}
 
     def q_beta(self, beta: float) -> float:
@@ -740,6 +746,27 @@ class _Reduction:
         if not math.isfinite(total):
             raise DomainError(f"single-log integral overflows at eps = {eps}")
         return total
+
+
+def _exact_limit(family: ScanFamily, N: int, m=0, mode_k: int = 0) -> Fraction:
+    """The limit of the family's single-log quotients as eps -> 0, then
+    a -> 0, in exact arithmetic.
+
+    Each side is dominated by the Q(-1+a+j) of its first kept level j: on a
+    plain side Q(-1+a) ~ (2 eps)^{a-2} outgrows every other term as
+    eps -> 0; on a reduced side Q(1+a) -> X_1(rho)^a / a outgrows the higher
+    levels, the boundary terms and the cutoff zone, which stay bounded as
+    a -> 0.  Both sides of every family keep the same first level, so the
+    limit is the ratio of their first kept columns at eps = 0, a = 0, read
+    from the same registry terms and closed forms as the float quotient."""
+    _FAMILIES[family].validate(family, MinSeqParams(N, float(m), mode_k=mode_k))
+    m, a = Fraction(m), Fraction(0)
+    forms, prods = _poly_forms(N, m, mode_k, a)
+    num, den = (
+        _reduce_columns(_closed_density(terms, forms, prods), a)[1][0][0]
+        for terms in _exact_quotient(family, N, m)[:2]
+    )
+    return Fraction(num) / den
 
 
 # A multi-log side is refused (DomainError) when the error estimate of its
@@ -898,84 +925,6 @@ def default_schedule(
             eps = _eps_for_a(a[0]) if follow else _DEFAULT_EPS_STEPS[-1]
             steps.append(MinSeqParams(N, m, eps, tuple(a), mode_k=mode_k))
     return steps
-
-
-class AsymptoticCase(Enum):
-    """Leading-term checks for the single-log sequence as eps, a_1 -> 0."""
-
-    V_GRADIENT = "v-gradient"
-    V_LAPLACIAN = "v-laplacian"
-    U_GRADIENT = "u-gradient-over-x2"
-    U_LAPLACIAN = "u-laplacian"
-    RELLICH_DEFICIT = "rellich-deficit"
-    GRAD_RELLICH_DEFICIT = "gradrellich-deficit"
-
-
-class _AsymptoticSpec(NamedTuple):
-    """A case's functional as registry (coefficient, integral) pairs of N,
-    and its displayed leading term as a function of (N, a_1, Q) with Q(beta)
-    the single-log integral over the whole support."""
-
-    lhs: Callable[[int], list]
-    rhs: Callable[[int, float, Callable[[float], float]], float]
-
-
-def _lead(N: int, a1: float, q) -> float:
-    return (1.0 - a1) / 4.0 * q(1.0 + a1)
-
-
-def _deficit_lead(N: int, a1: float, q) -> float:
-    return (1.0 - a1) / 8.0 * (N * N - 4 * N + 8) * q(1.0 + a1)
-
-
-# The u-side functionals with no deficit keep their divergent levels: the
-# reduction sums their Q(-1+a) and Q(a) columns, which leave the double range
-# (DomainError) below eps ~ 1e-150.
-_ASYMPTOTICS: dict[AsymptoticCase, _AsymptoticSpec] = {
-    AsymptoticCase.V_GRADIENT: _AsymptoticSpec(lambda N: [(1, _v_grad(N))], _lead),
-    AsymptoticCase.V_LAPLACIAN: _AsymptoticSpec(
-        lambda N: [(1, _v_lap(N))], lambda N, a1, q: (N - 2) ** 2 * _lead(N, a1, q)
-    ),
-    AsymptoticCase.U_GRADIENT: _AsymptoticSpec(
-        lambda N: [(1, _grad(N))],
-        lambda N, a1, q: _lead(N, a1, q) + ((N - 4) / 2.0) ** 2 * q(-1.0 + a1),
-    ),
-    AsymptoticCase.U_LAPLACIAN: _AsymptoticSpec(
-        lambda N: [(1, _lap(N))],
-        lambda N, a1, q: _deficit_lead(N, a1, q) + C.rellich_constant(N) * q(-1.0 + a1),
-    ),
-    AsymptoticCase.RELLICH_DEFICIT: _AsymptoticSpec(_deficit_I, _deficit_lead),
-    AsymptoticCase.GRAD_RELLICH_DEFICIT: _AsymptoticSpec(
-        _deficit_II, lambda N, a1, q: (1.0 - a1) / 16.0 * (N - 4) ** 2 * q(1.0 + a1)
-    ),
-}
-
-
-def leading_order_asymptotics(
-    which: AsymptoticCase,
-    params: MinSeqParams,
-    quad: QuadratureSpec | None = None,
-) -> tuple[float, float, float]:
-    """(lhs, rhs_leading, ratio) for one displayed leading-order asymptotic.
-
-    lhs is the stated functional of the sequence member divided by the sphere
-    area; rhs_leading is the displayed coefficient times the singular
-    integrals it multiplies.  The ratio tends to 1 as eps, a_1 -> 0 jointly,
-    with the leading term dominating only once a_1 ln(1/eps) is large; every
-    case goes through the single-log reduction, so that regime is reachable.
-    """
-    spec = quad or QuadratureSpec()
-    if len(params.a) != 1:
-        raise DomainError("asymptotic checks use the single-log sequence (K = 1)")
-    if params.m != 0.0 or params.mode_k != 0:
-        raise DomainError("asymptotic checks use m = 0 and the radial mode")
-    case = _ASYMPTOTICS[which]
-    red = _Reduction(params)
-    terms = _terms(case.lhs(params.N), params.N, 0)
-    lhs = red.integral(terms) + _OuterTerms(params).integral(terms, spec)
-    eps, cutoff = params.epsilon, params.cutoff
-    rhs = case.rhs(params.N, params.a[0], lambda b: red.q_beta(b) + _q_zone(b, eps, cutoff, spec))
-    return lhs, rhs, lhs / rhs
 
 
 def scan_result_csv(result: ScanResult) -> str:

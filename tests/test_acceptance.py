@@ -5,29 +5,29 @@ prints a single PASS line (pytest -s shows them; a failure raises).  These
 criteria are the package's exit bar: the worked per-mode example, the
 threshold table, the full identity and inequality registries on the
 50-profile standard suite, the five best-constant scans, the leading-term
-asymptotics, the quadrature goldens, and the structural invariants.
+coefficients as exact identities of the single-log reduction, the
+quadrature goldens, and the structural invariants.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rellich import constants as C
-from rellich.minseq import (
-    AsymptoticCase,
-    MinSeqParams,
-    ScanFamily,
-    default_schedule,
-    leading_order_asymptotics,
-    scan_to_limit,
-)
+from rellich import minseq as M
+from rellich.minseq import ScanFamily, default_schedule, scan_to_limit
 from rellich.quadrature import QuadratureSpec, integrate_logweighted
 from rellich.radial import RadialProfile, SphericalMode, mode_operator
 from rellich.verify import (
     IDENTITY_TOLERANCE,
     INEQUALITY_TOLERANCE,
+    _deficit_I,
+    _deficit_II,
+    _grad,
+    _lap,
+    _v_grad,
+    _v_lap,
     check_identity,
     check_inequality,
     registry_targets,
@@ -115,37 +115,32 @@ def test_criterion_5_best_constant_scans():
     _report(5, "best-constant scans within tolerance, strictly decreasing")
 
 
-# The two quotient-dominated asymptotics are already in their limit regime at
-# the stated parameter pairs; the four leading-term cases reach it only once
-# a1 ln(1/eps) is large, so their schedule continues to a deep final step
-# (evaluated through the identity-reduced quotient machinery).
-ASYMPTOTIC_N = 30
-ASYMPTOTIC_STEPS = [(1e-3, 0.05), (1e-4, 0.02)]
-ASYMPTOTIC_DEEP = (math.exp(-500), 0.008)
-_DEEP_CASES = {
-    AsymptoticCase.V_GRADIENT,
-    AsymptoticCase.V_LAPLACIAN,
-    AsymptoticCase.RELLICH_DEFICIT,
-    AsymptoticCase.GRAD_RELLICH_DEFICIT,
+# The displayed leading-order terms of six functionals of the single-log
+# sequence at m = 0: (registry terms, leading coefficient as a function of
+# (N, a), the level j of the Q(-1 + a + j) it multiplies).  Where a sharp
+# constant cancels the divergent levels the coefficient multiplies Q(1 + a);
+# the plain u-side functionals keep their divergent Q(-1 + a).
+LEADING_TERMS = {
+    "v-gradient": (lambda N: [(1, _v_grad(N))], lambda N, a: (1 - a) / 4, 2),
+    "v-laplacian": (lambda N: [(1, _v_lap(N))], lambda N, a: (N - 2) ** 2 * (1 - a) / 4, 2),
+    "rellich-deficit": (_deficit_I, lambda N, a: (1 - a) * (N * N - 4 * N + 8) / 8, 2),
+    "gradrellich-deficit": (_deficit_II, lambda N, a: (1 - a) * (N - 4) ** 2 / 16, 2),
+    "u-gradient": (lambda N: [(1, _grad(N))], lambda N, a: Fraction(N - 4, 2) ** 2, 0),
+    "u-laplacian": (lambda N: [(1, _lap(N))], lambda N, a: Fraction(N * (N - 4), 4) ** 2, 0),
 }
 
 
 def test_criterion_6_leading_term_asymptotics():
-    for case in AsymptoticCase:
-        ratios = [
-            leading_order_asymptotics(case, MinSeqParams(ASYMPTOTIC_N, 0.0, eps, (a1,)), QUAD)[2]
-            for eps, a1 in ASYMPTOTIC_STEPS
-        ]
-        assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0), (case, ratios)
-        if case in _DEEP_CASES:
-            eps, a1 = ASYMPTOTIC_DEEP
-            final = leading_order_asymptotics(
-                case, MinSeqParams(ASYMPTOTIC_N, 0.0, eps, (a1,)), QUAD
-            )[2]
-        else:
-            final = ratios[-1]
-        assert 0.8 <= final <= 1.2, (case, final)
-    _report(6, "leading-term asymptotics ratio -> 1, final within [0.8, 1.2]")
+    """Each functional's first kept column of the reduction at eps = 0 is its
+    displayed leading coefficient, exactly, as a polynomial in a."""
+    for N in (5, 6, 9, 30):
+        for a in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(3, 4)):
+            forms, prods = M._poly_forms(N, Fraction(0), 0, a)
+            for name, (side, coefficient, level) in LEADING_TERMS.items():
+                poly = M._closed_density(M._terms(side(N), N, 0), forms, prods)
+                start, cols, _ = M._reduce_columns(poly, a)
+                assert (start, cols[0][0]) == (level, coefficient(N, a)), (name, N, a)
+    _report(6, "leading-term coefficients are the reduction's first kept columns, exactly")
 
 
 def test_criterion_7_quadrature_goldens():

@@ -1,20 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import rellich.minseq as M
 from rellich import constants as C
+from rellich import verify as V
 from rellich.errors import DomainError
 from rellich.iterlog import xk_values
 from rellich.minseq import (
-    AsymptoticCase,
     CutoffSpec,
     MinSeqParams,
     ScanFamily,
     build_minimizer,
     default_schedule,
-    leading_order_asymptotics,
     rayleigh_quotient,
     scan_result_csv,
     scan_theoretical,
@@ -23,6 +23,24 @@ from rellich.minseq import (
 from rellich.quadrature import QuadratureSpec
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+# Six single-log functionals at m = 0, named by their registry terms: the
+# v-gradient and v-Laplacian, the plain u-gradient and u-Laplacian, and the
+# two Rellich deficits.  The plain ones keep their divergent levels.
+NAMED_SIDES = {
+    "v-gradient": lambda N: [(1, V._v_grad(N))],
+    "v-laplacian": lambda N: [(1, V._v_lap(N))],
+    "u-gradient": lambda N: [(1, V._grad(N))],
+    "u-laplacian": lambda N: [(1, V._lap(N))],
+    "rellich-deficit": V._deficit_I,
+    "gradrellich-deficit": V._deficit_II,
+}
+PLAIN_SIDES = {"u-gradient", "u-laplacian"}
+
+
+def _named_sides(N: int) -> dict:
+    """The six functionals as float (coefficient, piece, weight) terms."""
+    return {name: M._float_terms(M._terms(side(N), N, 0)) for name, side in NAMED_SIDES.items()}
 
 
 def test_cutoff_shape():
@@ -204,7 +222,7 @@ def _inner_integrals_at_40_digits(params, sides):
             mid = t0 + (i + mp.mpf(0.5)) * h
             for x_node, w in nodes:
                 x = mp.exp(-(mid + h / 2 * x_node))  # X_1 = 1/(1 + s) = e^{-t}
-                forms = M._closed_forms(params, eps, (a - 1) * x, (a - 1) * x * x)
+                forms = M._closed_forms(params.N, params.m, params.mode_k, eps, (a - 1) * x, (a - 1) * x * x)
                 # r^{-1+2eps} X_1^{-1+a} dr = e^{-2eps s} X_1^{-2+a} dt
                 common = w * h / 2 * mp.exp(-2 * eps * (1 / x - 1)) * x ** (a - 2)
                 for j, terms in enumerate(sides):
@@ -264,13 +282,14 @@ def test_single_log_sum_that_leaves_the_double_range_raises(N, a1, eps):
 @pytest.mark.parametrize("N", [5, 6, 9, 30])
 def test_reduction_eliminates_exactly_the_deficit_levels(N):
     """The reduction eliminates both divergent levels of every side of the
-    deficit families and of the v-side and deficit asymptotics, where the
-    sharp constants cancel them, and keeps level 0 of amn, rellich-gradient
-    and the plain u-side asymptotics.  The default schedule carries eps on
-    with a exactly where the numerator eliminates its levels."""
+    deficit families and of the named v-side and deficit functionals, where
+    the sharp constants cancel them, and keeps level 0 of amn,
+    rellich-gradient and the plain u-side functionals.  The default schedule
+    carries eps on with a exactly where the numerator eliminates its
+    levels."""
     import rellich.minseq as M
 
-    plain = {ScanFamily.AMN, ScanFamily.GRADIENT_CONSTANT, AsymptoticCase.U_GRADIENT, AsymptoticCase.U_LAPLACIAN}
+    plain = {ScanFamily.AMN, ScanFamily.GRADIENT_CONSTANT}
 
     def starts(params, sides):
         red = M._Reduction(params)
@@ -290,9 +309,9 @@ def test_reduction_eliminates_exactly_the_deficit_levels(N):
                 follows = default_schedule(fam, N, p.m)[-1].epsilon < 3e-4
                 assert follows == (level == 2), (fam, m)
             checked += 1
-    for case, spec in M._ASYMPTOTICS.items():
-        level = 0 if case in plain else 2
-        assert starts(MinSeqParams(N, 0.0, 1e-3, (0.1,)), [M._terms(spec.lhs(N), N, 0)]) == [level], case
+    for name, terms in _named_sides(N).items():
+        level = 0 if name in PLAIN_SIDES else 2
+        assert starts(MinSeqParams(N, 0.0, 1e-3, (0.1,)), [terms]) == [level], name
     assert checked >= 11
 
 
@@ -336,18 +355,19 @@ class _ArrayPoly2:
 
 @pytest.mark.parametrize("N", [6, 30])
 def test_reduction_polynomials_match_the_array_form_bitwise(N):
-    """The list-based polynomials of every family's sides and of every
-    asymptotic case, and their columns evaluated at eps, are bitwise those
-    of the numpy matrices and numpy's polyval."""
+    """The list-based polynomials of every family's sides and of every named
+    functional, and their columns evaluated at eps, are bitwise those of the
+    numpy matrices and numpy's polyval.  A coefficient no float reached is an
+    int, compared as the float it equals."""
     sides = [t for fam in ScanFamily for t in M._quotient(fam, N, 0.0)[:2]]
-    sides += [M._terms(spec.lhs(N), N, 0) for spec in M._ASYMPTOTICS.values()]
+    sides += list(_named_sides(N).values())
     for a in (0.1, 0.37, 1.0):
         params = MinSeqParams(N, 0.0, 1e-3, (a,))
         red = M._Reduction(params)
         prods = [_ArrayPoly2([[0.0, 1.0]])]
-        forms = M._closed_forms(params, _ArrayPoly2([[0.0], [1.0]]), *M._eta_b(params.a, prods))
+        forms = M._closed_forms(N, 0.0, 0, _ArrayPoly2([[0.0], [1.0]]), *M._eta_b(params.a, prods))
         for terms in sides:
-            got, ref = np.array(red.poly(terms).c), M._closed_density(terms, forms, prods).c
+            got, ref = np.array(red.poly(terms).c, dtype=float), M._closed_density(terms, forms, prods).c
             assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), terms
             for col in ref.T:
                 for eps in (1e-3, 3e-7, 5e-324):
@@ -382,7 +402,7 @@ def test_q_beta_matches_the_incomplete_gamma_function(rho):
     """Q(beta) = e^{2eps} (2eps)^{beta-1} Gamma(1-beta, 2eps (1 + ln(1/rho)))
     at 40 digits, from moderate eps down to the smallest double, on the
     levels a reduced quotient reads (beta = 1+a, 2+a, 3+a) and on the
-    divergent level beta = -1+a the asymptotics read.  a = 1 puts the levels
+    divergent level beta = -1+a a plain quotient keeps.  a = 1 puts the levels
     on the poles of Gamma at the nonpositive integers."""
     import mpmath as mp
 
@@ -632,25 +652,81 @@ def test_default_schedule_structure():
     assert all(p.a == (1.0,) for p in amn)
 
 
-def test_asymptotics_stated_pair_movement():
-    for case in (AsymptoticCase.V_GRADIENT, AsymptoticCase.U_GRADIENT):
-        _, _, r1 = leading_order_asymptotics(case, MinSeqParams(6, 0.0, 1e-3, (0.05,)), SPEC)
-        _, _, r2 = leading_order_asymptotics(case, MinSeqParams(6, 0.0, 1e-4, (0.02,)), SPEC)
-        assert abs(r2 - 1.0) < abs(r1 - 1.0)
+def test_single_log_reduction_guards():
+    """The reduction takes one log factor only, and a plain side whose
+    divergent column leaves the double range raises rather than return inf."""
+    with pytest.raises(DomainError, match="K = 1"):
+        M._Reduction(MinSeqParams(6, 0.0, 1e-3, (0.1, 0.1)))
+    u_gradient = _named_sides(6)["u-gradient"]
+    with pytest.raises(DomainError, match="overflows"):
+        M._Reduction(MinSeqParams(6, 0.0, 1e-200, (0.01,))).integral(u_gradient)
 
 
-def test_asymptotics_deep_regime():
-    deep = MinSeqParams(30, 0.0, math.exp(-500), (0.008,))
-    lhs, rhs, ratio = leading_order_asymptotics(AsymptoticCase.V_GRADIENT, deep, SPEC)
-    assert lhs > 0 and rhs > 0
-    assert 0.8 <= ratio <= 1.2
+def _exact_numbers(values) -> bool:
+    return all(type(v) in (int, Fraction) for v in values)
 
 
-def test_asymptotics_guards():
-    with pytest.raises(DomainError):
-        leading_order_asymptotics(AsymptoticCase.V_GRADIENT, MinSeqParams(6, 0.0, 1e-3, (0.1, 0.1)), SPEC)
-    with pytest.raises(DomainError):
-        leading_order_asymptotics(AsymptoticCase.U_GRADIENT, MinSeqParams(6, 0.0, 1e-200, (0.01,)), SPEC)
+def _exact_sides(fam, N, m, k):
+    """The family's exact sides at (N, m, k), none where it refuses them."""
+    try:
+        M._FAMILIES[fam].validate(fam, MinSeqParams(N, float(m), mode_k=k))
+    except DomainError:
+        return []
+    return M._exact_quotient(fam, N, m)[:2]
+
+
+@pytest.mark.parametrize("N, m, k", [(5, 0, 0), (9, Fraction(5, 4), 0), (30, 8, 2)])
+def test_exact_input_keeps_the_reduction_exact(N, m, k):
+    """Fraction m and a give only int and Fraction coefficients, in the
+    polynomials and in the reduced columns and boundary terms, for every
+    family's sides and every named functional; a float that creeps in (the
+    int 0 / 4 is the float 0.0) fails here."""
+    m = Fraction(m)
+    sides = [t for fam in ScanFamily for t in _exact_sides(fam, N, m, k)]
+    sides += [M._terms(side(N), N, 0) for side in NAMED_SIDES.values()] if m == 0 else []
+    for a in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        forms, prods = M._poly_forms(N, m, k, a)
+        assert _exact_numbers([forms.q0, forms.A0])
+        for terms in sides:
+            poly = M._closed_density(terms, forms, prods)
+            assert _exact_numbers(v for row in poly.c for v in row), terms
+            _, cols, boundary = M._reduce_columns(poly, a)
+            assert _exact_numbers(v for col in cols for v in col), terms
+            assert _exact_numbers(v for c, beta in boundary for v in [*c, beta]), terms
+    assert sides
+
+
+_LIMIT_MS = [Fraction(x) for x in ("0", "1/4", "1/3", "1/2", "5/4", "3", "8", "25/2")]
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 12, 30])
+def test_exact_limit_is_the_registry_constant(N):
+    """The ratio of the sides' first kept columns at eps = 0, a = 0 is the
+    family's registry constant, exactly, at every m its family admits; for
+    amn it is its mode's candidate A(k, N, m), k = 0..3."""
+    checked = 0
+    for fam, spec in M._FAMILIES.items():
+        for m in _LIMIT_MS:
+            for k in range(4) if fam is ScanFamily.AMN else (0,):
+                try:
+                    spec.validate(fam, MinSeqParams(N, float(m), mode_k=k))
+                except DomainError:
+                    continue
+                if fam is ScanFamily.AMN:
+                    want = C._per_mode_exact(k, N, m)
+                else:
+                    want = V.REGISTRY[spec.target].sharp(N, m)[1]
+                got = M._exact_limit(fam, N, m, k)
+                assert type(got) is Fraction and got == want, (fam, m, k, got, want)
+                checked += 1
+    assert checked >= 11
+
+
+def test_exact_limit_refuses_what_its_family_refuses():
+    with pytest.raises(DomainError, match="m = 0"):
+        M._exact_limit(ScanFamily.RELLICH_IMPROVED, 9, Fraction(1, 2))
+    with pytest.raises(DomainError, match="radial mode"):
+        M._exact_limit(ScanFamily.DEFICIT_VGRAD, 9, 0, 1)
 
 
 def test_multi_log_quotient_direct_path():
@@ -800,14 +876,14 @@ def test_density_matches_the_profile_route(kind, n):
 
 @pytest.mark.parametrize("N", [5, 6, 9, 30])
 def test_factored_deficits_use_their_sharp_constants(N):
-    """Every deficit lap_u - c * piece that a family or an asymptotic case
+    """Every deficit lap_u - c * piece that a family or a named functional
     declares has the constant its factored form needs, on the whole
     admissible m range: c = A0^2 for hardy_u and c * q0^2 = A0^2 for grad_u,
     at mode 0.  Only then do the constant parts cancel exactly."""
     import rellich.minseq as M
 
     def check(params, term_lists) -> int:
-        forms = M._closed_forms(params, 0.0, 0.0, 0.0)
+        forms = M._closed_forms(params.N, params.m, params.mode_k, 0.0, 0.0, 0.0)
         found = 0
         for terms in term_lists:
             lead, _ = M._split_deficit(terms)
@@ -830,6 +906,5 @@ def test_factored_deficits_use_their_sharp_constants(N):
             found = check(p, M._quotient(fam, N, p.m)[:2])
             assert spec.radial or not found, fam  # deficits are declared at mode 0 only
             checked += found
-    for case in M._ASYMPTOTICS.values():
-        checked += check(MinSeqParams(N), [M._terms(case.lhs(N), N, 0)])
+    checked += check(MinSeqParams(N), list(_named_sides(N).values()))
     assert checked >= 8

@@ -4,6 +4,7 @@ import importlib.util
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,15 @@ def test_tokens_tell_apart_outputs_one_ulp_apart():
     assert tool.output_tokens(fv) != tool.output_tokens(unconverged)
     scan = scan_to_limit(ScanFamily.RELLICH_IMPROVED, [MinSeqParams(6, epsilon=1e-2)])
     tokens = tool.output_tokens(scan)
-    assert tokens == [scan.quotients[0].hex(), "0"]
+    assert tokens == [scan.quotients[0].hex(), "0", scan.theoretical.hex()]
+
+
+def test_tokens_tell_apart_scans_that_differ_only_in_their_constant():
+    tool = _tool()
+    scan = scan_to_limit(ScanFamily.RELLICH_IMPROVED, [MinSeqParams(6, epsilon=1e-2)])
+    moved = replace(scan, theoretical=np.nextafter(scan.theoretical, 0.0))
+    assert tool.output_tokens(scan) == tool.output_tokens(replace(scan))
+    assert tool.output_tokens(scan) != tool.output_tokens(moved)
 
 
 def test_cli_prints_one_digest_per_workload():

@@ -3,10 +3,10 @@
     python3 tools/op_digest.py --seed N [--workload W] [--src DIR] [--against DIR]
 
 Builds the ops of ``perfbench/workloads.py`` for the seed, runs each once in
-list order and hashes its output as ``float.hex`` tokens: scan quotients and
-their unconverged counts; registry case values, flags and unconverged
-counts; functional value, cross value, error estimate, unconverged count and
-components.  An op that raises contributes its exception's type name.
+list order and hashes its output as ``float.hex`` tokens: scan quotients,
+their unconverged counts and the theoretical constant; registry case
+values, flags and unconverged counts; functional value, cross value, error
+estimate, unconverged count and components.  An op that raises contributes its exception's type name.
 Prints one line per workload: name, digest, op count.  Two trees compute
 bitwise-identical outputs when their digests agree; ``--src`` points at the
 ``src/`` directory of the package to run (default: this checkout's).
@@ -37,7 +37,7 @@ def _token(x) -> str:
 def output_tokens(out) -> list[str]:
     """The exact content of one op's output, as strings."""
     if hasattr(out, "quotients"):  # ScanResult
-        fields = [*out.quotients, *out.unconverged]
+        fields = [*out.quotients, *out.unconverged, out.theoretical]
     elif hasattr(out, "results"):  # CheckReport
         fields = [out.passed]
         for r in out.results:
