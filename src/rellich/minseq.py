@@ -51,21 +51,18 @@ from .radial import (
     SphericalMode,
     TestFunction,
     _KIND_ORDERS,
-    _Integral,
-    _jet_density,
-    _v_exponent,
-)
-from .taylor import Jet
-from .verify import (
-    REGISTRY,
     _Int,
     _grad,
     _hardy,
+    _jet_density,
     _lap,
+    _v_exponent,
     _v_grad,
     _v_lap,
     _v_rad,
 )
+from .taylor import Jet
+from .verify import REGISTRY
 
 __all__ = [
     "CutoffSpec",
@@ -524,10 +521,7 @@ class _OuterTerms:
         tf = build_minimizer(params)
         self.mode = tf.mode
         self.u = tf.profile.memoized()
-        self.integrals = {
-            name: _Integral(i.kind, None if i.shift is None else float(i.shift), float(i.weight), i.n)
-            for name, i in _piece_ints(params.N, params.m).items()
-        }
+        self.integrals = _piece_ints(params.N, params.m)
 
     def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
         """The named pieces at r, and only those.
@@ -545,8 +539,8 @@ class _OuterTerms:
         for name, i in integrals:
             H = jets.get(i.shift)
             if H is None:
-                H = jets[i.shift] = Jet.variable(r, order) ** i.shift * U
-            out[name] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, i.weight)
+                H = jets[i.shift] = Jet.variable(r, order) ** float(i.shift) * U
+            out[name] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, float(i.weight))
         return out
 
     def integral(self, terms, spec: QuadratureSpec) -> float:
@@ -588,34 +582,35 @@ class _OuterTerms:
 
 class _Poly2:
     """Polynomial in (eps, X): c[i][j] is the coefficient of eps^i X^j, a
-    dense rectangle of Python numbers.  It coerces nothing: float
-    coefficients give the float evaluation, int and Fraction ones stay
-    exact."""
+    dense rectangle of Python numbers, with ``zero`` the zero of their number
+    type.  It coerces nothing: float coefficients give the float
+    evaluation, Fraction ones stay exact."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "zero")
 
-    def __init__(self, c):
+    def __init__(self, c, zero):
         self.c = c
+        self.zero = zero
 
     @classmethod
-    def eps(cls) -> "_Poly2":
-        return cls([[0], [1]])
+    def eps(cls, zero) -> "_Poly2":
+        return cls([[zero], [zero + 1]], zero)
 
     @classmethod
-    def x(cls) -> "_Poly2":
-        return cls([[0, 1]])
+    def x(cls, zero) -> "_Poly2":
+        return cls([[zero, zero + 1]], zero)
 
     def __add__(self, other):
         if not isinstance(other, _Poly2):
-            other = _Poly2([[other]])
+            other = _Poly2([[other]], self.zero)
         ni = max(len(self.c), len(other.c))
         nj = max(len(self.c[0]), len(other.c[0]))
-        out = [[0] * nj for _ in range(ni)]
+        out = [[self.zero] * nj for _ in range(ni)]
         for c in (self.c, other.c):
             for row, add in zip(out, c):
                 for j, v in enumerate(add):
                     row[j] += v
-        return _Poly2(out)
+        return _Poly2(out, self.zero)
 
     __radd__ = __add__
 
@@ -624,10 +619,10 @@ class _Poly2:
 
     def __mul__(self, other):
         if not isinstance(other, _Poly2):
-            return _Poly2([[x * other for x in row] for row in self.c])
+            return _Poly2([[x * other for x in row] for row in self.c], self.zero)
         a, b = self.c, other.c
         nj = len(b[0])
-        out = [[0] * (len(a[0]) + nj - 1) for _ in range(len(a) + len(b) - 1)]
+        out = [[self.zero] * (len(a[0]) + nj - 1) for _ in range(len(a) + len(b) - 1)]
         for i, row in enumerate(a):
             for j, v in enumerate(row):
                 if v != 0:
@@ -635,13 +630,12 @@ class _Poly2:
                         orow = out[i + p]
                         for q, w in enumerate(brow):
                             orow[j + q] += v * w
-        return _Poly2(out)
+        return _Poly2(out, self.zero)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # an exact zero stays exact: the int 0 / 4 is the float 0.0
-        return _Poly2([[x / other if x else x for x in row] for row in self.c])
+        return _Poly2([[x / other for x in row] for row in self.c], self.zero)
 
     def x_columns(self) -> list[list]:
         """Coefficient-in-eps lists, one per power of X."""
@@ -670,7 +664,7 @@ def _reduce_columns(poly: _Poly2, a1):
     """
     cols = poly.x_columns()
     while len(cols) < 3:
-        cols.append([0])
+        cols.append([poly.zero])
     boundary_terms: list[tuple[list, object]] = []
     for j in range(2):
         c = cols[j]
@@ -684,7 +678,7 @@ def _reduce_columns(poly: _Poly2, a1):
             continue
         beta = -1 + a1 + j
         nxt = cols[j + 1]
-        merged = [0] * max(len(nxt), len(cprime))
+        merged = [poly.zero] * max(len(nxt), len(cprime))
         for i, v in enumerate(nxt):
             merged[i] += v
         for i, v in enumerate(cprime):
@@ -696,10 +690,11 @@ def _reduce_columns(poly: _Poly2, a1):
 
 def _poly_forms(N: int, m, k: int, a1) -> tuple[_Forms, list]:
     """The closed forms of the single-log member with exponent a1 as
-    polynomials in (eps, X_1), exact where m and a1 are, and its products
-    [P_1] = [X_1]."""
-    prods = [_Poly2.x()]
-    return _closed_forms(N, m, k, _Poly2.eps(), *_eta_b((a1,), prods)), prods
+    polynomials in (eps, X_1) with coefficients in the number type of a1,
+    exact where m and a1 are, and its products [P_1] = [X_1]."""
+    zero = a1 - a1
+    prods = [_Poly2.x(zero)]
+    return _closed_forms(N, m, k, _Poly2.eps(zero), *_eta_b((a1,), prods)), prods
 
 
 class _Reduction:

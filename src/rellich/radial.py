@@ -21,18 +21,26 @@ arithmetic (see the module docstring of :mod:`rellich.taylor`) that is
 bitwise the jet a fresh evaluation would give.  A jet memo lives as long as
 the call that made it.
 
-Every density the package integrates from a jet is written once, in
-:func:`_jet_density`: a density kind of h_n = L_k^n h with weight r^w, so the
-Laplacian density is a "square" with n = 1.  :func:`_density` adds the
-density's origin power, from which :func:`rellich.quadrature.origin_integral`
-picks the log substitution; the functionals, the registry's quadrature terms
-and the scans' cutoff-zone pieces all go through them.
+The package has one integral vocabulary, :class:`_Int`: a term
+int D(h) r^w dr of a density kind D of h = L_k^n (r^shift f), written once
+in :func:`_jet_density` (the Laplacian density is a "square" with n = 1).
+:func:`_density` adds its origin power, from which
+:func:`rellich.quadrature.origin_integral` picks the log substitution, and
+:func:`_jet_integral` integrates a term through both; the functionals, the
+registry's quadrature terms and the scans' cutoff-zone pieces all go
+through them.  :mod:`rellich.verify` evaluates the same terms, from the
+same builders and reduction forms below, exactly.
 
-Each functional declares its integrals once, in ``_FUNCTIONALS``, and a
-:class:`TestFunction` keeps the result of every integral run on it, keyed by
-all that fixes the integral: density kind, number of L_k applications,
-derived-profile shift, weight exponent, iterated-log index, origin power,
-upper limit and :class:`~rellich.quadrature.QuadratureSpec`.  A later call
+Each functional is declared once, in ``_FUNCTIONALS``: its side, its
+component labels, and (N, k, m) -> (direct terms, cross terms) as exact
+(coefficient, _Int) pairs, each coefficient rounded once when summed.  The
+registry checks the declarations of I, II and the weighted Laplacian and
+gradient as identities with residual exactly 0.
+
+A :class:`TestFunction` keeps the result of every integral run on it, keyed
+by the term, the iterated-log index of a series term and the
+:class:`~rellich.quadrature.QuadratureSpec`; the profile, and with it the
+origin power and the upper limit, is the test function's.  A later call
 that needs the same integral on the same test function is served the stored
 result instead of running it again: I and II share the Laplacian integral
 and their three reduced-profile moments, J and JJ their three direct
@@ -46,9 +54,11 @@ run.  The store lives as long as the test function and is never copied:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -70,7 +80,6 @@ __all__ = [
     "mode_operator",
     "substitute_v",
     "gradient_density",
-    "reduced_form",
     "functional",
 ]
 
@@ -280,6 +289,81 @@ def gradient_density(f0, f1, ck, r, power):
     return out * r**power
 
 
+# --------------------------------------------------------------------------
+# the integral vocabulary (per unit sphere area)
+
+
+@dataclass(frozen=True)
+class _Int:
+    """int_0^hi D(h) r^weight dr for h = L_k^n (r^shift f), over the support
+    [0, hi] of the profile f, or for the same profile built from the
+    verification suite's second-mode companion f2 at mode k2 when ``f2`` is
+    set.  D is one of the density kinds of :func:`_jet_density`.  A
+    ``series`` term carries an iterated-log weight as well, which its
+    evaluator supplies."""
+
+    kind: str
+    weight: float | Fraction
+    n: int = 0
+    shift: Fraction | None = None
+    f2: bool = False
+    series: bool = False
+
+
+@functools.cache
+def _v(N: int, m=0) -> Fraction:
+    """The exponent of v = r^{(N-4-2m)/2} f, exactly."""
+    return _v_exponent(N, Fraction(m))
+
+
+def _v_lap(N: int, m=0) -> _Int:
+    return _Int("square", 3, 1, _v(N, m))
+
+
+def _v_rad(N: int, m=0) -> _Int:
+    return _Int("radial-gradient", 1, 0, _v(N, m))
+
+
+def _v_grad(N: int, m=0) -> _Int:
+    return _Int("gradient", 1, 0, _v(N, m))
+
+
+def _v_side(N: int, c_rad, c_grad, m=0) -> list:
+    """int (L_k v)^2 r^3 + c_rad int v'^2 r + c_grad int |grad v|^2 r."""
+    return [(1, _v_lap(N, m)), (c_rad, _v_rad(N, m)), (c_grad, _v_grad(N, m))]
+
+
+def _lap(N: int, m=0, f2: bool = False) -> _Int:
+    """int (L_k f)^2 r^{N-1-2m}."""
+    return _Int("square", N - 1 - 2 * m, 1, f2=f2)
+
+
+def _hardy(N: int, m=0, series: bool = False, f2: bool = False) -> _Int:
+    """int f^2 r^{N-5-2m}, with the series weight when ``series`` is set."""
+    return _Int("square", N - 5 - 2 * m, f2=f2, series=series)
+
+
+def _grad(N: int, m=0, series: bool = False, f2: bool = False) -> _Int:
+    """int |grad f|^2 r^{N-3-2m}, with the series weight when ``series`` is set."""
+    return _Int("gradient", N - 3 - 2 * m, f2=f2, series=series)
+
+
+def _deficit(N: int, piece, constant, m=0, f2: bool = False) -> list:
+    """int (L_k f)^2 r^{N-1-2m} less ``constant`` times the piece, _hardy or
+    _grad."""
+    return [(1, _lap(N, m, f2)), (-constant, piece(N, m, f2=f2))]
+
+
+def _deficit_I(N: int, f2: bool = False) -> list:
+    """The Rellich deficit I."""
+    return _deficit(N, _hardy, C._sigma_exact(0, N), f2=f2)
+
+
+def _deficit_II(N: int, f2: bool = False) -> list:
+    """The gradient-Rellich deficit II."""
+    return _deficit(N, _grad, Fraction(N * N, 4), f2=f2)
+
+
 # The reduced-profile forms.  With g = r^{(N-4)/2 - k} f (so that v = r^k g)
 # and the moments t1 = int g''^2 r^{2k+3}, t2 = int g'^2 r^{2k+1},
 # t3 = int g^2 r^{2k-1}, each functional of f below equals
@@ -315,44 +399,50 @@ _REDUCED_FORMS = {
 }
 
 
-def _weighted_laplacian_form(N, ck, m):
-    """The coefficients of int (L_k f)^2 r^{N-1-2m} in the plain-profile
-    moments (int f''^2 r^{N-1-2m}, int f'^2 r^{N-3-2m}, int f^2 r^{N-5-2m})."""
-    return 1, (N - 1) * (2 * m + 1) + 2 * ck, ck * (ck + (N - 4 - 2 * m) * (2 * m + 2))
+def _g_side(N: int, k: int, *forms) -> list:
+    """sum c * F over the (c, F) pairs, F the name of a reduced-profile form,
+    as (coefficient, moment) pairs in the moments (int g''^2 r^{2k+3},
+    int g'^2 r^{2k+1}, int g^2 r^{2k-1}) of g = r^{(N-4)/2 - k} f, each
+    moment once; a moment that no form has is left out."""
+    g = _v(N) - k
+    moments = (
+        _Int("moment-2", 2 * k + 3, 0, g),
+        _Int("radial-gradient", 2 * k + 1, 0, g),
+        _Int("square", 2 * k - 1, 0, g),
+    )
+    coeffs = [None] * len(moments)
+    for c, form in forms:
+        for i, x in enumerate(_REDUCED_FORMS[form](N, k, k * (N + k - 2))):
+            if x is not None:
+                coeffs[i] = c * x if coeffs[i] is None else coeffs[i] + c * x
+    return [(c, t) for c, t in zip(coeffs, moments) if c is not None]
 
 
-def reduced_form(form: str, N: int, k: int, ck: int, moments) -> float:
-    """The named functional from the reduced-profile moments (t1, t2, t3),
-    summed in moment order: c1 t1 + c2 t2 + c3 t3 over the present terms."""
-    return sum(c * t for c, t in zip(_REDUCED_FORMS[form](N, k, ck), moments) if c is not None)
+def _weighted_laplacian_fside(N: int, k: int, m):
+    """int (L_k f)^2 r^{N-1-2m} and its plain-profile moments
+    (int f''^2 r^{N-1-2m}, int f'^2 r^{N-3-2m}, int f^2 r^{N-5-2m})."""
+    w, ck = N - 1 - 2 * m, k * (N + k - 2)
+    coeffs = (1, (N - 1) * (2 * m + 1) + 2 * ck, ck * (ck + (N - 4 - 2 * m) * (2 * m + 2)))
+    moments = (_Int("moment-2", w), _Int("radial-gradient", w - 2), _Int("square", w - 4))
+    return [(1, _Int("square", w, 1))], list(zip(coeffs, moments))
 
 
-@dataclass(frozen=True)
-class _Integral:
-    """One integral of a functional: int_0^hi of the density ``kind`` of
-    L_k^n h, for the profile h = r^shift f (h is f itself when ``shift`` is
-    None), with weight r^weight, times the squared iterated-log product
-    X_1 ... X_series when ``series`` > 0."""
-
-    kind: str
-    shift: float | None
-    weight: float
-    n: int = 0
-    series: int = 0
+def _grad_split(N: int, m):
+    """int |grad u|^2 r^{N-3-2m} and its split on v = r^{(N-4-2m)/2} f."""
+    v = _v(N, m)
+    return [(1, _grad(N, m))], [(1, _v_grad(N, m)), (v * v, _Int("square", -1, 0, v))]
 
 
 # the density kinds and the derivatives each one takes
-_KIND_ORDERS = {"square": 0, "square-over-r": 0, "gradient": 1, "radial-gradient": 1, "moment-2": 2}
+_KIND_ORDERS = {"square": 0, "gradient": 1, "radial-gradient": 1, "moment-2": 2}
 
 
 def _jet_density(kind: str, n: int, H: Jet, r, N: int, ck: int, w):
-    """At r, h_n^2 ("square"), h_n^2/r ("square-over-r"), h_n'^2 + c_k h_n^2/r^2
-    ("gradient"), h_n'^2 ("radial-gradient") or h_n''^2 ("moment-2"), times
-    r^w, for h_n = L_k^n h.  H is the jet of h_n, or of h_{n-1} for a square
-    with n >= 1, whose last L_k :func:`_mode_laplacian` takes on its rows, of
+    """At r, h_n^2 ("square"), h_n'^2 + c_k h_n^2/r^2 ("gradient"), h_n'^2
+    ("radial-gradient") or h_n''^2 ("moment-2"), times r^w, for
+    h_n = L_k^n h.  H is the jet of h_n, or of h_{n-1} for a square with
+    n >= 1, whose last L_k :func:`_mode_laplacian` takes on its rows, of
     order at least ``_KIND_ORDERS[kind]``, plus 2 for that last L_k."""
-    if kind == "square-over-r":
-        return H.value**2 / r
     if kind == "gradient":
         return gradient_density(H.value, H.deriv(1), ck, r, w)
     last = kind == "square" and n
@@ -372,130 +462,78 @@ def _density(kind: str, n: int, h: RadialProfile, mode: SphericalMode, w):
     return origin_power, lambda r: _jet_density(kind, n, h.taylor(r, order), r, N, ck, w)
 
 
-def _moments(shift, weights) -> tuple[_Integral, ...]:
-    """The moments (int h''^2 r^w2, int h'^2 r^w1, int h^2 r^w0) of
-    h = r^shift f, for weights = (w2, w1, w0)."""
-    kinds = ("moment-2", "radial-gradient", "square")
-    return tuple(_Integral(kind, shift, w) for kind, w in zip(kinds, weights))
+def _jet_integral(term: _Int, profiles: dict, mode: SphericalMode, spec: QuadratureSpec, weight=None):
+    """A term of f = ``profiles[None]`` at the mode by quadrature of its jet
+    density over f's support, times weight(min(r, 1)) when a ``weight`` is
+    given (the caller's reading of the ``series`` flag).  Each derived
+    profile r^shift f is built once, memoized, and kept in ``profiles``.  A
+    term of the companion profile has no jet route (DomainError)."""
+    if term.f2:
+        raise DomainError(f"the jet route integrates the profile itself, not the companion of {term}")
+    h = profiles.get(term.shift or None)
+    if h is None:
+        h = profiles[term.shift] = profiles[None].power_shift(term.shift).memoized()
+    origin_power, density = _density(term.kind, term.n, h, mode, float(term.weight))
+    if weight is not None:
+        unweighted = density
+
+        def density(r):
+            return unweighted(r) * weight(np.minimum(r, 1.0))
+
+    return origin_integral(density, origin_power, profiles[None].support[1], spec)
 
 
-def _g_moments(N, k, m):
-    """t1, t2, t3 of the reduced profile g = r^{(N-4)/2 - k} f of a u-side f."""
-    return _moments(_v_exponent(N, 0.0) - k, (2 * k + 3, 2 * k + 1, 2 * k - 1))
-
-
-def _v_g_moments(N, k, m):
-    """t1, t2, t3 of g = r^{-k} v for a v-side profile v."""
-    return _moments(-float(k), (2 * k + 3, 2 * k + 1, 2 * k - 1))
-
-
-@dataclass(frozen=True)
-class _FunctionalSpec:
-    """A functional: the side of its test function, its direct route as
-    (label, integral, sign) terms, and, where a reduction identity exists,
-    the integrals of the cross-check and the cross value per unit sphere area
-    they give.  ``direct`` and ``reduced`` take (N, k, m); ``cross`` takes
-    (N, k, c_k, m, the values of the ``reduced`` integrals)."""
-
-    side: Representation
-    direct: Callable
-    reduced: Callable | None = None
-    cross: Callable | None = None
+# --------------------------------------------------------------------------
+# the functionals, each declared once in the vocabulary above
 
 
 _U, _V = Representation.U_SIDE, Representation.V_SIDE
+_V_LABELS = ("v-laplacian", "v-radial-gradient", "v-gradient")
 
 
-def _j_spec(cw) -> _FunctionalSpec:
-    """J (cw = N(N-4)/2) or JJ (cw = N(N-8)/4), cross-checked through the
-    g-side assembly."""
+def _v_deficit(cw):
+    """J (cw = N(N-4)/2) or JJ (cw = N(N-8)/4): the v-side form of I or II
+    and its assembly from the g-side forms, written on the v-side profile
+    v = r^{(N-4)/2} u itself, so g = r^{-k} v."""
 
-    def cross(N, k, ck, m, t):
-        lap, rad, grd = (
-            reduced_form(form, N, k, ck, t) for form in ("v-laplacian", "v-radial", "v-gradient")
-        )
-        return lap - N * (N - 4.0) * rad + cw(N) * grd
+    def declare(N, k, m):
+        coeffs = (1, -N * (N - 4), cw(N))
+        direct = [(c, replace(t, shift=None)) for c, t in _v_side(N, *coeffs[1:])]
+        cross = _g_side(N, k, *zip(coeffs, ("v-laplacian", "v-radial", "v-gradient")))
+        v = _v(N)
+        return direct, [(c, replace(t, shift=t.shift - v)) for c, t in cross]
 
-    return _FunctionalSpec(
-        _V,
-        lambda N, k, m: (
-            ("v-laplacian", _Integral("square", None, 3, 1), 1.0),
-            ("v-radial-gradient", _Integral("radial-gradient", None, 1), -N * (N - 4.0)),
-            ("v-gradient", _Integral("gradient", None, 1), cw(N)),
-        ),
-        _v_g_moments,
-        cross,
-    )
+    return declare
 
 
-# The sharp constants stay literal here: functional accepts N < 5.
-_FUNCTIONALS: dict[Functional, _FunctionalSpec] = {
-    Functional.I: _FunctionalSpec(
-        _U,
-        lambda N, k, m: (
-            ("laplacian", _Integral("square", None, N - 1, 1), 1.0),
-            ("hardy", _Integral("square", None, N - 5), -((N * (N - 4) / 4.0) ** 2)),
-        ),
-        _g_moments,
-        lambda N, k, ck, m, t: reduced_form("rellich-deficit", N, k, ck, t),
+# the series term has no declaration of its own: see _series_terms
+_FUNCTIONALS = {
+    Functional.I: (
+        _U, ("laplacian", "hardy"), lambda N, k, m: (_deficit_I(N), _g_side(N, k, (1, "rellich-deficit")))
     ),
-    Functional.II: _FunctionalSpec(
-        _U,
-        lambda N, k, m: (
-            ("laplacian", _Integral("square", None, N - 1, 1), 1.0),
-            ("gradient", _Integral("gradient", None, N - 3), -(N * N / 4.0)),
-        ),
-        _g_moments,
-        lambda N, k, ck, m, t: reduced_form("gradrellich-deficit", N, k, ck, t),
+    Functional.II: (
+        _U, ("laplacian", "gradient"), lambda N, k, m: (_deficit_II(N), _g_side(N, k, (1, "gradrellich-deficit")))
     ),
-    Functional.J: _j_spec(lambda N: N * (N - 4) / 2.0),
-    Functional.JJ: _j_spec(lambda N: N * (N - 8) / 4.0),
-    Functional.WEIGHTED_LAPLACIAN: _FunctionalSpec(
-        _U,
-        lambda N, k, m: (("laplacian", _Integral("square", None, N - 1 - 2 * m, 1), 1.0),),
-        lambda N, k, m: _moments(None, (N - 1 - 2 * m, N - 3 - 2 * m, N - 5 - 2 * m)),
-        lambda N, k, ck, m, t: sum(c * x for c, x in zip(_weighted_laplacian_form(N, ck, m), t)),
-    ),
-    Functional.WEIGHTED_GRADIENT: _FunctionalSpec(
-        _U,
-        lambda N, k, m: (("gradient", _Integral("gradient", None, N - 3 - 2 * m), 1.0),),
-        # the v-substitution split, on v = r^{(N-4-2m)/2} f
-        lambda N, k, m: (
-            _Integral("gradient", _v_exponent(N, m), 1),
-            _Integral("square-over-r", _v_exponent(N, m), -1),
-        ),
-        lambda N, k, ck, m, t: t[0] + _v_exponent(N, m) ** 2 * t[1],
-    ),
-    Functional.WEIGHTED_HARDY: _FunctionalSpec(
-        _U, lambda N, k, m: (("hardy", _Integral("square", None, N - 5 - 2 * m), 1.0),)
-    ),
-    # the direct term of the series base, with its density weighted by the
-    # squared iterated-log product (see _series_terms)
-    Functional.SERIES_TERM: _FunctionalSpec(_U, None),
+    Functional.J: (_V, _V_LABELS, _v_deficit(lambda N: Fraction(N * (N - 4), 2))),
+    Functional.JJ: (_V, _V_LABELS, _v_deficit(lambda N: Fraction(N * (N - 8), 4))),
+    Functional.WEIGHTED_LAPLACIAN: (_U, ("laplacian",), _weighted_laplacian_fside),
+    Functional.WEIGHTED_GRADIENT: (_U, ("gradient",), lambda N, k, m: _grad_split(N, m)),
+    Functional.WEIGHTED_HARDY: (_U, ("hardy",), lambda N, k, m: ([(1, _hardy(N, m))], None)),
+    Functional.SERIES_TERM: (_U, ("series",), None),
 }
 
 
-def _series_weighted(density, i: int):
-    """density(r) times the squared iterated-log product X_1 ... X_i."""
-
-    def weighted(r):
-        return density(r) * log_product(i, np.minimum(r, 1.0)) ** 2
-
-    return weighted
-
-
-def _series_terms(N, k, m, series_index, series_base):
-    """The series term: its base's direct term with the series weight."""
+def _series_terms(N, k, m, i: int, series_base):
+    """The series term: its base's direct term, marked as a series term."""
     base = series_base or Functional.WEIGHTED_HARDY
-    i = int(series_index)
     if i < 1:
         raise DomainError("series index must be >= 1")
     if base is not Functional.WEIGHTED_HARDY and base is not Functional.WEIGHTED_GRADIENT:
         raise DomainError(
             f"series terms are defined against the weighted Hardy or gradient densities, not {base}"
         )
-    ((_, integral, sign),) = _FUNCTIONALS[base].direct(N, k, m)
-    return (("series", replace(integral, series=i), sign),)
+    ((c, term),), _ = _FUNCTIONALS[base][2](N, k, m)
+    return [(c, replace(term, series=True))]
 
 
 def functional(
@@ -512,53 +550,51 @@ def functional(
     with the c_N r^{N-1} measure) and, where a reduction identity exists,
     also through that identity's right-hand side; the second value lands in
     ``cross_value`` for cross-checking.  ``m`` is the radial weight exponent
-    used by the WEIGHTED_* family and by the v-substitution convention.
-    ``unconverged`` counts the integrals behind either value that ended
-    ``converged=False``, whether they ran in this call or were served from
-    the test function's store (see the module docstring).
+    used by the WEIGHTED_* family and by the v-substitution convention.  The
+    series term's weight is the squared iterated-log product
+    X_1 ... X_series_index.  ``unconverged`` counts the integrals behind
+    either value that ended ``converged=False``, whether they ran in this
+    call or were served from the test function's store (see the module
+    docstring).
     """
     spec = quad or QuadratureSpec()
     entry = _FUNCTIONALS.get(name)
     if entry is None:
         raise DomainError(f"unknown functional {name}")
-    if tf.representation is not entry.side:
-        raise DomainError(f"{name.name} expects a {entry.side.value}-side test function")
+    side, labels, declare = entry
+    if tf.representation is not side:
+        raise DomainError(f"{name.name} expects a {side.value}-side test function")
+    if not math.isfinite(m):
+        raise DomainError(f"the weight exponent m must be finite, got {m}")
     N, k = tf.mode.N, tf.mode.k
-    ck = tf.mode.eigenvalue
     cN = sphere_area(N)
-    if name is Functional.SERIES_TERM:
-        terms = _series_terms(N, k, m, series_index, series_base)
+    i = int(series_index)
+    if declare is None:
+        direct, cross = _series_terms(N, k, Fraction(m), i, series_base), None
     else:
-        terms = entry.direct(N, k, m)
+        direct, cross = declare(N, k, Fraction(m))
 
-    f = tf.profile.memoized()
-    hi = f.support[1]
-    profiles = {None: f}
+    profiles = {None: tf.profile.memoized()}
     used: list[QuadratureResult] = []
 
-    def run(integral: _Integral) -> QuadratureResult:
-        h = profiles.get(integral.shift)
-        if h is None:
-            h = profiles[integral.shift] = f.power_shift(integral.shift).memoized()
-        origin_power, density = _density(integral.kind, integral.n, h, tf.mode, integral.weight)
-        key = (integral, origin_power, hi, spec)
+    def run(term: _Int) -> QuadratureResult:
+        key = (term, i if term.series else 0, spec)
         res = tf._integrals.get(key)
         if res is None:
-            if integral.series:
-                density = _series_weighted(density, integral.series)
-            res = tf._integrals[key] = origin_integral(density, origin_power, hi, spec)
+            weight = (lambda x: log_product(i, x) ** 2) if term.series else None
+            res = tf._integrals[key] = _jet_integral(term, profiles, tf.mode, spec, weight)
         used.append(res)
         return res
 
-    results: dict[str, float] = {}
+    components: dict[str, float] = {}
     err = 0.0
-    for label, integral, sign in terms:
-        res = run(integral)
-        err += cN * abs(sign) * res.error_estimate
-        results[label] = cN * sign * res.value
-    cross = None
-    if entry.cross is not None:
-        values = tuple(run(integral).value for integral in entry.reduced(N, k, m))
-        cross = cN * entry.cross(N, k, ck, m, values)
+    for label, (c, term) in zip(labels, direct):
+        res = run(term)
+        c = float(c)
+        err += cN * abs(c) * res.error_estimate
+        components[label] = cN * c * res.value
+    cross_value = None
+    if cross is not None:
+        cross_value = cN * sum(float(c) * run(term).value for c, term in cross)
     unconverged = sum(not res.converged for res in used)
-    return FunctionalValue(sum(results.values()), results, err, cross, unconverged)
+    return FunctionalValue(sum(components.values()), components, err, cross_value, unconverged)

@@ -8,16 +8,20 @@ from the drawn float coefficients of q.  Profile-derived densities are
 finite power sums, so every term without a series weight is an exact
 rational and an identity declared in such terms has residual exactly 0;
 only the iterated-log series weights and the three jet-path cross-checks go
-through quadrature, with radial's densities of the factored jet profile,
+through quadrature, radial's jet-route integral of the factored jet profile,
 because the expanded power sum cancels catastrophically when evaluated
 pointwise in floats.  Each case result carries the number of its integrals
 that ended unconverged.
 
-Targets are declared in one integral vocabulary.  A term ``_Int(kind,
+Targets are declared in radial's integral vocabulary.  A term ``_Int(kind,
 weight, n, shift, f2, series)`` stands for int_0^1 D(h) r^weight dr with
 h = L_k^n (r^shift f) (or the companion f2 at mode k2), D one of radial's
 density kinds "square", "gradient", "radial-gradient" and "moment-2", and
-the iterated-log series weight when ``series`` is set.  ``_value`` is the one
+the truncated iterated-log series weight when ``series`` is set.  The term
+builders and the reduction forms are radial's, and the identities
+rellich-deficit-gside, gradrellich-deficit-gside, weighted-laplacian-fside
+and weighted-grad-split are the declarations of radial's functionals, whose
+cross routes evaluate them in floats.  ``_value`` is the one
 evaluator of a term.  It keeps each exact value in the case's store, so each
 distinct term is evaluated once per case, for the life of the case, across
 every target and both registries; a series term is integrated on each call.
@@ -36,6 +40,7 @@ their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -52,17 +57,29 @@ from .quadrature import (
     count_quadrature,
     describe_cascade_failure,
     integrate,
-    origin_integral,
 )
 from .radial import (
+    _FUNCTIONALS,
     _REDUCED_FORMS,
-    _weighted_laplacian_form,
     Functional,
     RadialProfile,
     SphericalMode,
     TestFunction,
-    _density,
-    _v_exponent,
+    _deficit,
+    _deficit_I,
+    _deficit_II,
+    _g_side,
+    _grad,
+    _grad_split,
+    _hardy,
+    _Int,
+    _jet_integral,
+    _lap,
+    _v,
+    _v_grad,
+    _v_lap,
+    _v_rad,
+    _v_side,
     functional,
     sphere_area,
 )
@@ -210,22 +227,6 @@ def standard_suite(seed: int = 0, size: int = 50) -> list[SuiteCase]:
 # in residuals and slacks because every term carries it)
 
 
-@dataclass(frozen=True)
-class _Int:
-    """int_0^1 D(h) r^weight dr for h = L_k^n (r^shift f), or for the same
-    profile built from the second-mode companion f2 at mode k2 when ``f2`` is
-    set.  D is one of the density kinds of the module docstring.  A
-    ``series`` term carries the truncated iterated-log weight
-    S_K = sum_{i<=K} X_1^2...X_i^2 as well."""
-
-    kind: str
-    weight: float | Fraction
-    n: int = 0
-    shift: Fraction | None = None
-    f2: bool = False
-    series: bool = False
-
-
 def _grad_sq(f: PowerSum, ck) -> PowerSum:
     out = f.deriv().square()
     if ck:
@@ -253,15 +254,11 @@ def _exact_density(case: SuiteCase, term: _Int) -> PowerSum:
 
 
 def _quadrature(case: SuiteCase, term: _Int, spec: QuadratureSpec, K: int = 0) -> float:
-    """A term of f by quadrature of radial's density on the jet profile, with
-    the series weight truncated at K when K > 0.  It can be far below the
-    default abs_tol (about 5e-11 at N = 30), so only rel_tol may end it."""
-    origin_power, density = _density(term.kind, term.n, case.jet_profile(), case.mode, float(term.weight))
-
-    def weighted(r):
-        return density(r) * series_partial(K, np.minimum(r, 1.0)) if K else density(r)
-
-    return origin_integral(weighted, origin_power, 1.0, replace(spec, abs_tol=1e-280)).value
+    """A term of f by radial's jet-route quadrature on the factored profile,
+    with the series weight truncated at K when K > 0.  It can be far below
+    the default abs_tol (about 5e-11 at N = 30), so only rel_tol may end it."""
+    weight = functools.partial(series_partial, K) if K else None
+    return _jet_integral(term, {None: case.jet_profile()}, case.mode, replace(spec, abs_tol=1e-280), weight).value
 
 
 def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> Fraction:
@@ -301,62 +298,9 @@ def _cross_path(term, rhs):
     return fn
 
 
-def _v(N: int, m=0) -> Fraction:
-    """The exponent of v = r^{(N-4-2m)/2} f, exactly."""
-    return _v_exponent(N, Fraction(m))
-
-
-def _v_lap(N: int, m=0) -> _Int:
-    return _Int("square", 3, 1, _v(N, m))
-
-
-def _v_rad(N: int, m=0) -> _Int:
-    return _Int("radial-gradient", 1, 0, _v(N, m))
-
-
-def _v_grad(N: int, m=0) -> _Int:
-    return _Int("gradient", 1, 0, _v(N, m))
-
-
-def _v_side(N: int, c_rad, c_grad, m=0) -> list:
-    """int (L_k v)^2 r^3 + c_rad int v'^2 r + c_grad int |grad v|^2 r."""
-    return [(1, _v_lap(N, m)), (c_rad, _v_rad(N, m)), (c_grad, _v_grad(N, m))]
-
-
 def _excess(N: int) -> Fraction:
     """The section 2 constant 2(N-2)^2 of the radial-minus-half-full excess."""
     return C._section2_exact(N)["v-laplacian-radial-excess"]
-
-
-def _lap(N: int, m=0, f2: bool = False) -> _Int:
-    """int (L_k f)^2 r^{N-1-2m}."""
-    return _Int("square", N - 1 - 2 * m, 1, f2=f2)
-
-
-def _hardy(N: int, m=0, series: bool = False, f2: bool = False) -> _Int:
-    """int f^2 r^{N-5-2m}, with the series weight when ``series`` is set."""
-    return _Int("square", N - 5 - 2 * m, f2=f2, series=series)
-
-
-def _grad(N: int, m=0, series: bool = False, f2: bool = False) -> _Int:
-    """int |grad f|^2 r^{N-3-2m}, with the series weight when ``series`` is set."""
-    return _Int("gradient", N - 3 - 2 * m, f2=f2, series=series)
-
-
-def _deficit(N: int, piece, constant, m=0, f2: bool = False) -> list:
-    """int (L_k f)^2 r^{N-1-2m} less ``constant`` times the piece, _hardy or
-    _grad."""
-    return [(1, _lap(N, m, f2)), (-constant, piece(N, m, f2=f2))]
-
-
-def _deficit_I(N: int, f2: bool = False) -> list:
-    """The Rellich deficit I."""
-    return _deficit(N, _hardy, C._sigma_exact(0, N), f2=f2)
-
-
-def _deficit_II(N: int, f2: bool = False) -> list:
-    """The gradient-Rellich deficit II."""
-    return _deficit(N, _grad, Fraction(N * N, 4), f2=f2)
 
 
 def _section2(name: str, rest, *den):
@@ -381,18 +325,10 @@ def _hardy_improved(N: int, m):
     ], []
 
 
-def _g_side(form: str, case: SuiteCase) -> list:
-    """radial's reduced-profile form of a functional, in the moments
-    (int g''^2 r^{2k+3}, int g'^2 r^{2k+1}, int g^2 r^{2k-1}) of
-    g = r^{(N-4)/2 - k} f; an absent moment is left out."""
-    N, k = case.N, case.k
-    g = _v(N) - k
-    moments = (
-        _Int("moment-2", 2 * k + 3, 0, g),
-        _Int("radial-gradient", 2 * k + 1, 0, g),
-        _Int("square", 2 * k - 1, 0, g),
-    )
-    return [(c, t) for c, t in zip(_REDUCED_FORMS[form](N, k, case.eigenvalue), moments) if c is not None]
+def _declared(name: Functional, case: SuiteCase):
+    """The (direct, cross) terms radial's functional ``name`` declares for
+    the case, the reduction identity its cross route evaluates in floats."""
+    return _FUNCTIONALS[name][2](case.N, case.k, case.m_exact)
 
 
 def _power_shift(N: int, m: Fraction, a: Fraction):
@@ -405,19 +341,6 @@ def _power_shift(N: int, m: Fraction, a: Fraction):
         (2 * a * (a + 2 + 2 * m), _Int("gradient", w - 2 - 2 * a, 0, a)),
         (coeff, _Int("square", w - 4 - 2 * a, 0, a)),
     ]
-
-
-def _grad_split(N: int, m):
-    """int |grad u|^2 r^{N-3-2m} and its split on v = r^{(N-4-2m)/2} f."""
-    v = _v(N, m)
-    return [(1, _Int("gradient", N - 3 - 2 * m))], [(1, _v_grad(N, m)), (v * v, _Int("square", -1, 0, v))]
-
-
-def _weighted_laplacian_fside(N: int, ck: int, m: Fraction):
-    """int (L_k f)^2 r^{N-1-2m} and its plain-profile moments."""
-    w = N - 1 - 2 * m
-    moments = (_Int("moment-2", w), _Int("radial-gradient", w - 2), _Int("square", w - 4))
-    return [(1, _Int("square", w, 1))], list(zip(_weighted_laplacian_form(N, ck, m), moments))
 
 
 def _weighted_deficit(N: int, m: Fraction):
@@ -549,23 +472,23 @@ _IDENTITY_TARGETS = [
     Target("mode-gradient-reduction", "identity", "mode gradient density (jet path vs exact path)",
            _cross_path(lambda c: _Int("gradient", c.N - 1), lambda c: [(1, _Int("gradient", c.N - 1))])),
     _identity("laplacian-gside", "|Delta u_k|^2 in reduced-profile moments",
-              lambda c: ([(1, _Int("square", c.N - 1, 1))], _g_side("laplacian", c))),
+              lambda c: ([(1, _Int("square", c.N - 1, 1))], _g_side(c.N, c.k, (1, "laplacian")))),
     _identity("gradient-gside", "|grad u_k|^2/|x|^2 in reduced-profile moments",
-              lambda c: ([(1, _Int("gradient", c.N - 3))], _g_side("gradient", c))),
+              lambda c: ([(1, _Int("gradient", c.N - 3))], _g_side(c.N, c.k, (1, "gradient")))),
     _identity("rellich-deficit-gside", "Rellich deficit in reduced-profile moments",
-              lambda c: (_deficit_I(c.N), _g_side("rellich-deficit", c))),
+              lambda c: _declared(Functional.I, c)),
     _identity("gradrellich-deficit-gside", "gradient-Rellich deficit in reduced-profile moments",
-              lambda c: (_deficit_II(c.N), _g_side("gradrellich-deficit", c))),
+              lambda c: _declared(Functional.II, c)),
     _identity("v-laplacian-gside", "weighted |Delta v_k|^2 in reduced-profile moments",
-              lambda c: ([(1, _v_lap(c.N))], _g_side("v-laplacian", c))),
+              lambda c: ([(1, _v_lap(c.N))], _g_side(c.N, c.k, (1, "v-laplacian")))),
     _identity("v-gradient-gside", "weighted |grad v_k|^2 in reduced-profile moments",
-              lambda c: ([(1, _v_grad(c.N))], _g_side("v-gradient", c))),
+              lambda c: ([(1, _v_grad(c.N))], _g_side(c.N, c.k, (1, "v-gradient")))),
     _identity("v-radial-gside", "weighted radial-gradient of v_k in reduced-profile moments",
-              lambda c: ([(1, _v_rad(c.N))], _g_side("v-radial", c))),
+              lambda c: ([(1, _v_rad(c.N))], _g_side(c.N, c.k, (1, "v-radial")))),
     Target("potential-gside", "identity", "C^1-potential-weighted gradient identity",
            _id_potential_gside, _needs_mode),
     _identity("weighted-laplacian-fside", "|Delta u_k|^2/|x|^{2m} in plain-profile moments",
-              lambda c: _weighted_laplacian_fside(c.N, c.eigenvalue, c.m_exact)),
+              lambda c: _declared(Functional.WEIGHTED_LAPLACIAN, c)),
     Target("weighted-gradient-fside", "identity",
            "|grad u_k|^2/|x|^{2m+2} in plain-profile moments (jet path vs exact path)",
            _cross_path(lambda c: _Int("gradient", c.N - 3 - 2 * c.m), lambda c: [
@@ -575,7 +498,7 @@ _IDENTITY_TARGETS = [
     _identity("weighted-power-shift-laplacian", "weighted Laplacian expansion under v = r^a u",
               lambda c: _power_shift(c.N, c.m_exact, Fraction(c.shift_exponent) * _v(c.N, c.m_exact))),
     _identity("weighted-grad-split", "weighted gradient split under v = r^{(N-4-2m)/2} u",
-              lambda c: _grad_split(c.N, c.m_exact)),
+              lambda c: _declared(Functional.WEIGHTED_GRADIENT, c)),
     _identity("weighted-rellich-deficit", "weighted Rellich deficit in v-side form",
               lambda c: _weighted_deficit(c.N, c.m_exact)),
 ]

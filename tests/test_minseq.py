@@ -842,17 +842,17 @@ def _density_subjects():
 
 
 @pytest.mark.parametrize(
-    "kind, n",
-    [(kind, 0) for kind in ("square", "square-over-r", "gradient", "radial-gradient", "moment-2")]
-    + [(kind, n) for kind in ("square", "gradient") for n in (1, 2)],
+    "kind, n, w",
+    [pytest.param(kind, 0, 2.5, id=f"{kind}-0") for kind in ("square", "gradient", "radial-gradient", "moment-2")]
+    + [pytest.param("square", 0, -1, id="square-0-weight-1")]
+    + [pytest.param(kind, n, 2.5, id=f"{kind}-{n}") for kind in ("square", "gradient") for n in (1, 2)],
 )
-def test_density_matches_the_profile_route(kind, n):
+def test_density_matches_the_profile_route(kind, n, w):
     """radial's _density is bitwise the density formed from the profile
     route: the mode operator applied n times, then derivative_values; its
     origin power is 2 (o - 2n - order) + w for a profile of origin order o."""
     from rellich.radial import _density, mode_operator
 
-    w = 2.5 if kind != "square-over-r" else -1
     for h, mode, r in _density_subjects():
         ck = mode.eigenvalue
         hn = h
@@ -862,8 +862,6 @@ def test_density_matches_the_profile_route(kind, n):
         d = hn.derivative_values(r, order)
         if kind == "square":
             route = d[0] ** 2 * r**w
-        elif kind == "square-over-r":
-            route = d[0] ** 2 / r
         elif kind == "gradient":
             route = d[1] ** 2 + ck * (d[0] / r) ** 2 if ck else d[1] ** 2
             route = route * r**w

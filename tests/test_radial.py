@@ -146,6 +146,14 @@ def test_functional_zero_profile():
         assert functional(name, tf).value == 0.0
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+def test_functional_refuses_a_non_finite_weight(m):
+    tf = standard_suite(7)[1].test_function()
+    for name in (Functional.I, Functional.WEIGHTED_LAPLACIAN):
+        with pytest.raises(DomainError, match="finite"):
+            functional(name, tf, m=m)
+
+
 def test_functional_series_term():
     coeffs = P.polymul([0, 0, 1.0], P.polypow([1, -1], 3))
     tf = TestFunction(RadialProfile.from_polynomial(coeffs), SphericalMode(9, 2))
@@ -423,9 +431,10 @@ def test_functionals_on_a_shared_test_function_match_fresh_ones(monkeypatch, sub
         # 10 integrals, J and JJ 6 of their 12, the weighted Laplacian's h^2
         # moment is the weighted Hardy integral, and at m = 0 the weighted
         # Laplacian, gradient and Hardy integrals and that moment are those
-        # of I and II
+        # of I and II, as is, at k = 0, the gradient split's int v^2 r^{-1}
+        # (I's and II's moment int g^2 r^{2k-1})
         assert runs.calls == len(u._integrals) + len(shared[True]._integrals)
-        assert runs.calls == (31 - 11 if weighted else 31 - 14)
+        assert runs.calls == (31 - 11 if weighted else 31 - 14 - (case.k == 0))
 
 
 def _filled(case, spec=None):

@@ -135,6 +135,58 @@ def test_exact_residual_shows_a_one_ulp_coefficient_error(monkeypatch):
     assert any(r.value > 0.0 for r in report.results)
 
 
+def test_jet_route_integrates_the_terms_own_profile():
+    """The jet-route quadrature applies a term's shift, matching the exact
+    value to 1e-12 relative on every case, and refuses a term of the
+    companion profile, which has no factored jet profile."""
+    from rellich.radial import _Int, _hardy, _v, _v_lap
+
+    spec = QuadratureSpec(rel_tol=1e-12)
+    suite = standard_suite(seed=7)
+    for case in suite:
+        g = _v(case.N) - case.k
+        for term in (_Int("square", 3, 1, Fraction(1, 2)), _v_lap(case.N), _Int("moment-2", 2 * case.k + 3, 0, g)):
+            exact = float(verify._exact_density(case, term).exact_integral01())
+            assert verify._quadrature(case, term, spec) == pytest.approx(exact, rel=1e-12, abs=0.0), (case.index, term)
+    with pytest.raises(DomainError, match="companion"):
+        verify._quadrature(suite[1], _hardy(suite[1].N, f2=True), spec)
+
+
+def _cross_routes() -> list:
+    """The functionals with a cross route."""
+    from rellich.radial import _FUNCTIONALS
+
+    return [name for name, (_, _, declare) in _FUNCTIONALS.items() if declare and declare(6, 1, 0)[1]]
+
+
+@pytest.mark.parametrize("name", _cross_routes())
+def test_functional_declarations_are_exact_identities(name):
+    """Each functional's direct terms sum to its cross terms in exact
+    arithmetic on all 50 cases of seed 7, J and JJ at the v shift (they are
+    declared on v = r^{(N-4)/2} u); a change of 2^-40 in any one coefficient
+    of a declaration breaks the identity on some case."""
+    from rellich.radial import _FUNCTIONALS, Functional, _v
+
+    declare = _FUNCTIONALS[name][2]
+    on_v = name in (Functional.J, Functional.JJ)
+    suite = standard_suite(seed=7)
+    sides = {}
+    for case in suite:
+        direct, cross = declare(case.N, case.k, case.m_exact)
+        signed = direct + [(-c, t) for c, t in cross]
+        if on_v:
+            signed = [(c, dataclasses.replace(t, shift=(t.shift or 0) + _v(case.N))) for c, t in signed]
+        assert verify._sum(case, signed, 1, SPEC) == 0, (name, case.index)
+        sides[case.index] = signed
+    for i in range(len(sides[0])):
+        def changed(pairs):
+            c, t = pairs[i]
+            return pairs[:i] + [(Fraction(c) + (abs(Fraction(c)) or 1) * Fraction(1, 2**40), t)] + pairs[i + 1:]
+
+        assert any(verify._sum(case, changed(sides[case.index]), 1, SPEC) != 0 for case in suite), (name, i)
+    assert len(_cross_routes()) == 6
+
+
 @pytest.mark.parametrize("target", ["radialization-rellich", "radialization-gradrellich"])
 def test_equal_terms_are_evaluated_once(monkeypatch, target):
     """The radialization targets name the companion's Laplacian integral
