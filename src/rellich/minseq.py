@@ -52,14 +52,9 @@ from .radial import (
     TestFunction,
     _KIND_ORDERS,
     _Int,
-    _grad,
-    _hardy,
     _jet_density,
-    _lap,
+    _v,
     _v_exponent,
-    _v_grad,
-    _v_lap,
-    _v_rad,
 )
 from .taylor import Jet
 from .verify import REGISTRY
@@ -215,22 +210,25 @@ class ScanFamily(Enum):
 # Each family scans one sharp inequality rest >= constant * den of the
 # verification registry, declared there once as (rest, constant, den) of
 # (coefficient, integral) pairs (``verify.Target.sharp``).  Its quotient is
-# rest / den and its constant is the declared one.  Each integral is a named
-# density piece of the sequence member u or of its v-side image
-# v = r^{(N-4-2m)/2} u (radial measure dr, sphere area divided out):
+# rest / den and its constant is the declared one.  The integrals are read as
+# they are: _terms admits an _Int of the sequence member u (shift None) or of
+# v = r^{(N-4-2m)/2} u (shift (N-4-2m)/2) whose density is h^2, (L_k h)^2
+# (n = 1), the "gradient" h'^2 + c_k h^2/r^2 or the "radial-gradient" h'^2,
+# neither of the companion f2 nor series-weighted, at the one weight w that
+# makes it homogeneous: 2 p + w - 2 (order + 2 n) = -1, with p = -(N-4-2m)/2
+# for u, 0 for v, and order the derivatives the kind takes.  Its density on
+# (0, inner] is then r^{-1+2eps} prod X_i^{-1+a_i} times a closed form read
+# from its kind and side (_closed_form), so a registry target whose
+# integrals pass the rule needs only its ``sharp`` declaration to be scanned.
 #
-#     lap_u    (L_k u)^2 r^{N-1-2m}              lap_v    (L_k v)^2 r^3
-#     grad_u   (u'^2 + c_k u^2/r^2) r^{N-3-2m}   grad_v   (v'^2 + c_k v^2/r^2) r
-#     hardy_u  u^2 r^{N-5-2m}                    rad_v    v'^2 r
-#
-# A quotient side is a tuple of (coefficient, piece, weight) terms, with the
-# weight "series" = sum_{i<K} (X_1...X_i)^2, "pk2" = (X_1...X_K)^2 or None.
-# A series integral c * t of den carries S_K = "series" + "pk2": it puts
-# -constant * c * t * "series" in the numerator and c * t * "pk2" in the
+# A quotient side is a tuple of (coefficient, integral, weight) terms, with
+# the weight "series" = sum_{i<K} (X_1...X_i)^2, "pk2" = (X_1...X_K)^2 or
+# None.  A series integral c * t of den carries S_K = "series" + "pk2": it
+# puts -constant * c * t * "series" in the numerator and c * t * "pk2" in the
 # denominator.  On (0, inner], where the cutoff is 1, one closed-form algebra
-# gives the pieces and weights; the quadrature in s (K >= 2) reads it with
+# gives the densities and weights; the quadrature in s (K >= 2) reads it with
 # float arrays, the single-log reduction with polynomials in (eps, X_1).  On
-# the cutoff zone the outer evaluator builds the same pieces from jets of u.
+# the cutoff zone _OuterTerms builds the same densities from jets of u.
 
 
 @dataclass(frozen=True)
@@ -270,36 +268,26 @@ _FAMILIES: dict[ScanFamily, _FamilySpec] = {
 }
 
 
-@functools.cache
-def _piece_ints(N: int, m) -> dict[str, _Int]:
-    """The registry integral of each named piece at (N, m)."""
-    m = Fraction(m)
-    return {
-        "lap_u": _lap(N, m),
-        "grad_u": _grad(N, m),
-        "hardy_u": _hardy(N, m),
-        "lap_v": _v_lap(N, m),
-        "grad_v": _v_grad(N, m),
-        "rad_v": _v_rad(N, m),
-    }
+_CLOSED_KINDS = (("square", 0), ("square", 1), ("gradient", 0), ("radial-gradient", 0))
 
 
 def _terms(pairs, N: int, m, weight: str | None = None) -> tuple:
-    """Registry (coefficient, integral) pairs as (coefficient, piece, weight)
-    terms, the coefficients kept exact; ValueError for an integral that is no
-    piece."""
-    names = {i: name for name, i in _piece_ints(N, m).items()}
-    out = []
-    for c, t in pairs:
-        if t not in names:
-            raise ValueError(f"no closed-form piece is the registry integral {t}")
-        out.append((c, names[t], weight))
-    return tuple(out)
+    """Registry (coefficient, integral) pairs as (coefficient, integral,
+    weight) terms of sequence members at (N, m), the coefficients kept
+    exact; ValueError for an integral with no closed form on (0, inner]
+    (see the block comment above)."""
+    v = _v(N, m)
+    for _, t in pairs:
+        p = -v if t.shift is None else 0
+        closed = (t.kind, t.n) in _CLOSED_KINDS and not (t.f2 or t.series) and t.shift in (None, v)
+        if not closed or 2 * p + t.weight - 2 * (_KIND_ORDERS[t.kind] + 2 * t.n) != -1:
+            raise ValueError(f"the registry integral {t} has no closed form on (0, inner] at N = {N}, m = {m}")
+    return tuple((c, t, weight) for c, t in pairs)
 
 
 def _float_terms(terms) -> tuple:
     """The terms with float coefficients, as the float evaluators take them."""
-    return tuple((float(c), piece, w) for c, piece, w in terms)
+    return tuple((float(c), t, w) for c, t, w in terms)
 
 
 @functools.cache
@@ -335,22 +323,24 @@ def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
 
 
 def _split_deficit(terms):
-    """A leading lap_u - c * p, p = hardy_u or grad_u, as (p, c), and the
-    terms after it; (None, terms) when the terms do not start with one.  The
-    registry declares these deficits at their sharp constants, which the
-    factored form needs (see :func:`_deficit_form`)."""
-    if len(terms) > 1 and terms[0] == (1.0, "lap_u", None):
-        c, piece, weight = terms[1]
-        if piece in ("hardy_u", "grad_u") and weight is None:
-            return (piece, -c), terms[2:]
+    """A leading int (L_k u)^2 - c * p, p = int u^2 or int |grad u|^2, as
+    (p, c), and the terms after it; (None, terms) when the terms do not start
+    with one.  The registry declares these deficits at their sharp constants,
+    which the factored form needs (see :func:`_deficit_form`).  The terms are
+    admitted ones (see :func:`_terms`), so the kinds and shifts tell them."""
+    if len(terms) > 1:
+        (one, lap, w0), (c, p, w) = terms[:2]
+        u_side = lap.shift is None and p.shift is None and (one, w0, w) == (1, None, None)
+        if u_side and (lap.n, p.n) == (1, 0) and p.kind != "radial-gradient":
+            return (p, -c), terms[2:]
     return None, terms
 
 
-def _combine(terms, piece, weight, deficit=None):
-    """sum of coeff * piece(name) * weight(w) over the terms, in term order.
+def _combine(terms, density, weight, deficit=None):
+    """sum of coeff * density(t) * weight(w) over the terms, in term order.
 
     ``weight`` returns None for an empty series, whose terms drop out.  With
-    ``deficit``, a leading lap_u - c * p (see :func:`_split_deficit`) is
+    ``deficit``, a leading (L_k u)^2 - c * p (see :func:`_split_deficit`) is
     taken as deficit(p, c) instead.
     """
     acc = None
@@ -358,11 +348,11 @@ def _combine(terms, piece, weight, deficit=None):
         lead, rest = _split_deficit(terms)
         if lead is not None:
             acc, terms = deficit(*lead), rest
-    for coeff, name, w in terms:
+    for coeff, t, w in terms:
         wv = None if w is None else weight(w)
         if w is not None and wv is None:
             continue
-        x = piece(name)
+        x = density(t)
         if coeff != 1.0:
             x = coeff * x
         if wv is not None:
@@ -411,7 +401,7 @@ class _Forms(NamedTuple):
     """The closed forms of a sequence member on (0, inner]: with
     u = r^{q0+eps} prod X_i^{(-1+a_i)/2}, r u'/u = q0 + gamma and
     r^2 L_k u / u = A0 + delta, where A0 is free of eps and the a_i and every
-    monomial of delta carries eps, eta or B; lap_v is r^2 L_k v / v for
+    monomial of delta carries eps, eta or B; Lv is r^2 L_k v / v for
     v = r^{(N-4-2m)/2} u.  q0 and A0 are in the number type of m."""
 
     q0: object
@@ -419,7 +409,7 @@ class _Forms(NamedTuple):
     A0: object
     delta: object
     gamma: object
-    lap_v: object
+    Lv: object
 
 
 def _closed_forms(N: int, m, k: int, eps, eta, B) -> _Forms:
@@ -436,29 +426,30 @@ def _closed_forms(N: int, m, k: int, eps, eta, B) -> _Forms:
         + B / 2
     )
     gamma = eps + eta / 2
-    lap_v = gamma * (gamma + N - 2) + B / 2 - ck
-    return _Forms(q0, ck, q0 * (q0 + N - 2) - ck, delta, gamma, lap_v)
+    Lv = gamma * (gamma + N - 2) + B / 2 - ck
+    return _Forms(q0, ck, q0 * (q0 + N - 2) - ck, delta, gamma, Lv)
 
 
-# each piece's density over the common factor r^{-1+2eps} prod X_i^{-1+a_i},
-# built only when a combination names it
-_PIECES = {
-    "lap_u": lambda f: _sq(f.A0 + f.delta),
-    "grad_u": lambda f: _sq(f.q0 + f.gamma) + f.ck,
-    "hardy_u": lambda f: 1,
-    "lap_v": lambda f: _sq(f.lap_v),
-    "grad_v": lambda f: _sq(f.gamma) + f.ck,
-    "rad_v": lambda f: _sq(f.gamma),
-}
+def _closed_form(f: _Forms, t: _Int):
+    """An admitted integral's density (see :func:`_terms`) over the common
+    factor r^{-1+2eps} prod X_i^{-1+a_i}, read from its kind and side: 1 for
+    h^2; for (L_k h)^2 the square of r^2 L_k h / h, A0 + delta for u and Lv
+    for v; for h'^2 the square of r h'/h, q0 + gamma for u and gamma for v,
+    and c_k more for the gradient."""
+    u = t.shift is None
+    if t.kind == "square":
+        return (_sq(f.A0 + f.delta) if u else _sq(f.Lv)) if t.n else 1
+    out = _sq(f.q0 + f.gamma) if u else _sq(f.gamma)
+    return out + f.ck if t.kind == "gradient" else out
 
 
-def _deficit_form(f: _Forms, piece: str, c):
-    """lap_u - c * piece (see :func:`_split_deficit`) in factored form,
-    delta (2 A0 + delta), less c * gamma (2 q0 + gamma) for grad_u.  The
-    constant parts cancel exactly where c is sharp: c = A0^2 for hardy_u,
-    c * q0^2 = A0^2 for grad_u."""
+def _deficit_form(f: _Forms, p: _Int, c):
+    """int (L_k u)^2 - c * p (see :func:`_split_deficit`) in factored form,
+    delta (2 A0 + delta), less c * gamma (2 q0 + gamma) for the gradient.
+    The constant parts cancel exactly where c is sharp: c = A0^2 for u^2,
+    c * q0^2 = A0^2 for the gradient."""
     out = f.delta * (2 * f.A0 + f.delta)
-    if piece == "grad_u":
+    if p.kind == "gradient":
         out = out - c * (f.gamma * (2 * f.q0 + f.gamma))
     return out
 
@@ -468,7 +459,7 @@ def _closed_density(terms, forms: _Forms, prods: list):
     term per log factor in prods."""
     return _combine(
         terms,
-        lambda p: _PIECES[p](forms),
+        functools.partial(_closed_form, forms),
         functools.partial(_weight, prods),
         functools.partial(_deficit_form, forms),
     )
@@ -508,11 +499,11 @@ def _zone_integral(f, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
 
 
 class _OuterTerms:
-    """Jet-evaluated pieces of the densities on the cutoff transition zone.
+    """Jet-evaluated densities of the integrals on the cutoff transition zone.
 
-    Each piece is declared as a radial integral of u, or of v = r^shift u,
-    whose density :func:`rellich.radial._jet_density` forms from one jet of
-    u.  u's profile is memoized: the numerator and the denominator of one
+    Each integral is of u, or of v = r^shift u, and
+    :func:`rellich.radial._jet_density` forms its density from one jet of u.
+    u's profile is memoized: the numerator and the denominator of one
     quotient integrate over the same zone and share most of their nodes, and
     the memo lives only as long as this object."""
 
@@ -521,36 +512,33 @@ class _OuterTerms:
         tf = build_minimizer(params)
         self.mode = tf.mode
         self.u = tf.profile.memoized()
-        self.integrals = _piece_ints(params.N, params.m)
 
-    def pieces(self, r: np.ndarray, names) -> dict[str, np.ndarray]:
-        """The named pieces at r, and only those.
+    def densities(self, r: np.ndarray, ints) -> dict[_Int, np.ndarray]:
+        """The densities of the integrals ints at r, and only those.
 
-        u is evaluated once, as a jet of the highest order a named piece
-        takes, and v = r^shift u is built from that jet.  A jet's rows do not
-        depend on its order (the jet arithmetic is truncation invariant), so
-        every piece is bitwise the one its own profile evaluation would
-        give."""
-        integrals = [(name, self.integrals[name]) for name in names]
-        order = max(_KIND_ORDERS[i.kind] + 2 * i.n for _, i in integrals)
+        u is evaluated once, as a jet of the highest order an integral takes,
+        and v = r^shift u is built from that jet.  A jet's rows do not depend
+        on its order (the jet arithmetic is truncation invariant), so every
+        density is bitwise the one its own profile evaluation would give."""
+        order = max(_KIND_ORDERS[i.kind] + 2 * i.n for i in ints)
         U = self.u.taylor(r, order)
         jets = {None: U}
         out = {}
-        for name, i in integrals:
+        for i in ints:
             H = jets.get(i.shift)
             if H is None:
                 H = jets[i.shift] = Jet.variable(r, order) ** float(i.shift) * U
-            out[name] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, float(i.weight))
+            out[i] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, float(i.weight))
         return out
 
     def integral(self, terms, spec: QuadratureSpec) -> float:
         """The combination's integral over the cutoff zone [inner, outer],
-        computing only the pieces it names."""
-        names = {name for _, name, _ in terms}
+        computing only the densities it takes."""
+        ints = {t for _, t, _ in terms}
         weighted = any(w is not None for _, _, w in terms)
 
         def density(r):
-            p = self.pieces(r, names)
+            p = self.densities(r, ints)
             prods = _log_products(xk_values(len(self.params.a), r)) if weighted else None
             return _combine(terms, p.__getitem__, lambda w: _weight(prods, w))
 
@@ -897,14 +885,14 @@ def default_schedule(
     ladder, then halve each a_i 8 times (2 times when K > 1).
 
     Where the single-log reduction eliminates the numerator's divergent
-    levels (K = 1, and no unweighted u-side piece in the numerator outside
+    levels (K = 1, and no unweighted u-side integral in the numerator outside
     its deficit), eps keeps shrinking with a during the halvings: the limit
     order is eps first, then a_1, ..., a_K, so each a-step should see an
     exhausted eps-limit, otherwise the quotient stalls at the ln(1/eps)
     scale.  Elsewhere eps holds at the ladder's last value: the direct
     quadrature of K >= 2 cannot follow eps that deep, and a plain numerator
-    (rellich-gradient's lap_u) keeps a divergent level, which leaves the
-    double range below eps ~ 1e-150.
+    (rellich-gradient's int (L_k u)^2) keeps a divergent level, which leaves
+    the double range below eps ~ 1e-150.
     """
     if family is ScanFamily.AMN:
         return [MinSeqParams(N, m, eps, (1.0,), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
@@ -913,7 +901,7 @@ def default_schedule(
     steps = [MinSeqParams(N, m, eps, tuple(a), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
     _FAMILIES[family].validate(family, steps[0])
     _, rest = _split_deficit(_quotient(family, N, m)[0])
-    follow = K == 1 and not any(name.endswith("_u") and w is None for _, name, w in rest)
+    follow = K == 1 and not any(t.shift is None and w is None for _, t, w in rest)
     for i in range(K):
         for _ in range(halvings):
             a[i] /= 2.0

@@ -27,14 +27,15 @@ in :func:`_jet_density` (the Laplacian density is a "square" with n = 1).
 :func:`_density` adds its origin power, from which
 :func:`rellich.quadrature.origin_integral` picks the log substitution, and
 :func:`_jet_integral` integrates a term through both; the functionals, the
-registry's quadrature terms and the scans' cutoff-zone pieces all go
+registry's quadrature terms and the scans' cutoff-zone densities all go
 through them.  :mod:`rellich.verify` evaluates the same terms, from the
 same builders and reduction forms below, exactly.
 
 Each functional is declared once, in ``_FUNCTIONALS``: its side, its
 component labels, and (N, k, m) -> (direct terms, cross terms) as exact
-(coefficient, _Int) pairs, each coefficient rounded once when summed.  The
-registry checks the declarations of I, II and the weighted Laplacian and
+(coefficient, _Int) pairs.  :func:`functional` rounds each coefficient once
+and builds each declaration once per (functional, N, k, m).  The registry
+checks the declarations of I, II and the weighted Laplacian and
 gradient as identities with residual exactly 0.
 
 A :class:`TestFunction` keeps the result of every integral run on it, keyed
@@ -44,9 +45,10 @@ origin power and the upper limit, is the test function's.  A later call
 that needs the same integral on the same test function is served the stored
 result instead of running it again: I and II share the Laplacian integral
 and their three reduced-profile moments, J and JJ their three direct
-integrals and three moments, and the weighted Laplacian's h^2 moment is the
-weighted Hardy integral.  A served result counts toward ``quadrature_error`` and
-``unconverged`` exactly as a run one does, and
+integrals and three moments (at k = 0 the moment int g'^2 r is the direct
+int v'^2 r), and the weighted Laplacian's h^2 moment is the weighted Hardy
+integral.  A served result counts toward ``quadrature_error`` and
+``unconverged`` exactly as a run one does, each integral once per call, and
 :func:`~rellich.quadrature.count_quadrature` counts only the integrals that
 run.  The store lives as long as the test function and is never copied:
 ``dataclasses.replace`` and :func:`substitute_v` start with an empty one.
@@ -501,7 +503,7 @@ def _v_deficit(cw):
         direct = [(c, replace(t, shift=None)) for c, t in _v_side(N, *coeffs[1:])]
         cross = _g_side(N, k, *zip(coeffs, ("v-laplacian", "v-radial", "v-gradient")))
         v = _v(N)
-        return direct, [(c, replace(t, shift=t.shift - v)) for c, t in cross]
+        return direct, [(c, replace(t, shift=(t.shift - v) or None)) for c, t in cross]
 
     return declare
 
@@ -536,6 +538,17 @@ def _series_terms(N, k, m, i: int, series_base):
     return [(c, replace(term, series=True))]
 
 
+@functools.cache
+def _declaration(name: Functional, N: int, k: int, m, i: int, series_base):
+    """The (direct, cross) terms :func:`functional` evaluates, coefficients
+    rounded, built once per argument tuple; the registry reads the exact
+    declarations of ``_FUNCTIONALS`` instead."""
+    declare, m = _FUNCTIONALS[name][2], Fraction(m)
+    direct, cross = declare(N, k, m) if declare else (_series_terms(N, k, m, i, series_base), None)
+    rounded = lambda pairs: tuple((float(c), t) for c, t in pairs)
+    return rounded(direct), None if cross is None else rounded(cross)
+
+
 def functional(
     name: Functional,
     tf: TestFunction,
@@ -553,15 +566,15 @@ def functional(
     used by the WEIGHTED_* family and by the v-substitution convention.  The
     series term's weight is the squared iterated-log product
     X_1 ... X_series_index.  ``unconverged`` counts the integrals behind
-    either value that ended ``converged=False``, whether they ran in this
-    call or were served from the test function's store (see the module
-    docstring).
+    either value that ended ``converged=False``, each integral once, whether
+    it ran in this call or was served from the test function's store (see
+    the module docstring).
     """
     spec = quad or QuadratureSpec()
     entry = _FUNCTIONALS.get(name)
     if entry is None:
         raise DomainError(f"unknown functional {name}")
-    side, labels, declare = entry
+    side, labels = entry[:2]
     if tf.representation is not side:
         raise DomainError(f"{name.name} expects a {side.value}-side test function")
     if not math.isfinite(m):
@@ -569,13 +582,10 @@ def functional(
     N, k = tf.mode.N, tf.mode.k
     cN = sphere_area(N)
     i = int(series_index)
-    if declare is None:
-        direct, cross = _series_terms(N, k, Fraction(m), i, series_base), None
-    else:
-        direct, cross = declare(N, k, Fraction(m))
+    direct, cross = _declaration(name, N, k, m, i, series_base)
 
     profiles = {None: tf.profile.memoized()}
-    used: list[QuadratureResult] = []
+    used: dict = {}
 
     def run(term: _Int) -> QuadratureResult:
         key = (term, i if term.series else 0, spec)
@@ -583,18 +593,17 @@ def functional(
         if res is None:
             weight = (lambda x: log_product(i, x) ** 2) if term.series else None
             res = tf._integrals[key] = _jet_integral(term, profiles, tf.mode, spec, weight)
-        used.append(res)
+        used[id(res)] = res  # each integral once: a key's result is one object
         return res
 
     components: dict[str, float] = {}
     err = 0.0
     for label, (c, term) in zip(labels, direct):
         res = run(term)
-        c = float(c)
         err += cN * abs(c) * res.error_estimate
         components[label] = cN * c * res.value
     cross_value = None
     if cross is not None:
-        cross_value = cN * sum(float(c) * run(term).value for c, term in cross)
-    unconverged = sum(not res.converged for res in used)
+        cross_value = cN * sum(c * run(term).value for c, term in cross)
+    unconverged = sum(not res.converged for res in used.values())
     return FunctionalValue(sum(components.values()), components, err, cross_value, unconverged)

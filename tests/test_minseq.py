@@ -39,7 +39,7 @@ PLAIN_SIDES = {"u-gradient", "u-laplacian"}
 
 
 def _named_sides(N: int) -> dict:
-    """The six functionals as float (coefficient, piece, weight) terms."""
+    """The six functionals as float (coefficient, integral, weight) terms."""
     return {name: M._float_terms(M._terms(side(N), N, 0)) for name, side in NAMED_SIDES.items()}
 
 
@@ -603,15 +603,39 @@ def test_default_schedule_refuses_the_parameters_its_family_refuses():
 
 
 def test_a_registry_integral_that_is_no_piece_is_refused():
-    """Only the six pieces translate; a series integral is a piece only in a
-    quotient's denominator, where it splits."""
-    import rellich.minseq as M
+    """Only an integral with a closed form on (0, inner] translates: no
+    moment, no series integral (one splits in a quotient's denominator
+    before it translates), nothing of the companion f2, and only at its
+    homogeneous weight and at the shift of u or of v."""
     from rellich.verify import _Int
 
-    assert M._terms([(2, _Int("square", 5, 1))], 6, 0) == ((2.0, "lap_u", None),)
-    for t in (_Int("moment-2", 5), _Int("square", 1, series=True), _Int("square", 5, 1, f2=True)):
-        with pytest.raises(ValueError, match="no closed-form piece"):
+    lap = _Int("square", 5, 1)
+    assert M._terms([(2, lap)], 6, 0) == ((2, lap, None),)
+    refused = (
+        _Int("moment-2", 5),
+        _Int("square", 1, series=True),
+        _Int("square", 5, 1, f2=True),
+        _Int("square", 4, 1),
+        _Int("square", 3, 1, Fraction(1, 2)),
+    )
+    for t in refused:
+        with pytest.raises(ValueError, match="no closed form"):
             M._terms([(1, t)], 6, 0)
+
+
+@pytest.mark.parametrize("m", [Fraction(0), Fraction(1, 4)])
+@pytest.mark.parametrize("N", [5, 6, 9, 30])
+def test_improved_hardy_integrals_have_closed_forms_one_parameter_down(N, m):
+    """The improved Hardy inequality's non-series integrals, int |grad f|^2
+    r^{N-1-2m} and int f^2 r^{N-3-2m}, are homogeneous on the members
+    r^{-(N-2-2m)/2+eps} ... of the sequence at parameter m - 1, so the rule
+    admits them there, and refuses them at m."""
+    lhs, _ = V._hardy_improved(N, m)
+    pairs = [(c, t) for c, t in lhs if not t.series]
+    assert len(pairs) == 2
+    assert M._terms(pairs, N, m - 1) == tuple((c, t, None) for c, t in pairs)
+    with pytest.raises(ValueError, match="no closed form"):
+        M._terms(pairs, N, m)
 
 
 def test_readme_family_table_matches_the_code():
@@ -799,33 +823,45 @@ def test_cutoff_jet_matches_selecting_constant_jets():
     [(6, 0.0, 0, (0.1,)), (9, 0.0, 1, (0.05, 0.3)), (12, 1.3, 2, (1.0,)), (30, 8.0, 2, (0.2,))],
 )
 def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
-    """Each piece built from one jet of u is bitwise the one its own profile
-    evaluation gives: the mode operator's profile for the Laplacians,
-    derivative values for the gradients, the power shift for v."""
-    import rellich.minseq as M
-    from rellich.radial import gradient_density, mode_operator
+    """Each density built from one jet of u, alone or with all the others, is
+    bitwise the one its own profile evaluation gives: the mode operator's
+    profile for the Laplacians, derivative values for the gradients, the
+    power shift for v; for each distinct integral of the families'
+    quotients at (N, m), and for the v-side integrals, which only the m = 0
+    families read."""
+    from rellich.radial import _v_side, gradient_density, mode_operator
 
     p = MinSeqParams(N, m, 1e-3, a, mode_k=k)
     outer = M._OuterTerms(p)
     u = build_minimizer(p)
     ck = u.mode.eigenvalue
-    v = u.profile.power_shift((N - 4.0 - 2.0 * m) / 2.0)
     r = np.linspace(0.5, 1.0, 37)
-    u0, u1 = u.profile.derivative_values(r, 1)
-    v0, v1 = v.derivative_values(r, 1)
-    route = {
-        "lap_u": mode_operator(u.mode, u.profile)(r) ** 2 * r ** (N - 1 - 2 * m),
-        "grad_u": gradient_density(u0, u1, ck, r, N - 3 - 2 * m),
-        "hardy_u": u0**2 * r ** (N - 5 - 2 * m),
-        "lap_v": mode_operator(u.mode, v)(r) ** 2 * r**3,
-        "grad_v": gradient_density(v0, v1, ck, r, 1),
-        "rad_v": v1**2 * r,
-    }
-    for names in ({"grad_u", "hardy_u"}, {"grad_v", "rad_v"}, {"lap_u", "hardy_u", "grad_v"}, set(route)):
-        got = outer.pieces(r, names)
-        assert set(got) == names
-        for name in names:
-            assert _same_bits(got[name], route[name]), (names, name)
+    ints = {
+        t
+        for fam in ScanFamily
+        if m == 0 or not M._FAMILIES[fam].m_zero
+        for side in M._exact_quotient(fam, N, m)[:2]
+        for _, t, _ in side
+    } | {t for _, t in _v_side(N, 1, 1, m)}
+    assert len(ints) == 6
+    route = {}
+    for t in ints:
+        h = u.profile if t.shift is None else u.profile.power_shift(float(t.shift))
+        h0, h1 = h.derivative_values(r, 1)
+        w = float(t.weight)
+        if t.n:
+            route[t] = mode_operator(u.mode, h)(r) ** 2 * r**w
+        elif t.kind == "square":
+            route[t] = h0**2 * r**w
+        elif t.kind == "gradient":
+            route[t] = gradient_density(h0, h1, ck, r, w)
+        else:
+            route[t] = h1**2 * r**w
+    for subset in [{t} for t in ints] + [ints]:
+        got = outer.densities(r, subset)
+        assert set(got) == subset
+        for t in subset:
+            assert _same_bits(got[t], route[t]), (subset, t)
 
 
 def _density_subjects():
@@ -874,11 +910,11 @@ def test_density_matches_the_profile_route(kind, n, w):
 
 @pytest.mark.parametrize("N", [5, 6, 9, 30])
 def test_factored_deficits_use_their_sharp_constants(N):
-    """Every deficit lap_u - c * piece that a family or a named functional
-    declares has the constant its factored form needs, on the whole
-    admissible m range: c = A0^2 for hardy_u and c * q0^2 = A0^2 for grad_u,
-    at mode 0.  Only then do the constant parts cancel exactly."""
-    import rellich.minseq as M
+    """Every deficit int (L_k u)^2 - c * p that a family or a named
+    functional declares has the constant its factored form needs, on the
+    whole admissible m range: c = A0^2 for p = int u^2 and c * q0^2 = A0^2
+    for p = int |grad u|^2, at mode 0.  Only then do the constant parts
+    cancel exactly."""
 
     def check(params, term_lists) -> int:
         forms = M._closed_forms(params.N, params.m, params.mode_k, 0.0, 0.0, 0.0)
@@ -887,9 +923,9 @@ def test_factored_deficits_use_their_sharp_constants(N):
             lead, _ = M._split_deficit(terms)
             if lead is None:
                 continue
-            piece, c = lead
-            lhs = c if piece == "hardy_u" else c * forms.q0**2
-            assert abs(lhs - forms.A0**2) <= 1e-12 * forms.A0**2, (piece, params)
+            p, c = lead
+            lhs = c if p.kind == "square" else c * forms.q0**2
+            assert abs(lhs - forms.A0**2) <= 1e-12 * forms.A0**2, (p, params)
             found += 1
         return found
 

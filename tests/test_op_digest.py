@@ -72,6 +72,17 @@ def test_compare_lists_each_differing_op_with_its_largest_relative_difference():
     assert tool.max_rel_diff("k:0x1.0p+0 1", "k:0x1.0p+0 2") == float("inf")
 
 
+def test_compare_matches_ops_by_key_and_lists_those_of_one_tree():
+    tool = _tool()
+    x = (1.5).hex()
+    mine = {"scan-limits": [f"fam/N6/K1 0:{x}", f"fam/N6/K1 1:{x}", f"fam/N6/K1 2:{x}"]}
+    theirs = {"scan-limits": [f"fam/N6/K1 0:{x}", f"fam/N6/K1 2:{x}", f"fam/N6/K1 3:{x}"]}
+    assert tool.compare(["scan-limits"], mine, theirs)[1:] == [
+        "scan-limits fam/N6/K1 1: only in this tree",
+        "scan-limits fam/N6/K1 3: only in the other tree",
+    ]
+
+
 def test_against_the_same_tree_prints_the_digest_lines_only():
     argv = [sys.executable, str(TOOL), "--seed", "1", "--workload", "functionals"]
     run = lambda *extra: subprocess.run(

@@ -428,13 +428,15 @@ def test_functionals_on_a_shared_test_function_match_fresh_ones(monkeypatch, sub
             fresh = functional(name, _side_function(case, name), m=m[name], quad=spec)
             assert _fields(fv) == _fields(fresh), (case.index, name)
         # only the integrals that run are counted; I and II share 4 of their
-        # 10 integrals, J and JJ 6 of their 12, the weighted Laplacian's h^2
-        # moment is the weighted Hardy integral, and at m = 0 the weighted
-        # Laplacian, gradient and Hardy integrals and that moment are those
-        # of I and II, as is, at k = 0, the gradient split's int v^2 r^{-1}
-        # (I's and II's moment int g^2 r^{2k-1})
+        # 10 integrals, J and JJ 6 of their 12 (7 at k = 0, where their
+        # moment int g'^2 r is their int v'^2 r), the weighted Laplacian's
+        # h^2 moment is the weighted Hardy integral, and at m = 0 the
+        # weighted Laplacian, gradient and Hardy integrals and that moment
+        # are those of I and II, as is, at k = 0, the gradient split's
+        # int v^2 r^{-1} (I's and II's moment int g^2 r^{2k-1})
         assert runs.calls == len(u._integrals) + len(shared[True]._integrals)
-        assert runs.calls == (31 - 11 if weighted else 31 - 14 - (case.k == 0))
+        k0 = case.k == 0
+        assert runs.calls == (31 - 11 - k0 if weighted else 31 - 14 - 2 * k0)
 
 
 def _filled(case, spec=None):

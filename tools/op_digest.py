@@ -13,9 +13,10 @@ bitwise-identical outputs when their digests agree; ``--src`` points at the
 
 ``--against DIR`` runs the same ops on the package under DIR too (a checkout
 or its ``src/``), each tree in its own subprocess.  After the digest lines,
-which are this tree's, it prints one line per op whose outputs differ:
-workload, op key and the largest relative difference of its float fields
-(inf where a count, a flag or an exception name differs).
+which are this tree's, it prints one line per op whose outputs differ, the
+two trees' ops matched by key: workload, op key and the largest relative
+difference of its float fields (inf where a count, a flag or an exception
+name differs); then one line per op that only one tree has.
 """
 
 from __future__ import annotations
@@ -105,14 +106,22 @@ def _tree_lines(src: Path, seed: int, names: list[str]) -> dict[str, list[str]]:
     return lines
 
 
+def _by_key(lines) -> dict[str, str]:
+    return {line.split(":", 1)[0]: line for line in lines}
+
+
 def compare(names, mine: dict, theirs: dict) -> list[str]:
-    """The digest lines of mine, then one line per op that differs."""
+    """The digest lines of mine, then one line per op that differs, matched
+    by op key, and one per op of only one tree."""
     report = [f"{name} {_hash(mine[name])} {len(mine[name])}" for name in names]
     for name in names:
-        for line, other in zip(mine[name], theirs[name]):
-            if line != other:
-                key = line.split(":", 1)[0]
-                report.append(f"{name} {key}: {max_rel_diff(line, other):.3g}")
+        ours, other = _by_key(mine[name]), _by_key(theirs[name])
+        for key, line in ours.items():
+            if key not in other:
+                report.append(f"{name} {key}: only in this tree")
+            elif line != other[key]:
+                report.append(f"{name} {key}: {max_rel_diff(line, other[key]):.3g}")
+        report += [f"{name} {key}: only in the other tree" for key in other if key not in ours]
     return report
 
 
