@@ -10,30 +10,36 @@ inside the algebra would swamp the identity residuals.  The single rounding
 happens on output.
 
 Representation.  A sum is a short tuple of blocks, one per exponent class
-mod 1.  A block ``(b, [a_0, a_1, ...])`` holds sum_j a_j r^{b+j}: a rational
-base and a dense list of rational coefficients whose first and last entries
-are non-zero (zeros inside a block stay).  The profiles carry integer powers
-and every weight, shift or substitution moves all of them by one rational,
-so the suite's sums have a single class: over the ops of one pass of the
-identity registry (seed 1) all 14 330 sums built have one block, and all
-9 238 of the inequality registry.  A product is then a list convolution per
-pair of blocks, a derivative or ``mode_apply`` one elementwise pass, a shift
-a move of the bases, and no exponent is hashed, compared or sorted on the
-way.  The convolution runs in integers: each factor block's coefficients are
-brought to one common denominator, the least common multiple of theirs, the
-integer numerators are convolved, and each output coefficient is built once
-as a ``Fraction`` over the product of the two denominators, so no gcd is paid
-per coefficient product.  The float arrays ``__call__`` needs are built on
-its first call.
+mod 1.  A block ``(b, den, [n_0, n_1, ...])`` holds sum_j (n_j / den) r^{b+j}:
+a rational base, a positive integer denominator and a dense list of integer
+numerators whose first and last entries are non-zero (zeros inside a block
+stay), in lowest terms, gcd(den, n_0, n_1, ...) = 1, so each sum has one
+representation.  The profiles carry integer powers and every weight, shift
+or substitution moves all of them by one rational, so the suite's sums have
+a single class: over the ops of one pass of the identity registry (seed 1)
+all 14 330 sums built have one block, and all 9 238 of the inequality
+registry.  A product is then an integer convolution per pair of blocks over
+the product of their denominators, a sum an integer addition over the least
+common multiple of the two, a derivative or ``mode_apply`` one integer pass
+(the factor at power p = t / bd, bd the base's denominator, is an integer in
+t over a power of bd), a shift a move of the bases, and no exponent is
+hashed, compared or sorted on the way.  ``exact_integral01`` sums
+n_j / (den (b + 1 + j)) over the least common multiple of the integers
+(b + 1 + j) pd, pd the denominator of b + 1, and builds one ``Fraction`` per
+block.  Only the reduction to lowest terms pays a gcd, once per block and
+not per coefficient.  ``powers`` and ``coeffs`` are built as ``Fraction``s,
+and the float arrays ``__call__`` needs, on first use.
 
-Exactness.  Bases and coefficients are ``Fraction``s, so every operation
-yields the same rational sum as adding the terms one by one.  ``powers`` and
-``coeffs`` list the same non-zero terms in ascending order, ``__call__``
-adds the same float terms in the same order, and ``integrate01`` rounds the
-exact rational ``exact_integral01`` once, so every output is bitwise what a
-term-by-term (dict-merge) representation gives, by construction and not
-within a tolerance.  Every sum, the algebra's results included, is built
-through ``PowerSum.__init__``.
+Exactness.  The bases are ``Fraction``s and every kernel does integer
+arithmetic on the numerators, so every operation yields the same rational
+sum as adding the terms one by one.  ``powers`` and ``coeffs`` list the same
+non-zero terms in ascending order, ``__call__`` adds the same float terms in
+the same order, each taken as n / den, which Python's int true division
+rounds correctly, as ``float`` of the ``Fraction`` does, and ``integrate01``
+rounds the exact rational ``exact_integral01`` once, so every output is
+bitwise what a term-by-term (dict-merge) representation gives, by
+construction and not within a tolerance.  Every sum, the algebra's results
+included, is built through ``PowerSum.__init__``.
 """
 
 from __future__ import annotations
@@ -63,77 +69,78 @@ def _to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _block(base: Fraction, cs: list):
-    """The block (base, cs) with its leading and trailing zeros trimmed, or
-    None when every coefficient is zero."""
-    lo, hi = 0, len(cs)
-    while lo < hi and not cs[lo]:
+def _block(base: Fraction, den: int, nums: list):
+    """The block (base, den, nums) with its leading and trailing zeros
+    trimmed and in lowest terms, or None when every numerator is zero."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
         lo += 1
     if lo == hi:
         return None
-    while not cs[hi - 1]:
+    while not nums[hi - 1]:
         hi -= 1
-    if lo or hi < len(cs):
-        return base + lo, cs[lo:hi]
-    return base, cs
+    if lo or hi < len(nums):
+        base, nums = base + lo, nums[lo:hi]
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den, nums = den // g, [n // g for n in nums]
+    return base, den, nums
 
 
-def _merged(base: Fraction, cs: list, offset: int, ds: list):
-    """The block (base, cs) plus the coefficients ds starting ``offset``
-    places after cs does (offset >= 0), trimmed."""
-    if offset + len(ds) > _MAX_SPAN:
-        raise DomainError(f"exponent span {offset + len(ds)} exceeds {_MAX_SPAN}")
-    overlap = cs[offset:]
-    out = cs[:offset] + [_ZERO] * (offset - len(cs))
-    out += [x + y for x, y in zip(overlap, ds)]
-    out += overlap[len(ds):] if len(overlap) > len(ds) else ds[len(overlap):]
-    return _block(base, out)
+def _merged(base: Fraction, den: int, nums: list, offset: int, oden: int, onums: list):
+    """The block (base, den, nums) plus the block of numerators onums over
+    oden starting ``offset`` places after it (offset >= 0), both brought to
+    the least common multiple of the denominators."""
+    if offset + len(onums) > _MAX_SPAN:
+        raise DomainError(f"exponent span {offset + len(onums)} exceeds {_MAX_SPAN}")
+    d = math.lcm(den, oden)
+    s, t = d // den, d // oden
+    out = [n * s for n in nums] + [0] * (offset + len(onums) - len(nums))
+    for i, n in enumerate(onums, offset):
+        out[i] += n * t
+    return _block(base, d, out)
 
 
 def _add_blocks(blocks, others) -> tuple:
     """The blocks of the sum of two power sums."""
     out = list(blocks)
-    for base, ds in others:
-        for i, (b, cs) in enumerate(out):
+    for base, den, nums in others:
+        for i, (b, d, ns) in enumerate(out):
             offset = base - b
             if offset.denominator == 1:  # same exponent class
                 offset = offset.numerator
-                merged = _merged(b, cs, offset, ds) if offset >= 0 else _merged(base, ds, -offset, cs)
+                if offset >= 0:
+                    merged = _merged(b, d, ns, offset, den, nums)
+                else:
+                    merged = _merged(base, den, nums, -offset, d, ns)
                 if merged is None:
                     del out[i]
                 else:
                     out[i] = merged
                 break
         else:
-            out.append((base, ds))
+            out.append((base, den, nums))
     return tuple(out)
 
 
-def _numerators(cs: list) -> tuple[list, int]:
-    """The coefficients as integer numerators over their least common
-    denominator, and that denominator."""
-    d = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
-
-
-def _convolve(a: list, b: list) -> list:
-    """Coefficients of the product of two dense blocks: their integer
-    numerators convolved, each output built once over the product of the two
-    common denominators, which is the rational the term-by-term sum gives."""
-    na, da = _numerators(a)
-    nb, db = (na, da) if b is a else _numerators(b)
-    out = [0] * (len(a) + len(b) - 1)
+def _convolve(a: tuple, b: tuple):
+    """The block of the product of two blocks: their numerators convolved
+    over the product of their denominators."""
+    (ba, da, na), (bb, db, nb) = a, b
+    out = [0] * (len(na) + len(nb) - 1)
     for i, x in enumerate(na):
         if x:
             for j, y in enumerate(nb, i):
                 out[j] += x * y
-    d = da * db
-    return [Fraction(n, d) for n in out]
+    return _block(ba + bb, da * db, out)
 
 
 def _scaled(blocks, c) -> tuple:
     """The blocks times a non-zero rational c, or no blocks when c is 0."""
-    return tuple((b, [x * c for x in cs]) for b, cs in blocks) if c else ()
+    if not c:
+        return ()
+    cn, cd = c.numerator, c.denominator
+    return tuple(_block(b, den * cd, [n * cn for n in nums]) for b, den, nums in blocks)
 
 
 class PowerSum:
@@ -158,10 +165,11 @@ class PowerSum:
                 span = max(j for j, _ in offsets) + 1
                 if span > _MAX_SPAN:
                     raise DomainError(f"exponent span {span} exceeds {_MAX_SPAN}")
-                cs = [_ZERO] * span
+                den = math.lcm(*(c.denominator for _, c in terms))
+                nums = [0] * span
                 for j, c in offsets:
-                    cs[j] += c
-                blk = _block(base, cs)
+                    nums[j] += c.numerator * (den // c.denominator)
+                blk = _block(base, den, nums)
                 if blk is not None:
                     blocks.append(blk)
             _blocks = tuple(blocks)
@@ -186,14 +194,21 @@ class PowerSum:
     def is_zero(self) -> bool:
         return not self._blocks
 
+    def _ascending(self) -> list:
+        """The non-zero terms n/den r^{b+j} as (b, j, n, den), in ascending
+        power order."""
+        terms = [(b, j, n, den) for b, den, nums in self._blocks for j, n in enumerate(nums) if n]
+        if len(self._blocks) > 1:
+            terms.sort(key=lambda t: t[0] + t[1])
+        return terms
+
     def _sorted(self) -> tuple[list, list]:
         """The non-zero terms in ascending power order, as (powers, coeffs);
         ([0], [0]) for the zero sum.  Built on first use and kept."""
         if self._terms is None:
-            terms = [(b + j, c) for b, cs in self._blocks for j, c in enumerate(cs) if c]
-            if len(self._blocks) > 1:
-                terms.sort()
-            self._terms = [p for p, _ in terms] or [_ZERO], [c for _, c in terms] or [_ZERO]
+            terms = self._ascending()
+            self._terms = ([b + j for b, j, _, _ in terms] or [_ZERO],
+                           [Fraction(n, den) for _, _, n, den in terms] or [_ZERO])
         return self._terms
 
     @property
@@ -207,7 +222,7 @@ class PowerSum:
     def _lowest(self) -> Fraction:
         """The smallest power (0 for the zero sum): each block starts with a
         non-zero coefficient, so it is the smallest base."""
-        return min((b for b, _ in self._blocks), default=_ZERO)
+        return min((b for b, _, _ in self._blocks), default=_ZERO)
 
     @property
     def min_power(self) -> float:
@@ -223,9 +238,9 @@ class PowerSum:
     def __mul__(self, other):
         if isinstance(other, PowerSum):
             blocks = ()
-            for b1, c1 in self._blocks:
-                for b2, c2 in other._blocks:
-                    blocks = _add_blocks(blocks, [(b1 + b2, _convolve(c1, c2))])
+            for a in self._blocks:
+                for b in other._blocks:
+                    blocks = _add_blocks(blocks, [_convolve(a, b)])
             return PowerSum((), (), _blocks=blocks)
         return PowerSum((), (), _blocks=_scaled(self._blocks, _to_fraction(other)))
 
@@ -234,19 +249,24 @@ class PowerSum:
     def shift(self, alpha) -> "PowerSum":
         """Multiply by r^alpha."""
         a = _to_fraction(alpha)
-        return PowerSum((), (), _blocks=tuple((b + a, cs) for b, cs in self._blocks))
+        return PowerSum((), (), _blocks=tuple((b + a, den, nums) for b, den, nums in self._blocks))
 
     def _termwise(self, drop: int, factor) -> "PowerSum":
-        """sum_i c_i factor(p_i) r^{p_i - drop}, one pass over each block."""
+        """sum_i c_i factor(p_i) r^{p_i - drop}, one integer pass over each
+        block.  For a block whose base has denominator bd, ``factor(bd)``
+        gives (g, e): an integer function g of the power's numerator
+        t = p bd and a denominator e with factor(p) = g(t) / e."""
         blocks = []
-        for b, cs in self._blocks:
-            blk = _block(b - drop, [c * factor(b + j) for j, c in enumerate(cs)])
+        for b, den, nums in self._blocks:
+            bn, bd = b.numerator, b.denominator
+            g, e = factor(bd)
+            blk = _block(b - drop, den * e, [n * g(bn + j * bd) for j, n in enumerate(nums)])
             if blk is not None:
                 blocks.append(blk)
         return PowerSum((), (), _blocks=tuple(blocks))
 
     def deriv(self) -> "PowerSum":
-        return self._termwise(1, lambda p: p)
+        return self._termwise(1, lambda bd: (lambda t: t, bd))
 
     def square(self) -> "PowerSum":
         return self * self
@@ -256,12 +276,19 @@ class PowerSum:
         c (p(p-1) + (N-1)p - c_k) r^{p-2}."""
         n2 = _to_fraction(N - 1) - 1
         c = _to_fraction(ck)
-        return self._termwise(2, lambda p: p * (p + n2) - c)
+        # p (p + n2) - c at p = t / bd is (t (q t + a bd) - cq bd^2) / (q bd^2),
+        # with n2 = a / q and c = cq / q over one integer q
+        q = math.lcm(n2.denominator, c.denominator)
+        a, cq = int(n2 * q), int(c * q)
+        return self._termwise(2, lambda bd: (lambda t: t * (q * t + a * bd) - cq * bd * bd, q * bd * bd))
 
     # ---------------------------------------------------------- evaluation
     def __call__(self, r):
         if self._floats is None:
-            self._floats = tuple(np.array([float(x) for x in xs]) for xs in self._sorted())
+            # int true division rounds n / den correctly, as float(Fraction) does
+            terms = self._ascending()
+            self._floats = (np.array([float(b + j) for b, j, _, _ in terms]),
+                            np.array([n / den for _, _, n, den in terms]))
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
         out = np.zeros_like(flat)
@@ -278,11 +305,13 @@ class PowerSum:
         if low <= -1:
             raise DivergenceError(f"non-integrable power {float(low)} at the origin")
         total = _ZERO
-        for b, cs in self._blocks:
+        for b, den, nums in self._blocks:
+            # sum_j n_j / (den (b + 1 + j)) over the lcm L of the q_j = pd (b + 1 + j)
             p1 = b + 1
-            for j, c in enumerate(cs):
-                if c:
-                    total += c / (p1 + j)
+            pn, pd = p1.numerator, p1.denominator
+            qs = [pn + j * pd if n else 1 for j, n in enumerate(nums)]
+            L = math.lcm(*qs)
+            total += Fraction(pd * sum(n * (L // q) for n, q in zip(nums, qs)), den * L)
         return total
 
     def integrate01(self) -> float:

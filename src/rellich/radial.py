@@ -302,7 +302,8 @@ class _Int:
     verification suite's second-mode companion f2 at mode k2 when ``f2`` is
     set.  D is one of the density kinds of :func:`_jet_density`.  A
     ``series`` term carries an iterated-log weight as well, which its
-    evaluator supplies."""
+    evaluator supplies.  The hash, the dataclass's own, is computed once:
+    the terms key the stores of ``functional`` and of the suite's cases."""
 
     kind: str
     weight: float | Fraction
@@ -310,6 +311,13 @@ class _Int:
     shift: Fraction | None = None
     f2: bool = False
     series: bool = False
+
+    def __post_init__(self):
+        key = (self.kind, self.weight, self.n, self.shift, self.f2, self.series)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @functools.cache

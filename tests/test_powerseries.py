@@ -146,13 +146,16 @@ class _DictPowerSum:
                 out += c * flat**p
         return out.reshape(r.shape)
 
-    def integrate01(self):
+    def exact_integral01(self):
         total = Fraction(0)
         for p, c in zip(self.powers, self.coeffs):
             if p <= -1:
                 raise DivergenceError(f"non-integrable power {float(p)} at the origin")
             total += c / (p + 1)
-        return float(total)
+        return total
+
+    def integrate01(self):
+        return float(self.exact_integral01())
 
 
 def _exact(x):
@@ -188,16 +191,21 @@ def _hex(values):
 
 
 def _integral(ps):
+    """The exact integral over [0, 1] and its float, or the divergence message."""
     try:
-        return float.hex(ps.integrate01())
+        return ps.exact_integral01(), float.hex(ps.integrate01())
     except DivergenceError as exc:
         return str(exc)
 
 
 def _assert_same(ps, ref):
-    # the representation's invariant: trimmed blocks, one per exponent class
-    assert all(cs[0] and cs[-1] for _, cs in ps._blocks)
-    assert len({b - math.floor(b) for b, _ in ps._blocks}) == len(ps._blocks)
+    # the representation's invariant, which makes it canonical: blocks
+    # (base, den, nums) of integer numerators over a positive denominator in
+    # lowest terms, trimmed, one per exponent class
+    assert all(nums[0] and nums[-1] for _, _, nums in ps._blocks)
+    assert all(den > 0 and math.gcd(den, *nums) == 1 for _, den, nums in ps._blocks)
+    assert all(type(x) is int for _, den, nums in ps._blocks for x in (den, *nums))
+    assert len({b - math.floor(b) for b, _, _ in ps._blocks}) == len(ps._blocks)
     assert ps.powers == ref.powers
     assert ps.coeffs == ref.coeffs
     assert all(isinstance(x, Fraction) for x in ps.powers + ps.coeffs)
@@ -238,6 +246,25 @@ def test_mode_apply_matches_dict_merge_reference(a, N, k):
     _assert_same(harmonic.mode_apply(N, ck), (_DictPowerSum([k], [1]) * ref).mode_apply(N, ck))
 
 
+_NON_INTEGER_CK = st.one_of(
+    st.fractions(min_value=-5, max_value=40, max_denominator=12).filter(lambda c: c.denominator > 1),
+    st.sampled_from((2.5, 0.3, Fraction(1, 2**55))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_sums(), N=st.sampled_from((5, 6, 9, 30)), ck=_NON_INTEGER_CK, p=st.sampled_from(_CLASSES[1:]))
+def test_mode_apply_with_a_non_integer_eigenvalue_matches_dict_merge_reference(a, N, ck, p):
+    ps, ref = a
+    _assert_same(ps.mode_apply(N, ck), ref.mode_apply(N, ck))
+    # r^p solves the mode equation at c = p (p + N - 2), a non-integer:
+    # times a random sum, its terms cancel inside the block
+    c = p * (p + N - 2)
+    harmonic = PowerSum.monomial(p) * ps
+    assert PowerSum.monomial(p).mode_apply(N, c).is_zero()
+    _assert_same(harmonic.mode_apply(N, c), (_DictPowerSum([p], [1]) * ref).mode_apply(N, c))
+
+
 def test_suite_products_match_dict_merge_reference():
     """The integer convolution on the suite's own blocks: 14 to 19 terms with
     float-derived coefficients, shifted by the float m's 2^55 denominators,
@@ -254,6 +281,36 @@ def test_suite_products_match_dict_merge_reference():
         _assert_same(product, ref_product)
         _assert_same(product.shift(-2 * case.m), ref_product.shift(-2 * case.m))
         _assert_same(case.potential_poly * product, potential * ref_product)
+
+
+def test_registry_exact_integrals_match_dict_merge_reference():
+    """Every non-series integral of every registry target declared as terms,
+    on every case it applies to: its exact density against the dict-merge
+    algebra, and its exact integral against the term-by-term sum of
+    c / (p + 1), which a float comparison alone cannot tell from a wrong
+    rational that rounds alike.  The terms include the n = 2 mode_apply
+    chains, the companion f2 and the shifts by the float m's 2^55
+    denominators."""
+    from dataclasses import replace
+
+    from rellich.verify import REGISTRY, _exact_density, standard_suite
+
+    seen = set()
+    for case in standard_suite(7):
+        ref_case = replace(case, f=_DictPowerSum(case.f.powers, case.f.coeffs),
+                           f2=_DictPowerSum(case.f2.powers, case.f2.coeffs))
+        terms = set()
+        for target in REGISTRY.values():
+            if target.terms is None or (target.applies and target.applies(case)):
+                continue
+            lhs, rhs = target.terms(case)
+            terms.update(t for _, t in lhs + rhs if not t.series)
+        for term in terms:
+            _assert_same(_exact_density(case, term), _exact_density(ref_case, term))
+        seen |= terms
+    assert any(t.n == 2 for t in seen)
+    assert any(t.f2 for t in seen)
+    assert any(t.shift is not None and t.shift.denominator >= 2**50 for t in seen)
 
 
 def test_zero_inside_a_block_is_skipped_at_the_origin():
