@@ -51,9 +51,17 @@ def xk(k: int, t):
 
 def xk_values(kmax: int, t) -> list:
     """[X_1(t), ..., X_kmax(t)] sharing one recursion pass."""
+    _validate_kmax(kmax)
+    return _xk_chain(kmax, _validate_t(t))
+
+
+def _validate_kmax(kmax: int) -> None:
     if kmax < 0:
         raise DomainError("kmax must be >= 0")
-    arr = _validate_t(t)
+
+
+def _xk_chain(kmax: int, arr: np.ndarray) -> list:
+    """[X_1, ..., X_kmax] at an array already through :func:`_validate_t`."""
     out = []
     v = arr
     for _ in range(kmax):
@@ -75,10 +83,10 @@ def xk_values_from_s(kmax: int, s) -> list:
 
 def log_product(i: int, t):
     """The product X_1(t) X_2(t) ... X_i(t); equals 1 for i = 0."""
-    xs = xk_values(i, t)
+    _validate_kmax(i)
     arr = _validate_t(t)
     prod = np.ones_like(arr)
-    for x in xs:
+    for x in _xk_chain(i, arr):
         prod = prod * x
     return prod if isinstance(t, np.ndarray) else float(prod)
 
@@ -86,10 +94,10 @@ def log_product(i: int, t):
 def series_partial(K: int, t):
     """Truncated correction weight sum_{i=1}^{K} X_1^2 ... X_i^2."""
     arr = _validate_t(t)
-    xs = xk_values(K, arr)
+    _validate_kmax(K)
     acc = np.zeros_like(arr)
     prod = np.ones_like(arr)
-    for x in xs:
+    for x in _xk_chain(K, arr):
         prod = prod * x * x
         acc = acc + prod
     return acc if isinstance(t, np.ndarray) else float(acc)

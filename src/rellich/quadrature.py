@@ -167,26 +167,25 @@ def _gk_points(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return mid[:, None] + half[:, None] * _NODES
 
 
-def _by_row(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``vals @ w`` with each row's product taken on that row alone."""
-    return np.concatenate([vals[i : i + 1] @ w for i in range(len(vals))])
+# the Kronrod and Gauss weights, one row each, for one product per interval
+_WEIGHTS = np.stack([_WGK, _WG])[:, None, :]
 
 
-def _gk_sums(vals: np.ndarray, lefts: np.ndarray, rights: np.ndarray, matvec=np.matmul):
+def _gk_sums(vals: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
     """(values, error estimates) of the 15-point rule from the integrand
-    values ``vals`` at :func:`_gk_points`.
+    values ``vals`` at :func:`_gk_points`, as QUADPACK's qk15 forms them.
 
-    The row results of ``vals @ w`` depend on the number of rows (the BLAS
-    matrix-vector kernel blocks its sums by rows); with ``matvec=_by_row``
-    every row's result is the one its interval would get alone.  The rest
-    is elementwise."""
-    width = rights - lefts
-    half = 0.5 * width
-    resk = matvec(vals, _WGK) * half
-    resg = matvec(vals, _WG) * half
-    resabs = matvec(np.abs(vals), _WGK) * half
-    mean = resk / np.where(width == 0.0, 1.0, width)
-    resasc = matvec(np.abs(vals - mean[:, None]), _WGK) * half
+    Every weighted sum is ``np.vecdot``, which takes each row's product on
+    that row alone, and the rest is elementwise, so an interval's (value,
+    error) depends on its own 15 values only: not on how many intervals
+    share the call, their order or where the row sits in memory.  (The rows
+    of ``vals @ w`` do depend on the batch: the BLAS matrix-vector kernel
+    blocks its sums by rows.)"""
+    half = 0.5 * (rights - lefts)
+    sums = np.vecdot(vals, _WEIGHTS)  # the Kronrod and Gauss sums on [-1, 1]
+    resk, resg = sums * half
+    resabs = np.vecdot(np.abs(vals), _WGK) * half
+    resasc = np.vecdot(np.abs(vals - 0.5 * sums[0][:, None]), _WGK) * half
     diff = np.abs(resk - resg)
     positive = resasc > 0.0
     err = np.where(
@@ -194,52 +193,40 @@ def _gk_sums(vals: np.ndarray, lefts: np.ndarray, rights: np.ndarray, matvec=np.
         resasc * np.minimum(1.0, (200.0 * diff / np.where(positive, resasc, 1.0)) ** 1.5),
         diff,
     )
-    err = np.maximum(err, _ERR_FLOOR * resabs)
-    return resk, err
+    return resk, np.maximum(err, _ERR_FLOOR * resabs)
 
 
-def _gk_values(f, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """f at the nodes of every interval, from one call to f."""
-    pts = _gk_points(lefts, rights)
-    return np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-
-
-def _gk_batch(f, ls: list, rs: list, rows=None):
+def _gk_batch(f, ls, rs, known=None):
     """Apply the 15-point rule to the batch of intervals [ls[i], rs[i]] with
-    one call to f, or with none when ``rows`` (from :func:`_level_rows`)
+    one call to f, or with none when ``known`` (from :func:`_level_rows`)
     holds every interval of the batch; returns (values, error estimates,
     evaluations).  Callers run it under ``np.errstate(all="ignore")``."""
+    if known:
+        picked = [known.get(edge) for edge in zip(ls, rs)]
+        if None not in picked:
+            return *np.array(picked).T, 0
     lefts, rights = np.array(ls), np.array(rs)
-    vals = rows(ls, rs) if rows is not None else None
-    n_eval = 0
-    if vals is None:
-        vals = _gk_values(f, lefts, rights)
-        n_eval = vals.size
+    pts = _gk_points(lefts, rights)
+    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
     resk, err = _gk_sums(vals, lefts, rights)
-    return resk, err, n_eval
+    return resk, err, vals.size
 
 
 _BLOCK_LEVELS = 4  # uniform bisection levels (1, 2, 4 and 8 intervals) one integrand call covers
 
 
 def _level_rows(f, a: float, b: float):
-    """f on the nodes of the first ``_BLOCK_LEVELS`` uniform bisection levels
-    of [a, b], each interval cut at 0.5 * (lo + hi) as :func:`_refine` cuts
-    it, from one call to f (15 intervals, 225 points).  Returns (rows,
-    evaluations): ``rows(ls, rs)`` gives the values of a batch of intervals,
-    one row each, or None unless the block holds all of them."""
+    """The rules of the first ``_BLOCK_LEVELS`` uniform bisection levels of
+    [a, b], each interval cut at 0.5 * (lo + hi) as :func:`_refine` cuts
+    it, from one call to f (15 intervals, 225 points) and one
+    :func:`_gk_sums` call.  Returns ({(lo, hi): (value, error)}, evaluations);
+    each rule is the one its interval gets alone."""
     level, edges = [(a, b)], []
     for _ in range(_BLOCK_LEVELS):
         edges += level
         level = [half for lo, hi in level for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-    vals = _gk_values(f, np.array([lo for lo, _ in edges]), np.array([hi for _, hi in edges]))
-    index = {edge: i for i, edge in enumerate(edges)}
-
-    def rows(ls, rs):
-        picked = [index.get(edge) for edge in zip(ls, rs)]
-        return None if None in picked else vals[picked]
-
-    return rows, vals.size
+    values, errors, n_eval = _gk_batch(f, *zip(*edges))
+    return dict(zip(edges, zip(values.tolist(), errors.tolist()))), n_eval
 
 
 # the most intervals an integral over a finite interval is bisected into; a
@@ -253,29 +240,27 @@ def _adaptive_finite(
     """Adaptive bisection on [a, b] until the error estimate meets
     max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged).
 
-    With ``block`` and no breakpoint inside (a, b), one call to f evaluates
-    the rules of the first four bisection levels (:func:`_level_rows`),
-    which the bisection would otherwise reach in four calls.  Each batch's
-    rule is still summed on that batch's rows alone, in the same order, so
-    the result is bitwise that of one call per batch; all 225 points count
-    in ``evals``, used or not.  If that call raises, the integral goes on
-    one batch per call, so an exception surfaces only from a level the
-    integral needs."""
+    With ``block`` and no breakpoint inside (a, b), one call to f and one
+    :func:`_gk_sums` call give the rules of the first four bisection levels
+    (:func:`_level_rows`), which the bisection would otherwise reach in four
+    calls of each.  Since a rule depends on its interval's values alone, the
+    result is bitwise that of one call per batch; all 225 points count in
+    ``evals``, used or not.  If that call raises, the integral goes on one
+    batch per call, so an exception surfaces only from a level the integral
+    needs."""
     with np.errstate(all="ignore"):
         cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-        rows, n_block = None, 0
+        known, n_block = None, 0
         if block and len(cuts) == 2:
             try:
-                rows, n_block = _level_rows(f, a, b)
+                known, n_block = _level_rows(f, a, b)
             except Exception:
                 pass  # some level ahead raised: go on one batch per call
-        vals, errs, n_eval = _gk_batch(f, cuts[:-1], cuts[1:], rows)
-        heap = [
-            (-e, lo, hi, v, e) for lo, hi, v, e in zip(cuts[:-1], cuts[1:], vals.tolist(), errs.tolist())
-        ]
+        vals, errs, n_eval = _gk_batch(f, cuts[:-1], cuts[1:], known)
+        heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(cuts[:-1], cuts[1:], vals.tolist(), errs.tolist())]
         total = float(np.sum(vals))
         total_err = float(np.sum(errs))
-        return _refine(f, heap, total, total_err, n_block + n_eval, rel_tol, abs_tol, max_subdivisions, rows)
+        return _refine(f, heap, total, total_err, n_block + n_eval, rel_tol, abs_tol, max_subdivisions, known)
 
 
 def _refine(
@@ -287,15 +272,15 @@ def _refine(
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
-    rows=None,
+    known=None,
 ):
     """Bisect the largest-error intervals of ``heap`` (entries (-error, lo,
     hi, value, error) whose values and errors sum to ``total`` and
     ``total_err``) in batches of up to 16 until the error meets
     max(abs_tol, rel_tol * |value|); returns (value, error, evals,
-    converged), ``evals`` counting ``n_eval`` in.  Batches that ``rows``
-    (from :func:`_level_rows`) holds take their values from it.  Callers run
-    it under ``np.errstate(all="ignore")``.
+    converged), ``evals`` counting ``n_eval`` in.  Batches whose rules
+    ``known`` (from :func:`_level_rows`) holds take them from it.  Callers
+    run it under ``np.errstate(all="ignore")``.
 
     The heap and the running totals hold Python floats, which round exactly
     as numpy's float64 scalars do at a fraction of the per-operation cost."""
@@ -310,7 +295,7 @@ def _refine(
             mid = 0.5 * (lo + hi)
             ls.extend([lo, mid])
             rs.extend([mid, hi])
-        new_vals, new_errs, ne = _gk_batch(f, ls, rs, rows)
+        new_vals, new_errs, ne = _gk_batch(f, ls, rs, known)
         n_eval += ne
         n_sub += len(batch)
         for _neg, _lo, _hi, v, e in batch:
@@ -344,14 +329,14 @@ def integrate_halfline(
     the still-unresolved tail is estimated and folded into the error; where
     the panels do not decay there is no estimate, and the error is infinite.
 
-    h must act elementwise.  One call to h evaluates the first 15-point rule
-    of the next four panels (never a panel beyond ``s_cap``), which settles
-    most panels; the panels are then taken in order, each one's rule summed
-    on that panel alone, so the result is bitwise that of one panel per
-    call.  Points of panels past the stopping one are evaluated and counted
-    in ``evaluations`` but never used.  If that call raises, the integral
-    goes on one panel per call, so an exception surfaces only from a panel
-    the integral needs.
+    h must act elementwise.  One call to h and one :func:`_gk_sums` call
+    give the first 15-point rule of the next four panels (never a panel
+    beyond ``s_cap``), which settles most panels; the panels are then taken
+    in order.  A rule depends on its panel's values alone, so the result is
+    bitwise that of one panel per call.  Points of panels past the stopping
+    one are evaluated and counted in ``evaluations`` but never used.  If
+    that call raises, the integral goes on one panel per call, so an
+    exception surfaces only from a panel the integral needs.
     """
     return _counted(_halfline(h, s0, spec or QuadratureSpec(), s_cap))
 
@@ -367,11 +352,8 @@ def _first_rules(h, left: float, width: float, count: int, s_cap: float):
         left, width = right, width * 2.0
         if left > s_cap:
             break
-    lefts = np.array([lo for lo, _ in edges])
-    rights = np.array([hi for _, hi in edges])
-    vals = _gk_values(h, lefts, rights)
-    resk, err = _gk_sums(vals, lefts, rights, _by_row)
-    return [(*edge, v, e) for edge, v, e in zip(edges, resk.tolist(), err.tolist())], vals.size
+    values, errors, n_eval = _gk_batch(h, *zip(*edges))
+    return [(*edge, v, e) for edge, v, e in zip(edges, values.tolist(), errors.tolist())], n_eval
 
 
 def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureResult:
@@ -446,9 +428,10 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
 
     f must accept numpy arrays and act elementwise.  With no breakpoint
     inside (a, b), one call to f evaluates the first four bisection levels
-    (225 points) and the result is bitwise that of one call per bisection
-    batch (see :func:`_adaptive_finite`).  Integrals from the origin whose
-    mass sits at r -> 0 go through :func:`origin_integral`.
+    (225 points), one :func:`_gk_sums` call gives all 15 of their rules,
+    and the result is bitwise that of one call per bisection batch (see
+    :func:`_adaptive_finite`).  Integrals from the origin whose mass sits at
+    r -> 0 go through :func:`origin_integral`.
     """
     spec = spec or QuadratureSpec()
     if not (b > a):

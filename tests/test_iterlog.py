@@ -85,6 +85,26 @@ def test_series_partial_is_prefix_of_series():
     assert k6 - k5 == pytest.approx(log_product(6, t) ** 2, rel=1e-14)
 
 
+def test_series_partial_and_log_product_validate_their_argument_once(monkeypatch):
+    from rellich import iterlog
+
+    t = np.array([0.1, 0.4, 1.0])
+    ref = series_partial(3, t), log_product(3, t), series_partial(3, 0.4), log_product(3, 0.4)
+    seen, real = [], iterlog._validate_t
+    monkeypatch.setattr(iterlog, "_validate_t", lambda t: seen.append(t) or real(t))
+    got = series_partial(3, t), log_product(3, t), series_partial(3, 0.4), log_product(3, 0.4)
+    assert len(seen) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], ref[:2]))
+    assert got[2:] == ref[2:] and all(type(v) is float for v in got[2:])
+    # the argument is checked first in series_partial, the count first in log_product
+    with pytest.raises(DomainError, match="argument must be positive"):
+        series_partial(-1, 0.0)
+    with pytest.raises(DomainError, match="kmax must be >= 0"):
+        log_product(-1, 0.0)
+    with pytest.raises(DomainError, match="argument must be <= 1"):
+        series_partial(2, np.array([0.5, 2.0]))
+
+
 def test_xk_values_from_s_matches_the_r_space_chain():
     s = np.array([0.0, 0.5, 1.0, 3.0, 20.0])
     from_s = xk_values_from_s(3, s)

@@ -537,14 +537,15 @@ def test_multi_log_quotient_refuses_an_unresolved_inner_integral(monkeypatch):
     """K >= 2: the inner quadrature's error estimate decides.  At N = 6,
     a = (0.05, 0.05) it is 6.6e-8 of rellich-improved's numerator at
     eps = 1e-8, which answers, and past 1e-6 of it from eps = 1e-10 on,
-    which raises; without the guard eps = 1e-30 returns 3.2e13."""
+    which raises; without the guard eps = 1e-30 returns round-off garbage
+    of size 3e13, whose sign depends on rounding."""
     fam = ScanFamily.RELLICH_IMPROVED
     assert rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-8, (0.05, 0.05))) == pytest.approx(136.12, rel=1e-4)
     for eps in (1e-10, 1e-12, 1e-30):
         with pytest.raises(DomainError, match="cannot resolve"):
             rayleigh_quotient(fam, MinSeqParams(6, 0.0, eps, (0.05, 0.05)))
     monkeypatch.setattr(M, "_MAX_INNER_ERR_SHARE", math.inf)
-    assert rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-30, (0.05, 0.05))) > 1e13
+    assert abs(rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-30, (0.05, 0.05)))) > 1e13
 
 
 def test_multi_log_plain_quotient_answers_as_deep_as_the_quadrature_resolves():

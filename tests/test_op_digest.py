@@ -55,7 +55,7 @@ def test_cli_prints_one_digest_per_workload():
     assert re.fullmatch(r"functionals [0-9a-f]{64} 400\n", out)
 
 
-def test_compare_lists_each_differing_op_with_its_largest_relative_difference():
+def test_compare_summarizes_each_workload_and_lists_ops_that_differ_in_kind():
     tool = _tool()
     x = 9.0001250395959023
     mine = {"scan-limits": [f"fam/N6/K1 0:{x.hex()} {(2 * x).hex()} 0", f"fam/N6/K1 1:{x.hex()} 0"]}
@@ -65,11 +65,14 @@ def test_compare_lists_each_differing_op_with_its_largest_relative_difference():
     }
     report = tool.compare(["scan-limits"], mine, theirs)
     assert report[0] == f"scan-limits {tool._hash(mine['scan-limits'])} 2"
-    assert report[1] == f"scan-limits fam/N6/K1 0: {(2 * x - nudged) / (2 * x):.3g}"
-    assert report[2] == "scan-limits fam/N6/K1 1: inf"
+    assert report[1] == (
+        "scan-limits: 2 of 2 ops differ, 1 in a count, flag or exception; largest value move "
+        f"{(2 * x - nudged) / (2 * x):.3g} at fam/N6/K1 0; largest error-estimate move 0"
+    )
+    assert report[2] == "scan-limits fam/N6/K1 1: a count, flag or exception differs"
     assert len(report) == 3
     assert tool.compare(["scan-limits"], mine, mine) == report[:1]
-    assert tool.max_rel_diff("k:0x1.0p+0 1", "k:0x1.0p+0 2") == float("inf")
+    assert tool.field_moves("k:0x1.0p+0 1", "k:0x1.0p+0 2") == (True, 0.0, 0.0)
 
 
 def test_compare_matches_ops_by_key_and_lists_those_of_one_tree():
@@ -89,3 +92,32 @@ def test_against_the_same_tree_prints_the_digest_lines_only():
         argv + list(extra), capture_output=True, text=True, check=True, cwd=ROOT
     ).stdout
     assert run("--against", str(ROOT)) == run()
+
+
+def test_summary_counts_differing_ops_and_reports_value_and_error_moves_apart():
+    tool = _tool()
+    fv = FunctionalValue(1.5, {"hardy": -0.5}, 1e-12, 1.5)
+    line = lambda key, out: f"{key}:" + " ".join(tool.output_tokens(out))
+    assert tool.output_tokens(fv)[2] == "err=" + (1e-12).hex()
+    value_moved = replace(fv, value=1.5 * (1 + 2**-50), components={"hardy": -0.5 * (1 + 2**-50)})
+    ops = {
+        "same": (fv, fv),
+        "value": (fv, value_moved),
+        "error": (fv, replace(fv, quadrature_error=1.1e-12)),
+        "count": (fv, replace(fv, unconverged=1)),
+    }
+    mine = [line(key, a) for key, (a, _) in ops.items()] + ["raises:raised DomainError"]
+    theirs = [line(key, b) for key, (_, b) in ops.items()] + ["raises:raised ValueError"]
+    report = tool.compare(["functionals"], {"functionals": mine}, {"functionals": theirs})
+    value_move, error_move = 2**-50 / (1 + 2**-50), 0.1e-12 / 1.1e-12
+    assert report[1:] == [
+        f"functionals: 4 of 5 ops differ, 2 in a count, flag or exception; "
+        f"largest value move {value_move:.3g} at value; largest error-estimate move {error_move:.3g} at error",
+        "functionals count: a count, flag or exception differs",
+        "functionals raises: a count, flag or exception differs",
+    ]
+    assert tool.field_moves(line("k", fv), line("k", value_moved)) == (False, value_move, 0.0)
+    assert tool.compare(["functionals"], {"functionals": mine}, {"functionals": mine}) == report[:1]
+    # an error estimate never counts as a value, nor a value as an error estimate
+    swapped = "k:" + " ".join(tool.output_tokens(fv)[:1] + ["err=" + (1.5).hex()] + tool.output_tokens(fv)[2:])
+    assert tool.field_moves(line("k", fv), swapped)[0]

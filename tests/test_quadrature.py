@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rellich.errors import DivergenceError, DomainError
 from rellich import quadrature
@@ -435,3 +438,41 @@ def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     assert not built
     integrate(f, 0.0, 1.0, SPEC)
     assert len(built) == 1  # the spy sees the block where there is one
+
+
+# --------------------------------------------------------------------------
+# each interval's rule is a function of its own 15 values
+
+
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(15)), elements=st.floats(-1e3, 1e3)),
+    st.integers(0, 7),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_gk_sums_gives_each_row_its_own_bits_in_any_batch(vals, offset, rnd):
+    n = len(vals)
+    lefts = np.arange(n, dtype=float)
+    rights = lefts + np.array([rnd.choice([1e-3, 0.5, 1.0, 7.25]) for _ in range(n)])
+    # the batch at an offset from the buffer's start, so rows sit at other alignments
+    buf = np.empty(n * 15 + offset)
+    shifted = buf[offset:].reshape(n, 15)
+    shifted[...] = vals
+    got = quadrature._gk_sums(shifted, lefts, rights)
+    for i in range(n):
+        alone = quadrature._gk_sums(vals[i : i + 1].copy(), lefts[i : i + 1], rights[i : i + 1])
+        assert [x[0].hex() for x in alone] == [got[0][i].hex(), got[1][i].hex()]
+    order = list(range(n))
+    rnd.shuffle(order)
+    permuted = quadrature._gk_sums(vals[order], lefts[order], rights[order])
+    assert all(np.array_equal(p, g[order]) for p, g in zip(permuted, got))
+
+
+def test_one_interval_sums_its_first_four_levels_in_one_call(monkeypatch):
+    rows, real = [], quadrature._gk_sums
+    monkeypatch.setattr(quadrature, "_gk_sums", lambda vals, *a: rows.append(len(vals)) or real(vals, *a))
+    seen = []
+    res = integrate(_calls(lambda r: np.exp(30.0 * r), seen), 0.0, 1.0, SPEC)
+    assert res.converged and res.evaluations == 225
+    assert len(seen) == 1  # the bisection reaches the level of 8 intervals, all from the block
+    assert rows == [15]

@@ -6,24 +6,27 @@ Builds the ops of ``perfbench/workloads.py`` for the seed, runs each once in
 list order and hashes its output as ``float.hex`` tokens: scan quotients,
 their unconverged counts and the theoretical constant; registry case
 values, flags and unconverged counts; functional value, cross value, error
-estimate, unconverged count and components.  An op that raises contributes its exception's type name.
+estimate (its token prefixed ``err=``), unconverged count and components.
+An op that raises contributes its exception's type name.
 Prints one line per workload: name, digest, op count.  Two trees compute
 bitwise-identical outputs when their digests agree; ``--src`` points at the
 ``src/`` directory of the package to run (default: this checkout's).
 
 ``--against DIR`` runs the same ops on the package under DIR too (a checkout
-or its ``src/``), each tree in its own subprocess.  After the digest lines,
-which are this tree's, it prints one line per op whose outputs differ, the
-two trees' ops matched by key: workload, op key and the largest relative
-difference of its float fields (inf where a count, a flag or an exception
-name differs); then one line per op that only one tree has.
+or its ``src/``), each tree in its own subprocess, the two trees' ops
+matched by key.  After the digest lines, which are this tree's, it prints
+one summary line per workload where some op's outputs differ: how many ops
+differ, of how many; how many of those differ in a count, a flag or an
+exception name; the largest relative move of the value fields and, apart
+from it, of the error-estimate fields (a functional's quadrature error),
+each with its op key.  Then one line per op that differs in a count, a
+flag or an exception name, and one per op that only one tree has.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +34,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+_ERR = "err="  # the prefix of an error-estimate field's token
+
+
+class _Error(float):
+    """An error-estimate field, tokenized with the ``_ERR`` prefix."""
+
+
 def _token(x) -> str:
+    if isinstance(x, _Error):
+        return _ERR + float.hex(x)
     return float.hex(x) if isinstance(x, float) else repr(x)
 
 
@@ -44,7 +56,7 @@ def output_tokens(out) -> list[str]:
         for r in out.results:
             fields += [r.index, r.value, r.rejected, r.unconverged]
     else:  # FunctionalValue
-        fields = [out.value, out.cross_value, out.quadrature_error, out.unconverged]
+        fields = [out.value, out.cross_value, _Error(out.quadrature_error), out.unconverged]
         for label, value in out.components.items():
             fields += [label, value]
     return [_token(x) for x in fields]
@@ -72,24 +84,51 @@ def digest(ops) -> str:
 
 def _float(token: str) -> float | None:
     """A finite float field's value; None for any other token."""
-    return float.fromhex(token) if "0x" in token else None
+    return float.fromhex(token.removeprefix(_ERR)) if "0x" in token else None
 
 
-def max_rel_diff(line: str, other: str) -> float:
-    """The largest relative difference between the float fields of two
-    op_lines of one op; inf where any other field differs."""
+def field_moves(line: str, other: str) -> tuple[bool, float, float]:
+    """(whether a count, a flag or an exception name differs; the largest
+    relative move of the value fields; that of the error-estimate fields)
+    between two op_lines of one op."""
     mine, theirs = line.split(":", 1)[1].split(), other.split(":", 1)[1].split()
     if len(mine) != len(theirs):
-        return math.inf
-    worst = 0.0
+        return True, 0.0, 0.0
+    in_kind, moves = False, [0.0, 0.0]  # of the value fields, of the error estimates
     for a, b in zip(mine, theirs):
         if a == b:
             continue
         x, y = _float(a), _float(b)
-        if x is None or y is None:
-            return math.inf
-        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return worst
+        error = a.startswith(_ERR)
+        if x is None or y is None or error != b.startswith(_ERR):
+            in_kind = True
+        elif x != y:  # not a zero against a zero of the other sign
+            moves[error] = max(moves[error], abs(x - y) / max(abs(x), abs(y)))
+    return in_kind, *moves
+
+
+def summary(name: str, ours: dict, other: dict) -> str | None:
+    """One line on the ops of workload ``name`` whose outputs differ, the
+    two trees' op_lines by key; None where none differs."""
+    differ = in_kind = 0
+    worst = [(0.0, None), (0.0, None)]  # (move, op key): of the value fields, of the error estimates
+    for key, line in ours.items():
+        if key not in other or line == other[key]:
+            continue
+        differ += 1
+        kind, *moves = field_moves(line, other[key])
+        in_kind += kind
+        for i, move in enumerate(moves):
+            if move > worst[i][0]:
+                worst[i] = (move, key)
+    if not differ:
+        return None
+    (value, vkey), (error, ekey) = worst
+    at = lambda key: f" at {key}" if key else ""
+    return (
+        f"{name}: {differ} of {len(ours)} ops differ, {in_kind} in a count, flag or exception; "
+        f"largest value move {value:.3g}{at(vkey)}; largest error-estimate move {error:.3g}{at(ekey)}"
+    )
 
 
 def _tree_lines(src: Path, seed: int, names: list[str]) -> dict[str, list[str]]:
@@ -111,16 +150,18 @@ def _by_key(lines) -> dict[str, str]:
 
 
 def compare(names, mine: dict, theirs: dict) -> list[str]:
-    """The digest lines of mine, then one line per op that differs, matched
-    by op key, and one per op of only one tree."""
+    """The digest lines of mine, then per workload its :func:`summary` line,
+    one line per op that differs in a count, a flag or an exception name,
+    matched by op key, and one per op of only one tree."""
     report = [f"{name} {_hash(mine[name])} {len(mine[name])}" for name in names]
     for name in names:
         ours, other = _by_key(mine[name]), _by_key(theirs[name])
+        if (line := summary(name, ours, other)) is not None:
+            report.append(line)
         for key, line in ours.items():
-            if key not in other:
-                report.append(f"{name} {key}: only in this tree")
-            elif line != other[key]:
-                report.append(f"{name} {key}: {max_rel_diff(line, other[key]):.3g}")
+            if key in other and line != other[key] and field_moves(line, other[key])[0]:
+                report.append(f"{name} {key}: a count, flag or exception differs")
+        report += [f"{name} {key}: only in this tree" for key in ours if key not in other]
         report += [f"{name} {key}: only in the other tree" for key in other if key not in ours]
     return report
 
