@@ -17,10 +17,14 @@ in closed form; where a deficit's sharp constant cancels a level that
 diverges as eps -> 0, the identity
 eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades it for a
 closed-form boundary term.  With K >= 2 log factors the closed forms are
-evaluated as float arrays in s = ln(1/r) and integrated by quadrature.  On
-[rho, outer] every quotient integrates the full profile (with cutoff
-derivatives), evaluated by jet arithmetic in r, through one zone rule; a
-single-log quotient runs just these two zone quadratures.
+evaluated as float arrays in s = ln(1/r) and integrated by quadrature,
+each node set's part of them computed once per quotient for both sides.
+On [rho, outer] every quotient integrates the full profile (with cutoff
+derivatives), evaluated by jet arithmetic in r, through one zone rule that
+starts both sides together: one integrand call on the zone's 60 nodes
+gives every density of the quotient, and each side bisects on alone where
+it must.  A single-log quotient runs just these two zone quadratures, one
+per side, from that shared call.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from .iterlog import xk_values, xk_values_from_s
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
+    _integrate_shared,
     _q_beta,
     count_quadrature,
-    integrate,
     integrate_halfline,
 )
 from .radial import (
@@ -465,12 +469,10 @@ def _closed_density(terms, forms: _Forms, prods: list):
     )
 
 
-def _inner_density(params: MinSeqParams, s: np.ndarray, terms) -> np.ndarray:
-    """A combination's density on (0, inner] at s = ln(1/r).  No
-    catastrophic subtraction occurs even at very deep s: the deficits are
-    factored and the common factor e^{-2 eps s} prod X_i^{-1+a_i} is applied
-    last."""
-    s = np.asarray(s, dtype=float)
+def _inner_forms(params: MinSeqParams, s: np.ndarray) -> tuple:
+    """The part of every density on (0, inner] that the node set s = ln(1/r)
+    alone fixes: (the common factor e^{-2 eps s} prod X_i^{-1+a_i}, the
+    closed forms, the products X_1...X_i)."""
     xs = xk_values_from_s(len(params.a), s)
     prods = _log_products(xs)
     common = np.exp(-2.0 * params.epsilon * s)
@@ -478,34 +480,57 @@ def _inner_density(params: MinSeqParams, s: np.ndarray, terms) -> np.ndarray:
         if ai != 1.0:
             common = common * x ** (-1.0 + ai)
     forms = _closed_forms(params.N, params.m, params.mode_k, params.epsilon, *_eta_b(params.a, prods))
-    return common * _closed_density(terms, forms, prods)
+    return common, forms, prods
+
+
+class _InnerTerms:
+    """The combinations' densities on (0, inner] in s = ln(1/r), for the
+    multi-log quadrature.
+
+    No catastrophic subtraction occurs even at very deep s: the deficits are
+    factored and the common factor is applied last.  Each node set's
+    :func:`_inner_forms` is kept, keyed by the nodes' bytes: the numerator's
+    and the denominator's half-line integrals evaluate most of their nodes
+    in the same calls, and the store lives only as long as this object,
+    which serves one quotient."""
+
+    def __init__(self, params: MinSeqParams):
+        self.params = params
+        self._forms: dict[bytes, tuple] = {}
+
+    def density(self, s, terms) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        key = s.tobytes()
+        at = self._forms.get(key)
+        if at is None:
+            at = self._forms[key] = _inner_forms(self.params, s)
+        common, forms, prods = at
+        return common * _closed_density(terms, forms, prods)
+
+    def integral(self, terms, spec: QuadratureSpec) -> QuadratureResult:
+        """Quadrature of the combination over (0, inner], in s."""
+        s0 = math.log(1.0 / self.params.cutoff.inner_radius)
+        return integrate_halfline(lambda s: self.density(s, terms), s0, spec)
 
 
 # The adaptive rule bisects every interval while there are at most 16, so a
 # cutoff-zone integral refines uniformly until it stops, and the scans' zone
 # integrals never stop before the zone's 4 equal panels (most stop on them,
-# the rest on 8).  So they start there: 60 nodes in one integrand call
-# instead of 15, 30 and 60 in three.
+# the rest on 8).  So they start there, and both sides of a quotient start
+# together: one integrand call on the 60 nodes gives every density of the
+# quotient and one sums call both sides' 4 panel rules, where a side alone
+# would make three calls on 15, 30 and 60 nodes.
 _ZONE_PANELS = 4
-
-
-def _zone_integral(f, cutoff: CutoffSpec, spec: QuadratureSpec) -> float:
-    """int_inner^outer f dr, started on the zone's _ZONE_PANELS equal panels,
-    cut where bisection would cut them."""
-    cuts = [cutoff.inner_radius, cutoff.outer_radius]
-    while len(cuts) <= _ZONE_PANELS:
-        cuts = [c for lo, hi in zip(cuts, cuts[1:]) for c in (lo, 0.5 * (lo + hi))] + cuts[-1:]
-    return integrate(f, cuts[0], cuts[-1], spec, breakpoints=cuts[1:-1]).value
 
 
 class _OuterTerms:
     """Jet-evaluated densities of the integrals on the cutoff transition zone.
 
     Each integral is of u, or of v = r^shift u, and
-    :func:`rellich.radial._jet_density` forms its density from one jet of u.
-    u's profile is memoized: the numerator and the denominator of one
-    quotient integrate over the same zone and share most of their nodes, and
-    the memo lives only as long as this object."""
+    :func:`rellich.radial._jet_density` forms its density from one jet of u,
+    for every integral of a quotient's sides at once.  u's profile is
+    memoized: where both sides bisect a zone panel they evaluate the same
+    nodes, and the memo lives only as long as this object."""
 
     def __init__(self, params: MinSeqParams):
         self.params = params
@@ -531,18 +556,25 @@ class _OuterTerms:
             out[i] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, float(i.weight))
         return out
 
-    def integral(self, terms, spec: QuadratureSpec) -> float:
-        """The combination's integral over the cutoff zone [inner, outer],
-        computing only the densities it takes."""
-        ints = {t for _, t, _ in terms}
-        weighted = any(w is not None for _, _, w in terms)
+    def integrals(self, sides, spec: QuadratureSpec) -> list[float]:
+        """Each combination's integral over the cutoff zone [inner, outer],
+        all started on the zone's _ZONE_PANELS equal panels, cut where
+        bisection would cut them: one call on their nodes computes the
+        densities of every combination, and a call after it only those of
+        the combination that bisects."""
+        ints = [{t for _, t, _ in terms} for terms in sides]
 
-        def density(r):
-            p = self.densities(r, ints)
+        def density(r, which):
+            p = self.densities(r, set().union(*(ints[i] for i in which)))
+            weighted = any(w is not None for i in which for _, _, w in sides[i])
             prods = _log_products(xk_values(len(self.params.a), r)) if weighted else None
-            return _combine(terms, p.__getitem__, lambda w: _weight(prods, w))
+            return [_combine(sides[i], p.__getitem__, lambda w: _weight(prods, w)) for i in which]
 
-        return _zone_integral(density, self.params.cutoff, spec)
+        cuts = [self.params.cutoff.inner_radius, self.params.cutoff.outer_radius]
+        while len(cuts) <= _ZONE_PANELS:
+            cuts = [c for lo, hi in zip(cuts, cuts[1:]) for c in (lo, 0.5 * (lo + hi))] + cuts[-1:]
+        results = _integrate_shared(density, len(sides), cuts[0], cuts[-1], spec, cuts[1:-1])
+        return [res.value for res in results]
 
 
 # --------------------------------------------------------------------------
@@ -767,12 +799,6 @@ def _exact_limit(family: ScanFamily, N: int, m=0, mode_k: int = 0) -> Fraction:
 _MAX_INNER_ERR_SHARE = 1e-6
 
 
-def _inner_integral(terms, params: MinSeqParams, spec: QuadratureSpec) -> QuadratureResult:
-    """Quadrature of a combination's closed forms in s over (0, inner]."""
-    s0 = math.log(1.0 / params.cutoff.inner_radius)
-    return integrate_halfline(lambda s: _inner_density(params, s, terms), s0, spec)
-
-
 def rayleigh_quotient(
     family: ScanFamily,
     params: MinSeqParams,
@@ -789,27 +815,29 @@ def rayleigh_quotient(
     divergent levels leave the double range (eps below about 1e-150).
     Multi-log quotients use direct quadrature in s, and raise DomainError
     where its error estimate exceeds ``_MAX_INNER_ERR_SHARE`` of a side.
+    Both sides' integrals on either region share their integrand
+    evaluations (see :class:`_InnerTerms` and :class:`_OuterTerms`); each
+    side's integrals still count on their own in :func:`count_quadrature`.
     """
     spec = quad or QuadratureSpec()
     _FAMILIES[family].validate(family, params)
-    quotient = _quotient(family, params.N, params.m)[:2]
-    outer = _OuterTerms(params)
-    red = _Reduction(params) if len(params.a) == 1 else None
-
-    def side(terms) -> float:
-        if red is not None:
-            return red.integral(terms) + outer.integral(terms, spec)
-        inner = _inner_integral(terms, params, spec)
-        total = inner.value + outer.integral(terms, spec)
-        if not inner.error_estimate <= _MAX_INNER_ERR_SHARE * abs(total):
+    sides = _quotient(family, params.N, params.m)[:2]
+    if len(params.a) == 1:
+        red = _Reduction(params)
+        inner = [(red.integral(terms), None) for terms in sides]
+    else:
+        forms = _InnerTerms(params)
+        inner = [(res.value, res.error_estimate) for res in (forms.integral(t, spec) for t in sides)]
+    totals = []
+    for (value, error), zone in zip(inner, _OuterTerms(params).integrals(sides, spec)):
+        total = value + zone
+        if error is not None and not error <= _MAX_INNER_ERR_SHARE * abs(total):
             raise DomainError(
                 f"the s-space quadrature cannot resolve eps = {params.epsilon:g} with"
-                f" a = {params.a}: error estimate {inner.error_estimate:.2g} on a side"
-                f" of {total:.6g}"
+                f" a = {params.a}: error estimate {error:.2g} on a side of {total:.6g}"
             )
-        return total
-
-    num, den = (side(t) for t in quotient)
+        totals.append(total)
+    num, den = totals
     if abs(den) <= spec.abs_tol:
         raise QuadratureError("degenerate denominator in Rayleigh quotient")
     return num / den

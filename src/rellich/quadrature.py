@@ -234,8 +234,22 @@ def _level_rows(f, a: float, b: float):
 _MAX_SUBDIVISIONS = 4096
 
 
+def _cuts(a: float, b: float, breakpoints) -> list[float]:
+    """a, the breakpoints inside (a, b) and b, in order: the edges of an
+    integral's first batch of intervals."""
+    return sorted({a, b, *(p for p in breakpoints if a < p < b)})
+
+
 def _adaptive_finite(
-    f, a: float, b: float, rel_tol: float, abs_tol: float, max_subdivisions: int, breakpoints=(), block=False
+    f,
+    a: float,
+    b: float,
+    rel_tol: float,
+    abs_tol: float,
+    max_subdivisions: int,
+    breakpoints=(),
+    block=False,
+    known=None,
 ):
     """Adaptive bisection on [a, b] until the error estimate meets
     max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged).
@@ -247,10 +261,11 @@ def _adaptive_finite(
     result is bitwise that of one call per batch; all 225 points count in
     ``evals``, used or not.  If that call raises, the integral goes on one
     batch per call, so an exception surfaces only from a level the integral
-    needs."""
+    needs.  Rules already at hand, {(lo, hi): (value, error)}, come in as
+    ``known`` (see :func:`_integrate_shared`), their points not counted."""
     with np.errstate(all="ignore"):
-        cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-        known, n_block = None, 0
+        cuts = _cuts(a, b, breakpoints)
+        n_block = 0
         if block and len(cuts) == 2:
             try:
                 known, n_block = _level_rows(f, a, b)
@@ -258,8 +273,8 @@ def _adaptive_finite(
                 pass  # some level ahead raised: go on one batch per call
         vals, errs, n_eval = _gk_batch(f, cuts[:-1], cuts[1:], known)
         heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(cuts[:-1], cuts[1:], vals.tolist(), errs.tolist())]
-        total = float(np.sum(vals))
-        total_err = float(np.sum(errs))
+        total = float(np.add.reduce(vals))
+        total_err = float(np.add.reduce(errs))
         return _refine(f, heap, total, total_err, n_block + n_eval, rel_tol, abs_tol, max_subdivisions, known)
 
 
@@ -313,7 +328,7 @@ def _refine(
 
 _HALFLINE_MAX_PANELS = 900
 _HALFLINE_S_MAX = 1e200
-_LOOKAHEAD = 4  # panels whose first rule one integrand call evaluates
+_LOOKAHEAD = 16  # panels whose first rule one integrand call evaluates
 
 
 def integrate_halfline(
@@ -330,28 +345,31 @@ def integrate_halfline(
     the panels do not decay there is no estimate, and the error is infinite.
 
     h must act elementwise.  One call to h and one :func:`_gk_sums` call
-    give the first 15-point rule of the next four panels (never a panel
-    beyond ``s_cap``), which settles most panels; the panels are then taken
-    in order.  A rule depends on its panel's values alone, so the result is
-    bitwise that of one panel per call.  Points of panels past the stopping
-    one are evaluated and counted in ``evaluations`` but never used.  If
-    that call raises, the integral goes on one panel per call, so an
-    exception surfaces only from a panel the integral needs.
+    give the first 15-point rule of the next ``_LOOKAHEAD`` (16) panels,
+    which settles most panels; the panels are then taken in order.  The
+    panel that crosses ``s_cap`` is looked at only once the integral needs
+    it, in a call of its own, so no call reaches past ``s_cap`` unless that
+    panel is needed.  A rule depends on its panel's values alone, so the
+    result is bitwise that of one panel per call.  Points of panels past
+    the stopping one are evaluated and counted in ``evaluations`` but never
+    used.  If that call raises, the integral goes on one panel per call, so
+    an exception surfaces only from a panel the integral needs.
     """
     return _counted(_halfline(h, s0, spec or QuadratureSpec(), s_cap))
 
 
 def _first_rules(h, left: float, width: float, count: int, s_cap: float):
     """The first rule of up to ``count`` panels from [left, left + width] on,
-    doubling, stopping after a panel whose right end lies beyond s_cap:
-    [(left, right, value, error), ...] and the evaluations, from one call to h."""
+    doubling, taking a panel whose right end lies beyond s_cap only as the
+    first: [(left, right, value, error), ...] and the evaluations, from one
+    call to h."""
     edges = []
     for _ in range(count):
         right = left + width
+        if edges and right > s_cap:
+            break
         edges.append((left, right))
         left, width = right, width * 2.0
-        if left > s_cap:
-            break
     values, errors, n_eval = _gk_batch(h, *zip(*edges))
     return [(*edge, v, e) for edge, v, e in zip(edges, values.tolist(), errors.tolist())], n_eval
 
@@ -434,14 +452,51 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
     r -> 0 go through :func:`origin_integral`.
     """
     spec = spec or QuadratureSpec()
-    if not (b > a):
-        raise DomainError("need b > a")
-    if a < 0:
-        raise DomainError("need a >= 0")
+    _check_interval(a, b)
     value, err, evals, converged = _adaptive_finite(
         f, a, b, spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS, breakpoints, block=True
     )
     return _counted(QuadratureResult(value, err, evals, converged))
+
+
+def _check_interval(a: float, b: float) -> None:
+    if not (b > a):
+        raise DomainError("need b > a")
+    if a < 0:
+        raise DomainError("need a >= 0")
+
+
+def _integrate_shared(f, n: int, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()):
+    """The integrals over (a, b) of n integrands that share their nodes, as
+    a list of :class:`QuadratureResult`.
+
+    ``f(x, which)`` returns the values at x of the integrands numbered in
+    ``which``, one array each.  One call ``f(x, range(n))`` evaluates every
+    integrand on the first batch, the intervals between a, the breakpoints
+    and b, and one :func:`_gk_sums` call gives all their rules; each
+    integral then bisects on its own from those rules, calling
+    ``f(x, (i,))``.  A rule depends on its interval's values alone, so
+    integral i is bitwise ``integrate(lambda x: f(x, (i,))[0], a, b, spec,
+    breakpoints)``.  Each counts as one entry-point call, the first batch's
+    points in its ``evaluations``."""
+    spec = spec or QuadratureSpec()
+    _check_interval(a, b)
+    cuts = _cuts(a, b, breakpoints)
+    edges = list(zip(cuts[:-1], cuts[1:]))
+    with np.errstate(all="ignore"):
+        pts = _gk_points(np.array(cuts[:-1]), np.array(cuts[1:]))
+        vals = np.asarray(f(pts.ravel(), range(n)), dtype=float).reshape(n * len(edges), -1)
+        values, errors = _gk_sums(vals, np.array(cuts[:-1] * n), np.array(cuts[1:] * n))
+    rules = list(zip(values.tolist(), errors.tolist()))
+    results = []
+    for i in range(n):
+        known = dict(zip(edges, rules[i * len(edges) : (i + 1) * len(edges)]))
+        alone = lambda x, i=i: f(x, (i,))[0]
+        value, err, evals, converged = _adaptive_finite(
+            alone, a, b, spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS, breakpoints, known=known
+        )
+        results.append(_counted(QuadratureResult(value, err, evals + pts.size, converged)))
+    return results
 
 
 # Cap for the r-space log substitution: below r = e^{-650} an r-space callable

@@ -193,11 +193,10 @@ def test_reduced_path_matches_direct_path():
         quotient = M._quotient(fam, N, m)[:2]
         # the reduction against the quadrature in s on (0, inner]
         red = M._Reduction(p)
-        inner = [M._inner_integral(terms, p, SPEC).value for terms in quotient]
+        inner = [M._InnerTerms(p).integral(terms, SPEC).value for terms in quotient]
         for terms, direct in zip(quotient, inner):
             assert red.integral(terms) == pytest.approx(direct, rel=1e-9), (fam, terms)
-        outer = M._OuterTerms(p)
-        num, den = (i + outer.integral(terms, SPEC) for i, terms in zip(inner, quotient))
+        num, den = (i + z for i, z in zip(inner, M._OuterTerms(p).integrals(quotient, SPEC)))
         assert rayleigh_quotient(fam, p, quad=SPEC) == pytest.approx(num / den, rel=1e-8), fam
 
 
@@ -438,55 +437,113 @@ def test_q_beta_raises_where_it_cannot_answer(monkeypatch):
 
 def test_reduced_quotient_runs_two_zone_quadratures(monkeypatch):
     """A single-log quotient integrates only the cutoff zone, once for its
-    numerator and once for its denominator, and each zone integral starts on
-    4 panels: its first integrand call takes 4 x 15 nodes."""
-    import rellich.minseq as M
+    numerator and once for its denominator, and both zone integrals start
+    together on the zone's 4 panels: their first integrand call, one for
+    both sides, takes 4 x 15 nodes and every integral either side reads;
+    only bisections follow it."""
     from rellich.quadrature import count_quadrature
 
-    first_calls = []
-    real = M.integrate
+    calls = []
+    real = M._OuterTerms.densities
 
-    def recording(f, a, b, spec=None, breakpoints=()):
-        sizes = []
+    def recording(self, r, ints):
+        calls.append((np.size(r), set(ints)))
+        return real(self, r, ints)
 
-        def g(r):
-            sizes.append(np.size(r))
-            return f(r)
-
-        res = real(g, a, b, spec, breakpoints)
-        first_calls.append(sizes[0])
-        return res
-
-    monkeypatch.setattr(M, "integrate", recording)
+    monkeypatch.setattr(M._OuterTerms, "densities", recording)
     for fam in ScanFamily:
-        first_calls.clear()
+        calls.clear()
         with count_quadrature() as counts:
             rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-3, (0.1,)))
         assert counts.calls == 2, fam
-        assert first_calls == [60, 60], fam
+        every = {t for terms in M._quotient(fam, 6, 0.0)[:2] for _, t, _ in terms}
+        assert calls[0] == (60, every), fam
+        assert all(size > 60 for size, _ in calls[1:]), fam
 
 
 def test_zone_integral_matches_the_plain_adaptive_rule(monkeypatch):
-    """Started on its 4 panels, every zone integral of every family's
-    default N = 6 scan agrees with the adaptive rule started on the whole
-    zone, which refines to the same panels."""
-    import rellich.minseq as M
+    """Started together on their 4 panels, both zone integrals of every
+    quotient of every family's default N = 6 scan agree with the adaptive
+    rule started on the whole zone for that side alone, which refines to
+    the same panels."""
+    from rellich.quadrature import integrate
 
-    real = M.integrate
+    real = M._integrate_shared
     seen = []
 
-    def both(f, a, b, spec=None, breakpoints=()):
-        res = real(f, a, b, spec, breakpoints)
-        plain = real(f, a, b, spec).value
-        seen.append(abs(res.value - plain) / abs(plain))
-        return res
+    def both(f, n, a, b, spec=None, breakpoints=()):
+        results = real(f, n, a, b, spec, breakpoints)
+        for i, res in enumerate(results):
+            plain = integrate(lambda r: f(r, (i,))[0], a, b, spec).value
+            seen.append(abs(res.value - plain) / abs(plain))
+        return results
 
-    monkeypatch.setattr(M, "integrate", both)
+    monkeypatch.setattr(M, "_integrate_shared", both)
     for fam in ScanFamily:
         for params in default_schedule(fam, 6):
             rayleigh_quotient(fam, params)
     assert len(seen) == 2 * sum(len(default_schedule(fam, 6)) for fam in ScanFamily)
     assert max(seen) <= 2e-15
+
+
+def _quotient_one_side_per_call(fam, params, spec=None):
+    """The Rayleigh quotient with each side integrated on its own: the
+    side's zone integral with its own integrand calls, on a fresh profile
+    memo, and for K >= 2 its inner half-line integral with no store.
+    Returns (quotient, integrals that ended unconverged, each side's zone
+    evaluations)."""
+    from rellich.quadrature import QuadratureSpec, integrate, integrate_halfline
+
+    spec = spec or QuadratureSpec()
+    cutoff = params.cutoff
+    cuts = [cutoff.inner_radius, cutoff.outer_radius]
+    for _ in range(2):  # the zone's 4 panels, cut as bisection cuts them
+        cuts = [c for lo, hi in zip(cuts, cuts[1:]) for c in (lo, 0.5 * (lo + hi))] + cuts[-1:]
+    totals, missed, zone_evals = [], 0, []
+    for terms in M._quotient(fam, params.N, params.m)[:2]:
+        outer, ints = M._OuterTerms(params), {t for _, t, _ in terms}
+
+        def zone_density(r):
+            p = outer.densities(r, ints)
+            prods = M._log_products(xk_values(len(params.a), r))
+            return M._combine(terms, p.__getitem__, lambda w: M._weight(prods, w))
+
+        def inner_density(s):
+            common, forms, prods = M._inner_forms(params, np.asarray(s, dtype=float))
+            return common * M._closed_density(terms, forms, prods)
+
+        zone = integrate(zone_density, cuts[0], cuts[-1], spec, breakpoints=cuts[1:-1])
+        results = [zone]
+        if len(params.a) == 1:
+            total = M._Reduction(params).integral(terms) + zone.value
+        else:
+            inner = integrate_halfline(inner_density, math.log(1.0 / cutoff.inner_radius), spec)
+            results.append(inner)
+            total = inner.value + zone.value
+            if not inner.error_estimate <= M._MAX_INNER_ERR_SHARE * abs(total):
+                raise DomainError("cannot resolve")
+        totals.append(total)
+        missed += sum(not res.converged for res in results)
+        zone_evals.append(zone.evaluations)
+    return totals[0] / totals[1], missed, zone_evals
+
+
+def test_quotients_match_one_side_per_call():
+    """Every step of every family's default scan at N = 6, 9 and 30, K = 1
+    and 2, gives the quotient and the unconverged count of the sides
+    integrated one at a time, bitwise, steps where one side's zone bisects
+    to 8 panels and the other's stops on 4 included."""
+    one_side_bisects = 0
+    for fam in ScanFamily:
+        for N in (6, 9, 30):
+            for K in (1, 2):
+                schedule = default_schedule(fam, N, K=K)
+                result = scan_to_limit(fam, schedule)
+                for params, q, missed in zip(schedule, result.quotients, result.unconverged):
+                    ref, ref_missed, zone_evals = _quotient_one_side_per_call(fam, params)
+                    assert (q.hex(), missed) == (ref.hex(), ref_missed), (fam, params)
+                    one_side_bisects += sorted(zone_evals) == [60, 180]
+    assert one_side_bisects > 0
 
 
 def test_family_parameter_guards():
@@ -781,7 +838,15 @@ def test_scan_reports_unconverged_quadratures(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(minseq, "integrate", counting(minseq.integrate))
+    def counting_each(fn):
+        def wrapped(*args, **kwargs):
+            results = fn(*args, **kwargs)
+            misses[0] += sum(not res.converged for res in results)
+            return results
+
+        return wrapped
+
+    monkeypatch.setattr(minseq, "_integrate_shared", counting_each(minseq._integrate_shared))
     monkeypatch.setattr(minseq, "integrate_halfline", counting(minseq.integrate_halfline))
     expected = []
     for params in schedule:

@@ -55,6 +55,23 @@ def test_cli_prints_one_digest_per_workload():
     assert re.fullmatch(r"functionals [0-9a-f]{64} 400\n", out)
 
 
+# the scan-limits digest at seed 1: every scan op's quotient, unconverged
+# count and constant, bitwise; re-record it only for a change that is meant
+# to move a scan's output bits
+SCAN_LIMITS_SEED_1 = "06c8693bbe56a944b3cf2ce65b706dc313a6f154cff31a7022ba17ec424c447f"
+
+
+def test_scan_limits_digest_golden():
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--seed", "1", "--workload", "scan-limits"],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+    ).stdout
+    assert out == f"scan-limits {SCAN_LIMITS_SEED_1} 336\n"
+
+
 def test_compare_summarizes_each_workload_and_lists_ops_that_differ_in_kind():
     tool = _tool()
     x = 9.0001250395959023

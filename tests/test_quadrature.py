@@ -272,8 +272,15 @@ def _recording(h, seen):
     return wrapped
 
 
+@pytest.fixture(params=[1, 4, 16])
+def lookahead(request, monkeypatch):
+    """The half-line look-ahead at 1 (one panel per call), 4 and 16 panels."""
+    monkeypatch.setattr(quadrature, "_LOOKAHEAD", request.param)
+    return request.param
+
+
 @pytest.mark.parametrize("name", sorted(_HALFLINE_CASES))
-def test_lookahead_matches_one_panel_per_call(name):
+def test_lookahead_matches_one_panel_per_call(name, lookahead):
     h, s0, s_cap = _HALFLINE_CASES[name]
     reached, ref_reached = [], []
     got = integrate_halfline(_recording(h, reached), s0, SPEC, s_cap)
@@ -282,6 +289,22 @@ def test_lookahead_matches_one_panel_per_call(name):
     assert got.evaluations >= ref.evaluations
     if name.startswith("s-cap"):  # the look-ahead stops where the truncation does
         assert max(reached) == max(ref_reached)
+
+
+def test_rspace_origin_integral_evaluates_no_node_past_its_cap(lookahead):
+    """An r-space origin integral that stops before its truncation at
+    s = 650 never feeds its integrand a radius below e^{-650}, however many
+    panels a call looks ahead: the panel that crosses the cap is evaluated
+    only once the integral needs it."""
+    radii = []
+
+    def f(r):
+        radii.append(float(np.min(r)))
+        return r**-0.5
+
+    got = origin_integral(f, -0.5, 1.0, SPEC)
+    assert got.converged and got.value == pytest.approx(2.0, rel=1e-12)
+    assert min(radii) >= math.exp(-quadrature._RSPACE_S_CAP)
 
 
 def test_lookahead_cases_reach_their_branches(monkeypatch):
@@ -308,7 +331,7 @@ def test_lookahead_cases_reach_their_branches(monkeypatch):
 
 
 def test_an_exception_beyond_the_stopping_panel_does_not_surface():
-    h = lambda s: np.exp(-s)  # stops at the first panel of the second look-ahead
+    h = lambda s: np.exp(-s)  # stops at its sixth panel, inside the first look-ahead of 16
     seen = []
     ref = _halfline_one_panel_per_call(_recording(h, seen), 0.0)
     reach = max(seen)
@@ -325,8 +348,8 @@ def test_an_exception_beyond_the_stopping_panel_does_not_surface():
     assert _bits(got) == _bits(ref)
 
 
-@pytest.mark.parametrize("bad_from", [20.0, 40.0])  # the first panel after a look-ahead fails, or a later one
-def test_an_exception_in_a_needed_panel_surfaces(bad_from):
+@pytest.mark.parametrize("bad_from", [20.0, 40.0])  # the fifth panel fails, or a later one
+def test_an_exception_in_a_needed_panel_surfaces(bad_from, lookahead):
     def failing(s):
         if np.max(s) > bad_from:
             raise ValueError("needed panel")
