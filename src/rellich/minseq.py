@@ -22,9 +22,9 @@ each node set's part of them computed once per quotient for both sides.
 On [rho, outer] every quotient integrates the full profile (with cutoff
 derivatives), evaluated by jet arithmetic in r, through one zone rule that
 starts both sides together: one integrand call on the zone's 60 nodes
-gives every density of the quotient, and each side bisects on alone where
-it must.  A single-log quotient runs just these two zone quadratures, one
-per side, from that shared call.
+gives every density of the quotient, and the sides bisect on in lockstep
+where they must, one integrand call per round.  A single-log quotient runs
+just these two zone quadratures, one per side.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .iterlog import xk_values, xk_values_from_s
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
-    _integrate_shared,
+    _integrate_many,
     _q_beta,
     count_quadrature,
     integrate_halfline,
@@ -56,7 +56,7 @@ from .radial import (
     TestFunction,
     _KIND_ORDERS,
     _Int,
-    _jet_density,
+    _jet_densities,
     _v,
     _v_exponent,
 )
@@ -519,7 +519,8 @@ class _InnerTerms:
 # the rest on 8).  So they start there, and both sides of a quotient start
 # together: one integrand call on the 60 nodes gives every density of the
 # quotient and one sums call both sides' 4 panel rules, where a side alone
-# would make three calls on 15, 30 and 60 nodes.
+# would make three calls on 15, 30 and 60 nodes.  They bisect on from there
+# in lockstep, one integrand call per round for both sides.
 _ZONE_PANELS = 4
 
 
@@ -527,7 +528,7 @@ class _OuterTerms:
     """Jet-evaluated densities of the integrals on the cutoff transition zone.
 
     Each integral is of u, or of v = r^shift u, and
-    :func:`rellich.radial._jet_density` forms its density from one jet of u,
+    :func:`rellich.radial._jet_densities` forms its density from one jet of u,
     for every integral of a quotient's sides at once.  u's profile is
     memoized: where both sides bisect a zone panel they evaluate the same
     nodes, and the memo lives only as long as this object."""
@@ -539,41 +540,38 @@ class _OuterTerms:
         self.u = tf.profile.memoized()
 
     def densities(self, r: np.ndarray, ints) -> dict[_Int, np.ndarray]:
-        """The densities of the integrals ints at r, and only those.
-
-        u is evaluated once, as a jet of the highest order an integral takes,
-        and v = r^shift u is built from that jet.  A jet's rows do not depend
-        on its order (the jet arithmetic is truncation invariant), so every
-        density is bitwise the one its own profile evaluation would give."""
-        order = max(_KIND_ORDERS[i.kind] + 2 * i.n for i in ints)
-        U = self.u.taylor(r, order)
-        jets = {None: U}
-        out = {}
-        for i in ints:
-            H = jets.get(i.shift)
-            if H is None:
-                H = jets[i.shift] = Jet.variable(r, order) ** float(i.shift) * U
-            out[i] = _jet_density(i.kind, i.n, H, r, self.params.N, self.mode.eigenvalue, float(i.weight))
-        return out
+        """The densities of the integrals ints at r, and only those, from one
+        jet of u (see :func:`rellich.radial._jet_densities`)."""
+        ints = list(ints)
+        return dict(zip(ints, _jet_densities(self.u, ints, [r] * len(ints), self.mode)))
 
     def integrals(self, sides, spec: QuadratureSpec) -> list[float]:
         """Each combination's integral over the cutoff zone [inner, outer],
         all started on the zone's _ZONE_PANELS equal panels, cut where
-        bisection would cut them: one call on their nodes computes the
-        densities of every combination, and a call after it only those of
-        the combination that bisects."""
+        bisection would cut them, and bisected in lockstep
+        (:func:`rellich.quadrature._integrate_many`).  The combinations
+        that share a round's node array share one :meth:`densities` call,
+        which computes their integrals' densities and only those."""
         ints = [{t for _, t, _ in terms} for terms in sides]
 
-        def density(r, which):
-            p = self.densities(r, set().union(*(ints[i] for i in which)))
-            weighted = any(w is not None for i in which for _, _, w in sides[i])
-            prods = _log_products(xk_values(len(self.params.a), r)) if weighted else None
-            return [_combine(sides[i], p.__getitem__, lambda w: _weight(prods, w)) for i in which]
+        def density(xs):
+            groups: dict = {}
+            for i, r in enumerate(xs):
+                if r is not None:
+                    groups.setdefault(id(r), (r, []))[1].append(i)
+            out = [None] * len(xs)
+            for r, which in groups.values():
+                p = self.densities(r, set().union(*(ints[i] for i in which)))
+                weighted = any(w is not None for i in which for _, _, w in sides[i])
+                prods = _log_products(xk_values(len(self.params.a), r)) if weighted else None
+                for i in which:
+                    out[i] = _combine(sides[i], p.__getitem__, lambda w: _weight(prods, w))
+            return out
 
         cuts = [self.params.cutoff.inner_radius, self.params.cutoff.outer_radius]
         while len(cuts) <= _ZONE_PANELS:
             cuts = [c for lo, hi in zip(cuts, cuts[1:]) for c in (lo, 0.5 * (lo + hi))] + cuts[-1:]
-        results = _integrate_shared(density, len(sides), cuts[0], cuts[-1], spec, cuts[1:-1])
+        results = _integrate_many(density, len(sides), cuts[0], cuts[-1], spec, cuts[1:-1])
         return [res.value for res in results]
 
 

@@ -2,7 +2,10 @@
 power-times-iterated-log type.
 
 The base rule is an embedded 7/15 Gauss-Kronrod pair with bisection of the
-largest-error subinterval (:func:`integrate`).  Integrands whose mass
+largest-error subintervals (:func:`_bisection`), which one engine drives
+for any number of integrals on one interval in lockstep, one integrand
+call and one sums call per round (:func:`_integrate_many`; :func:`integrate`
+is its one-integral case).  Integrands whose mass
 concentrates at r = 0 are handled through the substitution r = e^{-s},
 which maps (0, b] to a half-line in s; the half-line is covered by panels of
 doubling width until a geometric tail extrapolation certifies the remainder
@@ -46,12 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """The two tolerances.  The hash, the dataclass's own, is computed once:
+    a spec keys the store of every test function."""
+
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError(f"tolerances must be finite and positive, got {self.rel_tol}, {self.abs_tol}")
+        object.__setattr__(self, "_hash", hash((self.rel_tol, self.abs_tol)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def target(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -88,8 +98,9 @@ _COUNTERS: ContextVar[tuple[QuadratureCounts, ...]] = ContextVar("quadrature_cou
 def count_quadrature():
     """Count the integrals of the enclosed code, including those of enclosing
     blocks: each entry-point call (:func:`integrate`, :func:`integrate_halfline`,
-    :func:`integrate_logweighted`) counts once in every active block, with
-    its ``evaluations`` (points evaluated but not used included)."""
+    :func:`integrate_logweighted`) and each integral of an
+    :func:`_integrate_many` run counts once in every active block, with its
+    ``evaluations`` (points evaluated but not used included)."""
     counts = QuadratureCounts()
     token = _COUNTERS.set(_COUNTERS.get() + (counts,))
     try:
@@ -196,109 +207,25 @@ def _gk_sums(vals: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
     return resk, np.maximum(err, _ERR_FLOOR * resabs)
 
 
-def _gk_batch(f, ls, rs, known=None):
-    """Apply the 15-point rule to the batch of intervals [ls[i], rs[i]] with
-    one call to f, or with none when ``known`` (from :func:`_level_rows`)
-    holds every interval of the batch; returns (values, error estimates,
-    evaluations).  Callers run it under ``np.errstate(all="ignore")``."""
-    if known:
-        picked = [known.get(edge) for edge in zip(ls, rs)]
-        if None not in picked:
-            return *np.array(picked).T, 0
-    lefts, rights = np.array(ls), np.array(rs)
-    pts = _gk_points(lefts, rights)
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    resk, err = _gk_sums(vals, lefts, rights)
-    return resk, err, vals.size
-
-
 _BLOCK_LEVELS = 4  # uniform bisection levels (1, 2, 4 and 8 intervals) one integrand call covers
-
-
-def _level_rows(f, a: float, b: float):
-    """The rules of the first ``_BLOCK_LEVELS`` uniform bisection levels of
-    [a, b], each interval cut at 0.5 * (lo + hi) as :func:`_refine` cuts
-    it, from one call to f (15 intervals, 225 points) and one
-    :func:`_gk_sums` call.  Returns ({(lo, hi): (value, error)}, evaluations);
-    each rule is the one its interval gets alone."""
-    level, edges = [(a, b)], []
-    for _ in range(_BLOCK_LEVELS):
-        edges += level
-        level = [half for lo, hi in level for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-    values, errors, n_eval = _gk_batch(f, *zip(*edges))
-    return dict(zip(edges, zip(values.tolist(), errors.tolist()))), n_eval
-
 
 # the most intervals an integral over a finite interval is bisected into; a
 # half-line panel may take 1/16 of it, and at least 64.  Read at call time.
 _MAX_SUBDIVISIONS = 4096
 
 
-def _cuts(a: float, b: float, breakpoints) -> list[float]:
-    """a, the breakpoints inside (a, b) and b, in order: the edges of an
-    integral's first batch of intervals."""
-    return sorted({a, b, *(p for p in breakpoints if a < p < b)})
-
-
-def _adaptive_finite(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float,
-    abs_tol: float,
-    max_subdivisions: int,
-    breakpoints=(),
-    block=False,
-    known=None,
-):
-    """Adaptive bisection on [a, b] until the error estimate meets
-    max(abs_tol, rel_tol * |value|); returns (value, error, evals, converged).
-
-    With ``block`` and no breakpoint inside (a, b), one call to f and one
-    :func:`_gk_sums` call give the rules of the first four bisection levels
-    (:func:`_level_rows`), which the bisection would otherwise reach in four
-    calls of each.  Since a rule depends on its interval's values alone, the
-    result is bitwise that of one call per batch; all 225 points count in
-    ``evals``, used or not.  If that call raises, the integral goes on one
-    batch per call, so an exception surfaces only from a level the integral
-    needs.  Rules already at hand, {(lo, hi): (value, error)}, come in as
-    ``known`` (see :func:`_integrate_shared`), their points not counted."""
-    with np.errstate(all="ignore"):
-        cuts = _cuts(a, b, breakpoints)
-        n_block = 0
-        if block and len(cuts) == 2:
-            try:
-                known, n_block = _level_rows(f, a, b)
-            except Exception:
-                pass  # some level ahead raised: go on one batch per call
-        vals, errs, n_eval = _gk_batch(f, cuts[:-1], cuts[1:], known)
-        heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(cuts[:-1], cuts[1:], vals.tolist(), errs.tolist())]
-        total = float(np.add.reduce(vals))
-        total_err = float(np.add.reduce(errs))
-        return _refine(f, heap, total, total_err, n_block + n_eval, rel_tol, abs_tol, max_subdivisions, known)
-
-
-def _refine(
-    f,
-    heap: list,
-    total: float,
-    total_err: float,
-    n_eval: int,
-    rel_tol: float,
-    abs_tol: float,
-    max_subdivisions: int,
-    known=None,
-):
-    """Bisect the largest-error intervals of ``heap`` (entries (-error, lo,
-    hi, value, error) whose values and errors sum to ``total`` and
-    ``total_err``) in batches of up to 16 until the error meets
-    max(abs_tol, rel_tol * |value|); returns (value, error, evals,
-    converged), ``evals`` counting ``n_eval`` in.  Batches whose rules
-    ``known`` (from :func:`_level_rows`) holds take them from it.  Callers
-    run it under ``np.errstate(all="ignore")``.
-
-    The heap and the running totals hold Python floats, which round exactly
-    as numpy's float64 scalars do at a fraction of the per-operation cost."""
+def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: int, rule=None):
+    """Bisect one integral from the intervals [lefts[i], rights[i]] until its
+    error meets max(abs_tol, rel_tol * |value|).  A generator: it yields
+    each batch of intervals it needs rules for as (lefts, rights) lists,
+    takes their (values, errors) lists and returns (value, error,
+    converged).  The first batch is the starting intervals, unless one
+    interval's (value, error) ``rule`` is given; each later one bisects the
+    up to 16 largest-error intervals.  Heap and totals hold Python floats,
+    which round as numpy's float64 scalars do, at a fraction of the cost."""
+    values, errors = (yield lefts, rights) if rule is None else ([rule[0]], [rule[1]])
+    heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(lefts, rights, values, errors)]
+    total, total_err = rule or (float(np.add.reduce(values)), float(np.add.reduce(errors)))
     heapq.heapify(heap)
     n_sub = len(heap)
     while total_err > max(abs_tol, rel_tol * abs(total)) and n_sub < max_subdivisions:
@@ -310,20 +237,112 @@ def _refine(
             mid = 0.5 * (lo + hi)
             ls.extend([lo, mid])
             rs.extend([mid, hi])
-        new_vals, new_errs, ne = _gk_batch(f, ls, rs, known)
-        n_eval += ne
+        values, errors = yield ls, rs
         n_sub += len(batch)
         for _neg, _lo, _hi, v, e in batch:
             total -= v
             total_err -= e
-        for lo, hi, v, e in zip(ls, rs, new_vals.tolist(), new_errs.tolist()):
+        for lo, hi, v, e in zip(ls, rs, values, errors):
             heapq.heappush(heap, (-e, lo, hi, v, e))
             total += v
             total_err += e
         if not math.isfinite(total):
-            return total, math.inf, n_eval, False
-    converged = total_err <= max(abs_tol, rel_tol * abs(total))
-    return total, total_err, n_eval, converged
+            return total, math.inf, False
+    return total, total_err, total_err <= max(abs_tol, rel_tol * abs(total))
+
+
+def _round(f, n: int, spans: dict, tolerant: bool = False) -> list:
+    """[(i, values, errors, evaluations)]: the rules, as lists, of the
+    intervals spans[i] = (lefts, rights), two lists, of each integral i,
+    from one call ``f(xs)`` on all their nodes (one array where intervals
+    coincide) and one :func:`_gk_sums` call.  If that call raises, f is
+    called per integral, and an exception surfaces from an integral's own
+    nodes, or with ``tolerant`` leaves that integral out.  Run under
+    np.errstate."""
+    xs = [None] * n
+    if len(spans) == 1:  # nothing to share
+        ((i, (ls, rs)),) = spans.items()
+        lefts, rights = np.array(ls), np.array(rs)
+        xs[i] = _gk_points(lefts, rights).ravel()
+    else:
+        ls, rs = [], []
+        for lefts, rights in spans.values():
+            ls += lefts
+            rs += rights
+        lefts, rights = np.array(ls), np.array(rs)
+        points = _gk_points(lefts, rights).ravel()  # elementwise: each span's rows as alone
+        shared, start = {}, 0
+        for i, (ls, rs) in spans.items():
+            key = (*ls, *rs)
+            x = xs[i] = shared.get(key)
+            if x is None:
+                xs[i] = shared[key] = points[start : start + 15 * len(ls)]
+            start += 15 * len(ls)
+    try:
+        at_nodes = f(xs)
+        vals = [np.asarray(at_nodes[i], dtype=float).reshape(-1, 15) for i in spans]
+    except Exception:
+        if len(spans) > 1:
+            return [out for i in spans for out in _round(f, n, {i: spans[i]}, tolerant)]
+        if tolerant:
+            return []
+        raise
+    values, errors = _gk_sums(np.concatenate(vals) if len(vals) > 1 else vals[0], lefts, rights)
+    values, errors = values.tolist(), errors.tolist()
+    if len(spans) == 1:
+        return [(i, values, errors, vals[0].size)]
+    out, start = [], 0
+    for i, v in zip(spans, vals):
+        out.append((i, values[start : start + len(v)], errors[start : start + len(v)], v.size))
+        start += len(v)
+    return out
+
+
+def _lockstep(f, gens: list, span=None) -> list:
+    """Drive the bisection generators ``gens`` (:func:`_bisection`), one per
+    integral, in rounds (:func:`_round`), each taking the next batch of
+    every integral that has not stopped: each integral's (value, error,
+    evaluations, converged), bitwise that of the integral alone.  With
+    ``span`` = (a, b) the first round is the first ``_BLOCK_LEVELS``
+    bisection levels of [a, b] (15 intervals, 225 nodes), which every
+    integral bisects through first; it serves the batches there, and all
+    its points count in ``evaluations``.  An integral for which that round
+    raises goes on one batch per round."""
+    n = len(gens)
+    evals, out, block, rows = [0] * n, [None] * n, [None] * n, {}
+    if span is not None:
+        edges = [span]  # level by level, each interval cut as _bisection cuts it
+        for j in range(2 ** (_BLOCK_LEVELS - 1) - 1):
+            lo, hi = edges[j]
+            mid = 0.5 * (lo + hi)
+            edges += (lo, mid), (mid, hi)
+        rows = {edge: row for row, edge in enumerate(edges)}
+        both = [lo for lo, _ in edges], [hi for _, hi in edges]
+        for i, values, errors, size in _round(f, n, dict.fromkeys(range(n), both), tolerant=True):
+            block[i], evals[i] = (values, errors), size
+
+    rules = dict.fromkeys(range(n))  # what each live integral takes next
+    while rules:
+        pending = {}
+        for i, got in rules.items():
+            try:
+                batch = gens[i].send(got)
+                while block[i] is not None:
+                    at = [rows.get(edge) for edge in zip(*batch)]
+                    if None in at:
+                        block[i] = None  # past the block: every later batch lies deeper
+                        break
+                    values, errors = block[i]
+                    batch = gens[i].send(([values[j] for j in at], [errors[j] for j in at]))
+            except StopIteration as stop:
+                out[i] = stop.value
+                continue
+            pending[i] = batch
+        rules = {}
+        for i, values, errors, size in _round(f, n, pending) if pending else ():
+            evals[i] += size
+            rules[i] = values, errors
+    return [(value, err, n_eval, converged) for (value, err, converged), n_eval in zip(out, evals)]
 
 
 _HALFLINE_MAX_PANELS = 900
@@ -346,14 +365,12 @@ def integrate_halfline(
 
     h must act elementwise.  One call to h and one :func:`_gk_sums` call
     give the first 15-point rule of the next ``_LOOKAHEAD`` (16) panels,
-    which settles most panels; the panels are then taken in order.  The
-    panel that crosses ``s_cap`` is looked at only once the integral needs
-    it, in a call of its own, so no call reaches past ``s_cap`` unless that
-    panel is needed.  A rule depends on its panel's values alone, so the
-    result is bitwise that of one panel per call.  Points of panels past
-    the stopping one are evaluated and counted in ``evaluations`` but never
-    used.  If that call raises, the integral goes on one panel per call, so
-    an exception surfaces only from a panel the integral needs.
+    which settles most panels; the panels are then taken in order, and the
+    result is bitwise that of one panel per call.  The panel that crosses
+    ``s_cap`` is evaluated only once the integral needs it, in a call of
+    its own.  Points of panels past the stopping one count in
+    ``evaluations``.  If a call raises, the integral goes on one panel per
+    call, so an exception surfaces only from a panel the integral needs.
     """
     return _counted(_halfline(h, s0, spec or QuadratureSpec(), s_cap))
 
@@ -363,15 +380,16 @@ def _first_rules(h, left: float, width: float, count: int, s_cap: float):
     doubling, taking a panel whose right end lies beyond s_cap only as the
     first: [(left, right, value, error), ...] and the evaluations, from one
     call to h."""
-    edges = []
+    lefts, rights = [], []
     for _ in range(count):
         right = left + width
-        if edges and right > s_cap:
+        if lefts and right > s_cap:
             break
-        edges.append((left, right))
+        lefts.append(left)
+        rights.append(right)
         left, width = right, width * 2.0
-    values, errors, n_eval = _gk_batch(h, *zip(*edges))
-    return [(*edge, v, e) for edge, v, e in zip(edges, values.tolist(), errors.tolist())], n_eval
+    ((_, values, errors, n_eval),) = _round(lambda xs: [h(xs[0])], 1, {0: (lefts, rights)})
+    return list(zip(lefts, rights, values, errors)), n_eval
 
 
 def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureResult:
@@ -417,8 +435,8 @@ def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureRes
             _, right, v, e = rules.pop(0)
             sub_abs = max(spec.abs_tol, rel_tol * abs(acc)) / 8.0
             if e > max(sub_abs, rel_tol * abs(v)):
-                heap = [(-e, left, right, v, e)]
-                v, e, n, _ok = _refine(h, heap, v, e, 0, rel_tol, sub_abs, panel_subdivisions)
+                gen = _bisection([left], [right], rel_tol, sub_abs, panel_subdivisions, (v, e))
+                ((v, e, n, _ok),) = _lockstep(lambda xs: [h(xs[0])], [gen])
                 evals += n
             if not math.isfinite(v):
                 return QuadratureResult(acc, math.inf, evals, False)
@@ -444,59 +462,36 @@ def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureRes
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()) -> QuadratureResult:
     """Integrate f over (a, b); f may be singular (but integrable) at a.
 
-    f must accept numpy arrays and act elementwise.  With no breakpoint
-    inside (a, b), one call to f evaluates the first four bisection levels
-    (225 points), one :func:`_gk_sums` call gives all 15 of their rules,
-    and the result is bitwise that of one call per bisection batch (see
-    :func:`_adaptive_finite`).  Integrals from the origin whose mass sits at
-    r -> 0 go through :func:`origin_integral`.
+    f must accept numpy arrays and act elementwise.  This is
+    :func:`_integrate_many` for one integral: with no breakpoint inside
+    (a, b), its first call evaluates the first four bisection levels (225
+    points).  Integrals from the origin whose mass sits at r -> 0 go
+    through :func:`origin_integral`.
     """
+    return _integrate_many(lambda xs: [f(xs[0])], 1, a, b, spec, breakpoints)[0]
+
+
+def _integrate_many(f, n: int, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()):
+    """The integrals over (a, b) of n integrands, bisected in lockstep
+    (:func:`_lockstep`), as a list of :class:`QuadratureResult`.
+
+    ``f(xs)`` takes one node array per integral, None where an integral
+    needs nothing in a round and the same array object where integrals
+    share their nodes, and returns a sequence of their values (entries at
+    None are ignored).  The first round is the 225 nodes of the first four
+    bisection levels when no breakpoint lies inside (a, b), else the
+    intervals between a, the breakpoints and b.  Integral i is bitwise, and
+    counts as, ``integrate(f_i, a, b, spec, breakpoints)``."""
     spec = spec or QuadratureSpec()
-    _check_interval(a, b)
-    value, err, evals, converged = _adaptive_finite(
-        f, a, b, spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS, breakpoints, block=True
-    )
-    return _counted(QuadratureResult(value, err, evals, converged))
-
-
-def _check_interval(a: float, b: float) -> None:
     if not (b > a):
         raise DomainError("need b > a")
     if a < 0:
         raise DomainError("need a >= 0")
-
-
-def _integrate_shared(f, n: int, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()):
-    """The integrals over (a, b) of n integrands that share their nodes, as
-    a list of :class:`QuadratureResult`.
-
-    ``f(x, which)`` returns the values at x of the integrands numbered in
-    ``which``, one array each.  One call ``f(x, range(n))`` evaluates every
-    integrand on the first batch, the intervals between a, the breakpoints
-    and b, and one :func:`_gk_sums` call gives all their rules; each
-    integral then bisects on its own from those rules, calling
-    ``f(x, (i,))``.  A rule depends on its interval's values alone, so
-    integral i is bitwise ``integrate(lambda x: f(x, (i,))[0], a, b, spec,
-    breakpoints)``.  Each counts as one entry-point call, the first batch's
-    points in its ``evaluations``."""
-    spec = spec or QuadratureSpec()
-    _check_interval(a, b)
-    cuts = _cuts(a, b, breakpoints)
-    edges = list(zip(cuts[:-1], cuts[1:]))
+    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    gens = [_bisection(cuts[:-1], cuts[1:], spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS) for _ in range(n)]
     with np.errstate(all="ignore"):
-        pts = _gk_points(np.array(cuts[:-1]), np.array(cuts[1:]))
-        vals = np.asarray(f(pts.ravel(), range(n)), dtype=float).reshape(n * len(edges), -1)
-        values, errors = _gk_sums(vals, np.array(cuts[:-1] * n), np.array(cuts[1:] * n))
-    rules = list(zip(values.tolist(), errors.tolist()))
-    results = []
-    for i in range(n):
-        known = dict(zip(edges, rules[i * len(edges) : (i + 1) * len(edges)]))
-        alone = lambda x, i=i: f(x, (i,))[0]
-        value, err, evals, converged = _adaptive_finite(
-            alone, a, b, spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS, breakpoints, known=known
-        )
-        results.append(_counted(QuadratureResult(value, err, evals + pts.size, converged)))
-    return results
+        results = _lockstep(f, gens, (a, b) if len(cuts) == 2 else None)
+    return [_counted(QuadratureResult(*res)) for res in results]
 
 
 # Cap for the r-space log substitution: below r = e^{-650} an r-space callable

@@ -10,26 +10,31 @@ of the unit (N-1)-sphere.  The same convention normalizes the angular factor
 (int phi_k^2 dsigma = c_N, exact for phi_0 = 1), so the dual-route
 cross-checks below pin it.
 
-Each :func:`functional` call evaluates its profiles through
-:meth:`RadialProfile.memoized`: the direct route and the reduced-profile
-cross-check integrate on many of the same quadrature nodes, at the same or
-lower derivative orders, and the memo evaluates the profile's jet once per
-node set.  A stored jet serves a request only when the request's input rows
-are a bytewise prefix of the stored input's, and then as the stored result
-truncated to the requested order; by the truncation invariance of jet
-arithmetic (see the module docstring of :mod:`rellich.taylor`) that is
-bitwise the jet a fresh evaluation would give.  A jet memo lives as long as
-the call that made it.
+Each :func:`functional` call integrates the terms it does not find stored
+(see below) together, through :func:`_jet_integrals`.  The terms whose
+density is finite at the origin bisect in lockstep
+(:func:`rellich.quadrature._integrate_many`): each round evaluates the
+profile's jet once, on the nodes of every term in the round, at the
+highest order any of them takes, and :func:`_jet_densities` builds each
+variant L_k^p (r^shift f) from that jet and forms each term's density on
+its own nodes.  Jet arithmetic acts elementwise and is truncation invariant
+(see the module docstring of :mod:`rellich.taylor`), so every density, and
+with it every integral, is bitwise what the term alone would give.  The
+terms that take the log substitution run one at a time, through
+:meth:`RadialProfile.memoized`, which serves a request from a stored jet
+only when the request's input rows are a bytewise prefix of the stored
+input's, as the stored result truncated to the requested order.  A jet
+memo lives as long as the call that made it.
 
 The package has one integral vocabulary, :class:`_Int`: a term
 int D(h) r^w dr of a density kind D of h = L_k^n (r^shift f), written once
 in :func:`_jet_density` (the Laplacian density is a "square" with n = 1).
-:func:`_density` adds its origin power, from which
-:func:`rellich.quadrature.origin_integral` picks the log substitution, and
-:func:`_jet_integral` integrates a term through both; the functionals, the
-registry's quadrature terms and the scans' cutoff-zone densities all go
-through them.  :mod:`rellich.verify` evaluates the same terms, from the
-same builders and reduction forms below, exactly.
+:func:`_origin_power` gives its origin power, from which the log
+substitution is picked, and :func:`_jet_integrals` integrates terms
+through both; the functionals, the registry's quadrature terms and the
+scans' cutoff-zone densities all go through them.  :mod:`rellich.verify`
+evaluates the same terms, from the same builders and reduction forms
+below, exactly.
 
 Each functional is declared once, in ``_FUNCTIONALS``: its side, its
 component labels, and (N, k, m) -> (direct terms, cross terms) as exact
@@ -68,7 +73,7 @@ import numpy as np
 from . import constants as C
 from .errors import DomainError
 from .iterlog import log_product
-from .quadrature import QuadratureResult, QuadratureSpec, origin_integral
+from .quadrature import QuadratureSpec, _integrate_many, origin_integral
 from .taylor import Jet
 
 __all__ = [
@@ -220,16 +225,21 @@ def mode_operator(mode: SphericalMode, f: RadialProfile) -> RadialProfile:
     fn = f._jet_fn
 
     def lk(J: Jet) -> Jet:
-        F = fn(Jet.variable(J.value, J.order + 2))
-        R = Jet.variable(J.value, J.order)
-        F1 = F.derivative()
-        F2 = F1.derivative()
-        out = F2 + (N - 1) * (F1.truncate(J.order) / R)
-        if ck:
-            out = out - ck * (F.truncate(J.order) / (R * R))
-        return out
+        return _lk(fn(Jet.variable(J.value, J.order + 2)), J.value, N, ck)
 
     return RadialProfile(lk, f.support, f.origin_order - 2)
+
+
+def _lk(F: Jet, r, N: int, ck: int) -> Jet:
+    """The jet of L_k f at r, of order F.order - 2, from the jet F of f at r."""
+    order = F.order - 2
+    R = Jet.variable(r, order)
+    F1 = F.derivative()
+    F2 = F1.derivative()
+    out = F2 + (N - 1) * (F1.truncate(order) / R)
+    if ck:
+        out = out - ck * (F.truncate(order) / (R * R))
+    return out
 
 
 def _mode_laplacian(F: Jet, r: np.ndarray, N: int, ck: int) -> np.ndarray:
@@ -459,38 +469,106 @@ def _jet_density(kind: str, n: int, H: Jet, r, N: int, ck: int, w):
     return (_mode_laplacian(H, r, N, ck) if last else H.deriv(_KIND_ORDERS[kind])) ** 2 * r**w
 
 
-def _density(kind: str, n: int, h: RadialProfile, mode: SphericalMode, w):
-    """(origin power, integrand) of the density ``kind`` of L_k^n h with
-    weight r^w: for h ~ r^o at the origin the density behaves like
-    r^{2 (o - 2n - order) + w}, order the derivatives the kind takes."""
-    last = kind == "square" and n > 0
-    for _ in range(n - last):
-        h = mode_operator(mode, h)
-    order = _KIND_ORDERS[kind] + 2 * last
+def _jet_order(term: _Int) -> int:
+    """The order of the jet of f a term's density takes: its kind's
+    derivatives and 2 for each L_k."""
+    return _KIND_ORDERS[term.kind] + 2 * term.n
+
+
+def _steps(term: _Int) -> int:
+    """The L_k a term's density takes before :func:`_jet_density`, which
+    takes the last L_k of a square on its rows."""
+    return term.n - (term.kind == "square" and term.n > 0)
+
+
+def _variant(jets: dict, r, shift, p: int, N: int, ck: int) -> Jet:
+    """The jet at r of L_k^p (r^shift f), shift None for f itself, built
+    from the jet ``jets[None, 0]`` of f at r and kept in ``jets``, so that
+    each variant is built once."""
+    H = jets.get((shift, p))
+    if H is None:
+        if p:
+            H = _lk(_variant(jets, r, shift, p - 1, N, ck), r, N, ck)
+        else:
+            U = jets[None, 0]
+            H = Jet.variable(r, U.order) ** float(shift) * U
+        jets[shift, p] = H
+    return H
+
+
+def _jet_densities(profile: RadialProfile, terms, xs, mode: SphericalMode, weight=None) -> list:
+    """The density of each term of ``profile`` at its nodes xs[j] (None
+    where xs[j] is None), times weight(min(r, 1)) for a series term when a
+    ``weight`` is given.
+
+    One jet of the profile, at the highest order a term with nodes takes
+    (:func:`_jet_order`), covers every distinct node array at once; it is
+    cut to each node array, and each variant L_k^p (r^shift f) a density
+    takes (p = :func:`_steps`) is built from the cut once
+    (:func:`_variant`).  Jets act elementwise and are truncation invariant
+    (see :mod:`rellich.taylor`), so every density is bitwise the one its
+    term's own profile gives."""
+    arrays = {id(x): x for x in xs if x is not None}
+    r = next(iter(arrays.values())) if len(arrays) == 1 else np.concatenate(list(arrays.values()))
+    U = profile.taylor(r, max(_jet_order(t) for t, x in zip(terms, xs) if x is not None))
     N, ck = mode.N, mode.eigenvalue
-    origin_power = 2 * (h.origin_order - order) + w
-    return origin_power, lambda r: _jet_density(kind, n, h.taylor(r, order), r, N, ck, w)
+    cut, start = {}, 0
+    for key, x in arrays.items():
+        cut[key] = {(None, 0): U if len(arrays) == 1 else Jet([c[start : start + len(x)] for c in U.coeffs])}
+        start += len(x)
+    out = []
+    for t, x in zip(terms, xs):
+        if x is None:
+            out.append(None)
+            continue
+        H = _variant(cut[id(x)], x, t.shift or None, _steps(t), N, ck)
+        density = _jet_density(t.kind, t.n, H, x, N, ck, float(t.weight))
+        out.append(density * weight(np.minimum(x, 1.0)) if weight is not None and t.series else density)
+    return out
 
 
-def _jet_integral(term: _Int, profiles: dict, mode: SphericalMode, spec: QuadratureSpec, weight=None):
-    """A term of f = ``profiles[None]`` at the mode by quadrature of its jet
-    density over f's support, times weight(min(r, 1)) when a ``weight`` is
-    given (the caller's reading of the ``series`` flag).  Each derived
-    profile r^shift f is built once, memoized, and kept in ``profiles``.  A
-    term of the companion profile has no jet route (DomainError)."""
-    if term.f2:
-        raise DomainError(f"the jet route integrates the profile itself, not the companion of {term}")
-    h = profiles.get(term.shift or None)
-    if h is None:
-        h = profiles[term.shift] = profiles[None].power_shift(term.shift).memoized()
-    origin_power, density = _density(term.kind, term.n, h, mode, float(term.weight))
-    if weight is not None:
-        unweighted = density
+def _origin_power(term: _Int, origin_order: float) -> float:
+    """The power of r a term's density behaves like at the origin, for f ~
+    r^origin_order: 2 (o - order) + w for h = L_k^p (r^shift f) ~ r^o and
+    the derivatives ``order`` the density takes of it."""
+    o = origin_order + float(term.shift) if term.shift else origin_order
+    p = _steps(term)
+    for _ in range(p):
+        o -= 2
+    return 2 * (o - (_jet_order(term) - 2 * p)) + float(term.weight)
 
-        def density(r):
-            return unweighted(r) * weight(np.minimum(r, 1.0))
 
-    return origin_integral(density, origin_power, profiles[None].support[1], spec)
+def _jet_integrals(terms, profile: RadialProfile, mode: SphericalMode, spec: QuadratureSpec, weight=None) -> list:
+    """The terms of ``profile`` at the mode by quadrature of their jet
+    densities over its support [0, hi], each series term's times
+    weight(min(r, 1)) when a ``weight`` is given, as a list of
+    :class:`~rellich.quadrature.QuadratureResult`.
+
+    Terms whose density is finite at the origin (origin power >= 0) go
+    through one :func:`~rellich.quadrature._integrate_many` run, whose
+    rounds each take one profile jet (:func:`_jet_densities`); the others
+    take the log substitution of :func:`~rellich.quadrature.origin_integral`
+    one at a time, on a memoized profile that lives as long as this call.
+    A term of the companion profile has no jet route (DomainError)."""
+    for term in terms:
+        if term.f2:
+            raise DomainError(f"the jet route integrates the profile itself, not the companion of {term}")
+    hi = profile.support[1]
+    powers = [_origin_power(t, profile.origin_order) for t in terms]
+    results = [None] * len(terms)
+    finite = [j for j, p in enumerate(powers) if p >= 0.0]
+    if finite:
+        ts = [terms[j] for j in finite]
+        density = lambda xs: _jet_densities(profile, ts, xs, mode, weight)
+        for j, res in zip(finite, _integrate_many(density, len(ts), 0.0, hi, spec)):
+            results[j] = res
+    memo = profile.memoized()
+    for j, power in enumerate(powers):
+        if power < 0.0:
+            t = terms[j]
+            density = lambda r, t=t: _jet_densities(memo, [t], [r], mode, weight)[0]
+            results[j] = origin_integral(density, power, hi, spec)
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -592,26 +670,22 @@ def functional(
     i = int(series_index)
     direct, cross = _declaration(name, N, k, m, i, series_base)
 
-    profiles = {None: tf.profile.memoized()}
-    used: dict = {}
-
-    def run(term: _Int) -> QuadratureResult:
-        key = (term, i if term.series else 0, spec)
-        res = tf._integrals.get(key)
-        if res is None:
-            weight = (lambda x: log_product(i, x) ** 2) if term.series else None
-            res = tf._integrals[key] = _jet_integral(term, profiles, tf.mode, spec, weight)
-        used[id(res)] = res  # each integral once: a key's result is one object
-        return res
+    keys = {term: (term, i if term.series else 0, spec) for _, term in (*direct, *(cross or ()))}
+    fresh = [term for term, key in keys.items() if key not in tf._integrals]
+    if fresh:
+        weight = lambda x: log_product(i, x) ** 2
+        for term, res in zip(fresh, _jet_integrals(fresh, tf.profile, tf.mode, spec, weight)):
+            tf._integrals[keys[term]] = res
+    results = {term: tf._integrals[key] for term, key in keys.items()}
 
     components: dict[str, float] = {}
     err = 0.0
     for label, (c, term) in zip(labels, direct):
-        res = run(term)
+        res = results[term]
         err += cN * abs(c) * res.error_estimate
         components[label] = cN * c * res.value
     cross_value = None
     if cross is not None:
-        cross_value = cN * sum(c * run(term).value for c, term in cross)
-    unconverged = sum(not res.converged for res in used.values())
+        cross_value = cN * sum(c * results[term].value for c, term in cross)
+    unconverged = sum(not res.converged for res in results.values())  # each integral once
     return FunctionalValue(sum(components.values()), components, err, cross_value, unconverged)

@@ -21,16 +21,17 @@ the truncated iterated-log series weight when ``series`` is set.  The term
 builders and the reduction forms are radial's, and the identities
 rellich-deficit-gside, gradrellich-deficit-gside, weighted-laplacian-fside
 and weighted-grad-split are the declarations of radial's functionals, whose
-cross routes evaluate them in floats.  ``_value`` is the one
-evaluator of a term.  It keeps each exact value in the case's store, so each
-distinct term is evaluated once per case, for the life of the case, across
-every target and both registries; a series term is integrated on each call.
-``_sum`` adds (coefficient, term) pairs in exact arithmetic, the
-coefficients of equal terms first, a series term's quadrature value
-entering as its exact binary rational.  To add a target, give ``_identity``
-or ``_inequality`` a function of the case that returns its (lhs, rhs) lists
-of such pairs: an identity compares the two sums, each rounded once, an
-inequality's slack is sum lhs - sum rhs, rounded once.  A sharp inequality
+cross routes evaluate them in floats.  ``_exact`` evaluates a term
+without a series weight and keeps its exact value in the case's store, so
+each distinct term is evaluated once per case, for the life of the case,
+across every target and both registries.  ``_sum`` adds (coefficient,
+term) pairs in exact arithmetic, the coefficients of equal terms first;
+its series terms are integrated together on each call (``_quadratures``),
+each quadrature value entering as its exact binary rational.  To add a
+target, give ``_identity`` or ``_inequality`` a function of the case that
+returns its (lhs, rhs) lists of such pairs: an identity compares the two
+sums, each rounded once, an inequality's slack is sum lhs - sum rhs,
+rounded once.  A sharp inequality
 that a minimizing-sequence scan backs goes to ``_sharp`` as (rest, constant,
 den), a function of (N, m), with slack rest - constant * den.  A coefficient
 may be an int, a Fraction or a float, taken at its exact binary value.  Only
@@ -73,7 +74,7 @@ from .radial import (
     _grad_split,
     _hardy,
     _Int,
-    _jet_integral,
+    _jet_integrals,
     _lap,
     _v,
     _v_grad,
@@ -117,7 +118,7 @@ class SuiteCase:
     (for the radialization inequalities), plus the per-case weight m, a C^2
     multiplier B with its exponent, the power-shift exponents, and a C^1
     potential V.  ``_exact`` stores the exact value of each non-series term
-    evaluated on the case (filled only by ``_value``); the case is frozen,
+    evaluated on the case (filled only by ``_exact``); the case is frozen,
     so no stored value outlives a field, and ``dataclasses.replace`` starts
     an empty store.
     """
@@ -253,21 +254,19 @@ def _exact_density(case: SuiteCase, term: _Int) -> PowerSum:
     return _EXACT_DENSITIES[term.kind](h, ck).shift(term.weight)
 
 
-def _quadrature(case: SuiteCase, term: _Int, spec: QuadratureSpec, K: int = 0) -> float:
-    """A term of f by radial's jet-route quadrature on the factored profile,
-    with the series weight truncated at K when K > 0.  It can be far below
-    the default abs_tol (about 5e-11 at N = 30), so only rel_tol may end it."""
+def _quadratures(case: SuiteCase, terms, spec: QuadratureSpec, K: int = 0) -> list[float]:
+    """Terms of f by radial's jet-route quadrature on the factored profile,
+    all through one :func:`rellich.radial._jet_integrals` run, each series
+    term's weight truncated at K when K > 0.  A term can be far below the
+    default abs_tol (about 5e-11 at N = 30), so only rel_tol may end it."""
     weight = functools.partial(series_partial, K) if K else None
-    return _jet_integral(term, {None: case.jet_profile()}, case.mode, replace(spec, abs_tol=1e-280), weight).value
+    spec = replace(spec, abs_tol=1e-280)
+    return [res.value for res in _jet_integrals(terms, case.jet_profile(), case.mode, spec, weight)]
 
 
-def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> Fraction:
-    """A term's value: exact, or the exact binary value of its quadrature for
-    a series term truncated at K.  An exact value is computed once per case,
-    for the life of the case, and kept in the case's store; a series term is
-    integrated on every call, so its quadrature status reaches the caller."""
-    if term.series:
-        return Fraction(_quadrature(case, term, spec, K))
+def _exact(case: SuiteCase, term: _Int) -> Fraction:
+    """A term's exact value, computed once per case, for the life of the
+    case, and kept in the case's store."""
     value = case._exact.get(term)
     if value is None:
         value = case._exact[term] = _exact_density(case, term).exact_integral01()
@@ -276,13 +275,17 @@ def _value(case: SuiteCase, term: _Int, K: int, spec: QuadratureSpec) -> Fractio
 
 def _sum(case: SuiteCase, terms, K: int, spec: QuadratureSpec) -> Fraction:
     """sum coeff * value over (coeff, term) pairs, exactly (0 for no terms),
-    with the coefficients of equal terms added; through ``_value`` each
-    distinct exact term is evaluated once per case, for the life of the
-    case."""
+    with the coefficients of equal terms added.  A term's value is exact
+    (:func:`_exact`), or for a series term truncated at K the exact binary
+    value of its quadrature; the series terms are integrated together
+    (:func:`_quadratures`) on every call, so their quadrature status
+    reaches the caller."""
     coeffs: dict[_Int, Fraction] = {}
     for c, t in terms:
         coeffs[t] = coeffs.get(t, Fraction()) + Fraction(c)
-    return sum((c * _value(case, t, K, spec) for t, c in coeffs.items()), Fraction())
+    series = [t for t in coeffs if t.series]
+    values = dict(zip(series, map(Fraction, _quadratures(case, series, spec, K)))) if series else {}
+    return sum((c * (values[t] if t.series else _exact(case, t)) for t, c in coeffs.items()), Fraction())
 
 
 def _cross_path(term, rhs):
@@ -292,7 +295,7 @@ def _cross_path(term, rhs):
     def fn(case: SuiteCase, spec: QuadratureSpec):
         # the exact side carries no error, so the quadrature side is pushed to
         # its round-off floor even when the integral itself is tiny
-        lhs = _quadrature(case, term(case), replace(spec, rel_tol=min(spec.rel_tol, 1e-12)))
+        (lhs,) = _quadratures(case, [term(case)], replace(spec, rel_tol=min(spec.rel_tol, 1e-12)))
         return lhs, float(_sum(case, rhs(case), 1, spec))
 
     return fn

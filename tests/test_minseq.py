@@ -468,17 +468,17 @@ def test_zone_integral_matches_the_plain_adaptive_rule(monkeypatch):
     the same panels."""
     from rellich.quadrature import integrate
 
-    real = M._integrate_shared
+    real = M._integrate_many
     seen = []
 
     def both(f, n, a, b, spec=None, breakpoints=()):
         results = real(f, n, a, b, spec, breakpoints)
         for i, res in enumerate(results):
-            plain = integrate(lambda r: f(r, (i,))[0], a, b, spec).value
+            plain = integrate(lambda r: f([r if j == i else None for j in range(n)])[i], a, b, spec).value
             seen.append(abs(res.value - plain) / abs(plain))
         return results
 
-    monkeypatch.setattr(M, "_integrate_shared", both)
+    monkeypatch.setattr(M, "_integrate_many", both)
     for fam in ScanFamily:
         for params in default_schedule(fam, 6):
             rayleigh_quotient(fam, params)
@@ -846,7 +846,7 @@ def test_scan_reports_unconverged_quadratures(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(minseq, "_integrate_shared", counting_each(minseq._integrate_shared))
+    monkeypatch.setattr(minseq, "_integrate_many", counting_each(minseq._integrate_many))
     monkeypatch.setattr(minseq, "integrate_halfline", counting(minseq.integrate_halfline))
     expected = []
     for params in schedule:
@@ -950,10 +950,11 @@ def _density_subjects():
     + [pytest.param(kind, n, 2.5, id=f"{kind}-{n}") for kind in ("square", "gradient") for n in (1, 2)],
 )
 def test_density_matches_the_profile_route(kind, n, w):
-    """radial's _density is bitwise the density formed from the profile
-    route: the mode operator applied n times, then derivative_values; its
-    origin power is 2 (o - 2n - order) + w for a profile of origin order o."""
-    from rellich.radial import _density, mode_operator
+    """radial's jet density of a term is bitwise the density formed from the
+    profile route: the mode operator applied n times, then
+    derivative_values; its origin power is 2 (o - 2n - order) + w for a
+    profile of origin order o."""
+    from rellich.radial import _Int, _jet_densities, _origin_power, mode_operator
 
     for h, mode, r in _density_subjects():
         ck = mode.eigenvalue
@@ -969,9 +970,10 @@ def test_density_matches_the_profile_route(kind, n, w):
             route = route * r**w
         else:
             route = d[order] ** 2 * r**w
-        origin_power, density = _density(kind, n, h, mode, w)
-        assert _same_bits(density(r), route), (mode, kind, n)
-        assert origin_power == 2 * (h.origin_order - 2 * n - order) + w
+        term = _Int(kind, w, n)
+        (density,) = _jet_densities(h, [term], [r], mode)
+        assert _same_bits(density, route), (mode, kind, n)
+        assert _origin_power(term, h.origin_order) == 2 * (h.origin_order - 2 * n - order) + w
 
 
 @pytest.mark.parametrize("N", [5, 6, 9, 30])

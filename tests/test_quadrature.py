@@ -199,9 +199,31 @@ def test_count_quadrature_counts_each_entry_call_once(monkeypatch):
 # the half-line look-ahead against the panel-by-panel loop it replaces
 
 
-def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200):
-    """The half-line rule with one integrand call per panel's first rule."""
-    from rellich.quadrature import _HALFLINE_MAX_PANELS, QuadratureResult, _adaptive_finite
+def _one_call_per_batch(f, a, b, rel_tol, abs_tol, max_subdivisions, breakpoints=()):
+    """The finite rule's bisection from the intervals between a, the
+    breakpoints and b, with one integrand call and one sums call per batch:
+    (value, error, evaluations, converged)."""
+    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    gen = quadrature._bisection(cuts[:-1], cuts[1:], rel_tol, abs_tol, max_subdivisions)
+    rules, n_eval = None, 0
+    with np.errstate(all="ignore"):
+        while True:
+            try:
+                ls, rs = gen.send(rules)
+            except StopIteration as stop:
+                value, err, converged = stop.value
+                return value, err, n_eval, converged
+            lefts, rights = np.array(ls), np.array(rs)
+            pts = _gk_points(lefts, rights)
+            vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+            rules = tuple(x.tolist() for x in quadrature._gk_sums(vals, lefts, rights))
+            n_eval += vals.size
+
+
+def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200, panels=None):
+    """The half-line rule with one integrand call per panel's first rule;
+    each panel's evaluations go to ``panels`` when a list is given."""
+    from rellich.quadrature import _HALFLINE_MAX_PANELS, QuadratureResult
 
     acc, err, evals = 0.0, 0.0, 0
     panel_abs = []
@@ -225,8 +247,10 @@ def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200):
     for _ in range(_HALFLINE_MAX_PANELS):
         right = left + width
         sub_abs = max(spec.abs_tol, spec.rel_tol * abs(acc)) / 8.0
-        v, e, n, _ok = _adaptive_finite(h, left, right, spec.rel_tol, sub_abs, panel_subdivisions)
+        v, e, n, _ok = _one_call_per_batch(h, left, right, spec.rel_tol, sub_abs, panel_subdivisions)
         evals += n
+        if panels is not None:
+            panels.append(n)
         if not np.isfinite(v):
             return QuadratureResult(acc, math.inf, evals, False)
         acc += v
@@ -307,23 +331,14 @@ def test_rspace_origin_integral_evaluates_no_node_past_its_cap(lookahead):
     assert min(radii) >= math.exp(-quadrature._RSPACE_S_CAP)
 
 
-def test_lookahead_cases_reach_their_branches(monkeypatch):
+def test_lookahead_cases_reach_their_branches():
     """Each case exercises what its name says in the reference loop."""
     slow = _halfline_one_panel_per_call(*_HALFLINE_CASES["slow-power-tail"][:2])
     nan = _halfline_one_panel_per_call(*_HALFLINE_CASES["nan-late"][:2])
     assert not slow.converged and math.isfinite(slow.error_estimate)
     assert not nan.converged and nan.error_estimate == math.inf and nan.value > 0
     panels = []
-    real = quadrature._adaptive_finite
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        panels.append(out[2])
-        return out
-
-    monkeypatch.setattr(quadrature, "_adaptive_finite", spy)
-    _halfline_one_panel_per_call(_refined, 0.5)
-    monkeypatch.undo()
+    _halfline_one_panel_per_call(_refined, 0.5, panels=panels)
     assert max(panels) > 15 and min(panels) == 15  # some panels refine, some do not
     h, s0, s_cap = _HALFLINE_CASES["s-cap"]
     capped = _halfline_one_panel_per_call(h, s0, SPEC, s_cap)
@@ -365,12 +380,10 @@ def test_an_exception_in_a_needed_panel_surfaces(bad_from, lookahead):
 
 def _finite_one_call_per_batch(f, a, b, spec=SPEC, breakpoints=()):
     """The finite rule with one integrand call per bisection batch."""
-    from rellich.quadrature import QuadratureResult, _adaptive_finite
+    from rellich.quadrature import QuadratureResult
 
-    value, err, evals, converged = _adaptive_finite(
-        f, a, b, spec.rel_tol, spec.abs_tol, quadrature._MAX_SUBDIVISIONS, breakpoints
-    )
-    return QuadratureResult(value, err, evals, converged)
+    args = (spec.rel_tol, spec.abs_tol, quadrature._MAX_SUBDIVISIONS, breakpoints)
+    return QuadratureResult(*_one_call_per_batch(f, a, b, *args))
 
 
 # the 15-point nodes of the level of 8 intervals of [0, 1]
@@ -445,8 +458,8 @@ def test_an_exception_at_a_needed_block_level_surfaces():
 def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     """Integrals that start on breakpoints, and the half-line rule's panel
     refinements, keep one integrand call per batch: the block is not built."""
-    built, real = [], quadrature._level_rows
-    monkeypatch.setattr(quadrature, "_level_rows", lambda *args: built.append(args) or real(*args))
+    built, real = [], quadrature._lockstep
+    monkeypatch.setattr(quadrature, "_lockstep", lambda f, gens, span=None: built.append(span) or real(f, gens, span))
     f = lambda r: np.abs(r - 0.3) ** 0.5
     seen, ref_seen = [], []
     got = integrate(_calls(f, seen), 0.0, 1.0, SPEC, breakpoints=(0.3,))
@@ -457,10 +470,11 @@ def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     assert origin_integral(lambda r: r**-0.5, -0.5, 1.0, SPEC).converged
     sizes = []
     res = integrate_halfline(_calls(_refined, sizes), 0.5, SPEC)
-    assert res.converged and max(r.size for r in sizes) > 60  # some panels refined, without a block
-    assert not built
+    assert res.converged and max(r.size for r in sizes) > 60  # some panels refined
+    assert 225 not in {r.size for r in sizes}  # ... without a block
+    assert built and not any(built)
     integrate(f, 0.0, 1.0, SPEC)
-    assert len(built) == 1  # the spy sees the block where there is one
+    assert built[-1] == (0.0, 1.0)  # the spy sees the block where there is one
 
 
 # --------------------------------------------------------------------------
@@ -499,3 +513,99 @@ def test_one_interval_sums_its_first_four_levels_in_one_call(monkeypatch):
     assert res.converged and res.evaluations == 225
     assert len(seen) == 1  # the bisection reaches the level of 8 intervals, all from the block
     assert rows == [15]
+
+
+# --------------------------------------------------------------------------
+# integrals in lockstep against each integral alone
+
+
+def _each(fs):
+    """The engine's integrand for the integrands fs: each at its own nodes,
+    recording every call's node arrays."""
+    calls = []
+
+    def f(xs):
+        calls.append(list(xs))
+        return [None if x is None else g(x) for g, x in zip(fs, xs)]
+
+    return f, calls
+
+
+def _result_bits(res):
+    return (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged)
+
+
+_MIXED = {
+    "block-only": lambda x: x**2,
+    "past-the-block": lambda x: x**60,
+    "many-rounds": lambda x: np.abs(x - 1 / 3) ** 0.5,
+    "singular": lambda x: np.abs(x - 1 / math.pi) ** -0.5,
+    "non-finite": lambda x: np.where(x > 0.7, np.nan, x),
+}
+
+
+@pytest.mark.parametrize("subdivisions", [4096, 8])
+@pytest.mark.parametrize("breakpoints", [(), (0.25, 0.5)])
+def test_lockstep_gives_each_integral_its_own_result(monkeypatch, subdivisions, breakpoints):
+    """Five integrands bisected together give each the result it gets alone,
+    bitwise, in value, error, evaluations and converged, with and without
+    breakpoints (where every integral starts on the breakpoint panels, as
+    the scans' cutoff zone does) and with the subdivision cap at 8, which
+    stops some integrals and not others.  Each counts as one call, and
+    each round is one integrand call on the nodes of every integral that
+    has not stopped, the first shared by all."""
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", subdivisions)
+    fs = list(_MIXED.values())
+    f, calls = _each(fs)
+    with count_quadrature() as counts:
+        got = quadrature._integrate_many(f, len(fs), 0.0, 1.0, SPEC, breakpoints)
+    alone, alone_calls = [], []
+    for g in fs:
+        seen = []
+        alone.append(integrate(_calls(g, seen), 0.0, 1.0, SPEC, breakpoints))
+        alone_calls.append(len(seen))
+    assert [_result_bits(r) for r in got] == [_result_bits(r) for r in alone]
+    ref = [_finite_one_call_per_batch(g, 0.0, 1.0, SPEC, breakpoints) for g in fs]
+    assert [_bits(r) for r in got] == [_bits(r) for r in ref]
+    assert (counts.calls, counts.evaluations) == (len(fs), sum(r.evaluations for r in alone))
+    assert counts.unconverged == sum(not r.converged for r in alone) > 0
+    if subdivisions == 8:
+        assert 0 < sum(r.converged for r in got) < len(fs) - 1  # the cap stops a finite integral
+    assert not math.isfinite(got[-1].value) and not got[-1].converged
+    assert all(x is calls[0][0] for x in calls[0])  # the first round's nodes are one array
+    assert len(calls) == max(alone_calls) < sum(alone_calls)  # a round per batch of the longest
+    if not breakpoints:  # x**2 stops in the block, x**60 past it unless the cap stops it there
+        assert calls[0][0].size == 225 and got[0].evaluations == 225
+        assert all(c[0] is None for c in calls[1:])
+        assert (got[1].evaluations > 225) == (subdivisions > 8)
+
+
+def test_lockstep_falls_back_to_one_integral_per_call():
+    """When integrand 0 raises at block nodes it does not need, in the round
+    integrand 1 needs all of, the engine calls each integrand alone: both
+    get their results alone, and the exception never surfaces.  Where the
+    raising integrand needs the nodes, it surfaces."""
+
+    def strict(x):
+        if np.isin(x, _EIGHTHS).any():
+            raise ValueError("at the level of 8 intervals")
+        return np.sin(10.0 * x)
+
+    fs = [strict, lambda x: np.exp(30.0 * x)]
+    f, calls = _each(fs)
+    got = quadrature._integrate_many(f, 2, 0.0, 1.0, SPEC)
+    ref = [_finite_one_call_per_batch(lambda x: np.sin(10.0 * x), 0.0, 1.0), integrate(fs[1], 0.0, 1.0, SPEC)]
+    assert [_bits(r) for r in got] == [_bits(r) for r in ref]
+    assert got[0].evaluations == ref[0].evaluations and got[1].evaluations == 225
+    # the shared block call raised; then each alone, and integrand 0 goes on one batch per round
+    assert [[None if x is None else x.size for x in c] for c in calls[:3]] == [[225, 225], [225, None], [None, 225]]
+    assert [c[0].size for c in calls[3:]] == [15, 30, 60]
+
+    def failing(x):
+        if np.isin(x, _EIGHTHS).any():
+            raise ValueError("needed level")
+        return np.exp(30.0 * x)
+
+    f, _ = _each([failing, lambda x: x**2])
+    with pytest.raises(ValueError, match="needed level"):
+        quadrature._integrate_many(f, 2, 0.0, 1.0, SPEC)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rellich import quadrature
+from rellich import quadrature, radial
 from rellich.errors import DomainError
 from rellich.quadrature import QuadratureSpec, count_quadrature
 from rellich.radial import (
@@ -363,9 +363,19 @@ def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
 
         return counted
 
-    # every origin integral ends in one of the two entry points
+    def counting_each(entry):
+        def counted(*args, **kwargs):
+            results = entry(*args, **kwargs)
+            recount.extend(res.converged for res in results)
+            return results
+
+        return counted
+
+    # every origin integral ends in one of the two entry points, or in the
+    # lockstep run of the integrals that need no log substitution
     for name in ("integrate", "integrate_halfline"):
         monkeypatch.setattr(quadrature, name, counting(getattr(quadrature, name)))
+    monkeypatch.setattr(radial, "_integrate_many", counting_each(radial._integrate_many))
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", subdivisions)
     mixed = False
     for name in Functional:
@@ -378,6 +388,37 @@ def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
     assert mixed == (subdivisions == 8)
     monkeypatch.undo()
     assert functional(Functional.I, case.test_function()).unconverged == 0
+
+
+def test_fresh_functional_makes_one_sums_call_and_one_profile_jet_per_round(monkeypatch):
+    """A fresh I bisects its five integrals in lockstep: each round is one
+    _gk_sums call and one evaluation of the profile's jet, so there are as
+    many of each as the integral that takes most batches alone makes
+    integrand calls, not one per integral and batch."""
+    profile = RadialProfile(lambda J: J**2 * (1.0 - J) ** 3 * (J * 40.0).exp(), origin_order=2)
+    mode = SphericalMode(6, 1)
+    direct, cross = radial._declaration(Functional.I, 6, 1, 0.0, 1, None)
+    terms = list(dict.fromkeys(t for _, t in (*direct, *cross)))
+    alone = []
+    for t in terms:
+        calls = []
+
+        def density(r, t=t):
+            calls.append(r)
+            return radial._jet_densities(profile, [t], [r], mode)[0]
+
+        quadrature.integrate(density, 0.0, 1.0)
+        alone.append(len(calls))
+
+    jets, sums = [], []
+    real_sums = quadrature._gk_sums
+    monkeypatch.setattr(quadrature, "_gk_sums", lambda *args: sums.append(len(args[0])) or real_sums(*args))
+    counted = RadialProfile(lambda J: jets.append(J.order) or profile._jet_fn(J), profile.support, profile.origin_order)
+    fv = functional(Functional.I, TestFunction(counted, mode))
+    assert len(terms) == 5 and fv.unconverged == 0
+    assert len(sums) == len(jets) == max(alone) > 1
+    assert sum(alone) > 3 * max(alone)  # what one call per integral and batch would make
+    assert sums[0] == 15 * len(terms)  # the first round: every integral's 15 block intervals
 
 
 # --------------------------------------------------------------------------

@@ -145,11 +145,12 @@ def test_jet_route_integrates_the_terms_own_profile():
     suite = standard_suite(seed=7)
     for case in suite:
         g = _v(case.N) - case.k
-        for term in (_Int("square", 3, 1, Fraction(1, 2)), _v_lap(case.N), _Int("moment-2", 2 * case.k + 3, 0, g)):
+        terms = [_Int("square", 3, 1, Fraction(1, 2)), _v_lap(case.N), _Int("moment-2", 2 * case.k + 3, 0, g)]
+        for term, value in zip(terms, verify._quadratures(case, terms, spec)):
             exact = float(verify._exact_density(case, term).exact_integral01())
-            assert verify._quadrature(case, term, spec) == pytest.approx(exact, rel=1e-12, abs=0.0), (case.index, term)
+            assert value == pytest.approx(exact, rel=1e-12, abs=0.0), (case.index, term)
     with pytest.raises(DomainError, match="companion"):
-        verify._quadrature(suite[1], _hardy(suite[1].N, f2=True), spec)
+        verify._quadratures(suite[1], [_hardy(suite[1].N, f2=True)], spec)
 
 
 def _cross_routes() -> list:
@@ -194,20 +195,20 @@ def test_equal_terms_are_evaluated_once(monkeypatch, target):
     of the 3 terms run on each of the 50 cases, and the slack is the one the
     three terms give summed one by one."""
     calls = []
-    value = verify._value
+    value = verify._exact
 
-    def counted(case, term, K, spec):
+    def counted(case, term):
         calls.append(term)
-        return value(case, term, K, spec)
+        return value(case, term)
 
-    monkeypatch.setattr(verify, "_value", counted)
+    monkeypatch.setattr(verify, "_exact", counted)
     suite = standard_suite(seed=1)
     report = check_inequality(target, suite, K=5, quad=SPEC)
     assert len(calls) == 100
     for case, res in zip(suite[:5], report.results):
         lhs, rhs = REGISTRY[target].terms(case)
         assert len(lhs) == 3 and not rhs
-        assert res.value == float(sum(Fraction(c) * value(case, t, 5, SPEC) for c, t in lhs))
+        assert res.value == float(sum(Fraction(c) * value(case, t) for c, t in lhs))
 
 
 def _bits(results) -> list:
@@ -229,23 +230,23 @@ def test_exact_terms_are_evaluated_once_per_case(monkeypatch):
     gives case results bitwise those of the target run alone on a fresh
     suite."""
     densities, series = Counter(), Counter()
-    density, quadrature, value = verify._exact_density, verify._quadrature, verify._value
+    density, quadratures, summed = verify._exact_density, verify._quadratures, verify._sum
 
     def counted_density(case, term):
         densities[case.index, term] += 1
         return density(case, term)
 
-    def counted_quadrature(case, term, spec, K=0):
-        series["quadrature"] += term.series
-        return quadrature(case, term, spec, K)
+    def counted_quadratures(case, terms, spec, K=0):
+        series["quadrature"] += sum(t.series for t in terms)
+        return quadratures(case, terms, spec, K)
 
-    def counted_value(case, term, K, spec):
-        series["value"] += term.series
-        return value(case, term, K, spec)
+    def counted_sum(case, terms, K, spec):
+        series["sum"] += len({t for _, t in terms if t.series})
+        return summed(case, terms, K, spec)
 
     monkeypatch.setattr(verify, "_exact_density", counted_density)
-    monkeypatch.setattr(verify, "_quadrature", counted_quadrature)
-    monkeypatch.setattr(verify, "_value", counted_value)
+    monkeypatch.setattr(verify, "_quadratures", counted_quadratures)
+    monkeypatch.setattr(verify, "_sum", counted_sum)
     names = registry_targets()
     alone = {name: _bits(_run(name, standard_suite(seed=1, size=12))) for name in names}
     distinct = set(densities)
@@ -257,7 +258,7 @@ def test_exact_terms_are_evaluated_once_per_case(monkeypatch):
         for name in order:
             assert _bits(_run(name, suite)) == alone[name], name
         assert set(densities) == distinct and set(densities.values()) == {1}
-        assert series["quadrature"] == series["value"] > 0
+        assert series["quadrature"] == series["sum"] > 0
 
 
 def test_suite_case_is_frozen_and_replace_starts_an_empty_store():
