@@ -18,7 +18,8 @@ diverges as eps -> 0, the identity
 eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades it for a
 closed-form boundary term.  With K >= 2 log factors the closed forms are
 evaluated as float arrays in s = ln(1/r) and integrated by quadrature,
-each node set's part of them computed once per quotient for both sides.
+both sides' half-line integrals in lockstep, one integrand call per round,
+each node array's part of them computed once per round for both sides.
 On [rho, outer] every quotient integrates the full profile (with cutoff
 derivatives), evaluated by jet arithmetic in r, through one zone rule that
 starts both sides together: one integrand call on the zone's 60 nodes
@@ -45,10 +46,10 @@ from .iterlog import xk_values, xk_values_from_s
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
+    _halfline_many,
     _integrate_many,
     _q_beta,
     count_quadrature,
-    integrate_halfline,
 )
 from .radial import (
     RadialProfile,
@@ -483,34 +484,32 @@ def _inner_forms(params: MinSeqParams, s: np.ndarray) -> tuple:
     return common, forms, prods
 
 
-class _InnerTerms:
-    """The combinations' densities on (0, inner] in s = ln(1/r), for the
+def _inner_integrals(params: MinSeqParams, sides, spec: QuadratureSpec) -> list[QuadratureResult]:
+    """Each combination's integral over (0, inner], in s = ln(1/r), for the
     multi-log quadrature.
 
     No catastrophic subtraction occurs even at very deep s: the deficits are
-    factored and the common factor is applied last.  Each node set's
-    :func:`_inner_forms` is kept, keyed by the nodes' bytes: the numerator's
-    and the denominator's half-line integrals evaluate most of their nodes
-    in the same calls, and the store lives only as long as this object,
-    which serves one quotient."""
+    factored and the common factor is applied last.  Both sides' half-line
+    integrals run in lockstep (:func:`rellich.quadrature._halfline_many`),
+    one integrand call per round, and each node array of a round gets its
+    :func:`_inner_forms` once: the sides share their look-ahead panels'
+    nodes."""
 
-    def __init__(self, params: MinSeqParams):
-        self.params = params
-        self._forms: dict[bytes, tuple] = {}
+    def density(xs):
+        forms: dict = {}
+        out = []
+        for s, terms in zip(xs, sides):
+            if s is None:
+                out.append(None)
+                continue
+            at = forms.get(id(s))
+            if at is None:
+                at = forms[id(s)] = _inner_forms(params, s)
+            common, closed, prods = at
+            out.append(common * _closed_density(terms, closed, prods))
+        return out
 
-    def density(self, s, terms) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        key = s.tobytes()
-        at = self._forms.get(key)
-        if at is None:
-            at = self._forms[key] = _inner_forms(self.params, s)
-        common, forms, prods = at
-        return common * _closed_density(terms, forms, prods)
-
-    def integral(self, terms, spec: QuadratureSpec) -> QuadratureResult:
-        """Quadrature of the combination over (0, inner], in s."""
-        s0 = math.log(1.0 / self.params.cutoff.inner_radius)
-        return integrate_halfline(lambda s: self.density(s, terms), s0, spec)
+    return _halfline_many(density, len(sides), math.log(1.0 / params.cutoff.inner_radius), spec)
 
 
 # The adaptive rule bisects every interval while there are at most 16, so a
@@ -813,9 +812,10 @@ def rayleigh_quotient(
     divergent levels leave the double range (eps below about 1e-150).
     Multi-log quotients use direct quadrature in s, and raise DomainError
     where its error estimate exceeds ``_MAX_INNER_ERR_SHARE`` of a side.
-    Both sides' integrals on either region share their integrand
-    evaluations (see :class:`_InnerTerms` and :class:`_OuterTerms`); each
-    side's integrals still count on their own in :func:`count_quadrature`.
+    Both sides' integrals on either region run in lockstep, one integrand
+    call per round, and share the evaluations at the nodes they share (see
+    :func:`_inner_integrals` and :class:`_OuterTerms`); each side's integrals
+    still count on their own in :func:`count_quadrature`.
     """
     spec = quad or QuadratureSpec()
     _FAMILIES[family].validate(family, params)
@@ -824,8 +824,7 @@ def rayleigh_quotient(
         red = _Reduction(params)
         inner = [(red.integral(terms), None) for terms in sides]
     else:
-        forms = _InnerTerms(params)
-        inner = [(res.value, res.error_estimate) for res in (forms.integral(t, spec) for t in sides)]
+        inner = [(res.value, res.error_estimate) for res in _inner_integrals(params, sides, spec)]
     totals = []
     for (value, error), zone in zip(inner, _OuterTerms(params).integrals(sides, spec)):
         total = value + zone

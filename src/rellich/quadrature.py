@@ -3,13 +3,15 @@ power-times-iterated-log type.
 
 The base rule is an embedded 7/15 Gauss-Kronrod pair with bisection of the
 largest-error subintervals (:func:`_bisection`), which one engine drives
-for any number of integrals on one interval in lockstep, one integrand
-call and one sums call per round (:func:`_integrate_many`; :func:`integrate`
-is its one-integral case).  Integrands whose mass
+for any number of integrals in lockstep, one integrand call and one sums
+call per round (:func:`_lockstep`): on one interval (:func:`_integrate_many`;
+:func:`integrate` is its one-integral case) or on one half-line
+(:func:`_halfline_many`).  Integrands whose mass
 concentrates at r = 0 are handled through the substitution r = e^{-s},
 which maps (0, b] to a half-line in s; the half-line is covered by panels of
 doubling width until a geometric tail extrapolation certifies the remainder
-(:func:`integrate_halfline`).  :func:`origin_integral` is the one origin
+(:func:`integrate_halfline`), and the panels that need bisecting bisect
+concurrently (:func:`_halfline`).  :func:`origin_integral` is the one origin
 rule: given the power r^p an r-space integrand behaves like at 0, it takes
 the half-line for p < 0 and the finite rule otherwise.  In s-coordinates the
 integrand stays in floating-point range even when the mass sits at radii far
@@ -72,8 +74,9 @@ class QuadratureResult:
     """An integral's value, its error estimate, whether that met the
     tolerance, and ``evaluations``: every point the integrand was called on,
     including points the integral did not use (the half-line's look-ahead
-    panels past the stopping one, the levels of a single interval's
-    225-point block past the one it stops at)."""
+    panels past the stopping one and its speculative bisection rounds, the
+    levels of a single interval's 225-point block past the one it stops
+    at)."""
 
     value: float
     error_estimate: float
@@ -98,8 +101,9 @@ _COUNTERS: ContextVar[tuple[QuadratureCounts, ...]] = ContextVar("quadrature_cou
 def count_quadrature():
     """Count the integrals of the enclosed code, including those of enclosing
     blocks: each entry-point call (:func:`integrate`, :func:`integrate_halfline`,
-    :func:`integrate_logweighted`) and each integral of an
-    :func:`_integrate_many` run counts once in every active block, with its
+    :func:`origin_integral`, :func:`integrate_logweighted`) and each integral
+    of an :func:`_integrate_many`, :func:`_halfline_many` or
+    :func:`_origin_many` run counts once in every active block, with its
     ``evaluations`` (points evaluated but not used included)."""
     counts = QuadratureCounts()
     token = _COUNTERS.set(_COUNTERS.get() + (counts,))
@@ -214,15 +218,18 @@ _BLOCK_LEVELS = 4  # uniform bisection levels (1, 2, 4 and 8 intervals) one inte
 _MAX_SUBDIVISIONS = 4096
 
 
-def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: int, rule=None):
+def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: int, rule=None, trace=None):
     """Bisect one integral from the intervals [lefts[i], rights[i]] until its
     error meets max(abs_tol, rel_tol * |value|).  A generator: it yields
     each batch of intervals it needs rules for as (lefts, rights) lists,
     takes their (values, errors) lists and returns (value, error,
     converged).  The first batch is the starting intervals, unless one
     interval's (value, error) ``rule`` is given; each later one bisects the
-    up to 16 largest-error intervals.  Heap and totals hold Python floats,
-    which round as numpy's float64 scalars do, at a fraction of the cost."""
+    up to 16 largest-error intervals.  The intervals and totals never depend
+    on abs_tol, which only picks the round the bisection stops at; a
+    ``trace`` list gets the (value, error) after each round with a finite
+    value.  Heap and totals hold Python floats, which round as numpy's
+    float64 scalars do, at a fraction of the cost."""
     values, errors = (yield lefts, rights) if rule is None else ([rule[0]], [rule[1]])
     heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(lefts, rights, values, errors)]
     total, total_err = rule or (float(np.add.reduce(values)), float(np.add.reduce(errors)))
@@ -248,17 +255,19 @@ def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: 
             total_err += e
         if not math.isfinite(total):
             return total, math.inf, False
+        if trace is not None:
+            trace.append((total, total_err))
     return total, total_err, total_err <= max(abs_tol, rel_tol * abs(total))
 
 
-def _round(f, n: int, spans: dict, tolerant: bool = False) -> list:
-    """[(i, values, errors, evaluations)]: the rules, as lists, of the
-    intervals spans[i] = (lefts, rights), two lists, of each integral i,
-    from one call ``f(xs)`` on all their nodes (one array where intervals
-    coincide) and one :func:`_gk_sums` call.  If that call raises, f is
-    called per integral, and an exception surfaces from an integral's own
-    nodes, or with ``tolerant`` leaves that integral out.  Run under
-    np.errstate."""
+def _round(f, n: int, spans: dict) -> list:
+    """[(i, rules, evaluations)]: the rules (values, errors), as lists, of
+    the intervals spans[i] = (lefts, rights), two lists, of each integral
+    i, from one call ``f(xs)`` on all their nodes (one array where
+    intervals coincide) and one :func:`_gk_sums` call.  If that call
+    raises, f is called per integral, and an integral whose own call
+    raises gets the exception in place of its rules, with no evaluations.
+    Run under np.errstate."""
     xs = [None] * n
     if len(spans) == 1:  # nothing to share
         ((i, (ls, rs)),) = spans.items()
@@ -281,28 +290,28 @@ def _round(f, n: int, spans: dict, tolerant: bool = False) -> list:
     try:
         at_nodes = f(xs)
         vals = [np.asarray(at_nodes[i], dtype=float).reshape(-1, 15) for i in spans]
-    except Exception:
+    except Exception as exc:
         if len(spans) > 1:
-            return [out for i in spans for out in _round(f, n, {i: spans[i]}, tolerant)]
-        if tolerant:
-            return []
-        raise
+            return [out for i in spans for out in _round(f, n, {i: spans[i]})]
+        return [(i, exc, 0) for i in spans]
     values, errors = _gk_sums(np.concatenate(vals) if len(vals) > 1 else vals[0], lefts, rights)
     values, errors = values.tolist(), errors.tolist()
     if len(spans) == 1:
-        return [(i, values, errors, vals[0].size)]
+        return [(i, (values, errors), vals[0].size)]
     out, start = [], 0
     for i, v in zip(spans, vals):
-        out.append((i, values[start : start + len(v)], errors[start : start + len(v)], v.size))
+        out.append((i, (values[start : start + len(v)], errors[start : start + len(v)]), v.size))
         start += len(v)
     return out
 
 
 def _lockstep(f, gens: list, span=None) -> list:
-    """Drive the bisection generators ``gens`` (:func:`_bisection`), one per
-    integral, in rounds (:func:`_round`), each taking the next batch of
-    every integral that has not stopped: each integral's (value, error,
-    evaluations, converged), bitwise that of the integral alone.  With
+    """Drive the generators ``gens`` (:func:`_bisection` or
+    :func:`_halfline`), one per integral, in rounds (:func:`_round`), each
+    taking the next batch of every integral that has not stopped: each
+    integral's (value, error, evaluations, converged), bitwise that of the
+    integral alone.  A batch whose integrand call raises is thrown into its
+    generator, which may yield a smaller batch or let it surface.  With
     ``span`` = (a, b) the first round is the first ``_BLOCK_LEVELS``
     bisection levels of [a, b] (15 intervals, 225 nodes), which every
     integral bisects through first; it serves the batches there, and all
@@ -318,15 +327,16 @@ def _lockstep(f, gens: list, span=None) -> list:
             edges += (lo, mid), (mid, hi)
         rows = {edge: row for row, edge in enumerate(edges)}
         both = [lo for lo, _ in edges], [hi for _, hi in edges]
-        for i, values, errors, size in _round(f, n, dict.fromkeys(range(n), both), tolerant=True):
-            block[i], evals[i] = (values, errors), size
+        for i, got, size in _round(f, n, dict.fromkeys(range(n), both)):
+            if not isinstance(got, Exception):
+                block[i], evals[i] = got, size
 
     rules = dict.fromkeys(range(n))  # what each live integral takes next
     while rules:
         pending = {}
         for i, got in rules.items():
             try:
-                batch = gens[i].send(got)
+                batch = gens[i].throw(got) if isinstance(got, Exception) else gens[i].send(got)
                 while block[i] is not None:
                     at = [rows.get(edge) for edge in zip(*batch)]
                     if None in at:
@@ -339,15 +349,16 @@ def _lockstep(f, gens: list, span=None) -> list:
                 continue
             pending[i] = batch
         rules = {}
-        for i, values, errors, size in _round(f, n, pending) if pending else ():
+        for i, got, size in _round(f, n, pending) if pending else ():
             evals[i] += size
-            rules[i] = values, errors
+            rules[i] = got
     return [(value, err, n_eval, converged) for (value, err, converged), n_eval in zip(out, evals)]
 
 
 _HALFLINE_MAX_PANELS = 900
 _HALFLINE_S_MAX = 1e200
-_LOOKAHEAD = 16  # panels whose first rule one integrand call evaluates
+_LOOKAHEAD = 16  # panels whose first rule one round evaluates
+_SPECULATIVE = 8  # looked-ahead panels past the head that may bisect in a round
 
 
 def integrate_halfline(
@@ -363,100 +374,178 @@ def integrate_halfline(
     the still-unresolved tail is estimated and folded into the error; where
     the panels do not decay there is no estimate, and the error is infinite.
 
-    h must act elementwise.  One call to h and one :func:`_gk_sums` call
-    give the first 15-point rule of the next ``_LOOKAHEAD`` (16) panels,
-    which settles most panels; the panels are then taken in order, and the
-    result is bitwise that of one panel per call.  The panel that crosses
-    ``s_cap`` is evaluated only once the integral needs it, in a call of
-    its own.  Points of panels past the stopping one count in
-    ``evaluations``.  If a call raises, the integral goes on one panel per
-    call, so an exception surfaces only from a panel the integral needs.
+    h must act elementwise.  This is :func:`_halfline_many` for one
+    integral: one call to h gives the first 15-point rule of the next
+    ``_LOOKAHEAD`` (16) panels, which settles most panels, and the panels
+    that need bisecting bisect in the same calls (see :func:`_halfline`);
+    the result is bitwise that of one panel at a time.  The panel that
+    crosses ``s_cap`` is evaluated only once the integral needs it, in a
+    call of its own.  Points of panels past the stopping one, and of
+    speculative bisection rounds, count in ``evaluations``.  If a call
+    raises, the integral goes on with the panels it needs, one per call,
+    so an exception surfaces only from a panel the integral needs.
     """
-    return _counted(_halfline(h, s0, spec or QuadratureSpec(), s_cap))
+    return _halfline_many(lambda xs: [h(xs[0])], 1, s0, spec, s_cap)[0]
 
 
-def _first_rules(h, left: float, width: float, count: int, s_cap: float):
-    """The first rule of up to ``count`` panels from [left, left + width] on,
-    doubling, taking a panel whose right end lies beyond s_cap only as the
-    first: [(left, right, value, error), ...] and the evaluations, from one
-    call to h."""
-    lefts, rights = [], []
-    for _ in range(count):
-        right = left + width
-        if lefts and right > s_cap:
-            break
-        lefts.append(left)
-        rights.append(right)
-        left, width = right, width * 2.0
-    ((_, values, errors, n_eval),) = _round(lambda xs: [h(xs[0])], 1, {0: (lefts, rights)})
-    return list(zip(lefts, rights, values, errors)), n_eval
-
-
-def _halfline(h, s0: float, spec: QuadratureSpec, s_cap: float) -> QuadratureResult:
-    acc = 0.0
-    err = 0.0
-    evals = 0
-    panel_abs: list[float] = []
-    left = s0
-    width = 1.0
-    converged = False
-
-    def tail_estimate() -> float | None:
-        if len(panel_abs) < 3:
-            return None
-        a_prev, a_last = panel_abs[-2], panel_abs[-1]
-        if a_last == 0.0 and a_prev == 0.0:
-            return 0.0
-        if a_last >= a_prev:
-            return None
-        ratio = min(a_last / max(a_prev, 1e-300), 0.995)
-        if len(panel_abs) >= 4 and panel_abs[-3] > 0:
-            ratio = min(max(ratio, a_prev / panel_abs[-3]), 0.995)
-        return a_last * ratio / (1.0 - ratio)
-
-    rel_tol = spec.rel_tol
-    panel_subdivisions = max(64, _MAX_SUBDIVISIONS // 16)
-    ahead = _LOOKAHEAD
-    rules: list = []
+def _halfline_many(f, n: int, s0: float, spec: QuadratureSpec | None = None, s_cap: float = _HALFLINE_S_MAX):
+    """The integrals over [s0, infinity) of n integrands, their half-line
+    rules (:func:`_halfline`) run in lockstep (:func:`_lockstep`), as a
+    list of :class:`QuadratureResult`.  ``f(xs)`` is called as in
+    :func:`_integrate_many`.  Integral i is bitwise, and counts as,
+    ``integrate_halfline(f_i, s0, spec, s_cap)``."""
+    spec = spec or QuadratureSpec()
     with np.errstate(all="ignore"):
-        for panel in range(_HALFLINE_MAX_PANELS):
-            if not rules:
-                count = min(ahead, _HALFLINE_MAX_PANELS - panel)
-                try:
-                    rules, n = _first_rules(h, left, width, count, s_cap)
-                except Exception:
-                    # some panel ahead raised: go on one panel per call, so an
-                    # exception surfaces only where the integral needs a panel
-                    if count == 1:
-                        raise
-                    ahead = 1
-                    rules, n = _first_rules(h, left, width, 1, s_cap)
-                evals += n
-            _, right, v, e = rules.pop(0)
-            sub_abs = max(spec.abs_tol, rel_tol * abs(acc)) / 8.0
-            if e > max(sub_abs, rel_tol * abs(v)):
-                gen = _bisection([left], [right], rel_tol, sub_abs, panel_subdivisions, (v, e))
-                ((v, e, n, _ok),) = _lockstep(lambda xs: [h(xs[0])], [gen])
-                evals += n
-            if not math.isfinite(v):
-                return QuadratureResult(acc, math.inf, evals, False)
-            acc += v
-            err += e
-            panel_abs.append(abs(v))
-            left = right
-            width *= 2.0
-            tail = tail_estimate()
-            if tail is not None and tail <= spec.target(acc) / 2.0:
-                err += tail
-                converged = True
-                break
-            if left > s_cap:
-                # the half-line past s_cap is left out: add its extrapolated
-                # tail, or an unknown error where the panels do not decay
-                err += math.inf if tail is None else tail
-                break
-    converged = converged and err <= spec.target(acc)
-    return QuadratureResult(acc, err, evals, converged)
+        results = _lockstep(f, [_halfline(s0, spec, s_cap) for _ in range(n)])
+    return [_counted(QuadratureResult(*res)) for res in results]
+
+
+class _Panel:
+    """A half-line panel [left, right] and its bisection, which runs with no
+    absolute tolerance (:func:`_bisection`): ``trace`` holds its (value,
+    error) from the first rule on, one entry per round, ``batch`` the
+    intervals it waits for rules on, and ``final`` its (value, error) once
+    the bisection has returned."""
+
+    __slots__ = ("left", "right", "trace", "gen", "batch", "final")
+
+    def __init__(self, left: float, right: float, value: float, error: float):
+        self.left, self.right = left, right
+        self.trace = [(value, error)]
+        self.gen = self.batch = self.final = None
+
+    def result(self, sub_abs: float, rel_tol: float):
+        """The panel's (value, error) at absolute tolerance sub_abs: the first
+        round that meets it, where the bisection run with that tolerance
+        stops, else the final one; None while neither is known."""
+        for total, total_err in self.trace:
+            if not total_err > max(sub_abs, rel_tol * abs(total)):
+                return total, total_err
+        return self.final
+
+    def misses(self, sub_abs: float, rel_tol: float) -> bool:
+        """Whether the bisection goes on and its last round misses sub_abs."""
+        total, total_err = self.trace[-1]
+        return self.final is None and total_err > max(sub_abs, rel_tol * abs(total))
+
+    def advance(self, rules, rel_tol: float, subdivisions: int) -> None:
+        """Start the bisection (rules None), or give it the rules of
+        ``batch``, and take its next batch."""
+        if self.gen is None:
+            self.gen = _bisection([self.left], [self.right], rel_tol, 0.0, subdivisions, self.trace[0], self.trace)
+        try:
+            self.batch = self.gen.send(rules)
+        except StopIteration as stop:
+            self.final, self.batch = stop.value[:2], None
+
+
+def _tail_estimate(panel_abs: list) -> float | None:
+    """The geometric extrapolation of the panels' |values| past the last
+    one, or None where they do not decay."""
+    if len(panel_abs) < 3:
+        return None
+    a_prev, a_last = panel_abs[-2], panel_abs[-1]
+    if a_last == 0.0 and a_prev == 0.0:
+        return 0.0
+    if a_last >= a_prev:
+        return None
+    ratio = min(a_last / max(a_prev, 1e-300), 0.995)
+    if len(panel_abs) >= 4 and panel_abs[-3] > 0:
+        ratio = min(max(ratio, a_prev / panel_abs[-3]), 0.995)
+    return a_last * ratio / (1.0 - ratio)
+
+
+def _halfline(s0: float, spec: QuadratureSpec, s_cap: float):
+    """The half-line rule of :func:`integrate_halfline` in :func:`_bisection`'s
+    form: a generator that yields batches and returns (value, error,
+    converged).
+
+    The panels are taken in order.  Panel p bisects, from its first rule,
+    to the absolute tolerance sub_abs = max(abs_tol, rel_tol * |acc|) / 8,
+    acc the sum of the panels before it.  Its bisection's intervals never
+    depend on sub_abs, so it runs with none (:class:`_Panel`) and records
+    each round; p's result is the first recorded round that meets its
+    sub_abs once the panels before it are done.  A batch is either the
+    first rules of the next ``_LOOKAHEAD`` panels, or one bisection round
+    of the first panel not done (the head) together with up to
+    ``_SPECULATIVE`` later looked-ahead panels whose last round misses a
+    sub_abs estimated from the running sum of the first rules, none past
+    the panel where the first rules' tail estimate stops the integral.  If
+    a batch raises, it goes again without the speculative panels, and a
+    look-ahead goes on one panel per batch, so only a needed panel's
+    exception surfaces."""
+    rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
+    subdivisions = max(64, _MAX_SUBDIVISIONS // 16)
+    ahead, speculative = _LOOKAHEAD, _SPECULATIVE
+    acc = err = 0.0
+    panel_abs: list[float] = []
+    panels: list[_Panel] = []  # the looked-ahead panels from the head on
+    left, width = s0, 1.0  # the first panel not looked ahead
+    for done in range(_HALFLINE_MAX_PANELS):
+        while not panels:
+            lefts, rights, lo, w = [], [], left, width
+            for _ in range(min(ahead, _HALFLINE_MAX_PANELS - done)):
+                if lefts and lo + w > s_cap:
+                    break  # the panel that crosses s_cap only as the first
+                lefts.append(lo)
+                rights.append(lo + w)
+                lo, w = lo + w, 2.0 * w
+            try:
+                values, errors = yield lefts, rights
+            except Exception:
+                if len(lefts) == 1:
+                    raise
+                ahead = 1
+                continue
+            panels = [_Panel(*rule) for rule in zip(lefts, rights, values, errors)]
+            left, width = lo, w
+        head = panels[0]
+        sub_abs = max(abs_tol, rel_tol * abs(acc)) / 8.0
+        while (rule := head.result(sub_abs, rel_tol)) is None:
+            moving, guess, guess_abs = [head], acc, panel_abs[-3:]
+            for panel in panels:
+                if len(moving) > speculative:
+                    break
+                if panel is not head and panel.misses(max(abs_tol, rel_tol * abs(guess)) / 8.0, rel_tol):
+                    moving.append(panel)
+                guess += panel.trace[0][0]
+                guess_abs.append(abs(panel.trace[0][0]))
+                tail = _tail_estimate(guess_abs)
+                if tail is not None and tail <= spec.target(guess) / 2.0:
+                    break  # the first rules say the integral stops here
+            for panel in moving:
+                if panel.gen is None:
+                    panel.advance(None, rel_tol, subdivisions)
+            ls = [x for panel in moving for x in panel.batch[0]]
+            rs = [x for panel in moving for x in panel.batch[1]]
+            try:
+                values, errors = yield ls, rs
+            except Exception:
+                if len(moving) == 1:
+                    raise
+                speculative = 0
+                continue
+            start = 0
+            for panel in moving:
+                end = start + len(panel.batch[0])
+                panel.advance((values[start:end], errors[start:end]), rel_tol, subdivisions)
+                start = end
+        panels.pop(0)
+        value, error = rule
+        if not math.isfinite(value):
+            return acc, math.inf, False
+        acc += value
+        err += error
+        panel_abs.append(abs(value))
+        tail = _tail_estimate(panel_abs)
+        if tail is not None and tail <= spec.target(acc) / 2.0:
+            err += tail
+            return acc, err, err <= spec.target(acc)
+        if head.right > s_cap:
+            # the half-line past s_cap is left out: add its extrapolated
+            # tail, or an unknown error where the panels do not decay
+            return acc, err + (math.inf if tail is None else tail), False
+    return acc, err, False
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()) -> QuadratureResult:
@@ -504,26 +593,50 @@ def origin_integral(f, origin_power: float, hi: float, spec: QuadratureSpec | No
     """int_0^hi f dr for an f that behaves like r^origin_power at the origin.
 
     With origin_power < 0 the integral is computed in s = ln(1/r)
-    coordinates by :func:`integrate_halfline` (truncated at s = 650, where r
-    reaches the denormal range); otherwise by :func:`integrate` on (0, hi].
-    f must accept numpy arrays and act elementwise.  Either way the integral
-    counts as one entry-point call.
+    coordinates by :func:`_origin_many` (the half-line rule truncated at
+    s = 650, where r reaches the denormal range); otherwise by
+    :func:`integrate` on (0, hi].  f must accept numpy arrays and act
+    elementwise.  Either way the integral counts as one entry-point call.
     """
     if not hi > 0.0:
         raise DomainError("need hi > 0")
     if origin_power >= 0.0:
         return integrate(f, 0.0, hi, spec)
-    s0 = math.log(1.0 / hi)
+    return _origin_many(lambda rs: [f(rs[0])], 1, hi, spec)[0]
 
-    def h(s):
-        r = np.exp(-np.asarray(s, dtype=float))
-        out = np.zeros_like(r)
-        mask = r > 0.0
-        if mask.any():
-            out[mask] = np.asarray(f(r[mask]), dtype=float) * r[mask]
+
+def _origin_many(f, n: int, hi: float, spec: QuadratureSpec | None = None) -> list:
+    """The integrals over (0, hi] of n r-space integrands in s = ln(1/r)
+    (:func:`_halfline_many` from ln(1/hi), truncated at s = 650), as a
+    list of :class:`QuadratureResult`.  ``f(rs)`` takes one array of radii
+    per integral, None where it needs none, and the same array object where
+    integrals share their nodes: each node array in s is mapped to radii
+    once, the radii that underflow to 0 are left out and their integrand
+    values are 0, and f is not called where no radius is left.  Integral i
+    is bitwise, and counts as, ``origin_integral(f_i, p, hi, spec)`` with
+    p < 0."""
+    if not hi > 0.0:
+        raise DomainError("need hi > 0")
+
+    def h(xs):
+        radii = {}  # id of a node array in s -> (e^{-s}, where it is > 0, its radii there)
+        for s in xs:
+            if s is not None and id(s) not in radii:
+                r = np.exp(-s)
+                mask = r > 0.0
+                radii[id(s)] = r, mask, r[mask] if mask.any() else None
+        rs = [None if s is None else radii[id(s)][2] for s in xs]
+        values = f(rs) if any(r is not None for r in rs) else rs
+        out = [None] * len(xs)
+        for j, (s, value) in enumerate(zip(xs, values)):
+            if s is not None:
+                r, mask, kept = radii[id(s)]
+                out[j] = np.zeros_like(r)
+                if kept is not None:
+                    out[j][mask] = np.asarray(value, dtype=float) * kept
         return out
 
-    return integrate_halfline(h, s0, spec, _RSPACE_S_CAP)
+    return _halfline_many(h, n, math.log(1.0 / hi), spec, _RSPACE_S_CAP)
 
 
 def describe_cascade_failure(power, log_exponents) -> str | None:

@@ -13,18 +13,16 @@ cross-checks below pin it.
 Each :func:`functional` call integrates the terms it does not find stored
 (see below) together, through :func:`_jet_integrals`.  The terms whose
 density is finite at the origin bisect in lockstep
-(:func:`rellich.quadrature._integrate_many`): each round evaluates the
-profile's jet once, on the nodes of every term in the round, at the
-highest order any of them takes, and :func:`_jet_densities` builds each
-variant L_k^p (r^shift f) from that jet and forms each term's density on
-its own nodes.  Jet arithmetic acts elementwise and is truncation invariant
-(see the module docstring of :mod:`rellich.taylor`), so every density, and
-with it every integral, is bitwise what the term alone would give.  The
-terms that take the log substitution run one at a time, through
-:meth:`RadialProfile.memoized`, which serves a request from a stored jet
-only when the request's input rows are a bytewise prefix of the stored
-input's, as the stored result truncated to the requested order.  A jet
-memo lives as long as the call that made it.
+(:func:`rellich.quadrature._integrate_many`), and so do the terms that take
+the log substitution, on their half-line in s = ln(1/r)
+(:func:`rellich.quadrature._origin_many`, which maps each node array to
+radii once).  In either run each round evaluates the profile's jet once,
+on the nodes of every term in the round, at the highest order any of them
+takes, and :func:`_jet_densities` builds each variant L_k^p (r^shift f)
+from that jet and forms each term's density on its own nodes.  Jet
+arithmetic acts elementwise and is truncation invariant (see the module
+docstring of :mod:`rellich.taylor`), so every density, and with it every
+integral, is bitwise what the term alone would give.
 
 The package has one integral vocabulary, :class:`_Int`: a term
 int D(h) r^w dr of a density kind D of h = L_k^n (r^shift f), written once
@@ -73,7 +71,7 @@ import numpy as np
 from . import constants as C
 from .errors import DomainError
 from .iterlog import log_product
-from .quadrature import QuadratureSpec, _integrate_many, origin_integral
+from .quadrature import QuadratureSpec, _integrate_many, _origin_many
 from .taylor import Jet
 
 __all__ = [
@@ -545,29 +543,28 @@ def _jet_integrals(terms, profile: RadialProfile, mode: SphericalMode, spec: Qua
     :class:`~rellich.quadrature.QuadratureResult`.
 
     Terms whose density is finite at the origin (origin power >= 0) go
-    through one :func:`~rellich.quadrature._integrate_many` run, whose
-    rounds each take one profile jet (:func:`_jet_densities`); the others
-    take the log substitution of :func:`~rellich.quadrature.origin_integral`
-    one at a time, on a memoized profile that lives as long as this call.
-    A term of the companion profile has no jet route (DomainError)."""
+    through one :func:`~rellich.quadrature._integrate_many` run, the others
+    through one run of the log substitution
+    (:func:`~rellich.quadrature._origin_many`); each round of either run
+    takes one profile jet (:func:`_jet_densities`).  A term of the
+    companion profile has no jet route (DomainError)."""
     for term in terms:
         if term.f2:
             raise DomainError(f"the jet route integrates the profile itself, not the companion of {term}")
     hi = profile.support[1]
     powers = [_origin_power(t, profile.origin_order) for t in terms]
     results = [None] * len(terms)
-    finite = [j for j, p in enumerate(powers) if p >= 0.0]
-    if finite:
-        ts = [terms[j] for j in finite]
+
+    def run(which, many, *args):
+        ts = [terms[j] for j in which]
         density = lambda xs: _jet_densities(profile, ts, xs, mode, weight)
-        for j, res in zip(finite, _integrate_many(density, len(ts), 0.0, hi, spec)):
+        for j, res in zip(which, many(density, len(ts), *args)):
             results[j] = res
-    memo = profile.memoized()
-    for j, power in enumerate(powers):
-        if power < 0.0:
-            t = terms[j]
-            density = lambda r, t=t: _jet_densities(memo, [t], [r], mode, weight)[0]
-            results[j] = origin_integral(density, power, hi, spec)
+
+    if finite := [j for j, p in enumerate(powers) if p >= 0.0]:
+        run(finite, _integrate_many, 0.0, hi, spec)
+    if logged := [j for j, p in enumerate(powers) if p < 0.0]:
+        run(logged, _origin_many, hi, spec)
     return results
 
 

@@ -193,7 +193,7 @@ def test_reduced_path_matches_direct_path():
         quotient = M._quotient(fam, N, m)[:2]
         # the reduction against the quadrature in s on (0, inner]
         red = M._Reduction(p)
-        inner = [M._InnerTerms(p).integral(terms, SPEC).value for terms in quotient]
+        inner = [res.value for res in M._inner_integrals(p, quotient, SPEC)]
         for terms, direct in zip(quotient, inner):
             assert red.integral(terms) == pytest.approx(direct, rel=1e-9), (fam, terms)
         num, den = (i + z for i, z in zip(inner, M._OuterTerms(p).integrals(quotient, SPEC)))
@@ -546,6 +546,46 @@ def test_quotients_match_one_side_per_call():
     assert one_side_bisects > 0
 
 
+def test_k2_sides_share_one_halfline_run(monkeypatch):
+    """A K = 2 quotient integrates both sides over (0, inner] in one
+    lockstep half-line run: each side's result is bitwise, evaluations
+    included, what its density gives alone, the run makes fewer integrand
+    calls than the two sides alone, and the quotient is bitwise that of the
+    sides integrated one at a time."""
+    from rellich.quadrature import integrate_halfline
+
+    real, runs = M._halfline_many, []
+
+    def spy(f, n, s0, spec=None):
+        calls = []
+        results = real(lambda xs: calls.append(xs) or f(xs), n, s0, spec)
+        runs.append((f, n, s0, spec, results, len(calls)))
+        return results
+
+    monkeypatch.setattr(M, "_halfline_many", spy)
+    for fam in (ScanFamily.RELLICH_IMPROVED, ScanFamily.DEFICIT_VLAP):
+        params = default_schedule(fam, 9, K=2)[4]
+        runs.clear()
+        q = rayleigh_quotient(fam, params)
+        assert q.hex() == _quotient_one_side_per_call(fam, params)[0].hex()
+        ((f, n, s0, spec, results, calls),) = runs
+        assert n == 2
+        alone = []
+        for i, res in enumerate(results):
+            seen = []
+
+            def side(s, i=i):
+                seen.append(s)
+                return f([s if j == i else None for j in range(n)])[i]
+
+            ref = integrate_halfline(side, s0, spec)
+            assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged) == (
+                ref.value.hex(), ref.error_estimate.hex(), ref.evaluations, ref.converged
+            )
+            alone.append(len(seen))
+        assert calls == max(alone) < sum(alone)
+
+
 def test_family_parameter_guards():
     with pytest.raises(DomainError):
         rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, MinSeqParams(6, 0.5, 1e-3, (0.1,)), quad=SPEC)
@@ -830,14 +870,6 @@ def test_scan_reports_unconverged_quadratures(monkeypatch):
     # recount by wrapping the quadrature entry points the quotient calls
     misses = [0]
 
-    def counting(fn):
-        def wrapped(*args, **kwargs):
-            res = fn(*args, **kwargs)
-            misses[0] += not res.converged
-            return res
-
-        return wrapped
-
     def counting_each(fn):
         def wrapped(*args, **kwargs):
             results = fn(*args, **kwargs)
@@ -846,8 +878,8 @@ def test_scan_reports_unconverged_quadratures(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(minseq, "_integrate_many", counting_each(minseq._integrate_many))
-    monkeypatch.setattr(minseq, "integrate_halfline", counting(minseq.integrate_halfline))
+    for name in ("_integrate_many", "_halfline_many"):
+        monkeypatch.setattr(minseq, name, counting_each(getattr(minseq, name)))
     expected = []
     for params in schedule:
         misses[0] = 0

@@ -609,3 +609,66 @@ def test_lockstep_falls_back_to_one_integral_per_call():
     f, _ = _each([failing, lambda x: x**2])
     with pytest.raises(ValueError, match="needed level"):
         quadrature._integrate_many(f, 2, 0.0, 1.0, SPEC)
+
+
+# --------------------------------------------------------------------------
+# half-lines in lockstep against each panel by panel
+
+
+def test_halflines_in_lockstep_match_one_panel_per_call(lookahead):
+    """Every half-line case bisects in one lockstep run of their half-line
+    rules (each from its own s0 and to its own cap), and each ends bitwise
+    where the panel-by-panel loop ends alone, with at least its
+    evaluations, in fewer integrand calls than the rules alone make.  The
+    entry point on one [s0, inf) counts each of its integrals once."""
+    cases = [_HALFLINE_CASES[name] for name in sorted(_HALFLINE_CASES)]
+    refs = [_halfline_one_panel_per_call(h, s0, SPEC, s_cap) for h, s0, s_cap in cases]
+    f, calls = _each([h for h, _, _ in cases])
+    with np.errstate(all="ignore"):
+        got = quadrature._lockstep(f, [quadrature._halfline(s0, SPEC, s_cap) for _, s0, s_cap in cases])
+    for (value, err, evaluations, converged), ref in zip(got, refs):
+        assert (value.hex(), err.hex(), converged) == _bits(ref)
+        assert evaluations >= ref.evaluations
+    alone = []
+    for h, s0, s_cap in cases:
+        seen = []
+        integrate_halfline(_recording(h, seen), s0, SPEC, s_cap)
+        alone.append(len(seen))
+    assert len(calls) == max(alone) < sum(alone)
+
+    cases = [(h, s0, s_cap) for h, s0, s_cap in cases if (s0, s_cap) == (0.0, 1e200)]
+    f, _ = _each([h for h, _, _ in cases])
+    with count_quadrature() as counts:
+        got = quadrature._halfline_many(f, len(cases), 0.0, SPEC)
+    assert len(cases) == 3 and counts.calls == len(cases)
+    assert counts.evaluations == sum(res.evaluations for res in got)
+    assert [_bits(res) for res in got] == [_bits(_halfline_one_panel_per_call(h, 0.0)) for h, _, _ in cases]
+
+
+def _peaks(s):
+    return np.exp(-0.3 * s) * (1.0 + 1.0 / (1e-2 + (s - 2.0) ** 2) + 1.0 / (1e-2 + (s - 5.0) ** 2))
+
+
+def test_a_speculative_panel_that_raises_changes_no_result(lookahead):
+    """The panels [1, 3] and [3, 7] of _peaks both bisect.  An integrand
+    that raises whenever [3, 7] bisects in a call with another panel, which
+    only a speculative round makes, still ends bitwise where the
+    panel-by-panel loop does, and so does the integral it runs with."""
+    raised = []
+
+    def strict(s):
+        inside = (s > 3.0) & (s < 7.0)
+        if inside.any() and not inside.all() and s.min() >= 1.0:
+            raised.append(True)
+            raise ValueError("a speculative round")
+        return _peaks(s)
+
+    panels = []
+    ref = _halfline_one_panel_per_call(_peaks, 0.0, panels=panels)
+    assert panels[1] > 15 and panels[2] > 15  # the reference bisects both panels
+    slow = _HALFLINE_CASES["slow-power-tail"][0]
+    f, _ = _each([strict, slow])
+    got = quadrature._halfline_many(f, 2, 0.0, SPEC)
+    assert bool(raised) == (lookahead > 1)  # with one panel per look-ahead nothing speculates
+    assert _bits(got[0]) == _bits(ref) and got[0].evaluations >= ref.evaluations
+    assert _result_bits(got[1]) == _result_bits(integrate_halfline(slow, 0.0, SPEC))

@@ -355,14 +355,6 @@ def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
     case = standard_suite(7)[3]
     recount = []
 
-    def counting(entry):
-        def counted(*args, **kwargs):
-            res = entry(*args, **kwargs)
-            recount.append(res.converged)
-            return res
-
-        return counted
-
     def counting_each(entry):
         def counted(*args, **kwargs):
             results = entry(*args, **kwargs)
@@ -371,11 +363,10 @@ def test_functional_counts_its_unconverged_integrals(monkeypatch, subdivisions):
 
         return counted
 
-    # every origin integral ends in one of the two entry points, or in the
-    # lockstep run of the integrals that need no log substitution
-    for name in ("integrate", "integrate_halfline"):
-        monkeypatch.setattr(quadrature, name, counting(getattr(quadrature, name)))
-    monkeypatch.setattr(radial, "_integrate_many", counting_each(radial._integrate_many))
+    # every integral of a call runs in one of its two lockstep runs: of the
+    # integrals that need no log substitution, and of those that take it
+    for name in ("_integrate_many", "_origin_many"):
+        monkeypatch.setattr(radial, name, counting_each(getattr(radial, name)))
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", subdivisions)
     mixed = False
     for name in Functional:
@@ -419,6 +410,47 @@ def test_fresh_functional_makes_one_sums_call_and_one_profile_jet_per_round(monk
     assert len(sums) == len(jets) == max(alone) > 1
     assert sum(alone) > 3 * max(alone)  # what one call per integral and batch would make
     assert sums[0] == 15 * len(terms)  # the first round: every integral's 15 block intervals
+
+
+def test_log_terms_run_together_one_profile_jet_and_one_sums_call_per_round(monkeypatch):
+    """All four terms of the weighted Laplacian of seed 2's case 48 take the
+    log substitution.  They run in one half-line run, which gives the
+    functional bitwise what the terms run one at a time give, and each
+    round of it is one profile jet and one _gk_sums call: as many of each
+    as the term that takes most rounds alone makes integrand calls."""
+    case = standard_suite(2)[48]
+    tf = case.test_function()
+    profile, mode = tf.profile, tf.mode
+    direct, cross = radial._declaration(Functional.WEIGHTED_LAPLACIAN, mode.N, mode.k, case.m, 1, None)
+    terms = list(dict.fromkeys(t for _, t in (*direct, *cross)))
+    assert len(terms) == 4 and all(radial._origin_power(t, profile.origin_order) < 0.0 for t in terms)
+    together = _fields(functional(Functional.WEIGHTED_LAPLACIAN, tf, m=case.m))
+
+    alone = []
+
+    def one_at_a_time(f, n, hi, spec):
+        results = []
+        for i in range(n):
+            calls = []
+
+            def density(r, i=i):
+                calls.append(r)
+                return f([r if j == i else None for j in range(n)])[i]
+
+            results.append(quadrature.origin_integral(density, -1.0, hi, spec))
+            alone.append(len(calls))
+        return results
+
+    monkeypatch.setattr(radial, "_origin_many", one_at_a_time)
+    assert _fields(functional(Functional.WEIGHTED_LAPLACIAN, case.test_function(), m=case.m)) == together
+    monkeypatch.undo()
+
+    jets, sums = [], []
+    real_sums = quadrature._gk_sums
+    monkeypatch.setattr(quadrature, "_gk_sums", lambda *args: sums.append(len(args[0])) or real_sums(*args))
+    counted = RadialProfile(lambda J: jets.append(J.order) or profile._jet_fn(J), profile.support, profile.origin_order)
+    assert _fields(functional(Functional.WEIGHTED_LAPLACIAN, TestFunction(counted, mode), m=case.m)) == together
+    assert len(sums) == len(jets) == max(alone) < sum(alone)
 
 
 # --------------------------------------------------------------------------
