@@ -25,7 +25,9 @@ derivatives), evaluated by jet arithmetic in r, through one zone rule that
 starts both sides together: one integrand call on the zone's 60 nodes
 gives every density of the quotient, and the sides bisect on in lockstep
 where they must, one integrand call per round.  A single-log quotient runs
-just these two zone quadratures, one per side.
+just these two zone quadratures, one per side.  The profile's factors that
+the nodes alone fix (the cutoff, ln r, the X_i and their logs) are shared
+by every quotient that reaches the same nodes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import constants as C
 from .errors import DomainError, QuadratureError
-from .iterlog import xk_values, xk_values_from_s
+from .iterlog import xk_values_from_s
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -61,7 +63,7 @@ from .radial import (
     _v,
     _v_exponent,
 )
-from .taylor import Jet
+from .taylor import Jet, _memoized
 from .verify import REGISTRY
 
 __all__ = [
@@ -167,26 +169,47 @@ class MinSeqParams:
         return -_v_exponent(self.N, self.m) + self.epsilon
 
 
+def _fresh_node_jets(J: Jet, cutoff: CutoffSpec, K: int) -> tuple:
+    """(phi(J), ln J, ln X_1, ..., ln X_K, X_1, ..., X_K) at the jet J, with
+    X_1 = 1/(1 - ln J) and X_{i+1} = 1/(1 - ln X_i)."""
+    logs, xs = [J.log()], []
+    for _ in range(K):
+        xs.append(1.0 / (1.0 - logs[-1]))
+        logs.append(xs[-1].log())
+    return (cutoff.jet(J), *logs, *xs)
+
+
+# The factors of a sequence member's profile that its nodes alone fix (see
+# _fresh_node_jets) are shared by every member with the same cutoff and K:
+# each cutoff-zone quotient starts on the zone's same 60 nodes (120 after one
+# refinement), so a scan-limits pass reaches 4 or 5 keys (cutoff, K, node
+# array), about 11 KiB of jets each.  The store keeps the latest
+# _NODE_JETS_SIZE.
+_NODE_JETS_SIZE = 16
+_node_jets = _memoized(_fresh_node_jets, _NODE_JETS_SIZE)
+
+
 def build_minimizer(params: MinSeqParams) -> TestFunction:
     """Assemble the sequence member as a TestFunction with analytic derivatives.
 
     The profile is r^{-(N-4-2m)/2+eps} * prod_i X_i^{(-1+a_i)/2} * phi(r),
     differentiated through the iterated-log chain rule by jet propagation.
+    Its node-only factors come from the shared store (``_node_jets``); only
+    the powers r^q and X_i^{e_i} are the member's own.
     """
     if params.cutoff.smoothness_order < 4:
         raise DomainError("cutoff smoothness_order must be >= 4 (four derivatives needed)")
     q = params.power_exponent
     exponents = [(-1.0 + ai) / 2.0 for ai in params.a]
-    cutoff = params.cutoff
+    cutoff, K = params.cutoff, len(params.a)
 
     def fn(J: Jet) -> Jet:
-        out = J**q
-        x = J
-        for e in exponents:
-            x = 1.0 / (1.0 - x.log())
+        phi, log, *chain = _node_jets(J, cutoff, K)
+        out = J.power(q, log)
+        for e, x_log, x in zip(exponents, chain, chain[K:]):
             if e != 0.0:
-                out = out * x**e
-        return out * cutoff.jet(J)
+                out = out * x.power(e, x_log)
+        return out * phi
 
     profile = RadialProfile(fn, support=(0.0, cutoff.outer_radius), origin_order=q)
     return TestFunction(profile, SphericalMode(params.N, params.mode_k))
@@ -528,21 +551,26 @@ class _OuterTerms:
 
     Each integral is of u, or of v = r^shift u, and
     :func:`rellich.radial._jet_densities` forms its density from one jet of u,
-    for every integral of a quotient's sides at once.  u's profile is
-    memoized: where both sides bisect a zone panel they evaluate the same
-    nodes, and the memo lives only as long as this object."""
+    for every integral of a quotient's sides at once.  The series weights
+    read the iterated logs X_i from the node-only jets that u's profile jet
+    used (``_node_jets``)."""
 
     def __init__(self, params: MinSeqParams):
         self.params = params
         tf = build_minimizer(params)
         self.mode = tf.mode
-        self.u = tf.profile.memoized()
+        self.u = tf.profile
 
     def densities(self, r: np.ndarray, ints) -> dict[_Int, np.ndarray]:
         """The densities of the integrals ints at r, and only those, from one
         jet of u (see :func:`rellich.radial._jet_densities`)."""
         ints = list(ints)
         return dict(zip(ints, _jet_densities(self.u, ints, [r] * len(ints), self.mode)))
+
+    def log_values(self, r: np.ndarray) -> list[np.ndarray]:
+        """[X_1(r), ..., X_K(r)], the value rows of the node-only jets."""
+        K = len(self.params.a)
+        return [x.value for x in _node_jets(Jet.variable(r, 0), self.params.cutoff, K)[K + 2 :]]
 
     def integrals(self, sides, spec: QuadratureSpec) -> list[float]:
         """Each combination's integral over the cutoff zone [inner, outer],
@@ -562,7 +590,7 @@ class _OuterTerms:
             for r, which in groups.values():
                 p = self.densities(r, set().union(*(ints[i] for i in which)))
                 weighted = any(w is not None for i in which for _, _, w in sides[i])
-                prods = _log_products(xk_values(len(self.params.a), r)) if weighted else None
+                prods = _log_products(self.log_values(r)) if weighted else None
                 for i in which:
                     out[i] = _combine(sides[i], p.__getitem__, lambda w: _weight(prods, w))
             return out

@@ -794,6 +794,9 @@ def integrate_logweighted(
     One log factor without a cutoff is Q(1 + b_1) at rho = 1 and
     eps = (power + 1)/2, taken in closed form (:func:`_q_beta`; 1/b_1 at
     eps = 0) with no integrand evaluation; DomainError where that overflows.
+    At eps = 0 without a cutoff a leading b_1 = 0 drops out: u = ln(1 + s)
+    takes X_1 ds to du and X_{i+1}(s) to X_i(u), so the integral is the one
+    over the offsets b_2, ....
     Everything else is evaluated in s = ln(1/r) coordinates, so the
     deep-origin mass of nearly-critical integrands is captured exactly.
     """
@@ -803,6 +806,8 @@ def integrate_logweighted(
     if failure is not None:
         raise DivergenceError(f"divergent integrand: {failure}")
     eps2 = power + 1.0  # total e^{-eps2 * s} factor after the substitution
+    while eps2 == 0.0 and cutoff is None and betas[0] == 0.0:
+        betas = betas[1:]
     if len(betas) == 1 and cutoff is None:
         value = 1.0 / betas[0] if eps2 == 0.0 else _q_beta(1.0 + betas[0], eps2 / 2.0, 1.0)
         err = _Q_REL_ERR * abs(value)

@@ -155,36 +155,6 @@ class RadialProfile:
         J = self.taylor(r, order)
         return [J.deriv(j) for j in range(order + 1)]
 
-    def memoized(self) -> "RadialProfile":
-        """The same profile, with a jet function that remembers each input jet
-        and its result, keyed by the bytes of the input's value row.
-
-        A later input is served from the store, as the stored result truncated
-        to its order, only when its rows are a bytewise prefix of the stored
-        input's rows; any other input is evaluated afresh and replaces the
-        entry for its value row.  Served jets are bitwise fresh evaluations
-        because jet arithmetic is truncation invariant.  The store lives as
-        long as the returned profile.
-        """
-        fn = self._jet_fn
-        store: dict = {}
-
-        def remembered(J: Jet) -> Jet:
-            rows = J.coeffs
-            key = (rows[0].shape, rows[0].tobytes())
-            hit = store.get(key)
-            if hit is not None:
-                higher, out = hit
-                if len(rows) - 1 <= len(higher) and all(
-                    r.tobytes() == b for r, b in zip(rows[1:], higher)
-                ):
-                    return out.truncate(J.order)
-            out = fn(J)
-            store[key] = ([r.tobytes() for r in rows[1:]], out)
-            return out
-
-        return RadialProfile(remembered, self.support, self.origin_order)
-
     # -------------------------------------------------------------- algebra
     def power_shift(self, alpha: float) -> "RadialProfile":
         """The profile r^alpha * f(r)."""

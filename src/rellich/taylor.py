@@ -191,6 +191,11 @@ class Jet:
         return _jet(h)
 
     def __pow__(self, p) -> "Jet":
+        return self.power(p)
+
+    def power(self, p, log: "Jet | None" = None) -> "Jet":
+        """``self ** p``: repeated squaring for an integer p with |p| <= 64,
+        else exp(p ln self), where ``log``, when given, is ``self.log()``."""
         if isinstance(p, Jet):
             raise TypeError("jet exponents are not supported")
         pf = float(p)
@@ -208,7 +213,7 @@ class Jet:
                     break
                 base = base * base
             return acc if pf > 0 else 1.0 / acc
-        return (self.log() * pf).exp()
+        return ((self.log() if log is None else log) * pf).exp()
 
     # ------------------------------------------------------------ piecewise
     @staticmethod
@@ -231,3 +236,37 @@ def _quotient(a: list, b: list, n: int) -> list:
         acc /= b0
         q.append(acc)
     return q
+
+
+def _memoized(fn, size: int):
+    """``fn``, remembering each input jet and its result.
+
+    ``fn(J, *key)`` takes a jet J and hashable constants ``key`` and returns
+    a tuple of jets of J's order.  An entry is stored under the key
+    and the bytes and shape of J's value row.  A later call is served from
+    the store, as the stored result truncated to its order, only when its
+    rows are a bytewise prefix of the stored input's rows; any other input
+    is evaluated afresh and replaces the entry for its key.  Served results
+    are bitwise fresh evaluations because jet arithmetic is truncation
+    invariant.  The store keeps the ``size`` latest entries and drops the
+    oldest; it is the returned function's ``store``.
+    """
+    store: dict = {}
+
+    def remembered(J: Jet, *key):
+        rows = J.coeffs
+        at = (*key, rows[0].shape, rows[0].tobytes())
+        hit = store.get(at)
+        if hit is not None:
+            higher, out = hit
+            if len(rows) - 1 <= len(higher) and all(r.tobytes() == b for r, b in zip(rows[1:], higher)):
+                return tuple(x.truncate(J.order) for x in out)
+            del store[at]
+        out = fn(J, *key)
+        store[at] = ([r.tobytes() for r in rows[1:]], out)
+        if len(store) > size:
+            del store[next(iter(store))]
+        return out
+
+    remembered.store = store
+    return remembered

@@ -962,6 +962,118 @@ def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
             assert _same_bits(got[t], route[t]), (subset, t)
 
 
+# --------------------------------------------------------------------------
+# The node-only jets: one store shared by every sequence member
+
+
+@pytest.fixture
+def empty_node_jets():
+    M._node_jets.store.clear()
+    yield M._node_jets.store
+    M._node_jets.store.clear()
+
+
+def _reference_profile(p: MinSeqParams, J):
+    """The member's profile jet with every factor computed in place."""
+    out = J**p.power_exponent
+    x = J
+    for ai in p.a:
+        e = (-1.0 + ai) / 2.0
+        x = 1.0 / (1.0 - x.log())
+        if e != 0.0:
+            out = out * x**e
+    return out * p.cutoff.jet(J)
+
+
+def _jet_bits(jets) -> list:
+    return [[(row.shape, row.tobytes()) for row in j.coeffs] for j in jets]
+
+
+@pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(0.3, 0.8, 5)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("m, eps", [(0.5, 1e-3), (0.0, 0.5)])  # r^q with q = -2 + 1e-3, -2
+def test_node_jets_served_are_bitwise_fresh_evaluations(empty_node_jets, cutoff, K, m, eps):
+    """Every node-only jet the store serves, and every profile jet built on
+    it, is bitwise a fresh evaluation with the store emptied and the jet the
+    member computes in place, at orders 0-4 on the zone's nodes."""
+    from rellich.taylor import Jet
+
+    r = np.linspace(cutoff.inner_radius, cutoff.outer_radius, 61)[1:-1]
+    p = MinSeqParams(9, m, eps, (0.3, 0.05, 1.0)[:K], cutoff)
+    u = build_minimizer(p).profile
+    u.taylor(r, 4)
+    for order in range(5):
+        J = Jet.variable(r, order)
+        served = M._node_jets(J, cutoff, K), u.taylor(r, order)
+        assert len(empty_node_jets) == 1  # every order was served from one entry
+        empty_node_jets.clear()
+        fresh = M._node_jets(J, cutoff, K), u.taylor(r, order)
+        assert _jet_bits(served[0]) == _jet_bits(fresh[0]) == _jet_bits(M._fresh_node_jets(J, cutoff, K))
+        assert _jet_bits([served[1]]) == _jet_bits([fresh[1]]) == _jet_bits([_reference_profile(p, J)])
+        assert all(j.order == order for j in served[0])
+        u.taylor(r, 4)
+
+
+def test_node_jets_evaluate_other_higher_rows_afresh(empty_node_jets, monkeypatch):
+    from rellich.taylor import Jet
+
+    calls = []
+    real = CutoffSpec.jet
+    monkeypatch.setattr(CutoffSpec, "jet", lambda self, J: calls.append(J.order) or real(self, J))
+    cutoff, r = CutoffSpec(), np.linspace(0.5, 1.0, 13)
+    M._node_jets(Jet.variable(r, 2), cutoff, 2)
+    M._node_jets(Jet.variable(r, 1), cutoff, 2)
+    assert calls == [2]
+    other = Jet([r, 2.0 * np.ones_like(r), np.zeros_like(r)])
+    got = M._node_jets(other, cutoff, 2)
+    assert calls == [2, 2]
+    assert _jet_bits(got) == _jet_bits(M._fresh_node_jets(other, cutoff, 2))
+
+
+def test_node_jets_store_stays_within_its_bound(empty_node_jets):
+    u = build_minimizer(MinSeqParams(6, 0.0, 1e-3, (0.1, 0.2))).profile
+    for i in range(100):
+        u.taylor(np.linspace(0.5, 1.0, 10 + i), 2)
+        assert len(empty_node_jets) <= M._NODE_JETS_SIZE
+    assert len(empty_node_jets) == M._NODE_JETS_SIZE
+
+
+def test_scan_evaluates_the_cutoff_once_per_zone_node_array(empty_node_jets, monkeypatch):
+    """Across the 12 steps of the default N = 6 rellich-improved scan, each
+    distinct node array gets one cutoff jet."""
+    from collections import Counter
+
+    calls = Counter()
+    real = CutoffSpec.jet
+
+    def spy(self, J):
+        calls[J.value.shape, J.value.tobytes()] += 1
+        return real(self, J)
+
+    monkeypatch.setattr(CutoffSpec, "jet", spy)
+    schedule = default_schedule(ScanFamily.RELLICH_IMPROVED, 6)
+    assert len(schedule) == 12
+    scan_to_limit(ScanFamily.RELLICH_IMPROVED, schedule)
+    assert calls and set(calls.values()) == {1}
+
+
+def test_series_weights_read_the_logs_xk_values_gives(monkeypatch):
+    """The X_i the zone's series weights read from the node-only jets are
+    bitwise xk_values on every zone node array of K = 3 quotients."""
+    seen = []
+    real = M._OuterTerms.log_values
+
+    def recording(self, r):
+        got = real(self, r)
+        seen.append(_same_bits(np.array(got), np.array(xk_values(len(self.params.a), r))))
+        return got
+
+    monkeypatch.setattr(M._OuterTerms, "log_values", recording)
+    for fam in (ScanFamily.RELLICH_IMPROVED, ScanFamily.RELLICH_GRAD_IMPROVED):
+        rayleigh_quotient(fam, MinSeqParams(6, 0.0, 1e-3, (0.1, 0.1, 0.1)))
+    assert seen and all(seen)
+
+
 def _density_subjects():
     """A suite case's profile and a sequence member's, with their modes and
     nodes inside each support."""

@@ -119,6 +119,27 @@ def test_logweighted_divergence_cascade():
     assert res.value > 0.0
 
 
+@pytest.mark.parametrize("offsets, exact", [([0.0, 0.06], 50.0 / 3.0), ([0.0, 0.0, 0.5], 2.0)])
+def test_logweighted_drops_leading_zero_offsets_at_eps_zero(offsets, exact):
+    """u = ln(1 + s) removes X_1 at eps = 0: the integral is the one over the
+    remaining offsets, down to the one-factor closed form 1/b."""
+    res = integrate_logweighted(-1, offsets)
+    assert res.converged and res.evaluations == 0
+    assert res.value == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "power, offsets, value",
+    [(-1, [0.3, 0.5], "0x1.b37794f21a163p-1"), (-0.9, [0.0, 0.5], "0x1.98bd550b2b702p-1")],
+)
+def test_logweighted_keeps_its_quadrature_elsewhere(power, offsets, value):
+    """A nonzero first offset, or eps > 0, is integrated as before, bit for
+    bit."""
+    res = integrate_logweighted(power, offsets)
+    assert res.converged and res.evaluations > 0
+    assert res.value.hex() == value
+
+
 def test_single_log_is_taken_in_closed_form():
     """One log factor without a cutoff is Q(1 + b) at rho = 1: exactly 1/b at
     eps = 0, where the half-line rule ran out of panels (99.004 for b = 0.01,

@@ -21,7 +21,7 @@ from rellich.radial import (
     sphere_area,
     substitute_v,
 )
-from rellich.taylor import Jet
+from rellich.taylor import Jet, _memoized
 from rellich.verify import standard_suite
 
 RR = np.linspace(0.05, 0.95, 9)
@@ -248,11 +248,18 @@ def test_functional_series_term_gradient_base():
 
 
 # --------------------------------------------------------------------------
-# RadialProfile.memoized: every served jet is bitwise a fresh evaluation
+# taylor._memoized: every served jet is bitwise a fresh evaluation
 
 
 def _bits(jet: Jet) -> list:
     return [(row.shape, row.tobytes()) for row in jet.coeffs]
+
+
+def _memoized_profile(f: RadialProfile) -> RadialProfile:
+    """f, with a jet function that remembers f's jets."""
+    fn = f._jet_fn
+    memo = _memoized(lambda J: (fn(J),), 8)
+    return RadialProfile(lambda J: memo(J)[0], f.support, f.origin_order)
 
 
 def _memo_subject() -> RadialProfile:
@@ -269,7 +276,7 @@ _ROWS = st.floats(-2.0, 2.0)
 @st.composite
 def _requests(draw):
     """A few node arrays, then a sequence of requests on them: (node index,
-    order, higher rows or None for the variable jet)."""
+    order, higher rows or None for the variable jet, key constant)."""
     nodes = draw(st.lists(_NODES, min_size=1, max_size=3))
     out = []
     for _ in range(draw(st.integers(1, 10))):
@@ -279,23 +286,33 @@ def _requests(draw):
         if draw(st.booleans()):
             n = nodes[i].size
             higher = [draw(arrays(np.float64, n, elements=_ROWS)) for _ in range(order)]
-        out.append((i, order, higher))
+        out.append((i, order, higher, draw(st.sampled_from([0.5, 2.0]))))
     return nodes, out
 
 
 @settings(max_examples=200, deadline=None)
 @given(_requests())
 def test_memoized_jets_are_bitwise_fresh_evaluations(case):
+    """For a profile's jet function, and for a function of a jet and a key
+    constant that returns two jets."""
     nodes, requests = case
     plain = _memo_subject()
-    memo = plain.memoized()
+    memo = _memoized_profile(plain)
+
+    def pair(J, c):
+        return plain._jet_fn(J) * c, J.log()
+
+    pairs = _memoized(pair, 8)
     with np.errstate(all="ignore"):
-        for i, order, higher in requests:
+        for i, order, higher, c in requests:
             if higher is None:
                 assert _bits(memo.taylor(nodes[i], order)) == _bits(plain.taylor(nodes[i], order))
+                J = Jet.variable(nodes[i], order)
             else:
                 J = Jet([nodes[i], *higher])
                 assert _bits(memo._jet_fn(J)) == _bits(plain._jet_fn(J))
+            got, want = pairs(J, c), pair(J, c)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want]
 
 
 def test_memoized_serves_only_bytewise_prefixes_of_a_stored_input():
@@ -305,7 +322,7 @@ def test_memoized_serves_only_bytewise_prefixes_of_a_stored_input():
         calls.append(J.order)
         return J * J
 
-    memo = RadialProfile(fn).memoized()
+    memo = _memoized_profile(RadialProfile(fn))
     r = np.array([0.25, 0.5])
     memo.taylor(r, 3)
     memo.taylor(r, 3)
@@ -327,13 +344,34 @@ def test_memoized_serves_only_bytewise_prefixes_of_a_stored_input():
     assert calls[-1] == 0 and len(calls) == 6
 
 
-def test_functionals_are_bitwise_those_of_unmemoized_profiles(monkeypatch):
+def test_memoized_keys_by_its_constants_and_keeps_the_latest_entries():
+    calls = []
+
+    def fn(J, c):
+        calls.append(c)
+        return (J * c,)
+
+    memo = _memoized(fn, size=2)
+    r = Jet.variable(np.array([0.25, 0.5]), 1)
+    memo(r, 1.0)
+    memo(r, 1.0)
+    memo(r, 2.0)
+    assert calls == [1.0, 2.0]  # the same nodes under another constant
+    memo(r, 3.0)
+    assert len(memo.store) == 2 and calls == [1.0, 2.0, 3.0]
+    memo(r, 2.0)
+    memo(r, 1.0)  # the oldest entry was dropped
+    assert calls == [1.0, 2.0, 3.0, 1.0] and len(memo.store) == 2
+
+
+def test_functionals_are_bitwise_those_of_unmemoized_profiles():
     suite = standard_suite(7)
 
-    def outputs():
+    def outputs(wrap):
         out = []
         for case in suite:
             u = case.test_function()
+            u = dataclasses.replace(u, profile=wrap(u.profile))
             v = substitute_v(u)
             for name in Functional:
                 tf = v if name in (Functional.J, Functional.JJ) else u
@@ -343,9 +381,7 @@ def test_functionals_are_bitwise_those_of_unmemoized_profiles(monkeypatch):
                 out.append([list(fv.components), *(x.hex() if x is not None else x for x in fields)])
         return out
 
-    memoized = outputs()
-    monkeypatch.setattr(RadialProfile, "memoized", lambda self: self)
-    assert outputs() == memoized
+    assert outputs(_memoized_profile) == outputs(lambda f: f)
 
 
 @pytest.mark.parametrize("subdivisions", [1, 8])
