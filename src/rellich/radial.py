@@ -72,7 +72,7 @@ from . import constants as C
 from .errors import DomainError
 from .iterlog import log_product
 from .quadrature import QuadratureSpec, _integrate_many, _origin_many
-from .taylor import Jet
+from .taylor import Jet, polynomial
 
 __all__ = [
     "sphere_area",
@@ -136,13 +136,7 @@ class RadialProfile:
         if origin_order is None:
             origin_order = next((i for i, c in enumerate(coeffs) if c != 0.0), 0)
 
-        def fn(J: Jet) -> Jet:
-            acc = Jet.constant(coeffs[-1], J.order, like=J.value)
-            for c in reversed(coeffs[:-1]):
-                acc = acc * J + c
-            return acc
-
-        return cls(fn, support, origin_order)
+        return cls(lambda J: polynomial(J, coeffs), support, origin_order)
 
     # ------------------------------------------------------------ evaluation
     def taylor(self, r, order: int) -> Jet:

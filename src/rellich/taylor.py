@@ -28,6 +28,12 @@ contract:
   an expression evaluated at order ``n`` and truncated to ``m <= n`` is
   bitwise the expression evaluated at order ``m``.  One evaluation at the
   highest order needed may therefore serve every lower order.
+
+:func:`polynomial` evaluates a polynomial given as linear factors on a jet;
+on :meth:`Jet.variable`'s jet it works on the rows stacked as one array,
+two or three numpy calls per factor at any order, and elsewhere it is the
+same factors' :class:`Jet` product (see its docstring for where the two
+agree bitwise).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet"]
+__all__ = ["Jet", "polynomial"]
 
 
 def _jet(rows: list) -> "Jet":
@@ -64,14 +70,17 @@ class Jet:
     # ------------------------------------------------------------- builders
     @classmethod
     def variable(cls, x, order: int) -> "Jet":
-        """Jet of the identity function at points ``x``."""
+        """Jet of the identity function at points ``x``, typed
+        :class:`_Variable` so that :func:`polynomial` knows its rows."""
         x = np.asarray(x, dtype=float)
         coeffs = [x]
         if order >= 1:
-            coeffs.append(np.ones_like(x))
-        for _ in range(order - 1):
-            coeffs.append(np.zeros_like(x))
-        return _jet(coeffs)
+            coeffs.append(np.ones(x.shape))
+        if order >= 2:
+            coeffs += [np.zeros(x.shape)] * (order - 1)  # one row: rows are never mutated
+        out = object.__new__(_Variable)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def constant(cls, c, order: int, like=None) -> "Jet":
@@ -223,6 +232,72 @@ class Jet:
         return _jet(
             [np.where(mask, when_true.coeffs[j], when_false.coeffs[j]) for j in range(n + 1)]
         )
+
+
+class _Variable(Jet):
+    """A jet made by :meth:`Jet.variable`: rows x, 1, 0, 0, ...  Only the
+    type is new; arithmetic on it returns plain jets."""
+
+    __slots__ = ()
+
+
+def polynomial(J: Jet, coeffs, boundary: int = 0, lead: int = 0) -> Jet:
+    """The jet of q(x) (1 - x)^boundary x^lead at J, for q(x) = sum_i
+    coeffs[i] x^i with float coefficients, by Horner over linear factors:
+    q's Horner steps from its top coefficient, then ``boundary`` products
+    by 1 - J, then ``lead`` products by J.
+
+    On :meth:`Jet.variable`'s jet the rows are one array A of shape
+    (order + 1, *x.shape), and each factor costs two or three numpy calls
+    at any order:
+
+    - a step of q:  B = A x,  B[1:] += A[:-1],  B[0] += c;
+    - a factor 1 - x:  B = A (1 - x),  B[1:] -= A[:-1];
+    - a factor x:  B = A x,  B[1:] += A[:-1].
+
+    Any other jet takes the generic route: the same factors in :class:`Jet`
+    arithmetic.  On the variable's rows that route's row k >= 1 of a product
+    by J or 1 - J adds zero terms, then +-A[k-1], then A[k] times the
+    factor's value, and its ``+ c`` adds 0.0 to rows k >= 1; the stacked
+    route adds the two nonzero terms only.  So the routes can differ only
+    in the sign of a zero row past the value.  They agree bit for bit
+    wherever no such row holds -0, as at every node in (0, 1) on the
+    package's profiles; at x = 1, where 1 - x is 0, a zero's sign may
+    differ."""
+    top, rest = coeffs[-1], coeffs[-2::-1]
+    if type(J) is not _Variable:
+        acc = Jet.constant(top, J.order, like=J.value)
+        for c in rest:
+            acc = acc * J + c
+        if boundary:
+            one_minus = 1.0 - J
+            for _ in range(boundary):
+                acc = acc * one_minus
+        for _ in range(lead):
+            acc = acc * J
+        return acc
+    x = J.coeffs[0]
+    shape = (len(J.coeffs), *x.shape)
+    X = np.empty(shape)
+    X[:] = x  # on every row, so that each product takes numpy's elementwise loop
+    steps = [(X, np.add, c) for c in rest]
+    if boundary:
+        steps += [(1.0 - X, np.subtract, None)] * boundary
+    steps += [(X, np.add, None)] * lead
+    A, B = np.zeros(shape), np.empty(shape)
+    A[0] = top
+    # the steps alternate between two buffers, each with its views made once:
+    # (all rows, rows past the value, rows but the last, the value row)
+    a, b = (A, A[1:], A[:-1], A[:1]), (B, B[1:], B[:-1], B[:1])
+    rows = shape[0] > 1
+    for F, shift, c in steps:  # each ufunc writes to its third argument
+        np.multiply(a[0], F, b[0])
+        if rows:
+            shift(b[1], a[2], b[1])
+        if c is not None:
+            np.add(b[3], c, b[3])
+        a, b = b, a
+    return _jet(list(a[0]))
 
 
 def _quotient(a: list, b: list, n: int) -> list:

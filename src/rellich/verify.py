@@ -84,6 +84,7 @@ from .radial import (
     functional,
     sphere_area,
 )
+from .taylor import polynomial
 
 __all__ = [
     "SuiteCase",
@@ -150,19 +151,12 @@ class SuiteCase:
         return Fraction(self.m)
 
     def jet_profile(self) -> RadialProfile:
-        """The profile in factored form r^(k+j) (1-r)^p q(r), which evaluates
-        pointwise without the cancellation of the expanded power sum."""
+        """The profile in factored form q(r) (1-r)^p r^(k+j), which evaluates
+        pointwise without the cancellation of the expanded power sum: Horner
+        over its linear factors (:func:`rellich.taylor.polynomial`)."""
         lead, p, q_coeffs = self.factors
-        top, *rest = [float(c) for c in reversed(list(q_coeffs))]
-        power, boundary = int(lead), int(p)
-
-        def fn(J):
-            acc = J * 0.0 + top
-            for c in rest:
-                acc = acc * J + c
-            return (J**power) * ((1.0 - J) ** boundary) * acc
-
-        return RadialProfile(fn, origin_order=lead)
+        coeffs, boundary, power = [float(c) for c in q_coeffs], int(p), int(lead)
+        return RadialProfile(lambda J: polynomial(J, coeffs, boundary, power), origin_order=lead)
 
     def test_function(self) -> TestFunction:
         return TestFunction(self.jet_profile(), self.mode)

@@ -374,15 +374,19 @@ def test_constants_golden_missing_weight(capsys, family):
 # every registry value was decided in exact arithmetic: a worst residual of
 # 0 marks an identity that holds exactly.  Re-recorded when every
 # Gauss-Kronrod rule became a function of its own interval's values: the
-# mode-laplacian-reduction round-off residual moved from 2.3e-16 to 2.2e-16
+# mode-laplacian-reduction round-off residual moved from 2.3e-16 to 2.2e-16.
+# Re-recorded when the suite profile's jet became Horner over its linear
+# factors (`rellich.taylor.polynomial`): three round-off residuals moved,
+# mode-laplacian-reduction 2.2e-16 -> 4.4e-16, mode-gradient-reduction
+# 1.6e-16 -> 2.8e-16 and weighted-gradient-fside 5.5e-16 -> 3.5e-16
 _VERIFY_GOLDEN = (
     "weighted-green: pass (worst 0)\n"
     "power-shift-laplacian: pass (worst 0)\n"
     "grad-weight-split: pass (worst 0)\n"
     "rellich-deficit-j: pass (worst 0)\n"
     "gradrellich-deficit-jj: pass (worst 0)\n"
-    "mode-laplacian-reduction: pass (worst 2.1960057482447929e-16)\n"
-    "mode-gradient-reduction: pass (worst 1.5830579031717434e-16)\n"
+    "mode-laplacian-reduction: pass (worst 4.3920114964895853e-16)\n"
+    "mode-gradient-reduction: pass (worst 2.7779533920556604e-16)\n"
     "laplacian-gside: pass (worst 0)\n"
     "gradient-gside: pass (worst 0)\n"
     "rellich-deficit-gside: pass (worst 0)\n"
@@ -392,7 +396,7 @@ _VERIFY_GOLDEN = (
     "v-radial-gside: pass (worst 0)\n"
     "potential-gside: pass (worst 0)\n"
     "weighted-laplacian-fside: pass (worst 0)\n"
-    "weighted-gradient-fside: pass (worst 5.5286297459079826e-16)\n"
+    "weighted-gradient-fside: pass (worst 3.4948445222653333e-16)\n"
     "weighted-power-shift-laplacian: pass (worst 0)\n"
     "weighted-grad-split: pass (worst 0)\n"
     "weighted-rellich-deficit: pass (worst 0)\n"

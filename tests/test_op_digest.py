@@ -84,12 +84,13 @@ def test_compare_summarizes_each_workload_and_lists_ops_that_differ_in_kind():
     assert report[0] == f"scan-limits {tool._hash(mine['scan-limits'])} 2"
     assert report[1] == (
         "scan-limits: 2 of 2 ops differ, 1 in a count, flag or exception; largest value move "
-        f"{(2 * x - nudged) / (2 * x):.3g} at fam/N6/K1 0; largest error-estimate move 0"
+        f"{(2 * x - nudged) / (2 * x):.3g} at fam/N6/K1 0 ({2 * x!r} against {float(nudged)!r}); "
+        "largest error-estimate move 0"
     )
     assert report[2] == "scan-limits fam/N6/K1 1: a count, flag or exception differs"
     assert len(report) == 3
     assert tool.compare(["scan-limits"], mine, mine) == report[:1]
-    assert tool.field_moves("k:0x1.0p+0 1", "k:0x1.0p+0 2") == (True, 0.0, 0.0)
+    assert tool.field_moves("k:0x1.0p+0 1", "k:0x1.0p+0 2") == (True, tool._NO_MOVE, tool._NO_MOVE)
 
 
 def test_compare_matches_ops_by_key_and_lists_those_of_one_tree():
@@ -129,12 +130,31 @@ def test_summary_counts_differing_ops_and_reports_value_and_error_moves_apart():
     value_move, error_move = 2**-50 / (1 + 2**-50), 0.1e-12 / 1.1e-12
     assert report[1:] == [
         f"functionals: 4 of 5 ops differ, 2 in a count, flag or exception; "
-        f"largest value move {value_move:.3g} at value; largest error-estimate move {error_move:.3g} at error",
+        f"largest value move {value_move:.3g} at value (1.5 against {value_moved.value!r}); "
+        f"largest error-estimate move {error_move:.3g} at error (1e-12 against 1.1e-12)",
         "functionals count: a count, flag or exception differs",
         "functionals raises: a count, flag or exception differs",
     ]
-    assert tool.field_moves(line("k", fv), line("k", value_moved)) == (False, value_move, 0.0)
+    assert tool.field_moves(line("k", fv), line("k", value_moved)) == (
+        False,
+        (value_move, 1.5, value_moved.value),
+        tool._NO_MOVE,
+    )
     assert tool.compare(["functionals"], {"functionals": mine}, {"functionals": mine}) == report[:1]
     # an error estimate never counts as a value, nor a value as an error estimate
     swapped = "k:" + " ".join(tool.output_tokens(fv)[:1] + ["err=" + (1.5).hex()] + tool.output_tokens(fv)[2:])
     assert tool.field_moves(line("k", fv), swapped)[0]
+
+
+def test_summary_shows_the_two_values_of_the_largest_move():
+    # a round-off residual that doubles moves by 1/2 relative: the two values
+    # say it is a residual of 2.2e-16, not a value that moved
+    tool = _tool()
+    small, doubled = 2.0**-52, 2.0**-51
+    mine = {"residual": f"residual:{doubled.hex()} 0", "steady": f"steady:{(1.5).hex()} 0"}
+    theirs = {"residual": f"residual:{small.hex()} 0", "steady": f"steady:{(1.5).hex()} 0"}
+    assert tool.summary("registry-identities", mine, theirs) == (
+        "registry-identities: 1 of 2 ops differ, 0 in a count, flag or exception; "
+        "largest value move 0.5 at residual (4.440892098500626e-16 against 2.220446049250313e-16); "
+        "largest error-estimate move 0"
+    )

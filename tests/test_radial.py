@@ -40,6 +40,36 @@ def test_mode_eigenvalues():
         SphericalMode(6, -1)
 
 
+# RadialProfile.from_polynomial jets at order 5, row by row at the nodes
+# below, as float.hex, recorded before from_polynomial went through
+# rellich.taylor.polynomial: its Horner is the stacked route's q steps
+_FROM_POLYNOMIAL_NODES = (0.0625, 0.37, 0.93)
+_FROM_POLYNOMIAL_HEX = {
+    (0.0, 0.0, 1.0, -0.5, 0.25): (
+        ("0x1.f080000000000p-9", "0x1.dc324b81b39edp-4", "0x1.4caa002ea4026p-1"),
+        ("0x1.e900000000000p-4", "0x1.2bacd5b6805a3p-1", "0x1.5df42bb6672fcp+0"),
+        ("0x1.d300000000000p-1", "0x1.4cfaacd9e83e5p-1", "0x1.ce00d1b71758fp-1"),
+        ("-0x1.c000000000000p-2", "-0x1.0a3d70a3d70a2p-3", "0x1.b851eb851eb86p-2"),
+        ("0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ),
+    (0.3, -1.2, 0.7, 0.0, -0.9): (
+        ("0x1.d25f333333333p-3", "-0x1.0a64b54786378p-4", "-0x1.c483a3049ec2cp-1"),
+        ("-0x1.1d06666666666p+0", "-0x1.ba8c30248af9cp-1", "-0x1.65977a04a8dc4p+1"),
+        ("0x1.5b99999999999p-1", "-0x1.419e30014f8c0p-5", "-0x1.fc38088509bfbp+1"),
+        ("-0x1.ccccccccccccdp-3", "-0x1.54fdf3b645a1dp+0", "-0x1.ac8b439581063p+1"),
+        ("-0x1.ccccccccccccdp-1", "-0x1.ccccccccccccdp-1", "-0x1.ccccccccccccdp-1"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ),
+}
+
+
+def test_from_polynomial_jets_are_bitwise_the_recorded_ones():
+    for coeffs, rows in _FROM_POLYNOMIAL_HEX.items():
+        J = RadialProfile.from_polynomial(coeffs).taylor(np.array(_FROM_POLYNOMIAL_NODES), 5)
+        assert [[float(v).hex() for v in row] for row in J.coeffs] == [list(r) for r in rows], coeffs
+
+
 def test_mode_operator_on_r_squared():
     N = 7
     prof = RadialProfile.from_polynomial([0, 0, 1])

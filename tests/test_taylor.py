@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rellich.taylor import Jet
+from rellich.quadrature import _gk_points
+from rellich.radial import RadialProfile
+from rellich.taylor import Jet, polynomial
+from rellich.verify import standard_suite
 
 mp.mp.dps = 30
 
@@ -285,3 +288,70 @@ def test_jet_arithmetic_is_truncation_invariant(pair, m, c, n):
             full = op(x, y).truncate(m)
             short = op(x.truncate(m), y.truncate(m))
             assert _same_rows(full, short), name
+
+
+# --------------------------------------------------------------------------
+# polynomial(): the stacked route on the variable's jet against the generic
+# route, the same linear factors in Jet arithmetic
+
+
+def _block_nodes() -> np.ndarray:
+    """The 225 nodes of the first four bisection levels of [0, 1]."""
+    cuts = [np.linspace(0.0, 1.0, n + 1) for n in (1, 2, 4, 8)]
+    return _gk_points(np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])).ravel()
+
+
+# nodes in (0, 1): the block nodes, random nodes, and half-line radii e^-s
+# down to denormals, with the extreme floats on either side
+_INNER_NODES = np.concatenate(
+    [
+        _block_nodes(),
+        np.random.default_rng(7).uniform(2.0**-20, 1.0, 200),
+        np.exp(-np.concatenate([np.linspace(0.01, 40.0, 60), np.linspace(700.0, 744.0, 30)])),
+        [5e-324, 2.0**-1022, 1.0 - 2.0**-53],
+    ]
+)
+
+_POLYNOMIALS = ([0.0, 0.0, 1.0, -0.5, 0.25], [0.3, -1.2, 0.7, 0.0, -0.9], [-2.0, 0.5], [1.0], [0.0])
+
+
+def _profiles():
+    for case in standard_suite(7):
+        yield f"seed-7 case {case.index}", case.jet_profile()
+    for coeffs in _POLYNOMIALS:
+        yield f"from_polynomial {coeffs}", RadialProfile.from_polynomial(coeffs)
+
+
+def test_polynomial_stacked_route_is_the_generic_product_bitwise():
+    assert all(0.0 < x < 1.0 for x in _INNER_NODES) and _block_nodes().size == 225
+    at_one = np.array([1.0])
+    for name, profile in _profiles():
+        for order in range(7):
+            J = Jet.variable(_INNER_NODES, order)
+            assert type(J) is not Jet  # the variable's type, which takes the stacked route
+            generic = profile._jet_fn(Jet(J.coeffs))  # the same rows as a plain jet
+            assert _same_rows(profile.taylor(_INNER_NODES, order), generic), (name, order)
+            # at r = 1 the two routes may differ in the sign of a zero only
+            stacked, generic = profile.taylor(at_one, order), profile._jet_fn(Jet(Jet.variable(at_one, order).coeffs))
+            assert all(np.array_equal(a, b) for a, b in zip(stacked.coeffs, generic.coeffs)), (name, order)
+
+
+def test_polynomial_takes_the_generic_route_on_any_other_jet():
+    x = np.linspace(0.05, 0.95, 7)
+    J = Jet.variable(x, 4)
+    square = J * J  # rows x^2, 2x, 1, 0, 0
+    assert type(J) is not Jet and type(square) is Jet and type(J + 0.0) is Jet
+    q, boundary, lead = [0.3, -1.2, 0.7, 0.0, -0.9], 3, 2
+    got = polynomial(square, q, boundary, lead)
+    # the jet of P(x^2) for P(t) = q(t) (1 - t)^3 t^2
+    P = np.polynomial.Polynomial(q) * np.polynomial.Polynomial([1.0, -1.0]) ** boundary * np.polynomial.Polynomial([0.0, 1.0]) ** lead
+    composed = RadialProfile.from_polynomial(P(np.polynomial.Polynomial([0.0, 0.0, 1.0])).coef).taylor(x, 4)
+    for a, b in zip(got.coeffs, composed.coeffs):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+    # and it is that route's Jet arithmetic
+    acc = Jet.constant(q[-1], 4, like=x)
+    for c in reversed(q[:-1]):
+        acc = acc * square + c
+    for factor in [1.0 - square] * boundary + [square] * lead:
+        acc = acc * factor
+    assert _same_rows(got, acc)

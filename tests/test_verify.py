@@ -532,3 +532,54 @@ def test_every_series_target_matches_extended_precision_reference():
         exact, series = _series_split(name, case)
         ref = _series_reference(K, series)
         assert abs((exact - slack) - ref) <= 1e-9 * abs(ref), name
+
+
+def _mp_product(*factors) -> list:
+    """The ascending coefficients of the product of polynomials given by
+    their ascending coefficients."""
+    out = [mpmath.mpf(1)]
+    for f in factors:
+        prod = [mpmath.mpf(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _taylor_rows(coeffs, r, order: int) -> list:
+    """Rows 0..order of the Taylor expansion at r of sum_i coeffs[i] x^i."""
+    rows = []
+    for k in range(order + 1):
+        acc = mpmath.mpf(0)
+        for i in range(len(coeffs) - 1, k - 1, -1):
+            acc = acc * r + coeffs[i] * math.comb(i, k)
+        rows.append(acc)
+    return rows
+
+
+def _suite_jet_error(cases, nodes, order: int = 4) -> float:
+    """The largest error of a row of the cases' profile jets at the nodes,
+    against a 50-digit Taylor expansion of the exact polynomial
+    q(r) (1 - r)^p r^lead built from the drawn floats, in units of the same
+    row of |q|(r) (1 + r)^p r^lead (q's coefficients by their absolute
+    values), the scale of the rounding errors of Horner's rule."""
+    worst = 0.0
+    with mpmath.workdps(50):
+        for case in cases:
+            lead, p, q = case.factors
+            q = [mpmath.mpf(float(c)) for c in q]
+            r_lead = [0] * lead + [1]
+            exact = _mp_product(q, *[[1, -1]] * p, r_lead)
+            scale = _mp_product([abs(c) for c in q], *[[1, 1]] * p, r_lead)
+            J = case.jet_profile().taylor(nodes, order)
+            for i, x in enumerate(nodes):
+                r = mpmath.mpf(float(x))
+                for k, (ref, size) in enumerate(zip(_taylor_rows(exact, r, order), _taylor_rows(scale, r, order))):
+                    worst = max(worst, float(abs(mpmath.mpf(float(J.coeffs[k][i])) - ref) / size))
+    return worst
+
+
+def test_suite_profile_jets_match_extended_precision_reference():
+    nodes = np.concatenate([[1e-6, 0.999999], np.linspace(0.025, 0.975, 39)])
+    assert _suite_jet_error(standard_suite(7), nodes) <= 32 * np.finfo(float).eps

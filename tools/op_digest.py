@@ -19,8 +19,10 @@ one summary line per workload where some op's outputs differ: how many ops
 differ, of how many; how many of those differ in a count, a flag or an
 exception name; the largest relative move of the value fields and, apart
 from it, of the error-estimate fields (a functional's quadrature error),
-each with its op key.  Then one line per op that differs in a count, a
-flag or an exception name, and one per op that only one tree has.
+each with its op key and the field's two values, this tree's first (a move
+of 1 may be a round-off residual of 2.2e-16 that became 4.4e-16).  Then
+one line per op that differs in a count, a flag or an exception name, and
+one per op that only one tree has.
 """
 
 from __future__ import annotations
@@ -87,14 +89,18 @@ def _float(token: str) -> float | None:
     return float.fromhex(token.removeprefix(_ERR)) if "0x" in token else None
 
 
-def field_moves(line: str, other: str) -> tuple[bool, float, float]:
+_NO_MOVE = (0.0, None, None)
+
+
+def field_moves(line: str, other: str) -> tuple[bool, tuple, tuple]:
     """(whether a count, a flag or an exception name differs; the largest
     relative move of the value fields; that of the error-estimate fields)
-    between two op_lines of one op."""
+    between two op_lines of one op, each move as (move, the field in line,
+    the field in other), ``_NO_MOVE`` where no such field moves."""
     mine, theirs = line.split(":", 1)[1].split(), other.split(":", 1)[1].split()
     if len(mine) != len(theirs):
-        return True, 0.0, 0.0
-    in_kind, moves = False, [0.0, 0.0]  # of the value fields, of the error estimates
+        return True, _NO_MOVE, _NO_MOVE
+    in_kind, moves = False, [_NO_MOVE, _NO_MOVE]  # of the value fields, of the error estimates
     for a, b in zip(mine, theirs):
         if a == b:
             continue
@@ -103,7 +109,9 @@ def field_moves(line: str, other: str) -> tuple[bool, float, float]:
         if x is None or y is None or error != b.startswith(_ERR):
             in_kind = True
         elif x != y:  # not a zero against a zero of the other sign
-            moves[error] = max(moves[error], abs(x - y) / max(abs(x), abs(y)))
+            move = abs(x - y) / max(abs(x), abs(y))
+            if move > moves[error][0]:
+                moves[error] = (move, x, y)
     return in_kind, *moves
 
 
@@ -111,7 +119,7 @@ def summary(name: str, ours: dict, other: dict) -> str | None:
     """One line on the ops of workload ``name`` whose outputs differ, the
     two trees' op_lines by key; None where none differs."""
     differ = in_kind = 0
-    worst = [(0.0, None), (0.0, None)]  # (move, op key): of the value fields, of the error estimates
+    worst = [(_NO_MOVE, None), (_NO_MOVE, None)]  # (move, op key): of the value fields, of the error estimates
     for key, line in ours.items():
         if key not in other or line == other[key]:
             continue
@@ -119,15 +127,19 @@ def summary(name: str, ours: dict, other: dict) -> str | None:
         kind, *moves = field_moves(line, other[key])
         in_kind += kind
         for i, move in enumerate(moves):
-            if move > worst[i][0]:
+            if move[0] > worst[i][0][0]:
                 worst[i] = (move, key)
     if not differ:
         return None
-    (value, vkey), (error, ekey) = worst
-    at = lambda key: f" at {key}" if key else ""
+
+    def largest(what: str, at) -> str:
+        (move, x, y), key = at
+        where = f" at {key} ({x!r} against {y!r})" if key else ""
+        return f"largest {what} move {move:.3g}{where}"
+
     return (
         f"{name}: {differ} of {len(ours)} ops differ, {in_kind} in a count, flag or exception; "
-        f"largest value move {value:.3g}{at(vkey)}; largest error-estimate move {error:.3g}{at(ekey)}"
+        f"{largest('value', worst[0])}; {largest('error-estimate', worst[1])}"
     )
 
 
