@@ -6,7 +6,9 @@ largest-error subintervals (:func:`_bisection`), which one engine drives
 for any number of integrals in lockstep, one integrand call and one sums
 call per round (:func:`_lockstep`): on one interval (:func:`_integrate_many`;
 :func:`integrate` is its one-integral case) or on one half-line
-(:func:`_halfline_many`).  Integrands whose mass
+(:func:`_halfline_many`).  An integral over one interval starts on the 225
+nodes of its first four bisection levels and walks those levels in one
+pass, with no heap (:func:`_block_bisection`).  Integrands whose mass
 concentrates at r = 0 are handled through the substitution r = e^{-s},
 which maps (0, b] to a half-line in s; the half-line is covered by panels of
 doubling width until a geometric tail extrapolation certifies the remainder
@@ -218,21 +220,40 @@ _BLOCK_LEVELS = 4  # uniform bisection levels (1, 2, 4 and 8 intervals) one inte
 _MAX_SUBDIVISIONS = 4096
 
 
-def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: int, rule=None, trace=None):
+def _level(total: float, total_err: float, batch, halves) -> tuple[float, float]:
+    """The totals after one bisection round: the (value, error) of each
+    interval of ``batch`` out, in its order, then those of ``halves``, the
+    batch's halves in the same order, in.  Entries are heap entries (-error, left,
+    right, value, error, ...)."""
+    for entry in batch:
+        total -= entry[3]
+        total_err -= entry[4]
+    for entry in halves:
+        total += entry[3]
+        total_err += entry[4]
+    return total, total_err
+
+
+def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: int, rules=None, trace=None):
     """Bisect one integral from the intervals [lefts[i], rights[i]] until its
     error meets max(abs_tol, rel_tol * |value|).  A generator: it yields
     each batch of intervals it needs rules for as (lefts, rights) lists,
     takes their (values, errors) lists and returns (value, error,
-    converged).  The first batch is the starting intervals, unless one
-    interval's (value, error) ``rule`` is given; each later one bisects the
-    up to 16 largest-error intervals.  The intervals and totals never depend
-    on abs_tol, which only picks the round the bisection stops at; a
-    ``trace`` list gets the (value, error) after each round with a finite
-    value.  Heap and totals hold Python floats, which round as numpy's
-    float64 scalars do, at a fraction of the cost."""
-    values, errors = (yield lefts, rights) if rule is None else ([rule[0]], [rule[1]])
+    converged).  The first batch is the starting intervals, unless their
+    ``rules`` = (values, errors, total, total_err) are given; each later one
+    bisects the up to 16 largest-error intervals, popped from a heap of
+    entries (-error, left, right, value, error), and the totals move by
+    :func:`_level`.  The intervals and totals never depend on abs_tol,
+    which only picks the round the bisection stops at; a ``trace`` list
+    gets the (value, error) after each round with a finite value.  Heap and
+    totals hold Python floats, which round as numpy's float64 scalars do,
+    at a fraction of the cost."""
+    if rules is None:
+        values, errors = yield lefts, rights
+        total, total_err = float(np.add.reduce(values)), float(np.add.reduce(errors))
+    else:
+        values, errors, total, total_err = rules
     heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(lefts, rights, values, errors)]
-    total, total_err = rule or (float(np.add.reduce(values)), float(np.add.reduce(errors)))
     heapq.heapify(heap)
     n_sub = len(heap)
     while total_err > max(abs_tol, rel_tol * abs(total)) and n_sub < max_subdivisions:
@@ -246,17 +267,66 @@ def _bisection(lefts, rights, rel_tol: float, abs_tol: float, max_subdivisions: 
             rs.extend([mid, hi])
         values, errors = yield ls, rs
         n_sub += len(batch)
-        for _neg, _lo, _hi, v, e in batch:
-            total -= v
-            total_err -= e
-        for lo, hi, v, e in zip(ls, rs, values, errors):
-            heapq.heappush(heap, (-e, lo, hi, v, e))
-            total += v
-            total_err += e
+        halves = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(ls, rs, values, errors)]
+        total, total_err = _level(total, total_err, batch, halves)
+        for entry in halves:
+            heapq.heappush(heap, entry)
         if not math.isfinite(total):
             return total, math.inf, False
         if trace is not None:
             trace.append((total, total_err))
+    return total, total_err, total_err <= max(abs_tol, rel_tol * abs(total))
+
+
+def _block(a: float, b: float) -> tuple[list, list]:
+    """(lefts, rights) of the first ``_BLOCK_LEVELS`` bisection levels of
+    [a, b], level by level (15 intervals), each cut as :func:`_bisection`
+    cuts it: interval j's halves are intervals 2j + 1 and 2j + 2."""
+    edges = [(a, b)]
+    for j in range(2 ** (_BLOCK_LEVELS - 1) - 1):
+        lo, hi = edges[j]
+        mid = 0.5 * (lo + hi)
+        edges += (lo, mid), (mid, hi)
+    return [lo for lo, _ in edges], [hi for _, hi in edges]
+
+
+def _block_bisection(block, rel_tol: float, abs_tol: float, max_subdivisions: int):
+    """:func:`_bisection` of one interval [a, b] whose first batch is its
+    ``block`` = :func:`_block` (a, b), 225 nodes: bitwise, in value, error
+    and converged, ``_bisection([a], [b], ...)``.
+
+    While an integral holds at most 16 intervals, :func:`_bisection`
+    bisects every one of them each round, so the block's levels follow from
+    its 15 rules alone, in one pass with no heap: each level's intervals are
+    sorted in heap order, the totals move by :func:`_level`, and the same
+    stop test and non-finite return follow each level.  An integral that
+    goes on past the block bisects on from its last level's 8 intervals and
+    totals.  If the block's batch raises, the integral goes on from [a, b],
+    one batch per round, and an exception surfaces only from a batch it
+    needs."""
+    lefts, rights = block
+    try:
+        values, errors = yield lefts, rights
+    except Exception:
+        values = None
+    if values is None:
+        return (yield from _bisection(lefts[:1], rights[:1], rel_tol, abs_tol, max_subdivisions))
+    total, total_err = values[0], errors[0]
+    level = [(-total_err, lefts[0], rights[0], total, total_err, 0)]  # heap entries and their index
+    while total_err > max(abs_tol, rel_tol * abs(total)) and len(level) < max_subdivisions:
+        if 2 * len(level) > len(values):  # the last level: its halves lie past the block
+            last = len(values) // 2
+            rules = values[last:], errors[last:], total, total_err
+            return (yield from _bisection(lefts[last:], rights[last:], rel_tol, abs_tol, max_subdivisions, rules))
+        level.sort()
+        halves = []
+        for entry in level:
+            for j in (2 * entry[5] + 1, 2 * entry[5] + 2):
+                halves.append((-errors[j], lefts[j], rights[j], values[j], errors[j], j))
+        total, total_err = _level(total, total_err, level, halves)
+        if not math.isfinite(total):
+            return total, math.inf, False
+        level = halves
     return total, total_err, total_err <= max(abs_tol, rel_tol * abs(total))
 
 
@@ -305,49 +375,24 @@ def _round(f, n: int, spans: dict) -> list:
     return out
 
 
-def _lockstep(f, gens: list, span=None) -> list:
-    """Drive the generators ``gens`` (:func:`_bisection` or
-    :func:`_halfline`), one per integral, in rounds (:func:`_round`), each
-    taking the next batch of every integral that has not stopped: each
-    integral's (value, error, evaluations, converged), bitwise that of the
-    integral alone.  A batch whose integrand call raises is thrown into its
-    generator, which may yield a smaller batch or let it surface.  With
-    ``span`` = (a, b) the first round is the first ``_BLOCK_LEVELS``
-    bisection levels of [a, b] (15 intervals, 225 nodes), which every
-    integral bisects through first; it serves the batches there, and all
-    its points count in ``evaluations``.  An integral for which that round
-    raises goes on one batch per round."""
+def _lockstep(f, gens: list) -> list:
+    """Drive the generators ``gens`` (:func:`_bisection`,
+    :func:`_block_bisection` or :func:`_halfline`), one per integral, in
+    rounds (:func:`_round`), each taking the next batch of every integral
+    that has not stopped: each integral's (value, error, evaluations,
+    converged), bitwise that of the integral alone.  A batch whose
+    integrand call raises is thrown into its generator, which may yield a
+    smaller batch or let it surface."""
     n = len(gens)
-    evals, out, block, rows = [0] * n, [None] * n, [None] * n, {}
-    if span is not None:
-        edges = [span]  # level by level, each interval cut as _bisection cuts it
-        for j in range(2 ** (_BLOCK_LEVELS - 1) - 1):
-            lo, hi = edges[j]
-            mid = 0.5 * (lo + hi)
-            edges += (lo, mid), (mid, hi)
-        rows = {edge: row for row, edge in enumerate(edges)}
-        both = [lo for lo, _ in edges], [hi for _, hi in edges]
-        for i, got, size in _round(f, n, dict.fromkeys(range(n), both)):
-            if not isinstance(got, Exception):
-                block[i], evals[i] = got, size
-
+    evals, out = [0] * n, [None] * n
     rules = dict.fromkeys(range(n))  # what each live integral takes next
     while rules:
         pending = {}
         for i, got in rules.items():
             try:
-                batch = gens[i].throw(got) if isinstance(got, Exception) else gens[i].send(got)
-                while block[i] is not None:
-                    at = [rows.get(edge) for edge in zip(*batch)]
-                    if None in at:
-                        block[i] = None  # past the block: every later batch lies deeper
-                        break
-                    values, errors = block[i]
-                    batch = gens[i].send(([values[j] for j in at], [errors[j] for j in at]))
+                pending[i] = gens[i].throw(got) if isinstance(got, Exception) else gens[i].send(got)
             except StopIteration as stop:
                 out[i] = stop.value
-                continue
-            pending[i] = batch
         rules = {}
         for i, got, size in _round(f, n, pending) if pending else ():
             evals[i] += size
@@ -383,7 +428,8 @@ def integrate_halfline(
     call of its own.  Points of panels past the stopping one, and of
     speculative bisection rounds, count in ``evaluations``.  If a call
     raises, the integral goes on with the panels it needs, one per call,
-    so an exception surfaces only from a panel the integral needs.
+    so an exception surfaces only from a panel the integral needs.  A
+    non-finite s0 raises DomainError.
     """
     return _halfline_many(lambda xs: [h(xs[0])], 1, s0, spec, s_cap)[0]
 
@@ -395,6 +441,8 @@ def _halfline_many(f, n: int, s0: float, spec: QuadratureSpec | None = None, s_c
     :func:`_integrate_many`.  Integral i is bitwise, and counts as,
     ``integrate_halfline(f_i, s0, spec, s_cap)``."""
     spec = spec or QuadratureSpec()
+    if not math.isfinite(s0):
+        raise DomainError(f"need a finite s0, got {s0}")
     with np.errstate(all="ignore"):
         results = _lockstep(f, [_halfline(s0, spec, s_cap) for _ in range(n)])
     return [_counted(QuadratureResult(*res)) for res in results]
@@ -432,7 +480,9 @@ class _Panel:
         """Start the bisection (rules None), or give it the rules of
         ``batch``, and take its next batch."""
         if self.gen is None:
-            self.gen = _bisection([self.left], [self.right], rel_tol, 0.0, subdivisions, self.trace[0], self.trace)
+            value, error = self.trace[0]
+            first = [value], [error], value, error
+            self.gen = _bisection([self.left], [self.right], rel_tol, 0.0, subdivisions, first, self.trace)
         try:
             self.batch = self.gen.send(rules)
         except StopIteration as stop:
@@ -554,8 +604,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
     f must accept numpy arrays and act elementwise.  This is
     :func:`_integrate_many` for one integral: with no breakpoint inside
     (a, b), its first call evaluates the first four bisection levels (225
-    points).  Integrals from the origin whose mass sits at r -> 0 go
-    through :func:`origin_integral`.
+    points).  a and b must be finite.  Integrals from the origin whose
+    mass sits at r -> 0 go through :func:`origin_integral`.
     """
     return _integrate_many(lambda xs: [f(xs[0])], 1, a, b, spec, breakpoints)[0]
 
@@ -568,18 +618,27 @@ def _integrate_many(f, n: int, a: float, b: float, spec: QuadratureSpec | None =
     needs nothing in a round and the same array object where integrals
     share their nodes, and returns a sequence of their values (entries at
     None are ignored).  The first round is the 225 nodes of the first four
-    bisection levels when no breakpoint lies inside (a, b), else the
-    intervals between a, the breakpoints and b.  Integral i is bitwise, and
-    counts as, ``integrate(f_i, a, b, spec, breakpoints)``."""
+    bisection levels when no breakpoint lies inside (a, b)
+    (:func:`_block_bisection`), else the intervals between a, the
+    breakpoints and b (:func:`_bisection`).  Integral i is bitwise, and
+    counts as, ``integrate(f_i, a, b, spec, breakpoints)``.  Non-finite
+    bounds raise DomainError before any integrand call."""
     spec = spec or QuadratureSpec()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"need finite bounds, got ({a}, {b})")
     if not (b > a):
         raise DomainError("need b > a")
     if a < 0:
         raise DomainError("need a >= 0")
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    gens = [_bisection(cuts[:-1], cuts[1:], spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS) for _ in range(n)]
+    tols = spec.rel_tol, spec.abs_tol, _MAX_SUBDIVISIONS
+    if len(cuts) == 2:
+        block = _block(a, b)
+        gens = [_block_bisection(block, *tols) for _ in range(n)]
+    else:
+        gens = [_bisection(cuts[:-1], cuts[1:], *tols) for _ in range(n)]
     with np.errstate(all="ignore"):
-        results = _lockstep(f, gens, (a, b) if len(cuts) == 2 else None)
+        results = _lockstep(f, gens)
     return [_counted(QuadratureResult(*res)) for res in results]
 
 
@@ -595,8 +654,9 @@ def origin_integral(f, origin_power: float, hi: float, spec: QuadratureSpec | No
     With origin_power < 0 the integral is computed in s = ln(1/r)
     coordinates by :func:`_origin_many` (the half-line rule truncated at
     s = 650, where r reaches the denormal range); otherwise by
-    :func:`integrate` on (0, hi].  f must accept numpy arrays and act
-    elementwise.  Either way the integral counts as one entry-point call.
+    :func:`integrate` on (0, hi]; hi must be finite.  f must accept numpy
+    arrays and act elementwise.  Either way the integral counts as one
+    entry-point call.
     """
     if not hi > 0.0:
         raise DomainError("need hi > 0")
@@ -615,8 +675,8 @@ def _origin_many(f, n: int, hi: float, spec: QuadratureSpec | None = None) -> li
     values are 0, and f is not called where no radius is left.  Integral i
     is bitwise, and counts as, ``origin_integral(f_i, p, hi, spec)`` with
     p < 0."""
-    if not hi > 0.0:
-        raise DomainError("need hi > 0")
+    if not 0.0 < hi < math.inf:
+        raise DomainError(f"need 0 < hi < inf, got {hi}")
 
     def h(xs):
         radii = {}  # id of a node array in s -> (e^{-s}, where it is > 0, its radii there)

@@ -158,3 +158,28 @@ def test_summary_shows_the_two_values_of_the_largest_move():
         "largest value move 0.5 at residual (4.440892098500626e-16 against 2.220446049250313e-16); "
         "largest error-estimate move 0"
     )
+
+
+def test_quadrature_counts_ride_next_to_the_tokens_outside_the_digest():
+    tool = _tool()
+    from rellich.quadrature import integrate
+
+    class Op:
+        key = ("fam", "N6", 0)
+
+        @staticmethod
+        def run():
+            integrate(np.exp, 0.0, 1.0)
+            return FunctionalValue(1.5, {}, 1e-12, 1.5)
+
+    line, counts = tool.op_record(Op)
+    assert line == "fam N6 0:" + " ".join(tool.output_tokens(Op.run()))
+    assert counts == (1, 225, 0)
+    assert tool.digest([Op]) == tool._hash([line])
+    mine = {"functionals": [line]}
+    same = ({"functionals": (1, 225, 0)}, {"functionals": (1, 225, 0)})
+    assert tool.compare(["functionals"], mine, mine, same) == tool.compare(["functionals"], mine, mine)
+    moved = ({"functionals": (1, 225, 0)}, {"functionals": (1, 240, 1)})
+    assert tool.compare(["functionals"], mine, mine, moved)[1:] == [
+        "functionals: quadrature calls, evaluations, unconverged 1 225 0 against 1 240 1"
+    ]

@@ -1,3 +1,4 @@
+import heapq
 import math
 from dataclasses import replace
 
@@ -220,12 +221,46 @@ def test_count_quadrature_counts_each_entry_call_once(monkeypatch):
 # the half-line look-ahead against the panel-by-panel loop it replaces
 
 
+def _reference_bisection(lefts, rights, rel_tol, abs_tol, max_subdivisions, rule=None, trace=None):
+    """The heap bisection as the engine ran it before the block's levels
+    were walked in one pass, kept verbatim as the reference: every batch,
+    the block's levels included, is popped from the heap and yielded."""
+    values, errors = (yield lefts, rights) if rule is None else ([rule[0]], [rule[1]])
+    heap = [(-e, lo, hi, v, e) for lo, hi, v, e in zip(lefts, rights, values, errors)]
+    total, total_err = rule or (float(np.add.reduce(values)), float(np.add.reduce(errors)))
+    heapq.heapify(heap)
+    n_sub = len(heap)
+    while total_err > max(abs_tol, rel_tol * abs(total)) and n_sub < max_subdivisions:
+        batch = [heapq.heappop(heap) for _ in range(min(16, len(heap)))]
+        if not batch:
+            break
+        ls, rs = [], []
+        for _, lo, hi, _v, _e in batch:
+            mid = 0.5 * (lo + hi)
+            ls.extend([lo, mid])
+            rs.extend([mid, hi])
+        values, errors = yield ls, rs
+        n_sub += len(batch)
+        for _neg, _lo, _hi, v, e in batch:
+            total -= v
+            total_err -= e
+        for lo, hi, v, e in zip(ls, rs, values, errors):
+            heapq.heappush(heap, (-e, lo, hi, v, e))
+            total += v
+            total_err += e
+        if not math.isfinite(total):
+            return total, math.inf, False
+        if trace is not None:
+            trace.append((total, total_err))
+    return total, total_err, total_err <= max(abs_tol, rel_tol * abs(total))
+
+
 def _one_call_per_batch(f, a, b, rel_tol, abs_tol, max_subdivisions, breakpoints=()):
     """The finite rule's bisection from the intervals between a, the
     breakpoints and b, with one integrand call and one sums call per batch:
     (value, error, evaluations, converged)."""
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    gen = quadrature._bisection(cuts[:-1], cuts[1:], rel_tol, abs_tol, max_subdivisions)
+    gen = _reference_bisection(cuts[:-1], cuts[1:], rel_tol, abs_tol, max_subdivisions)
     rules, n_eval = None, 0
     with np.errstate(all="ignore"):
         while True:
@@ -479,8 +514,8 @@ def test_an_exception_at_a_needed_block_level_surfaces():
 def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     """Integrals that start on breakpoints, and the half-line rule's panel
     refinements, keep one integrand call per batch: the block is not built."""
-    built, real = [], quadrature._lockstep
-    monkeypatch.setattr(quadrature, "_lockstep", lambda f, gens, span=None: built.append(span) or real(f, gens, span))
+    built, real = [], quadrature._block_bisection
+    monkeypatch.setattr(quadrature, "_block_bisection", lambda block, *tols: built.append(block) or real(block, *tols))
     f = lambda r: np.abs(r - 0.3) ** 0.5
     seen, ref_seen = [], []
     got = integrate(_calls(f, seen), 0.0, 1.0, SPEC, breakpoints=(0.3,))
@@ -493,9 +528,9 @@ def test_breakpoint_and_halfline_integrals_make_the_same_calls(monkeypatch):
     res = integrate_halfline(_calls(_refined, sizes), 0.5, SPEC)
     assert res.converged and max(r.size for r in sizes) > 60  # some panels refined
     assert 225 not in {r.size for r in sizes}  # ... without a block
-    assert built and not any(built)
+    assert not built
     integrate(f, 0.0, 1.0, SPEC)
-    assert built[-1] == (0.0, 1.0)  # the spy sees the block where there is one
+    assert [(lefts[0], rights[0]) for lefts, rights in built] == [(0.0, 1.0)]  # the spy sees the block where there is one
 
 
 # --------------------------------------------------------------------------
@@ -630,6 +665,110 @@ def test_lockstep_falls_back_to_one_integral_per_call():
     f, _ = _each([failing, lambda x: x**2])
     with pytest.raises(ValueError, match="needed level"):
         quadrature._integrate_many(f, 2, 0.0, 1.0, SPEC)
+
+
+def _reference(f, a, b, breakpoints):
+    """``integrate(f, a, b, SPEC, breakpoints)`` by the heap reference, one
+    integrand call per batch, with its evaluations counted as the engine
+    counts them: an integral on one interval evaluates the 225 points of
+    its first four levels whatever level it stops at."""
+    seen = []
+    value, err, n_eval, converged = _one_call_per_batch(
+        _calls(f, seen), a, b, SPEC.rel_tol, SPEC.abs_tol, quadrature._MAX_SUBDIVISIONS, breakpoints
+    )
+    if not any(a < p < b for p in breakpoints):
+        n_eval = 225 + sum(x.size for x in seen[4:])
+    return value.hex(), err.hex(), n_eval, converged
+
+
+_DEGENERATE = (1.0, float(np.nextafter(1.0, 2.0)))
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 8, 16, 4096])
+@pytest.mark.parametrize("breakpoints", [(), (0.25, 0.5)])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), _DEGENERATE])
+def test_engine_matches_the_heap_reference(monkeypatch, subdivisions, breakpoints, interval):
+    """Each _MIXED integral, alone and in one lockstep run, ends bitwise
+    where the heap reference ends, in value, error, evaluations and
+    converged: at every subdivision cap, with and without breakpoints, and
+    on an interval one ulp wide, whose halves repeat an endpoint."""
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", subdivisions)
+    fs = list(_MIXED.values())
+    ref = [_reference(g, *interval, breakpoints) for g in fs]
+    alone = [integrate(g, *interval, SPEC, breakpoints) for g in fs]
+    together = quadrature._integrate_many(_each(fs)[0], len(fs), *interval, SPEC, breakpoints)
+    assert [_result_bits(r) for r in alone] == ref
+    assert [_result_bits(r) for r in together] == ref
+
+
+# rules overridden by interval: (value, error), None keeping the rule's own
+_DOCTORED = {
+    "nan-value-at-level-0": {(0.0, 1.0): (math.nan, None)},
+    "inf-value-at-level-0": {(0.0, 1.0): (math.inf, None)},
+    "inf-error-at-level-0": {(0.0, 1.0): (None, math.inf)},
+    "error-at-the-tolerance": {(0.0, 1.0): (0.0, SPEC.abs_tol), (0.5, 1.0): (0.0, SPEC.abs_tol)},
+    "nan-value-at-level-1": {(0.5, 1.0): (math.nan, None)},
+    "nan-error-at-level-1": {(0.0, 0.5): (None, math.nan)},
+    "inf-value-at-level-2": {(0.25, 0.5): (math.inf, None)},
+    "minus-inf-value-at-level-3": {(0.125, 0.25): (-math.inf, None)},
+    "inf-error-at-level-2": {(0.5, 0.75): (None, math.inf)},
+    "inf-errors-at-level-3": {(0.75, 0.875): (None, math.inf), (0.875, 1.0): (None, math.inf)},
+    "inf-error-past-the-block": {(0.9375, 1.0): (None, math.inf)},
+    "infinities-that-cancel": {(0.5, 0.75): (math.inf, None), (0.75, 1.0): (-math.inf, None)},
+}
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 8, 16, 4096])
+@pytest.mark.parametrize("breakpoints", [(), (0.25, 0.5)])
+@pytest.mark.parametrize("doctored", sorted(_DOCTORED))
+def test_non_finite_rules_match_the_heap_reference(monkeypatch, subdivisions, breakpoints, doctored):
+    """Rules holding NaN, +inf and -inf values and infinite or NaN errors,
+    at each level of the block and past it, stop the engine bitwise where
+    they stop the heap reference."""
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", subdivisions)
+    overrides, real = _DOCTORED[doctored], quadrature._gk_sums
+
+    def sums(vals, lefts, rights):
+        values, errors = real(vals, lefts, rights)
+        for i, edge in enumerate(zip(lefts.tolist(), rights.tolist())):
+            value, error = overrides.get(edge, (None, None))
+            values[i] = values[i] if value is None else value
+            errors[i] = errors[i] if error is None else error
+        return values, errors
+
+    monkeypatch.setattr(quadrature, "_gk_sums", sums)
+    fs = [lambda x: x**60, lambda x: np.sin(10.0 * x), lambda x: x**2]
+    ref = [_reference(g, 0.0, 1.0, breakpoints) for g in fs]
+    alone = [integrate(g, 0.0, 1.0, SPEC, breakpoints) for g in fs]
+    together = quadrature._integrate_many(_each(fs)[0], len(fs), 0.0, 1.0, SPEC, breakpoints)
+    assert [_result_bits(r) for r in alone] == ref
+    assert [_result_bits(r) for r in together] == ref
+
+
+def test_integrate_rejects_non_finite_bounds():
+    never = lambda x: pytest.fail("the integrand was called")
+    for a, b in [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(DomainError, match="finite"):
+            integrate(never, a, b, SPEC)
+        with pytest.raises(DomainError, match="finite"):
+            quadrature._integrate_many(never, 2, a, b, SPEC)
+
+
+def test_origin_integral_rejects_a_non_finite_upper_limit():
+    never = lambda x: pytest.fail("the integrand was called")
+    for power in (-0.5, 0.5):
+        for hi in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                origin_integral(never, power, hi, SPEC)
+    with pytest.raises(DomainError, match="inf"):
+        quadrature._origin_many(never, 2, math.inf, SPEC)
+
+
+def test_halfline_rejects_a_non_finite_start():
+    never = lambda s: pytest.fail("the integrand was called")
+    for s0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite s0"):
+            integrate_halfline(never, s0, SPEC)
 
 
 # --------------------------------------------------------------------------

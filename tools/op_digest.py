@@ -8,6 +8,8 @@ their unconverged counts and the theoretical constant; registry case
 values, flags and unconverged counts; functional value, cross value, error
 estimate (its token prefixed ``err=``), unconverged count and components.
 An op that raises contributes its exception's type name.
+Each op's quadrature counts (``count_quadrature``: calls, evaluations,
+unconverged) are recorded next to its tokens but left out of the hash.
 Prints one line per workload: name, digest, op count.  Two trees compute
 bitwise-identical outputs when their digests agree; ``--src`` points at the
 ``src/`` directory of the package to run (default: this checkout's).
@@ -22,7 +24,9 @@ from it, of the error-estimate fields (a functional's quadrature error),
 each with its op key and the field's two values, this tree's first (a move
 of 1 may be a round-off residual of 2.2e-16 that became 4.4e-16).  Then
 one line per op that differs in a count, a flag or an exception name, and
-one per op that only one tree has.
+one per op that only one tree has; last, one line per workload whose
+quadrature totals (calls, evaluations, unconverged, summed over its ops)
+differ, with both trees' totals.
 """
 
 from __future__ import annotations
@@ -64,13 +68,18 @@ def output_tokens(out) -> list[str]:
     return [_token(x) for x in fields]
 
 
-def op_line(op) -> str:
-    """'key:tokens', the text one op adds to its workload's digest."""
-    try:
-        tokens = output_tokens(op.run())
-    except Exception as exc:  # a raising op is part of the output
-        tokens = ["raised", type(exc).__name__]
-    return " ".join(map(str, op.key)) + ":" + " ".join(tokens)
+def op_record(op) -> tuple[str, tuple[int, int, int]]:
+    """('key:tokens', the text one op adds to its workload's digest; its
+    quadrature counts (calls, evaluations, unconverged))."""
+    from rellich.quadrature import count_quadrature
+
+    with count_quadrature() as counts:
+        try:
+            tokens = output_tokens(op.run())
+        except Exception as exc:  # a raising op is part of the output
+            tokens = ["raised", type(exc).__name__]
+    line = " ".join(map(str, op.key)) + ":" + " ".join(tokens)
+    return line, (counts.calls, counts.evaluations, counts.unconverged)
 
 
 def _hash(lines) -> str:
@@ -81,7 +90,7 @@ def _hash(lines) -> str:
 
 
 def digest(ops) -> str:
-    return _hash(op_line(op) for op in ops)
+    return _hash(op_record(op)[0] for op in ops)
 
 
 def _float(token: str) -> float | None:
@@ -95,7 +104,7 @@ _NO_MOVE = (0.0, None, None)
 def field_moves(line: str, other: str) -> tuple[bool, tuple, tuple]:
     """(whether a count, a flag or an exception name differs; the largest
     relative move of the value fields; that of the error-estimate fields)
-    between two op_lines of one op, each move as (move, the field in line,
+    between two op lines of one op, each move as (move, the field in line,
     the field in other), ``_NO_MOVE`` where no such field moves."""
     mine, theirs = line.split(":", 1)[1].split(), other.split(":", 1)[1].split()
     if len(mine) != len(theirs):
@@ -117,7 +126,7 @@ def field_moves(line: str, other: str) -> tuple[bool, tuple, tuple]:
 
 def summary(name: str, ours: dict, other: dict) -> str | None:
     """One line on the ops of workload ``name`` whose outputs differ, the
-    two trees' op_lines by key; None where none differs."""
+    two trees' op lines by key; None where none differs."""
     differ = in_kind = 0
     worst = [(_NO_MOVE, None), (_NO_MOVE, None)]  # (move, op key): of the value fields, of the error estimates
     for key, line in ours.items():
@@ -143,28 +152,31 @@ def summary(name: str, ours: dict, other: dict) -> str | None:
     )
 
 
-def _tree_lines(src: Path, seed: int, names: list[str]) -> dict[str, list[str]]:
-    """Each workload's op_lines, computed on the package in src by a fresh
-    interpreter."""
+def _tree_lines(src: Path, seed: int, names: list[str]) -> tuple[dict, dict]:
+    """Each workload's op lines and its quadrature totals, computed on the
+    package in src by a fresh interpreter."""
     cmd = [sys.executable, __file__, "--seed", str(seed), "--src", str(src), "--lines"]
     for name in names:
         cmd += ["--workload", name]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
-    lines = {name: [] for name in names}
+    lines, totals = {name: [] for name in names}, dict.fromkeys(names, (0, 0, 0))
     for row in out.splitlines():
-        name, line = row.split("\t", 1)
+        name, line, counts = row.split("\t")
         lines[name].append(line)
-    return lines
+        totals[name] = tuple(t + int(c) for t, c in zip(totals[name], counts.split()))
+    return lines, totals
 
 
 def _by_key(lines) -> dict[str, str]:
     return {line.split(":", 1)[0]: line for line in lines}
 
 
-def compare(names, mine: dict, theirs: dict) -> list[str]:
+def compare(names, mine: dict, theirs: dict, totals: tuple[dict, dict] | None = None) -> list[str]:
     """The digest lines of mine, then per workload its :func:`summary` line,
     one line per op that differs in a count, a flag or an exception name,
-    matched by op key, and one per op of only one tree."""
+    matched by op key, and one per op of only one tree; then, given
+    ``totals`` = (mine, theirs), each workload's quadrature (calls,
+    evaluations, unconverged), one line per workload where they differ."""
     report = [f"{name} {_hash(mine[name])} {len(mine[name])}" for name in names]
     for name in names:
         ours, other = _by_key(mine[name]), _by_key(theirs[name])
@@ -175,6 +187,13 @@ def compare(names, mine: dict, theirs: dict) -> list[str]:
                 report.append(f"{name} {key}: a count, flag or exception differs")
         report += [f"{name} {key}: only in this tree" for key in ours if key not in other]
         report += [f"{name} {key}: only in the other tree" for key in other if key not in ours]
+    for name in names if totals else ():
+        ours, other = totals[0][name], totals[1][name]
+        if ours != other:
+            report.append(
+                f"{name}: quadrature calls, evaluations, unconverged {' '.join(map(str, ours))} "
+                f"against {' '.join(map(str, other))}"
+            )
     return report
 
 
@@ -194,8 +213,10 @@ def main(argv=None) -> int:
         other = Path(args.against)
         if (other / "src" / "rellich").is_dir():
             other = other / "src"
-        mine, theirs = (_tree_lines(src, args.seed, names) for src in (Path(args.src), other))
-        print("\n".join(compare(names, mine, theirs)))
+        (mine, my_totals), (theirs, their_totals) = (
+            _tree_lines(src, args.seed, names) for src in (Path(args.src), other)
+        )
+        print("\n".join(compare(names, mine, theirs, (my_totals, their_totals))))
         return 0
     sys.path[:0] = [args.src]
     import rellich
@@ -204,7 +225,8 @@ def main(argv=None) -> int:
         _state, ops = workloads.WORKLOADS[name].build(rellich, args.seed)
         if args.lines:
             for op in ops:
-                print(f"{name}\t{op_line(op)}")
+                line, counts = op_record(op)
+                print(f"{name}\t{line}\t{' '.join(map(str, counts))}")
         else:
             print(name, digest(ops), len(ops))
     return 0
