@@ -283,7 +283,8 @@ def cmd_scan(args) -> int:
     try:
         family = minseq.ScanFamily(args.family)
     except ValueError as exc:
-        raise DomainError(f"unknown scan family {args.family!r}") from exc
+        names = dict.fromkeys(name for f in minseq.ScanFamily for name in (f.value, f.target.name))
+        raise DomainError(f"unknown scan family {args.family!r}; known: {', '.join(names)}") from exc
     mode_k = args.k or 0
     m = args.m or 0.0
     if args.schedule and args.schedule != "default":

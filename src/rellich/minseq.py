@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import constants as C
 from .errors import DomainError, QuadratureError
 from .iterlog import xk_values_from_s
 from .quadrature import (
@@ -217,19 +216,29 @@ def build_minimizer(params: MinSeqParams) -> TestFunction:
 
 class ScanFamily(Enum):
     """Rayleigh-quotient families, each the scan of one sharp inequality of
-    the verification registry, named in the comments."""
+    the verification registry, its ``target``, which has the family's name
+    unless a second one is given.  A family is looked up by either name."""
 
-    RELLICH_IMPROVED = "rellich-improved"              # rellich-improved
-    RELLICH_GRAD_IMPROVED = "rellich-gradient-improved"  # rellich-gradient-improved
-    WEIGHTED_RELLICH_IMPROVED = "weighted-rellich-improved"  # rellich-weighted-improved
-    WEIGHTED_GRAD_IMPROVED = "weighted-gradient-improved"  # rellich-gradient-weighted-improved
-    AMN = "amn"                                        # rellich-gradient-weighted
-    DEFICIT_VGRAD = "rellich-deficit-vgrad"            # rellich-deficit-vgrad
-    DEFICIT_VLAP = "rellich-deficit-vlap"              # rellich-deficit-vlap
-    GRAD_DEFICIT_VGRAD = "gradrellich-deficit-vgrad"   # gradrellich-deficit-vgrad
-    VLAP_RADIAL_EXCESS = "v-laplacian-radial-excess"   # v-laplacian-radial-excess
-    GRAD_DEFICIT_VLAP = "gradrellich-deficit-vlap"     # gradrellich-deficit-vlap
-    GRADIENT_CONSTANT = "rellich-gradient"             # rellich-gradient
+    def __new__(cls, value: str, target: str | None = None):
+        family = object.__new__(cls)
+        family._value_, family.target = value, REGISTRY[target or value]
+        return family
+
+    @classmethod
+    def _missing_(cls, name):
+        return next((family for family in cls if family.target.name == name), None)
+
+    RELLICH_IMPROVED = "rellich-improved"
+    RELLICH_GRAD_IMPROVED = "rellich-gradient-improved"
+    WEIGHTED_RELLICH_IMPROVED = "weighted-rellich-improved", "rellich-weighted-improved"
+    WEIGHTED_GRAD_IMPROVED = "weighted-gradient-improved", "rellich-gradient-weighted-improved"
+    AMN = "amn", "rellich-gradient-weighted"
+    DEFICIT_VGRAD = "rellich-deficit-vgrad"
+    DEFICIT_VLAP = "rellich-deficit-vlap"
+    GRAD_DEFICIT_VGRAD = "gradrellich-deficit-vgrad"
+    VLAP_RADIAL_EXCESS = "v-laplacian-radial-excess"
+    GRAD_DEFICIT_VLAP = "gradrellich-deficit-vlap"
+    GRADIENT_CONSTANT = "rellich-gradient"
 
 
 # --------------------------------------------------------------------------
@@ -259,43 +268,6 @@ class ScanFamily(Enum):
 # the cutoff zone _OuterTerms builds the same densities from jets of u.
 
 
-@dataclass(frozen=True)
-class _FamilySpec:
-    """A family's registry target and the restrictions on its sequences'
-    parameters."""
-
-    target: str
-    m_zero: bool = False
-    radial: bool = True
-    below_m_star: bool = False
-
-    def validate(self, family: ScanFamily, params: MinSeqParams) -> None:
-        rules = (
-            ("m = 0", self.m_zero, params.m != 0.0),
-            ("the radial mode", self.radial, params.mode_k != 0),
-        )
-        if any(on and broken for _, on, broken in rules):
-            needs = " and ".join(text for text, on, _ in rules if on)
-            raise DomainError(f"{family.value} scans use {needs}")
-        if self.below_m_star and params.m > C.m_star(params.N):
-            raise DomainError(f"family requires m <= m*(N) = {C.m_star(params.N):.6g}")
-
-
-_FAMILIES: dict[ScanFamily, _FamilySpec] = {
-    ScanFamily.RELLICH_IMPROVED: _FamilySpec("rellich-improved", m_zero=True),
-    ScanFamily.RELLICH_GRAD_IMPROVED: _FamilySpec("rellich-gradient-improved", m_zero=True),
-    ScanFamily.WEIGHTED_RELLICH_IMPROVED: _FamilySpec("rellich-weighted-improved"),
-    ScanFamily.WEIGHTED_GRAD_IMPROVED: _FamilySpec("rellich-gradient-weighted-improved", below_m_star=True),
-    ScanFamily.AMN: _FamilySpec("rellich-gradient-weighted", radial=False),
-    ScanFamily.DEFICIT_VGRAD: _FamilySpec("rellich-deficit-vgrad", m_zero=True),
-    ScanFamily.DEFICIT_VLAP: _FamilySpec("rellich-deficit-vlap", m_zero=True),
-    ScanFamily.GRAD_DEFICIT_VGRAD: _FamilySpec("gradrellich-deficit-vgrad", m_zero=True),
-    ScanFamily.VLAP_RADIAL_EXCESS: _FamilySpec("v-laplacian-radial-excess", m_zero=True),
-    ScanFamily.GRAD_DEFICIT_VLAP: _FamilySpec("gradrellich-deficit-vlap", m_zero=True),
-    ScanFamily.GRADIENT_CONSTANT: _FamilySpec("rellich-gradient", m_zero=True),
-}
-
-
 _CLOSED_KINDS = (("square", 0), ("square", 1), ("gradient", 0), ("radial-gradient", 0))
 
 
@@ -322,7 +294,7 @@ def _float_terms(terms) -> tuple:
 def _exact_quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, Fraction]:
     """(numerator, denominator, constant) of the family at (N, m), exact, from
     its registry target's declaration (see the block comment above)."""
-    rest, constant, den = REGISTRY[_FAMILIES[family].target].sharp(N, Fraction(m))
+    rest, constant, den = family.target.sharp(N, Fraction(m))
     num, dens = _terms(rest, N, m), ()
     for c, t in den:
         weight = None
@@ -340,13 +312,30 @@ def _quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, float]:
     return _float_terms(num), _float_terms(den), float(constant)
 
 
+def _validate(family: ScanFamily, params: MinSeqParams) -> None:
+    """DomainError for parameters the family's registry target refuses: an m
+    its declaration has no closed form at (m != 0 for a target declared
+    without a weight), an m its ``applies`` refuses, and a mode k >= 1 unless
+    its constant is a minimum over modes (``per_mode``)."""
+    try:
+        _exact_quotient(family, params.N, params.m)
+    except ValueError:
+        raise DomainError(f"{family.value} scans use m = 0") from None
+    if params.mode_k and family.target.per_mode is None:
+        raise DomainError(f"{family.value} scans use the radial mode")
+    reason = family.target.applies and family.target.applies(params)
+    if reason:
+        raise DomainError(f"{family.value} scans: {reason}")
+
+
 def scan_theoretical(family: ScanFamily, params: MinSeqParams) -> float:
     """The sharp constant the family's quotients approach: its registry
-    target's; for amn, whose target's constant a_{m,N} is the minimum over
-    the modes, its mode's candidate A(k, N, m)."""
-    _FAMILIES[family].validate(family, params)
-    if family is ScanFamily.AMN:
-        return float(C._per_mode_exact(params.mode_k, params.N, params.m))
+    target's, or, where that is a minimum over the modes (amn's a_{m,N}), the
+    candidate of the parameters' mode (``per_mode``, amn's A(k, N, m))."""
+    _validate(family, params)
+    per_mode = family.target.per_mode
+    if per_mode is not None:
+        return float(per_mode(params.mode_k, params.N, params.m))
     return _quotient(family, params.N, params.m)[2]
 
 
@@ -799,7 +788,7 @@ def _exact_limit(family: ScanFamily, N: int, m=0, mode_k: int = 0) -> Fraction:
     a -> 0.  Both sides of every family keep the same first level, so the
     limit is the ratio of their first kept columns at eps = 0, a = 0, read
     from the same registry terms and closed forms as the float quotient."""
-    _FAMILIES[family].validate(family, MinSeqParams(N, float(m), mode_k=mode_k))
+    _validate(family, MinSeqParams(N, float(m), mode_k=mode_k))
     m, a = Fraction(m), Fraction(0)
     forms, prods = _poly_forms(N, m, mode_k, a)
     num, den = (
@@ -846,7 +835,7 @@ def rayleigh_quotient(
     still count on their own in :func:`count_quadrature`.
     """
     spec = quad or QuadratureSpec()
-    _FAMILIES[family].validate(family, params)
+    _validate(family, params)
     sides = _quotient(family, params.N, params.m)[:2]
     if len(params.a) == 1:
         red = _Reduction(params)
@@ -935,7 +924,8 @@ def default_schedule(
     family: ScanFamily, N: int, m: float = 0.0, mode_k: int = 0, K: int = 1
 ) -> list[MinSeqParams]:
     """The default limit path on the default cutoff: eps down the fixed
-    ladder, then halve each a_i 8 times (2 times when K > 1).
+    ladder, then halve each a_i 8 times (2 times when K > 1); only the
+    ladder, on the pure power (a_1 = 1), for a per-mode constant (amn's).
 
     Where the single-log reduction eliminates the numerator's divergent
     levels (K = 1, and no unweighted u-side integral in the numerator outside
@@ -947,12 +937,12 @@ def default_schedule(
     (rellich-gradient's int (L_k u)^2) keeps a divergent level, which leaves
     the double range below eps ~ 1e-150.
     """
-    if family is ScanFamily.AMN:
+    if family.target.per_mode is not None:
         return [MinSeqParams(N, m, eps, (1.0,), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
     halvings = 2 if K > 1 else 8
     a = [0.1] * K
     steps = [MinSeqParams(N, m, eps, tuple(a), mode_k=mode_k) for eps in _DEFAULT_EPS_STEPS]
-    _FAMILIES[family].validate(family, steps[0])
+    _validate(family, steps[0])
     _, rest = _split_deficit(_quotient(family, N, m)[0])
     follow = K == 1 and not any(t.shift is None and w is None for _, t, w in rest)
     for i in range(K):

@@ -376,7 +376,7 @@ class Target:
     sides, an inequality's ``fn(case, K, spec)`` its slack.  ``terms(case)``
     gives the (lhs, rhs) lists of (coefficient, _Int) pairs of a target
     declared as terms: an identity compares their sums, an inequality's
-    slack is sum lhs - sum rhs.  ``sharp``: see :func:`_sharp`."""
+    slack is sum lhs - sum rhs.  ``sharp``, ``per_mode``: see :func:`_sharp`."""
 
     name: str
     kind: str  # "identity" | "inequality"
@@ -385,6 +385,7 @@ class Target:
     applies: object = None
     terms: object = None
     sharp: object = None
+    per_mode: object = None
 
 
 def _identity(name: str, description: str, terms, applies=None) -> Target:
@@ -403,17 +404,18 @@ def _inequality(name: str, description: str, terms, applies=None) -> Target:
     return Target(name, "inequality", description, fn, applies, terms)
 
 
-def _sharp(name: str, description: str, declare, applies=None) -> Target:
+def _sharp(name: str, description: str, declare, applies=None, per_mode=None) -> Target:
     """The inequality rest >= constant * den of declare(N, m) = (rest,
     constant, den), with slack rest - constant * den.  A minimizing-sequence
     scan reads its quotient rest / den and its constant from the same
-    declaration; ``constant`` is exact."""
+    declaration; ``constant`` is exact.  per_mode(k, N, m), where given, is
+    mode k's candidate of a constant that is the minimum over the modes."""
 
     def terms(case: SuiteCase):
         rest, constant, den = declare(case.N, case.m_exact)
         return rest + [(-constant * c, t) for c, t in den], []
 
-    return replace(_inequality(name, description, terms, applies), sharp=declare)
+    return replace(_inequality(name, description, terms, applies), sharp=declare, per_mode=per_mode)
 
 
 def _id_weighted_green(case: SuiteCase, spec):
@@ -540,7 +542,8 @@ _INEQUALITY_TARGETS = [
            lambda N, m: (_deficit(N, _hardy, C._sigma_exact(m, N), m), C._sigma_bar_exact(m, N),
                          [(1, _hardy(N, m, series=True))])),
     _sharp("rellich-gradient-weighted", "weighted Laplacian vs gradient inequality with the minimized constant",
-           lambda N, m: ([(1, _lap(N, m))], C.a_mn(N, m).exact, [(1, _grad(N, m))])),
+           lambda N, m: ([(1, _lap(N, m))], C.a_mn(N, m).exact, [(1, _grad(N, m))]),
+           per_mode=C._per_mode_exact),
     _sharp("rellich-gradient-weighted-improved", "weighted Laplacian vs gradient inequality with the series",
            lambda N, m: (_deficit(N, _grad, C._per_mode_exact(0, N, m), m), Fraction(1, 4),
                          [(1, _grad(N, m, series=True))]),

@@ -212,8 +212,24 @@ def test_scan_malformed_schedule(capsys):
 
 
 def test_scan_unknown_family(capsys):
-    code, _, err = run_cli(capsys, "scan", "--family", "nope", "--N", "6")
-    assert code == 2
+    code, out, err = run_cli(capsys, "scan", "--family", "nope", "--N", "6")
+    assert (code, out) == (2, "")
+    assert "weighted-rellich-improved, rellich-weighted-improved," in err
+    assert "amn, rellich-gradient-weighted," in err
+
+
+@pytest.mark.parametrize(
+    "family, target, flags",
+    [
+        ("weighted-rellich-improved", "rellich-weighted-improved", ("--N", "12", "--m", "1.5")),
+        ("weighted-gradient-improved", "rellich-gradient-weighted-improved", ("--N", "9", "--m", "0.5")),
+        ("amn", "rellich-gradient-weighted", ("--N", "30", "--m", "8", "--k", "2")),
+    ],
+)
+def test_scan_family_by_its_registry_target_name(capsys, family, target, flags):
+    code, out, err = run_cli(capsys, "scan", "--family", family, *flags)
+    assert (code, err) == (0, "") and out.count("\n") > 1
+    assert run_cli(capsys, "scan", "--family", target, *flags) == (0, out, "")
 
 
 def test_determinism_identical_bytes(capsys):
@@ -639,6 +655,21 @@ _SCAN_K2_GOLDEN = {
 def test_scan_k2_golden_output(capsys, family):
     code, out, _ = run_cli(capsys, "scan", "--family", family, "--N", "6", "--K", "2")
     assert (code, out) == (0, _SCAN_K2_GOLDEN[family])
+
+
+def test_scan_stdout_digest_golden(capsys):
+    """sha256 over `rellich scan` of every family at N = 6, 9 and 30 with
+    K = 1 and 2 (66 runs), each run's stdout after a "family N K exit-code"
+    line."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for family in rellich.ScanFamily:
+        for N in ("6", "9", "30"):
+            for K in ("1", "2"):
+                code, out, _ = run_cli(capsys, "scan", "--family", family.value, "--N", N, "--K", K)
+                digest.update(f"{family.value} {N} {K} {code}\n{out}".encode())
+    assert digest.hexdigest() == "88b73a88f88675a9aa7c12e1040883a7a8bdc1e52f267e09e8bb8f302d8232ae"
 
 
 def test_scan_refuses_a_multi_log_step_the_quadrature_cannot_resolve(capsys):

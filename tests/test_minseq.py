@@ -295,11 +295,11 @@ def test_reduction_eliminates_exactly_the_deficit_levels(N):
         return [M._reduce_columns(red.poly(terms), params.a[0])[0] for terms in sides]
 
     checked = 0
-    for fam, spec in M._FAMILIES.items():
+    for fam in ScanFamily:
         for m in np.linspace(0.0, (N - 4) / 2.0, 5)[:-1]:
             p = MinSeqParams(N, float(m), 1e-3, (0.1,))
             try:
-                spec.validate(fam, p)
+                M._validate(fam, p)
             except DomainError:
                 continue
             level = 0 if fam in plain else 2
@@ -676,16 +676,16 @@ def test_scan_constants_come_from_their_registry_targets(N):
 
     weights = {0.0, *(t * C.m_star(N) for t in (0.3, 0.7, 1.0)), *(t * (N - 4) / 2 for t in (0.1, 0.45, 0.9))}
     checked = 0
-    for fam, spec in M._FAMILIES.items():
+    for fam in ScanFamily:
         for m in sorted(weights):
             m_exact = Fraction(m)
             k = C.a_mn(N, m_exact).argmin_k if fam is ScanFamily.AMN else 0
             p = MinSeqParams(N, m, mode_k=k)
             try:
-                spec.validate(fam, p)
+                M._validate(fam, p)
             except DomainError:
                 continue
-            constant = REGISTRY[spec.target].sharp(N, m_exact)[1]
+            constant = REGISTRY[fam.target.name].sharp(N, m_exact)[1]
             if fam is ScanFamily.AMN:
                 assert constant == C._per_mode_exact(k, N, m_exact), (N, m)
             assert scan_theoretical(fam, p) == float(constant), (fam, N, m)
@@ -745,8 +745,62 @@ def test_readme_family_table_matches_the_code():
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\s*\| `([\w-]+)` \| `([\w-]+)` \|$", readme, re.M)
-    assert dict(rows) == {fam.value: spec.target for fam, spec in M._FAMILIES.items()}
+    assert dict(rows) == {fam.value: fam.target.name for fam in ScanFamily}
     assert len(rows) == len(ScanFamily)
+
+
+# The restrictions the families were once declared with by hand, as
+# (m = 0, the radial mode, m <= m*(N)): the reference the derived ones match.
+_HAND_SET_FLAGS = {
+    ScanFamily.RELLICH_IMPROVED: (True, True, False),
+    ScanFamily.RELLICH_GRAD_IMPROVED: (True, True, False),
+    ScanFamily.WEIGHTED_RELLICH_IMPROVED: (False, True, False),
+    ScanFamily.WEIGHTED_GRAD_IMPROVED: (False, True, True),
+    ScanFamily.AMN: (False, False, False),
+    ScanFamily.DEFICIT_VGRAD: (True, True, False),
+    ScanFamily.DEFICIT_VLAP: (True, True, False),
+    ScanFamily.GRAD_DEFICIT_VGRAD: (True, True, False),
+    ScanFamily.VLAP_RADIAL_EXCESS: (True, True, False),
+    ScanFamily.GRAD_DEFICIT_VLAP: (True, True, False),
+    ScanFamily.GRADIENT_CONSTANT: (True, True, False),
+}
+
+
+def test_derived_restrictions_match_the_hand_set_flags():
+    """Each family refuses exactly the parameters its hand-set flags
+    refused, naming the first rule broken, over N in {5, 6, 7, 9, 12, 30},
+    m on the 1/8 grid of [0, (N-4)/2) and modes k <= 2."""
+    checked = 0
+    for N in (5, 6, 7, 9, 12, 30):
+        for m in (Fraction(j, 8) for j in range(4 * (N - 4))):
+            for k in range(3):
+                for fam, (m_zero, radial, below_m_star) in _HAND_SET_FLAGS.items():
+                    broken = [
+                        text
+                        for text, on, bad in (
+                            ("m = 0", m_zero, m != 0),
+                            ("the radial mode", radial, k != 0),
+                            ("m <= m*", below_m_star, m > C.m_star(N)),
+                        )
+                        if on and bad
+                    ]
+                    try:
+                        M._validate(fam, MinSeqParams(N, float(m), mode_k=k))
+                    except DomainError as exc:
+                        assert broken and broken[0] in str(exc), (fam, N, m, k, str(exc))
+                    else:
+                        assert not broken, (fam, N, m, k)
+                    checked += 1
+    assert checked == 3 * 11 * 180
+
+
+def test_every_sharp_registry_target_has_exactly_one_scan_family():
+    sharp = [name for name, t in V.REGISTRY.items() if t.sharp is not None]
+    assert sorted(sharp) == sorted(fam.target.name for fam in ScanFamily)
+    assert len(sharp) == len(ScanFamily) == 11
+    for fam in ScanFamily:
+        assert ScanFamily(fam.target.name) is fam
+        assert V.REGISTRY[fam.target.name] is fam.target
 
 
 @pytest.mark.parametrize("N, m, k", [(30, 8.0, k) for k in range(5)] + [(9, 2.0, 0)])
@@ -791,7 +845,7 @@ def _exact_numbers(values) -> bool:
 def _exact_sides(fam, N, m, k):
     """The family's exact sides at (N, m, k), none where it refuses them."""
     try:
-        M._FAMILIES[fam].validate(fam, MinSeqParams(N, float(m), mode_k=k))
+        M._validate(fam, MinSeqParams(N, float(m), mode_k=k))
     except DomainError:
         return []
     return M._exact_quotient(fam, N, m)[:2]
@@ -827,17 +881,17 @@ def test_exact_limit_is_the_registry_constant(N):
     family's registry constant, exactly, at every m its family admits; for
     amn it is its mode's candidate A(k, N, m), k = 0..3."""
     checked = 0
-    for fam, spec in M._FAMILIES.items():
+    for fam in ScanFamily:
         for m in _LIMIT_MS:
             for k in range(4) if fam is ScanFamily.AMN else (0,):
                 try:
-                    spec.validate(fam, MinSeqParams(N, float(m), mode_k=k))
+                    M._validate(fam, MinSeqParams(N, float(m), mode_k=k))
                 except DomainError:
                     continue
                 if fam is ScanFamily.AMN:
                     want = C._per_mode_exact(k, N, m)
                 else:
-                    want = V.REGISTRY[spec.target].sharp(N, m)[1]
+                    want = V.REGISTRY[fam.target.name].sharp(N, m)[1]
                 got = M._exact_limit(fam, N, m, k)
                 assert type(got) is Fraction and got == want, (fam, m, k, got, want)
                 checked += 1
@@ -916,6 +970,16 @@ def test_cutoff_jet_matches_selecting_constant_jets():
         assert all(_same_bits(a, b) for a, b in zip(got.coeffs, phi.coeffs))
 
 
+def _closes_at(fam, N, m) -> bool:
+    """The derived m-rule alone: whether the family's declaration has closed
+    forms at (N, m)."""
+    try:
+        M._exact_quotient(fam, N, m)
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize(
     "N, m, k, a",
     [(6, 0.0, 0, (0.1,)), (9, 0.0, 1, (0.05, 0.3)), (12, 1.3, 2, (1.0,)), (30, 8.0, 2, (0.2,))],
@@ -937,7 +1001,7 @@ def test_outer_pieces_from_one_jet_match_the_profile_route(N, m, k, a):
     ints = {
         t
         for fam in ScanFamily
-        if m == 0 or not M._FAMILIES[fam].m_zero
+        if _closes_at(fam, N, m)
         for side in M._exact_quotient(fam, N, m)[:2]
         for _, t, _ in side
     } | {t for _, t in _v_side(N, 1, 1, m)}
@@ -1142,15 +1206,15 @@ def test_factored_deficits_use_their_sharp_constants(N):
         return found
 
     checked = 0
-    for fam, spec in M._FAMILIES.items():
+    for fam in ScanFamily:
         for m in np.linspace(0.0, (N - 4) / 2.0, 9)[:-1]:
             p = MinSeqParams(N, float(m))
             try:
-                spec.validate(fam, p)
+                M._validate(fam, p)
             except DomainError:
                 continue
             found = check(p, M._quotient(fam, N, p.m)[:2])
-            assert spec.radial or not found, fam  # deficits are declared at mode 0 only
+            assert fam is not ScanFamily.AMN or not found, fam  # deficits are declared at mode 0 only
             checked += found
     checked += check(MinSeqParams(N), list(_named_sides(N).values()))
     assert checked >= 8
