@@ -291,6 +291,9 @@ def cmd_scan(args) -> int:
         schedule = _parse_schedule(args.schedule, args.N, m, mode_k)
     else:
         schedule = minseq.default_schedule(family, args.N, m, mode_k=mode_k, K=args.K)
+        if (carried := max(len(p.a) for p in schedule)) < args.K:
+            note = f"the default {family.value} schedule carries {carried} log factor(s), not the {args.K} of --K"
+            print(f"note: {note}", file=sys.stderr)
     result = minseq.scan_to_limit(family, schedule, _quad_spec(args))
     text = minseq.scan_result_csv(result)
     if args.format == "json":

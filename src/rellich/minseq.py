@@ -19,12 +19,15 @@ eps Q(b) = -(b/2) Q(b+1) + (1/2) rho^{2eps} X_1(rho)^b trades it for a
 closed-form boundary term.  With K >= 2 log factors the closed forms are
 evaluated as float arrays in s = ln(1/r) and integrated by quadrature,
 both sides' half-line integrals in lockstep, one integrand call per round,
-each node array's part of them computed once per round for both sides.
+each node group's part of them computed once per round for both sides.
 On [rho, outer] every quotient integrates the full profile (with cutoff
 derivatives), evaluated by jet arithmetic in r, through one zone rule that
 starts both sides together: one integrand call on the zone's 60 nodes
 gives every density of the quotient, and the sides bisect on in lockstep
-where they must, one integrand call per round.  A single-log quotient runs
+where they must, one integrand call per round.  The quadrature hands each
+integrand its round's node groups, each distinct node array once with the
+sides evaluated on it (:func:`rellich.quadrature._round`), so the sides
+that share nodes share their densities' work.  A single-log quotient runs
 just these two zone quadratures, one per side.  The profile's factors that
 the nodes alone fix (the cutoff, ln r, the X_i and their logs) are shared
 by every quotient that reaches the same nodes.
@@ -503,22 +506,16 @@ def _inner_integrals(params: MinSeqParams, sides, spec: QuadratureSpec) -> list[
     No catastrophic subtraction occurs even at very deep s: the deficits are
     factored and the common factor is applied last.  Both sides' half-line
     integrals run in lockstep (:func:`rellich.quadrature._halfline_many`),
-    one integrand call per round, and each node array of a round gets its
+    one integrand call per round, and each node group of a round gets its
     :func:`_inner_forms` once: the sides share their look-ahead panels'
     nodes."""
 
-    def density(xs):
-        forms: dict = {}
-        out = []
-        for s, terms in zip(xs, sides):
-            if s is None:
-                out.append(None)
-                continue
-            at = forms.get(id(s))
-            if at is None:
-                at = forms[id(s)] = _inner_forms(params, s)
-            common, closed, prods = at
-            out.append(common * _closed_density(terms, closed, prods))
+    def density(groups):
+        out = [None] * len(sides)
+        for s, which in groups:
+            common, closed, prods = _inner_forms(params, s)
+            for i in which:
+                out[i] = common * _closed_density(sides[i], closed, prods)
         return out
 
     return _halfline_many(density, len(sides), math.log(1.0 / params.cutoff.inner_radius), spec)
@@ -554,7 +551,7 @@ class _OuterTerms:
         """The densities of the integrals ints at r, and only those, from one
         jet of u (see :func:`rellich.radial._jet_densities`)."""
         ints = list(ints)
-        return dict(zip(ints, _jet_densities(self.u, ints, [r] * len(ints), self.mode)))
+        return dict(zip(ints, _jet_densities(self.u, ints, [(r, range(len(ints)))], self.mode)))
 
     def log_values(self, r: np.ndarray) -> list[np.ndarray]:
         """[X_1(r), ..., X_K(r)], the value rows of the node-only jets."""
@@ -566,17 +563,13 @@ class _OuterTerms:
         all started on the zone's _ZONE_PANELS equal panels, cut where
         bisection would cut them, and bisected in lockstep
         (:func:`rellich.quadrature._integrate_many`).  The combinations
-        that share a round's node array share one :meth:`densities` call,
+        of one node group of a round share one :meth:`densities` call,
         which computes their integrals' densities and only those."""
         ints = [{t for _, t, _ in terms} for terms in sides]
 
-        def density(xs):
-            groups: dict = {}
-            for i, r in enumerate(xs):
-                if r is not None:
-                    groups.setdefault(id(r), (r, []))[1].append(i)
-            out = [None] * len(xs)
-            for r, which in groups.values():
+        def density(groups):
+            out = [None] * len(sides)
+            for r, which in groups:
                 p = self.densities(r, set().union(*(ints[i] for i in which)))
                 weighted = any(w is not None for i in which for _, _, w in sides[i])
                 prods = _log_products(self.log_values(r)) if weighted else None

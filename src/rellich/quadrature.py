@@ -6,9 +6,12 @@ largest-error subintervals (:func:`_bisection`), which one engine drives
 for any number of integrals in lockstep, one integrand call and one sums
 call per round (:func:`_lockstep`): on one interval (:func:`_integrate_many`;
 :func:`integrate` is its one-integral case) or on one half-line
-(:func:`_halfline_many`).  An integral over one interval starts on the 225
-nodes of its first four bisection levels and walks those levels in one
-pass, with no heap (:func:`_block_bisection`).  Integrands whose mass
+(:func:`_halfline_many`).  The engine alone decides which integrals share
+nodes: each round hands the integrand its node groups, each distinct node
+array once with the integrals evaluated on it (:func:`_round`).  An
+integral over one interval starts on the 225 nodes of its first four
+bisection levels and walks those levels in one pass, with no heap
+(:func:`_block_bisection`).  Integrands whose mass
 concentrates at r = 0 are handled through the substitution r = e^{-s},
 which maps (0, b] to a half-line in s; the half-line is covered by panels of
 doubling width until a geometric tail extrapolation certifies the remainder
@@ -330,44 +333,37 @@ def _block_bisection(block, rel_tol: float, abs_tol: float, max_subdivisions: in
     return total, total_err, total_err <= max(abs_tol, rel_tol * abs(total))
 
 
-def _round(f, n: int, spans: dict) -> list:
+def _round(f, spans: dict) -> list:
     """[(i, rules, evaluations)]: the rules (values, errors), as lists, of
     the intervals spans[i] = (lefts, rights), two lists, of each integral
-    i, from one call ``f(xs)`` on all their nodes (one array where
-    intervals coincide) and one :func:`_gk_sums` call.  If that call
-    raises, f is called per integral, and an integral whose own call
-    raises gets the exception in place of its rules, with no evaluations.
-    Run under np.errstate."""
-    xs = [None] * n
-    if len(spans) == 1:  # nothing to share
-        ((i, (ls, rs)),) = spans.items()
-        lefts, rights = np.array(ls), np.array(rs)
-        xs[i] = _gk_points(lefts, rights).ravel()
-    else:
-        ls, rs = [], []
-        for lefts, rights in spans.values():
-            ls += lefts
-            rs += rights
-        lefts, rights = np.array(ls), np.array(rs)
-        points = _gk_points(lefts, rights).ravel()  # elementwise: each span's rows as alone
-        shared, start = {}, 0
-        for i, (ls, rs) in spans.items():
-            key = (*ls, *rs)
-            x = xs[i] = shared.get(key)
-            if x is None:
-                xs[i] = shared[key] = points[start : start + 15 * len(ls)]
-            start += 15 * len(ls)
+    i, from one call ``f(groups)`` and one :func:`_gk_sums` call.
+    ``groups`` lists each distinct node array once, as (x, which): the
+    integrals ``which``, whose spans are equal, take their nodes x.  f
+    returns a sequence whose entry i is integral i's values at its nodes.
+    This is the one place that decides which integrals share nodes.  If
+    the call raises, f is called per integral, and an integral whose own
+    call raises gets the exception in place of its rules, with no
+    evaluations.  Run under np.errstate."""
+    ls, rs = [], []
+    for lefts, rights in spans.values():
+        ls += lefts
+        rs += rights
+    lefts, rights = np.array(ls), np.array(rs)
+    points = _gk_points(lefts, rights).ravel()  # elementwise: each span's rows as alone
+    shared, start = {}, 0
+    for i, (ls, rs) in spans.items():
+        key = (*ls, *rs) if len(spans) > 1 else None  # one span: nothing to share
+        shared.setdefault(key, (points[start : start + 15 * len(ls)], []))[1].append(i)
+        start += 15 * len(ls)
     try:
-        at_nodes = f(xs)
+        at_nodes = f(list(shared.values()))
         vals = [np.asarray(at_nodes[i], dtype=float).reshape(-1, 15) for i in spans]
     except Exception as exc:
         if len(spans) > 1:
-            return [out for i in spans for out in _round(f, n, {i: spans[i]})]
+            return [out for i in spans for out in _round(f, {i: spans[i]})]
         return [(i, exc, 0) for i in spans]
     values, errors = _gk_sums(np.concatenate(vals) if len(vals) > 1 else vals[0], lefts, rights)
     values, errors = values.tolist(), errors.tolist()
-    if len(spans) == 1:
-        return [(i, (values, errors), vals[0].size)]
     out, start = [], 0
     for i, v in zip(spans, vals):
         out.append((i, (values[start : start + len(v)], errors[start : start + len(v)]), v.size))
@@ -394,7 +390,7 @@ def _lockstep(f, gens: list) -> list:
             except StopIteration as stop:
                 out[i] = stop.value
         rules = {}
-        for i, got, size in _round(f, n, pending) if pending else ():
+        for i, got, size in _round(f, pending) if pending else ():
             evals[i] += size
             rules[i] = got
     return [(value, err, n_eval, converged) for (value, err, converged), n_eval in zip(out, evals)]
@@ -431,13 +427,13 @@ def integrate_halfline(
     so an exception surfaces only from a panel the integral needs.  A
     non-finite s0 raises DomainError.
     """
-    return _halfline_many(lambda xs: [h(xs[0])], 1, s0, spec, s_cap)[0]
+    return _halfline_many(lambda groups: [h(groups[0][0])], 1, s0, spec, s_cap)[0]
 
 
 def _halfline_many(f, n: int, s0: float, spec: QuadratureSpec | None = None, s_cap: float = _HALFLINE_S_MAX):
     """The integrals over [s0, infinity) of n integrands, their half-line
     rules (:func:`_halfline`) run in lockstep (:func:`_lockstep`), as a
-    list of :class:`QuadratureResult`.  ``f(xs)`` is called as in
+    list of :class:`QuadratureResult`.  ``f(groups)`` is called as in
     :func:`_integrate_many`.  Integral i is bitwise, and counts as,
     ``integrate_halfline(f_i, s0, spec, s_cap)``."""
     spec = spec or QuadratureSpec()
@@ -607,22 +603,22 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, breakpo
     points).  a and b must be finite.  Integrals from the origin whose
     mass sits at r -> 0 go through :func:`origin_integral`.
     """
-    return _integrate_many(lambda xs: [f(xs[0])], 1, a, b, spec, breakpoints)[0]
+    return _integrate_many(lambda groups: [f(groups[0][0])], 1, a, b, spec, breakpoints)[0]
 
 
 def _integrate_many(f, n: int, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()):
     """The integrals over (a, b) of n integrands, bisected in lockstep
     (:func:`_lockstep`), as a list of :class:`QuadratureResult`.
 
-    ``f(xs)`` takes one node array per integral, None where an integral
-    needs nothing in a round and the same array object where integrals
-    share their nodes, and returns a sequence of their values (entries at
-    None are ignored).  The first round is the 225 nodes of the first four
-    bisection levels when no breakpoint lies inside (a, b)
-    (:func:`_block_bisection`), else the intervals between a, the
-    breakpoints and b (:func:`_bisection`).  Integral i is bitwise, and
-    counts as, ``integrate(f_i, a, b, spec, breakpoints)``.  Non-finite
-    bounds raise DomainError before any integrand call."""
+    ``f(groups)`` takes each round's distinct node arrays once, as (x,
+    which) with ``which`` the integrals evaluated on x, and returns a
+    sequence whose entry i is integral i's values (see :func:`_round`); an
+    integral that needs nothing in a round is in no group.  The first round
+    is the 225 nodes of the first four bisection levels when no breakpoint
+    lies inside (a, b) (:func:`_block_bisection`), else the intervals
+    between a, the breakpoints and b (:func:`_bisection`).  Integral i is
+    bitwise, and counts as, ``integrate(f_i, a, b, spec, breakpoints)``.
+    Non-finite bounds raise DomainError before any integrand call."""
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"need finite bounds, got ({a}, {b})")
@@ -662,38 +658,36 @@ def origin_integral(f, origin_power: float, hi: float, spec: QuadratureSpec | No
         raise DomainError("need hi > 0")
     if origin_power >= 0.0:
         return integrate(f, 0.0, hi, spec)
-    return _origin_many(lambda rs: [f(rs[0])], 1, hi, spec)[0]
+    return _origin_many(lambda groups: [f(groups[0][0])], 1, hi, spec)[0]
 
 
 def _origin_many(f, n: int, hi: float, spec: QuadratureSpec | None = None) -> list:
     """The integrals over (0, hi] of n r-space integrands in s = ln(1/r)
     (:func:`_halfline_many` from ln(1/hi), truncated at s = 650), as a
-    list of :class:`QuadratureResult`.  ``f(rs)`` takes one array of radii
-    per integral, None where it needs none, and the same array object where
-    integrals share their nodes: each node array in s is mapped to radii
-    once, the radii that underflow to 0 are left out and their integrand
-    values are 0, and f is not called where no radius is left.  Integral i
-    is bitwise, and counts as, ``origin_integral(f_i, p, hi, spec)`` with
+    list of :class:`QuadratureResult`.  ``f(groups)`` takes groups of radii
+    as :func:`_integrate_many` takes groups of nodes: each group's nodes in
+    s are mapped to radii once, the radii that underflow to 0 are left out
+    and their integrand values are 0, a group with no radius left is left
+    out, and f is not called where no group is left.  Integral i is
+    bitwise, and counts as, ``origin_integral(f_i, p, hi, spec)`` with
     p < 0."""
     if not 0.0 < hi < math.inf:
         raise DomainError(f"need 0 < hi < inf, got {hi}")
 
-    def h(xs):
-        radii = {}  # id of a node array in s -> (e^{-s}, where it is > 0, its radii there)
-        for s in xs:
-            if s is not None and id(s) not in radii:
-                r = np.exp(-s)
-                mask = r > 0.0
-                radii[id(s)] = r, mask, r[mask] if mask.any() else None
-        rs = [None if s is None else radii[id(s)][2] for s in xs]
-        values = f(rs) if any(r is not None for r in rs) else rs
-        out = [None] * len(xs)
-        for j, (s, value) in enumerate(zip(xs, values)):
-            if s is not None:
-                r, mask, kept = radii[id(s)]
-                out[j] = np.zeros_like(r)
-                if kept is not None:
-                    out[j][mask] = np.asarray(value, dtype=float) * kept
+    def h(groups):
+        radii = []  # each group's e^{-s}, where it is > 0, and its radii there
+        for s, which in groups:
+            r = np.exp(-s)
+            mask = r > 0.0
+            radii.append((r, mask, r[mask], which))
+        live = [(kept, which) for _, _, kept, which in radii if kept.size]
+        values = f(live) if live else ()
+        out = [None] * n
+        for r, mask, kept, which in radii:
+            for i in which:
+                out[i] = np.zeros_like(r)
+                if kept.size:
+                    out[i][mask] = np.asarray(values[i], dtype=float) * kept
         return out
 
     return _halfline_many(h, n, math.log(1.0 / hi), spec, _RSPACE_S_CAP)

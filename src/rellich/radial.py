@@ -15,11 +15,13 @@ Each :func:`functional` call integrates the terms it does not find stored
 density is finite at the origin bisect in lockstep
 (:func:`rellich.quadrature._integrate_many`), and so do the terms that take
 the log substitution, on their half-line in s = ln(1/r)
-(:func:`rellich.quadrature._origin_many`, which maps each node array to
-radii once).  In either run each round evaluates the profile's jet once,
-on the nodes of every term in the round, at the highest order any of them
+(:func:`rellich.quadrature._origin_many`, which maps each group's nodes to
+radii once).  In either run each round hands the integrand its node
+groups, each distinct node array once with the terms evaluated on it
+(:func:`rellich.quadrature._round`); the round evaluates the profile's jet
+once, on every group's nodes, at the highest order any term in a group
 takes, and :func:`_jet_densities` builds each variant L_k^p (r^shift f)
-from that jet and forms each term's density on its own nodes.  Jet
+from that jet and forms each term's density on its group's nodes.  Jet
 arithmetic acts elementwise and is truncation invariant (see the module
 docstring of :mod:`rellich.taylor`), so every density, and with it every
 integral, is bitwise what the term alone would give.
@@ -458,34 +460,32 @@ def _variant(jets: dict, r, shift, p: int, N: int, ck: int) -> Jet:
     return H
 
 
-def _jet_densities(profile: RadialProfile, terms, xs, mode: SphericalMode, weight=None) -> list:
-    """The density of each term of ``profile`` at its nodes xs[j] (None
-    where xs[j] is None), times weight(min(r, 1)) for a series term when a
-    ``weight`` is given.
+def _jet_densities(profile: RadialProfile, terms, groups, mode: SphericalMode, weight=None) -> list:
+    """The density of each term j of ``profile`` at the nodes x of the
+    group (x, which) with j in which (see
+    :func:`rellich.quadrature._round`), times weight(min(r, 1)) for a
+    series term when a ``weight`` is given; a term in no group has no
+    density.
 
-    One jet of the profile, at the highest order a term with nodes takes
-    (:func:`_jet_order`), covers every distinct node array at once; it is
-    cut to each node array, and each variant L_k^p (r^shift f) a density
-    takes (p = :func:`_steps`) is built from the cut once
-    (:func:`_variant`).  Jets act elementwise and are truncation invariant
-    (see :mod:`rellich.taylor`), so every density is bitwise the one its
-    term's own profile gives."""
-    arrays = {id(x): x for x in xs if x is not None}
-    r = next(iter(arrays.values())) if len(arrays) == 1 else np.concatenate(list(arrays.values()))
-    U = profile.taylor(r, max(_jet_order(t) for t, x in zip(terms, xs) if x is not None))
+    One jet of the profile, at the highest order a term in a group takes
+    (:func:`_jet_order`), covers every group's nodes at once; it is cut to
+    each group, and each variant L_k^p (r^shift f) a density takes (p =
+    :func:`_steps`) is built from the cut once (:func:`_variant`).  Jets
+    act elementwise and are truncation invariant (see
+    :mod:`rellich.taylor`), so every density is bitwise the one its term's
+    own profile gives."""
+    r = groups[0][0] if len(groups) == 1 else np.concatenate([x for x, _ in groups])
+    U = profile.taylor(r, max(_jet_order(terms[j]) for _, which in groups for j in which))
     N, ck = mode.N, mode.eigenvalue
-    cut, start = {}, 0
-    for key, x in arrays.items():
-        cut[key] = {(None, 0): U if len(arrays) == 1 else Jet([c[start : start + len(x)] for c in U.coeffs])}
+    out, start = [None] * len(terms), 0
+    for x, which in groups:
+        jets = {(None, 0): U if len(groups) == 1 else Jet([c[start : start + len(x)] for c in U.coeffs])}
         start += len(x)
-    out = []
-    for t, x in zip(terms, xs):
-        if x is None:
-            out.append(None)
-            continue
-        H = _variant(cut[id(x)], x, t.shift or None, _steps(t), N, ck)
-        density = _jet_density(t.kind, t.n, H, x, N, ck, float(t.weight))
-        out.append(density * weight(np.minimum(x, 1.0)) if weight is not None and t.series else density)
+        for j in which:
+            t = terms[j]
+            H = _variant(jets, x, t.shift or None, _steps(t), N, ck)
+            density = _jet_density(t.kind, t.n, H, x, N, ck, float(t.weight))
+            out[j] = density * weight(np.minimum(x, 1.0)) if weight is not None and t.series else density
     return out
 
 
@@ -521,7 +521,7 @@ def _jet_integrals(terms, profile: RadialProfile, mode: SphericalMode, spec: Qua
 
     def run(which, many, *args):
         ts = [terms[j] for j in which]
-        density = lambda xs: _jet_densities(profile, ts, xs, mode, weight)
+        density = lambda groups: _jet_densities(profile, ts, groups, mode, weight)
         for j, res in zip(which, many(density, len(ts), *args)):
             results[j] = res
 

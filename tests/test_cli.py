@@ -191,6 +191,18 @@ def test_scan_notes_uncertified_steps_on_stderr(capsys):
     assert f"note: unconverged quadratures at scan steps {steps}; those quotients are not certified\n" in err
 
 
+def test_scan_notes_a_default_schedule_with_fewer_log_factors_than_k(capsys):
+    """amn's default schedule scans the pure power, one log factor at any
+    K: at K = 2 stderr says so and stdout is the K = 1 scan's; amn at K = 1
+    and rellich-improved at K = 2 get no such note."""
+    scan = lambda family, K: run_cli(capsys, "scan", "--family", family, "--N", "6", "--K", K)
+    code, out, err = scan("amn", "2")
+    assert code == 0 and out == scan("amn", "1")[1]
+    assert err == "note: the default amn schedule carries 1 log factor(s), not the 2 of --K\n"
+    for family, K in (("amn", "1"), ("rellich-improved", "2")):
+        assert "log factor" not in scan(family, K)[2]
+
+
 def test_scan_plain_family_past_the_quadrature_floor(capsys):
     """A single-log rellich-gradient scan reads eps below 1e-120, where the
     quadrature in s stops, and names the eps where its column sum leaves the

@@ -474,7 +474,7 @@ def test_zone_integral_matches_the_plain_adaptive_rule(monkeypatch):
     def both(f, n, a, b, spec=None, breakpoints=()):
         results = real(f, n, a, b, spec, breakpoints)
         for i, res in enumerate(results):
-            plain = integrate(lambda r: f([r if j == i else None for j in range(n)])[i], a, b, spec).value
+            plain = integrate(lambda r: f([(r, [i])])[i], a, b, spec).value
             seen.append(abs(res.value - plain) / abs(plain))
         return results
 
@@ -558,7 +558,7 @@ def test_k2_sides_share_one_halfline_run(monkeypatch):
 
     def spy(f, n, s0, spec=None):
         calls = []
-        results = real(lambda xs: calls.append(xs) or f(xs), n, s0, spec)
+        results = real(lambda groups: calls.append(groups) or f(groups), n, s0, spec)
         runs.append((f, n, s0, spec, results, len(calls)))
         return results
 
@@ -576,7 +576,7 @@ def test_k2_sides_share_one_halfline_run(monkeypatch):
 
             def side(s, i=i):
                 seen.append(s)
-                return f([s if j == i else None for j in range(n)])[i]
+                return f([(s, [i])])[i]
 
             ref = integrate_halfline(side, s0, spec)
             assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged) == (
@@ -1179,7 +1179,7 @@ def test_density_matches_the_profile_route(kind, n, w):
         else:
             route = d[order] ** 2 * r**w
         term = _Int(kind, w, n)
-        (density,) = _jet_densities(h, [term], [r], mode)
+        (density,) = _jet_densities(h, [term], [(r, [0])], mode)
         assert _same_bits(density, route), (mode, kind, n)
         assert _origin_power(term, h.origin_order) == 2 * (h.origin_order - 2 * n - order) + w
 

@@ -183,3 +183,21 @@ def test_quadrature_counts_ride_next_to_the_tokens_outside_the_digest():
     assert tool.compare(["functionals"], mine, mine, moved)[1:] == [
         "functionals: quadrature calls, evaluations, unconverged 1 225 0 against 1 240 1"
     ]
+
+
+def test_against_exits_1_where_an_op_or_a_quadrature_total_differs(monkeypatch, tmp_path, capsys):
+    tool = _tool()
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts perfbench/ on it
+    x, y = (1.5).hex(), (2.5).hex()
+    same = ({"functionals": [f"k:{x}"]}, {"functionals": (1, 225, 0)})
+    cases = [
+        (same, 0),
+        (({"functionals": [f"k:{y}"]}, same[1]), 1),  # an op's output
+        (({"functionals": [f"j:{x}"]}, same[1]), 1),  # an op of one tree only
+        ((same[0], {"functionals": (1, 240, 0)}), 1),  # the quadrature totals
+    ]
+    argv = ["--seed", "1", "--workload", "functionals", "--against", str(tmp_path)]
+    for theirs, status in cases:
+        monkeypatch.setattr(tool, "_tree_lines", lambda src, seed, names: theirs if src == tmp_path else same)
+        assert tool.main(argv) == status
+        assert (len(capsys.readouterr().out.splitlines()) > 1) == bool(status)

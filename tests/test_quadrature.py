@@ -387,6 +387,51 @@ def test_rspace_origin_integral_evaluates_no_node_past_its_cap(lookahead):
     assert min(radii) >= math.exp(-quadrature._RSPACE_S_CAP)
 
 
+def _capped_run(monkeypatch, cap):
+    """origin_integral of 1e-15 r^{-1} (1 + ln(1/r))^{-1.02}, whose tail in
+    s never settles, truncated at s = cap and with an absolute tolerance of
+    1e-30, so that the panel that crosses s ~ 745 bisects; the integrand
+    stays finite at the smallest denormal radius.  Returns the radii the
+    integrand gets and, per round, its nodes in s and their values."""
+    radii, rounds, real = [], [], quadrature._gk_sums
+
+    def f(r):
+        radii.append(r.copy())
+        return 1e-15 / (r * (1.0 - np.log(r)) ** 1.02)
+
+    def sums(vals, lefts, rights):
+        rounds.append((_gk_points(lefts, rights), vals.copy()))
+        return real(vals, lefts, rights)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_gk_sums", sums)
+        patch.setattr(quadrature, "_RSPACE_S_CAP", cap)
+        assert not origin_integral(f, -1.0, 1.0, QuadratureSpec(SPEC.rel_tol, 1e-30)).converged
+    return radii, rounds
+
+
+def test_rspace_origin_integral_at_its_cap_leaves_out_the_underflowed_radii(monkeypatch):
+    """An r-space origin integral that reaches its truncation at s = 650
+    bisects the panel that crosses it, [511, 1023], and e^{-s} underflows
+    to 0 past s ~ 745: its integrand never gets a radius of 0, and the
+    values at the underflowed nodes are 0.  With the truncation past 1023,
+    the panel [1023, 2047] underflows whole, and its round calls no
+    integrand."""
+    radii, rounds = _capped_run(monkeypatch, quadrature._RSPACE_S_CAP)
+    assert all((r > 0.0).all() for r in radii)
+    assert sum(s.min() >= 511.0 for s, _ in rounds) > 1  # the panel that crosses the cap bisects
+    underflowed = [(np.exp(-s) == 0.0, vals) for s, vals in rounds]
+    assert any(gone.any() for gone, _ in underflowed)
+    assert all((vals[gone] == 0.0).all() for gone, vals in underflowed)
+    assert not any(gone.all() for gone, _ in underflowed)  # no round underflows whole
+    assert len(radii) == len(rounds)
+
+    radii, rounds = _capped_run(monkeypatch, 1500.0)
+    whole = [bool((np.exp(-s) == 0.0).all()) for s, _ in rounds]
+    assert whole == [False] * (len(rounds) - 1) + [True] and (rounds[-1][1] == 0.0).all()
+    assert len(radii) == len(rounds) - 1  # the round of the underflowed panel calls no integrand
+
+
 def test_lookahead_cases_reach_their_branches():
     """Each case exercises what its name says in the reference loop."""
     slow = _halfline_one_panel_per_call(*_HALFLINE_CASES["slow-power-tail"][:2])
@@ -576,15 +621,24 @@ def test_one_interval_sums_its_first_four_levels_in_one_call(monkeypatch):
 
 
 def _each(fs):
-    """The engine's integrand for the integrands fs: each at its own nodes,
-    recording every call's node arrays."""
+    """The engine's integrand for the integrands fs: each on its group's
+    nodes, recording every call's groups as [(nodes, integrals)]."""
     calls = []
 
-    def f(xs):
-        calls.append(list(xs))
-        return [None if x is None else g(x) for g, x in zip(fs, xs)]
+    def f(groups):
+        calls.append([(x, list(which)) for x, which in groups])
+        out = [None] * len(fs)
+        for x, which in groups:
+            for i in which:
+                out[i] = fs[i](x)
+        return out
 
     return f, calls
+
+
+def _sizes(call):
+    """An integrand call's groups as [(node count, integrals)]."""
+    return [(x.size, which) for x, which in call]
 
 
 def _result_bits(res):
@@ -609,7 +663,7 @@ def test_lockstep_gives_each_integral_its_own_result(monkeypatch, subdivisions, 
     the scans' cutoff zone does) and with the subdivision cap at 8, which
     stops some integrals and not others.  Each counts as one call, and
     each round is one integrand call on the nodes of every integral that
-    has not stopped, the first shared by all."""
+    has not stopped, the first one group that holds all."""
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", subdivisions)
     fs = list(_MIXED.values())
     f, calls = _each(fs)
@@ -628,11 +682,11 @@ def test_lockstep_gives_each_integral_its_own_result(monkeypatch, subdivisions, 
     if subdivisions == 8:
         assert 0 < sum(r.converged for r in got) < len(fs) - 1  # the cap stops a finite integral
     assert not math.isfinite(got[-1].value) and not got[-1].converged
-    assert all(x is calls[0][0] for x in calls[0])  # the first round's nodes are one array
+    assert [which for _, which in calls[0]] == [list(range(len(fs)))]  # the first round is one group of all
     assert len(calls) == max(alone_calls) < sum(alone_calls)  # a round per batch of the longest
     if not breakpoints:  # x**2 stops in the block, x**60 past it unless the cap stops it there
-        assert calls[0][0].size == 225 and got[0].evaluations == 225
-        assert all(c[0] is None for c in calls[1:])
+        assert calls[0][0][0].size == 225 and got[0].evaluations == 225
+        assert all(0 not in which for c in calls[1:] for _, which in c)
         assert (got[1].evaluations > 225) == (subdivisions > 8)
 
 
@@ -654,8 +708,8 @@ def test_lockstep_falls_back_to_one_integral_per_call():
     assert [_bits(r) for r in got] == [_bits(r) for r in ref]
     assert got[0].evaluations == ref[0].evaluations and got[1].evaluations == 225
     # the shared block call raised; then each alone, and integrand 0 goes on one batch per round
-    assert [[None if x is None else x.size for x in c] for c in calls[:3]] == [[225, 225], [225, None], [None, 225]]
-    assert [c[0].size for c in calls[3:]] == [15, 30, 60]
+    assert [_sizes(c) for c in calls[:3]] == [[(225, [0, 1])], [(225, [0])], [(225, [1])]]
+    assert [_sizes(c) for c in calls[3:]] == [[(15, [0])], [(30, [0])], [(60, [0])]]
 
     def failing(x):
         if np.isin(x, _EIGHTHS).any():
@@ -743,6 +797,56 @@ def test_non_finite_rules_match_the_heap_reference(monkeypatch, subdivisions, br
     together = quadrature._integrate_many(_each(fs)[0], len(fs), 0.0, 1.0, SPEC, breakpoints)
     assert [_result_bits(r) for r in alone] == ref
     assert [_result_bits(r) for r in together] == ref
+
+
+def _checked_groups(monkeypatch):
+    """Make every integrand call of a lockstep run check its groups against
+    the spans of its round: the groups partition the live integrals, each
+    group's nodes are the nodes of its integrals' spans, and integrals with
+    equal spans share a group, so no two groups hold the same span.  Returns
+    the list that gets each call's groups as [(node count, integrals)]."""
+    real, calls = quadrature._round, []
+
+    def round_(f, spans):
+        f = getattr(f, "unchecked", f)  # a retry's own calls check their own spans
+        key = lambda i: (*spans[i][0], *spans[i][1])
+
+        def checked(groups):
+            assert sorted(i for _, which in groups for i in which) == sorted(spans)
+            assert len({key(which[0]) for _, which in groups}) == len(groups)
+            for x, which in groups:
+                assert {key(i) for i in which} == {key(which[0])}
+                lefts, rights = (np.array(side) for side in spans[which[0]])
+                assert np.array_equal(x, _gk_points(lefts, rights).ravel())
+            calls.append(_sizes(groups))
+            return f(groups)
+
+        checked.unchecked = f
+        return real(checked, spans)
+
+    monkeypatch.setattr(quadrature, "_round", round_)
+    return calls
+
+
+def test_lockstep_groups_partition_the_live_integrals_and_share_equal_spans(monkeypatch):
+    """In a block run, a breakpoint run (a scan quotient's cutoff zone) and
+    a half-line run, every integrand call's groups hold each live integral
+    once, on its own nodes, with the integrals of equal spans together; the
+    first round of each is one group that holds every integral."""
+    from rellich.minseq import MinSeqParams, ScanFamily, rayleigh_quotient
+
+    calls = _checked_groups(monkeypatch)
+    fs = list(_MIXED.values())
+    quadrature._integrate_many(_each(fs)[0], len(fs), 0.0, 1.0, SPEC)
+    assert calls[0] == [(225, list(range(len(fs))))] and len(calls) > 1
+    calls.clear()
+    rayleigh_quotient(ScanFamily.RELLICH_IMPROVED, MinSeqParams(6, 0.0, 1e-3, (0.1,)))
+    assert calls[0] == [(60, [0, 1])]  # both sides on the zone's first 60 nodes
+    calls.clear()
+    cases = [_HALFLINE_CASES[name][0] for name in ("exponential", "slow-power-tail", "nan-late")]
+    quadrature._halfline_many(_each(cases)[0], len(cases), 0.0, SPEC)
+    assert calls[0] == [(15 * quadrature._LOOKAHEAD, [0, 1, 2])]  # the first look-ahead
+    assert any(len(call) > 1 for call in calls)  # later rounds split the integrals into groups
 
 
 def test_integrate_rejects_non_finite_bounds():

@@ -462,7 +462,7 @@ def test_fresh_functional_makes_one_sums_call_and_one_profile_jet_per_round(monk
 
         def density(r, t=t):
             calls.append(r)
-            return radial._jet_densities(profile, [t], [r], mode)[0]
+            return radial._jet_densities(profile, [t], [(r, [0])], mode)[0]
 
         quadrature.integrate(density, 0.0, 1.0)
         alone.append(len(calls))
@@ -501,7 +501,7 @@ def test_log_terms_run_together_one_profile_jet_and_one_sums_call_per_round(monk
 
             def density(r, i=i):
                 calls.append(r)
-                return f([r if j == i else None for j in range(n)])[i]
+                return f([(r, [i])])[i]
 
             results.append(quadrature.origin_integral(density, -1.0, hi, spec))
             alone.append(len(calls))

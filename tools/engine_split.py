@@ -56,12 +56,12 @@ class _Split:
         clock, real = time.perf_counter, self.real
 
         def integrand(f):
-            def timed(xs):
+            def timed(groups):
                 if self.depth > 1:
-                    return f(xs)
+                    return f(groups)
                 t0 = clock()
                 try:
-                    return f(xs)
+                    return f(groups)
                 finally:
                     self.integrand += clock() - t0
 
@@ -81,9 +81,9 @@ class _Split:
             finally:
                 self.depth -= 1
 
-        def round_(f, n, spans):
+        def round_(f, *rest):  # rest: the spans, after an older tree's integral count
             self.rounds += self.depth == 1
-            return real["_round"](f, n, spans)
+            return real["_round"](f, *rest)
 
         def gk_sums(vals, lefts, rights):
             if self.depth != 1:

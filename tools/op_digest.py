@@ -26,7 +26,8 @@ of 1 may be a round-off residual of 2.2e-16 that became 4.4e-16).  Then
 one line per op that differs in a count, a flag or an exception name, and
 one per op that only one tree has; last, one line per workload whose
 quadrature totals (calls, evaluations, unconverged, summed over its ops)
-differ, with both trees' totals.
+differ, with both trees' totals.  It exits 1 when any op line or any
+workload's quadrature totals differ, else 0.
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ def main(argv=None) -> int:
         (mine, my_totals), (theirs, their_totals) = (
             _tree_lines(src, args.seed, names) for src in (Path(args.src), other)
         )
-        print("\n".join(compare(names, mine, theirs, (my_totals, their_totals))))
-        return 0
+        report = compare(names, mine, theirs, (my_totals, their_totals))
+        print("\n".join(report))
+        return int(len(report) > len(names))  # any line past the digests is a difference
     sys.path[:0] = [args.src]
     import rellich
 
