@@ -11,7 +11,8 @@ cutoff is identically 1 and the densities have the exact closed form
 e^{-2 eps s} * prod X_i^{-1+a_i} * (polynomial in eta, B, X-products); this
 is what lets the scans see the logarithmically deep mass that no r-space
 sample could represent.  With one log factor the closed forms, read as
-polynomials in (eps, X_1), give the integral over (0, rho] as a column sum
+polynomials in (eps, X_1, a_1), built once per quotient side and evaluated
+at each quotient's a_1, give the integral over (0, rho] as a column sum
 of Q(b) = int_0^rho r^{-1+2eps} X_1^b dr, incomplete gamma functions taken
 in closed form; where a deficit's sharp constant cancels a level that
 diverges as eps -> 0, the identity
@@ -267,8 +268,8 @@ class ScanFamily(Enum):
 # puts -constant * c * t * "series" in the numerator and c * t * "pk2" in the
 # denominator.  On (0, inner], where the cutoff is 1, one closed-form algebra
 # gives the densities and weights; the quadrature in s (K >= 2) reads it with
-# float arrays, the single-log reduction with polynomials in (eps, X_1).  On
-# the cutoff zone _OuterTerms builds the same densities from jets of u.
+# float arrays, the single-log reduction with polynomials in (eps, X_1, a_1).
+# On the cutoff zone _OuterTerms builds the same densities from jets of u.
 
 
 _CLOSED_KINDS = (("square", 0), ("square", 1), ("gradient", 0), ("radial-gradient", 0))
@@ -313,6 +314,26 @@ def _quotient(family: ScanFamily, N: int, m) -> tuple[tuple, tuple, float]:
     """:func:`_exact_quotient` in floats."""
     num, den, constant = _exact_quotient(family, N, m)
     return _float_terms(num), _float_terms(den), float(constant)
+
+
+# A side's density on (0, inner] in the single-log reduction, with a_1 a
+# variable (see _carried_forms), depends on the sequence member only through
+# (N, m, k), so one build serves every quotient of a scan: float terms at a
+# float m for the quotients, exact ones at a Fraction m for _exact_limit,
+# which must not share an entry (Fraction(0) == 0.0 and the two hash alike,
+# hence typed).  The key is constants only, never eps or a_1.  A scan-limits
+# pass reaches 30-33 keys (terms, N, m, k), 109-121 KiB live; the store
+# keeps the latest _CARRIED_SIZE.
+_CARRIED_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_CARRIED_SIZE, typed=True)
+def _carried_density(terms, N: int, m, k: int) -> _Poly2:
+    """The combination's density over common = r^{-1+2eps} X_1^{-1+a_1} as
+    a polynomial in (eps, X_1, a_1), in the number type of m; one log
+    factor, so the correction series is empty.  Read it at a_1 with
+    :func:`_at_a1`."""
+    return _closed_density(terms, *_carried_forms(N, m, k))
 
 
 def _validate(family: ScanFamily, params: MinSeqParams) -> None:
@@ -605,13 +626,62 @@ class _OuterTerms:
 # until that leaves the double range below eps ~ 1e-150 (DomainError).  Every
 # Q(b) is taken in closed form (see _q_beta), so the reduction runs no
 # quadrature; the cutoff zone is integrated from jets.
+#
+# P depends on the step only through a_1, so each side's P is built once, as
+# a polynomial in (eps, X_1) whose coefficients are polynomials in a_1
+# (_Poly2 over _PolyA, see _carried_forms), and kept in a store keyed by
+# constants (_carried_density); a quotient reads it at its a_1, each (eps, X)
+# cell by Horner's rule (_at_a1), in floats, and _exact_limit reads the same
+# build in Fractions at a_1 = 0.
+
+
+class _PolyA:
+    """Polynomial in a_1: c[l] is the coefficient of a_1^l, a list of
+    Python numbers of one type, which it coerces no more than :class:`_Poly2`
+    does; the coefficients of a carried :class:`_Poly2`."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __bool__(self):
+        return any(self.c)
+
+    def __add__(self, other):
+        if not isinstance(other, _PolyA):
+            return _PolyA([self.c[0] + other, *self.c[1:]])
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        return _PolyA([x + y for x, y in zip(a, b)] + a[len(b) :])
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _Poly2):
+            return NotImplemented  # (a_1 - 1) * X in _eta_b: the _Poly2 multiplies
+        if not isinstance(other, _PolyA):
+            return _PolyA([x * other for x in self.c])
+        a, b = self.c, other.c
+        out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, start=i):
+                out[j] += x * y
+        return _PolyA(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _PolyA([x / other for x in self.c])
 
 
 class _Poly2:
     """Polynomial in (eps, X): c[i][j] is the coefficient of eps^i X^j, a
-    dense rectangle of Python numbers, with ``zero`` the zero of their number
-    type.  It coerces nothing: float coefficients give the float
-    evaluation, Fraction ones stay exact."""
+    dense rectangle of Python numbers, or of :class:`_PolyA` where a_1 is
+    carried, with ``zero`` the zero of their type.  It coerces nothing:
+    float coefficients give the float evaluation, Fraction ones stay
+    exact."""
 
     __slots__ = ("c", "zero")
 
@@ -632,11 +702,11 @@ class _Poly2:
             other = _Poly2([[other]], self.zero)
         ni = max(len(self.c), len(other.c))
         nj = max(len(self.c[0]), len(other.c[0]))
-        out = [[self.zero] * nj for _ in range(ni)]
-        for c in (self.c, other.c):
-            for row, add in zip(out, c):
-                for j, v in enumerate(add):
-                    row[j] += v
+        out = [row + [self.zero] * (nj - len(row)) for row in self.c]
+        out += [[self.zero] * nj for _ in range(ni - len(out))]
+        for row, add in zip(out, other.c):
+            for j, v in enumerate(add):
+                row[j] += v
         return _Poly2(out, self.zero)
 
     __radd__ = __add__
@@ -652,7 +722,7 @@ class _Poly2:
         out = [[self.zero] * (len(a[0]) + nj - 1) for _ in range(len(a) + len(b) - 1)]
         for i, row in enumerate(a):
             for j, v in enumerate(row):
-                if v != 0:
+                if v:
                     for p, brow in enumerate(b):
                         orow = out[i + p]
                         for q, w in enumerate(brow):
@@ -715,13 +785,32 @@ def _reduce_columns(poly: _Poly2, a1):
     return 2, cols[2:], boundary_terms
 
 
-def _poly_forms(N: int, m, k: int, a1) -> tuple[_Forms, list]:
-    """The closed forms of the single-log member with exponent a1 as
-    polynomials in (eps, X_1) with coefficients in the number type of a1,
-    exact where m and a1 are, and its products [P_1] = [X_1]."""
-    zero = a1 - a1
+def _carried_forms(N: int, m, k: int) -> tuple[_Forms, list]:
+    """The closed forms of the single-log member as polynomials in (eps,
+    X_1) with :class:`_PolyA` coefficients, a_1 carried as a variable, in
+    the number type of m, and its products [P_1] = [X_1]."""
+    z = m - m
+    zero = _PolyA([z])
     prods = [_Poly2.x(zero)]
+    a1 = _PolyA([z, z + 1])
     return _closed_forms(N, m, k, _Poly2.eps(zero), *_eta_b((a1,), prods)), prods
+
+
+def _at_a1(poly: _Poly2, a1) -> _Poly2:
+    """The carried polynomial at a_1 = a1, each (eps, X) cell by Horner's
+    rule in a_1: floats from a float build, exact from an exact build at an
+    exact a1."""
+    rows = []
+    for row in poly.c:
+        out = []
+        for cell in row:
+            c = cell.c
+            v = c[-1]
+            for ci in c[-2::-1]:
+                v = ci + v * a1
+            out.append(v)
+        rows.append(out)
+    return _Poly2(rows, poly.zero.c[0])
 
 
 class _Reduction:
@@ -729,15 +818,15 @@ class _Reduction:
     column sum of closed-form Q(beta) and boundary terms, with no quadrature;
     DomainError where the sum leaves the double range.
 
-    One instance serves one parameter set, so each Q(beta) is evaluated once
-    for every integral it takes.
+    An instance serves one parameter set, so each Q(beta) is evaluated once
+    for every integral it takes; the densities it reads at the set's a_1
+    are built once for every quotient, in floats (:func:`_carried_density`).
     """
 
     def __init__(self, params: MinSeqParams):
         if len(params.a) != 1:
             raise DomainError("the exact reduction takes the single-log sequence (K = 1)")
         self.params = params
-        self.forms, self._prods = _poly_forms(params.N, params.m, params.mode_k, params.a[0])
         self._q: dict = {}
 
     def q_beta(self, beta: float) -> float:
@@ -746,9 +835,9 @@ class _Reduction:
         return self._q[beta]
 
     def poly(self, terms) -> _Poly2:
-        """The combination's density over common = r^{-1+2eps} X_1^{-1+a};
-        one log factor, so the correction series is empty."""
-        return _closed_density(terms, self.forms, self._prods)
+        """The combination's density over common = r^{-1+2eps} X_1^{-1+a}."""
+        p = self.params
+        return _at_a1(_carried_density(terms, p.N, float(p.m), p.mode_k), p.a[0])
 
     def integral(self, terms) -> float:
         """The combination's integral over (0, inner]."""
@@ -780,12 +869,12 @@ def _exact_limit(family: ScanFamily, N: int, m=0, mode_k: int = 0) -> Fraction:
     levels, the boundary terms and the cutoff zone, which stay bounded as
     a -> 0.  Both sides of every family keep the same first level, so the
     limit is the ratio of their first kept columns at eps = 0, a = 0, read
-    from the same registry terms and closed forms as the float quotient."""
+    from the same registry terms and carried closed forms as the float
+    quotient, built exactly (:func:`_carried_density` at a Fraction m)."""
     _validate(family, MinSeqParams(N, float(m), mode_k=mode_k))
     m, a = Fraction(m), Fraction(0)
-    forms, prods = _poly_forms(N, m, mode_k, a)
     num, den = (
-        _reduce_columns(_closed_density(terms, forms, prods), a)[1][0][0]
+        _reduce_columns(_at_a1(_carried_density(terms, N, m, mode_k), a), a)[1][0][0]
         for terms in _exact_quotient(family, N, m)[:2]
     )
     return Fraction(num) / den

@@ -420,12 +420,12 @@ def integrate_halfline(
     ``_LOOKAHEAD`` (16) panels, which settles most panels, and the panels
     that need bisecting bisect in the same calls (see :func:`_halfline`);
     the result is bitwise that of one panel at a time.  The panel that
-    crosses ``s_cap`` is evaluated only once the integral needs it, in a
-    call of its own.  Points of panels past the stopping one, and of
-    speculative bisection rounds, count in ``evaluations``.  If a call
-    raises, the integral goes on with the panels it needs, one per call,
-    so an exception surfaces only from a panel the integral needs.  A
-    non-finite s0 raises DomainError.
+    crosses ``s_cap`` ends there, so no node lies past it, and is evaluated
+    only once the integral needs it, in a call of its own.  Points of panels
+    past the stopping one, and of speculative bisection rounds, count in
+    ``evaluations``.  If a call raises, the integral goes on with the panels
+    it needs, one per call, so an exception surfaces only from a panel the
+    integral needs.  A non-finite s0 raises DomainError.
     """
     return _halfline_many(lambda groups: [h(groups[0][0])], 1, s0, spec, s_cap)[0]
 
@@ -534,7 +534,7 @@ def _halfline(s0: float, spec: QuadratureSpec, s_cap: float):
                 if lefts and lo + w > s_cap:
                     break  # the panel that crosses s_cap only as the first
                 lefts.append(lo)
-                rights.append(lo + w)
+                rights.append(min(lo + w, s_cap))  # it ends at s_cap
                 lo, w = lo + w, 2.0 * w
             try:
                 values, errors = yield lefts, rights
@@ -587,7 +587,7 @@ def _halfline(s0: float, spec: QuadratureSpec, s_cap: float):
         if tail is not None and tail <= spec.target(acc) / 2.0:
             err += tail
             return acc, err, err <= spec.target(acc)
-        if head.right > s_cap:
+        if head.right >= s_cap:
             # the half-line past s_cap is left out: add its extrapolated
             # tail, or an unknown error where the panels do not decay
             return acc, err + (math.inf if tail is None else tail), False

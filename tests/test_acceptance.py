@@ -135,9 +135,8 @@ def test_criterion_6_leading_term_asymptotics():
     displayed leading coefficient, exactly, as a polynomial in a."""
     for N in (5, 6, 9, 30):
         for a in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(3, 4)):
-            forms, prods = M._poly_forms(N, Fraction(0), 0, a)
             for name, (side, coefficient, level) in LEADING_TERMS.items():
-                poly = M._closed_density(M._terms(side(N), N, 0), forms, prods)
+                poly = M._at_a1(M._carried_density(M._terms(side(N), N, 0), N, Fraction(0), 0), a)
                 start, cols, _ = M._reduce_columns(poly, a)
                 assert (start, cols[0][0]) == (level, coefficient(N, a)), (name, N, a)
     _report(6, "leading-term coefficients are the reduction's first kept columns, exactly")

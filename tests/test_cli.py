@@ -465,7 +465,10 @@ def test_verify_golden_output(capsys):
 # integrals over (0, inner] moved from quadrature in s to the reduction's
 # column sum (at most 5.9e-16 relative).  The nine deficit families again
 # when every Gauss-Kronrod rule became a function of its own interval's
-# values (at most 3.8e-16 relative).
+# values (at most 3.8e-16 relative).  The nine deficit families again
+# when the reduction's densities became polynomials in a_1, built once and
+# read at each step's a_1 (40 of the 124 quotients, at most 6.4e-16
+# relative).
 _SCAN_GOLDEN = {
     "rellich-improved": (
         "step,epsilon,a1,quotient,theoretical\n"
@@ -473,13 +476,13 @@ _SCAN_GOLDEN = {
         "1,0.0030000000000000001,0.10000000000000001,59.486628506711099,2.5\n"
         "2,0.001,0.10000000000000001,50.20330922148829,2.5\n"
         "3,0.00029999999999999997,0.10000000000000001,43.537345963700254,2.5\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731144,2.5\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731146,2.5\n"
         "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113121,2.5\n"
         "6,3.4565965045886174e-209,0.012500000000000001,4.9252833705570227,2.5\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341953,2.5\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728698,2.5\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341944,2.5\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728694,2.5\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,2.9419377376279865,2.5\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776974,2.5\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776969,2.5\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,2.8029142791398898,2.5\n"
     ),
     "rellich-gradient-improved": (
@@ -487,14 +490,14 @@ _SCAN_GOLDEN = {
         "0,0.01,0.10000000000000001,25.836851147750167,0.25\n"
         "1,0.0030000000000000001,0.10000000000000001,22.788972601260653,0.25\n"
         "2,0.001,0.10000000000000001,20.807752272682432,0.25\n"
-        "3,0.00029999999999999997,0.10000000000000001,19.187163118821104,0.25\n"
+        "3,0.00029999999999999997,0.10000000000000001,19.187163118821108,0.25\n"
         "4,7.6676480737219997e-53,0.050000000000000003,7.025049418292328,0.25\n"
         "5,5.8792826982452694e-105,0.025000000000000001,3.9289896987352297,0.25\n"
         "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119609,0.25\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481306,0.25\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,0.80046775271226922,0.25\n"
-        "9,4.9406564584124654e-324,0.0015625000000000001,0.61322961453358737,0.25\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.533917924436067,0.25\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481302,0.25\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.800467752712269,0.25\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.61322961453358749,0.25\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.53391792443606667,0.25\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.49844794239605966,0.25\n"
     ),
     "weighted-rellich-improved": (
@@ -503,13 +506,13 @@ _SCAN_GOLDEN = {
         "1,0.0030000000000000001,0.10000000000000001,59.486628506711099,2.5\n"
         "2,0.001,0.10000000000000001,50.20330922148829,2.5\n"
         "3,0.00029999999999999997,0.10000000000000001,43.537345963700254,2.5\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731144,2.5\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,12.214756316731146,2.5\n"
         "5,5.8792826982452694e-105,0.025000000000000001,7.3528287363113121,2.5\n"
         "6,3.4565965045886174e-209,0.012500000000000001,4.9252833705570227,2.5\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341953,2.5\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728698,2.5\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,3.7211958182341944,2.5\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,3.1712127509728694,2.5\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,2.9419377376279865,2.5\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776974,2.5\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.8457275833776969,2.5\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,2.8029142791398898,2.5\n"
     ),
     "weighted-gradient-improved": (
@@ -517,14 +520,14 @@ _SCAN_GOLDEN = {
         "0,0.01,0.10000000000000001,25.836851147750167,0.25\n"
         "1,0.0030000000000000001,0.10000000000000001,22.788972601260653,0.25\n"
         "2,0.001,0.10000000000000001,20.807752272682432,0.25\n"
-        "3,0.00029999999999999997,0.10000000000000001,19.187163118821104,0.25\n"
+        "3,0.00029999999999999997,0.10000000000000001,19.187163118821108,0.25\n"
         "4,7.6676480737219997e-53,0.050000000000000003,7.025049418292328,0.25\n"
         "5,5.8792826982452694e-105,0.025000000000000001,3.9289896987352297,0.25\n"
         "6,3.4565965045886174e-209,0.012500000000000001,2.1737914798119609,0.25\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481306,0.25\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,0.80046775271226922,0.25\n"
-        "9,4.9406564584124654e-324,0.0015625000000000001,0.61322961453358737,0.25\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.533917924436067,0.25\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,1.2415945302481302,0.25\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.800467752712269,0.25\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.61322961453358749,0.25\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.53391792443606667,0.25\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.49844794239605966,0.25\n"
     ),
     "amn": (
@@ -540,13 +543,13 @@ _SCAN_GOLDEN = {
         "1,0.0030000000000000001,0.10000000000000001,45.326259403265446,10\n"
         "2,0.001,0.10000000000000001,44.177534256222501,10\n"
         "3,0.00029999999999999997,0.10000000000000001,43.114221112326931,10\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,28.735289781724596,10\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,21.780683092152021,10\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,28.7352897817246,10\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,21.780683092152014,10\n"
         "6,3.4565965045886174e-209,0.012500000000000001,16.763843018186893,10\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,13.677159162578969,10\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,12.094746420004256,10\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,13.677159162578967,10\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,12.094746420004251,10\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,11.397031749766267,10\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,11.096570605474733,10\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,11.096570605474732,10\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,10.961225275461144,10\n"
     ),
     "rellich-deficit-vlap": (
@@ -555,13 +558,13 @@ _SCAN_GOLDEN = {
         "1,0.0030000000000000001,0.10000000000000001,0.88310077395551911,0.625\n"
         "2,0.001,0.10000000000000001,0.88042457468391999,0.625\n"
         "3,0.00029999999999999997,0.10000000000000001,0.87783579044697324,0.625\n"
-        "4,7.6676480737219997e-53,0.050000000000000003,0.8272650080738122,0.625\n"
+        "4,7.6676480737219997e-53,0.050000000000000003,0.82726500807381231,0.625\n"
         "5,5.8792826982452694e-105,0.025000000000000001,0.78402258936192304,0.625\n"
         "6,3.4565965045886174e-209,0.012500000000000001,0.73642411805395203,0.625\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,0.69507793526361794,0.625\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,0.66841204288075418,0.625\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,0.69507793526361772,0.625\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.66841204288075406,0.625\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,0.655113579931208,0.625\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.64905242469629232,0.625\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.64905242469629221,0.625\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.64625197162609649,0.625\n"
     ),
     "gradrellich-deficit-vgrad": (
@@ -569,14 +572,14 @@ _SCAN_GOLDEN = {
         "0,0.01,0.10000000000000001,37.818203413759264,1\n"
         "1,0.0030000000000000001,0.10000000000000001,36.326259403265453,1\n"
         "2,0.001,0.10000000000000001,35.177534256222508,1\n"
-        "3,0.00029999999999999997,0.10000000000000001,34.114221112326931,1\n"
+        "3,0.00029999999999999997,0.10000000000000001,34.114221112326938,1\n"
         "4,7.6676480737219997e-53,0.050000000000000003,19.7352897817246,1\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,12.780683092152021,1\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,12.780683092152017,1\n"
         "6,3.4565965045886174e-209,0.012500000000000001,7.7638430181868969,1\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,4.6771591625789721,1\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,3.0947464200042543,1\n"
-        "9,4.9406564584124654e-324,0.0015625000000000001,2.3970317497662648,1\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,2.0965706054747333,1\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,4.6771591625789712,1\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,3.0947464200042529,1\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,2.3970317497662652,1\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,2.096570605474732,1\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,1.9612252754611439,1\n"
     ),
     "v-laplacian-radial-excess": (
@@ -586,10 +589,10 @@ _SCAN_GOLDEN = {
         "2,0.001,0.10000000000000001,100.35506851244496,32\n"
         "3,0.00029999999999999997,0.10000000000000001,98.228442224653847,32\n"
         "4,7.6676480737219997e-53,0.050000000000000003,69.470579563449178,32\n"
-        "5,5.8792826982452694e-105,0.025000000000000001,55.561366184304042,32\n"
+        "5,5.8792826982452694e-105,0.025000000000000001,55.561366184304028,32\n"
         "6,3.4565965045886174e-209,0.012500000000000001,45.52768603637378,32\n"
         "7,4.9406564584124654e-324,0.0062500000000000003,39.354318325157934,32\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,36.189492840008505,32\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,36.189492840008498,32\n"
         "9,4.9406564584124654e-324,0.0015625000000000001,34.794063499532534,32\n"
         "10,4.9406564584124654e-324,0.00078125000000000004,34.193141210949463,32\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,33.922450550922285,32\n"
@@ -599,14 +602,14 @@ _SCAN_GOLDEN = {
         "0,0.01,0.10000000000000001,0.71600700079676582,0.0625\n"
         "1,0.0030000000000000001,0.10000000000000001,0.70775193488879762,0.0625\n"
         "2,0.001,0.10000000000000001,0.70106143670979948,0.0625\n"
-        "3,0.00029999999999999997,0.10000000000000001,0.69458947611743316,0.0625\n"
+        "3,0.00029999999999999997,0.10000000000000001,0.69458947611743327,0.0625\n"
         "4,7.6676480737219997e-53,0.050000000000000003,0.56816252018453017,0.0625\n"
         "5,5.8792826982452694e-105,0.025000000000000001,0.46005647340480749,0.0625\n"
         "6,3.4565965045886174e-209,0.012500000000000001,0.34106029513487995,0.0625\n"
-        "7,4.9406564584124654e-324,0.0062500000000000003,0.23769483815904477,0.0625\n"
-        "8,4.9406564584124654e-324,0.0031250000000000002,0.17103010720188511,0.0625\n"
-        "9,4.9406564584124654e-324,0.0015625000000000001,0.13778394982801992,0.0625\n"
-        "10,4.9406564584124654e-324,0.00078125000000000004,0.12263106174073067,0.0625\n"
+        "7,4.9406564584124654e-324,0.0062500000000000003,0.23769483815904469,0.0625\n"
+        "8,4.9406564584124654e-324,0.0031250000000000002,0.17103010720188505,0.0625\n"
+        "9,4.9406564584124654e-324,0.0015625000000000001,0.13778394982801995,0.0625\n"
+        "10,4.9406564584124654e-324,0.00078125000000000004,0.1226310617407306,0.0625\n"
         "11,4.9406564584124654e-324,0.00039062500000000002,0.11562992906524094,0.0625\n"
     ),
     "rellich-gradient": (
@@ -681,7 +684,7 @@ def test_scan_stdout_digest_golden(capsys):
             for K in ("1", "2"):
                 code, out, _ = run_cli(capsys, "scan", "--family", family.value, "--N", N, "--K", K)
                 digest.update(f"{family.value} {N} {K} {code}\n{out}".encode())
-    assert digest.hexdigest() == "88b73a88f88675a9aa7c12e1040883a7a8bdc1e52f267e09e8bb8f302d8232ae"
+    assert digest.hexdigest() == "f63a1e8023fd5072aa552894c37d79791f17b71dc7719b05107b81876b842f2c"
 
 
 def test_scan_refuses_a_multi_log_step_the_quadrature_cannot_resolve(capsys):

@@ -352,26 +352,131 @@ class _ArrayPoly2:
         return _ArrayPoly2(self.c / float(other))
 
 
+def _per_a_density(terms, N, m, k, a):
+    """The combination's density over the common factor as a polynomial in
+    (eps, X_1) at the given a_1, built at that a_1 in the number type of a:
+    the rule the carried build must reproduce."""
+    zero = a - a
+    prods = [M._Poly2.x(zero)]
+    forms = M._closed_forms(N, m, k, M._Poly2.eps(zero), *M._eta_b((a,), prods))
+    return M._closed_density(terms, forms, prods)
+
+
 @pytest.mark.parametrize("N", [6, 30])
 def test_reduction_polynomials_match_the_array_form_bitwise(N):
     """The list-based polynomials of every family's sides and of every named
-    functional, and their columns evaluated at eps, are bitwise those of the
-    numpy matrices and numpy's polyval.  A coefficient no float reached is an
-    int, compared as the float it equals."""
+    functional, built at a_1 (the rule the carried build reproduces, see the
+    test below), and their columns evaluated at eps, are bitwise those of
+    the numpy matrices and numpy's polyval.  A coefficient no float reached
+    is an int, compared as the float it equals."""
     sides = [t for fam in ScanFamily for t in M._quotient(fam, N, 0.0)[:2]]
     sides += list(_named_sides(N).values())
     for a in (0.1, 0.37, 1.0):
-        params = MinSeqParams(N, 0.0, 1e-3, (a,))
-        red = M._Reduction(params)
         prods = [_ArrayPoly2([[0.0, 1.0]])]
-        forms = M._closed_forms(N, 0.0, 0, _ArrayPoly2([[0.0], [1.0]]), *M._eta_b(params.a, prods))
+        forms = M._closed_forms(N, 0.0, 0, _ArrayPoly2([[0.0], [1.0]]), *M._eta_b((a,), prods))
         for terms in sides:
-            got, ref = np.array(red.poly(terms).c, dtype=float), M._closed_density(terms, forms, prods).c
+            got = np.array(_per_a_density(terms, N, 0.0, 0, a).c, dtype=float)
+            ref = M._closed_density(terms, forms, prods).c
             assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), terms
             for col in ref.T:
                 for eps in (1e-3, 3e-7, 5e-324):
                     want = float(np.polynomial.polynomial.polyval(eps, col))
                     assert M._polyval(eps, col.tolist()).hex() == want.hex()
+
+
+def _carried_cases(N):
+    """(exact terms, float terms, m, k) of every family's sides at each m it
+    admits among 0, 5/4 and 8 (amn at its modes k = 0..3), and of the named
+    functionals at m = 0."""
+    named = zip(NAMED_SIDES.values(), _named_sides(N).values())
+    cases = [(M._terms(side(N), N, 0), floats, Fraction(0), 0) for side, floats in named]
+    for fam in ScanFamily:
+        for m in (Fraction(0), Fraction(5, 4), Fraction(8)):
+            for k in range(4) if fam is ScanFamily.AMN else (0,):
+                if exact := _exact_sides(fam, N, m, k):
+                    cases += [(t, f, m, k) for t, f in zip(exact, M._quotient(fam, N, float(m))[:2])]
+    return cases
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 30])
+def test_carried_build_is_the_per_a_build(N):
+    """The density built once with a_1 a variable and read at a_1 = a is the
+    one built at a: exactly, cell by cell, in Fractions, and in floats to 8
+    ulp of the largest exact coefficient of its column in X."""
+    for exact, floats, m, k in _carried_cases(N):
+        carried, carried_float = M._carried_density(exact, N, m, k), M._carried_density(floats, N, float(m), k)
+        for a in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(3, 4), Fraction(1)):
+            want = _per_a_density(exact, N, m, k, a).c
+            got = M._at_a1(carried, a).c
+            assert got == want and _exact_numbers(v for row in got for v in row), (exact, m, k, a)
+            got = M._at_a1(carried_float, float(a)).c
+            assert [len(row) for row in got] == [len(row) for row in want]
+            for j, col in enumerate(zip(*want)):
+                tol = 8 * Fraction(math.ulp(float(max(abs(v) for v in col))))
+                for i, v in enumerate(col):
+                    assert type(got[i][j]) is float and abs(Fraction(got[i][j]) - v) <= tol, (exact, m, k, a, i, j)
+    assert len(_carried_cases(N)) >= 17
+
+
+@pytest.fixture
+def empty_carried_store():
+    M._carried_density.cache_clear()
+    yield M._carried_density
+    M._carried_density.cache_clear()
+
+
+@pytest.mark.parametrize("fam", list(ScanFamily))
+def test_a_default_scan_builds_each_side_once(empty_carried_store, monkeypatch, fam):
+    """Every quotient of a default K = 1 scan reads its sides' densities from
+    the store, built on the first step, one build per distinct side; each
+    step's quotient is bitwise the one with the store emptied before it."""
+    builds, build = [], M._carried_forms
+    monkeypatch.setattr(M, "_carried_forms", lambda *key: builds.append(key) or build(*key))
+    schedule = default_schedule(fam, 6)
+    got = scan_to_limit(fam, schedule).quotients
+    sides = set(M._quotient(fam, 6, 0.0)[:2])
+    assert len(builds) == empty_carried_store.cache_info().misses == len(sides)
+    assert empty_carried_store.cache_info().hits == 2 * len(schedule) - len(sides)
+    for p, q in zip(schedule, got):
+        empty_carried_store.cache_clear()
+        assert rayleigh_quotient(fam, p).hex() == q.hex()
+
+
+def test_exact_and_float_builds_keep_apart(empty_carried_store):
+    """At m = 0 the float and the exact builds have equal keys but for m's
+    type (0.0 == Fraction(0)); each reads its own: the exact limit after a
+    float scan is still a Fraction, and the scan after it still floats."""
+    fam = ScanFamily.DEFICIT_VLAP
+    schedule = default_schedule(fam, 6)
+    before = scan_to_limit(fam, schedule).quotients
+    limit = M._exact_limit(fam, 6, 0)
+    assert type(limit) is Fraction and limit == V.REGISTRY[fam.target.name].sharp(6, Fraction(0))[1]
+    assert [q.hex() for q in scan_to_limit(fam, schedule).quotients] == [q.hex() for q in before]
+    assert empty_carried_store.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_a_scan_limits_pass_stays_within_the_carried_store(empty_carried_store, monkeypatch, seed):
+    """The store holds every key of a benchmark scan-limits pass: each is
+    built once, none is dropped, and there are at most _CARRIED_SIZE."""
+    import pathlib
+
+    import rellich
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    plan = workloads.scan_plan(rellich, seed)
+    steps = [(fam, p) for _, fam, schedule in plan for p in schedule if len(p.a) == 1]
+    for fam, p in steps:
+        try:
+            rayleigh_quotient(fam, p)
+        except DomainError:
+            pass
+    info = empty_carried_store.cache_info()
+    assert info.misses == info.currsize <= M._CARRIED_SIZE
+    keys = {(t, p.N, p.m, p.mode_k) for fam, p in steps for t in M._quotient(fam, p.N, p.m)[:2]}
+    assert info.currsize == len(keys)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
@@ -860,11 +965,11 @@ def test_exact_input_keeps_the_reduction_exact(N, m, k):
     m = Fraction(m)
     sides = [t for fam in ScanFamily for t in _exact_sides(fam, N, m, k)]
     sides += [M._terms(side(N), N, 0) for side in NAMED_SIDES.values()] if m == 0 else []
+    forms, _ = M._carried_forms(N, m, k)
+    assert _exact_numbers([forms.q0, forms.A0])
     for a in (Fraction(0), Fraction(1, 3), Fraction(1)):
-        forms, prods = M._poly_forms(N, m, k, a)
-        assert _exact_numbers([forms.q0, forms.A0])
         for terms in sides:
-            poly = M._closed_density(terms, forms, prods)
+            poly = M._at_a1(M._carried_density(terms, N, m, k), a)
             assert _exact_numbers(v for row in poly.c for v in row), terms
             _, cols, boundary = M._reduce_columns(poly, a)
             assert _exact_numbers(v for col in cols for v in col), terms

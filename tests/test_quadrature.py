@@ -278,7 +278,8 @@ def _one_call_per_batch(f, a, b, rel_tol, abs_tol, max_subdivisions, breakpoints
 
 def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200, panels=None):
     """The half-line rule with one integrand call per panel's first rule;
-    each panel's evaluations go to ``panels`` when a list is given."""
+    each panel's evaluations go to ``panels`` when a list is given.  The
+    panel that crosses s_cap ends there, and the integral with it."""
     from rellich.quadrature import _HALFLINE_MAX_PANELS, QuadratureResult
 
     acc, err, evals = 0.0, 0.0, 0
@@ -301,7 +302,7 @@ def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200, panels=None):
 
     panel_subdivisions = max(64, quadrature._MAX_SUBDIVISIONS // 16)
     for _ in range(_HALFLINE_MAX_PANELS):
-        right = left + width
+        right = min(left + width, s_cap)
         sub_abs = max(spec.abs_tol, spec.rel_tol * abs(acc)) / 8.0
         v, e, n, _ok = _one_call_per_batch(h, left, right, spec.rel_tol, sub_abs, panel_subdivisions)
         evals += n
@@ -319,7 +320,7 @@ def _halfline_one_panel_per_call(h, s0, spec=SPEC, s_cap=1e200, panels=None):
             err += tail
             converged = True
             break
-        if left > s_cap:
+        if left >= s_cap:
             err += math.inf if tail is None else tail
             break
     converged = converged and err <= spec.target(acc)
@@ -412,22 +413,29 @@ def _capped_run(monkeypatch, cap):
 
 def test_rspace_origin_integral_at_its_cap_leaves_out_the_underflowed_radii(monkeypatch):
     """An r-space origin integral that reaches its truncation at s = 650
-    bisects the panel that crosses it, [511, 1023], and e^{-s} underflows
-    to 0 past s ~ 745: its integrand never gets a radius of 0, and the
-    values at the underflowed nodes are 0.  With the truncation past 1023,
-    the panel [1023, 2047] underflows whole, and its round calls no
-    integrand."""
+    ends the panel that crosses it there, [511, 650]: no node lies past the
+    cap, so no radius underflows, and the borderline
+    r^{-1} (1 + ln(1/r))^{-1.02} keeps a finite value and error.  With the
+    truncation at s = 1500, past 1023, the panel [511, 1023] crosses
+    s ~ 745, where e^{-s} underflows to 0: its integrand never gets a radius
+    of 0 and the values at the underflowed nodes are 0; the panel
+    [1023, 1500] underflows whole, and its round calls no integrand."""
     radii, rounds = _capped_run(monkeypatch, quadrature._RSPACE_S_CAP)
-    assert all((r > 0.0).all() for r in radii)
-    assert sum(s.min() >= 511.0 for s, _ in rounds) > 1  # the panel that crosses the cap bisects
-    underflowed = [(np.exp(-s) == 0.0, vals) for s, vals in rounds]
-    assert any(gone.any() for gone, _ in underflowed)
-    assert all((vals[gone] == 0.0).all() for gone, vals in underflowed)
-    assert not any(gone.all() for gone, _ in underflowed)  # no round underflows whole
+    assert max(s.max() for s, _ in rounds) <= quadrature._RSPACE_S_CAP
+    last = [s for s, _ in rounds if s.min() >= 511.0]
+    assert len(last) == 1 and last[0].max() > 649.0  # the panel [511, 650]
+    assert all((np.exp(-s) > 0.0).all() for s, _ in rounds)
     assert len(radii) == len(rounds)
+    got = origin_integral(lambda r: 1 / (r * (1 - np.log(r)) ** 1.02), -1.0, 1.0)
+    assert not got.converged and math.isfinite(got.value) and math.isfinite(got.error_estimate)
 
     radii, rounds = _capped_run(monkeypatch, 1500.0)
-    whole = [bool((np.exp(-s) == 0.0).all()) for s, _ in rounds]
+    assert max(s.max() for s, _ in rounds) <= 1500.0
+    assert all((r > 0.0).all() for r in radii)
+    underflowed = [(np.exp(-s) == 0.0, vals) for s, vals in rounds]
+    assert any(gone.any() and not gone.all() for gone, _ in underflowed)
+    assert all((vals[gone] == 0.0).all() for gone, vals in underflowed)
+    whole = [bool(gone.all()) for gone, _ in underflowed]
     assert whole == [False] * (len(rounds) - 1) + [True] and (rounds[-1][1] == 0.0).all()
     assert len(radii) == len(rounds) - 1  # the round of the underflowed panel calls no integrand
 

@@ -1,5 +1,6 @@
 """Where a benchmark pass's quadrature time goes: the lockstep engine's own
-Python work against its integrand calls and its Gauss-Kronrod sums.
+Python work against its integrand calls and its Gauss-Kronrod sums; and the
+time of the single-log scan quotients' reduction, which runs no quadrature.
 
     python3 tools/engine_split.py --workload W --seed N [--src DIR] [--passes K]
 
@@ -7,8 +8,9 @@ Builds the ops of ``perfbench/workloads.py`` for the seed and runs every op
 once in list order: one warm pass, then K timed passes (default 4), in one
 process, each pass on ops built afresh, untimed.  Timing is in-process only: ``quadrature._lockstep``,
 ``quadrature._round`` and ``quadrature._gk_sums`` are wrapped, and so is the
-integrand each lockstep run is given.  For the pass with the least wall time
-it prints, one figure per line:
+integrand each lockstep run is given, and ``minseq._Reduction``'s
+``__init__`` and ``integral``.  For the pass with the least wall time it
+prints, one figure per line:
 
 - ``pass_ms``: the pass;
 - ``lockstep_ms``: inside ``_lockstep`` runs (an integrand call that runs a
@@ -17,6 +19,9 @@ it prints, one figure per line:
 - ``gk_sums_ms``: inside their ``_gk_sums`` calls;
 - ``engine_ms``: ``lockstep_ms`` less the two before it, the engine's own
   time (generators, heap, node building, batching);
+- ``reduction_ms``: inside ``minseq._Reduction`` construction and its
+  ``integral`` calls, the single-log quotients' column sums over
+  (0, inner], outside every lockstep run (0 where no scan runs);
 - ``runs`` and ``rounds``: ``_lockstep`` runs and their rounds
   (``_round`` calls, an exception's per-integral retries included).
 
@@ -36,20 +41,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-FIGURES = ("pass_ms", "lockstep_ms", "integrand_ms", "gk_sums_ms", "engine_ms", "runs", "rounds")
+FIGURES = ("pass_ms", "lockstep_ms", "integrand_ms", "gk_sums_ms", "engine_ms", "reduction_ms", "runs", "rounds")
+REDUCTION_METHODS = ("__init__", "integral")
 
 
 class _Split:
-    """The wrapped engine's accumulators for one pass."""
+    """The wrapped engine's and reduction's accumulators for one pass."""
 
-    def __init__(self, quadrature):
-        self.quadrature = quadrature
+    def __init__(self, quadrature, reduction):
+        self.quadrature, self.reduction = quadrature, reduction
         self.real = {name: getattr(quadrature, name) for name in ("_lockstep", "_round", "_gk_sums")}
+        self.real_reduction = {name: vars(reduction)[name] for name in REDUCTION_METHODS}
         self.depth = 0
         self.reset()
 
     def reset(self):
-        self.lockstep = self.integrand = self.gk_sums = 0.0
+        self.lockstep = self.integrand = self.gk_sums = self.reduced = 0.0
         self.runs = self.rounds = 0
 
     def __enter__(self):
@@ -94,13 +101,27 @@ class _Split:
             finally:
                 self.gk_sums += clock() - t0
 
+        def reduction_timed(method):
+            def timed(*args):
+                t0 = clock()
+                try:
+                    return method(*args)
+                finally:
+                    self.reduced += clock() - t0
+
+            return timed
+
         for name, wrapper in (("_lockstep", lockstep), ("_round", round_), ("_gk_sums", gk_sums)):
             setattr(self.quadrature, name, wrapper)
+        for name, method in self.real_reduction.items():
+            setattr(self.reduction, name, reduction_timed(method))
         return self
 
     def __exit__(self, *exc):
         for name, real in self.real.items():
             setattr(self.quadrature, name, real)
+        for name, real in self.real_reduction.items():
+            setattr(self.reduction, name, real)
 
     def figures(self, seconds: float) -> dict:
         ms = {
@@ -110,6 +131,7 @@ class _Split:
             "gk_sums_ms": 1e3 * self.gk_sums,
         }
         ms["engine_ms"] = ms["lockstep_ms"] - ms["integrand_ms"] - ms["gk_sums_ms"]
+        ms["reduction_ms"] = 1e3 * self.reduced
         return {**ms, "runs": self.runs, "rounds": self.rounds}
 
 
@@ -121,13 +143,13 @@ def run_ops(ops) -> None:
             pass
 
 
-def split(quadrature, build, passes: int) -> dict:
+def split(quadrature, reduction, build, passes: int) -> dict:
     """The figures of the fastest of ``passes`` timed passes, after one warm
     pass, each over the fresh ops of an untimed ``build()``, as the
     benchmark's passes are: a store keyed by case or profile object serves
     no later pass."""
     best = None
-    with _Split(quadrature) as probe:
+    with _Split(quadrature, reduction) as probe:
         run_ops(build())
         for _ in range(passes):
             ops = build()
@@ -156,10 +178,10 @@ def main(argv=None) -> int:
     import workloads
 
     import rellich
-    from rellich import quadrature
+    from rellich import minseq, quadrature
 
     build = lambda: workloads.WORKLOADS[args.workload].build(rellich, args.seed)[1]
-    figures = split(quadrature, build, args.passes)
+    figures = split(quadrature, minseq._Reduction, build, args.passes)
     print(f"{args.workload} seed {args.seed}: best of {args.passes} passes")
     for name in FIGURES:
         value = figures[name]
